@@ -9,7 +9,7 @@ norm-growth sequence ||L^m f||_2 that controls quasi-analytic behavior.
 Numerical claims are certified rather than assumed: envelope and bound
 constants are frozen by calibration runs into JSON fixtures, every
 certified check recomputes its inequality on a declared grid, and reports
-are byte-deterministic across worker counts.
+are byte-identical across repeated runs.
 """
 
 from .errors import (

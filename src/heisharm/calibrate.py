@@ -161,10 +161,10 @@ def envelope_check(fixture=None, k_max=None, dims=None, fixtures_dir=None):
     }
 
 
-def calibrate_factor_bound(threads=1):
+def calibrate_factor_bound():
     """Frozen c_n for each supported dimension."""
     return {
-        "c_n": {str(n): calibrate_cn(n, threads=threads) for n in FACTOR_DIMS},
+        "c_n": {str(n): calibrate_cn(n) for n in FACTOR_DIMS},
         "k_max": 200,
         "s_nodes": 120,
         "s_range": [1e-9, 1e3],
@@ -173,7 +173,7 @@ def calibrate_factor_bound(threads=1):
     }
 
 
-def calibrate_chain_gap(c_n_1, threads=1):
+def calibrate_chain_gap(c_n_1):
     """Frozen C for the chain Cauchy-gap bound, probed at k = 1..12 of the
     reference inv-sqrt chain on H^1."""
     theta = builtin_theta(CHAIN_GAP_THETA)
@@ -182,7 +182,7 @@ def calibrate_chain_gap(c_n_1, threads=1):
                                lambda_nodes=128, nodes_per_panel=48)
     worst = 0.0
     for kk in range(1, CHAIN_GAP_K_PROBE + 1):
-        bound, measured = cauchy_gap(plan, kk, grid, c3=1.0, threads=threads)
+        bound, measured = cauchy_gap(plan, kk, grid, c3=1.0)
         worst = max(worst, measured / bound)
     return {
         "C": 1.1 * worst,
@@ -198,16 +198,16 @@ def calibrate_chain_gap(c_n_1, threads=1):
     }
 
 
-def run_all(out_dir=None, threads=1):
+def run_all(out_dir=None):
     out_dir = packaged_fixtures_dir() if out_dir is None else out_dir
     env = calibrate_envelope()
     write_json(f"{out_dir}/lemma21_constants.json", env)
     print(f"lemma21_constants.json: C_fit={env['C_fit']:.6g} gamma_fit={env['gamma_fit']:.6g}")
-    fac = calibrate_factor_bound(threads=threads)
+    fac = calibrate_factor_bound()
     write_json(f"{out_dir}/box_factor_envelope.json", fac)
     print("box_factor_envelope.json: " +
           " ".join(f"c_{n}={fac['c_n'][n]:.6g}" for n in sorted(fac["c_n"])))
-    gap = calibrate_chain_gap(float(fac["c_n"]["1"]), threads=threads)
+    gap = calibrate_chain_gap(float(fac["c_n"]["1"]))
     write_json(f"{out_dir}/chain_gap_constants.json", gap)
     print(f"chain_gap_constants.json: C={gap['C']:.6g} c3={gap['c3']:.6g}")
 

@@ -142,16 +142,12 @@ def log_convexity_margin(profile):
     return float(np.min(np.diff(ln, 2)))
 
 
-def _theta_eval(theta, y):
-    return theta(y)
-
-
 def gamma_integral_log(theta, n, m, u_lo=-46.0, u_hi=60.0, nodes=8193):
     """log of I(m) = int_0^inf lam^{2m+n} e^{-Theta(sqrt(lam)) sqrt(lam)} dlam,
     by trapezoid in u = log lam under logsumexp shifting."""
     u = np.linspace(u_lo, u_hi, nodes)
     lam = np.exp(u)
-    log_g = (2.0 * m + n + 1.0) * u - _theta_eval(theta, np.sqrt(lam)) * np.sqrt(lam)
+    log_g = (2.0 * m + n + 1.0) * u - theta(np.sqrt(lam)) * np.sqrt(lam)
     w = np.full(nodes, u[1] - u[0])
     w[0] *= 0.5
     w[-1] *= 0.5
@@ -163,7 +159,7 @@ def gamma_bound_log(theta, n, m):
     2 m^{8(n+1)} Gamma(4m) Theta(m^4)^{-4m} + 4 e^{-m^2} Gamma(8m + 4(n+1)),
     returned with the two constituent term logs."""
     t1 = (np.log(2.0) + 8.0 * (n + 1) * np.log(m) + gammaln(4.0 * m)
-          - 4.0 * m * np.log(_theta_eval(theta, float(m) ** 4)))
+          - 4.0 * m * np.log(theta(float(m) ** 4)))
     t2 = np.log(4.0) - float(m) ** 2 + gammaln(8.0 * m + 4.0 * (n + 1))
     return float(np.logaddexp(t1, t2)), float(t1), float(t2)
 
@@ -172,7 +168,7 @@ def check_gamma_hypothesis(theta, y_max=1e8, nodes=2049):
     """The gamma chain needs Theta(y) >= 2 y^{-1/2} for y >= 1; sampled
     violation raises HypothesisError carrying the failing y."""
     y = np.geomspace(1.0, y_max, nodes)
-    deficit = _theta_eval(theta, y) - 2.0 * y ** -0.5
+    deficit = theta(y) - 2.0 * y ** -0.5
     bad = deficit < -1e-12
     if np.any(bad):
         y_bad = float(y[np.argmax(bad)])

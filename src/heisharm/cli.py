@@ -7,13 +7,11 @@ line.  Exit status is the contract: 0 when the certified check passed, 1
 when it completed and failed, 2 for configuration or usage errors,
 including profile-class and hypothesis refusals.
 
-Reports never embed the worker count, timestamps, or environment data, so
-identical configs and fixtures give byte-identical files at any --threads
-value; the pool only changes wall time.
+Reports never embed timestamps or environment data, so identical configs
+and fixtures give byte-identical files on every run.
 """
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 
@@ -48,7 +46,6 @@ _DEFAULTS = {
     "lambda_max": 1e2,
     "lambda_nodes": 192,
     "out": "report.json",
-    "threads": None,
     "fixtures": None,
     "family": None,
     "dilation": 1.4,
@@ -84,7 +81,6 @@ class RunConfig:
     lambda_max: float = 1e2
     lambda_nodes: int = 192
     out_path: str = "report.json"
-    threads: int = 1
     fixtures_dir: str = None
     family: str = None
     dilation: float = 1.4
@@ -99,8 +95,6 @@ class RunConfig:
             raise DomainError("grid controls must be positive")
         if not (0 < self.lambda_min < self.lambda_max):
             raise DomainError("need 0 < lambda_min < lambda_max")
-        if self.threads < 1:
-            raise DomainError("threads must be >= 1")
         if len(self.factors) != 4 or any(v <= 0 for v in self.factors):
             raise DomainError("factors must be four positive reals "
                               "rho1,tau1,rho2,tau2")
@@ -150,7 +144,7 @@ def _cmd_plancherel_check(cfg):
                       float(np.sqrt((np.pi * sz ** 2) ** n * st * np.sqrt(np.pi)))))
     rows = []
     for name, f, spatial in cases:
-        spectral = plancherel_norm(forward_radial(f, grid, threads=cfg.threads))
+        spectral = plancherel_norm(forward_radial(f, grid))
         rel = abs(spectral - spatial) / spatial
         rows.append({"family": name, "spatial_norm": spatial,
                      "spectral_norm": spectral, "rel_error": rel,
@@ -177,8 +171,8 @@ def _cmd_convolve_check(cfg):
         raise DomainError("the spatial convolution oracle runs on H^1 only")
     rho1, tau1, rho2, tau2 = cfg.factors
     grid = cfg.grid()
-    c1 = forward_radial(box_factor(1, rho1, tau1), grid, threads=cfg.threads)
-    c2 = forward_radial(box_factor(1, rho2, tau2), grid, threads=cfg.threads)
+    c1 = forward_radial(box_factor(1, rho1, tau1), grid)
+    c2 = forward_radial(box_factor(1, rho2, tau2), grid)
     prod = multiply_coeffs(c1, c2)
     conv = box_convolution_coefficients(rho1, tau1, rho2, tau2,
                                         grid.lam, grid.k_max)
@@ -207,11 +201,9 @@ def _cmd_dilate_check(cfg):
     r = cfg.dilation
     grid = cfg.grid()
     sz, st = 2.0, 0.2
-    c = forward_radial(gaussian_factor(cfg.n, sz, st), grid,
-                       threads=cfg.threads)
+    c = forward_radial(gaussian_factor(cfg.n, sz, st), grid)
     dilated = dilate_coeffs(c, r)
-    target = forward_radial(gaussian_factor(cfg.n, sz / r, st / r ** 2), grid,
-                            threads=cfg.threads)
+    target = forward_radial(gaussian_factor(cfg.n, sz / r, st / r ** 2), grid)
     # interpolation queries lam / r^2 must stay inside the stored window
     mask = ((grid.lam >= cfg.lambda_min * max(1.0, r ** 2))
             & (grid.lam <= cfg.lambda_max * min(1.0, r ** 2)))
@@ -241,8 +233,7 @@ def _cmd_ingham_plan(cfg):
                           fixtures_dir=cfg.fixtures_dir)
     # thinned replay of the factor-bound calibration; full density is the
     # acceptance-grade run
-    check = factor_bound_check(cfg.n, thin=6, threads=cfg.threads,
-                               fixtures_dir=cfg.fixtures_dir)
+    check = factor_bound_check(cfg.n, thin=6, fixtures_dir=cfg.fixtures_dir)
     ok = check["violations"] == 0
     return {
         "command": "ingham-plan",
@@ -269,8 +260,7 @@ def _cmd_ingham_verify(cfg):
     report = verify_decay(plan, theta, k_max=cfg.k_max,
                           lambda_min=cfg.lambda_min,
                           lambda_max=cfg.lambda_max,
-                          lambda_nodes=cfg.lambda_nodes,
-                          threads=cfg.threads)
+                          lambda_nodes=cfg.lambda_nodes)
     return report, (f"theta={theta.name} n={cfg.n} k_max={cfg.k_max} "
                     f"max_log_q={report['max_log_q']:.6f} C={report['C']:.6g}")
 
@@ -470,9 +460,6 @@ def _build_parser():
         p.add_argument("--lambda-nodes", type=int, default=None)
         p.add_argument("--out", default=None, metavar="PATH",
                        help="report path (default report.json)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads; HEISHARM_THREADS is the "
-                            "flag-less fallback")
         p.add_argument("--fixtures", default=None, metavar="DIR",
                        help="directory overriding the packaged calibration "
                             "fixtures")
@@ -525,10 +512,6 @@ def _resolve_config(args):
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
-    threads = merged["threads"]
-    if threads is None:
-        env = os.environ.get("HEISHARM_THREADS", "").strip()
-        threads = int(env) if env else 1
     return RunConfig(
         command=args.command,
         theta=merged["theta"],
@@ -538,7 +521,6 @@ def _resolve_config(args):
         lambda_max=float(merged["lambda_max"]),
         lambda_nodes=int(merged["lambda_nodes"]),
         out_path=merged["out"],
-        threads=int(threads),
         fixtures_dir=merged["fixtures"],
         family=merged["family"],
         dilation=float(merged["dilation"]),

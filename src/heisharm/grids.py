@@ -32,7 +32,10 @@ DEFAULT_NODES_PER_PANEL = 64
 
 @lru_cache(maxsize=32)
 def _unit_rule(p):
+    # read-only: every caller shares the cached arrays
     x, w = roots_legendre(p)
+    x.setflags(write=False)
+    w.setflags(write=False)
     return x, w
 
 

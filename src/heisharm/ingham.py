@@ -33,7 +33,6 @@ from scipy.special import betainc, gammaln
 from .errors import DomainError, ProfileClassError, QuadratureError
 from .fixtures import load_fixture
 from .grids import radial_rule
-from .parallel import deterministic_map
 from .transform import SpectralCoefficients, ball_normalizer, plancherel_norm, transform_at_lambda
 
 __all__ = [
@@ -204,8 +203,8 @@ def calibration_grid(n, k_max=200, s_lo=1e-9, s_hi=1e3, s_nodes=120):
     return k, s
 
 
-def calibrate_cn(n, k_max=200, s_nodes=120, nodes_per_panel=48, threads=1,
-                 safety=1.1, refine_check=True):
+def calibrate_cn(n, k_max=200, s_nodes=120, nodes_per_panel=48, safety=1.1,
+                 refine_check=True):
     """Envelope constant: safety * sup over the calibration grid of
     |coeff(k, s)| ((2k+n) s)^{(2n-1)/4}.
 
@@ -221,7 +220,7 @@ def calibrate_cn(n, k_max=200, s_nodes=120, nodes_per_panel=48, threads=1,
             vals = factor_coeff_table(si, k_max, n, npp)
             return np.max(np.abs(vals) * ((2.0 * k + n) * si) ** ((2.0 * n - 1.0) / 4.0))
 
-        return max(deterministic_map(column, list(s), threads=threads))
+        return max(column(si) for si in s)
 
     sup = run(s_nodes, nodes_per_panel)
     if refine_check:
@@ -236,7 +235,7 @@ def calibrate_cn(n, k_max=200, s_nodes=120, nodes_per_panel=48, threads=1,
 
 
 def factor_bound_check(n, c_n=None, k_max=200, s_nodes=120, nodes_per_panel=48,
-                       thin=1, threads=1, fixtures_dir=None):
+                       thin=1, fixtures_dir=None):
     """Validate |coeff(k, s)| <= min(1, c_n ((2k+n) s)^{-(2n-1)/4}) over the
     calibration grid, with the frozen c_n by default.
 
@@ -255,7 +254,7 @@ def factor_bound_check(n, c_n=None, k_max=200, s_nodes=120, nodes_per_panel=48,
         env = np.minimum(1.0, c_n * x ** (0.5 - n))
         return float(np.max(vals / env)), int(np.sum(vals > env))
 
-    res = deterministic_map(column, list(s), threads=threads)
+    res = [column(si) for si in s]
     return {
         "n": n,
         "c_n": float(c_n),
@@ -315,7 +314,7 @@ def chain_coeff(plan, N, k, lam, nodes_per_panel=64):
     return float(signs[N, int(k)] * np.exp(logs[N, int(k)]))
 
 
-def chain_coefficients(plan, N, grid, threads=1):
+def chain_coefficients(plan, N, grid):
     """SpectralCoefficients of G_N on the grid (even in t, so symmetric)."""
     if N < 0 or N > plan.J:
         raise DomainError(f"chain length {N} outside 0..{plan.J}")
@@ -325,17 +324,16 @@ def chain_coefficients(plan, N, grid, threads=1):
                                          grid.nodes_per_panel)
         return signs[N] * np.exp(logs[N])
 
-    cols = deterministic_map(column, list(grid.lam), threads=threads)
-    vals = np.stack(cols, axis=1)
+    vals = np.stack([column(lam) for lam in grid.lam], axis=1)
     return SpectralCoefficients(n=plan.n, grid=grid, values=vals, symmetric=True)
 
 
-def build_chain(plan, N, grid, threads=1):
+def build_chain(plan, N, grid):
     return InghamChain(plan=plan, n=plan.n, N=N,
-                       coeffs=chain_coefficients(plan, N, grid, threads=threads))
+                       coeffs=chain_coefficients(plan, N, grid))
 
 
-def _max_log_q(plan, theta, k_max, lam_nodes, nodes_per_panel, threads):
+def _max_log_q(plan, theta, k_max, lam_nodes, nodes_per_panel):
     k = np.arange(k_max + 1, dtype=float)
 
     def column(lam):
@@ -351,32 +349,31 @@ def _max_log_q(plan, theta, k_max, lam_nodes, nodes_per_panel, threads):
         i = int(np.argmax(log_q))
         return float(log_q[i]), i
 
-    results = deterministic_map(column, list(lam_nodes), threads=threads)
+    results = [column(lam) for lam in lam_nodes]
     best = max(range(len(results)), key=lambda i: results[i][0])
     return results[best][0], results[best][1], float(lam_nodes[best])
 
 
 def verify_decay(plan, theta, k_max=64, lambda_min=1e-2, lambda_max=1e2,
-                 lambda_nodes=192, nodes_per_panel=64, threads=1,
-                 stability_check=True):
+                 lambda_nodes=192, nodes_per_panel=64, stability_check=True):
     """Certify the decay of the adaptive chain over a (k, lam) window.
 
     Maximizes q(k, lam) = chain_coeff(plan, adaptive_N, k, lam)^2 *
     e^{+2 Theta(sqrt(nu)) sqrt(nu)} in log space.  The fitted constant is
     C = max q; pass requires a finite maximum that moves by at most 0.1 in
     log when k_max doubles.  Report schema is fixed; byte determinism
-    across thread counts is part of the contract.
+    across repeated runs is part of the contract.
     """
     if theta.divergent:
         raise ProfileClassError(
             f"profile {theta.name!r} is declared divergent: nothing to certify")
     lam_nodes = np.geomspace(lambda_min, lambda_max, lambda_nodes)
     max_log_q, k_star, lam_star = _max_log_q(plan, theta, k_max, lam_nodes,
-                                             nodes_per_panel, threads)
+                                             nodes_per_panel)
     stable = True
     if stability_check:
         max2, _, _ = _max_log_q(plan, theta, 2 * k_max, lam_nodes,
-                                nodes_per_panel, threads)
+                                nodes_per_panel)
         stable = bool(abs(max2 - max_log_q) <= 0.1)
     ok = bool(np.isfinite(max_log_q) and stable)
     return {
@@ -434,7 +431,7 @@ def ball_shift_symmdiff(dim, R, xi_norm):
     return 2.0 * V - 4.0 * cap
 
 
-def cauchy_gap(plan, k, grid, c3=None, fixtures_dir=None, threads=1):
+def cauchy_gap(plan, k, grid, c3=None, fixtures_dir=None):
     """(bound, measured) for the step G_k -> G_{k+1} of the chain.
 
     bound = tau_{k+1}^2 + c3 rho_{k+1} with the calibrated c3; measured is
@@ -454,7 +451,8 @@ def cauchy_gap(plan, k, grid, c3=None, fixtures_dir=None, threads=1):
         return (signs[k + 1] * np.exp(logs[k + 1])
                 - signs[k] * np.exp(logs[k]))
 
-    cols = deterministic_map(column, list(grid.lam), threads=threads)
     diff = SpectralCoefficients(n=plan.n, grid=grid,
-                                values=np.stack(cols, axis=1), symmetric=True)
+                                values=np.stack([column(lam) for lam in grid.lam],
+                                                axis=1),
+                                symmetric=True)
     return bound, float(plancherel_norm(diff))

@@ -24,10 +24,9 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DimensionMismatchError, DomainError, GridMismatchError, QuadratureError
-from .grids import QuadratureGrid, gauss_legendre_panels, radial_rule
+from .grids import QuadratureGrid, _unit_rule, gauss_legendre_panels, radial_rule
 from .jsonio import atomic_write_text, read_json, write_json
 from .laguerre import normalized_laguerre_table
-from .parallel import deterministic_map
 
 __all__ = [
     "RadialFunction",
@@ -215,7 +214,7 @@ def _forward_column(f, lam, k_max, nodes_per_panel):
     return transform_at_lambda(fvals, x, w, lam, k_max, f.n)
 
 
-def forward_radial(f, grid, symmetric=True, threads=1, check=True, check_tol=1e-8):
+def forward_radial(f, grid, symmetric=True, check=True, check_tol=1e-8):
     """Transform a RadialFunction on the grid.
 
     With check=True every column is recomputed at doubled panel order and
@@ -224,18 +223,11 @@ def forward_radial(f, grid, symmetric=True, threads=1, check=True, check_tol=1e-
     """
     k_max = grid.k_max
     npp = grid.nodes_per_panel
-
-    def col(lam):
-        return _forward_column(f, lam, k_max, npp)
-
-    cols = deterministic_map(col, list(grid.lam), threads=threads)
-    vals = np.stack(cols, axis=1)
+    vals = np.stack([_forward_column(f, lam, k_max, npp) for lam in grid.lam],
+                    axis=1)
     if check:
-        def col2(lam):
-            return _forward_column(f, lam, k_max, 2 * npp)
-
-        cols2 = deterministic_map(col2, list(grid.lam), threads=threads)
-        fine = np.stack(cols2, axis=1)
+        fine = np.stack([_forward_column(f, lam, k_max, 2 * npp)
+                         for lam in grid.lam], axis=1)
         scale = max(1.0, float(np.max(np.abs(fine))))
         diff = np.abs(vals - fine)
         worst = np.unravel_index(int(np.argmax(diff)), diff.shape)
@@ -402,7 +394,7 @@ def box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=256, psi_nodes=25
         hi = np.minimum(T + half1, half2)
         return hgt * np.maximum(0.0, hi - lo)
 
-    xg, wg = np.polynomial.legendre.leggauss(psi_nodes)
+    xg, wg = _unit_rule(psi_nodes)
 
     def u_rule(cuts, singular, nodes):
         # arccos of the overlap angle behaves like sqrt(u - c) at the cut
@@ -418,7 +410,7 @@ def box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=256, psi_nodes=25
             else:
                 panels.append((lo, hi, s_lo, s_hi))
         per = nodes // len(panels) + 8
-        q, qw = np.polynomial.legendre.leggauss(per)
+        q, qw = _unit_rule(per)
         xs, ws = [], []
         for lo, hi, s_lo, s_hi in panels:
             if s_lo or s_hi:
@@ -471,6 +463,7 @@ def direct_convolution_oracle(f, g, x, g_z_radius, g_t_radius, nodes=24):
     if x.n != 1:
         raise DimensionMismatchError("the spatial oracle is implemented on H^1 only")
     xz, xt = complex(x.z[0]), float(x.t)
+    # numpy's own rule keeps the oracle independent of grids._unit_rule
     q, qw = np.polynomial.legendre.leggauss(nodes)
     u1, u2, s = np.meshgrid(g_z_radius * q, g_z_radius * q, g_t_radius * q,
                             indexing="ij")

@@ -188,7 +188,7 @@ def test_carleman_closed_form_and_sum_growth():
     assert time.perf_counter() - t0 <= 10.0
 
 
-def test_reports_byte_identical_across_threads(tmp_path):
+def test_reports_byte_identical_across_processes(tmp_path):
     t0 = time.perf_counter()
     # the children run from tmp_path, where a relative PYTHONPATH does not
     # resolve; point them at the package tree this process imported
@@ -198,16 +198,16 @@ def test_reports_byte_identical_across_threads(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         [pkg_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     blobs = []
-    for t in ("1", "4", "16"):
-        path = tmp_path / f"t{t}.json"
+    for i in range(2):
+        path = tmp_path / f"run{i}.json"
         proc = subprocess.run(
             [sys.executable, "-m", "heisharm.cli", "ingham-verify",
              "--kmax", "64", "--lambda-min", "0.01", "--lambda-max", "100",
-             "--lambda-nodes", "192", "--threads", t, "--out", str(path)],
+             "--lambda-nodes", "192", "--out", str(path)],
             capture_output=True, text=True, cwd=tmp_path, env=env)
         assert proc.returncode == 0, proc.stderr
         blobs.append(path.read_bytes())
-    assert blobs[0] == blobs[1] == blobs[2]
+    assert blobs[0] == blobs[1]
     report = json.loads(blobs[0])
     assert report["pass"] is True
     assert time.perf_counter() - t0 <= 900.0

@@ -173,20 +173,22 @@ def test_unknown_config_key_refused(tmp_path):
                      "--out", str(tmp_path / "x.json")]) == 2
 
 
-def test_reports_identical_across_threads(tmp_path, monkeypatch):
+def test_reports_identical_across_dispatches(tmp_path):
     argv = ["ingham-verify", "--kmax", "10", "--lambda-min", "0.1",
             "--lambda-max", "10", "--lambda-nodes", "16"]
     blobs = []
-    for t in ("1", "4", "16"):
-        path = tmp_path / f"t{t}.json"
-        assert dispatch([*argv, "--threads", t, "--out", str(path)]) == 0
+    for i in range(2):
+        path = tmp_path / f"run{i}.json"
+        assert dispatch([*argv, "--out", str(path)]) == 0
         blobs.append(path.read_bytes())
-    assert blobs[0] == blobs[1] == blobs[2]
-    # env fallback applies only when the flag is absent
-    monkeypatch.setenv("HEISHARM_THREADS", "8")
-    path = tmp_path / "env.json"
-    assert dispatch([*argv, "--out", str(path)]) == 0
-    assert path.read_bytes() == blobs[0]
+    assert blobs[0] == blobs[1]
+    # the worker-count option is gone, as flag and as config key
+    assert dispatch([*argv, "--threads", "2",
+                     "--out", str(tmp_path / "x.json")]) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": 2}))
+    assert dispatch([*argv, "--config", str(cfg),
+                     "--out", str(tmp_path / "x.json")]) == 2
 
 
 def test_fixtures_dir_override(tmp_path):

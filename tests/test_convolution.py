@@ -16,6 +16,7 @@ from heisharm import (
     forward_radial,
     multiply_coeffs,
 )
+from heisharm.grids import _unit_rule
 
 CONV_TOL = 1e-3
 
@@ -108,3 +109,14 @@ def test_convolution_theorem_small_grid():
     err = np.max(np.abs(spatial - product.values) /
                  (1.0 + np.abs(product.values)))
     assert err < CONV_TOL
+
+
+def test_unit_rule_arrays_read_only():
+    # box_pair_convolution and the radial panels share the cached rule, so
+    # an in-place edit by one caller would corrupt every later rule
+    x, w = _unit_rule(16)
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w *= 2.0
+    assert _unit_rule(16)[0] is x

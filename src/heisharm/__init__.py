@@ -57,7 +57,9 @@ from .transform import (
     RadialFunction,
     SpectralCoefficients,
     apply_multiplier,
+    ball_coefficients,
     ball_normalizer,
+    box_coefficients,
     box_convolution_coefficients,
     box_convolution_grids,
     box_factor,
@@ -135,8 +137,9 @@ __all__ = [
     "bound_envelope", "envelope_values", "orthonormality_defect",
     "QuadratureGrid", "radial_rule",
     "ThetaProfile", "builtin_theta", "load_theta", "tail_integral_estimate",
-    "RadialFunction", "SpectralCoefficients", "box_factor", "gaussian_factor",
-    "ground_state", "ball_normalizer", "projection_hs_norm_sq",
+    "RadialFunction", "SpectralCoefficients", "box_factor", "box_coefficients",
+    "gaussian_factor", "ground_state", "ball_normalizer", "ball_coefficients",
+    "projection_hs_norm_sq",
     "forward_radial", "transform_at_lambda", "plancherel_norm", "sobolev_norm",
     "apply_multiplier", "sublaplacian_symbol", "multiply_coeffs",
     "dilate_coeffs", "box_pair_convolution", "direct_convolution_oracle",

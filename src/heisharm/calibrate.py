@@ -10,8 +10,9 @@ then only read:
   envelope, so domination on that grid holds by construction.
 
 * ``box_factor_envelope.json`` - the constants c_n of the oscillatory bound
-  on ball-indicator coefficients, from the sup of the refinement-checked
-  calibration in :func:`heisharm.ingham.calibrate_cn`.
+  on ball-indicator coefficients, from the sup of the closed-form
+  coefficients in :func:`heisharm.ingham.calibrate_cn`, checked on a
+  doubled grid and against radial quadrature.
 
 * ``chain_gap_constants.json`` - the constant C with
   measured gap <= C * (tau_{k+1}^2 + c3 rho_{k+1}) along the reference
@@ -24,6 +25,7 @@ constants below.
 """
 
 import hashlib
+import os
 
 import numpy as np
 
@@ -200,6 +202,7 @@ def calibrate_chain_gap(c_n_1):
 
 def run_all(out_dir=None):
     out_dir = packaged_fixtures_dir() if out_dir is None else out_dir
+    os.makedirs(out_dir, exist_ok=True)
     env = calibrate_envelope()
     write_json(f"{out_dir}/lemma21_constants.json", env)
     print(f"lemma21_constants.json: C_fit={env['C_fit']:.6g} gamma_fit={env['gamma_fit']:.6g}")

@@ -31,10 +31,10 @@ from .ingham import (ball_shift_symmdiff, ball_volume, factor_bound_check,
 from .jsonio import atomic_write_text, read_json, write_json
 from .laguerre import orthonormality_defect
 from .theta import load_theta
-from .transform import (SpectralCoefficients, box_convolution_coefficients,
-                        box_convolution_grids, box_factor, dilate_coeffs,
-                        forward_radial, gaussian_factor, multiply_coeffs,
-                        plancherel_norm)
+from .transform import (SpectralCoefficients, box_coefficients,
+                        box_convolution_coefficients, box_convolution_grids,
+                        dilate_coeffs, forward_radial, gaussian_factor,
+                        multiply_coeffs, plancherel_norm)
 
 __all__ = ["RunConfig", "dispatch", "main"]
 
@@ -137,14 +137,14 @@ def _cmd_plancherel_check(cfg):
     cases = []
     if family in ("box", "both"):
         rho, tau = cfg.factors[0], cfg.factors[1]
-        cases.append(("box", box_factor(n, rho, tau), rho ** -n / tau))
+        cases.append(("box", box_coefficients(n, rho, tau, grid), rho ** -n / tau))
     if family in ("gaussian", "both"):
         sz, st = 2.0, 0.2
-        cases.append(("gaussian", gaussian_factor(n, sz, st),
+        cases.append(("gaussian", forward_radial(gaussian_factor(n, sz, st), grid),
                       float(np.sqrt((np.pi * sz ** 2) ** n * st * np.sqrt(np.pi)))))
     rows = []
-    for name, f, spatial in cases:
-        spectral = plancherel_norm(forward_radial(f, grid))
+    for name, coeffs, spatial in cases:
+        spectral = plancherel_norm(coeffs)
         rel = abs(spectral - spatial) / spatial
         rows.append({"family": name, "spatial_norm": spatial,
                      "spectral_norm": spectral, "rel_error": rel,
@@ -171,8 +171,8 @@ def _cmd_convolve_check(cfg):
         raise DomainError("the spatial convolution oracle runs on H^1 only")
     rho1, tau1, rho2, tau2 = cfg.factors
     grid = cfg.grid()
-    c1 = forward_radial(box_factor(1, rho1, tau1), grid)
-    c2 = forward_radial(box_factor(1, rho2, tau2), grid)
+    c1 = box_coefficients(1, rho1, tau1, grid)
+    c2 = box_coefficients(1, rho2, tau2, grid)
     prod = multiply_coeffs(c1, c2)
     conv = box_convolution_coefficients(rho1, tau1, rho2, tau2,
                                         grid.lam, grid.k_max)

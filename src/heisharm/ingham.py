@@ -18,7 +18,10 @@ calibrated oscillatory envelope
 
     |coeff| <= min(1, c_n (rho sqrt((2k+n)|lam|))^{-n+1/2}),
 
-with c_n frozen by the calibration run.  Taking N = adaptive_N factors at
+with c_n frozen by the calibration run.  The coefficients come from the
+closed form in transform.ball_coefficients, one batched call per sweep;
+radial quadrature is kept as its oracle, which calibrate_cn cross-checks
+before freezing c_n.  Taking N = adaptive_N factors at
 spectral frequency nu = (2k+n)|lam| yields decay e^{-Theta(sqrt(nu)) sqrt(nu)}
 up to a constant; verify_decay certifies this numerically by maximizing
 the reweighted square q = chain^2 e^{+2 Theta(sqrt(nu)) sqrt(nu)} over a
@@ -33,7 +36,8 @@ from scipy.special import betainc, gammaln
 from .errors import DomainError, ProfileClassError, QuadratureError
 from .fixtures import load_fixture
 from .grids import radial_rule
-from .transform import SpectralCoefficients, ball_normalizer, plancherel_norm, transform_at_lambda
+from .transform import (SpectralCoefficients, ball_coefficients, ball_normalizer,
+                        plancherel_norm, transform_at_lambda)
 
 __all__ = [
     "SequencePlan",
@@ -161,28 +165,34 @@ def factor_t_hat(j, lam, plan):
     return _sinc(0.5 * plan.tau[j - 1] ** 2 * np.asarray(lam, dtype=float))
 
 
-def factor_coeff_table(s, k_max, n, nodes_per_panel=64):
+def factor_coeff_table(s, k_max, n):
     """Coefficients 0..k_max of a unit-width z-factor as a function of the
     scale-invariant argument s = lam rho^2 > 0.
 
     Substituting r = rho v shows the rho-factor coefficient at lam equals
     the unit-factor coefficient at s, so one table covers every factor.
+    A scalar view of ball_coefficients; sweeps call that directly.
     """
     if s <= 0:
         raise DomainError("need s > 0")
-    a = ball_normalizer(n)
-    x, w = radial_rule(s, k_max, n, a, nodes_per_panel)
+    return ball_coefficients(np.array([s], dtype=float), k_max, n)[:, 0]
+
+
+def _quadrature_table(s, k_max, n, nodes_per_panel):
+    """factor_coeff_table by radial Gauss-Legendre quadrature: the oracle
+    the closed form is checked against."""
+    x, w = radial_rule(s, k_max, n, ball_normalizer(n), nodes_per_panel)
     return transform_at_lambda(np.ones_like(x), x, w, s, k_max, n)
 
 
-def factor_coeff(j, k, lam, plan, nodes_per_panel=64):
+def factor_coeff(j, k, lam, plan):
     """k-th coefficient of the j-th z-factor at lam (1-based j)."""
     if not (1 <= j <= plan.J):
         raise DomainError(f"factor index {j} outside 1..{plan.J}")
     if lam == 0:
         raise DomainError("lam must be nonzero")
     s = abs(lam) * plan.rho[j - 1] ** 2
-    return float(factor_coeff_table(s, int(k), plan.n, nodes_per_panel)[int(k)])
+    return float(factor_coeff_table(s, int(k), plan.n)[int(k)])
 
 
 def factor_coeff_envelope(k, lam, rho, n, c_n):
@@ -203,39 +213,53 @@ def calibration_grid(n, k_max=200, s_lo=1e-9, s_hi=1e3, s_nodes=120):
     return k, s
 
 
+# largest relative disagreement allowed between the closed-form and the
+# quadrature calibration sups: the change the frozen c_n may tolerate
+_ORACLE_TOL = 1e-9
+
+
 def calibrate_cn(n, k_max=200, s_nodes=120, nodes_per_panel=48, safety=1.1,
                  refine_check=True):
     """Envelope constant: safety * sup over the calibration grid of
-    |coeff(k, s)| ((2k+n) s)^{(2n-1)/4}.
+    |coeff(k, s)| ((2k+n) s)^{(2n-1)/4}, with the coefficients from the
+    closed form.
 
-    With refine_check the sup is recomputed on a doubled grid (twice the s
-    nodes, twice the panel order) and the two sups must agree within 5%, so
-    a frozen constant can never be a quadrature artifact.
+    With refine_check the sup is recomputed on the doubled s grid and the
+    two sups must agree within 5%, and the base-grid sup is recomputed by
+    radial quadrature at nodes_per_panel, which must agree within
+    _ORACLE_TOL, so a frozen constant can never be an artifact of either
+    method.
     """
+    k = np.arange(k_max + 1)
 
-    def run(nodes, npp):
-        k, s = calibration_grid(n, k_max=k_max, s_nodes=nodes)
+    def sup_of(s, table):
+        weight = ((2.0 * k[:, None] + n) * s[None, :]) ** ((2.0 * n - 1.0) / 4.0)
+        return float(np.max(np.abs(table) * weight))
 
-        def column(si):
-            vals = factor_coeff_table(si, k_max, n, npp)
-            return np.max(np.abs(vals) * ((2.0 * k + n) * si) ** ((2.0 * n - 1.0) / 4.0))
-
-        return max(column(si) for si in s)
-
-    sup = run(s_nodes, nodes_per_panel)
+    _, s = calibration_grid(n, k_max=k_max, s_nodes=s_nodes)
+    sup = sup_of(s, ball_coefficients(s, k_max, n))
     if refine_check:
-        fine = run(2 * s_nodes, 2 * nodes_per_panel)
+        _, s2 = calibration_grid(n, k_max=k_max, s_nodes=2 * s_nodes)
+        fine = sup_of(s2, ball_coefficients(s2, k_max, n))
         rel = abs(fine - sup) / max(sup, fine)
         if rel > 0.05:
             raise QuadratureError(
                 "factor-bound calibration sup moved under grid refinement",
                 disagreement=float(rel))
+        quad = np.stack([_quadrature_table(si, k_max, n, nodes_per_panel)
+                         for si in s], axis=1)
+        oracle = sup_of(s, quad)
+        rel = abs(oracle - sup) / max(sup, oracle)
+        if rel > _ORACLE_TOL:
+            raise QuadratureError(
+                "closed-form calibration sup disagrees with radial quadrature",
+                disagreement=float(rel))
         sup = max(sup, fine)
     return float(safety * sup)
 
 
-def factor_bound_check(n, c_n=None, k_max=200, s_nodes=120, nodes_per_panel=48,
-                       thin=1, fixtures_dir=None):
+def factor_bound_check(n, c_n=None, k_max=200, s_nodes=120, thin=1,
+                       fixtures_dir=None):
     """Validate |coeff(k, s)| <= min(1, c_n ((2k+n) s)^{-(2n-1)/4}) over the
     calibration grid, with the frozen c_n by default.
 
@@ -247,22 +271,17 @@ def factor_bound_check(n, c_n=None, k_max=200, s_nodes=120, nodes_per_panel=48,
                                  fixtures_dir)["c_n"][str(n)])
     k, s = calibration_grid(n, k_max=k_max, s_nodes=s_nodes)
     s = s[::max(int(thin), 1)]
-
-    def column(si):
-        vals = np.abs(factor_coeff_table(si, k_max, n, nodes_per_panel))
-        x = np.sqrt((2.0 * k + n) * si)
-        env = np.minimum(1.0, c_n * x ** (0.5 - n))
-        return float(np.max(vals / env)), int(np.sum(vals > env))
-
-    res = [column(si) for si in s]
+    vals = np.abs(ball_coefficients(s, k_max, n))
+    x = np.sqrt((2.0 * k[:, None] + n) * s[None, :])
+    env = np.minimum(1.0, c_n * x ** (0.5 - n))
     return {
         "n": n,
         "c_n": float(c_n),
         "k_max": k_max,
         "s_columns": int(s.size),
         "points": int((k_max + 1) * s.size),
-        "violations": int(sum(r[1] for r in res)),
-        "max_ratio": max(r[0] for r in res),
+        "violations": int(np.sum(vals > env)),
+        "max_ratio": float(np.max(vals / env)),
     }
 
 
@@ -280,27 +299,38 @@ def adaptive_N(theta, k, lam, n):
     return np.minimum(raw, np.floor(root)).astype(int)
 
 
-def _chain_log_columns(plan, lam, k_max, n_cap, nodes_per_panel):
-    """Signed log cumulative products for one lambda column.
+def _chain_log_columns(plan, lam, k_max, n_cap):
+    """Signed log cumulative products for every lambda column at once.
 
-    Returns (signs, logmags) of shape (n_cap+1, k_max+1): row N holds the
-    chain coefficient of G_N.  Row 0 is the empty product 1.  The j-loop
-    runs serially in increasing j; this is the determinism contract.
+    lam is a 1-d array of nonzero lambdas and n_cap the number of factors
+    needed at each (one int for all, or one per lambda).  Returns (signs,
+    logmags) of shape (lam.size, max(n_cap)+1, k_max+1): entry [i, N] holds
+    the chain coefficient of G_N at lam[i] for N <= n_cap[i]; row 0 is the
+    empty product 1 and rows past n_cap[i] repeat row n_cap[i].  Every
+    (lambda, j <= n_cap) factor table comes from one ball_coefficients
+    call; each column's products then accumulate serially in increasing j,
+    which is the determinism contract.
     """
-    signs = np.ones((n_cap + 1, k_max + 1))
-    logs = np.zeros((n_cap + 1, k_max + 1))
-    for j in range(1, n_cap + 1):
-        s = abs(lam) * plan.rho[j - 1] ** 2
-        coeffs = factor_coeff_table(s, k_max, plan.n, nodes_per_panel)
-        tval = float(_sinc(0.5 * plan.tau[j - 1] ** 2 * lam))
-        term = coeffs * tval
-        with np.errstate(divide="ignore"):
-            logs[j] = logs[j - 1] + np.log(np.abs(term))
-        signs[j] = signs[j - 1] * np.sign(term)
+    lam = np.asarray(lam, dtype=float)
+    n_cap = np.broadcast_to(np.asarray(n_cap, dtype=int), lam.shape)
+    top = int(n_cap.max(initial=0))
+    li, jj = np.nonzero(np.arange(top)[None, :] < n_cap[:, None])
+    s = np.abs(lam[li]) * plan.rho[jj] ** 2
+    term = (ball_coefficients(s, k_max, plan.n)
+            * _sinc(0.5 * plan.tau[jj] ** 2 * lam[li])).T
+    step_logs = np.zeros((lam.size, top, k_max + 1))
+    step_signs = np.ones((lam.size, top, k_max + 1))
+    with np.errstate(divide="ignore"):
+        step_logs[li, jj] = np.log(np.abs(term))
+    step_signs[li, jj] = np.sign(term)
+    shape = (lam.size, top + 1, k_max + 1)
+    signs, logs = np.ones(shape), np.zeros(shape)
+    signs[:, 1:] = np.cumprod(step_signs, axis=1)
+    logs[:, 1:] = np.cumsum(step_logs, axis=1)
     return signs, logs
 
 
-def chain_coeff(plan, N, k, lam, nodes_per_panel=64):
+def chain_coeff(plan, N, k, lam):
     """Chain coefficient of G_N at one cell: the signed product of the
     first N factor coefficients and interval transforms.  N = 0 is the
     empty product 1."""
@@ -310,21 +340,16 @@ def chain_coeff(plan, N, k, lam, nodes_per_panel=64):
         return 1.0
     if lam == 0:
         raise DomainError("lam must be nonzero")
-    signs, logs = _chain_log_columns(plan, lam, int(k), N, nodes_per_panel)
-    return float(signs[N, int(k)] * np.exp(logs[N, int(k)]))
+    signs, logs = _chain_log_columns(plan, [lam], int(k), N)
+    return float(signs[0, N, int(k)] * np.exp(logs[0, N, int(k)]))
 
 
 def chain_coefficients(plan, N, grid):
     """SpectralCoefficients of G_N on the grid (even in t, so symmetric)."""
     if N < 0 or N > plan.J:
         raise DomainError(f"chain length {N} outside 0..{plan.J}")
-
-    def column(lam):
-        signs, logs = _chain_log_columns(plan, lam, grid.k_max, N,
-                                         grid.nodes_per_panel)
-        return signs[N] * np.exp(logs[N])
-
-    vals = np.stack([column(lam) for lam in grid.lam], axis=1)
+    signs, logs = _chain_log_columns(plan, grid.lam, grid.k_max, N)
+    vals = (signs[:, N] * np.exp(logs[:, N])).T
     return SpectralCoefficients(n=plan.n, grid=grid, values=vals, symmetric=True)
 
 
@@ -333,29 +358,27 @@ def build_chain(plan, N, grid):
                        coeffs=chain_coefficients(plan, N, grid))
 
 
-def _max_log_q(plan, theta, k_max, lam_nodes, nodes_per_panel):
+def _max_log_q(plan, theta, k_max, lam_nodes):
+    """(max log q, its k, its lambda) over the window; ties go to the
+    first lambda column and, within it, the first k."""
     k = np.arange(k_max + 1, dtype=float)
-
-    def column(lam):
-        nu = (2.0 * k + plan.n) * abs(lam)
-        root = np.sqrt(nu)
-        N = np.minimum(np.floor(theta(root) * root), np.floor(root)).astype(int)
-        # a plan only has J factors; using fewer than adaptive_N asks for
-        # weakens the certified decay, which is conservative, not wrong
-        N = np.minimum(N, plan.J)
-        n_cap = int(np.max(N))
-        _, logs = _chain_log_columns(plan, lam, k_max, n_cap, nodes_per_panel)
-        log_q = 2.0 * logs[N, np.arange(k_max + 1)] + 2.0 * theta(root) * root
-        i = int(np.argmax(log_q))
-        return float(log_q[i]), i
-
-    results = [column(lam) for lam in lam_nodes]
-    best = max(range(len(results)), key=lambda i: results[i][0])
-    return results[best][0], results[best][1], float(lam_nodes[best])
+    nu = (2.0 * k[None, :] + plan.n) * np.abs(lam_nodes)[:, None]
+    root = np.sqrt(nu)
+    N = np.minimum(np.floor(theta(root) * root), np.floor(root)).astype(int)
+    # a plan only has J factors; using fewer than adaptive_N asks for
+    # weakens the certified decay, which is conservative, not wrong
+    N = np.minimum(N, plan.J)
+    _, logs = _chain_log_columns(plan, lam_nodes, k_max, N.max(axis=1))
+    chain = np.take_along_axis(logs, N[:, None, :], axis=1)[:, 0, :]
+    log_q = 2.0 * chain + 2.0 * theta(root) * root
+    k_star = np.argmax(log_q, axis=1)
+    col_max = log_q[np.arange(lam_nodes.size), k_star]
+    best = int(np.argmax(col_max))
+    return float(col_max[best]), int(k_star[best]), float(lam_nodes[best])
 
 
 def verify_decay(plan, theta, k_max=64, lambda_min=1e-2, lambda_max=1e2,
-                 lambda_nodes=192, nodes_per_panel=64, stability_check=True):
+                 lambda_nodes=192, stability_check=True):
     """Certify the decay of the adaptive chain over a (k, lam) window.
 
     Maximizes q(k, lam) = chain_coeff(plan, adaptive_N, k, lam)^2 *
@@ -368,12 +391,10 @@ def verify_decay(plan, theta, k_max=64, lambda_min=1e-2, lambda_max=1e2,
         raise ProfileClassError(
             f"profile {theta.name!r} is declared divergent: nothing to certify")
     lam_nodes = np.geomspace(lambda_min, lambda_max, lambda_nodes)
-    max_log_q, k_star, lam_star = _max_log_q(plan, theta, k_max, lam_nodes,
-                                             nodes_per_panel)
+    max_log_q, k_star, lam_star = _max_log_q(plan, theta, k_max, lam_nodes)
     stable = True
     if stability_check:
-        max2, _, _ = _max_log_q(plan, theta, 2 * k_max, lam_nodes,
-                                nodes_per_panel)
+        max2, _, _ = _max_log_q(plan, theta, 2 * k_max, lam_nodes)
         stable = bool(abs(max2 - max_log_q) <= 0.1)
     ok = bool(np.isfinite(max_log_q) and stable)
     return {
@@ -445,14 +466,8 @@ def cauchy_gap(plan, k, grid, c3=None, fixtures_dir=None):
         c3 = float(load_fixture("chain_gap_constants.json", fixtures_dir)["c3"])
     bound = float(plan.tau[k] ** 2 + c3 * plan.rho[k])
 
-    def column(lam):
-        signs, logs = _chain_log_columns(plan, lam, grid.k_max, k + 1,
-                                         grid.nodes_per_panel)
-        return (signs[k + 1] * np.exp(logs[k + 1])
-                - signs[k] * np.exp(logs[k]))
-
-    diff = SpectralCoefficients(n=plan.n, grid=grid,
-                                values=np.stack([column(lam) for lam in grid.lam],
-                                                axis=1),
-                                symmetric=True)
+    signs, logs = _chain_log_columns(plan, grid.lam, grid.k_max, k + 1)
+    gap = (signs[:, k + 1] * np.exp(logs[:, k + 1])
+           - signs[:, k] * np.exp(logs[:, k]))
+    diff = SpectralCoefficients(n=plan.n, grid=grid, values=gap.T, symmetric=True)
     return bound, float(plancherel_norm(diff))

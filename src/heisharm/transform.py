@@ -21,20 +21,22 @@ norms are literal single-sided integrals.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammainc, gammaln
 
 from .errors import DimensionMismatchError, DomainError, GridMismatchError, QuadratureError
 from .grids import QuadratureGrid, _unit_rule, gauss_legendre_panels, radial_rule
 from .jsonio import atomic_write_text, read_json, write_json
-from .laguerre import normalized_laguerre_table
+from .laguerre import _orthonormal_table, normalized_laguerre_table
 
 __all__ = [
     "RadialFunction",
     "SpectralCoefficients",
     "box_factor",
+    "box_coefficients",
     "gaussian_factor",
     "ground_state",
     "ball_normalizer",
+    "ball_coefficients",
     "projection_hs_norm_sq",
     "forward_radial",
     "transform_at_lambda",
@@ -60,6 +62,47 @@ def ball_normalizer(n):
     indicator scaled by rho^{-2n} integrates to one.
     """
     return float(np.exp((gammaln(n + 1) - n * np.log(np.pi)) / (2.0 * n)))
+
+
+# e^{-x/2} is exactly zero in double precision past x = 1491, so every row of
+# an orthonormal table is zero there; capping x^{alpha+1} at this point only
+# keeps 0 * inf out of the recurrence
+_POWER_CAP = 1e4
+
+
+def ball_coefficients(s, k_max, n):
+    """Coefficients 0..k_max of the unit normalized ball indicator (height 1
+    on |z| <= a, a = ball_normalizer(n)) at every s = lam rho^2 > 0 of a 1-d
+    array; returns shape (k_max+1, s.size).
+
+    Closed form of the radial transform: with alpha = n-1, x = s a^2 / 2 and
+    I_k(x) = int_0^x u^alpha e^{-u/2} L_k^alpha(u) du,
+
+        I_0 = 2^{alpha+1} gamma(alpha+1, x/2),
+        I_{k+1} = (2 x^{alpha+1} e^{-x/2} L_k^{alpha+1}(x)
+                   - (k+alpha+1) I_k) / (k+1),
+
+    carried on J_k = (k!/Gamma(k+alpha+1))^{1/2} I_k so that the
+    L_k^{alpha+1} values come bounded from the orthonormal recurrence.  The
+    substitution u = s r^2 / 2 turns R_k into 2^alpha s^{-n} sqrt(Gamma(n))
+    pref C_{k,n} J_k, with pref C_{k,n} the weights of transform_at_lambda.
+    Every column is computed independently of the others.
+    """
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 1 or not np.all(s > 0):
+        raise DomainError("need a 1-d array of s > 0")
+    alpha = n - 1.0
+    a = ball_normalizer(n)
+    x = 0.5 * s * a * a
+    orth = _orthonormal_table(k_max, alpha + 1.0, x)
+    xpow = 2.0 * np.minimum(x, _POWER_CAP) ** (alpha + 1.0)
+    J = np.empty((k_max + 1, s.size))
+    J[0] = 2.0 ** (alpha + 1.0) * np.exp(0.5 * gammaln(alpha + 1.0)) \
+        * gammainc(alpha + 1.0, 0.5 * x)
+    for k in range(k_max):
+        J[k + 1] = (xpow * orth[k] - np.sqrt(k + alpha + 1.0) * J[k]) / np.sqrt(k + 1.0)
+    weights = _coefficient_weights(k_max, n) * (np.exp(0.5 * gammaln(n)) * 2.0 ** alpha)
+    return weights[:, None] * J * s ** -float(n)
 
 
 @dataclass(frozen=True)
@@ -110,6 +153,15 @@ def box_factor(n, rho, tau, label=""):
 
     return RadialFunction(n=n, profile=profile, t_hat=t_hat, support_radius=R,
                           label=label or f"box(rho={rho!r}, tau={tau!r})")
+
+
+def box_coefficients(n, rho, tau, grid):
+    """SpectralCoefficients of box_factor(n, rho, tau) on the grid, from the
+    closed form: the unit ball table at s = lam rho^2 times t_hat(lam).
+    forward_radial of the same factor is the quadrature oracle."""
+    f = box_factor(n, rho, tau)
+    vals = ball_coefficients(grid.lam * rho ** 2, grid.k_max, n) * f.t_hat(grid.lam)
+    return SpectralCoefficients(n=n, grid=grid, values=vals, symmetric=True)
 
 
 def gaussian_factor(n, sigma_z, sigma_t, cutoff=14.0):
@@ -189,6 +241,14 @@ class SpectralCoefficients:
         return replace(self, values=values)
 
 
+def _coefficient_weights(k_max, n):
+    """pref C_{k,n} for k = 0..k_max, with pref = 2 pi^n / Gamma(n): the
+    factor in front of every coefficient's radial integral."""
+    k = np.arange(k_max + 1)
+    c = np.exp(0.5 * (gammaln(k + 1) + gammaln(n) - gammaln(k + n)))
+    return 2.0 * np.pi ** n / np.exp(gammaln(n)) * c
+
+
 def transform_at_lambda(fvals, x, w, lam, k_max, n):
     """Coefficient vector R_.(lam) from samples fvals of f^lam on the radial
     rule (x, w).  Used directly when f^lam only exists as samples, e.g. the
@@ -196,11 +256,8 @@ def transform_at_lambda(fvals, x, w, lam, k_max, n):
     fvals = np.asarray(fvals, dtype=float)
     x = np.asarray(x, dtype=float)
     table = normalized_laguerre_table(k_max, lam, n, x)
-    c = np.exp(0.5 * (gammaln(np.arange(k_max + 1) + 1) + gammaln(n)
-                      - gammaln(np.arange(k_max + 1) + n)))
-    pref = 2.0 * np.pi ** n / np.exp(gammaln(n))
     integrand = fvals * w * x ** (2 * n - 1)
-    return pref * c * np.sum(table * integrand[None, :], axis=1)
+    return _coefficient_weights(k_max, n) * np.sum(table * integrand[None, :], axis=1)
 
 
 def _forward_column(f, lam, k_max, nodes_per_panel):

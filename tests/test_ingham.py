@@ -2,19 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from heisharm import (
     DomainError,
     ProfileClassError,
+    QuadratureError,
     QuadratureGrid,
     SequencePlan,
     adaptive_N,
     ball_normalizer,
     ball_shift_symmdiff,
     ball_volume,
+    box_coefficients,
     box_factor,
     build_chain,
     builtin_theta,
+    calibrate_cn,
     calibration_grid,
     cauchy_gap,
     chain_coeff,
@@ -31,6 +36,7 @@ from heisharm import (
     support_radius,
     verify_decay,
 )
+from heisharm import ingham
 
 LENS_TOL = 1e-10
 
@@ -82,15 +88,19 @@ def test_factor_t_hat_values():
 
 def test_factor_coeff_ties_to_forward_transform():
     # a box factor's spectral rows are the scale-invariant unit-ball table at
-    # s = lam rho^2 times the interval transform
+    # s = lam rho^2 times the interval transform; box_coefficients is that
+    # product on the whole grid
     rho, tau = 0.8, 0.6
     grid = QuadratureGrid.make(k_max=6, lambda_min=0.5, lambda_max=4.0,
                                lambda_nodes=6)
-    vals = forward_radial(box_factor(1, rho, tau), grid).values
-    for i, lam in enumerate(grid.lam):
-        table = factor_coeff_table(lam * rho ** 2, 6, 1)
-        sinc = np.sin(0.5 * tau ** 2 * lam) / (0.5 * tau ** 2 * lam)
-        assert np.allclose(vals[:, i], table * sinc, atol=1e-9)
+    for n in (1, 2, 3):
+        vals = forward_radial(box_factor(n, rho, tau), grid).values
+        assert np.allclose(box_coefficients(n, rho, tau, grid).values, vals,
+                           atol=1e-9)
+        for i, lam in enumerate(grid.lam):
+            table = factor_coeff_table(lam * rho ** 2, 6, n)
+            sinc = np.sin(0.5 * tau ** 2 * lam) / (0.5 * tau ** 2 * lam)
+            assert np.allclose(vals[:, i], table * sinc, atol=1e-9)
     with pytest.raises(DomainError):
         factor_coeff_table(-1.0, 4, 1)
 
@@ -120,9 +130,20 @@ def test_calibration_grid_shape():
     assert s[0] == pytest.approx(1e-9) and s[-1] == pytest.approx(1e3)
 
 
+def test_calibrate_cn_cross_checks_quadrature(monkeypatch):
+    cn = calibrate_cn(1, k_max=20, s_nodes=12)
+    assert cn == pytest.approx(calibrate_cn(1, k_max=20, s_nodes=12,
+                                            refine_check=False))
+    # a closed form off by 1e-6 relative must not freeze a constant
+    closed = ingham.ball_coefficients
+    monkeypatch.setattr(ingham, "ball_coefficients",
+                        lambda s, k_max, n: closed(s, k_max, n) * (1.0 + 1e-6))
+    with pytest.raises(QuadratureError):
+        calibrate_cn(1, k_max=20, s_nodes=12)
+
+
 def test_factor_bound_small_replay():
-    out = factor_bound_check(1, k_max=60, s_nodes=30, nodes_per_panel=40,
-                             thin=3)
+    out = factor_bound_check(1, k_max=60, s_nodes=30, thin=3)
     assert out["violations"] == 0
     assert out["max_ratio"] <= 1.0
     assert out["points"] == 61 * out["s_columns"]
@@ -154,6 +175,27 @@ def test_chain_empty_and_factor_product():
         chain_coeff(plan, -1, 0, 1.0)
 
 
+@seed(5)
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.integers(min_value=1, max_value=10),
+       st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=5))
+def test_chain_columns_match_scalar_products(n, k_max, caps):
+    # one batched call with a different factor count per lambda column
+    # against the product of scalar factor coefficients and interval
+    # transforms, column by column
+    plan = plan_sequences(builtin_theta("inv-sqrt"), n, J=6, c_n=1.2)
+    lam = np.geomspace(1e-2, 1e2, len(caps))
+    signs, logs = ingham._chain_log_columns(plan, lam, k_max, np.array(caps))
+    assert signs.shape == logs.shape == (len(caps), max(caps) + 1, k_max + 1)
+    for i, cap in enumerate(caps):
+        expect = np.ones(k_max + 1)
+        for N in range(1, cap + 1):
+            expect = expect * float(factor_t_hat(N, lam[i], plan)) * np.array(
+                [factor_coeff(N, k, lam[i], plan) for k in range(k_max + 1)])
+            got = signs[i, N] * np.exp(logs[i, N])
+            assert np.allclose(got, expect, rtol=1e-12, atol=0.0)
+
+
 def test_chain_coefficients_grid():
     plan = plan_sequences(builtin_theta("inv-sqrt"), 1, J=6, c_n=1.2)
     grid = QuadratureGrid.make(k_max=8, lambda_min=0.5, lambda_max=5.0,
@@ -162,8 +204,7 @@ def test_chain_coefficients_grid():
     assert c.symmetric and c.values.shape == (9, 6)
     for k, i in ((0, 0), (5, 3)):
         assert c.values[k, i] == pytest.approx(
-            chain_coeff(plan, 2, k, grid.lam[i],
-                        nodes_per_panel=grid.nodes_per_panel), rel=1e-9)
+            chain_coeff(plan, 2, k, grid.lam[i]), rel=1e-9)
     chain = build_chain(plan, 2, grid)
     assert chain.N == 2 and chain.plan is plan
     assert np.array_equal(chain.coeffs.values, c.values)

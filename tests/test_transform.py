@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from heisharm import (
     DomainError,
@@ -9,6 +11,7 @@ from heisharm import (
     QuadratureGrid,
     SpectralCoefficients,
     apply_multiplier,
+    ball_coefficients,
     ball_normalizer,
     box_factor,
     dilate_coeffs,
@@ -42,6 +45,37 @@ def test_ball_normalizer_unit_volume():
     assert ball_normalizer(1) == pytest.approx(np.pi ** -0.5)
     a3 = ball_normalizer(3)
     assert np.pi ** 3 / 6.0 * a3 ** 6 == pytest.approx(1.0)
+
+
+@seed(11)
+@settings(max_examples=24, deadline=None)
+@given(st.sampled_from([1, 2, 3]),
+       st.sampled_from([1, 2, 200]),
+       st.floats(min_value=-9.0, max_value=2.0),
+       st.floats(min_value=0.1, max_value=2.0))
+def test_ball_coefficients_match_quadrature(n, k_max, log_s, rho):
+    # the quadrature oracle: a box factor's forward transform over its
+    # interval transform, on a grid whose ends sit at s = lam rho^2 in
+    # [10^log_s, min(1e3, 10^(log_s + 4))]
+    tau = 1e-3  # t_hat stays within 1e-3 of 1 up to lam = 1e5
+    s_lo = 10.0 ** log_s
+    s_hi = min(1e3, 1e4 * s_lo)
+    grid = QuadratureGrid.make(k_max=k_max, lambda_min=s_lo / rho ** 2,
+                               lambda_max=s_hi / rho ** 2, lambda_nodes=3)
+    f = box_factor(n, rho, tau)
+    oracle = forward_radial(f, grid).values / f.t_hat(grid.lam)
+    closed = ball_coefficients(grid.lam * rho ** 2, k_max, n)
+    assert closed.shape == (k_max + 1, 3)
+    assert np.max(np.abs(closed - oracle)) <= 1e-11
+
+
+def test_ball_coefficients_refuse_bad_s_and_stay_finite():
+    big = ball_coefficients(np.array([1e-40, 1e-9, 1e5, 1e12, 1e200]), 40, 3)
+    assert np.all(np.isfinite(big))
+    assert np.max(np.abs(big)) <= 1.0 + 1e-10
+    for bad in ([0.0, 1.0], [-1.0], [np.nan], [[1.0]]):
+        with pytest.raises(DomainError):
+            ball_coefficients(np.array(bad), 4, 1)
 
 
 def test_ground_state_coefficients():

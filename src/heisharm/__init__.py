@@ -67,6 +67,7 @@ from .transform import (
     dilate_coeffs,
     direct_convolution_oracle,
     forward_radial,
+    gaussian_coefficients,
     gaussian_factor,
     ground_state,
     load_coefficients,
@@ -77,13 +78,6 @@ from .transform import (
     sobolev_norm,
     sublaplacian_symbol,
     transform_at_lambda,
-)
-from .calibrate import (
-    calibrate_chain_gap,
-    calibrate_envelope,
-    calibrate_factor_bound,
-    envelope_check,
-    envelope_radii,
 )
 from .fixtures import fixture_path, load_fixture, packaged_fixtures_dir
 from .ingham import (
@@ -124,6 +118,22 @@ from .chernoff import (
 
 __version__ = "0.1.0"
 
+# calibrate is imported on first use of one of its names (PEP 562): an eager
+# import here would put heisharm.calibrate in sys.modules before
+# ``python -m heisharm.calibrate`` runs it as __main__, so runpy would warn
+# and the module body would run twice
+_CALIBRATE_NAMES = frozenset({
+    "envelope_radii", "calibrate_envelope", "envelope_check",
+    "calibrate_factor_bound", "calibrate_chain_gap",
+})
+
+
+def __getattr__(name):
+    if name in _CALIBRATE_NAMES:
+        from . import calibrate
+        return getattr(calibrate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 __all__ = [
     "HeisharmError", "DimensionMismatchError", "DomainError",
     "GridMismatchError", "QuadratureError", "ProfileClassError",
@@ -138,7 +148,8 @@ __all__ = [
     "QuadratureGrid", "radial_rule",
     "ThetaProfile", "builtin_theta", "load_theta", "tail_integral_estimate",
     "RadialFunction", "SpectralCoefficients", "box_factor", "box_coefficients",
-    "gaussian_factor", "ground_state", "ball_normalizer", "ball_coefficients",
+    "gaussian_factor", "gaussian_coefficients", "ground_state",
+    "ball_normalizer", "ball_coefficients",
     "projection_hs_norm_sq",
     "forward_radial", "transform_at_lambda", "plancherel_norm", "sobolev_norm",
     "apply_multiplier", "sublaplacian_symbol", "multiply_coeffs",

@@ -33,7 +33,7 @@ from .laguerre import orthonormality_defect
 from .theta import load_theta
 from .transform import (SpectralCoefficients, box_coefficients,
                         box_convolution_coefficients, box_convolution_grids,
-                        dilate_coeffs, forward_radial, gaussian_factor,
+                        dilate_coeffs, gaussian_coefficients,
                         multiply_coeffs, plancherel_norm)
 
 __all__ = ["RunConfig", "dispatch", "main"]
@@ -140,7 +140,7 @@ def _cmd_plancherel_check(cfg):
         cases.append(("box", box_coefficients(n, rho, tau, grid), rho ** -n / tau))
     if family in ("gaussian", "both"):
         sz, st = 2.0, 0.2
-        cases.append(("gaussian", forward_radial(gaussian_factor(n, sz, st), grid),
+        cases.append(("gaussian", gaussian_coefficients(n, sz, st, grid),
                       float(np.sqrt((np.pi * sz ** 2) ** n * st * np.sqrt(np.pi)))))
     rows = []
     for name, coeffs, spatial in cases:
@@ -201,9 +201,9 @@ def _cmd_dilate_check(cfg):
     r = cfg.dilation
     grid = cfg.grid()
     sz, st = 2.0, 0.2
-    c = forward_radial(gaussian_factor(cfg.n, sz, st), grid)
+    c = gaussian_coefficients(cfg.n, sz, st, grid)
     dilated = dilate_coeffs(c, r)
-    target = forward_radial(gaussian_factor(cfg.n, sz / r, st / r ** 2), grid)
+    target = gaussian_coefficients(cfg.n, sz / r, st / r ** 2, grid)
     # interpolation queries lam / r^2 must stay inside the stored window
     mask = ((grid.lam >= cfg.lambda_min * max(1.0, r ** 2))
             & (grid.lam <= cfg.lambda_max * min(1.0, r ** 2)))

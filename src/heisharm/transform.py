@@ -34,6 +34,7 @@ __all__ = [
     "box_factor",
     "box_coefficients",
     "gaussian_factor",
+    "gaussian_coefficients",
     "ground_state",
     "ball_normalizer",
     "ball_coefficients",
@@ -181,6 +182,25 @@ def gaussian_factor(n, sigma_z, sigma_t, cutoff=14.0):
     return RadialFunction(n=n, profile=profile, t_hat=t_hat,
                           support_radius=cutoff * sigma_z,
                           label=f"gauss(sz={sigma_z!r}, st={sigma_t!r})")
+
+
+def gaussian_coefficients(n, sigma_z, sigma_t, grid):
+    """SpectralCoefficients of gaussian_factor(n, sigma_z, sigma_t) on the
+    grid, from the closed form given by the Laguerre generating function:
+    with b = lam sigma_z^2 and q = (2 - b) / (2 + b),
+
+        R_k(lam) = (4 pi sigma_z^2 / (2 + b))^n q^k t_hat(lam).
+
+    At b = 2 this is the ground state (2 pi / lam)^n delta_{k0}.
+    forward_radial of the same factor is the quadrature oracle.
+    """
+    f = gaussian_factor(n, sigma_z, sigma_t)
+    b = grid.lam * sigma_z ** 2
+    q = (2.0 - b) / (2.0 + b)
+    k = np.arange(grid.k_max + 1, dtype=float)
+    vals = (4.0 * np.pi * sigma_z ** 2 / (2.0 + b)) ** n * f.t_hat(grid.lam) \
+        * q[None, :] ** k[:, None]
+    return SpectralCoefficients(n=n, grid=grid, values=vals, symmetric=True)
 
 
 def ground_state(n, cutoff=14.0):

@@ -1,7 +1,12 @@
 """Calibration reproduces the packaged fixtures."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import heisharm
 from heisharm import load_fixture
 from heisharm.calibrate import run_all
 
@@ -32,3 +37,22 @@ def test_run_all_reproduces_packaged_fixtures(tmp_path):
         old = load_fixture(name)
         assert new["grid_hash"] == old["grid_hash"]
         _assert_same(new, old, name)
+
+
+def test_package_import_leaves_calibrate_unloaded():
+    # a fresh interpreter: this test process has imported heisharm.calibrate
+    # already.  The package must not import it eagerly, or
+    # ``python -m heisharm.calibrate`` finds it in sys.modules and warns;
+    # its names still resolve on first use.
+    pkg_root = os.path.dirname(
+        os.path.dirname(os.path.abspath(heisharm.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [pkg_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, heisharm\n"
+            "assert 'heisharm.calibrate' not in sys.modules\n"
+            "from heisharm.calibrate import envelope_check\n"
+            "assert heisharm.envelope_check is envelope_check\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -16,6 +16,7 @@ from heisharm import (
     box_factor,
     dilate_coeffs,
     forward_radial,
+    gaussian_coefficients,
     gaussian_factor,
     ground_state,
     load_coefficients,
@@ -78,6 +79,42 @@ def test_ball_coefficients_refuse_bad_s_and_stay_finite():
             ball_coefficients(np.array(bad), 4, 1)
 
 
+@seed(13)
+@settings(max_examples=24, deadline=None)
+@given(st.sampled_from([1, 2, 3]),
+       st.sampled_from([1, 2, 64]),
+       st.floats(min_value=0.3, max_value=3.0),
+       st.floats(min_value=0.05, max_value=1.0),
+       st.sampled_from([(1e-4, 2.0), (2.0, 1e3), (1e-3, 50.0)]))
+def test_gaussian_coefficients_match_quadrature(n, k_max, sigma_z, sigma_t, b_ends):
+    # grid ends at b = lam sigma_z^2 well below 2, exactly 2 (q = 0) and
+    # well above 2 (q near -1)
+    b_lo, b_hi = b_ends
+    grid = QuadratureGrid.make(k_max=k_max, lambda_min=b_lo / sigma_z ** 2,
+                               lambda_max=b_hi / sigma_z ** 2, lambda_nodes=4)
+    oracle = forward_radial(gaussian_factor(n, sigma_z, sigma_t), grid).values
+    closed = gaussian_coefficients(n, sigma_z, sigma_t, grid)
+    assert closed.symmetric and closed.grid is grid
+    assert (np.max(np.abs(closed.values - oracle))
+            <= 1e-10 * np.max(np.abs(oracle)))
+
+
+def test_gaussian_coefficients_ground_state_and_refusals():
+    # lam sigma_z^2 = 2 is the ground state: (2 pi / lam)^n delta_{k0}
+    for n in (1, 2, 3):
+        for j in (0, 17, GRID.lam.size - 1):
+            lam = GRID.lam[j]
+            sz = np.sqrt(2.0 / lam)
+            c = gaussian_coefficients(n, sz, 0.3, GRID)
+            col = c.values[:, j] / gaussian_factor(n, sz, 0.3).t_hat(lam)
+            expect = (2.0 * np.pi / lam) ** n
+            assert col[0] == pytest.approx(expect, rel=1e-14)
+            assert np.max(np.abs(col[1:])) <= 1e-14 * expect
+    for sz, st_ in ((0.0, 0.2), (-1.0, 0.2), (2.0, 0.0), (2.0, -0.1)):
+        with pytest.raises(DomainError):
+            gaussian_coefficients(1, sz, st_, GRID)
+
+
 def test_ground_state_coefficients():
     for n in (1, 2):
         f = ground_state(n)
@@ -123,6 +160,11 @@ def test_plancherel_gaussian():
     c = forward_radial(gaussian_factor(1, 2.0, 0.2), g)
     spatial = np.sqrt(np.pi * 4.0 * 0.2 * np.sqrt(np.pi))
     assert plancherel_norm(c) == pytest.approx(spatial, rel=1e-4)
+    # the closed form on the plancherel-check grid, against the oracle
+    closed = gaussian_coefficients(1, 2.0, 0.2, g)
+    assert (np.max(np.abs(closed.values - c.values))
+            <= 1e-10 * np.max(np.abs(c.values)))
+    assert plancherel_norm(closed) == pytest.approx(plancherel_norm(c), rel=1e-12)
 
 
 def test_projection_dimensions():
@@ -176,6 +218,11 @@ def test_dilation_matches_spatial_dilation():
     c = forward_radial(gaussian_factor(1, 2.0, 0.2), g)
     d = dilate_coeffs(c, r)
     target = forward_radial(gaussian_factor(1, 2.0 / r, 0.2 / r ** 2), g)
+    # the closed form the CLI uses, against both oracle transforms
+    for oracle, sz, st_ in ((c, 2.0, 0.2), (target, 2.0 / r, 0.2 / r ** 2)):
+        closed = gaussian_coefficients(1, sz, st_, g).values
+        assert (np.max(np.abs(closed - oracle.values))
+                <= 1e-10 * np.max(np.abs(oracle.values)))
     mask = g.lam >= g.lam[0] * r ** 2
     scale = np.max(np.abs(target.values[:, mask]))
     err = np.max(np.abs(d.values[:, mask] - target.values[:, mask])) / scale

@@ -41,10 +41,8 @@ from .laguerre import (
     bound_envelope,
     breakpoints,
     envelope_values,
-    laguerre_fn,
     laguerre_norm_constant,
     laguerre_poly,
-    normalized_laguerre_fn,
     normalized_laguerre_table,
     nu,
     orthonormality_defect,
@@ -141,8 +139,8 @@ __all__ = [
     "HeisenbergPoint", "HeisenbergCoords", "Rotation", "identity", "multiply",
     "inverse", "koranyi_norm", "distance", "dilate", "to_heisenberg_coords",
     "from_heisenberg_coords", "lift_theta_independent",
-    "laguerre_poly", "std_laguerre_fn", "std_laguerre_table", "laguerre_fn",
-    "normalized_laguerre_fn", "normalized_laguerre_table",
+    "laguerre_poly", "std_laguerre_fn", "std_laguerre_table",
+    "normalized_laguerre_table",
     "laguerre_norm_constant", "nu", "breakpoints", "EnvelopeRegion",
     "bound_envelope", "envelope_values", "orthonormality_defect",
     "QuadratureGrid", "radial_rule",

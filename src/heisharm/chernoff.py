@@ -14,8 +14,8 @@ and growth trends only.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
+from ._special import gammaln, logsumexp
 from .errors import DomainError, HypothesisError, TailError
 from .transform import projection_hs_norm_sq
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError
 from .laguerre import breakpoints, nu
@@ -33,7 +33,7 @@ DEFAULT_NODES_PER_PANEL = 64
 @lru_cache(maxsize=32)
 def _unit_rule(p):
     # read-only: every caller shares the cached arrays
-    x, w = roots_legendre(p)
+    x, w = leggauss(p)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

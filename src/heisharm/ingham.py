@@ -31,8 +31,8 @@ the reweighted square q = chain^2 e^{+2 Theta(sqrt(nu)) sqrt(nu)} over a
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, gammaln
 
+from ._special import betainc_half, gammaln
 from .errors import DomainError, ProfileClassError, QuadratureError
 from .fixtures import load_fixture
 from .grids import radial_rule
@@ -448,7 +448,7 @@ def ball_shift_symmdiff(dim, R, xi_norm):
         return 0.0
     h = R - 0.5 * xi_norm
     x = (2.0 * R * h - h * h) / R ** 2
-    cap = 0.5 * V * betainc(0.5 * (dim + 1), 0.5, x)
+    cap = 0.5 * V * betainc_half(0.5 * (dim + 1), x)
     return 2.0 * V - 4.0 * cap
 
 

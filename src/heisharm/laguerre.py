@@ -35,16 +35,14 @@ constants of the envelope are calibrated once and frozen in a fixture.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, roots_genlaguerre
 
+from ._special import gammaln
 from .errors import DomainError
 
 __all__ = [
     "laguerre_poly",
     "std_laguerre_fn",
     "std_laguerre_table",
-    "laguerre_fn",
-    "normalized_laguerre_fn",
     "normalized_laguerre_table",
     "laguerre_norm_constant",
     "nu",
@@ -136,6 +134,48 @@ def std_laguerre_fn(k, delta, r):
     return float(tab[k][0]) if scalar else tab[k]
 
 
+def _laguerre_newton_step(N, delta, x):
+    """One Newton step x - L_N / L_N' towards the zeros of L_N^delta.
+
+    Runs the recurrence on p_k = L_k / binom(k+delta, k) and its difference
+    D_k = p_k - p_{k-1}, which stays accurate near x = 0 where the
+    three-term form cancels; then L_N / L_N' = x p_N / (N D_N).  Both are
+    rescaled by the same power of two every step, so large x cannot
+    overflow and the ratio is unchanged.
+    """
+    D = -x / (delta + 1.0)
+    p = 1.0 + D
+    for k in range(1, N):
+        D = (k * D - x * p) / (k + delta + 1.0)
+        p = p + D
+        _, e = np.frexp(p)
+        p, D = np.ldexp(p, -e), np.ldexp(D, -e)
+    return x - x * p / (N * D)
+
+
+def roots_genlaguerre(N, delta):
+    """N-point Gauss rule (x, w) for the weight x^delta e^{-x} on (0, inf).
+
+    Nodes are the eigenvalues of the Jacobi matrix (diagonal 2k+1+delta,
+    off-diagonal sqrt(k(k+delta))), Golub-Welsch (1969), polished by one
+    Newton step.  Weights are the Christoffel numbers
+    w_i = e^{-x_i} / sum_{k<N} T_k(x_i)^2 with T the orthonormal table, a
+    sum of positive terms with full relative accuracy out in the tail,
+    where eigenvector components cannot resolve weights far below eps.  A
+    weight below the float range comes out 0, and inf where every T_k
+    underflows.
+    """
+    _check_params(N, delta)
+    k = np.arange(1.0, N)
+    off = np.sqrt(k * (k + delta))
+    jacobi = np.diag(2.0 * np.arange(N) + 1.0 + delta) + np.diag(off, 1) + np.diag(off, -1)
+    x = _laguerre_newton_step(N, delta, np.linalg.eigvalsh(jacobi))
+    tab = _orthonormal_table(N - 1, delta, x)
+    with np.errstate(divide="ignore"):
+        w = np.exp(-x - np.log(np.sum(tab * tab, axis=0)))
+    return x, w
+
+
 def orthonormality_defect(kmax, delta, nodes=None):
     """Worst deviation of the Gram matrix of std_L_0..std_L_kmax from the
     identity, measured with a Gauss rule of type delta.
@@ -148,7 +188,7 @@ def orthonormality_defect(kmax, delta, nodes=None):
     _check_params(kmax, delta)
     nodes = int(nodes or (kmax + 20))
     x, w = roots_genlaguerre(nodes, delta)
-    if np.any(w <= 0):
+    if not np.all((w > 0) & np.isfinite(w)):
         raise DomainError("Gauss-Laguerre weights underflowed; lower the degree")
     tab = _orthonormal_table(kmax, delta, x)
     # w e^x stays polynomial-sized; the exp of the summed logs avoids
@@ -179,22 +219,6 @@ def normalized_laguerre_table(kmax, lam, n, r):
     u = 0.5 * abs(lam) * r * r
     # C_{k,n} phi_k = sqrt(Gamma(n)) * c_k L_k^{n-1}(u) e^{-u/2}
     return np.exp(0.5 * gammaln(float(n))) * _orthonormal_table(kmax, n - 1.0, u)
-
-
-def normalized_laguerre_fn(k, lam, n, r):
-    """C_{k,n} phi_{k,lam}^{n-1}(r); bounded by 1/C_{k,n} in modulus."""
-    scalar = np.isscalar(r) or np.asarray(r).ndim == 0
-    tab = normalized_laguerre_table(k, lam, n, np.atleast_1d(np.asarray(r, dtype=float)))
-    return float(tab[k][0]) if scalar else tab[k]
-
-
-def laguerre_fn(k, lam, n, r):
-    """Scaled Laguerre function phi_{k,lam}^{n-1}(r).
-
-    Evaluated through the orthonormal recurrence (never the raw polynomial),
-    then divided by C_{k,n}; phi(0) = (k+n-1)!/(k!(n-1)!).
-    """
-    return normalized_laguerre_fn(k, lam, n, r) / laguerre_norm_constant(k, n)
 
 
 # ---------------------------------------------------------------------------

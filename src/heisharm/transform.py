@@ -21,8 +21,8 @@ norms are literal single-sided integrals.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
+from ._special import gammainc_int, gammaln
 from .errors import DimensionMismatchError, DomainError, GridMismatchError, QuadratureError
 from .grids import QuadratureGrid, _unit_rule, gauss_legendre_panels, radial_rule
 from .jsonio import atomic_write_text, read_json, write_json
@@ -99,7 +99,7 @@ def ball_coefficients(s, k_max, n):
     xpow = 2.0 * np.minimum(x, _POWER_CAP) ** (alpha + 1.0)
     J = np.empty((k_max + 1, s.size))
     J[0] = 2.0 ** (alpha + 1.0) * np.exp(0.5 * gammaln(alpha + 1.0)) \
-        * gammainc(alpha + 1.0, 0.5 * x)
+        * gammainc_int(n, 0.5 * x)
     for k in range(k_max):
         J[k + 1] = (xpow * orth[k] - np.sqrt(k + alpha + 1.0) * J[k]) / np.sqrt(k + 1.0)
     weights = _coefficient_weights(k_max, n) * (np.exp(0.5 * gammaln(n)) * 2.0 ** alpha)

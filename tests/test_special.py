@@ -1,0 +1,136 @@
+"""The numpy-only special functions and Gauss rules against scipy.special,
+over the argument ranges the package passes them, and a runtime import
+path that never loads scipy."""
+
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+import scipy.special as sc
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+import heisharm
+from heisharm._special import betainc_half, gammainc_int, gammaln, logsumexp
+from heisharm.grids import _unit_rule
+from heisharm.laguerre import roots_genlaguerre
+
+# below this both sides are subnormal and carry few significant bits
+_TINY = 1e-300
+
+
+@seed(21)
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 2, 3]),
+       st.one_of(st.floats(min_value=0.0, max_value=1e3),
+                 st.sampled_from([0.0, 1e200])))
+def test_gammainc_matches_scipy(n, y):
+    ours = gammainc_int(n, np.array([y]))[0]
+    ref = sc.gammainc(n, y)
+    assert abs(ours - ref) <= 1e-13 * abs(ref) + _TINY
+    assert gammainc_int(n, y) == ours
+
+
+def test_gammainc_ends_and_refusal():
+    y = np.array([0.0, 1e200, 1e300])
+    for n in (1, 2, 3):
+        assert gammainc_int(n, y).tolist() == [0.0, 1.0, 1.0]
+    with pytest.raises(ValueError):
+        gammainc_int(1.5, 1.0)
+
+
+@seed(22)
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1.5, 2.5, 3.5]),
+       st.one_of(st.floats(min_value=0.0, max_value=1.0),
+                 st.floats(min_value=0.999, max_value=1.0),
+                 st.sampled_from([0.0, 1.0, float(np.nextafter(1.0, 0.0))])))
+def test_betainc_matches_scipy(a, x):
+    ours = betainc_half(a, x)
+    assert abs(ours - sc.betainc(a, 0.5, x)) <= 2e-15
+    assert betainc_half(a, np.array([x]))[0] == ours
+
+
+def test_betainc_refuses_other_a():
+    for a in (0.0, 1.0, 1.25):
+        with pytest.raises(ValueError):
+            betainc_half(a, 0.5)
+
+
+@pytest.mark.parametrize("p", [16, 64, 192])
+def test_legendre_rule_matches_scipy(p):
+    x, w = _unit_rule(p)
+    xr, wr = sc.roots_legendre(p)
+    assert np.max(np.abs(x - xr) / np.abs(xr)) <= 1e-13
+    assert np.max(np.abs(w - wr) / wr) <= 1e-10
+
+
+@pytest.mark.parametrize("delta", [0, 1, 2, 3])
+def test_laguerre_rule_matches_scipy(delta):
+    x, w = roots_genlaguerre(60, delta)
+    xr, wr = sc.roots_genlaguerre(60, delta)
+    assert np.max(np.abs(x - xr) / xr) <= 1e-13
+    assert np.max(np.abs(w - wr) / wr) <= 1e-10
+
+
+@seed(23)
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=20000), min_size=1, max_size=40),
+       st.sampled_from([1.0, 0.5, 2.0, 3.0]))
+def test_gammaln_matches_scipy(k, shift):
+    # the shapes the package passes: k + 1, k + n, half-integers 0.5 dim + 1
+    x = np.asarray(k, dtype=float) + shift
+    ours = gammaln(x.reshape(-1, 1))
+    assert ours.shape == (x.size, 1)
+    ref = sc.gammaln(x)
+    assert np.all(np.abs(ours[:, 0] - ref) <= 1e-13 * np.abs(ref) + _TINY)
+    assert gammaln(x[0]) == ours[0, 0]
+
+
+@seed(24)
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.floats(min_value=-1e3, max_value=1e3),
+                          st.just(-np.inf)), min_size=1, max_size=30))
+def test_logsumexp_matches_scipy(a):
+    a = np.asarray(a)
+    ref = float(sc.logsumexp(a))
+    if np.isneginf(ref):
+        assert logsumexp(a) == -np.inf
+    else:
+        assert logsumexp(a) == pytest.approx(ref, rel=1e-13, abs=1e-13)
+    assert logsumexp(a.reshape(1, -1)) == logsumexp(a)
+
+
+def test_logsumexp_all_minus_inf():
+    assert logsumexp(np.full((3, 2), -np.inf)) == -np.inf
+
+
+def test_runtime_import_path_never_loads_scipy(tmp_path):
+    # a fresh interpreter in which scipy cannot be imported: the CLI and the
+    # calibration must still import, and the two subcommands that use the
+    # Gauss-Laguerre rule and the incomplete beta must still run
+    pkg_root = os.path.dirname(
+        os.path.dirname(os.path.abspath(heisharm.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [pkg_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = (
+        "import sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy' or name.startswith('scipy.'):\n"
+        "            raise ImportError('scipy is blocked')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "import heisharm.cli, heisharm.calibrate\n"
+        "out = sys.argv[1]\n"
+        "for name in ('laguerre-check', 'symmdiff-check'):\n"
+        "    code = heisharm.cli.dispatch([name, '--out', f'{out}/{name}.json'])\n"
+        "    assert code == 0, (name, code)\n"
+        "assert 'scipy' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "laguerre-check.json").exists()
+    assert (tmp_path / "symmdiff-check.json").exists()

@@ -154,10 +154,9 @@ def test_sobolev_zero_weight_is_plancherel():
     assert sobolev_norm(c, 1.0) >= plancherel_norm(c)
 
 
-def test_plancherel_gaussian():
-    g = QuadratureGrid.make(k_max=256, lambda_min=1e-4, lambda_max=100.0,
-                            lambda_nodes=576)
-    c = forward_radial(gaussian_factor(1, 2.0, 0.2), g)
+def test_plancherel_gaussian(gaussian_plancherel_transform):
+    c, _ = gaussian_plancherel_transform
+    g = c.grid
     spatial = np.sqrt(np.pi * 4.0 * 0.2 * np.sqrt(np.pi))
     assert plancherel_norm(c) == pytest.approx(spatial, rel=1e-4)
     # the closed form on the plancherel-check grid, against the oracle

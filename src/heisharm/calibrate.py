@@ -19,17 +19,33 @@ then only read:
   chain; c3 is fixed at 1 since the interval term is negligible next to the
   ball term and only the product C*c3 is identifiable.
 
-Every fixture records a hash of the grid parameters that produced it.
-Rerun with ``python -m heisharm.calibrate`` after changing any of the
-constants below.
+Every fixture records a hash of the grid parameters that produced it; the
+grid constants and their hashes live in :mod:`heisharm.fixtures`, which
+refuses a fixture whose hash does not match.  Rerun with
+``python -m heisharm.calibrate`` after changing any of those constants.
 """
 
-import hashlib
 import os
 
 import numpy as np
 
-from .fixtures import load_fixture, packaged_fixtures_dir
+from .fixtures import (
+    CHAIN_GAP_GRID,
+    CHAIN_GAP_J,
+    CHAIN_GAP_K_PROBE,
+    CHAIN_GAP_THETA,
+    ENVELOPE_DIMS,
+    ENVELOPE_K_MAX,
+    ENVELOPE_LAMBDAS,
+    ENVELOPE_RADII_NODES,
+    FACTOR_DIMS,
+    FACTOR_K_MAX,
+    FACTOR_S_NODES,
+    FACTOR_S_RANGE,
+    GRID_HASHES,
+    load_fixture,
+    packaged_fixtures_dir,
+)
 from .grids import QuadratureGrid
 from .ingham import calibrate_cn, cauchy_gap, plan_sequences
 from .jsonio import write_json
@@ -45,28 +61,12 @@ __all__ = [
     "run_all",
 ]
 
-# envelope calibration grid: all degrees to ENVELOPE_K_MAX, five lambda
-# decades, 400 radii (origin + log-spaced), three dimensions
-ENVELOPE_K_MAX = 200
-ENVELOPE_LAMBDAS = (1e-2, 1e-1, 1.0, 1e1, 1e2)
-ENVELOPE_DIMS = (1, 2, 3)
-ENVELOPE_RADII_NODES = 400
 GAMMA_FLOOR = 1e-3
-
-FACTOR_DIMS = (1, 2, 3)
-
-CHAIN_GAP_THETA = "inv-sqrt"
-CHAIN_GAP_J = 16
-CHAIN_GAP_K_PROBE = 12
 
 
 def envelope_radii():
     """Radii of the envelope calibration grid (shared with its validation)."""
     return np.concatenate(([0.0], np.geomspace(1e-3, 300.0, ENVELOPE_RADII_NODES - 1)))
-
-
-def _grid_hash(*parts):
-    return hashlib.sha256(";".join(repr(p) for p in parts).encode()).hexdigest()[:16]
 
 
 def calibrate_envelope():
@@ -114,8 +114,7 @@ def calibrate_envelope():
         "lambdas": list(ENVELOPE_LAMBDAS),
         "dims": list(ENVELOPE_DIMS),
         "radii_nodes": ENVELOPE_RADII_NODES,
-        "grid_hash": _grid_hash(ENVELOPE_K_MAX, ENVELOPE_LAMBDAS, ENVELOPE_DIMS,
-                                ENVELOPE_RADII_NODES),
+        "grid_hash": GRID_HASHES["lemma21_constants.json"],
     }
 
 
@@ -166,12 +165,13 @@ def envelope_check(fixture=None, k_max=None, dims=None, fixtures_dir=None):
 def calibrate_factor_bound():
     """Frozen c_n for each supported dimension."""
     return {
-        "c_n": {str(n): calibrate_cn(n) for n in FACTOR_DIMS},
-        "k_max": 200,
-        "s_nodes": 120,
-        "s_range": [1e-9, 1e3],
+        "c_n": {str(n): calibrate_cn(n, k_max=FACTOR_K_MAX, s_nodes=FACTOR_S_NODES)
+                for n in FACTOR_DIMS},
+        "k_max": FACTOR_K_MAX,
+        "s_nodes": FACTOR_S_NODES,
+        "s_range": list(FACTOR_S_RANGE),
         "safety": 1.1,
-        "grid_hash": _grid_hash(FACTOR_DIMS, 200, 120, (1e-9, 1e3)),
+        "grid_hash": GRID_HASHES["box_factor_envelope.json"],
     }
 
 
@@ -180,8 +180,7 @@ def calibrate_chain_gap(c_n_1):
     reference inv-sqrt chain on H^1."""
     theta = builtin_theta(CHAIN_GAP_THETA)
     plan = plan_sequences(theta, 1, J=CHAIN_GAP_J, c_n=c_n_1)
-    grid = QuadratureGrid.make(k_max=64, lambda_min=1e-3, lambda_max=1e3,
-                               lambda_nodes=128, nodes_per_panel=48)
+    grid = QuadratureGrid.make(**CHAIN_GAP_GRID)
     worst = 0.0
     for kk in range(1, CHAIN_GAP_K_PROBE + 1):
         bound, measured = cauchy_gap(plan, kk, grid, c3=1.0)
@@ -193,10 +192,8 @@ def calibrate_chain_gap(c_n_1):
         "n": 1,
         "J": CHAIN_GAP_J,
         "k_probe_max": CHAIN_GAP_K_PROBE,
-        "grid": {"k_max": 64, "lambda_min": 1e-3, "lambda_max": 1e3,
-                 "lambda_nodes": 128, "nodes_per_panel": 48},
-        "grid_hash": _grid_hash(CHAIN_GAP_THETA, CHAIN_GAP_J, CHAIN_GAP_K_PROBE,
-                                64, 1e-3, 1e3, 128, 48),
+        "grid": dict(CHAIN_GAP_GRID),
+        "grid_hash": GRID_HASHES["chain_gap_constants.json"],
     }
 
 

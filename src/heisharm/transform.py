@@ -447,7 +447,63 @@ def load_coefficients(path):
     )
 
 
-def box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=256, psi_nodes=256):
+def _box_u_rule(cuts, singular, nodes):
+    """Composite Gauss-Legendre rule in u over the panels between cuts.
+
+    arccos of the overlap angle behaves like sqrt(u - c) at the cut points
+    where the circles touch; substituting u = c +/- v^2 on panels ending
+    there makes the integrand analytic again.
+    """
+    panels = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        s_lo = any(abs(lo - c) < 1e-12 for c in singular)
+        s_hi = any(abs(hi - c) < 1e-12 for c in singular)
+        if s_lo and s_hi:
+            mid = 0.5 * (lo + hi)
+            panels += [(lo, mid, True, False), (mid, hi, False, True)]
+        else:
+            panels.append((lo, hi, s_lo, s_hi))
+    per = nodes // len(panels) + 8
+    q, qw = _unit_rule(per)
+    xs, ws = [], []
+    for lo, hi, s_lo, s_hi in panels:
+        if s_lo or s_hi:
+            vmax = np.sqrt(hi - lo)
+            v = 0.5 * vmax * (q + 1.0)
+            wv = 0.5 * vmax * qw * 2.0 * v
+            xs.append(lo + v ** 2 if s_lo else hi - v ** 2)
+            ws.append(wv)
+        else:
+            xs.append(0.5 * (hi - lo) * (q + 1.0) + lo)
+            ws.append(np.full(per, 0.5 * (hi - lo)) * qw)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+def _ramp_arc_integral(d, s, psis):
+    """int_{-psi*}^{psi*} (d + s sin(psi))_+ dpsi, elementwise, for s >= 0
+    and psi* in [0, pi].
+
+    For s > 0 the integrand is positive where sin(psi) > -d/s, which on
+    (-pi, pi] is the arc (a, pi - a) with a = arcsin(-d/s), together with
+    (-pi, -pi - a) when a < 0.  On each arc the antiderivative is
+    d psi - s cos(psi).  At s = 0 the value is the limit 2 psi* d_+, which
+    the same arcs give with a = -pi/2 for d > 0 and a = pi/2 otherwise.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.where(s > 0, -d / s, np.where(d > 0, -1.0, 1.0))
+    a = np.arcsin(np.clip(c, -1.0, 1.0))
+
+    def arc(lo, hi):
+        # [d psi - s cos(psi)]_lo^hi without cancelling the cosines
+        return d * (hi - lo) + 2.0 * s * np.sin(0.5 * (hi + lo)) * np.sin(0.5 * (hi - lo))
+
+    lo1 = np.maximum(a, -psis)
+    hi1 = np.maximum(lo1, np.minimum(np.pi - a, psis))
+    hi2 = np.maximum(-psis, -np.pi - a)
+    return arc(lo1, hi1) + arc(-psis, hi2)
+
+
+def box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=256):
     """Group convolution of two box factors on the n=1 group, evaluated
     directly in space at the points (|z|, t) = (r, t).
 
@@ -458,75 +514,49 @@ def box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=256, psi_nodes=25
         h(r, t) = rho1^{-2} rho2^{-2} int_0^{u*} u
                   int_{-psi*(u)}^{psi*(u)} G(t + r u sin(psi)/2) dpsi du,
 
-    with psi*(u) the half-angle where |z - w| leaves the first ball.  The
-    u-integral is split where psi* loses smoothness.
+    with psi*(u) the half-angle where |z - w| leaves the first ball.  G is
+    the sum of four ramps,
+
+        G(T) = hgt [(T+M)_+ - (T+m)_+ - (T-m)_+ + (T-M)_+],
+
+    with M, m the sum and difference of the interval half-widths, so the
+    psi-integral is exact (:func:`_ramp_arc_integral`).  The u-integral is
+    split where psi* loses smoothness; its rule depends on r only, so it is
+    built once per distinct r and shared by every t.
     """
     a = ball_normalizer(1)
     A1, A2 = a * rho1, a * rho2
     half1, half2 = tau1 ** 2 / 2.0, tau2 ** 2 / 2.0
     hgt = 1.0 / (tau1 ** 2 * tau2 ** 2)
+    big, small = half1 + half2, abs(half1 - half2)
+    # ramp offsets of G, with signs + - - +
+    offsets = np.array([big, small, -small, -big])
 
-    def G(T):
-        lo = np.maximum(T - half1, -half2)
-        hi = np.minimum(T + half1, half2)
-        return hgt * np.maximum(0.0, hi - lo)
-
-    xg, wg = _unit_rule(psi_nodes)
-
-    def u_rule(cuts, singular, nodes):
-        # arccos of the overlap angle behaves like sqrt(u - c) at the cut
-        # points where the circles touch; substituting u = c +/- v^2 on
-        # panels ending there makes the integrand analytic again
-        panels = []
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            s_lo = any(abs(lo - c) < 1e-12 for c in singular)
-            s_hi = any(abs(hi - c) < 1e-12 for c in singular)
-            if s_lo and s_hi:
-                mid = 0.5 * (lo + hi)
-                panels += [(lo, mid, True, False), (mid, hi, False, True)]
-            else:
-                panels.append((lo, hi, s_lo, s_hi))
-        per = nodes // len(panels) + 8
-        q, qw = _unit_rule(per)
-        xs, ws = [], []
-        for lo, hi, s_lo, s_hi in panels:
-            if s_lo or s_hi:
-                vmax = np.sqrt(hi - lo)
-                v = 0.5 * vmax * (q + 1.0)
-                wv = 0.5 * vmax * qw * 2.0 * v
-                xs.append(lo + v ** 2 if s_lo else hi - v ** 2)
-                ws.append(wv)
-            else:
-                xs.append(0.5 * (hi - lo) * (q + 1.0) + lo)
-                ws.append(np.full(per, 0.5 * (hi - lo)) * qw)
-        return np.concatenate(xs), np.concatenate(ws)
-
-    r = np.asarray(r, dtype=float)
-    t = np.asarray(t, dtype=float)
-    out = np.zeros(np.broadcast(r, t).shape)
-    rb, tb = np.broadcast_arrays(r, t)
-    for idx in np.ndindex(out.shape):
-        ri, ti = float(rb[idx]), float(tb[idx])
+    rb, tb = np.broadcast_arrays(np.asarray(r, dtype=float),
+                                 np.asarray(t, dtype=float))
+    out = np.zeros(rb.shape)
+    flat_t, flat_out = tb.ravel(), out.reshape(-1)
+    radii, which = np.unique(rb.ravel(), return_inverse=True)
+    for j, ri in enumerate(radii.tolist()):
         umax = min(A2, ri + A1)
         if umax <= 0:
             continue
         singular = [c for c in (abs(A1 - ri), ri + A1) if 0.0 < c <= umax]
         cuts = sorted({0.0, umax} | {c for c in singular if c < umax})
-        ux, uw = u_rule(cuts, singular, u_nodes)
+        ux, uw = _box_u_rule(cuts, singular, u_nodes)
         gamma = (ri ** 2 + ux ** 2 - A1 ** 2) / np.maximum(2.0 * ri * ux, 1e-300)
         if ri == 0.0:
             psis = np.where(ux <= A1, np.pi, 0.0)
         else:
             psis = np.arccos(np.clip(gamma, -1.0, 1.0))
-        # inner integral over psi in [-psi*, psi*], G even combined with
-        # sin(psi) odd symmetry would not cancel; integrate the full range
-        # map [-1,1] GL nodes onto [-psi*, psi*]; G(t + ...) has no parity
-        # in psi for t != 0, so the full range is integrated
-        psi = psis[:, None] * xg[None, :]
-        inner = np.sum(G(ti + 0.5 * ri * ux[:, None] * np.sin(psi)) * wg[None, :],
-                       axis=1) * psis
-        out[idx] = np.sum(ux * uw * inner)
-    return out / (rho1 ** 2 * rho2 ** 2)
+        sel = np.flatnonzero(which == j)
+        # ramps has shape (len(sel), 4, u nodes); u is the last, contiguous
+        # axis, so each sample's u-sum is the same whatever else is batched
+        d = flat_t[sel, None, None] + offsets[None, :, None]
+        ramps = _ramp_arc_integral(d, 0.5 * ri * ux, psis)
+        inner = ramps[:, 0] - ramps[:, 1] - ramps[:, 2] + ramps[:, 3]
+        flat_out[sel] = np.sum(inner * (ux * uw), axis=-1)
+    return out * (hgt / (rho1 ** 2 * rho2 ** 2))
 
 
 def direct_convolution_oracle(f, g, x, g_z_radius, g_t_radius, nodes=24):
@@ -576,7 +606,7 @@ def box_convolution_grids(rho1, tau1, rho2, tau2,
 
 def box_convolution_coefficients(rho1, tau1, rho2, tau2, lams, k_max,
                                  r_panel_nodes=12, t_panel_nodes=13,
-                                 u_nodes=192, psi_nodes=192):
+                                 u_nodes=192):
     """Spectral coefficients of the group convolution of two box factors on
     H^1, obtained entirely on the spatial side.
 
@@ -588,7 +618,7 @@ def box_convolution_coefficients(rho1, tau1, rho2, tau2, lams, k_max,
     x, wx, tx, wt = box_convolution_grids(rho1, tau1, rho2, tau2,
                                           r_panel_nodes, t_panel_nodes)
     H = box_pair_convolution(rho1, tau1, rho2, tau2, x[:, None], tx[None, :],
-                             u_nodes, psi_nodes)
+                             u_nodes)
     out = np.empty((k_max + 1, len(lams)))
     for i, lam in enumerate(np.asarray(lams, dtype=float)):
         # even in t, so the transform in t is twice the half-line cosine sum

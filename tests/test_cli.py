@@ -200,3 +200,20 @@ def test_fixtures_dir_override(tmp_path):
     code, report, _ = run(tmp_path, "ingham-plan", "--fixtures", str(fxdir))
     assert code == 1
     assert report["factor_bound"]["violations"] > 0
+
+
+@pytest.mark.parametrize("tamper", ["mismatch", "missing", "not-json"])
+def test_fixture_grid_hash_gate(tmp_path, tamper):
+    fxdir = tmp_path / "fx"
+    shutil.copytree(packaged_fixtures_dir(), fxdir)
+    assert run(tmp_path, "ingham-plan", "--fixtures", str(fxdir))[0] == 0
+    path = fxdir / "box_factor_envelope.json"
+    fx = json.loads(path.read_text())
+    if tamper == "mismatch":
+        fx["grid_hash"] = "0" * 16
+    elif tamper == "missing":
+        del fx["grid_hash"]
+    path.write_text(json.dumps(fx) if tamper != "not-json" else "{")
+    code, _, _ = run(tmp_path, "ingham-plan", "--fixtures", str(fxdir),
+                     out="tampered.json")
+    assert code == 2

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from heisharm import (
     DimensionMismatchError,
@@ -19,6 +21,91 @@ from heisharm import (
 from heisharm.grids import _unit_rule
 
 CONV_TOL = 1e-3
+
+
+def gl_box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=256, psi_nodes=256):
+    """Oracle of box_pair_convolution: the same u rule, with the angular
+    integral done by a psi_nodes-point Gauss-Legendre rule.
+
+    Group convolution of two box factors on the n=1 group, evaluated
+    directly in space at the points (|z|, t) = (r, t).
+
+    The t-part convolution of the two normalized interval indicators is the
+    closed-form trapezoid G; what remains is a planar integral over the
+    second ball, reduced to polar coordinates:
+
+        h(r, t) = rho1^{-2} rho2^{-2} int_0^{u*} u
+                  int_{-psi*(u)}^{psi*(u)} G(t + r u sin(psi)/2) dpsi du,
+
+    with psi*(u) the half-angle where |z - w| leaves the first ball.  The
+    u-integral is split where psi* loses smoothness.
+    """
+    a = ball_normalizer(1)
+    A1, A2 = a * rho1, a * rho2
+    half1, half2 = tau1 ** 2 / 2.0, tau2 ** 2 / 2.0
+    hgt = 1.0 / (tau1 ** 2 * tau2 ** 2)
+
+    def G(T):
+        lo = np.maximum(T - half1, -half2)
+        hi = np.minimum(T + half1, half2)
+        return hgt * np.maximum(0.0, hi - lo)
+
+    xg, wg = _unit_rule(psi_nodes)
+
+    def u_rule(cuts, singular, nodes):
+        # arccos of the overlap angle behaves like sqrt(u - c) at the cut
+        # points where the circles touch; substituting u = c +/- v^2 on
+        # panels ending there makes the integrand analytic again
+        panels = []
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            s_lo = any(abs(lo - c) < 1e-12 for c in singular)
+            s_hi = any(abs(hi - c) < 1e-12 for c in singular)
+            if s_lo and s_hi:
+                mid = 0.5 * (lo + hi)
+                panels += [(lo, mid, True, False), (mid, hi, False, True)]
+            else:
+                panels.append((lo, hi, s_lo, s_hi))
+        per = nodes // len(panels) + 8
+        q, qw = _unit_rule(per)
+        xs, ws = [], []
+        for lo, hi, s_lo, s_hi in panels:
+            if s_lo or s_hi:
+                vmax = np.sqrt(hi - lo)
+                v = 0.5 * vmax * (q + 1.0)
+                wv = 0.5 * vmax * qw * 2.0 * v
+                xs.append(lo + v ** 2 if s_lo else hi - v ** 2)
+                ws.append(wv)
+            else:
+                xs.append(0.5 * (hi - lo) * (q + 1.0) + lo)
+                ws.append(np.full(per, 0.5 * (hi - lo)) * qw)
+        return np.concatenate(xs), np.concatenate(ws)
+
+    r = np.asarray(r, dtype=float)
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(np.broadcast(r, t).shape)
+    rb, tb = np.broadcast_arrays(r, t)
+    for idx in np.ndindex(out.shape):
+        ri, ti = float(rb[idx]), float(tb[idx])
+        umax = min(A2, ri + A1)
+        if umax <= 0:
+            continue
+        singular = [c for c in (abs(A1 - ri), ri + A1) if 0.0 < c <= umax]
+        cuts = sorted({0.0, umax} | {c for c in singular if c < umax})
+        ux, uw = u_rule(cuts, singular, u_nodes)
+        gamma = (ri ** 2 + ux ** 2 - A1 ** 2) / np.maximum(2.0 * ri * ux, 1e-300)
+        if ri == 0.0:
+            psis = np.where(ux <= A1, np.pi, 0.0)
+        else:
+            psis = np.arccos(np.clip(gamma, -1.0, 1.0))
+        # inner integral over psi in [-psi*, psi*], G even combined with
+        # sin(psi) odd symmetry would not cancel; integrate the full range
+        # map [-1,1] GL nodes onto [-psi*, psi*]; G(t + ...) has no parity
+        # in psi for t != 0, so the full range is integrated
+        psi = psis[:, None] * xg[None, :]
+        inner = np.sum(G(ti + 0.5 * ri * ux[:, None] * np.sin(psi)) * wg[None, :],
+                       axis=1) * psis
+        out[idx] = np.sum(ux * uw * inner)
+    return out / (rho1 ** 2 * rho2 ** 2)
 
 
 def box_callable(rho, tau):
@@ -91,10 +178,85 @@ def test_grids_cover_twisted_support():
     assert tx.max() > t_interval
     assert tx.max() < t_top <= tx.max() + 0.2
     # total mass of the convolution is one; weights integrate it on r >= 0
-    h = np.array([[box_pair_convolution(rho1, tau1, rho2, tau2, r, t)
-                   for t in tx] for r in x])
+    h = box_pair_convolution(rho1, tau1, rho2, tau2, x[:, None], tx[None, :])
     mass = 2.0 * np.pi * np.sum((x * wx)[:, None] * h * (2.0 * wt)[None, :])
     assert mass == pytest.approx(1.0, abs=2e-6)
+
+
+def _half_widths(tau1, tau2):
+    half1, half2 = 0.5 * tau1 ** 2, 0.5 * tau2 ** 2
+    return half1 + half2, abs(half1 - half2)
+
+
+@st.composite
+def _box_widths(draw):
+    # the second factor repeats a width of the first now and then, so
+    # rho1 = rho2 and tau1 = tau2 (m = 0) are drawn, not only hoped for
+    width = st.floats(min_value=0.4, max_value=1.2)
+    rho1, tau1 = draw(width), draw(width)
+    rho2 = draw(st.one_of(st.just(rho1), width))
+    tau2 = draw(st.one_of(st.just(tau1), width))
+    return rho1, tau1, rho2, tau2
+
+
+@seed(7)
+@settings(max_examples=30, deadline=None)
+@given(_box_widths(),
+       st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0),
+                          st.floats(min_value=0.0, max_value=1.0)),
+                min_size=3, max_size=3))
+@example((0.8, 0.7, 0.8, 0.7), [(0.3, 0.2), (0.7, 0.5), (0.9, 0.1)])
+@example((0.9, 0.6, 0.9, 0.8), [(0.3, 0.2), (0.7, 0.5), (0.9, 0.1)])
+@example((1.2, 0.4, 0.4, 0.4), [(0.3, 0.2), (0.7, 0.5), (0.9, 0.1)])
+def test_closed_form_matches_psi_rule_oracle(widths, fractions):
+    rho1, tau1, rho2, tau2 = widths
+    a = ball_normalizer(1)
+    A1, A2 = a * rho1, a * rho2
+    big, small = _half_widths(tau1, tau2)
+    t_top = big + 0.5 * A1 * A2
+    # fixed points: r = 0 (psi* = pi for every u), r = A1 / 2 at the ramp
+    # kink t = m (psi* = pi on u < A1 / 2) and r = A1 + A2 / 2 (psi* = 0 on
+    # u < A2 / 2); then points drawn on the sampling grid's support
+    r = [0.0, 0.5 * A1, A1 + 0.5 * A2] + [fr * (A1 + A2) for fr, _ in fractions]
+    t = [0.5 * small, small, 0.5 * big] + [ft * t_top for _, ft in fractions]
+    r, t = np.array(r), np.array(t)
+    u_nodes = 96
+    closed = box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes)
+    ref = gl_box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes, 2048)
+    coarse = gl_box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes, 192)
+    sup = np.max(np.abs(ref))
+    closed_err = np.max(np.abs(closed - ref))
+    assert closed_err <= 1e-7 * sup
+    assert closed_err < np.max(np.abs(coarse - ref))
+
+
+def test_closed_form_exact_at_origin_axis():
+    # at r = 0 the angular integral is 2 pi G(t) for every u <= min(A1, A2),
+    # and the u rule integrates u exactly
+    rho1, tau1, rho2, tau2 = 0.9, 0.8, 0.7, 0.6
+    a = ball_normalizer(1)
+    big, small = _half_widths(tau1, tau2)
+    hgt = 1.0 / (tau1 ** 2 * tau2 ** 2)
+    for t in (0.0, 0.1, 0.3):
+        G = hgt * min(big - small, max(0.0, big - abs(t)))
+        exact = np.pi * (a * min(rho1, rho2)) ** 2 * G / (rho1 ** 2 * rho2 ** 2)
+        got = box_pair_convolution(rho1, tau1, rho2, tau2, 0.0, t)
+        assert got == pytest.approx(exact, rel=1e-14)
+
+
+def test_box_pair_shapes_agree():
+    rho1, tau1, rho2, tau2 = 0.9, 0.6, 0.6, 0.8
+    x, _, tx, _ = box_convolution_grids(rho1, tau1, rho2, tau2)
+    x, tx = x[::5], tx[::7]
+    outer = box_pair_convolution(rho1, tau1, rho2, tau2, x[:, None], tx[None, :])
+    rr, tt = np.meshgrid(x, tx, indexing="ij")
+    full = box_pair_convolution(rho1, tau1, rho2, tau2, rr, tt)
+    scalar = np.array([[box_pair_convolution(rho1, tau1, rho2, tau2, r, t)
+                        for t in tx] for r in x])
+    assert outer.shape == full.shape == scalar.shape == (x.size, tx.size)
+    np.testing.assert_array_equal(outer, full)
+    np.testing.assert_array_equal(outer, scalar)
+    assert np.ndim(box_pair_convolution(rho1, tau1, rho2, tau2, x[0], tx[0])) == 0
 
 
 def test_convolution_theorem_small_grid():

@@ -69,6 +69,14 @@ def test_orthonormality_defect_small():
     assert orthonormality_defect(120, 0) < 1e-9
 
 
+def test_orthonormality_defect_refuses_subnormal_weights():
+    # the kmax + 20 node rule's smallest weight is normal at kmax 165 and
+    # subnormal from 166, where it would keep only a few bits
+    assert orthonormality_defect(165, 0) < 1e-10
+    with pytest.raises(DomainError):
+        orthonormality_defect(166, 0)
+
+
 def test_norm_constant_values():
     assert laguerre_norm_constant(0, 4) == pytest.approx(1.0)
     # C_{2,2}^2 = 2! 1! / 3! = 1/3

@@ -443,38 +443,41 @@ _COMMAND_HELP = {
 
 
 def _build_parser():
+    width = max(map(len, _COMMANDS))
     parser = argparse.ArgumentParser(
         prog="heisharm",
         description="Certified numerical checks for radial harmonic analysis "
-                    "on the Heisenberg group.")
-    sub = parser.add_subparsers(dest="command", metavar="command")
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=_COMMAND_HELP[name])
-        p.add_argument("--theta", default=None, metavar="NAME|PATH",
-                       help="decay profile: builtin name or JSON config path")
-        p.add_argument("--n", type=int, default=None, help="group dimension n")
-        p.add_argument("--kmax", dest="k_max", type=int, default=None,
-                       help="Laguerre truncation degree")
-        p.add_argument("--lambda-min", type=float, default=None)
-        p.add_argument("--lambda-max", type=float, default=None)
-        p.add_argument("--lambda-nodes", type=int, default=None)
-        p.add_argument("--out", default=None, metavar="PATH",
-                       help="report path (default report.json)")
-        p.add_argument("--fixtures", default=None, metavar="DIR",
-                       help="directory overriding the packaged calibration "
-                            "fixtures")
-        p.add_argument("--config", default=None, metavar="PATH",
-                       help="JSON file of defaults; explicit flags win")
-        p.add_argument("--family", default=None,
-                       help="test family where the subcommand offers several")
-        p.add_argument("--dilation", type=float, default=None,
-                       help="dilation factor for dilate-check")
-        p.add_argument("--factors", default=None, metavar="R1,T1,R2,T2",
-                       help="box factor widths for convolve/plancherel checks")
-        p.add_argument("--max-power", type=int, default=None,
-                       help="highest sublaplacian power")
-        p.add_argument("--chain-length", type=int, default=None,
-                       help="number of factors J in the chain plan")
+                    "on the Heisenberg group.",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<{width}}  {_COMMAND_HELP[name]}" for name in _COMMANDS),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help="the check to run (listed below)")
+    parser.add_argument("--theta", default=None, metavar="NAME|PATH",
+                        help="decay profile: builtin name or JSON config path")
+    parser.add_argument("--n", type=int, default=None, help="group dimension n")
+    parser.add_argument("--kmax", dest="k_max", type=int, default=None,
+                        help="Laguerre truncation degree")
+    parser.add_argument("--lambda-min", type=float, default=None)
+    parser.add_argument("--lambda-max", type=float, default=None)
+    parser.add_argument("--lambda-nodes", type=int, default=None)
+    parser.add_argument("--out", default=None, metavar="PATH",
+                        help="report path (default report.json)")
+    parser.add_argument("--fixtures", default=None, metavar="DIR",
+                        help="directory overriding the packaged calibration "
+                             "fixtures")
+    parser.add_argument("--config", default=None, metavar="PATH",
+                        help="JSON file of defaults; explicit flags win")
+    parser.add_argument("--family", default=None,
+                        help="test family where the command offers several")
+    parser.add_argument("--dilation", type=float, default=None,
+                        help="dilation factor for dilate-check")
+    parser.add_argument("--factors", default=None, metavar="R1,T1,R2,T2",
+                        help="box factor widths for convolve/plancherel checks")
+    parser.add_argument("--max-power", type=int, default=None,
+                        help="highest sublaplacian power")
+    parser.add_argument("--chain-length", type=int, default=None,
+                        help="number of factors J in the chain plan")
     return parser
 
 
@@ -548,9 +551,6 @@ def dispatch(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 2
     try:
         cfg = _resolve_config(args)
         report, summary = _COMMANDS[cfg.command](cfg)

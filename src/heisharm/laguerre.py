@@ -88,6 +88,22 @@ def laguerre_poly(k, delta, r):
     return p if p.ndim else float(p)
 
 
+def _orthonormal_rows(kmax, delta, u):
+    """Rows k = 0..kmax of _orthonormal_table, yielded one at a time; only
+    the two rows the recurrence needs are held."""
+    prev = np.exp(-0.5 * u - 0.5 * gammaln(delta + 1.0))
+    yield prev
+    if kmax < 1:
+        return
+    row = (1.0 + delta - u) * prev / np.sqrt(1.0 + delta)
+    yield row
+    for k in range(1, kmax):
+        a = (2.0 * k + 1.0 + delta - u) / np.sqrt((k + 1.0) * (k + 1.0 + delta))
+        b = np.sqrt(k * (k + delta) / ((k + 1.0) * (k + 1.0 + delta)))
+        prev, row = row, a * row - b * prev
+        yield row
+
+
 def _orthonormal_table(kmax, delta, u):
     """Values c_k L_k^delta(u) e^(-u/2) for all k <= kmax.
 
@@ -97,15 +113,9 @@ def _orthonormal_table(kmax, delta, u):
     functions.
     """
     u = np.asarray(u, dtype=float)
-    out = np.zeros((kmax + 1,) + u.shape)
-    base = np.exp(-0.5 * u - 0.5 * gammaln(delta + 1.0))
-    out[0] = base
-    if kmax >= 1:
-        out[1] = (1.0 + delta - u) * base / np.sqrt(1.0 + delta)
-    for k in range(1, kmax):
-        a = (2.0 * k + 1.0 + delta - u) / np.sqrt((k + 1.0) * (k + 1.0 + delta))
-        b = np.sqrt(k * (k + delta) / ((k + 1.0) * (k + 1.0 + delta)))
-        out[k + 1] = a * out[k] - b * out[k - 1]
+    out = np.empty((kmax + 1,) + u.shape)
+    for k, row in enumerate(_orthonormal_rows(kmax, delta, u)):
+        out[k] = row
     return out
 
 

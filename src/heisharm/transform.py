@@ -26,7 +26,7 @@ from ._special import gammainc_int, gammaln
 from .errors import DimensionMismatchError, DomainError, GridMismatchError, QuadratureError
 from .grids import QuadratureGrid, _unit_rule, gauss_legendre_panels, radial_rule
 from .jsonio import atomic_write_text, read_json, write_json
-from .laguerre import _orthonormal_table, normalized_laguerre_table
+from .laguerre import _orthonormal_rows, _orthonormal_table, normalized_laguerre_table
 
 __all__ = [
     "RadialFunction",
@@ -280,15 +280,47 @@ def transform_at_lambda(fvals, x, w, lam, k_max, n):
     return _coefficient_weights(k_max, n) * np.sum(table * integrand[None, :], axis=1)
 
 
-def _forward_column(f, lam, k_max, nodes_per_panel):
-    R = f.support_radius
-    if f.lambda_dependent:
-        # lambda-side profiles live on scale 1/sqrt(lam); support_radius is
-        # interpreted in those units
-        R = f.support_radius / np.sqrt(abs(lam))
-    x, w = radial_rule(lam, k_max, f.n, R, nodes_per_panel)
-    fvals = f.profile_at(x, lam) * float(np.asarray(f.t_hat(lam), dtype=float))
-    return transform_at_lambda(fvals, x, w, lam, k_max, f.n)
+# radial nodes per Laguerre recurrence in _forward_columns: the few rows of
+# this many floats that the recurrence touches stay in cache (a single sweep
+# over all 690k nodes of the plancherel-check grid runs about 1.7x slower)
+_BATCH_NODES = 1 << 14
+
+
+def _forward_columns(f, grid, nodes_per_panel):
+    """Every column of forward_radial at one panel order.
+
+    The radial rules of consecutive lambda nodes are concatenated in batches
+    of about _BATCH_NODES nodes, and one Laguerre recurrence runs over each
+    batch; each degree's row is summed per column with np.add.reduceat, so
+    no (K+1) x N table is ever held.
+    """
+    n, k_max = f.n, grid.k_max
+    us, integrands = [], []
+    for lam in grid.lam:
+        R = f.support_radius
+        if f.lambda_dependent:
+            # lambda-side profiles live on scale 1/sqrt(lam); support_radius
+            # is interpreted in those units
+            R = f.support_radius / np.sqrt(abs(lam))
+        x, w = radial_rule(lam, k_max, n, R, nodes_per_panel)
+        fvals = f.profile_at(x, lam) * float(np.asarray(f.t_hat(lam), dtype=float))
+        us.append(0.5 * abs(lam) * x * x)
+        integrands.append(fvals * w * x ** (2 * n - 1))
+    sizes = np.array([u.size for u in us])
+    offsets = np.cumsum(sizes) - sizes
+    batch = offsets // _BATCH_NODES
+    out = np.empty((k_max + 1, grid.lam.size))
+    for b in np.unique(batch):
+        cols = np.flatnonzero(batch == b)
+        lo, hi = cols[0], cols[-1] + 1
+        starts = offsets[lo:hi] - offsets[lo]
+        integrand = np.concatenate(integrands[lo:hi])
+        rows = _orthonormal_rows(k_max, n - 1.0, np.concatenate(us[lo:hi]))
+        for k, row in enumerate(rows):
+            out[k, lo:hi] = np.add.reduceat(row * integrand, starts)
+    # C_{k,n} phi_k = sqrt(Gamma(n)) * c_k L_k^{n-1}(u) e^{-u/2}
+    weights = _coefficient_weights(k_max, n) * np.exp(0.5 * gammaln(float(n)))
+    return weights[:, None] * out
 
 
 def forward_radial(f, grid, symmetric=True, check=True, check_tol=1e-8):
@@ -298,13 +330,10 @@ def forward_radial(f, grid, symmetric=True, check=True, check_tol=1e-8):
     the two must agree to check_tol relative to the largest coefficient;
     otherwise QuadratureError reports the worst (k, lambda) cell.
     """
-    k_max = grid.k_max
     npp = grid.nodes_per_panel
-    vals = np.stack([_forward_column(f, lam, k_max, npp) for lam in grid.lam],
-                    axis=1)
+    vals = _forward_columns(f, grid, npp)
     if check:
-        fine = np.stack([_forward_column(f, lam, k_max, 2 * npp)
-                         for lam in grid.lam], axis=1)
+        fine = _forward_columns(f, grid, 2 * npp)
         scale = max(1.0, float(np.max(np.abs(fine))))
         diff = np.abs(vals - fine)
         worst = np.unravel_index(int(np.argmax(diff)), diff.shape)
@@ -503,6 +532,38 @@ def _ramp_arc_integral(d, s, psis):
     return arc(lo1, hi1) + arc(-psis, hi2)
 
 
+def _ramp_arc_integrals(d, s, psis):
+    """_ramp_arc_integral on the table of every offset d (1-d, rows) against
+    every (s, psi*) pair (1-d, columns), with the arcsin and the sines
+    evaluated only on the cells where the ramp changes sign on the arc.
+
+    Where s <= |d| the integrand (d + s sin(psi))_+ keeps one sign on the
+    whole arc: for d <= 0 it is 0 there, which _ramp_arc_integral also
+    returns, and for d > 0 its clipped -d/s is -1, so a = -pi/2 and the arc
+    ends, with them the sine terms, depend on the column alone.  The other
+    cells go through _ramp_arc_integral itself; every value is the float it
+    gives, with the same operands in the same order.
+    """
+    out = np.zeros((d.size, s.size))
+    # arc(lo1, hi1) + arc(-psis, hi2) of _ramp_arc_integral at a = arcsin(-1)
+    # for the rows with d > 0; their sign-changing cells are overwritten below
+    a = np.arcsin(-1.0)
+    neg = -psis
+    lo1 = np.maximum(a, neg)
+    hi1 = np.maximum(lo1, np.minimum(np.pi - a, psis))
+    hi2 = np.maximum(neg, -np.pi - a)
+    sin1 = 2.0 * s * np.sin(0.5 * (hi1 + lo1)) * np.sin(0.5 * (hi1 - lo1))
+    sin2 = 2.0 * s * np.sin(0.5 * (hi2 + neg)) * np.sin(0.5 * (hi2 - neg))
+    up = np.flatnonzero(d > 0)
+    du = d[up, None]
+    out[up] = (du * (hi1 - lo1) + sin1) + (du * (hi2 - neg) + sin2)
+    # a NaN offset fails the comparison and keeps _ramp_arc_integral's NaN
+    cells = np.flatnonzero(~(np.abs(d)[:, None] >= s))
+    row, col = np.divmod(cells, s.size)
+    out.flat[cells] = _ramp_arc_integral(d[row], s[col], psis[col])
+    return out
+
+
 def box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=256):
     """Group convolution of two box factors on the n=1 group, evaluated
     directly in space at the points (|z|, t) = (r, t).
@@ -520,9 +581,11 @@ def box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=256):
         G(T) = hgt [(T+M)_+ - (T+m)_+ - (T-m)_+ + (T-M)_+],
 
     with M, m the sum and difference of the interval half-widths, so the
-    psi-integral is exact (:func:`_ramp_arc_integral`).  The u-integral is
-    split where psi* loses smoothness; its rule depends on r only, so it is
-    built once per distinct r and shared by every t.
+    psi-integral is exact (:func:`_ramp_arc_integral`); its arcsin and
+    sines run only on the (t, ramp, u) cells where the ramp changes sign on
+    the arc (:func:`_ramp_arc_integrals`).  The u-integral is split where
+    psi* loses smoothness; its rule depends on r only, so it is built once
+    per distinct r and shared by every t.
     """
     a = ball_normalizer(1)
     A1, A2 = a * rho1, a * rho2
@@ -552,8 +615,8 @@ def box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=256):
         sel = np.flatnonzero(which == j)
         # ramps has shape (len(sel), 4, u nodes); u is the last, contiguous
         # axis, so each sample's u-sum is the same whatever else is batched
-        d = flat_t[sel, None, None] + offsets[None, :, None]
-        ramps = _ramp_arc_integral(d, 0.5 * ri * ux, psis)
+        d = (flat_t[sel, None] + offsets[None, :]).ravel()
+        ramps = _ramp_arc_integrals(d, 0.5 * ri * ux, psis).reshape(sel.size, 4, -1)
         inner = ramps[:, 0] - ramps[:, 1] - ramps[:, 2] + ramps[:, 3]
         flat_out[sel] = np.sum(inner * (ux * uw), axis=-1)
     return out * (hgt / (rho1 ** 2 * rho2 ** 2))

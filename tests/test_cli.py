@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from heisharm.cli import dispatch
+from heisharm.cli import _COMMAND_HELP, _COMMANDS, dispatch
 from heisharm.fixtures import packaged_fixtures_dir
 
 
@@ -43,6 +43,14 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert dispatch(["convolve-check", "--factors", "1,2,3"]) == 2
     assert dispatch(["plancherel-check", "--family", "pyramid"]) == 2
     capsys.readouterr()
+
+
+def test_help_lists_every_command(capsys):
+    assert dispatch(["--help"]) == 0
+    out = capsys.readouterr().out
+    for name in _COMMANDS:
+        assert f"  {name}  " in out
+        assert _COMMAND_HELP[name] in out
 
 
 def test_ingham_verify_small_grid(tmp_path):

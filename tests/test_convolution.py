@@ -19,6 +19,7 @@ from heisharm import (
     multiply_coeffs,
 )
 from heisharm.grids import _unit_rule
+from heisharm.transform import _box_u_rule, _ramp_arc_integral, _ramp_arc_integrals
 
 CONV_TOL = 1e-3
 
@@ -242,6 +243,83 @@ def test_closed_form_exact_at_origin_axis():
         exact = np.pi * (a * min(rho1, rho2)) ** 2 * G / (rho1 ** 2 * rho2 ** 2)
         got = box_pair_convolution(rho1, tau1, rho2, tau2, 0.0, t)
         assert got == pytest.approx(exact, rel=1e-14)
+
+
+def all_cells_box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=256):
+    """Oracle of box_pair_convolution's cell split: the same u rule and
+    u-sum, with _ramp_arc_integral evaluated on every (t, ramp, u) cell."""
+    a = ball_normalizer(1)
+    A1, A2 = a * rho1, a * rho2
+    half1, half2 = tau1 ** 2 / 2.0, tau2 ** 2 / 2.0
+    hgt = 1.0 / (tau1 ** 2 * tau2 ** 2)
+    big, small = half1 + half2, abs(half1 - half2)
+    offsets = np.array([big, small, -small, -big])
+    rb, tb = np.broadcast_arrays(np.asarray(r, dtype=float),
+                                 np.asarray(t, dtype=float))
+    out = np.zeros(rb.shape)
+    flat_t, flat_out = tb.ravel(), out.reshape(-1)
+    radii, which = np.unique(rb.ravel(), return_inverse=True)
+    for j, ri in enumerate(radii.tolist()):
+        umax = min(A2, ri + A1)
+        if umax <= 0:
+            continue
+        singular = [c for c in (abs(A1 - ri), ri + A1) if 0.0 < c <= umax]
+        cuts = sorted({0.0, umax} | {c for c in singular if c < umax})
+        ux, uw = _box_u_rule(cuts, singular, u_nodes)
+        gamma = (ri ** 2 + ux ** 2 - A1 ** 2) / np.maximum(2.0 * ri * ux, 1e-300)
+        if ri == 0.0:
+            psis = np.where(ux <= A1, np.pi, 0.0)
+        else:
+            psis = np.arccos(np.clip(gamma, -1.0, 1.0))
+        sel = np.flatnonzero(which == j)
+        d = flat_t[sel, None, None] + offsets[None, :, None]
+        ramps = _ramp_arc_integral(d, 0.5 * ri * ux, psis)
+        inner = ramps[:, 0] - ramps[:, 1] - ramps[:, 2] + ramps[:, 3]
+        flat_out[sel] = np.sum(inner * (ux * uw), axis=-1)
+    return out * (hgt / (rho1 ** 2 * rho2 ** 2))
+
+
+# the convolve-check width sets of the benchmark, then tau1 = tau2 (m = 0)
+@pytest.mark.parametrize("widths", [
+    (0.9, 0.8, 0.7, 0.6), (0.9, 0.6, 0.6, 0.8), (0.7, 0.9, 0.8, 0.5),
+    (0.8, 0.7, 0.9, 0.6), (0.6, 0.6, 0.9, 0.9), (0.8, 0.7, 0.9, 0.7),
+])
+def test_cell_split_matches_all_cells(widths):
+    # the default sampling grid of box_convolution_coefficients, with an
+    # r = 0 row and a t = 0 column added
+    x, _, tx, _ = box_convolution_grids(*widths)
+    r = np.concatenate([[0.0], x])[:, None]
+    t = np.concatenate([[0.0], tx])[None, :]
+    split = box_pair_convolution(*widths, r, t, 192)
+    ref = all_cells_box_pair_convolution(*widths, r, t, 192)
+    # equal bit for bit where both take numpy's same sine loops; the bound
+    # leaves room for a last-bit difference between its SIMD paths
+    assert np.max(np.abs(split - ref)) <= 4e-16 * np.max(np.abs(ref))
+
+
+@seed(8)
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=6),
+       st.lists(st.tuples(st.floats(min_value=0.0, max_value=2.0),
+                          st.floats(min_value=0.0, max_value=np.pi)),
+                min_size=1, max_size=6))
+@example([0.5, -0.5], [(0.5, 1.0), (0.0, np.pi), (1.0, 0.0)])
+def test_classified_ramps_match_ramp_arc_integral(offsets, columns):
+    s = np.array([0.0] + [c[0] for c in columns])
+    psis = np.array([np.pi] + [c[1] for c in columns])
+    # the class boundaries d = +-s are hit exactly, and the s = 0 column
+    # meets d = 0 and offsets of either sign
+    d = np.concatenate([offsets, s, -s, [0.0, 1.0, -1.0]])
+    got = _ramp_arc_integrals(d, s, psis)
+    with np.errstate(over="ignore"):
+        # -d/s of a subnormal s overflows to -inf, which the clip handles
+        ref = _ramp_arc_integral(d[:, None], s, psis)
+    assert got.shape == ref.shape == (d.size, s.size)
+    # |value| <= 2 pi (|d| + s) bounds every term of the arc formula
+    scale = 2.0 * np.pi * (np.abs(d)[:, None] + s)
+    assert np.all(np.abs(got - ref) <= 4e-16 * scale)
+    # no cell with d <= -s carries mass
+    assert np.all(got[d[:, None] <= -s] == 0.0)
 
 
 def test_box_pair_shapes_agree():

@@ -26,7 +26,10 @@ from heisharm import (
     save_coefficients,
     sobolev_norm,
     sublaplacian_symbol,
+    transform_at_lambda,
 )
+from heisharm import transform
+from heisharm.grids import radial_rule
 
 GRID = QuadratureGrid.make(k_max=24, lambda_min=0.05, lambda_max=20.0,
                            lambda_nodes=64)
@@ -122,6 +125,37 @@ def test_ground_state_coefficients():
         expect = (2.0 * np.pi / GRID.lam) ** n
         assert np.allclose(c.values[0], expect, rtol=1e-8)
         assert np.max(np.abs(c.values[1:])) < 1e-8 * np.max(expect)
+
+
+def per_column_forward(f, grid, nodes_per_panel):
+    """Oracle of forward_radial's batched recurrence: one radial rule, one
+    Laguerre table and one transform_at_lambda per lambda node."""
+    cols = []
+    for lam in grid.lam:
+        R = f.support_radius
+        if f.lambda_dependent:
+            R = f.support_radius / np.sqrt(lam)
+        x, w = radial_rule(lam, grid.k_max, f.n, R, nodes_per_panel)
+        fvals = f.profile_at(x, lam) * float(f.t_hat(lam))
+        cols.append(transform_at_lambda(fvals, x, w, lam, grid.k_max, f.n))
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("batch_nodes", [None, 300])
+@pytest.mark.parametrize("f", [box_factor(1, 0.9, 0.8), box_factor(3, 0.7, 0.5),
+                               gaussian_factor(2, 1.0, 0.4), ground_state(1)],
+                         ids=["box1", "box3", "gauss2", "ground1"])
+def test_forward_radial_matches_per_column_loop(f, batch_nodes, monkeypatch):
+    # 300 nodes split the grid into several batches, some of a single column
+    if batch_nodes is not None:
+        monkeypatch.setattr(transform, "_BATCH_NODES", batch_nodes)
+    grid = QuadratureGrid.make(k_max=24, lambda_min=1e-3, lambda_max=50.0,
+                               lambda_nodes=12, nodes_per_panel=32)
+    coarse = forward_radial(f, grid, check=False).values
+    fine = forward_radial(f, grid).values
+    for got, npp in ((coarse, 32), (fine, 64)):
+        ref = per_column_forward(f, grid, npp)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_unit_mass_bounds_coefficients():

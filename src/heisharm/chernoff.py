@@ -21,7 +21,6 @@ from .transform import projection_hs_norm_sq
 
 __all__ = [
     "MAX_POWER",
-    "NormGrowthProfile",
     "sublaplacian_norms",
     "carleman_partial_sums",
     "log_convexity_margin",

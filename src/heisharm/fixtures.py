@@ -14,7 +14,7 @@ import os
 from .errors import DomainError
 from .jsonio import read_json
 
-__all__ = ["packaged_fixtures_dir", "fixture_path", "load_fixture"]
+__all__ = ["packaged_fixtures_dir", "load_fixture"]
 
 # envelope calibration grid: all degrees to ENVELOPE_K_MAX, five lambda
 # decades, 400 radii (origin + log-spaced), three dimensions
@@ -56,14 +56,10 @@ def packaged_fixtures_dir():
     return os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 
-def fixture_path(name, fixtures_dir=None):
-    return os.path.join(fixtures_dir or packaged_fixtures_dir(), name)
-
-
 def load_fixture(name, fixtures_dir=None):
     if name not in GRID_HASHES:
         raise DomainError(f"unknown calibration fixture {name!r}")
-    path = fixture_path(name, fixtures_dir)
+    path = os.path.join(fixtures_dir or packaged_fixtures_dir(), name)
     try:
         obj = read_json(path)
     except OSError as exc:

@@ -41,11 +41,9 @@ from .transform import (SpectralCoefficients, ball_coefficients, ball_normalizer
 
 __all__ = [
     "SequencePlan",
-    "InghamChain",
     "plan_sequences",
     "factor_t_hat",
     "factor_coeff",
-    "factor_coeff_table",
     "factor_coeff_envelope",
     "calibrate_cn",
     "calibration_grid",
@@ -53,14 +51,12 @@ __all__ = [
     "adaptive_N",
     "chain_coeff",
     "chain_coefficients",
-    "build_chain",
     "verify_decay",
     "support_radius",
     "ball_volume",
     "sphere_surface",
     "ball_shift_symmdiff",
     "cauchy_gap",
-    "TAU_GAUGE",
 ]
 
 # Koranyi gauge of the point (0, tau^2/2): (t^2)^{1/4} = tau / sqrt(2)
@@ -105,16 +101,6 @@ class SequencePlan:
     @property
     def c(self):
         return TAU_GAUGE
-
-
-@dataclass(frozen=True)
-class InghamChain:
-    """Spectral form of the partial chain G_N on a grid."""
-
-    plan: SequencePlan
-    n: int
-    N: int
-    coeffs: SpectralCoefficients
 
 
 def _chain_constant(n, c_n=None, fixtures_dir=None):
@@ -165,22 +151,9 @@ def factor_t_hat(j, lam, plan):
     return _sinc(0.5 * plan.tau[j - 1] ** 2 * np.asarray(lam, dtype=float))
 
 
-def factor_coeff_table(s, k_max, n):
-    """Coefficients 0..k_max of a unit-width z-factor as a function of the
-    scale-invariant argument s = lam rho^2 > 0.
-
-    Substituting r = rho v shows the rho-factor coefficient at lam equals
-    the unit-factor coefficient at s, so one table covers every factor.
-    A scalar view of ball_coefficients; sweeps call that directly.
-    """
-    if s <= 0:
-        raise DomainError("need s > 0")
-    return ball_coefficients(np.array([s], dtype=float), k_max, n)[:, 0]
-
-
 def _quadrature_table(s, k_max, n, nodes_per_panel):
-    """factor_coeff_table by radial Gauss-Legendre quadrature: the oracle
-    the closed form is checked against."""
+    """ball_coefficients at the single s by radial Gauss-Legendre
+    quadrature: the oracle the closed form is checked against."""
     x, w = radial_rule(s, k_max, n, ball_normalizer(n), nodes_per_panel)
     return transform_at_lambda(np.ones_like(x), x, w, s, k_max, n)
 
@@ -191,8 +164,10 @@ def factor_coeff(j, k, lam, plan):
         raise DomainError(f"factor index {j} outside 1..{plan.J}")
     if lam == 0:
         raise DomainError("lam must be nonzero")
+    # the rho-factor coefficient at lam is the unit-factor coefficient at
+    # the scale-invariant s = lam rho^2 (substitute r = rho v)
     s = abs(lam) * plan.rho[j - 1] ** 2
-    return float(factor_coeff_table(s, int(k), plan.n)[int(k)])
+    return float(ball_coefficients(np.array([s]), int(k), plan.n)[int(k), 0])
 
 
 def factor_coeff_envelope(k, lam, rho, n, c_n):
@@ -351,11 +326,6 @@ def chain_coefficients(plan, N, grid):
     signs, logs = _chain_log_columns(plan, grid.lam, grid.k_max, N)
     vals = (signs[:, N] * np.exp(logs[:, N])).T
     return SpectralCoefficients(n=plan.n, grid=grid, values=vals, symmetric=True)
-
-
-def build_chain(plan, N, grid):
-    return InghamChain(plan=plan, n=plan.n, N=N,
-                       coeffs=chain_coefficients(plan, N, grid))
 
 
 def _max_log_q(plan, theta, k_max, lam_nodes):

@@ -32,8 +32,6 @@ turning-point window, and an exponentially decaying far zone.  The two free
 constants of the envelope are calibrated once and frozen in a fixture.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._special import gammaln
@@ -47,8 +45,6 @@ __all__ = [
     "laguerre_norm_constant",
     "nu",
     "breakpoints",
-    "EnvelopeRegion",
-    "bound_envelope",
     "envelope_values",
     "orthonormality_defect",
 ]
@@ -251,19 +247,6 @@ def breakpoints(k, lam, n):
     return (np.sqrt(2.0 / (v * al)), np.sqrt(v / al), np.sqrt(3.0 * v / al))
 
 
-@dataclass(frozen=True)
-class EnvelopeRegion:
-    """Which of the four envelope regimes a radius falls into."""
-
-    tag: str
-    breakpoints: tuple
-
-    def __post_init__(self):
-        b1, b2, b3 = self.breakpoints
-        if not (b1 < b2 < b3):
-            raise DomainError("envelope breakpoints must be strictly increasing")
-
-
 def envelope_values(k, lam, n, r, c_fit, gamma_fit):
     """Envelope for C_{k,n}|phi_{k,lam}^{n-1}| at the radii r (vectorized).
 
@@ -301,14 +284,3 @@ def envelope_values(k, lam, n, r, c_fit, gamma_fit):
         np.where(w <= 0.5 * v, osc, np.where(w <= 1.5 * v, turn, expo)),
     )
     return c_fit * spow * case
-
-
-def bound_envelope(k, lam, n, r, c_fit, gamma_fit):
-    """Classify the radius r and return (EnvelopeRegion, envelope value)."""
-    b = breakpoints(k, lam, n)
-    region = EnvelopeRegion(
-        tag=("core" if r <= b[0] else "oscillatory" if r <= b[1] else "turning" if r <= b[2] else "exponential"),
-        breakpoints=b,
-    )
-    value = float(envelope_values(k, lam, n, np.atleast_1d(float(r)), c_fit, gamma_fit)[0])
-    return region, value

@@ -1,0 +1,209 @@
+"""Quadrature oracles of the closed forms in heisharm.transform.
+
+Nothing in the command line or the calibration imports this module; the
+tests check every closed form against it.  RadialFunction samples a
+separable radial function in space, forward_radial pushes it through
+radial Gauss-Legendre quadrature with a panel-refinement check, and
+direct_convolution_oracle evaluates a group convolution on H^1 by brute
+force.  box_factor and gaussian_factor share their t-transforms with
+box_coefficients and gaussian_coefficients, so the oracles and the closed
+forms agree on the t-part by construction and differ only in the radial
+integral.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from ._special import gammaln
+from .errors import DimensionMismatchError, DomainError, QuadratureError
+from .grids import radial_rule
+from .laguerre import _orthonormal_rows
+from .transform import (SpectralCoefficients, _box_t_hat, _coefficient_weights,
+                        _gaussian_t_hat, ball_normalizer)
+
+__all__ = [
+    "RadialFunction",
+    "box_factor",
+    "gaussian_factor",
+    "ground_state",
+    "forward_radial",
+    "direct_convolution_oracle",
+]
+
+
+@dataclass(frozen=True)
+class RadialFunction:
+    """Separable radial function F(|z|, t) = profile(|z|) * (t-part).
+
+    profile maps radial abscissae to values; when lambda_dependent is set it
+    receives (r, lam) instead, which covers profiles defined directly on the
+    partial Fourier side.  t_hat(lam) is the Fourier transform of the t-part
+    under the e^{i lam t} convention.  support_radius bounds the radial
+    support (or effective support) and doubles as the outermost quadrature
+    panel edge, so profile discontinuities must sit there, not inside.
+    """
+
+    n: int
+    profile: object
+    t_hat: object
+    support_radius: float
+    lambda_dependent: bool = False
+    label: str = ""
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise DimensionMismatchError("n must be a positive integer")
+        if not self.support_radius > 0:
+            raise DomainError("support_radius must be positive")
+
+    def profile_at(self, r, lam):
+        if self.lambda_dependent:
+            return np.asarray(self.profile(r, lam), dtype=float)
+        return np.asarray(self.profile(r), dtype=float)
+
+
+def box_factor(n, rho, tau, label=""):
+    """Product of normalized indicators: ball of radius a*rho in z, interval
+    of length tau^2 in t.  Both parts integrate to one."""
+    if rho <= 0 or tau <= 0:
+        raise DomainError("box factor needs rho > 0 and tau > 0")
+    a = ball_normalizer(n)
+    R = a * rho
+    height = rho ** (-2.0 * n)
+
+    def profile(r):
+        return np.where(np.asarray(r, dtype=float) <= R, height, 0.0)
+
+    def t_hat(lam):
+        return _box_t_hat(tau, lam)
+
+    return RadialFunction(n=n, profile=profile, t_hat=t_hat, support_radius=R,
+                          label=label or f"box(rho={rho!r}, tau={tau!r})")
+
+
+def gaussian_factor(n, sigma_z, sigma_t, cutoff=14.0):
+    """Gaussian e^{-|z|^2/(2 sigma_z^2)} e^{-t^2/(2 sigma_t^2)}; t_hat is the
+    usual Gaussian transform sigma_t sqrt(2 pi) e^{-lam^2 sigma_t^2 / 2}."""
+    if sigma_z <= 0 or sigma_t <= 0:
+        raise DomainError("gaussian factor needs positive widths")
+
+    def profile(r):
+        r = np.asarray(r, dtype=float)
+        return np.exp(-r ** 2 / (2.0 * sigma_z ** 2))
+
+    def t_hat(lam):
+        return _gaussian_t_hat(sigma_t, lam)
+
+    return RadialFunction(n=n, profile=profile, t_hat=t_hat,
+                          support_radius=cutoff * sigma_z,
+                          label=f"gauss(sz={sigma_z!r}, st={sigma_t!r})")
+
+
+def ground_state(n, cutoff=14.0):
+    """Function whose partial transform is e^{-|lam| r^2 / 4}: the lowest
+    scaled Laguerre function at every lambda.  Coefficients are exactly
+    (2 pi / lam)^n delta_{k0}."""
+
+    def profile(r, lam):
+        r = np.asarray(r, dtype=float)
+        return np.exp(-np.abs(lam) * r ** 2 / 4.0)
+
+    def t_hat(lam):
+        return np.ones_like(np.asarray(lam, dtype=float))
+
+    # effective radial width is 2/sqrt(lam); the forward driver rescales
+    # the support per lambda for lambda-dependent profiles
+    return RadialFunction(n=n, profile=profile, t_hat=t_hat,
+                          support_radius=cutoff, lambda_dependent=True,
+                          label="ground-state")
+
+
+# radial nodes per Laguerre recurrence in _forward_columns: the few rows of
+# this many floats that the recurrence touches stay in cache (a single sweep
+# over all 690k nodes of the plancherel-check grid runs about 1.7x slower)
+_BATCH_NODES = 1 << 14
+
+
+def _forward_columns(f, grid, nodes_per_panel):
+    """Every column of forward_radial at one panel order.
+
+    The radial rules of consecutive lambda nodes are concatenated in batches
+    of about _BATCH_NODES nodes, and one Laguerre recurrence runs over each
+    batch; each degree's row is summed per column with np.add.reduceat, so
+    no (K+1) x N table is ever held.
+    """
+    n, k_max = f.n, grid.k_max
+    us, integrands = [], []
+    for lam in grid.lam:
+        R = f.support_radius
+        if f.lambda_dependent:
+            # lambda-side profiles live on scale 1/sqrt(lam); support_radius
+            # is interpreted in those units
+            R = f.support_radius / np.sqrt(abs(lam))
+        x, w = radial_rule(lam, k_max, n, R, nodes_per_panel)
+        fvals = f.profile_at(x, lam) * float(np.asarray(f.t_hat(lam), dtype=float))
+        us.append(0.5 * abs(lam) * x * x)
+        integrands.append(fvals * w * x ** (2 * n - 1))
+    sizes = np.array([u.size for u in us])
+    offsets = np.cumsum(sizes) - sizes
+    batch = offsets // _BATCH_NODES
+    out = np.empty((k_max + 1, grid.lam.size))
+    for b in np.unique(batch):
+        cols = np.flatnonzero(batch == b)
+        lo, hi = cols[0], cols[-1] + 1
+        starts = offsets[lo:hi] - offsets[lo]
+        integrand = np.concatenate(integrands[lo:hi])
+        rows = _orthonormal_rows(k_max, n - 1.0, np.concatenate(us[lo:hi]))
+        for k, row in enumerate(rows):
+            out[k, lo:hi] = np.add.reduceat(row * integrand, starts)
+    # C_{k,n} phi_k = sqrt(Gamma(n)) * c_k L_k^{n-1}(u) e^{-u/2}
+    weights = _coefficient_weights(k_max, n) * np.exp(0.5 * gammaln(float(n)))
+    return weights[:, None] * out
+
+
+def forward_radial(f, grid, symmetric=True, check=True, check_tol=1e-8):
+    """Transform a RadialFunction on the grid.
+
+    With check=True every column is recomputed at doubled panel order and
+    the two must agree to check_tol relative to the largest coefficient;
+    otherwise QuadratureError reports the worst (k, lambda) cell.
+    """
+    npp = grid.nodes_per_panel
+    vals = _forward_columns(f, grid, npp)
+    if check:
+        fine = _forward_columns(f, grid, 2 * npp)
+        scale = max(1.0, float(np.max(np.abs(fine))))
+        diff = np.abs(vals - fine)
+        worst = np.unravel_index(int(np.argmax(diff)), diff.shape)
+        if diff[worst] > check_tol * scale:
+            raise QuadratureError(
+                "radial quadrature did not settle under panel refinement",
+                worst_cell=(int(worst[0]), float(grid.lam[worst[1]])),
+                disagreement=float(diff[worst] / scale),
+            )
+        vals = fine
+    return SpectralCoefficients(n=f.n, grid=grid, values=vals, symmetric=symmetric)
+
+
+def direct_convolution_oracle(f, g, x, g_z_radius, g_t_radius, nodes=24):
+    """(f * g)(x) = int f(x y^{-1}) g(y) dy on H^1 by tensor Gauss-Legendre
+    over the support box of g: |Re w|, |Im w| <= g_z_radius, |s| <= g_t_radius.
+
+    f and g are vectorized callables of (z, t) with complex z; x is a
+    HeisenbergPoint.  Slow, and with no convergence control beyond the node
+    count per axis.
+    """
+    if x.n != 1:
+        raise DimensionMismatchError("the spatial oracle is implemented on H^1 only")
+    xz, xt = complex(x.z[0]), float(x.t)
+    # numpy's own rule keeps the oracle independent of grids._unit_rule
+    q, qw = np.polynomial.legendre.leggauss(nodes)
+    u1, u2, s = np.meshgrid(g_z_radius * q, g_z_radius * q, g_t_radius * q,
+                            indexing="ij")
+    wts = np.einsum("i,j,k->ijk", g_z_radius * qw, g_z_radius * qw,
+                    g_t_radius * qw)
+    wz = u1 + 1j * u2
+    # y = (w, s);  x y^{-1} = (xz - w, xt - s - Im(xz conj(w))/2)
+    fv = f(xz - wz, xt - s - 0.5 * np.imag(xz * np.conj(wz)))
+    return float(np.sum(fv * g(wz, s) * wts))

@@ -23,23 +23,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._special import gammainc_int, gammaln
-from .errors import DimensionMismatchError, DomainError, GridMismatchError, QuadratureError
-from .grids import QuadratureGrid, _unit_rule, gauss_legendre_panels, radial_rule
+from .errors import DimensionMismatchError, DomainError, GridMismatchError
+from .grids import QuadratureGrid, _unit_rule, gauss_legendre_panels
 from .jsonio import atomic_write_text, read_json, write_json
-from .laguerre import _orthonormal_rows, _orthonormal_table, normalized_laguerre_table
+from .laguerre import _orthonormal_table, normalized_laguerre_table
 
 __all__ = [
-    "RadialFunction",
     "SpectralCoefficients",
-    "box_factor",
     "box_coefficients",
-    "gaussian_factor",
     "gaussian_coefficients",
-    "ground_state",
     "ball_normalizer",
     "ball_coefficients",
     "projection_hs_norm_sq",
-    "forward_radial",
     "transform_at_lambda",
     "plancherel_norm",
     "sobolev_norm",
@@ -48,7 +43,6 @@ __all__ = [
     "multiply_coeffs",
     "dilate_coeffs",
     "box_pair_convolution",
-    "direct_convolution_oracle",
     "box_convolution_grids",
     "box_convolution_coefficients",
     "save_coefficients",
@@ -106,120 +100,52 @@ def ball_coefficients(s, k_max, n):
     return weights[:, None] * J * s ** -float(n)
 
 
-@dataclass(frozen=True)
-class RadialFunction:
-    """Separable radial function F(|z|, t) = profile(|z|) * (t-part).
-
-    profile maps radial abscissae to values; when lambda_dependent is set it
-    receives (r, lam) instead, which covers profiles defined directly on the
-    partial Fourier side.  t_hat(lam) is the Fourier transform of the t-part
-    under the e^{i lam t} convention.  support_radius bounds the radial
-    support (or effective support) and doubles as the outermost quadrature
-    panel edge, so profile discontinuities must sit there, not inside.
-    """
-
-    n: int
-    profile: object
-    t_hat: object
-    support_radius: float
-    lambda_dependent: bool = False
-    label: str = ""
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DimensionMismatchError("n must be a positive integer")
-        if not self.support_radius > 0:
-            raise DomainError("support_radius must be positive")
-
-    def profile_at(self, r, lam):
-        if self.lambda_dependent:
-            return np.asarray(self.profile(r, lam), dtype=float)
-        return np.asarray(self.profile(r), dtype=float)
+def _box_t_hat(tau, lam):
+    """Transform of the normalized indicator of an interval of length tau^2
+    in t: sinc(tau^2 lam / 2)."""
+    return np.sinc(tau ** 2 * np.asarray(lam, dtype=float) / (2.0 * np.pi))
 
 
-def box_factor(n, rho, tau, label=""):
-    """Product of normalized indicators: ball of radius a*rho in z, interval
-    of length tau^2 in t.  Both parts integrate to one."""
-    if rho <= 0 or tau <= 0:
-        raise DomainError("box factor needs rho > 0 and tau > 0")
-    a = ball_normalizer(n)
-    R = a * rho
-    height = rho ** (-2.0 * n)
-
-    def profile(r):
-        return np.where(np.asarray(r, dtype=float) <= R, height, 0.0)
-
-    def t_hat(lam):
-        return np.sinc(tau ** 2 * np.asarray(lam, dtype=float) / (2.0 * np.pi))
-
-    return RadialFunction(n=n, profile=profile, t_hat=t_hat, support_radius=R,
-                          label=label or f"box(rho={rho!r}, tau={tau!r})")
+def _gaussian_t_hat(sigma_t, lam):
+    """Transform of e^{-t^2/(2 sigma_t^2)}: sigma_t sqrt(2 pi)
+    e^{-lam^2 sigma_t^2 / 2}."""
+    lam = np.asarray(lam, dtype=float)
+    return sigma_t * np.sqrt(2.0 * np.pi) * np.exp(-(lam * sigma_t) ** 2 / 2.0)
 
 
 def box_coefficients(n, rho, tau, grid):
-    """SpectralCoefficients of box_factor(n, rho, tau) on the grid, from the
-    closed form: the unit ball table at s = lam rho^2 times t_hat(lam).
-    forward_radial of the same factor is the quadrature oracle."""
-    f = box_factor(n, rho, tau)
-    vals = ball_coefficients(grid.lam * rho ** 2, grid.k_max, n) * f.t_hat(grid.lam)
+    """SpectralCoefficients on the grid of the box factor: the normalized
+    indicator of the ball of radius a*rho in z (a = ball_normalizer(n))
+    times that of an interval of length tau^2 in t.  Closed form: the unit
+    ball table at s = lam rho^2 times the interval transform.
+    heisharm.oracles.forward_radial of oracles.box_factor is its quadrature
+    oracle."""
+    if rho <= 0 or tau <= 0:
+        raise DomainError("box factor needs rho > 0 and tau > 0")
+    vals = ball_coefficients(grid.lam * rho ** 2, grid.k_max, n) * _box_t_hat(tau, grid.lam)
     return SpectralCoefficients(n=n, grid=grid, values=vals, symmetric=True)
 
 
-def gaussian_factor(n, sigma_z, sigma_t, cutoff=14.0):
-    """Gaussian e^{-|z|^2/(2 sigma_z^2)} e^{-t^2/(2 sigma_t^2)}; t_hat is the
-    usual Gaussian transform sigma_t sqrt(2 pi) e^{-lam^2 sigma_t^2 / 2}."""
-    if sigma_z <= 0 or sigma_t <= 0:
-        raise DomainError("gaussian factor needs positive widths")
-
-    def profile(r):
-        r = np.asarray(r, dtype=float)
-        return np.exp(-r ** 2 / (2.0 * sigma_z ** 2))
-
-    def t_hat(lam):
-        lam = np.asarray(lam, dtype=float)
-        return sigma_t * np.sqrt(2.0 * np.pi) * np.exp(-(lam * sigma_t) ** 2 / 2.0)
-
-    return RadialFunction(n=n, profile=profile, t_hat=t_hat,
-                          support_radius=cutoff * sigma_z,
-                          label=f"gauss(sz={sigma_z!r}, st={sigma_t!r})")
-
-
 def gaussian_coefficients(n, sigma_z, sigma_t, grid):
-    """SpectralCoefficients of gaussian_factor(n, sigma_z, sigma_t) on the
-    grid, from the closed form given by the Laguerre generating function:
-    with b = lam sigma_z^2 and q = (2 - b) / (2 + b),
+    """SpectralCoefficients on the grid of the Gaussian
+    e^{-|z|^2/(2 sigma_z^2)} e^{-t^2/(2 sigma_t^2)}, from the closed form
+    given by the Laguerre generating function: with b = lam sigma_z^2 and
+    q = (2 - b) / (2 + b),
 
         R_k(lam) = (4 pi sigma_z^2 / (2 + b))^n q^k t_hat(lam).
 
     At b = 2 this is the ground state (2 pi / lam)^n delta_{k0}.
-    forward_radial of the same factor is the quadrature oracle.
+    heisharm.oracles.forward_radial of oracles.gaussian_factor is its
+    quadrature oracle.
     """
-    f = gaussian_factor(n, sigma_z, sigma_t)
+    if sigma_z <= 0 or sigma_t <= 0:
+        raise DomainError("gaussian factor needs positive widths")
     b = grid.lam * sigma_z ** 2
     q = (2.0 - b) / (2.0 + b)
     k = np.arange(grid.k_max + 1, dtype=float)
-    vals = (4.0 * np.pi * sigma_z ** 2 / (2.0 + b)) ** n * f.t_hat(grid.lam) \
+    vals = (4.0 * np.pi * sigma_z ** 2 / (2.0 + b)) ** n * _gaussian_t_hat(sigma_t, grid.lam) \
         * q[None, :] ** k[:, None]
     return SpectralCoefficients(n=n, grid=grid, values=vals, symmetric=True)
-
-
-def ground_state(n, cutoff=14.0):
-    """Function whose partial transform is e^{-|lam| r^2 / 4}: the lowest
-    scaled Laguerre function at every lambda.  Coefficients are exactly
-    (2 pi / lam)^n delta_{k0}."""
-
-    def profile(r, lam):
-        r = np.asarray(r, dtype=float)
-        return np.exp(-np.abs(lam) * r ** 2 / 4.0)
-
-    def t_hat(lam):
-        return np.ones_like(np.asarray(lam, dtype=float))
-
-    # effective radial width is 2/sqrt(lam); the forward driver rescales
-    # the support per lambda for lambda-dependent profiles
-    return RadialFunction(n=n, profile=profile, t_hat=t_hat,
-                          support_radius=cutoff, lambda_dependent=True,
-                          label="ground-state")
 
 
 def projection_hs_norm_sq(k, n):
@@ -278,73 +204,6 @@ def transform_at_lambda(fvals, x, w, lam, k_max, n):
     table = normalized_laguerre_table(k_max, lam, n, x)
     integrand = fvals * w * x ** (2 * n - 1)
     return _coefficient_weights(k_max, n) * np.sum(table * integrand[None, :], axis=1)
-
-
-# radial nodes per Laguerre recurrence in _forward_columns: the few rows of
-# this many floats that the recurrence touches stay in cache (a single sweep
-# over all 690k nodes of the plancherel-check grid runs about 1.7x slower)
-_BATCH_NODES = 1 << 14
-
-
-def _forward_columns(f, grid, nodes_per_panel):
-    """Every column of forward_radial at one panel order.
-
-    The radial rules of consecutive lambda nodes are concatenated in batches
-    of about _BATCH_NODES nodes, and one Laguerre recurrence runs over each
-    batch; each degree's row is summed per column with np.add.reduceat, so
-    no (K+1) x N table is ever held.
-    """
-    n, k_max = f.n, grid.k_max
-    us, integrands = [], []
-    for lam in grid.lam:
-        R = f.support_radius
-        if f.lambda_dependent:
-            # lambda-side profiles live on scale 1/sqrt(lam); support_radius
-            # is interpreted in those units
-            R = f.support_radius / np.sqrt(abs(lam))
-        x, w = radial_rule(lam, k_max, n, R, nodes_per_panel)
-        fvals = f.profile_at(x, lam) * float(np.asarray(f.t_hat(lam), dtype=float))
-        us.append(0.5 * abs(lam) * x * x)
-        integrands.append(fvals * w * x ** (2 * n - 1))
-    sizes = np.array([u.size for u in us])
-    offsets = np.cumsum(sizes) - sizes
-    batch = offsets // _BATCH_NODES
-    out = np.empty((k_max + 1, grid.lam.size))
-    for b in np.unique(batch):
-        cols = np.flatnonzero(batch == b)
-        lo, hi = cols[0], cols[-1] + 1
-        starts = offsets[lo:hi] - offsets[lo]
-        integrand = np.concatenate(integrands[lo:hi])
-        rows = _orthonormal_rows(k_max, n - 1.0, np.concatenate(us[lo:hi]))
-        for k, row in enumerate(rows):
-            out[k, lo:hi] = np.add.reduceat(row * integrand, starts)
-    # C_{k,n} phi_k = sqrt(Gamma(n)) * c_k L_k^{n-1}(u) e^{-u/2}
-    weights = _coefficient_weights(k_max, n) * np.exp(0.5 * gammaln(float(n)))
-    return weights[:, None] * out
-
-
-def forward_radial(f, grid, symmetric=True, check=True, check_tol=1e-8):
-    """Transform a RadialFunction on the grid.
-
-    With check=True every column is recomputed at doubled panel order and
-    the two must agree to check_tol relative to the largest coefficient;
-    otherwise QuadratureError reports the worst (k, lambda) cell.
-    """
-    npp = grid.nodes_per_panel
-    vals = _forward_columns(f, grid, npp)
-    if check:
-        fine = _forward_columns(f, grid, 2 * npp)
-        scale = max(1.0, float(np.max(np.abs(fine))))
-        diff = np.abs(vals - fine)
-        worst = np.unravel_index(int(np.argmax(diff)), diff.shape)
-        if diff[worst] > check_tol * scale:
-            raise QuadratureError(
-                "radial quadrature did not settle under panel refinement",
-                worst_cell=(int(worst[0]), float(grid.lam[worst[1]])),
-                disagreement=float(diff[worst] / scale),
-            )
-        vals = fine
-    return SpectralCoefficients(n=f.n, grid=grid, values=vals, symmetric=symmetric)
 
 
 def _norm_sq(coeffs, weight=None):
@@ -620,29 +479,6 @@ def box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=256):
         inner = ramps[:, 0] - ramps[:, 1] - ramps[:, 2] + ramps[:, 3]
         flat_out[sel] = np.sum(inner * (ux * uw), axis=-1)
     return out * (hgt / (rho1 ** 2 * rho2 ** 2))
-
-
-def direct_convolution_oracle(f, g, x, g_z_radius, g_t_radius, nodes=24):
-    """(f * g)(x) = int f(x y^{-1}) g(y) dy on H^1 by tensor Gauss-Legendre
-    over the support box of g: |Re w|, |Im w| <= g_z_radius, |s| <= g_t_radius.
-
-    f and g are vectorized callables of (z, t) with complex z; x is a
-    HeisenbergPoint.  A test oracle only: slow, and with no convergence
-    control beyond the node count per axis.
-    """
-    if x.n != 1:
-        raise DimensionMismatchError("the spatial oracle is implemented on H^1 only")
-    xz, xt = complex(x.z[0]), float(x.t)
-    # numpy's own rule keeps the oracle independent of grids._unit_rule
-    q, qw = np.polynomial.legendre.leggauss(nodes)
-    u1, u2, s = np.meshgrid(g_z_radius * q, g_z_radius * q, g_t_radius * q,
-                            indexing="ij")
-    wts = np.einsum("i,j,k->ijk", g_z_radius * qw, g_z_radius * qw,
-                    g_t_radius * qw)
-    wz = u1 + 1j * u2
-    # y = (w, s);  x y^{-1} = (xz - w, xt - s - Im(xz conj(w))/2)
-    fv = f(xz - wz, xt - s - 0.5 * np.imag(xz * np.conj(wz)))
-    return float(np.sum(fv * g(wz, s) * wts))
 
 
 def box_convolution_grids(rho1, tau1, rho2, tau2,

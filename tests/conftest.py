@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from heisharm import QuadratureGrid, forward_radial, gaussian_factor
+from heisharm.grids import QuadratureGrid
+from heisharm.oracles import forward_radial, gaussian_factor
 
 
 @pytest.fixture(scope="session")

@@ -15,26 +15,18 @@ import numpy as np
 import pytest
 
 import heisharm
-from heisharm import (
-    QuadratureGrid,
-    SpectralCoefficients,
-    ball_shift_symmdiff,
-    ball_volume,
-    box_convolution_coefficients,
-    box_factor,
-    builtin_theta,
-    envelope_check,
-    factor_bound_check,
-    forward_radial,
-    ingham_norm_bound_check,
-    multiply_coeffs,
-    orthonormality_defect,
-    plan_sequences,
-    plancherel_norm,
-    sphere_surface,
-    sublaplacian_norms,
-    verify_decay,
-)
+from heisharm.calibrate import envelope_check
+from heisharm.chernoff import ingham_norm_bound_check, sublaplacian_norms
+from heisharm.grids import QuadratureGrid
+from heisharm.ingham import (ball_shift_symmdiff, ball_volume,
+                             factor_bound_check, plan_sequences,
+                             sphere_surface, verify_decay)
+from heisharm.laguerre import orthonormality_defect
+from heisharm.oracles import box_factor, forward_radial
+from heisharm.theta import builtin_theta
+from heisharm.transform import (SpectralCoefficients,
+                                box_convolution_coefficients, multiply_coeffs,
+                                plancherel_norm)
 
 ORTHO_TOL = 1e-8
 PLANCHEREL_TOL = 1e-4

@@ -7,8 +7,8 @@ import sys
 import pytest
 
 import heisharm
-from heisharm import load_fixture
 from heisharm.calibrate import run_all
+from heisharm.fixtures import load_fixture
 
 FIXTURES = ("lemma21_constants.json", "box_factor_envelope.json",
             "chain_gap_constants.json")
@@ -43,7 +43,7 @@ def test_package_import_leaves_calibrate_unloaded():
     # a fresh interpreter: this test process has imported heisharm.calibrate
     # already.  The package must not import it eagerly, or
     # ``python -m heisharm.calibrate`` finds it in sys.modules and warns;
-    # its names still resolve on first use.
+    # importing the module itself still works.
     pkg_root = os.path.dirname(
         os.path.dirname(os.path.abspath(heisharm.__file__)))
     env = dict(os.environ)
@@ -51,8 +51,7 @@ def test_package_import_leaves_calibrate_unloaded():
         [pkg_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     code = ("import sys, heisharm\n"
             "assert 'heisharm.calibrate' not in sys.modules\n"
-            "from heisharm.calibrate import envelope_check\n"
-            "assert heisharm.envelope_check is envelope_check\n")
+            "from heisharm.calibrate import envelope_check\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr

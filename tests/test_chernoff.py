@@ -3,26 +3,16 @@
 import numpy as np
 import pytest
 
-from heisharm import (
-    DomainError,
-    HypothesisError,
-    QuadratureGrid,
-    SpectralCoefficients,
-    TailError,
-    builtin_theta,
-    carleman_partial_sums,
-    check_gamma_hypothesis,
-    forward_radial,
-    gamma_bound_log,
-    gamma_integral_log,
-    gaussian_factor,
-    ingham_norm_bound_check,
-    inverse_square_sum,
-    log_convexity_margin,
-    sequence_transfer_check,
-    sublaplacian_norms,
-)
-from heisharm.chernoff import MAX_POWER
+from heisharm.chernoff import (MAX_POWER, carleman_partial_sums,
+                               check_gamma_hypothesis, gamma_bound_log,
+                               gamma_integral_log, ingham_norm_bound_check,
+                               inverse_square_sum, log_convexity_margin,
+                               sequence_transfer_check, sublaplacian_norms)
+from heisharm.errors import DomainError, HypothesisError, TailError
+from heisharm.grids import QuadratureGrid
+from heisharm.oracles import forward_radial, gaussian_factor
+from heisharm.theta import builtin_theta
+from heisharm.transform import SpectralCoefficients
 
 CONVEXITY_TOL = -1e-9
 

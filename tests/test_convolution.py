@@ -5,21 +5,16 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from heisharm import (
-    DimensionMismatchError,
-    HeisenbergPoint,
-    QuadratureGrid,
-    ball_normalizer,
-    box_convolution_coefficients,
-    box_convolution_grids,
-    box_factor,
-    box_pair_convolution,
-    direct_convolution_oracle,
-    forward_radial,
-    multiply_coeffs,
-)
-from heisharm.grids import _unit_rule
-from heisharm.transform import _box_u_rule, _ramp_arc_integral, _ramp_arc_integrals
+from heisharm.errors import DimensionMismatchError
+from heisharm.grids import QuadratureGrid, _unit_rule
+from heisharm.group import HeisenbergPoint
+from heisharm.oracles import (box_factor, direct_convolution_oracle,
+                              forward_radial)
+from heisharm.transform import (_box_u_rule, _ramp_arc_integral,
+                                _ramp_arc_integrals, ball_normalizer,
+                                box_convolution_coefficients,
+                                box_convolution_grids, box_pair_convolution,
+                                multiply_coeffs)
 
 CONV_TOL = 1e-3
 

@@ -5,22 +5,11 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from heisharm import (
-    DimensionMismatchError,
-    DomainError,
-    HeisenbergCoords,
-    HeisenbergPoint,
-    Rotation,
-    dilate,
-    distance,
-    from_heisenberg_coords,
-    identity,
-    inverse,
-    koranyi_norm,
-    lift_theta_independent,
-    multiply,
-    to_heisenberg_coords,
-)
+from heisharm.errors import DimensionMismatchError, DomainError
+from heisharm.group import (HeisenbergCoords, HeisenbergPoint, Rotation,
+                            dilate, distance, from_heisenberg_coords, identity,
+                            inverse, koranyi_norm, lift_theta_independent,
+                            multiply, to_heisenberg_coords)
 
 ATOL = 1e-12
 

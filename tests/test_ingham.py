@@ -5,38 +5,19 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from heisharm import (
-    DomainError,
-    ProfileClassError,
-    QuadratureError,
-    QuadratureGrid,
-    SequencePlan,
-    adaptive_N,
-    ball_normalizer,
-    ball_shift_symmdiff,
-    ball_volume,
-    box_coefficients,
-    box_factor,
-    build_chain,
-    builtin_theta,
-    calibrate_cn,
-    calibration_grid,
-    cauchy_gap,
-    chain_coeff,
-    chain_coefficients,
-    factor_bound_check,
-    factor_coeff,
-    factor_coeff_envelope,
-    factor_coeff_table,
-    factor_t_hat,
-    forward_radial,
-    load_fixture,
-    plan_sequences,
-    sphere_surface,
-    support_radius,
-    verify_decay,
-)
-from heisharm import ingham
+from heisharm.errors import DomainError, ProfileClassError, QuadratureError
+from heisharm.fixtures import load_fixture
+from heisharm.grids import QuadratureGrid
+from heisharm.ingham import (SequencePlan, _chain_log_columns, adaptive_N,
+                             ball_shift_symmdiff, ball_volume, calibrate_cn,
+                             calibration_grid, cauchy_gap, chain_coeff,
+                             chain_coefficients, factor_bound_check,
+                             factor_coeff, factor_coeff_envelope, factor_t_hat,
+                             plan_sequences, sphere_surface, support_radius,
+                             verify_decay)
+from heisharm.oracles import box_factor, forward_radial
+from heisharm.theta import ThetaProfile, builtin_theta
+from heisharm.transform import ball_coefficients, box_coefficients
 
 LENS_TOL = 1e-10
 
@@ -97,20 +78,23 @@ def test_factor_coeff_ties_to_forward_transform():
         vals = forward_radial(box_factor(n, rho, tau), grid).values
         assert np.allclose(box_coefficients(n, rho, tau, grid).values, vals,
                            atol=1e-9)
+        table = ball_coefficients(grid.lam * rho ** 2, 6, n)
         for i, lam in enumerate(grid.lam):
-            table = factor_coeff_table(lam * rho ** 2, 6, n)
             sinc = np.sin(0.5 * tau ** 2 * lam) / (0.5 * tau ** 2 * lam)
-            assert np.allclose(vals[:, i], table * sinc, atol=1e-9)
+            assert np.allclose(vals[:, i], table[:, i] * sinc, atol=1e-9)
     with pytest.raises(DomainError):
-        factor_coeff_table(-1.0, 4, 1)
+        ball_coefficients(np.array([-1.0]), 4, 1)
 
 
 def test_factor_coeff_matches_table():
     plan = plan_sequences(builtin_theta("inv-sqrt"), 1, J=4, c_n=1.2)
     lam, k = 2.5, 3
-    s = lam * plan.rho[1] ** 2
-    assert factor_coeff(2, k, lam, plan) == pytest.approx(
-        float(factor_coeff_table(s, k, 1)[k]), rel=1e-12)
+    # one table over every factor's s = lam rho_j^2; factor j reads column j-1
+    table = ball_coefficients(lam * plan.rho ** 2, k, 1)
+    for j in range(1, plan.J + 1):
+        assert factor_coeff(j, k, lam, plan) == pytest.approx(
+            float(table[k, j - 1]), rel=1e-12)
+    assert factor_coeff(2, k, -lam, plan) == factor_coeff(2, k, lam, plan)
     with pytest.raises(DomainError):
         factor_coeff(2, k, 0.0, plan)
 
@@ -135,9 +119,9 @@ def test_calibrate_cn_cross_checks_quadrature(monkeypatch):
     assert cn == pytest.approx(calibrate_cn(1, k_max=20, s_nodes=12,
                                             refine_check=False))
     # a closed form off by 1e-6 relative must not freeze a constant
-    closed = ingham.ball_coefficients
-    monkeypatch.setattr(ingham, "ball_coefficients",
-                        lambda s, k_max, n: closed(s, k_max, n) * (1.0 + 1e-6))
+    monkeypatch.setattr(
+        "heisharm.ingham.ball_coefficients",
+        lambda s, k_max, n: ball_coefficients(s, k_max, n) * (1.0 + 1e-6))
     with pytest.raises(QuadratureError):
         calibrate_cn(1, k_max=20, s_nodes=12)
 
@@ -185,7 +169,7 @@ def test_chain_columns_match_scalar_products(n, k_max, caps):
     # transforms, column by column
     plan = plan_sequences(builtin_theta("inv-sqrt"), n, J=6, c_n=1.2)
     lam = np.geomspace(1e-2, 1e2, len(caps))
-    signs, logs = ingham._chain_log_columns(plan, lam, k_max, np.array(caps))
+    signs, logs = _chain_log_columns(plan, lam, k_max, np.array(caps))
     assert signs.shape == logs.shape == (len(caps), max(caps) + 1, k_max + 1)
     for i, cap in enumerate(caps):
         expect = np.ones(k_max + 1)
@@ -205,9 +189,6 @@ def test_chain_coefficients_grid():
     for k, i in ((0, 0), (5, 3)):
         assert c.values[k, i] == pytest.approx(
             chain_coeff(plan, 2, k, grid.lam[i]), rel=1e-9)
-    chain = build_chain(plan, 2, grid)
-    assert chain.N == 2 and chain.plan is plan
-    assert np.array_equal(chain.coeffs.values, c.values)
 
 
 def test_support_radius_formula():
@@ -279,3 +260,34 @@ def test_verify_decay_smoke():
     with pytest.raises(ProfileClassError):
         verify_decay(plan, builtin_theta("inv-log"), k_max=4,
                      lambda_nodes=4)
+
+
+@st.composite
+def tail_tables(draw):
+    """Table profiles declared convergent whose last value, kept beyond the
+    table, is 0 (zero tail) or the positive running minimum (flat tail)."""
+    size = draw(st.integers(min_value=1, max_value=6))
+    steps = draw(st.lists(st.floats(min_value=0.1, max_value=50.0),
+                          min_size=size, max_size=size))
+    vals = draw(st.lists(st.floats(min_value=0.01, max_value=3.0),
+                         min_size=size, max_size=size))
+    tail = draw(st.sampled_from(["zero", "flat"]))
+    y = np.concatenate(([0.0], np.cumsum(steps)))
+    vals.append(0.0 if tail == "zero" else min(vals))
+    return ThetaProfile(name=f"table-{tail}", kind="table",
+                        declared_class="convergent", y=y, vals=np.array(vals))
+
+
+@seed(19)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2]), tail_tables())
+def test_table_profiles_plan_and_verify(n, theta):
+    J = 16
+    plan = plan_sequences(theta, n, J=J)
+    for seq in (plan.rho, plan.tau):
+        assert seq.shape == (J,)
+        assert np.all(seq > 0) and np.all(np.diff(seq) <= 0)
+    report = verify_decay(plan, theta, k_max=16, lambda_nodes=32)
+    assert sorted(report) == ["C", "argmax", "k_max", "lambda_range",
+                              "max_log_q", "n", "pass", "theta"]
+    assert np.isfinite(report["max_log_q"])

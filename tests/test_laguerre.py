@@ -6,19 +6,12 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre, gamma
 
-from heisharm import (
-    DomainError,
-    bound_envelope,
-    breakpoints,
-    envelope_values,
-    laguerre_norm_constant,
-    laguerre_poly,
-    normalized_laguerre_table,
-    nu,
-    orthonormality_defect,
-    std_laguerre_fn,
-    std_laguerre_table,
-)
+from heisharm.errors import DomainError
+from heisharm.laguerre import (breakpoints, envelope_values,
+                               laguerre_norm_constant, laguerre_poly,
+                               normalized_laguerre_table, nu,
+                               orthonormality_defect, std_laguerre_fn,
+                               std_laguerre_table)
 
 R = np.array([0.0, 0.3, 1.7, 4.0, 11.5])
 
@@ -112,22 +105,30 @@ def test_nu_and_breakpoints_scaling():
         assert lo / hi == pytest.approx(2.0)
 
 
-def test_bound_envelope_region_tags():
-    k, lam, n = 12, 1.0, 1
+def test_breakpoints_select_envelope_regime():
+    # a radius inside each interval cut by the breakpoints takes that
+    # interval's case of envelope_values: core, oscillatory, turning point,
+    # exponential (n = 1, so the s-power prefactor is 1)
+    k, lam, n, c, g = 12, 1.0, 1, 1.0, 0.05
     b = breakpoints(k, lam, n)
-    tags = [bound_envelope(k, lam, n, r, 1.0, 0.05)[0].tag
-            for r in (0.5 * b[0], 0.5 * (b[0] + b[1]),
-                      0.5 * (b[1] + b[2]), 2.0 * b[2])]
-    assert tags == ["core", "oscillatory", "turning", "exponential"]
+    assert b[0] < b[1] < b[2]
+    r = np.array([0.5 * b[0], 0.5 * (b[0] + b[1]), 0.5 * (b[1] + b[2]),
+                  2.0 * b[2]])
+    v = nu(k, n)
+    w = 0.5 * lam * r ** 2
+    expect = c * np.array([1.0, (v * w[1]) ** -0.25,
+                           v ** -0.25 * (v ** (1.0 / 3.0) + abs(v - w[2])) ** -0.25,
+                           np.exp(-g * w[3])])
+    assert envelope_values(k, lam, n, r, c, g) == pytest.approx(expect, rel=1e-12)
 
 
-def test_envelope_values_match_bound_envelope():
+def test_envelope_values_match_per_radius():
     k, lam, n = 7, 0.3, 2
     r = np.array([0.1, 1.0, 5.0, 12.0, 40.0])
     vals = envelope_values(k, lam, n, r, 1.2, 0.06)
     for i, ri in enumerate(r):
         assert vals[i] == pytest.approx(
-            bound_envelope(k, lam, n, float(ri), 1.2, 0.06)[1], rel=1e-12)
+            envelope_values(k, lam, n, np.array([ri]), 1.2, 0.06)[0], rel=1e-12)
 
 
 def test_envelope_origin_finite():

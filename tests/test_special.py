@@ -1,7 +1,8 @@
 """The numpy-only special functions and Gauss rules against scipy.special,
 over the argument ranges the package passes them, and a runtime import
-path that never loads scipy."""
+path that never loads scipy or the quadrature oracles."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -107,15 +108,21 @@ def test_logsumexp_all_minus_inf():
     assert logsumexp(np.full((3, 2), -np.inf)) == -np.inf
 
 
-def test_runtime_import_path_never_loads_scipy(tmp_path):
-    # a fresh interpreter in which scipy cannot be imported: the CLI and the
-    # calibration must still import, and the two subcommands that use the
-    # Gauss-Laguerre rule and the incomplete beta must still run
+def _fresh_env():
+    """Environment of a fresh interpreter that imports the package tree this
+    test process imported."""
     pkg_root = os.path.dirname(
         os.path.dirname(os.path.abspath(heisharm.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [pkg_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_runtime_import_path_never_loads_scipy(tmp_path):
+    # a fresh interpreter in which scipy cannot be imported: the CLI and the
+    # calibration must still import, and the two subcommands that use the
+    # Gauss-Laguerre rule and the incomplete beta must still run
     code = (
         "import sys\n"
         "class NoScipy:\n"
@@ -130,7 +137,40 @@ def test_runtime_import_path_never_loads_scipy(tmp_path):
         "    assert code == 0, (name, code)\n"
         "assert 'scipy' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_fresh_env())
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "laguerre-check.json").exists()
     assert (tmp_path / "symmdiff-check.json").exists()
+
+
+def test_runtime_import_path_never_loads_oracles(tmp_path):
+    # the package itself imports nothing, and a CLI run loads neither the
+    # quadrature oracles nor the group law, which only tests use
+    code = (
+        "import sys\n"
+        "import heisharm\n"
+        "sub = [m for m in sys.modules if m.startswith('heisharm.')]\n"
+        "assert not sub, sub\n"
+        "import heisharm.cli\n"
+        "out = sys.argv[1] + '/convolve-check.json'\n"
+        "assert heisharm.cli.dispatch(['convolve-check', '--out', out]) == 0\n"
+        "for name in ('heisharm.oracles', 'heisharm.group'):\n"
+        "    assert name not in sys.modules, name\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True, env=_fresh_env())
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "convolve-check.json").exists()
+    # and no production module imports the oracles at all
+    pkg_dir = os.path.dirname(os.path.abspath(heisharm.__file__))
+    for name in sorted(os.listdir(pkg_dir)):
+        if not name.endswith(".py") or name == "oracles.py":
+            continue
+        with open(os.path.join(pkg_dir, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                mods = [a.name for a in node.names]
+                if isinstance(node, ast.ImportFrom):
+                    mods.append(node.module or "")
+                assert not any("oracles" in m.split(".") for m in mods), \
+                    (name, node.lineno)

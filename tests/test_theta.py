@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from heisharm import ProfileClassError, ThetaProfile, builtin_theta, load_theta
-from heisharm.theta import (BUILTIN_THETAS, looks_divergent,
+from heisharm.errors import ProfileClassError
+from heisharm.theta import (BUILTIN_THETAS, ThetaProfile, builtin_theta,
+                            load_theta, looks_divergent,
                             tail_integral_estimate, theta_from_config)
 
 

@@ -5,31 +5,17 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from heisharm import (
-    DomainError,
-    GridMismatchError,
-    QuadratureGrid,
-    SpectralCoefficients,
-    apply_multiplier,
-    ball_coefficients,
-    ball_normalizer,
-    box_factor,
-    dilate_coeffs,
-    forward_radial,
-    gaussian_coefficients,
-    gaussian_factor,
-    ground_state,
-    load_coefficients,
-    multiply_coeffs,
-    plancherel_norm,
-    projection_hs_norm_sq,
-    save_coefficients,
-    sobolev_norm,
-    sublaplacian_symbol,
-    transform_at_lambda,
-)
-from heisharm import transform
-from heisharm.grids import radial_rule
+from heisharm.errors import DomainError, GridMismatchError
+from heisharm.grids import QuadratureGrid, radial_rule
+from heisharm.oracles import (box_factor, forward_radial, gaussian_factor,
+                              ground_state)
+from heisharm.transform import (SpectralCoefficients, apply_multiplier,
+                                ball_coefficients, ball_normalizer,
+                                dilate_coeffs, gaussian_coefficients,
+                                load_coefficients, multiply_coeffs,
+                                plancherel_norm, projection_hs_norm_sq,
+                                save_coefficients, sobolev_norm,
+                                sublaplacian_symbol, transform_at_lambda)
 
 GRID = QuadratureGrid.make(k_max=24, lambda_min=0.05, lambda_max=20.0,
                            lambda_nodes=64)
@@ -148,7 +134,7 @@ def per_column_forward(f, grid, nodes_per_panel):
 def test_forward_radial_matches_per_column_loop(f, batch_nodes, monkeypatch):
     # 300 nodes split the grid into several batches, some of a single column
     if batch_nodes is not None:
-        monkeypatch.setattr(transform, "_BATCH_NODES", batch_nodes)
+        monkeypatch.setattr("heisharm.oracles._BATCH_NODES", batch_nodes)
     grid = QuadratureGrid.make(k_max=24, lambda_min=1e-3, lambda_max=50.0,
                                lambda_nodes=12, nodes_per_panel=32)
     coarse = forward_radial(f, grid, check=False).values

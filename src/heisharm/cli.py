@@ -17,24 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibrate import envelope_check
-from .chernoff import (carleman_partial_sums, check_gamma_hypothesis,
-                       gamma_bound_log, ingham_norm_bound_check,
-                       sublaplacian_norms)
 from .errors import (DimensionMismatchError, DomainError, GridMismatchError,
                      HypothesisError, ProfileClassError, QuadratureError,
                      TailError)
-from .grids import QuadratureGrid
-from .ingham import (ball_shift_symmdiff, ball_volume, factor_bound_check,
-                     plan_sequences, sphere_surface, support_radius,
-                     verify_decay)
 from .jsonio import atomic_write_text, read_json, write_json
-from .laguerre import orthonormality_defect
-from .theta import load_theta
-from .transform import (SpectralCoefficients, box_coefficients,
-                        box_convolution_coefficients, box_convolution_grids,
-                        dilate_coeffs, gaussian_coefficients,
-                        multiply_coeffs, plancherel_norm)
+
+# each subcommand imports the library names it calls in its own body, so a
+# run loads only the modules of the check it makes
 
 __all__ = ["RunConfig", "dispatch", "main"]
 
@@ -100,8 +89,11 @@ class RunConfig:
                               "rho1,tau1,rho2,tau2")
         if not self.dilation > 0:
             raise DomainError("dilation must be positive")
+        if self.max_power is not None and self.max_power < 1:
+            raise DomainError("max_power must be a positive integer")
 
     def grid(self, **overrides):
+        from .grids import QuadratureGrid
         kw = {"k_max": self.k_max, "lambda_min": self.lambda_min,
               "lambda_max": self.lambda_max, "lambda_nodes": self.lambda_nodes}
         kw.update(overrides)
@@ -109,6 +101,8 @@ class RunConfig:
 
 
 def _cmd_laguerre_check(cfg):
+    from .calibrate import envelope_check
+    from .laguerre import orthonormality_defect
     gram_k = min(cfg.k_max, 40)
     defects = {str(d): orthonormality_defect(gram_k, d) for d in (0, 1, 2, 3)}
     worst = max(defects.values())
@@ -128,6 +122,8 @@ _PLANCHEREL_TOL = 1e-4
 
 
 def _cmd_plancherel_check(cfg):
+    from .transform import (box_coefficients, gaussian_coefficients,
+                            plancherel_norm)
     family = cfg.family or "both"
     if family not in ("box", "gaussian", "both"):
         raise DomainError(f"unknown family {family!r}; "
@@ -167,6 +163,8 @@ _CONVOLVE_TOL = 1e-3
 
 
 def _cmd_convolve_check(cfg):
+    from .transform import (box_coefficients, box_convolution_coefficients,
+                            box_convolution_grids, multiply_coeffs)
     if cfg.n != 1:
         raise DomainError("the spatial convolution oracle runs on H^1 only")
     rho1, tau1, rho2, tau2 = cfg.factors
@@ -198,6 +196,7 @@ _DILATE_TOL = 1e-3
 
 
 def _cmd_dilate_check(cfg):
+    from .transform import dilate_coeffs, gaussian_coefficients
     r = cfg.dilation
     grid = cfg.grid()
     sz, st = 2.0, 0.2
@@ -228,6 +227,8 @@ def _cmd_dilate_check(cfg):
 
 
 def _cmd_ingham_plan(cfg):
+    from .ingham import factor_bound_check, plan_sequences, support_radius
+    from .theta import load_theta
     theta = load_theta(cfg.theta)
     plan = plan_sequences(theta, cfg.n, J=cfg.chain_length,
                           fixtures_dir=cfg.fixtures_dir)
@@ -254,6 +255,8 @@ def _cmd_ingham_plan(cfg):
 
 
 def _cmd_ingham_verify(cfg):
+    from .ingham import plan_sequences, verify_decay
+    from .theta import load_theta
     theta = load_theta(cfg.theta)
     plan = plan_sequences(theta, cfg.n, J=cfg.chain_length,
                           fixtures_dir=cfg.fixtures_dir)
@@ -271,6 +274,7 @@ _CARLEMAN_BOX_NODES = 2049
 
 
 def _carleman_rows(prof, ratios):
+    from .chernoff import carleman_partial_sums
     cs = carleman_partial_sums(prof)
     rows = []
     for i in range(prof.M):
@@ -285,9 +289,14 @@ def _carleman_rows(prof, ratios):
 
 
 def _cmd_carleman(cfg):
+    from .chernoff import (check_gamma_hypothesis, gamma_bound_log,
+                           sublaplacian_norms)
+    from .grids import QuadratureGrid
+    from .theta import load_theta
+    from .transform import SpectralCoefficients
     family = cfg.family or "box"
     if family == "box":
-        M = cfg.max_power or 20
+        M = 20 if cfg.max_power is None else cfg.max_power
         grid = QuadratureGrid.make(k_max=1, lambda_min=1.0, lambda_max=2.0,
                                    lambda_nodes=_CARLEMAN_BOX_NODES,
                                    nodes_per_panel=16)
@@ -310,7 +319,7 @@ def _cmd_carleman(cfg):
         if cfg.n != 1:
             raise DomainError("the envelope family is implemented on H^1 only")
         theta = load_theta(cfg.theta)
-        M = cfg.max_power or 12
+        M = 12 if cfg.max_power is None else cfg.max_power
         grid = cfg.grid()
         k = np.arange(grid.k_max + 1, dtype=float)[:, None]
         root = np.sqrt((2.0 * k + 1.0) * grid.lam[None, :])
@@ -359,8 +368,11 @@ def _cmd_carleman(cfg):
 
 
 def _cmd_gamma_bound_check(cfg):
+    from .chernoff import ingham_norm_bound_check
+    from .theta import load_theta
     theta = load_theta(cfg.theta)
-    report = ingham_norm_bound_check(theta, cfg.n, cfg.max_power or 10)
+    M = 10 if cfg.max_power is None else cfg.max_power
+    report = ingham_norm_bound_check(theta, cfg.n, M)
     report = {"command": "gamma-bound-check", **report}
     worst = max(r["ratio"] for r in report["rows"])
     return report, f"theta={theta.name} M={report['M']} max_ratio={worst:.3e}"
@@ -377,6 +389,7 @@ def _exact_lens_area(R, d):
 
 
 def _cmd_symmdiff_check(cfg):
+    from .ingham import ball_shift_symmdiff, ball_volume, sphere_surface
     rows = []
     for dim in (2, 4):
         violations = 0

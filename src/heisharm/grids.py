@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError
 from .laguerre import breakpoints, nu
@@ -32,7 +31,10 @@ DEFAULT_NODES_PER_PANEL = 64
 
 @lru_cache(maxsize=32)
 def _unit_rule(p):
-    # read-only: every caller shares the cached arrays
+    # imported here so that only the runs that build a rule load
+    # numpy.polynomial; read-only: every caller shares the cached arrays
+    from numpy.polynomial.legendre import leggauss
+
     x, w = leggauss(p)
     x.setflags(write=False)
     w.setflags(write=False)

@@ -35,7 +35,6 @@ __all__ = [
     "theta_from_config",
     "load_theta",
     "tail_integral_estimate",
-    "looks_divergent",
     "BUILTIN_THETAS",
 ]
 
@@ -158,11 +157,3 @@ def tail_integral_estimate(profile, lo=1.0, hi=1e8, nodes=4097):
     x = np.log(t)
     vals = profile(t)
     return float(np.trapezoid(vals, x))
-
-
-def looks_divergent(profile):
-    """Heuristic consistency check of declared_class: the integral of a
-    divergent profile keeps growing between successive decade horizons."""
-    lower = tail_integral_estimate(profile, hi=1e6)
-    upper = tail_integral_estimate(profile, hi=1e12)
-    return (upper - lower) > 0.02 * max(lower, 1.0)

@@ -206,6 +206,28 @@ def transform_at_lambda(fvals, x, w, lam, k_max, n):
     return _coefficient_weights(k_max, n) * np.sum(table * integrand[None, :], axis=1)
 
 
+def _transform_at_lambdas(fvals, x, w, lams, k_max, n):
+    """transform_at_lambda at every lam of a 1-d array at once, with row i
+    of fvals holding the samples at lams[i]; returns shape
+    (k_max+1, lams.size).
+
+    One orthonormal recurrence runs on the (lam, r) table of
+    u = |lam| r^2 / 2, and each (k, lam) sum runs over the same contiguous
+    row of radii as in transform_at_lambda, so every column is the float
+    that transform_at_lambda gives.
+    """
+    lams = np.asarray(lams, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if np.any(lams == 0):
+        raise DomainError("scaling parameter lambda must be nonzero")
+    if np.any(x < 0):
+        raise DomainError("radii must be nonnegative")
+    u = 0.5 * np.abs(lams)[:, None] * x * x
+    table = np.exp(0.5 * gammaln(float(n))) * _orthonormal_table(k_max, n - 1.0, u)
+    integrand = np.asarray(fvals, dtype=float) * w * x ** (2 * n - 1)
+    return _coefficient_weights(k_max, n)[:, None] * np.sum(table * integrand, axis=-1)
+
+
 def _norm_sq(coeffs, weight=None):
     g = coeffs.grid
     n = coeffs.n
@@ -511,16 +533,17 @@ def box_convolution_coefficients(rho1, tau1, rho2, tau2, lams, k_max,
 
     The convolution is sampled on the tensor grid of
     :func:`box_convolution_grids`, cosine-transformed in t at each lam, then
-    pushed through the radial transform.  Returns an array of shape
-    (k_max+1, len(lams)).
+    pushed through the radial transform, every lam at once.  Returns an
+    array of shape (k_max+1, len(lams)).
     """
     x, wx, tx, wt = box_convolution_grids(rho1, tau1, rho2, tau2,
                                           r_panel_nodes, t_panel_nodes)
     H = box_pair_convolution(rho1, tau1, rho2, tau2, x[:, None], tx[None, :],
                              u_nodes)
-    out = np.empty((k_max + 1, len(lams)))
-    for i, lam in enumerate(np.asarray(lams, dtype=float)):
-        # even in t, so the transform in t is twice the half-line cosine sum
-        flam = 2.0 * np.sum(H * (wt * np.cos(lam * tx))[None, :], axis=1)
-        out[:, i] = transform_at_lambda(flam, x, wx, lam, k_max, 1)
-    return out
+    lams = np.asarray(lams, dtype=float)
+    # even in t, so the transform in t is twice the half-line cosine sum; t
+    # is the last, contiguous axis, so each (lam, r) sum is the same row sum
+    # whatever else is batched
+    cosines = wt * np.cos(lams[:, None] * tx)
+    flam = 2.0 * np.sum(H[None, :, :] * cosines[:, None, :], axis=-1)
+    return _transform_at_lambdas(flam, x, wx, lams, k_max, 1)

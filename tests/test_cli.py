@@ -81,6 +81,24 @@ def test_gamma_bound_check_paths(tmp_path):
     assert all(r["ratio"] <= 1.0 for r in report["rows"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["gamma-bound-check", "--theta", "inv-sqrt-strong"],
+    ["carleman", "--family", "box"],
+    ["carleman", "--family", "envelope", "--theta", "inv-sqrt-strong"],
+])
+@pytest.mark.parametrize("power", [0, -1])
+def test_nonpositive_max_power_refused(tmp_path, capsys, argv, power):
+    # an explicit power below 1 is refused, never replaced by the default
+    out = tmp_path / "never.json"
+    assert dispatch([*argv, "--max-power", str(power),
+                     "--out", str(out)]) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_power": power}))
+    assert dispatch([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "max_power must be a positive integer" in capsys.readouterr().err
+
+
 def test_carleman_box_writes_csv(tmp_path):
     code, report, path = run(tmp_path, "carleman", out="carl.json")
     # term_20 sits above the target window, so the check completes and fails

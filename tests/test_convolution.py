@@ -5,16 +5,16 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from heisharm.errors import DimensionMismatchError
+from heisharm.errors import DimensionMismatchError, DomainError
 from heisharm.grids import QuadratureGrid, _unit_rule
 from heisharm.group import HeisenbergPoint
 from heisharm.oracles import (box_factor, direct_convolution_oracle,
                               forward_radial)
 from heisharm.transform import (_box_u_rule, _ramp_arc_integral,
-                                _ramp_arc_integrals, ball_normalizer,
-                                box_convolution_coefficients,
+                                _ramp_arc_integrals, _transform_at_lambdas,
+                                ball_normalizer, box_convolution_coefficients,
                                 box_convolution_grids, box_pair_convolution,
-                                multiply_coeffs)
+                                multiply_coeffs, transform_at_lambda)
 
 CONV_TOL = 1e-3
 
@@ -344,6 +344,48 @@ def test_convolution_theorem_small_grid():
     err = np.max(np.abs(spatial - product.values) /
                  (1.0 + np.abs(product.values)))
     assert err < CONV_TOL
+
+
+def per_lambda_box_convolution_coefficients(rho1, tau1, rho2, tau2, lams, k_max):
+    """Oracle of box_convolution_coefficients: one cosine sum and one
+    transform_at_lambda per lam."""
+    x, wx, tx, wt = box_convolution_grids(rho1, tau1, rho2, tau2)
+    H = box_pair_convolution(rho1, tau1, rho2, tau2, x[:, None], tx[None, :], 192)
+    out = np.empty((k_max + 1, len(lams)))
+    for i, lam in enumerate(np.asarray(lams, dtype=float)):
+        flam = 2.0 * np.sum(H * (wt * np.cos(lam * tx))[None, :], axis=1)
+        out[:, i] = transform_at_lambda(flam, x, wx, lam, k_max, 1)
+    return out
+
+
+# the convolve-check width sets of the benchmark at its two lambda counts
+@pytest.mark.parametrize("lambda_nodes", [16, 24])
+@pytest.mark.parametrize("widths", [
+    (0.9, 0.8, 0.7, 0.6), (0.9, 0.6, 0.6, 0.8), (0.7, 0.9, 0.8, 0.5),
+    (0.8, 0.7, 0.9, 0.6), (0.6, 0.6, 0.9, 0.9),
+])
+def test_batched_lambdas_match_per_lambda_loop(widths, lambda_nodes):
+    grid = QuadratureGrid.make(k_max=32, lambda_min=0.15, lambda_max=1.8,
+                               lambda_nodes=lambda_nodes)
+    got = box_convolution_coefficients(*widths, grid.lam, grid.k_max)
+    ref = per_lambda_box_convolution_coefficients(*widths, grid.lam, grid.k_max)
+    np.testing.assert_array_equal(got, ref)
+
+
+def test_batched_transform_refusals():
+    x, w = np.linspace(0.1, 2.0, 8), np.full(8, 0.25)
+    fvals = np.ones((3, 8))
+    with pytest.raises(DomainError):
+        _transform_at_lambdas(fvals, x, w, np.array([0.5, 0.0, 1.0]), 4, 1)
+    with pytest.raises(DomainError):
+        _transform_at_lambdas(fvals, -x, w, np.array([0.5, 0.7, 1.0]), 4, 1)
+    # either sign of lam gives the transform_at_lambda column, at n = 2 too
+    lams = np.array([-0.5, 0.7, 1.0])
+    for n in (1, 2):
+        got = _transform_at_lambdas(fvals, x, w, lams, 4, n)
+        for i, lam in enumerate(lams):
+            np.testing.assert_array_equal(
+                got[:, i], transform_at_lambda(fvals[i], x, w, lam, 4, n))
 
 
 def test_unit_rule_arrays_read_only():

@@ -143,19 +143,54 @@ def test_runtime_import_path_never_loads_scipy(tmp_path):
     assert (tmp_path / "symmdiff-check.json").exists()
 
 
+# the head of each fresh-interpreter script below: the package imports
+# nothing, and the CLI module loads only errors and jsonio of it, neither
+# hashlib (OpenSSL) nor numpy.polynomial; modules the environment loaded
+# before the package do not count
+_FOOTPRINT = (
+    "import sys\n"
+    "import heisharm\n"
+    "sub = [m for m in sys.modules if m.startswith('heisharm.')]\n"
+    "assert not sub, sub\n"
+    "before = set(sys.modules)\n"
+    "def added():\n"
+    "    return set(sys.modules) - before\n"
+    "import heisharm.cli\n"
+    "pkg = sorted(m for m in added() if m.startswith('heisharm.'))\n"
+    "assert pkg == ['heisharm.cli', 'heisharm.errors', 'heisharm.jsonio'], pkg\n"
+    "for name in ('hashlib', '_hashlib', 'numpy.polynomial'):\n"
+    "    assert name not in added(), name\n"
+    "out = sys.argv[1]\n"
+)
+
+
+def test_spectral_checks_skip_gauss_rules_and_plans_still_hash(tmp_path):
+    # the Gaussian closed form builds no Gauss-Legendre rule; ingham-plan
+    # still reads the packaged fixtures through their grid-hash gate
+    code = _FOOTPRINT + (
+        "assert heisharm.cli.dispatch(['plancherel-check', '--family',\n"
+        "    'gaussian', '--out', out + '/plancherel.json']) == 0\n"
+        "assert 'numpy.polynomial' not in added()\n"
+        "assert heisharm.cli.dispatch(\n"
+        "    ['ingham-plan', '--out', out + '/ingham-plan.json']) == 0\n"
+        "assert {'heisharm.fixtures', 'hashlib'} <= set(sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True, env=_fresh_env())
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "ingham-plan.json").exists()
+
+
 def test_runtime_import_path_never_loads_oracles(tmp_path):
-    # the package itself imports nothing, and a CLI run loads neither the
-    # quadrature oracles nor the group law, which only tests use
-    code = (
-        "import sys\n"
-        "import heisharm\n"
-        "sub = [m for m in sys.modules if m.startswith('heisharm.')]\n"
-        "assert not sub, sub\n"
-        "import heisharm.cli\n"
-        "out = sys.argv[1] + '/convolve-check.json'\n"
-        "assert heisharm.cli.dispatch(['convolve-check', '--out', out]) == 0\n"
-        "for name in ('heisharm.oracles', 'heisharm.group'):\n"
-        "    assert name not in sys.modules, name\n")
+    # a convolve-check loads neither the quadrature oracles nor the group
+    # law, which only tests use, nor the fixtures, the calibration, the
+    # planners or the decay profiles, which it does not run
+    code = _FOOTPRINT + (
+        "assert heisharm.cli.dispatch(\n"
+        "    ['convolve-check', '--out', out + '/convolve-check.json']) == 0\n"
+        "for name in ('oracles', 'group', 'calibrate', 'chernoff', 'ingham',\n"
+        "             'theta', 'fixtures'):\n"
+        "    assert 'heisharm.' + name not in added(), name\n"
+        "assert '_hashlib' not in added()\n")
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                           capture_output=True, text=True, env=_fresh_env())
     assert proc.returncode == 0, proc.stderr

@@ -5,8 +5,8 @@ import pytest
 
 from heisharm.errors import ProfileClassError
 from heisharm.theta import (BUILTIN_THETAS, ThetaProfile, builtin_theta,
-                            load_theta, looks_divergent,
-                            tail_integral_estimate, theta_from_config)
+                            load_theta, tail_integral_estimate,
+                            theta_from_config)
 
 
 def test_builtin_values():
@@ -95,8 +95,3 @@ def test_tail_integral_estimates():
     div_far = tail_integral_estimate(builtin_theta("inv-log"), hi=1e14)
     assert div_far - div > 0.1
 
-
-def test_looks_divergent_matches_declaration():
-    assert looks_divergent(builtin_theta("inv-log"))
-    assert not looks_divergent(builtin_theta("inv-sqrt"))
-    assert not looks_divergent(builtin_theta("zero"))

@@ -47,7 +47,7 @@ from .fixtures import (
     packaged_fixtures_dir,
 )
 from .grids import QuadratureGrid
-from .ingham import calibrate_cn, cauchy_gap, plan_sequences
+from .ingham import CN_SAFETY, calibrate_cn, cauchy_gap, plan_sequences
 from .jsonio import write_json
 from .laguerre import envelope_values, normalized_laguerre_table, nu
 from .theta import builtin_theta
@@ -165,12 +165,11 @@ def envelope_check(fixture=None, k_max=None, dims=None, fixtures_dir=None):
 def calibrate_factor_bound():
     """Frozen c_n for each supported dimension."""
     return {
-        "c_n": {str(n): calibrate_cn(n, k_max=FACTOR_K_MAX, s_nodes=FACTOR_S_NODES)
-                for n in FACTOR_DIMS},
+        "c_n": {str(n): calibrate_cn(n) for n in FACTOR_DIMS},
         "k_max": FACTOR_K_MAX,
         "s_nodes": FACTOR_S_NODES,
         "s_range": list(FACTOR_S_RANGE),
-        "safety": 1.1,
+        "safety": CN_SAFETY,
         "grid_hash": GRID_HASHES["box_factor_envelope.json"],
     }
 

@@ -13,7 +13,7 @@ and fixtures give byte-identical files on every run.
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,40 +27,40 @@ from .jsonio import atomic_write_text, read_json, write_json
 
 __all__ = ["RunConfig", "dispatch", "main"]
 
-_DEFAULTS = {
-    "theta": "inv-sqrt",
-    "n": 1,
-    "k_max": 64,
-    "lambda_min": 1e-2,
-    "lambda_max": 1e2,
-    "lambda_nodes": 192,
-    "out": "report.json",
-    "fixtures": None,
-    "family": None,
-    "dilation": 1.4,
-    "factors": "0.9,0.8,0.7,0.6",
-    "max_power": None,
-    "chain_length": 16,
-}
+_KINDS = {str: "a string", int: "an integer", float: "a finite number"}
 
-# per-subcommand grid defaults; the shared flags still override these
-_COMMAND_DEFAULTS = {
-    "laguerre-check": {"k_max": 40},
-    "plancherel-check": {"k_max": 256, "lambda_min": 1e-4, "lambda_max": 1e2,
-                         "lambda_nodes": 576, "family": "both"},
-    "convolve-check": {"k_max": 32, "lambda_min": 0.15, "lambda_max": 1.8,
-                       "lambda_nodes": 16},
-    "dilate-check": {"k_max": 64, "lambda_min": 1e-3, "lambda_max": 1e3,
-                     "lambda_nodes": 320},
-    "carleman": {"family": "box", "k_max": 64, "lambda_min": 1e-3,
-                 "lambda_max": 1e10, "lambda_nodes": 1024},
-    "gamma-bound-check": {"max_power": 10},
-}
+
+def _typed(name, kind, value):
+    """value as the type kind that RunConfig declares for the option name:
+    numbers must be finite and integers integral, and factors may be one
+    comma-separated string.  Anything else is refused naming the option."""
+    if kind is tuple:
+        if isinstance(value, str):
+            try:
+                value = [float(v) for v in value.split(",")]
+            except ValueError:
+                raise DomainError(f"cannot parse {name} {value!r}") from None
+        if not isinstance(value, (list, tuple)):
+            raise DomainError(f"{name} must be a list of numbers, got {value!r}")
+        return tuple(_typed(name, float, v) for v in value)
+    if kind is str:
+        ok = isinstance(value, str)
+    else:
+        # the bound refuses nan and inf, and integers no float can hold
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and abs(value) <= sys.float_info.max
+              and (kind is float or value == int(value)))
+    if not ok:
+        raise DomainError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved settings of one CLI run."""
+    """Resolved settings of one CLI run.  Each field after command is an
+    option: its name is the flag's dest and the config-file key, and its
+    default applies where neither the command, the config file nor a flag
+    sets it."""
 
     command: str
     theta: str = "inv-sqrt"
@@ -69,8 +69,8 @@ class RunConfig:
     lambda_min: float = 1e-2
     lambda_max: float = 1e2
     lambda_nodes: int = 192
-    out_path: str = "report.json"
-    fixtures_dir: str = None
+    out: str = "report.json"
+    fixtures: str = None
     family: str = None
     dilation: float = 1.4
     factors: tuple = (0.9, 0.8, 0.7, 0.6)
@@ -80,6 +80,10 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in _COMMANDS:
             raise DomainError(f"unknown command {self.command!r}")
+        for f in _OPTIONS:
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:
+                object.__setattr__(self, f.name, _typed(f.name, f.type, value))
         if self.n < 1 or self.k_max < 1 or self.lambda_nodes < 2:
             raise DomainError("grid controls must be positive")
         if not (0 < self.lambda_min < self.lambda_max):
@@ -100,13 +104,16 @@ class RunConfig:
         return QuadratureGrid.make(**kw)
 
 
+_OPTIONS = fields(RunConfig)[1:]
+
+
 def _cmd_laguerre_check(cfg):
     from .calibrate import envelope_check
     from .laguerre import orthonormality_defect
     gram_k = min(cfg.k_max, 40)
     defects = {str(d): orthonormality_defect(gram_k, d) for d in (0, 1, 2, 3)}
     worst = max(defects.values())
-    env = envelope_check(k_max=cfg.k_max, fixtures_dir=cfg.fixtures_dir)
+    env = envelope_check(k_max=cfg.k_max, fixtures_dir=cfg.fixtures)
     ok = worst <= 1e-8 and env["violations"] == 0
     return {
         "command": "laguerre-check",
@@ -124,7 +131,7 @@ _PLANCHEREL_TOL = 1e-4
 def _cmd_plancherel_check(cfg):
     from .transform import (box_coefficients, gaussian_coefficients,
                             plancherel_norm)
-    family = cfg.family or "both"
+    family = cfg.family
     if family not in ("box", "gaussian", "both"):
         raise DomainError(f"unknown family {family!r}; "
                           "choose box, gaussian or both")
@@ -231,10 +238,10 @@ def _cmd_ingham_plan(cfg):
     from .theta import load_theta
     theta = load_theta(cfg.theta)
     plan = plan_sequences(theta, cfg.n, J=cfg.chain_length,
-                          fixtures_dir=cfg.fixtures_dir)
+                          fixtures_dir=cfg.fixtures)
     # thinned replay of the factor-bound calibration; full density is the
     # acceptance-grade run
-    check = factor_bound_check(cfg.n, thin=6, fixtures_dir=cfg.fixtures_dir)
+    check = factor_bound_check(cfg.n, thin=6, fixtures_dir=cfg.fixtures)
     ok = check["violations"] == 0
     return {
         "command": "ingham-plan",
@@ -259,7 +266,7 @@ def _cmd_ingham_verify(cfg):
     from .theta import load_theta
     theta = load_theta(cfg.theta)
     plan = plan_sequences(theta, cfg.n, J=cfg.chain_length,
-                          fixtures_dir=cfg.fixtures_dir)
+                          fixtures_dir=cfg.fixtures)
     report = verify_decay(plan, theta, k_max=cfg.k_max,
                           lambda_min=cfg.lambda_min,
                           lambda_max=cfg.lambda_max,
@@ -294,7 +301,7 @@ def _cmd_carleman(cfg):
     from .grids import QuadratureGrid
     from .theta import load_theta
     from .transform import SpectralCoefficients
-    family = cfg.family or "box"
+    family = cfg.family
     if family == "box":
         M = 20 if cfg.max_power is None else cfg.max_power
         grid = QuadratureGrid.make(k_max=1, lambda_min=1.0, lambda_max=2.0,
@@ -359,8 +366,7 @@ def _cmd_carleman(cfg):
         "pass": bool(ok),
     }
     if family == "envelope":
-        report["theta"] = (cfg.theta if isinstance(cfg.theta, str)
-                           else getattr(cfg.theta, "name", "<profile>"))
+        report["theta"] = cfg.theta
     summary = (f"family={family} M={M} "
                f"term_{M}={rows[-1]['carleman_term']:.4f} "
                f"partial_sum={rows[-1]['partial_sum']:.4f}")
@@ -371,8 +377,7 @@ def _cmd_gamma_bound_check(cfg):
     from .chernoff import ingham_norm_bound_check
     from .theta import load_theta
     theta = load_theta(cfg.theta)
-    M = 10 if cfg.max_power is None else cfg.max_power
-    report = ingham_norm_bound_check(theta, cfg.n, M)
+    report = ingham_norm_bound_check(theta, cfg.n, cfg.max_power)
     report = {"command": "gamma-bound-check", **report}
     worst = max(r["ratio"] for r in report["rows"])
     return report, f"theta={theta.name} M={report['M']} max_ratio={worst:.3e}"
@@ -426,32 +431,38 @@ def _cmd_symmdiff_check(cfg):
     }, summary
 
 
+# name -> (handler, the command's own defaults, help line); the config file
+# and the flags override the defaults
 _COMMANDS = {
-    "laguerre-check": _cmd_laguerre_check,
-    "plancherel-check": _cmd_plancherel_check,
-    "convolve-check": _cmd_convolve_check,
-    "dilate-check": _cmd_dilate_check,
-    "ingham-plan": _cmd_ingham_plan,
-    "ingham-verify": _cmd_ingham_verify,
-    "carleman": _cmd_carleman,
-    "gamma-bound-check": _cmd_gamma_bound_check,
-    "symmdiff-check": _cmd_symmdiff_check,
-}
-
-_COMMAND_HELP = {
-    "laguerre-check": "Gram defect of the Laguerre functions plus envelope "
-                      "validation against the frozen fixture",
-    "plancherel-check": "spectral vs spatial L2 norm for box and Gaussian "
-                        "factors",
-    "convolve-check": "spatially computed box convolution vs the coefficient "
-                      "product",
-    "dilate-check": "dilation covariance of the coefficients on a Gaussian",
-    "ingham-plan": "factor width sequences, support radius and a thinned "
-                   "factor-bound replay",
-    "ingham-verify": "certified spectral decay of the adaptive chain",
-    "carleman": "sublaplacian norm growth and Carleman partial sums",
-    "gamma-bound-check": "moment integrals against the two-term gamma bound",
-    "symmdiff-check": "shifted-ball symmetric difference vs the surface bound",
+    "laguerre-check": (_cmd_laguerre_check, {"k_max": 40},
+                       "Gram defect of the Laguerre functions plus envelope "
+                       "validation against the frozen fixture"),
+    "plancherel-check": (_cmd_plancherel_check,
+                         {"k_max": 256, "lambda_min": 1e-4, "lambda_max": 1e2,
+                          "lambda_nodes": 576, "family": "both"},
+                         "spectral vs spatial L2 norm for box and Gaussian factors"),
+    "convolve-check": (_cmd_convolve_check,
+                       {"k_max": 32, "lambda_min": 0.15, "lambda_max": 1.8,
+                        "lambda_nodes": 16},
+                       "spatially computed box convolution vs the coefficient "
+                       "product"),
+    "dilate-check": (_cmd_dilate_check,
+                     {"k_max": 64, "lambda_min": 1e-3, "lambda_max": 1e3,
+                      "lambda_nodes": 320},
+                     "dilation covariance of the coefficients on a Gaussian"),
+    "ingham-plan": (_cmd_ingham_plan, {},
+                    "factor width sequences, support radius and a thinned "
+                    "factor-bound replay"),
+    "ingham-verify": (_cmd_ingham_verify, {},
+                      "certified spectral decay of the adaptive chain"),
+    "carleman": (_cmd_carleman,
+                 {"family": "box", "k_max": 64, "lambda_min": 1e-3,
+                  "lambda_max": 1e10, "lambda_nodes": 1024},
+                 "sublaplacian norm growth and Carleman partial sums"),
+    "gamma-bound-check": (_cmd_gamma_bound_check, {"max_power": 10},
+                          "moment integrals against the two-term gamma bound"),
+    "symmdiff-check": (_cmd_symmdiff_check, {},
+                       "shifted-ball symmetric difference vs the surface bound"),
 }
 
 
@@ -462,7 +473,8 @@ def _build_parser():
         description="Certified numerical checks for radial harmonic analysis "
                     "on the Heisenberg group.",
         epilog="commands:\n" + "\n".join(
-            f"  {name:<{width}}  {_COMMAND_HELP[name]}" for name in _COMMANDS),
+            f"  {name:<{width}}  {help_line}"
+            for name, (_, _, help_line) in _COMMANDS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("command", choices=_COMMANDS, metavar="command",
                         help="the check to run (listed below)")
@@ -494,22 +506,10 @@ def _build_parser():
     return parser
 
 
-def _parse_factors(value):
-    if isinstance(value, (list, tuple)):
-        vals = [float(v) for v in value]
-    else:
-        try:
-            vals = [float(v) for v in str(value).split(",")]
-        except ValueError as exc:
-            raise DomainError(f"cannot parse factors {value!r}") from exc
-    if len(vals) != 4:
-        raise DomainError("factors must be rho1,tau1,rho2,tau2")
-    return tuple(vals)
-
-
 def _resolve_config(args):
-    merged = dict(_DEFAULTS)
-    merged.update(_COMMAND_DEFAULTS.get(args.command, {}))
+    """Command defaults, then the config file, then the flags; a null in the
+    file leaves the option unset, like an absent flag."""
+    merged = dict(_COMMANDS[args.command][1])
     if args.config is not None:
         try:
             file_cfg = read_json(args.config)
@@ -520,31 +520,15 @@ def _resolve_config(args):
                               f"{exc}") from exc
         if not isinstance(file_cfg, dict):
             raise DomainError("config file must hold a JSON object")
-        unknown = sorted(set(file_cfg) - set(_DEFAULTS))
+        unknown = sorted(set(file_cfg) - {f.name for f in _OPTIONS})
         if unknown:
             raise DomainError(f"unknown config keys: {', '.join(unknown)}")
-        merged.update(file_cfg)
-    for key in _DEFAULTS:
-        flag = getattr(args, key, None)
+        merged.update((k, v) for k, v in file_cfg.items() if v is not None)
+    for f in _OPTIONS:
+        flag = getattr(args, f.name)
         if flag is not None:
-            merged[key] = flag
-    return RunConfig(
-        command=args.command,
-        theta=merged["theta"],
-        n=int(merged["n"]),
-        k_max=int(merged["k_max"]),
-        lambda_min=float(merged["lambda_min"]),
-        lambda_max=float(merged["lambda_max"]),
-        lambda_nodes=int(merged["lambda_nodes"]),
-        out_path=merged["out"],
-        fixtures_dir=merged["fixtures"],
-        family=merged["family"],
-        dilation=float(merged["dilation"]),
-        factors=_parse_factors(merged["factors"]),
-        max_power=(None if merged["max_power"] is None
-                   else int(merged["max_power"])),
-        chain_length=int(merged["chain_length"]),
-    )
+            merged[f.name] = flag
+    return RunConfig(command=args.command, **merged)
 
 
 def _rows_csv(rows):
@@ -566,7 +550,7 @@ def dispatch(argv=None):
         return int(exc.code or 0)
     try:
         cfg = _resolve_config(args)
-        report, summary = _COMMANDS[cfg.command](cfg)
+        report, summary = _COMMANDS[cfg.command][0](cfg)
     except (ProfileClassError, HypothesisError, TailError, DomainError,
             DimensionMismatchError, GridMismatchError) as exc:
         print(f"heisharm {args.command}: refused: {exc}", file=sys.stderr)
@@ -577,12 +561,11 @@ def dispatch(argv=None):
     except OSError as exc:
         print(f"heisharm {args.command}: {exc}", file=sys.stderr)
         return 2
-    if cfg.out_path:
-        write_json(cfg.out_path, report)
+    if cfg.out:
+        write_json(cfg.out, report)
         if cfg.command == "carleman":
-            csv_path = (cfg.out_path[:-5] + ".csv"
-                        if cfg.out_path.endswith(".json")
-                        else cfg.out_path + ".csv")
+            csv_path = (cfg.out[:-5] + ".csv" if cfg.out.endswith(".json")
+                        else cfg.out + ".csv")
             atomic_write_text(csv_path, _rows_csv(report["rows"]))
     ok = bool(report.get("pass", True))
     print(f"{cfg.command}: {summary} pass={'true' if ok else 'false'}")

@@ -34,10 +34,10 @@ import numpy as np
 
 from ._special import betainc_half, gammaln
 from .errors import DomainError, ProfileClassError, QuadratureError
-from .fixtures import load_fixture
+from .fixtures import FACTOR_K_MAX, FACTOR_S_NODES, FACTOR_S_RANGE, load_fixture
 from .grids import radial_rule
-from .transform import (SpectralCoefficients, ball_coefficients, ball_normalizer,
-                        plancherel_norm, transform_at_lambda)
+from .transform import (SpectralCoefficients, _box_t_hat, ball_coefficients,
+                        ball_normalizer, plancherel_norm, transform_at_lambda)
 
 __all__ = [
     "SequencePlan",
@@ -127,6 +127,10 @@ def plan_sequences(theta, n, J=64, c_n=None, fixtures_dir=None):
             "supported function can have this spectral decay")
     if J < 1:
         raise DomainError("need at least one factor")
+    if J > 1074:
+        # 2^{-1074} is the smallest positive double
+        raise DomainError(f"at most 1074 factors: tau_j = 2^-j underflows to 0 "
+                          f"past j = 1074, got J = {J}")
     cn = _chain_constant(n, c_n, fixtures_dir)
     j = np.arange(1, J + 1, dtype=float)
     rho = cn ** 2 * np.e ** 2 * theta(j) / j + 2.0 ** -j
@@ -135,20 +139,11 @@ def plan_sequences(theta, n, J=64, c_n=None, fixtures_dir=None):
                         n=n, J=J, c_n=cn, rho=rho, tau=tau)
 
 
-def _sinc(x):
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    xs = np.where(small, 1.0, x)
-    series = 1.0 - x ** 2 / 6.0 + x ** 4 / 120.0
-    return np.where(small, series, np.sin(xs) / xs)
-
-
 def factor_t_hat(j, lam, plan):
-    """Transform of the j-th interval factor: sinc(tau_j^2 lam / 2), the
-    removable singularity handled by the quartic series below |arg| = 1e-4."""
+    """Transform of the j-th interval factor: sinc(tau_j^2 lam / 2)."""
     if not (1 <= j <= plan.J):
         raise DomainError(f"factor index {j} outside 1..{plan.J}")
-    return _sinc(0.5 * plan.tau[j - 1] ** 2 * np.asarray(lam, dtype=float))
+    return _box_t_hat(plan.tau[j - 1], lam)
 
 
 def _quadrature_table(s, k_max, n, nodes_per_panel):
@@ -179,22 +174,23 @@ def factor_coeff_envelope(k, lam, rho, n, c_n):
         return np.minimum(1.0, c_n * np.where(x > 0, x, np.inf) ** (0.5 - n))
 
 
-def calibration_grid(n, k_max=200, s_lo=1e-9, s_hi=1e3, s_nodes=120):
+def calibration_grid(k_max=FACTOR_K_MAX, s_nodes=FACTOR_S_NODES):
     """Shared (k, s) sampling for calibrating and validating the factor
     envelope: all degrees up to k_max, s = lam rho^2 log-spaced across the
     lam in [1e-3, 1e3], rho in [1e-3, 1] product range."""
-    k = np.arange(k_max + 1)
-    s = np.geomspace(s_lo, s_hi, s_nodes)
-    return k, s
+    return np.arange(k_max + 1), np.geomspace(*FACTOR_S_RANGE, s_nodes)
 
 
 # largest relative disagreement allowed between the closed-form and the
 # quadrature calibration sups: the change the frozen c_n may tolerate
 _ORACLE_TOL = 1e-9
 
+# margin of the frozen c_n over the calibration sup
+CN_SAFETY = 1.1
 
-def calibrate_cn(n, k_max=200, s_nodes=120, nodes_per_panel=48, safety=1.1,
-                 refine_check=True):
+
+def calibrate_cn(n, k_max=FACTOR_K_MAX, s_nodes=FACTOR_S_NODES, nodes_per_panel=48,
+                 safety=CN_SAFETY, refine_check=True):
     """Envelope constant: safety * sup over the calibration grid of
     |coeff(k, s)| ((2k+n) s)^{(2n-1)/4}, with the coefficients from the
     closed form.
@@ -205,16 +201,15 @@ def calibrate_cn(n, k_max=200, s_nodes=120, nodes_per_panel=48, safety=1.1,
     _ORACLE_TOL, so a frozen constant can never be an artifact of either
     method.
     """
-    k = np.arange(k_max + 1)
+    k, s = calibration_grid(k_max, s_nodes)
 
     def sup_of(s, table):
         weight = ((2.0 * k[:, None] + n) * s[None, :]) ** ((2.0 * n - 1.0) / 4.0)
         return float(np.max(np.abs(table) * weight))
 
-    _, s = calibration_grid(n, k_max=k_max, s_nodes=s_nodes)
     sup = sup_of(s, ball_coefficients(s, k_max, n))
     if refine_check:
-        _, s2 = calibration_grid(n, k_max=k_max, s_nodes=2 * s_nodes)
+        _, s2 = calibration_grid(k_max, 2 * s_nodes)
         fine = sup_of(s2, ball_coefficients(s2, k_max, n))
         rel = abs(fine - sup) / max(sup, fine)
         if rel > 0.05:
@@ -233,25 +228,23 @@ def calibrate_cn(n, k_max=200, s_nodes=120, nodes_per_panel=48, safety=1.1,
     return float(safety * sup)
 
 
-def factor_bound_check(n, c_n=None, k_max=200, s_nodes=120, thin=1,
-                       fixtures_dir=None):
+def factor_bound_check(n, c_n=None, k_max=FACTOR_K_MAX, s_nodes=FACTOR_S_NODES,
+                       thin=1, fixtures_dir=None):
     """Validate |coeff(k, s)| <= min(1, c_n ((2k+n) s)^{-(2n-1)/4}) over the
     calibration grid, with the frozen c_n by default.
 
     thin keeps every thin-th s column, trading coverage for speed; the
     certified outcome is zero violations at thin = 1.
     """
-    if c_n is None:
-        c_n = float(load_fixture("box_factor_envelope.json",
-                                 fixtures_dir)["c_n"][str(n)])
-    k, s = calibration_grid(n, k_max=k_max, s_nodes=s_nodes)
+    c_n = _chain_constant(n, c_n, fixtures_dir)
+    k, s = calibration_grid(k_max, s_nodes)
     s = s[::max(int(thin), 1)]
     vals = np.abs(ball_coefficients(s, k_max, n))
-    x = np.sqrt((2.0 * k[:, None] + n) * s[None, :])
-    env = np.minimum(1.0, c_n * x ** (0.5 - n))
+    # a unit-radius factor at lam = s
+    env = factor_coeff_envelope(k[:, None], s[None, :], 1.0, n, c_n)
     return {
         "n": n,
-        "c_n": float(c_n),
+        "c_n": c_n,
         "k_max": k_max,
         "s_columns": int(s.size),
         "points": int((k_max + 1) * s.size),
@@ -291,8 +284,7 @@ def _chain_log_columns(plan, lam, k_max, n_cap):
     top = int(n_cap.max(initial=0))
     li, jj = np.nonzero(np.arange(top)[None, :] < n_cap[:, None])
     s = np.abs(lam[li]) * plan.rho[jj] ** 2
-    term = (ball_coefficients(s, k_max, plan.n)
-            * _sinc(0.5 * plan.tau[jj] ** 2 * lam[li])).T
+    term = (ball_coefficients(s, k_max, plan.n) * _box_t_hat(plan.tau[jj], lam[li])).T
     step_logs = np.zeros((lam.size, top, k_max + 1))
     step_signs = np.ones((lam.size, top, k_max + 1))
     with np.errstate(divide="ignore"):
@@ -331,13 +323,12 @@ def chain_coefficients(plan, N, grid):
 def _max_log_q(plan, theta, k_max, lam_nodes):
     """(max log q, its k, its lambda) over the window; ties go to the
     first lambda column and, within it, the first k."""
-    k = np.arange(k_max + 1, dtype=float)
-    nu = (2.0 * k[None, :] + plan.n) * np.abs(lam_nodes)[:, None]
-    root = np.sqrt(nu)
-    N = np.minimum(np.floor(theta(root) * root), np.floor(root)).astype(int)
+    k = np.arange(k_max + 1, dtype=float)[None, :]
+    lam = lam_nodes[:, None]
+    root = np.sqrt((2.0 * k + plan.n) * np.abs(lam))
     # a plan only has J factors; using fewer than adaptive_N asks for
     # weakens the certified decay, which is conservative, not wrong
-    N = np.minimum(N, plan.J)
+    N = np.minimum(adaptive_N(theta, k, lam, plan.n), plan.J)
     _, logs = _chain_log_columns(plan, lam_nodes, k_max, N.max(axis=1))
     chain = np.take_along_axis(logs, N[:, None, :], axis=1)[:, 0, :]
     log_q = 2.0 * chain + 2.0 * theta(root) * root

@@ -212,19 +212,21 @@ def laguerre_norm_constant(k, n):
 
 
 def normalized_laguerre_table(kmax, lam, n, r):
-    """C_{k,n} phi_{k,lam}^{n-1}(r) for all k <= kmax, vectorized in r.
+    """C_{k,n} phi_{k,lam}^{n-1}(r) for all k <= kmax, with lam broadcast
+    against r; returns shape (kmax+1,) + the broadcast shape.
 
     The workhorse of every radial quadrature: one recurrence sweep yields
-    the whole column of degrees at the given radii.
+    the whole column of degrees at the given (lam, r) points.
     """
-    if lam == 0:
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam == 0):
         raise DomainError("scaling parameter lambda must be nonzero")
     if n < 1 or n != int(n):
         raise DomainError(f"dimension n must be a positive integer, got {n}")
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise DomainError("radii must be nonnegative")
-    u = 0.5 * abs(lam) * r * r
+    u = 0.5 * np.abs(lam) * r * r
     # C_{k,n} phi_k = sqrt(Gamma(n)) * c_k L_k^{n-1}(u) e^{-u/2}
     return np.exp(0.5 * gammaln(float(n))) * _orthonormal_table(kmax, n - 1.0, u)
 

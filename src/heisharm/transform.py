@@ -211,19 +211,12 @@ def _transform_at_lambdas(fvals, x, w, lams, k_max, n):
     of fvals holding the samples at lams[i]; returns shape
     (k_max+1, lams.size).
 
-    One orthonormal recurrence runs on the (lam, r) table of
-    u = |lam| r^2 / 2, and each (k, lam) sum runs over the same contiguous
-    row of radii as in transform_at_lambda, so every column is the float
-    that transform_at_lambda gives.
+    One Laguerre table covers every (lam, r) pair, and each (k, lam) sum
+    runs over the same contiguous row of radii as in transform_at_lambda,
+    so every column is the float that transform_at_lambda gives.
     """
-    lams = np.asarray(lams, dtype=float)
     x = np.asarray(x, dtype=float)
-    if np.any(lams == 0):
-        raise DomainError("scaling parameter lambda must be nonzero")
-    if np.any(x < 0):
-        raise DomainError("radii must be nonnegative")
-    u = 0.5 * np.abs(lams)[:, None] * x * x
-    table = np.exp(0.5 * gammaln(float(n))) * _orthonormal_table(k_max, n - 1.0, u)
+    table = normalized_laguerre_table(k_max, np.asarray(lams, dtype=float)[:, None], n, x)
     integrand = np.asarray(fvals, dtype=float) * w * x ** (2 * n - 1)
     return _coefficient_weights(k_max, n)[:, None] * np.sum(table * integrand, axis=-1)
 

@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from heisharm.cli import _COMMAND_HELP, _COMMANDS, dispatch
+from heisharm.cli import _COMMANDS, dispatch
 from heisharm.fixtures import packaged_fixtures_dir
 
 
@@ -48,9 +48,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
 def test_help_lists_every_command(capsys):
     assert dispatch(["--help"]) == 0
     out = capsys.readouterr().out
-    for name in _COMMANDS:
+    for name, (_, _, help_line) in _COMMANDS.items():
         assert f"  {name}  " in out
-        assert _COMMAND_HELP[name] in out
+        assert help_line in out
 
 
 def test_ingham_verify_small_grid(tmp_path):
@@ -197,6 +197,73 @@ def test_unknown_config_key_refused(tmp_path):
     assert dispatch(["laguerre-check", "--config",
                      str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "x.json")]) == 2
+
+
+@pytest.mark.parametrize("file_cfg, message", [
+    ({"n": "x"}, "n must be an integer"),
+    ({"k_max": 3.7}, "k_max must be an integer"),
+    ({"k_max": True}, "k_max must be an integer"),
+    ({"lambda_min": "0.1"}, "lambda_min must be a finite number"),
+    ({"theta": 3}, "theta must be a string"),
+    ({"factors": [0.9, "a", 0.7, 0.6]}, "factors must be a finite number"),
+    ({"factors": 0.9}, "factors must be a list of numbers"),
+    ({"lambda_max": 10 ** 400}, "lambda_max must be a finite number"),
+])
+def test_config_value_of_wrong_type_refused(tmp_path, capsys, file_cfg, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(file_cfg))
+    out = tmp_path / "never.json"
+    assert dispatch(["ingham-verify", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+def test_config_null_is_unset(tmp_path):
+    argv = ["ingham-verify", "--kmax", "10", "--lambda-min", "0.1",
+            "--lambda-max", "10", "--lambda-nodes", "16"]
+    code, plain, _ = run(tmp_path, *argv)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": None, "theta": None, "k_max": None,
+                               "out": None, "family": None}))
+    code2, nulls, _ = run(tmp_path, *argv, "--config", str(cfg), out="null.json")
+    assert code == code2 == 0
+    assert nulls == plain
+    # a null family leaves the command's own default in place
+    cfg.write_text(json.dumps({"family": None, "max_power": None}))
+    code3, report, _ = run(tmp_path, "carleman", "--config", str(cfg),
+                           out="carl.json")
+    assert code3 == 1 and report["family"] == "box" and report["M"] == 20
+    code4, report, _ = run(tmp_path, "gamma-bound-check", "--theta",
+                           "inv-sqrt-strong", "--config", str(cfg), out="g.json")
+    assert code4 == 0 and report["M"] == 10
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dilate-check", "--dilation", "inf"], "dilation must be a finite number"),
+    (["dilate-check", "--lambda-max", "inf"], "lambda_max must be a finite number"),
+    (["dilate-check", "--lambda-min", "nan"], "lambda_min must be a finite number"),
+    (["convolve-check", "--factors", "nan,0.8,0.7,0.6"],
+     "factors must be a finite number"),
+    (["convolve-check", "--factors", "0.9,x,0.7,0.6"], "cannot parse factors"),
+])
+def test_non_finite_option_refused(tmp_path, capsys, argv, message):
+    out = tmp_path / "never.json"
+    assert dispatch([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ingham-plan", "ingham-verify"])
+def test_chain_length_limit(tmp_path, capsys, command):
+    small = ["--kmax", "8", "--lambda-min", "0.1", "--lambda-max", "10",
+             "--lambda-nodes", "8"] if command == "ingham-verify" else []
+    code, report, _ = run(tmp_path, command, "--chain-length", "1074", *small)
+    assert code == 0 and report["pass"] is True
+    capsys.readouterr()
+    code, _, _ = run(tmp_path, command, "--chain-length", "1075", out="never.json")
+    assert code == 2
+    assert "at most 1074 factors" in capsys.readouterr().err
 
 
 def test_reports_identical_across_dispatches(tmp_path):

@@ -6,7 +6,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from heisharm.errors import DomainError, ProfileClassError, QuadratureError
-from heisharm.fixtures import load_fixture
+from heisharm.fixtures import (FACTOR_K_MAX, FACTOR_S_NODES, FACTOR_S_RANGE,
+                               load_fixture)
 from heisharm.grids import QuadratureGrid
 from heisharm.ingham import (SequencePlan, _chain_log_columns, adaptive_N,
                              ball_shift_symmdiff, ball_volume, calibrate_cn,
@@ -108,10 +109,14 @@ def test_factor_envelope_formula():
 
 
 def test_calibration_grid_shape():
-    k, s = calibration_grid(2, k_max=17, s_nodes=9)
+    k, s = calibration_grid(k_max=17, s_nodes=9)
     assert k.shape == (18,) and np.array_equal(k, np.arange(18))
     assert s.shape == (9,)
     assert s[0] == pytest.approx(1e-9) and s[-1] == pytest.approx(1e3)
+    # the defaults are the grid the factor fixture's hash covers
+    k, s = calibration_grid()
+    assert k[-1] == FACTOR_K_MAX and s.size == FACTOR_S_NODES
+    assert (s[0], s[-1]) == pytest.approx(FACTOR_S_RANGE)
 
 
 def test_calibrate_cn_cross_checks_quadrature(monkeypatch):
@@ -131,6 +136,11 @@ def test_factor_bound_small_replay():
     assert out["violations"] == 0
     assert out["max_ratio"] <= 1.0
     assert out["points"] == 61 * out["s_columns"]
+
+
+def test_factor_bound_check_refuses_uncalibrated_dimension():
+    with pytest.raises(DomainError, match="n=4"):
+        factor_bound_check(4, k_max=4, s_nodes=3)
 
 
 def test_adaptive_factor_count():

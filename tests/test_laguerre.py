@@ -84,6 +84,17 @@ def test_normalized_table_ground_row():
         assert np.allclose(tab[0], np.exp(-lam * r ** 2 / 4.0), atol=1e-14)
 
 
+def test_normalized_table_broadcasts_lambda():
+    r = np.linspace(0.0, 6.0, 7)
+    lams = np.array([-0.8, 0.3, 2.5])
+    tab = normalized_laguerre_table(5, lams[:, None], 2, r)
+    assert tab.shape == (6, 3, 7)
+    for i, lam in enumerate(lams):
+        np.testing.assert_array_equal(tab[:, i], normalized_laguerre_table(5, lam, 2, r))
+    with pytest.raises(DomainError):
+        normalized_laguerre_table(5, np.array([[0.5], [0.0]]), 2, r)
+
+
 def test_normalized_table_radial_orthogonality():
     # rows are orthogonal against r^(2n-1) dr with weight from the measure
     n, lam, kmax = 2, 1.3, 12

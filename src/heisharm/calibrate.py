@@ -26,6 +26,7 @@ refuses a fixture whose hash does not match.  Rerun with
 """
 
 import os
+import sys
 
 import numpy as np
 
@@ -211,5 +212,23 @@ def run_all(out_dir=None):
     print(f"chain_gap_constants.json: C={gap['C']:.6g} c3={gap['c3']:.6g}")
 
 
-if __name__ == "__main__":
+_USAGE = ("usage: python -m heisharm.calibrate  (takes no arguments; rewrites "
+          "the packaged fixtures)")
+
+
+def main(argv):
+    """Entry point of ``python -m heisharm.calibrate``: any argument is
+    refused before anything is written, so a help request or a mistyped
+    flag cannot overwrite the packaged fixtures."""
+    if argv in (["-h"], ["--help"]):
+        print(_USAGE)
+        return 0
+    if argv:
+        print(_USAGE, file=sys.stderr)
+        return 2
     run_all()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

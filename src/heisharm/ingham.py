@@ -19,9 +19,10 @@ calibrated oscillatory envelope
     |coeff| <= min(1, c_n (rho sqrt((2k+n)|lam|))^{-n+1/2}),
 
 with c_n frozen by the calibration run.  The coefficients come from the
-closed form in transform.ball_coefficients, one batched call per sweep;
-radial quadrature is kept as its oracle, which calibrate_cn cross-checks
-before freezing c_n.  Taking N = adaptive_N factors at
+closed form in transform.ball_coefficients, one call per factor over the
+lambda columns that still need it, so a chain sweep holds (lambda, k)
+arrays only; radial quadrature is kept as its oracle, which calibrate_cn
+cross-checks before freezing c_n.  Taking N = adaptive_N factors at
 spectral frequency nu = (2k+n)|lam| yields decay e^{-Theta(sqrt(nu)) sqrt(nu)}
 up to a constant; verify_decay certifies this numerically by maximizing
 the reweighted square q = chain^2 e^{+2 Theta(sqrt(nu)) sqrt(nu)} over a
@@ -267,33 +268,41 @@ def adaptive_N(theta, k, lam, n):
     return np.minimum(raw, np.floor(root)).astype(int)
 
 
-def _chain_log_columns(plan, lam, k_max, n_cap):
-    """Signed log cumulative products for every lambda column at once.
+def _chain_log_columns(plan, lam, k_max, N):
+    """Signed log chain coefficients of G_N at every (lambda, k) cell.
 
-    lam is a 1-d array of nonzero lambdas and n_cap the number of factors
-    needed at each (one int for all, or one per lambda).  Returns (signs,
-    logmags) of shape (lam.size, max(n_cap)+1, k_max+1): entry [i, N] holds
-    the chain coefficient of G_N at lam[i] for N <= n_cap[i]; row 0 is the
-    empty product 1 and rows past n_cap[i] repeat row n_cap[i].  Every
-    (lambda, j <= n_cap) factor table comes from one ball_coefficients
-    call; each column's products then accumulate serially in increasing j,
-    which is the determinism contract.
+    lam is a 1-d array of nonzero lambdas and N the number of factors at
+    each cell: one int for all, or an int array broadcasting against
+    (lam.size, k_max+1), whose leading axes ask for several chain lengths
+    at once.  Returns (signs, logmags) of the broadcast shape; N = 0 is the
+    empty product 1.  The factors stream in increasing j: factor j's table
+    comes from one ball_coefficients call over the lambda columns that
+    still need it, its log magnitude is added to a running (lambda, k) sum,
+    and each cell copies the running values out once j reaches its N.  The
+    sums thus accumulate serially in increasing j from 0.0, which is the
+    determinism contract, and no factor table outlives its step.
     """
     lam = np.asarray(lam, dtype=float)
-    n_cap = np.broadcast_to(np.asarray(n_cap, dtype=int), lam.shape)
-    top = int(n_cap.max(initial=0))
-    li, jj = np.nonzero(np.arange(top)[None, :] < n_cap[:, None])
-    s = np.abs(lam[li]) * plan.rho[jj] ** 2
-    term = (ball_coefficients(s, k_max, plan.n) * _box_t_hat(plan.tau[jj], lam[li])).T
-    step_logs = np.zeros((lam.size, top, k_max + 1))
-    step_signs = np.ones((lam.size, top, k_max + 1))
-    with np.errstate(divide="ignore"):
-        step_logs[li, jj] = np.log(np.abs(term))
-    step_signs[li, jj] = np.sign(term)
-    shape = (lam.size, top + 1, k_max + 1)
-    signs, logs = np.ones(shape), np.zeros(shape)
-    signs[:, 1:] = np.cumprod(step_signs, axis=1)
-    logs[:, 1:] = np.cumsum(step_logs, axis=1)
+    N = np.asarray(N, dtype=int)
+    N = np.broadcast_to(N, np.broadcast_shapes(N.shape, (lam.size, k_max + 1)))
+    # the factors each lambda column needs, over k and any leading axes
+    need = N.max(axis=tuple(a for a in range(N.ndim) if a != N.ndim - 2),
+                 initial=0)
+    signs, logs = np.ones(N.shape), np.zeros(N.shape)
+    run_signs, run_logs = np.ones(N.shape[-2:]), np.zeros(N.shape[-2:])
+    for j in range(int(need.max(initial=0))):
+        cols = np.flatnonzero(need > j)
+        # one-element slices keep ** 2 on numpy's array path, the path
+        # a gather of every factor's widths at once takes
+        s = np.abs(lam[cols]) * plan.rho[j:j + 1] ** 2
+        term = (ball_coefficients(s, k_max, plan.n)
+                * _box_t_hat(plan.tau[j:j + 1], lam[cols])).T
+        with np.errstate(divide="ignore"):
+            run_logs[cols] += np.log(np.abs(term))
+        run_signs[cols] *= np.sign(term)
+        done = N == j + 1
+        np.copyto(signs, run_signs, where=done)
+        np.copyto(logs, run_logs, where=done)
     return signs, logs
 
 
@@ -308,7 +317,7 @@ def chain_coeff(plan, N, k, lam):
     if lam == 0:
         raise DomainError("lam must be nonzero")
     signs, logs = _chain_log_columns(plan, [lam], int(k), N)
-    return float(signs[0, N, int(k)] * np.exp(logs[0, N, int(k)]))
+    return float(signs[0, int(k)] * np.exp(logs[0, int(k)]))
 
 
 def chain_coefficients(plan, N, grid):
@@ -316,22 +325,26 @@ def chain_coefficients(plan, N, grid):
     if N < 0 or N > plan.J:
         raise DomainError(f"chain length {N} outside 0..{plan.J}")
     signs, logs = _chain_log_columns(plan, grid.lam, grid.k_max, N)
-    vals = (signs[:, N] * np.exp(logs[:, N])).T
+    vals = (signs * np.exp(logs)).T
     return SpectralCoefficients(n=plan.n, grid=grid, values=vals, symmetric=True)
 
 
-def _max_log_q(plan, theta, k_max, lam_nodes):
-    """(max log q, its k, its lambda) over the window; ties go to the
-    first lambda column and, within it, the first k."""
+def _log_q_table(plan, theta, k_max, lam_nodes):
+    """log q = 2 log|G_N| + 2 Theta(sqrt(nu)) sqrt(nu) at every (lambda, k)
+    cell of the window, with N = adaptive_N capped at the plan's J."""
     k = np.arange(k_max + 1, dtype=float)[None, :]
     lam = lam_nodes[:, None]
     root = np.sqrt((2.0 * k + plan.n) * np.abs(lam))
     # a plan only has J factors; using fewer than adaptive_N asks for
     # weakens the certified decay, which is conservative, not wrong
     N = np.minimum(adaptive_N(theta, k, lam, plan.n), plan.J)
-    _, logs = _chain_log_columns(plan, lam_nodes, k_max, N.max(axis=1))
-    chain = np.take_along_axis(logs, N[:, None, :], axis=1)[:, 0, :]
-    log_q = 2.0 * chain + 2.0 * theta(root) * root
+    _, logs = _chain_log_columns(plan, lam_nodes, k_max, N)
+    return 2.0 * logs + 2.0 * theta(root) * root
+
+
+def _max_log_q(log_q, lam_nodes):
+    """(max log q, its k, its lambda) over a log q table; ties go to the
+    first lambda column and, within it, the first k."""
     k_star = np.argmax(log_q, axis=1)
     col_max = log_q[np.arange(lam_nodes.size), k_star]
     best = int(np.argmax(col_max))
@@ -345,17 +358,24 @@ def verify_decay(plan, theta, k_max=64, lambda_min=1e-2, lambda_max=1e2,
     Maximizes q(k, lam) = chain_coeff(plan, adaptive_N, k, lam)^2 *
     e^{+2 Theta(sqrt(nu)) sqrt(nu)} in log space.  The fitted constant is
     C = max q; pass requires a finite maximum that moves by at most 0.1 in
-    log when k_max doubles.  Report schema is fixed; byte determinism
+    log when k_max doubles.  One log q table serves both maxima: with the
+    stability check it is built at 2 k_max, the certified maximum is read
+    from its k <= k_max block and the doubled one from the whole table.
+    That is exact, since ball_coefficients is a forward recurrence in k
+    (rows 0..k_max do not depend on the top degree) and adaptive_N and
+    Theta act cell by cell.  Report schema is fixed; byte determinism
     across repeated runs is part of the contract.
     """
     if theta.divergent:
         raise ProfileClassError(
             f"profile {theta.name!r} is declared divergent: nothing to certify")
     lam_nodes = np.geomspace(lambda_min, lambda_max, lambda_nodes)
-    max_log_q, k_star, lam_star = _max_log_q(plan, theta, k_max, lam_nodes)
+    top = 2 * k_max if stability_check else k_max
+    log_q = _log_q_table(plan, theta, top, lam_nodes)
+    max_log_q, k_star, lam_star = _max_log_q(log_q[:, :k_max + 1], lam_nodes)
     stable = True
     if stability_check:
-        max2, _, _ = _max_log_q(plan, theta, 2 * k_max, lam_nodes)
+        max2, _, _ = _max_log_q(log_q, lam_nodes)
         stable = bool(abs(max2 - max_log_q) <= 0.1)
     ok = bool(np.isfinite(max_log_q) and stable)
     return {
@@ -427,8 +447,9 @@ def cauchy_gap(plan, k, grid, c3=None, fixtures_dir=None):
         c3 = float(load_fixture("chain_gap_constants.json", fixtures_dir)["c3"])
     bound = float(plan.tau[k] ** 2 + c3 * plan.rho[k])
 
-    signs, logs = _chain_log_columns(plan, grid.lam, grid.k_max, k + 1)
-    gap = (signs[:, k + 1] * np.exp(logs[:, k + 1])
-           - signs[:, k] * np.exp(logs[:, k]))
+    # G_{k+1} and G_k share one stream of factors
+    signs, logs = _chain_log_columns(plan, grid.lam, grid.k_max,
+                                     np.array([k + 1, k])[:, None, None])
+    gap = signs[0] * np.exp(logs[0]) - signs[1] * np.exp(logs[1])
     diff = SpectralCoefficients(n=plan.n, grid=grid, values=gap.T, symmetric=True)
     return bound, float(plancherel_norm(diff))

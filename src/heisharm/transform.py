@@ -81,7 +81,15 @@ def ball_coefficients(s, k_max, n):
     L_k^{alpha+1} values come bounded from the orthonormal recurrence.  The
     substitution u = s r^2 / 2 turns R_k into 2^alpha s^{-n} sqrt(Gamma(n))
     pref C_{k,n} J_k, with pref C_{k,n} the weights of transform_at_lambda.
-    Every column is computed independently of the others.
+
+    Two properties hold bit for bit, and the chain layer relies on both:
+    the table at a subset of the s values is those columns of the full
+    table, and rows 0..k of a table up to any degree K >= k are the table
+    up to k, since both recurrences run forward in k.  The one batch-wide
+    quantity is the length of gammainc_int's series, which runs until every
+    column has converged; the terms a column gets past its own stopping
+    point are below _SERIES_EPS = 1e-17 of its sum, under half an ulp, so
+    they leave it unchanged.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 1 or not np.all(s > 0):

@@ -1,9 +1,12 @@
 """Factor plans, chain products, decay certification and ball geometry."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
 
 from heisharm.errors import DomainError, ProfileClassError, QuadratureError
 from heisharm.fixtures import (FACTOR_K_MAX, FACTOR_S_NODES, FACTOR_S_RANGE,
@@ -18,7 +21,7 @@ from heisharm.ingham import (SequencePlan, _chain_log_columns, adaptive_N,
                              verify_decay)
 from heisharm.oracles import box_factor, forward_radial
 from heisharm.theta import ThetaProfile, builtin_theta
-from heisharm.transform import ball_coefficients, box_coefficients
+from heisharm.transform import _box_t_hat, ball_coefficients, box_coefficients
 
 LENS_TOL = 1e-10
 
@@ -169,25 +172,72 @@ def test_chain_empty_and_factor_product():
         chain_coeff(plan, -1, 0, 1.0)
 
 
+def _dense_chain_log_columns(plan, lam, k_max, n_cap):
+    """The chain layer before factor streaming, kept as the oracle: every
+    (lambda, j <= n_cap) factor table from one ball_coefficients call and
+    dense (lambda, max(n_cap)+1, k_max+1) cumulative tables; entry [i, N]
+    holds G_N at lam[i] for N <= n_cap[i]."""
+    lam = np.asarray(lam, dtype=float)
+    n_cap = np.broadcast_to(np.asarray(n_cap, dtype=int), lam.shape)
+    top = int(n_cap.max(initial=0))
+    li, jj = np.nonzero(np.arange(top)[None, :] < n_cap[:, None])
+    s = np.abs(lam[li]) * plan.rho[jj] ** 2
+    term = (ball_coefficients(s, k_max, plan.n) * _box_t_hat(plan.tau[jj], lam[li])).T
+    step_logs = np.zeros((lam.size, top, k_max + 1))
+    step_signs = np.ones((lam.size, top, k_max + 1))
+    with np.errstate(divide="ignore"):
+        step_logs[li, jj] = np.log(np.abs(term))
+    step_signs[li, jj] = np.sign(term)
+    shape = (lam.size, top + 1, k_max + 1)
+    signs, logs = np.ones(shape), np.zeros(shape)
+    signs[:, 1:] = np.cumprod(step_signs, axis=1)
+    logs[:, 1:] = np.cumsum(step_logs, axis=1)
+    return signs, logs
+
+
+def _dense_max_log_q(plan, theta, k_max, lam_nodes):
+    """Oracle for one of verify_decay's maxima, built at its own k_max."""
+    k = np.arange(k_max + 1, dtype=float)[None, :]
+    lam = lam_nodes[:, None]
+    root = np.sqrt((2.0 * k + plan.n) * np.abs(lam))
+    N = np.minimum(adaptive_N(theta, k, lam, plan.n), plan.J)
+    _, logs = _dense_chain_log_columns(plan, lam_nodes, k_max, N.max(axis=1))
+    chain = np.take_along_axis(logs, N[:, None, :], axis=1)[:, 0, :]
+    log_q = 2.0 * chain + 2.0 * theta(root) * root
+    k_star = np.argmax(log_q, axis=1)
+    col_max = log_q[np.arange(lam_nodes.size), k_star]
+    best = int(np.argmax(col_max))
+    return float(col_max[best]), int(k_star[best]), float(lam_nodes[best])
+
+
 @seed(5)
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from([1, 2, 3]), st.integers(min_value=1, max_value=10),
-       st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=5))
-def test_chain_columns_match_scalar_products(n, k_max, caps):
-    # one batched call with a different factor count per lambda column
+       st.integers(min_value=1, max_value=5), st.data())
+def test_chain_columns_match_scalar_products(n, k_max, lam_count, data):
+    # one batched call with its own factor count at every (lambda, k) cell
     # against the product of scalar factor coefficients and interval
-    # transforms, column by column
+    # transforms, cell by cell
     plan = plan_sequences(builtin_theta("inv-sqrt"), n, J=6, c_n=1.2)
-    lam = np.geomspace(1e-2, 1e2, len(caps))
-    signs, logs = _chain_log_columns(plan, lam, k_max, np.array(caps))
-    assert signs.shape == logs.shape == (len(caps), max(caps) + 1, k_max + 1)
-    for i, cap in enumerate(caps):
-        expect = np.ones(k_max + 1)
-        for N in range(1, cap + 1):
-            expect = expect * float(factor_t_hat(N, lam[i], plan)) * np.array(
-                [factor_coeff(N, k, lam[i], plan) for k in range(k_max + 1)])
-            got = signs[i, N] * np.exp(logs[i, N])
+    lam = np.geomspace(1e-2, 1e2, lam_count)
+    N = np.array(data.draw(st.lists(
+        st.lists(st.integers(min_value=0, max_value=6), min_size=k_max + 1,
+                 max_size=k_max + 1), min_size=lam_count, max_size=lam_count)))
+    signs, logs = _chain_log_columns(plan, lam, k_max, N)
+    assert signs.shape == logs.shape == (lam_count, k_max + 1)
+    for i in range(lam_count):
+        factors = [float(factor_t_hat(j, lam[i], plan)) * np.array(
+            [factor_coeff(j, k, lam[i], plan) for k in range(k_max + 1)])
+            for j in range(1, int(N[i].max()) + 1)]
+        for k in range(k_max + 1):
+            expect = np.prod([f[k] for f in factors[:N[i, k]]])
+            got = signs[i, k] * np.exp(logs[i, k])
             assert np.allclose(got, expect, rtol=1e-12, atol=0.0)
+    # leading axes of N ask for several chain lengths from one stream
+    both = _chain_log_columns(plan, lam, k_max, np.stack([N, N[::-1]]))
+    for m, Nm in enumerate((N, N[::-1])):
+        for got, want in zip(both, _chain_log_columns(plan, lam, k_max, Nm)):
+            assert_array_equal(got[m], want)
 
 
 def test_chain_coefficients_grid():
@@ -272,6 +322,22 @@ def test_verify_decay_smoke():
                      lambda_nodes=4)
 
 
+def test_verify_decay_tracemalloc_peak():
+    # the ball workload's verify at the CLI's k_max and lambda_nodes: the
+    # streamed chain peaks near 1.9 MiB; dense (lambda, N, k) chain tables
+    # for the same window take 6.8 MiB
+    theta = builtin_theta("inv-log-sq")
+    plan = plan_sequences(theta, 2, J=16)
+    verify_decay(plan, theta)
+    tracemalloc.start()
+    try:
+        verify_decay(plan, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
+
+
 @st.composite
 def tail_tables(draw):
     """Table profiles declared convergent whose last value, kept beyond the
@@ -301,3 +367,30 @@ def test_table_profiles_plan_and_verify(n, theta):
     assert sorted(report) == ["C", "argmax", "k_max", "lambda_range",
                               "max_log_q", "n", "pass", "theta"]
     assert np.isfinite(report["max_log_q"])
+
+
+@seed(13)
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.sampled_from([builtin_theta(name) for name in
+                                  ("inv-sqrt", "inv-sqrt-strong", "inv-log-sq",
+                                   "zero")]),
+                 tail_tables()),
+       st.sampled_from([1, 2, 3]), st.integers(min_value=1, max_value=24),
+       st.integers(min_value=1, max_value=24),
+       st.sampled_from([(1e-2, 1e2), (0.1, 10.0), (1e-3, 1e3)]),
+       st.integers(min_value=2, max_value=48))
+def test_verify_decay_matches_two_pass_oracle(theta, n, J, k_max, window,
+                                               lambda_nodes):
+    # one 2 k_max table for both maxima against two dense passes, one at
+    # k_max and one at 2 k_max
+    plan = plan_sequences(theta, n, J=J)
+    report = verify_decay(plan, theta, k_max=k_max, lambda_min=window[0],
+                          lambda_max=window[1], lambda_nodes=lambda_nodes)
+    lam_nodes = np.geomspace(*window, lambda_nodes)
+    max_log_q, k_star, lam_star = _dense_max_log_q(plan, theta, k_max, lam_nodes)
+    max2 = _dense_max_log_q(plan, theta, 2 * k_max, lam_nodes)[0]
+    assert report["max_log_q"] == max_log_q
+    assert report["argmax"] == {"k": k_star, "lambda": lam_star}
+    assert report["C"] == float(np.exp(max_log_q))
+    assert report["pass"] == bool(np.isfinite(max_log_q)
+                                  and abs(max2 - max_log_q) <= 0.1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
 
 from heisharm.errors import DomainError, GridMismatchError
 from heisharm.grids import QuadratureGrid, radial_rule
@@ -66,6 +67,46 @@ def test_ball_coefficients_refuse_bad_s_and_stay_finite():
     for bad in ([0.0, 1.0], [-1.0], [np.nan], [[1.0]]):
         with pytest.raises(DomainError):
             ball_coefficients(np.array(bad), 4, 1)
+
+
+def _branch_s(n):
+    """s at which ball_coefficients' gammainc_int argument s a^2 / 4 meets
+    its series/sum branch point y = n + 1."""
+    return 4.0 * (n + 1.0) / ball_normalizer(n) ** 2
+
+
+@seed(17)
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.integers(min_value=0, max_value=40),
+       st.lists(st.floats(min_value=-6.0, max_value=-1e-3), min_size=1,
+                max_size=6),
+       st.lists(st.floats(min_value=1e-3, max_value=1.5), min_size=1,
+                max_size=6),
+       st.data())
+def test_ball_coefficients_columns_are_independent(n, k_max, below, above,
+                                                   data):
+    # bit for bit, although the series for the columns below the branch
+    # runs as long as the slowest of them needs
+    s = _branch_s(n) * 10.0 ** np.array(below + above)
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=s.size,
+                                       max_size=s.size)))
+    full = ball_coefficients(s, k_max, n)
+    assert_array_equal(ball_coefficients(s[keep], k_max, n), full[:, keep])
+    for i in range(s.size):
+        assert_array_equal(ball_coefficients(s[i:i + 1], k_max, n),
+                           full[:, i:i + 1])
+
+
+@seed(19)
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.integers(min_value=0, max_value=60),
+       st.integers(min_value=0, max_value=60),
+       st.lists(st.floats(min_value=-6.0, max_value=1.5), min_size=1,
+                max_size=8))
+def test_ball_coefficients_rows_do_not_depend_on_top_degree(n, k, extra, log_s):
+    s = _branch_s(n) * 10.0 ** np.array(log_s)
+    assert_array_equal(ball_coefficients(s, k + extra, n)[:k + 1],
+                       ball_coefficients(s, k, n))
 
 
 @seed(13)

@@ -11,8 +11,8 @@ then only read:
 
 * ``box_factor_envelope.json`` - the constants c_n of the oscillatory bound
   on ball-indicator coefficients, from the sup of the closed-form
-  coefficients in :func:`heisharm.ingham.calibrate_cn`, checked on a
-  doubled grid and against radial quadrature.
+  coefficients in :func:`calibrate_cn`, checked on a doubled grid and
+  against radial quadrature.
 
 * ``chain_gap_constants.json`` - the constant C with
   measured gap <= C * (tau_{k+1}^2 + c3 rho_{k+1}) along the reference
@@ -30,6 +30,7 @@ import sys
 
 import numpy as np
 
+from .errors import QuadratureError
 from .fixtures import (
     CHAIN_GAP_GRID,
     CHAIN_GAP_J,
@@ -39,24 +40,25 @@ from .fixtures import (
     ENVELOPE_K_MAX,
     ENVELOPE_LAMBDAS,
     ENVELOPE_RADII_NODES,
+    ENVELOPE_RADII_RANGE,
     FACTOR_DIMS,
     FACTOR_K_MAX,
     FACTOR_S_NODES,
     FACTOR_S_RANGE,
     GRID_HASHES,
-    load_fixture,
+    calibration_grid,
     packaged_fixtures_dir,
 )
-from .grids import QuadratureGrid
-from .ingham import CN_SAFETY, calibrate_cn, cauchy_gap, plan_sequences
+from .grids import QuadratureGrid, radial_rule
+from .ingham import cauchy_gap, plan_sequences
 from .jsonio import write_json
-from .laguerre import envelope_values, normalized_laguerre_table, nu
+from .laguerre import envelope_radii, envelope_values, normalized_laguerre_table, nu
 from .theta import builtin_theta
+from .transform import ball_coefficients, ball_normalizer, transform_at_lambda
 
 __all__ = [
-    "envelope_radii",
     "calibrate_envelope",
-    "envelope_check",
+    "calibrate_cn",
     "calibrate_factor_bound",
     "calibrate_chain_gap",
     "run_all",
@@ -64,10 +66,12 @@ __all__ = [
 
 GAMMA_FLOOR = 1e-3
 
+# largest relative disagreement allowed between the closed-form and the
+# quadrature calibration sups: the change the frozen c_n may tolerate
+_ORACLE_TOL = 1e-9
 
-def envelope_radii():
-    """Radii of the envelope calibration grid (shared with its validation)."""
-    return np.concatenate(([0.0], np.geomspace(1e-3, 300.0, ENVELOPE_RADII_NODES - 1)))
+# margin of the frozen c_n over the calibration sup
+CN_SAFETY = 1.1
 
 
 def calibrate_envelope():
@@ -80,7 +84,7 @@ def calibrate_envelope():
     adds another 10%.  Zero table entries (underflow far past the turning
     point) are skipped: the envelope dominates them trivially.
     """
-    r = envelope_radii()
+    r = envelope_radii(ENVELOPE_RADII_RANGE, ENVELOPE_RADII_NODES)
     k = np.arange(ENVELOPE_K_MAX + 1)
     tables = {}
     rates = []
@@ -115,52 +119,55 @@ def calibrate_envelope():
         "lambdas": list(ENVELOPE_LAMBDAS),
         "dims": list(ENVELOPE_DIMS),
         "radii_nodes": ENVELOPE_RADII_NODES,
+        "radii_range": list(ENVELOPE_RADII_RANGE),
         "grid_hash": GRID_HASHES["lemma21_constants.json"],
     }
 
 
-def envelope_check(fixture=None, k_max=None, dims=None, fixtures_dir=None):
-    """Validate the frozen envelope against the calibration grid.
+def _quadrature_table(s, k_max, n, nodes_per_panel):
+    """ball_coefficients at the single s by radial Gauss-Legendre
+    quadrature: the oracle the closed form is checked against."""
+    x, w = radial_rule(s, k_max, n, ball_normalizer(n), nodes_per_panel)
+    return transform_at_lambda(np.ones_like(x), x, w, s, k_max, n)
 
-    Replays the calibration grid (optionally truncated in degree or
-    restricted in dimension) and counts points where the normalized scaled
-    Laguerre function exceeds the fitted envelope.  The certified outcome
-    is zero violations.
+
+def calibrate_cn(n, k_max=FACTOR_K_MAX, s_nodes=FACTOR_S_NODES, nodes_per_panel=48,
+                 safety=CN_SAFETY, refine_check=True):
+    """Envelope constant: safety * sup over the calibration grid of
+    |coeff(k, s)| ((2k+n) s)^{(2n-1)/4}, with the coefficients from the
+    closed form.
+
+    With refine_check the sup is recomputed on the doubled s grid and the
+    two sups must agree within 5%, and the base-grid sup is recomputed by
+    radial quadrature at nodes_per_panel, which must agree within
+    _ORACLE_TOL, so a frozen constant can never be an artifact of either
+    method.
     """
-    if fixture is None:
-        fixture = load_fixture("lemma21_constants.json", fixtures_dir)
-    c_fit = float(fixture["C_fit"])
-    gamma_fit = float(fixture["gamma_fit"])
-    k_hi = int(fixture["k_max"]) if k_max is None else int(min(k_max, fixture["k_max"]))
-    dims = tuple(fixture["dims"]) if dims is None else tuple(dims)
-    r = envelope_radii()
-    points = 0
-    violations = 0
-    worst = 0.0
-    for n in dims:
-        for lam in fixture["lambdas"]:
-            tab = np.abs(normalized_laguerre_table(k_hi, lam, n, r))
-            for ki in range(k_hi + 1):
-                env = envelope_values(ki, lam, n, r, c_fit, gamma_fit)
-                points += r.size
-                # envelope underflow deep in the exponential zone is a
-                # violation only if the function itself is still nonzero
-                pos = env > 0
-                violations += int(np.sum(tab[ki][~pos] > 0))
-                ratio = tab[ki][pos] / env[pos]
-                violations += int(np.sum(ratio > 1.0))
-                if ratio.size:
-                    worst = max(worst, float(np.max(ratio)))
-    return {
-        "C_fit": c_fit,
-        "gamma_fit": gamma_fit,
-        "k_max": k_hi,
-        "dims": list(dims),
-        "points": points,
-        "violations": violations,
-        "max_ratio": worst,
-        "grid_hash": fixture["grid_hash"],
-    }
+    k, s = calibration_grid(k_max, s_nodes)
+
+    def sup_of(s, table):
+        weight = ((2.0 * k[:, None] + n) * s[None, :]) ** ((2.0 * n - 1.0) / 4.0)
+        return float(np.max(np.abs(table) * weight))
+
+    sup = sup_of(s, ball_coefficients(s, k_max, n))
+    if refine_check:
+        _, s2 = calibration_grid(k_max, 2 * s_nodes)
+        fine = sup_of(s2, ball_coefficients(s2, k_max, n))
+        rel = abs(fine - sup) / max(sup, fine)
+        if rel > 0.05:
+            raise QuadratureError(
+                "factor-bound calibration sup moved under grid refinement",
+                disagreement=float(rel))
+        quad = np.stack([_quadrature_table(si, k_max, n, nodes_per_panel)
+                         for si in s], axis=1)
+        oracle = sup_of(s, quad)
+        rel = abs(oracle - sup) / max(sup, oracle)
+        if rel > _ORACLE_TOL:
+            raise QuadratureError(
+                "closed-form calibration sup disagrees with radial quadrature",
+                disagreement=float(rel))
+        sup = max(sup, fine)
+    return float(safety * sup)
 
 
 def calibrate_factor_bound():
@@ -181,12 +188,9 @@ def calibrate_chain_gap(c_n_1):
     theta = builtin_theta(CHAIN_GAP_THETA)
     plan = plan_sequences(theta, 1, J=CHAIN_GAP_J, c_n=c_n_1)
     grid = QuadratureGrid.make(**CHAIN_GAP_GRID)
-    worst = 0.0
-    for kk in range(1, CHAIN_GAP_K_PROBE + 1):
-        bound, measured = cauchy_gap(plan, kk, grid, c3=1.0)
-        worst = max(worst, measured / bound)
+    bounds, measured = cauchy_gap(plan, CHAIN_GAP_K_PROBE, grid, c3=1.0)
     return {
-        "C": 1.1 * worst,
+        "C": 1.1 * float(np.max(measured / bounds)),
         "c3": 1.0,
         "theta": CHAIN_GAP_THETA,
         "n": 1,

@@ -108,12 +108,12 @@ _OPTIONS = fields(RunConfig)[1:]
 
 
 def _cmd_laguerre_check(cfg):
-    from .calibrate import envelope_check
-    from .laguerre import orthonormality_defect
+    from .fixtures import load_fixture
+    from .laguerre import envelope_check, orthonormality_defect
     gram_k = min(cfg.k_max, 40)
     defects = {str(d): orthonormality_defect(gram_k, d) for d in (0, 1, 2, 3)}
     worst = max(defects.values())
-    env = envelope_check(k_max=cfg.k_max, fixtures_dir=cfg.fixtures)
+    env = envelope_check(load_fixture("lemma21_constants.json", cfg.fixtures), cfg.k_max)
     ok = worst <= 1e-8 and env["violations"] == 0
     return {
         "command": "laguerre-check",
@@ -366,7 +366,7 @@ def _cmd_carleman(cfg):
         "pass": bool(ok),
     }
     if family == "envelope":
-        report["theta"] = cfg.theta
+        report["theta"] = theta.name
     summary = (f"family={family} M={M} "
                f"term_{M}={rows[-1]['carleman_term']:.4f} "
                f"partial_sum={rows[-1]['partial_sum']:.4f}")
@@ -394,7 +394,7 @@ def _exact_lens_area(R, d):
 
 
 def _cmd_symmdiff_check(cfg):
-    from .ingham import ball_shift_symmdiff, ball_volume, sphere_surface
+    from .group import ball_shift_symmdiff, ball_volume, sphere_surface
     rows = []
     for dim in (2, 4):
         violations = 0

@@ -11,17 +11,20 @@ overrides the packaged copies.
 import hashlib
 import os
 
+import numpy as np
+
 from .errors import DomainError
 from .jsonio import read_json
 
-__all__ = ["packaged_fixtures_dir", "load_fixture"]
+__all__ = ["packaged_fixtures_dir", "load_fixture", "calibration_grid"]
 
 # envelope calibration grid: all degrees to ENVELOPE_K_MAX, five lambda
-# decades, 400 radii (origin + log-spaced), three dimensions
+# decades, 400 radii (origin + log-spaced over the range), three dimensions
 ENVELOPE_K_MAX = 200
 ENVELOPE_LAMBDAS = (1e-2, 1e-1, 1.0, 1e1, 1e2)
 ENVELOPE_DIMS = (1, 2, 3)
 ENVELOPE_RADII_NODES = 400
+ENVELOPE_RADII_RANGE = (1e-3, 300.0)
 
 # factor-bound calibration grid: degrees, s nodes and s range per dimension
 FACTOR_DIMS = (1, 2, 3)
@@ -43,13 +46,21 @@ def _grid_hash(*parts):
 
 GRID_HASHES = {
     "lemma21_constants.json": _grid_hash(ENVELOPE_K_MAX, ENVELOPE_LAMBDAS,
-                                         ENVELOPE_DIMS, ENVELOPE_RADII_NODES),
+                                         ENVELOPE_DIMS, ENVELOPE_RADII_NODES,
+                                         ENVELOPE_RADII_RANGE),
     "box_factor_envelope.json": _grid_hash(FACTOR_DIMS, FACTOR_K_MAX,
                                            FACTOR_S_NODES, FACTOR_S_RANGE),
     "chain_gap_constants.json": _grid_hash(CHAIN_GAP_THETA, CHAIN_GAP_J,
                                            CHAIN_GAP_K_PROBE,
                                            *CHAIN_GAP_GRID.values()),
 }
+
+
+def calibration_grid(k_max=FACTOR_K_MAX, s_nodes=FACTOR_S_NODES):
+    """Shared (k, s) sampling for calibrating and validating the factor
+    envelope: all degrees up to k_max, s = lam rho^2 log-spaced across the
+    lam in [1e-3, 1e3], rho in [1e-3, 1] product range."""
+    return np.arange(k_max + 1), np.geomspace(*FACTOR_S_RANGE, s_nodes)
 
 
 def packaged_fixtures_dir():

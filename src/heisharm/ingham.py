@@ -21,8 +21,8 @@ calibrated oscillatory envelope
 with c_n frozen by the calibration run.  The coefficients come from the
 closed form in transform.ball_coefficients, one call per factor over the
 lambda columns that still need it, so a chain sweep holds (lambda, k)
-arrays only; radial quadrature is kept as its oracle, which calibrate_cn
-cross-checks before freezing c_n.  Taking N = adaptive_N factors at
+arrays only; heisharm.calibrate freezes c_n, after cross-checking the
+closed form against radial quadrature.  Taking N = adaptive_N factors at
 spectral frequency nu = (2k+n)|lam| yields decay e^{-Theta(sqrt(nu)) sqrt(nu)}
 up to a constant; verify_decay certifies this numerically by maximizing
 the reweighted square q = chain^2 e^{+2 Theta(sqrt(nu)) sqrt(nu)} over a
@@ -33,12 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._special import betainc_half, gammaln
-from .errors import DomainError, ProfileClassError, QuadratureError
-from .fixtures import FACTOR_K_MAX, FACTOR_S_NODES, FACTOR_S_RANGE, load_fixture
-from .grids import radial_rule
+from .errors import DomainError, ProfileClassError
+from .fixtures import FACTOR_K_MAX, FACTOR_S_NODES, calibration_grid, load_fixture
 from .transform import (SpectralCoefficients, _box_t_hat, ball_coefficients,
-                        ball_normalizer, plancherel_norm, transform_at_lambda)
+                        ball_normalizer, plancherel_norm)
 
 __all__ = [
     "SequencePlan",
@@ -46,17 +44,12 @@ __all__ = [
     "factor_t_hat",
     "factor_coeff",
     "factor_coeff_envelope",
-    "calibrate_cn",
-    "calibration_grid",
     "factor_bound_check",
     "adaptive_N",
     "chain_coeff",
     "chain_coefficients",
     "verify_decay",
     "support_radius",
-    "ball_volume",
-    "sphere_surface",
-    "ball_shift_symmdiff",
     "cauchy_gap",
 ]
 
@@ -147,13 +140,6 @@ def factor_t_hat(j, lam, plan):
     return _box_t_hat(plan.tau[j - 1], lam)
 
 
-def _quadrature_table(s, k_max, n, nodes_per_panel):
-    """ball_coefficients at the single s by radial Gauss-Legendre
-    quadrature: the oracle the closed form is checked against."""
-    x, w = radial_rule(s, k_max, n, ball_normalizer(n), nodes_per_panel)
-    return transform_at_lambda(np.ones_like(x), x, w, s, k_max, n)
-
-
 def factor_coeff(j, k, lam, plan):
     """k-th coefficient of the j-th z-factor at lam (1-based j)."""
     if not (1 <= j <= plan.J):
@@ -173,60 +159,6 @@ def factor_coeff_envelope(k, lam, rho, n, c_n):
     x = rho * np.sqrt((2.0 * np.asarray(k, dtype=float) + n) * np.abs(lam))
     with np.errstate(divide="ignore"):
         return np.minimum(1.0, c_n * np.where(x > 0, x, np.inf) ** (0.5 - n))
-
-
-def calibration_grid(k_max=FACTOR_K_MAX, s_nodes=FACTOR_S_NODES):
-    """Shared (k, s) sampling for calibrating and validating the factor
-    envelope: all degrees up to k_max, s = lam rho^2 log-spaced across the
-    lam in [1e-3, 1e3], rho in [1e-3, 1] product range."""
-    return np.arange(k_max + 1), np.geomspace(*FACTOR_S_RANGE, s_nodes)
-
-
-# largest relative disagreement allowed between the closed-form and the
-# quadrature calibration sups: the change the frozen c_n may tolerate
-_ORACLE_TOL = 1e-9
-
-# margin of the frozen c_n over the calibration sup
-CN_SAFETY = 1.1
-
-
-def calibrate_cn(n, k_max=FACTOR_K_MAX, s_nodes=FACTOR_S_NODES, nodes_per_panel=48,
-                 safety=CN_SAFETY, refine_check=True):
-    """Envelope constant: safety * sup over the calibration grid of
-    |coeff(k, s)| ((2k+n) s)^{(2n-1)/4}, with the coefficients from the
-    closed form.
-
-    With refine_check the sup is recomputed on the doubled s grid and the
-    two sups must agree within 5%, and the base-grid sup is recomputed by
-    radial quadrature at nodes_per_panel, which must agree within
-    _ORACLE_TOL, so a frozen constant can never be an artifact of either
-    method.
-    """
-    k, s = calibration_grid(k_max, s_nodes)
-
-    def sup_of(s, table):
-        weight = ((2.0 * k[:, None] + n) * s[None, :]) ** ((2.0 * n - 1.0) / 4.0)
-        return float(np.max(np.abs(table) * weight))
-
-    sup = sup_of(s, ball_coefficients(s, k_max, n))
-    if refine_check:
-        _, s2 = calibration_grid(k_max, 2 * s_nodes)
-        fine = sup_of(s2, ball_coefficients(s2, k_max, n))
-        rel = abs(fine - sup) / max(sup, fine)
-        if rel > 0.05:
-            raise QuadratureError(
-                "factor-bound calibration sup moved under grid refinement",
-                disagreement=float(rel))
-        quad = np.stack([_quadrature_table(si, k_max, n, nodes_per_panel)
-                         for si in s], axis=1)
-        oracle = sup_of(s, quad)
-        rel = abs(oracle - sup) / max(sup, oracle)
-        if rel > _ORACLE_TOL:
-            raise QuadratureError(
-                "closed-form calibration sup disagrees with radial quadrature",
-                disagreement=float(rel))
-        sup = max(sup, fine)
-    return float(safety * sup)
 
 
 def factor_bound_check(n, c_n=None, k_max=FACTOR_K_MAX, s_nodes=FACTOR_S_NODES,
@@ -401,55 +333,22 @@ def support_radius(plan, N=None):
     return float(plan.a * np.sum(plan.rho[:N]) + TAU_GAUGE * np.sum(plan.tau[:N]))
 
 
-def ball_volume(R, dim):
-    return float(np.exp(0.5 * dim * np.log(np.pi) - gammaln(0.5 * dim + 1)
-                        + dim * np.log(R)))
-
-
-def sphere_surface(dim, R):
-    """Surface measure of the radius-R sphere bounding a ball in R^dim."""
-    return float(np.exp(np.log(2.0) + 0.5 * dim * np.log(np.pi)
-                        - gammaln(0.5 * dim) + (dim - 1) * np.log(R)))
-
-
-def ball_shift_symmdiff(dim, R, xi_norm):
-    """Volume of B(0,R) symmetric-difference B(xi,R) in R^dim, |xi| given.
-
-    Twice the ball volume minus twice the lens; the lens is two spherical
-    caps of height R - |xi|/2, via the regularized incomplete beta.
-    """
-    if dim < 2 or dim % 2 != 0:
-        raise DomainError("dim must be an even integer >= 2")
-    if R <= 0 or xi_norm < 0:
-        raise DomainError("need R > 0 and xi_norm >= 0")
-    V = ball_volume(R, dim)
-    if xi_norm >= 2.0 * R:
-        return 2.0 * V
-    if xi_norm == 0.0:
-        return 0.0
-    h = R - 0.5 * xi_norm
-    x = (2.0 * R * h - h * h) / R ** 2
-    cap = 0.5 * V * betainc_half(0.5 * (dim + 1), x)
-    return 2.0 * V - 4.0 * cap
-
-
-def cauchy_gap(plan, k, grid, c3=None, fixtures_dir=None):
-    """(bound, measured) for the step G_k -> G_{k+1} of the chain.
+def cauchy_gap(plan, K, grid, c3=None, fixtures_dir=None):
+    """(bounds, measured) arrays over the chain steps G_k -> G_{k+1},
+    k = 1..K, all read from one stream of the factors of G_1 .. G_{K+1}.
 
     bound = tau_{k+1}^2 + c3 rho_{k+1} with the calibrated c3; measured is
     the Plancherel norm of the coefficient difference on the grid.  The
     calibrated envelope constant C (measured <= C * bound) lives in the
     chain-gap fixture next to c3.
     """
-    if not (1 <= k < plan.J):
-        raise DomainError(f"need 1 <= k < J = {plan.J}")
+    if not (1 <= K < plan.J):
+        raise DomainError(f"need 1 <= K < J = {plan.J}")
     if c3 is None:
         c3 = float(load_fixture("chain_gap_constants.json", fixtures_dir)["c3"])
-    bound = float(plan.tau[k] ** 2 + c3 * plan.rho[k])
-
-    # G_{k+1} and G_k share one stream of factors
     signs, logs = _chain_log_columns(plan, grid.lam, grid.k_max,
-                                     np.array([k + 1, k])[:, None, None])
-    gap = signs[0] * np.exp(logs[0]) - signs[1] * np.exp(logs[1])
-    diff = SpectralCoefficients(n=plan.n, grid=grid, values=gap.T, symmetric=True)
-    return bound, float(plancherel_norm(diff))
+                                     np.arange(1, K + 2)[:, None, None])
+    gaps = np.diff(signs * np.exp(logs), axis=0)
+    measured = [plancherel_norm(SpectralCoefficients(
+        n=plan.n, grid=grid, values=g.T, symmetric=True)) for g in gaps]
+    return plan.tau[1:K + 1] ** 2 + c3 * plan.rho[1:K + 1], np.array(measured)

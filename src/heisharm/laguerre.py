@@ -29,7 +29,8 @@ argument ``w = |lam| r^2 / 2``, the radial axis splits at
 ``sqrt(2/(nu |lam|))``, ``sqrt(nu/|lam|)`` and ``sqrt(3 nu/|lam|)`` into a
 flat core, an oscillatory stretch with ``(nu w)^(-1/4)`` decay, an Airy-type
 turning-point window, and an exponentially decaying far zone.  The two free
-constants of the envelope are calibrated once and frozen in a fixture.
+constants of the envelope are calibrated once and frozen in a fixture, and
+envelope_check replays the fixture's grid against them.
 """
 
 import numpy as np
@@ -46,6 +47,8 @@ __all__ = [
     "nu",
     "breakpoints",
     "envelope_values",
+    "envelope_radii",
+    "envelope_check",
     "orthonormality_defect",
 ]
 
@@ -286,3 +289,49 @@ def envelope_values(k, lam, n, r, c_fit, gamma_fit):
         np.where(w <= 0.5 * v, osc, np.where(w <= 1.5 * v, turn, expo)),
     )
     return c_fit * spow * case
+
+
+def envelope_radii(radii_range, nodes):
+    """The origin, then nodes - 1 radii log-spaced across radii_range."""
+    return np.concatenate(([0.0], np.geomspace(*radii_range, nodes - 1)))
+
+
+def envelope_check(fixture, k_max=None):
+    """Validate the frozen envelope of a loaded lemma21_constants.json
+    fixture against the grid it records.
+
+    Replays that calibration grid (optionally truncated in degree) and
+    counts points where the normalized scaled Laguerre function exceeds the
+    fitted envelope.  The certified outcome is zero violations.
+    """
+    c_fit = float(fixture["C_fit"])
+    gamma_fit = float(fixture["gamma_fit"])
+    k_hi = int(fixture["k_max"]) if k_max is None else int(min(k_max, fixture["k_max"]))
+    r = envelope_radii(fixture["radii_range"], fixture["radii_nodes"])
+    points = 0
+    violations = 0
+    worst = 0.0
+    for n in fixture["dims"]:
+        for lam in fixture["lambdas"]:
+            tab = np.abs(normalized_laguerre_table(k_hi, lam, n, r))
+            for ki in range(k_hi + 1):
+                env = envelope_values(ki, lam, n, r, c_fit, gamma_fit)
+                points += r.size
+                # envelope underflow deep in the exponential zone is a
+                # violation only if the function itself is still nonzero
+                pos = env > 0
+                violations += int(np.sum(tab[ki][~pos] > 0))
+                ratio = tab[ki][pos] / env[pos]
+                violations += int(np.sum(ratio > 1.0))
+                if ratio.size:
+                    worst = max(worst, float(np.max(ratio)))
+    return {
+        "C_fit": c_fit,
+        "gamma_fit": gamma_fit,
+        "k_max": k_hi,
+        "dims": list(fixture["dims"]),
+        "points": points,
+        "violations": violations,
+        "max_ratio": worst,
+        "grid_hash": fixture["grid_hash"],
+    }

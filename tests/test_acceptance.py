@@ -15,13 +15,12 @@ import numpy as np
 import pytest
 
 import heisharm
-from heisharm.calibrate import envelope_check
 from heisharm.chernoff import ingham_norm_bound_check, sublaplacian_norms
+from heisharm.fixtures import load_fixture
 from heisharm.grids import QuadratureGrid
-from heisharm.ingham import (ball_shift_symmdiff, ball_volume,
-                             factor_bound_check, plan_sequences,
-                             sphere_surface, verify_decay)
-from heisharm.laguerre import orthonormality_defect
+from heisharm.group import ball_shift_symmdiff, ball_volume, sphere_surface
+from heisharm.ingham import factor_bound_check, plan_sequences, verify_decay
+from heisharm.laguerre import envelope_check, orthonormality_defect
 from heisharm.oracles import box_factor, forward_radial
 from heisharm.theta import builtin_theta
 from heisharm.transform import (SpectralCoefficients,
@@ -49,7 +48,7 @@ def test_laguerre_orthonormality():
 
 def test_envelope_dominates_all_grid_points():
     t0 = time.perf_counter()
-    out = envelope_check()
+    out = envelope_check(load_fixture("lemma21_constants.json"))
     assert out["points"] >= 400_000
     assert out["dims"] == [1, 2, 3] and out["k_max"] == 200
     assert out["violations"] == 0

@@ -41,7 +41,7 @@ def test_package_import_leaves_calibrate_unloaded():
     # importing the module itself still works.
     code = ("import sys, heisharm\n"
             "assert 'heisharm.calibrate' not in sys.modules\n"
-            "from heisharm.calibrate import envelope_check\n")
+            "from heisharm.calibrate import run_all\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=_fresh_env())
     assert proc.returncode == 0, proc.stderr

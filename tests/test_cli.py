@@ -128,6 +128,25 @@ def test_carleman_envelope_family(tmp_path):
     assert report2["rows"][0]["bound_ratio"] is None
 
 
+def test_carleman_envelope_records_profile_name(tmp_path):
+    # the report names the profile, not the path it was read from, so one
+    # table copied into two directories gives the same bytes
+    profile = {"name": "tab-a", "kind": "table", "declared_class": "convergent",
+               "y": [0.0, 1.0, 10.0], "theta": [1.0, 0.5, 0.25]}
+    reports = []
+    for sub in ("one", "two"):
+        (tmp_path / sub).mkdir()
+        path = tmp_path / sub / "tab.json"
+        path.write_text(json.dumps(profile))
+        code, report, out = run(tmp_path, "carleman", "--family", "envelope",
+                                "--theta", str(path), "--kmax", "8",
+                                "--lambda-nodes", "8", "--max-power", "4",
+                                out=f"{sub}.json")
+        assert code == 0 and report["theta"] == "tab-a"
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_convolve_check_small(tmp_path):
     code, report, _ = run(tmp_path, "convolve-check", "--kmax", "8",
                           "--lambda-min", "0.3", "--lambda-max", "1.2",

@@ -1,4 +1,5 @@
-"""Factor plans, chain products, decay certification and ball geometry."""
+"""Factor plans, the factor-bound calibration, chain products and decay
+certification."""
 
 import tracemalloc
 
@@ -8,22 +9,21 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+from heisharm.calibrate import calibrate_cn
 from heisharm.errors import DomainError, ProfileClassError, QuadratureError
 from heisharm.fixtures import (FACTOR_K_MAX, FACTOR_S_NODES, FACTOR_S_RANGE,
-                               load_fixture)
+                               calibration_grid, load_fixture)
 from heisharm.grids import QuadratureGrid
 from heisharm.ingham import (SequencePlan, _chain_log_columns, adaptive_N,
-                             ball_shift_symmdiff, ball_volume, calibrate_cn,
-                             calibration_grid, cauchy_gap, chain_coeff,
-                             chain_coefficients, factor_bound_check,
-                             factor_coeff, factor_coeff_envelope, factor_t_hat,
-                             plan_sequences, sphere_surface, support_radius,
-                             verify_decay)
+                             cauchy_gap, chain_coeff, chain_coefficients,
+                             factor_bound_check, factor_coeff,
+                             factor_coeff_envelope, factor_t_hat,
+                             plan_sequences, support_radius, verify_decay)
 from heisharm.oracles import box_factor, forward_radial
 from heisharm.theta import ThetaProfile, builtin_theta
-from heisharm.transform import _box_t_hat, ball_coefficients, box_coefficients
-
-LENS_TOL = 1e-10
+from heisharm.transform import (SpectralCoefficients, _box_t_hat,
+                                ball_coefficients, box_coefficients,
+                                plancherel_norm)
 
 
 def test_plan_width_formulas():
@@ -128,7 +128,7 @@ def test_calibrate_cn_cross_checks_quadrature(monkeypatch):
                                             refine_check=False))
     # a closed form off by 1e-6 relative must not freeze a constant
     monkeypatch.setattr(
-        "heisharm.ingham.ball_coefficients",
+        "heisharm.calibrate.ball_coefficients",
         lambda s, k_max, n: ball_coefficients(s, k_max, n) * (1.0 + 1e-6))
     with pytest.raises(QuadratureError):
         calibrate_cn(1, k_max=20, s_nodes=12)
@@ -262,49 +262,42 @@ def test_support_radius_formula():
         support_radius(plan, 0)
 
 
-def test_ball_geometry_values():
-    assert ball_volume(1.0, 2) == pytest.approx(np.pi)
-    assert ball_volume(1.0, 4) == pytest.approx(np.pi ** 2 / 2.0)
-    assert sphere_surface(2, 3.0) == pytest.approx(6.0 * np.pi)
-    assert sphere_surface(4, 1.0) == pytest.approx(2.0 * np.pi ** 2)
-
-
-def test_symmdiff_matches_planar_lens():
-    for R, d in ((1.0, 0.3), (0.7, 0.9), (2.5, 4.9)):
-        lens = 2.0 * R ** 2 * np.arccos(0.5 * d / R) \
-            - 0.5 * d * np.sqrt(4.0 * R ** 2 - d ** 2)
-        sd = ball_shift_symmdiff(2, R, d)
-        assert abs(sd - (2.0 * np.pi * R ** 2 - 2.0 * lens)) < LENS_TOL
-
-
-def test_symmdiff_edges_and_bound():
-    assert ball_shift_symmdiff(4, 1.3, 0.0) == 0.0
-    assert ball_shift_symmdiff(4, 1.3, 2.6) == pytest.approx(
-        2.0 * ball_volume(1.3, 4))
-    assert ball_shift_symmdiff(4, 1.3, 99.0) == pytest.approx(
-        2.0 * ball_volume(1.3, 4))
-    xi = np.linspace(0.0, 2.0, 41)
-    vals = [ball_shift_symmdiff(2, 1.0, x) for x in xi]
-    assert np.all(np.diff(vals) >= 0)
-    for dim in (2, 4):
-        for d in (0.05, 0.4, 1.0):
-            assert ball_shift_symmdiff(dim, 1.0, d) <= d * sphere_surface(dim, 1.0)
-    with pytest.raises(DomainError):
-        ball_shift_symmdiff(3, 1.0, 0.5)
-    with pytest.raises(DomainError):
-        ball_shift_symmdiff(2, -1.0, 0.5)
-
-
 def test_cauchy_gap_within_calibrated_envelope():
     plan = plan_sequences(builtin_theta("inv-sqrt"), 1, J=16)
     grid = QuadratureGrid.make(k_max=32, lambda_min=1e-2, lambda_max=1e2,
                                lambda_nodes=64)
     C = float(load_fixture("chain_gap_constants.json")["C"])
-    for k in (1, 2, 4):
-        bound, measured = cauchy_gap(plan, k, grid)
-        assert measured <= C * bound
+    bounds, measured = cauchy_gap(plan, 4, grid)
+    assert bounds.shape == measured.shape == (4,)
+    assert np.all(measured <= C * bounds)
     with pytest.raises(DomainError):
         cauchy_gap(plan, 16, grid)
+
+
+def test_cauchy_gap_streams_the_chain_once(monkeypatch):
+    # the gaps for k = 1..K come from one stream of the K+1 factors of
+    # G_{K+1}, each gap the difference of consecutive chain columns
+    plan = plan_sequences(builtin_theta("inv-sqrt"), 1, J=16, c_n=1.2)
+    grid = QuadratureGrid.make(k_max=16, lambda_min=1e-2, lambda_max=1e2,
+                               lambda_nodes=24)
+    calls = []
+
+    def counted(s, k_max, n):
+        calls.append(s.size)
+        return ball_coefficients(s, k_max, n)
+
+    monkeypatch.setattr("heisharm.ingham.ball_coefficients", counted)
+    K = 12
+    bounds, measured = cauchy_gap(plan, K, grid, c3=1.0)
+    assert len(calls) == K + 1
+    monkeypatch.undo()
+    for k in (1, 5, K):
+        gap = (chain_coefficients(plan, k + 1, grid).values
+               - chain_coefficients(plan, k, grid).values)
+        assert measured[k - 1] == pytest.approx(float(plancherel_norm(
+            SpectralCoefficients(n=1, grid=grid, values=gap, symmetric=True))),
+            rel=1e-12)
+        assert bounds[k - 1] == plan.tau[k] ** 2 + plan.rho[k]
 
 
 def test_verify_decay_smoke():

@@ -180,6 +180,29 @@ def test_spectral_checks_skip_gauss_rules_and_plans_still_hash(tmp_path):
     assert (tmp_path / "ingham-plan.json").exists()
 
 
+@pytest.mark.parametrize("command, unloaded", [
+    # three closed-form geometry formulas over _special: no planner, no
+    # transform and no fixture, so no OpenSSL either
+    ("symmdiff-check", ("heisharm.ingham", "heisharm.transform",
+                        "heisharm.laguerre", "heisharm.grids",
+                        "heisharm.fixtures", "_hashlib")),
+    # the envelope replay reads its fixture but plans and transforms nothing
+    ("laguerre-check", ("heisharm.calibrate", "heisharm.ingham",
+                        "heisharm.theta", "heisharm.transform",
+                        "heisharm.grids")),
+])
+def test_light_checks_load_only_what_they_run(tmp_path, command, unloaded):
+    code = _FOOTPRINT + (
+        f"assert heisharm.cli.dispatch([{command!r}, '--out',\n"
+        f"    out + '/{command}.json']) == 0\n"
+        f"for name in {unloaded!r}:\n"
+        "    assert name not in added(), name\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True, env=_fresh_env())
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / f"{command}.json").exists()
+
+
 def test_runtime_import_path_never_loads_oracles(tmp_path):
     # a convolve-check loads neither the quadrature oracles nor the group
     # law, which only tests use, nor the fixtures, the calibration, the

@@ -15,15 +15,14 @@ import argparse
 import sys
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .errors import (DimensionMismatchError, DomainError, GridMismatchError,
                      HypothesisError, ProfileClassError, QuadratureError,
                      TailError)
 from .jsonio import atomic_write_text, read_json, write_json
 
-# each subcommand imports the library names it calls in its own body, so a
-# run loads only the modules of the check it makes
+# each subcommand imports numpy and the library names it calls in its own
+# body, so a run loads only the modules of the check it makes, and --help,
+# usage errors and config refusals load no numpy at all
 
 __all__ = ["RunConfig", "dispatch", "main"]
 
@@ -129,6 +128,8 @@ _PLANCHEREL_TOL = 1e-4
 
 
 def _cmd_plancherel_check(cfg):
+    import numpy as np
+
     from .transform import (box_coefficients, gaussian_coefficients,
                             plancherel_norm)
     family = cfg.family
@@ -170,6 +171,8 @@ _CONVOLVE_TOL = 1e-3
 
 
 def _cmd_convolve_check(cfg):
+    import numpy as np
+
     from .transform import (box_coefficients, box_convolution_coefficients,
                             box_convolution_grids, multiply_coeffs)
     if cfg.n != 1:
@@ -203,6 +206,8 @@ _DILATE_TOL = 1e-3
 
 
 def _cmd_dilate_check(cfg):
+    import numpy as np
+
     from .transform import dilate_coeffs, gaussian_coefficients
     r = cfg.dilation
     grid = cfg.grid()
@@ -234,9 +239,11 @@ def _cmd_dilate_check(cfg):
 
 
 def _cmd_ingham_plan(cfg):
-    from .ingham import factor_bound_check, plan_sequences, support_radius
-    from .theta import load_theta
+    from .theta import load_theta, require_convergent
     theta = load_theta(cfg.theta)
+    # a declared-divergent profile is refused before the planner loads
+    require_convergent(theta)
+    from .ingham import factor_bound_check, plan_sequences, support_radius
     plan = plan_sequences(theta, cfg.n, J=cfg.chain_length,
                           fixtures_dir=cfg.fixtures)
     # thinned replay of the factor-bound calibration; full density is the
@@ -262,9 +269,10 @@ def _cmd_ingham_plan(cfg):
 
 
 def _cmd_ingham_verify(cfg):
-    from .ingham import plan_sequences, verify_decay
-    from .theta import load_theta
+    from .theta import load_theta, require_convergent
     theta = load_theta(cfg.theta)
+    require_convergent(theta)
+    from .ingham import plan_sequences, verify_decay
     plan = plan_sequences(theta, cfg.n, J=cfg.chain_length,
                           fixtures_dir=cfg.fixtures)
     report = verify_decay(plan, theta, k_max=cfg.k_max,
@@ -296,6 +304,8 @@ def _carleman_rows(prof, ratios):
 
 
 def _cmd_carleman(cfg):
+    import numpy as np
+
     from .chernoff import (check_gamma_hypothesis, gamma_bound_log,
                            sublaplacian_norms)
     from .grids import QuadratureGrid
@@ -389,11 +399,16 @@ _LENS_TOL = 1e-10
 
 
 def _exact_lens_area(R, d):
-    # planar two-disk intersection, centers d < 2R apart
+    # planar two-disk intersection, centers d < 2R apart; numpy's arccos, not
+    # math.acos: where numpy dispatches to its SIMD arccos the two differ in
+    # the last bits, and the reported max_lens_error would move
+    import numpy as np
     return 2.0 * R * R * np.arccos(0.5 * d / R) - 0.5 * d * np.sqrt(4.0 * R * R - d * d)
 
 
 def _cmd_symmdiff_check(cfg):
+    import numpy as np
+
     from .group import ball_shift_symmdiff, ball_volume, sphere_surface
     rows = []
     for dim in (2, 4):

@@ -33,8 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ProfileClassError
+from .errors import DomainError
 from .fixtures import FACTOR_K_MAX, FACTOR_S_NODES, calibration_grid, load_fixture
+from .theta import require_convergent
 from .transform import (SpectralCoefficients, _box_t_hat, ball_coefficients,
                         ball_normalizer, plancherel_norm)
 
@@ -115,10 +116,7 @@ def plan_sequences(theta, n, J=64, c_n=None, fixtures_dir=None):
     the zero profile; the leading term meets the required lower bound
     rho_j >= c_n^2 e^2 Theta(j)/j by construction.
     """
-    if theta.divergent:
-        raise ProfileClassError(
-            f"profile {theta.name!r} is declared divergent: no compactly "
-            "supported function can have this spectral decay")
+    require_convergent(theta)
     if J < 1:
         raise DomainError("need at least one factor")
     if J > 1074:
@@ -298,9 +296,7 @@ def verify_decay(plan, theta, k_max=64, lambda_min=1e-2, lambda_max=1e2,
     Theta act cell by cell.  Report schema is fixed; byte determinism
     across repeated runs is part of the contract.
     """
-    if theta.divergent:
-        raise ProfileClassError(
-            f"profile {theta.name!r} is declared divergent: nothing to certify")
+    require_convergent(theta, "nothing to certify")
     lam_nodes = np.geomspace(lambda_min, lambda_max, lambda_nodes)
     top = 2 * k_max if stability_check else k_max
     log_q = _log_q_table(plan, theta, top, lam_nodes)

@@ -5,7 +5,8 @@ tests check every closed form against it.  RadialFunction samples a
 separable radial function in space, forward_radial pushes it through
 radial Gauss-Legendre quadrature with a panel-refinement check, and
 direct_convolution_oracle evaluates a group convolution on H^1 by brute
-force.  box_factor and gaussian_factor share their t-transforms with
+force, and tail_integral_estimate the integral int_1^inf Theta(t)/t dt that
+decides a profile's class.  box_factor and gaussian_factor share their t-transforms with
 box_coefficients and gaussian_coefficients, so the oracles and the closed
 forms agree on the t-part by construction and differ only in the radial
 integral.
@@ -29,6 +30,7 @@ __all__ = [
     "ground_state",
     "forward_radial",
     "direct_convolution_oracle",
+    "tail_integral_estimate",
 ]
 
 
@@ -207,3 +209,11 @@ def direct_convolution_oracle(f, g, x, g_z_radius, g_t_radius, nodes=24):
     # y = (w, s);  x y^{-1} = (xz - w, xt - s - Im(xz conj(w))/2)
     fv = f(xz - wz, xt - s - 0.5 * np.imag(xz * np.conj(wz)))
     return float(np.sum(fv * g(wz, s) * wts))
+
+
+def tail_integral_estimate(profile, lo=1.0, hi=1e8, nodes=4097):
+    """Trapezoid estimate of int_lo^hi Theta(t)/t dt on a log-spaced grid."""
+    t = np.geomspace(lo, hi, nodes)
+    x = np.log(t)
+    vals = profile(t)
+    return float(np.trapezoid(vals, x))

@@ -17,14 +17,17 @@ Builtins:
     inv-log-sq      1/log(e+y)^2          convergent
     zero            0                     convergent
 
-Table profiles come from JSON configs; their values are forced
-nonincreasing with a running minimum and extended by constants on both
-sides of the tabulated range.
+Table profiles come from JSON configs; their abscissae must be finite,
+and their values are forced nonincreasing with a running minimum and
+extended by constants on both sides of the tabulated range.
+
+Resolving a builtin name or the declared_class of a config needs no
+numpy: it is imported where a profile is evaluated and where a table is
+validated, so the planners' refusal of a divergent builtin runs without
+the numeric stack.
 """
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import ProfileClassError
 from .jsonio import read_json
@@ -34,41 +37,19 @@ __all__ = [
     "builtin_theta",
     "theta_from_config",
     "load_theta",
-    "tail_integral_estimate",
+    "require_convergent",
     "BUILTIN_THETAS",
 ]
 
 _CLASSES = ("convergent", "divergent")
 
-
-def _inv_sqrt(y):
-    return (1.0 + np.abs(y)) ** -0.5
-
-
-def _inv_sqrt_strong(y):
-    y = np.abs(y)
-    with np.errstate(divide="ignore"):
-        return 2.0 * np.minimum(1.0, np.where(y > 0, y, np.inf) ** -0.5)
-
-
-def _inv_log(y):
-    return 1.0 / np.log(np.e + np.abs(y))
-
-
-def _inv_log_sq(y):
-    return np.log(np.e + np.abs(y)) ** -2.0
-
-
-def _zero(y):
-    return np.zeros_like(np.asarray(y, dtype=float))
-
-
+# name -> declared class; ThetaProfile.__call__ holds the formulas
 BUILTIN_THETAS = {
-    "inv-sqrt": (_inv_sqrt, "convergent"),
-    "inv-sqrt-strong": (_inv_sqrt_strong, "convergent"),
-    "inv-log": (_inv_log, "divergent"),
-    "inv-log-sq": (_inv_log_sq, "convergent"),
-    "zero": (_zero, "convergent"),
+    "inv-sqrt": "convergent",
+    "inv-sqrt-strong": "convergent",
+    "inv-log": "divergent",
+    "inv-log-sq": "convergent",
+    "zero": "convergent",
 }
 
 
@@ -77,16 +58,24 @@ class ThetaProfile:
     name: str
     kind: str
     declared_class: str
-    y: np.ndarray = field(default=None, repr=False)
-    vals: np.ndarray = field(default=None, repr=False)
+    # read-only float arrays, for table profiles only
+    y: object = field(default=None, repr=False)
+    vals: object = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.declared_class not in _CLASSES:
             raise ProfileClassError(
                 f"declared_class must be one of {_CLASSES}, got {self.declared_class!r}")
         if self.kind == "table":
-            y = np.asarray(self.y, dtype=float)
-            v = np.asarray(self.vals, dtype=float)
+            import numpy as np
+            try:
+                y = np.asarray(self.y, dtype=float)
+                v = np.asarray(self.vals, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ProfileClassError(
+                    f"table y and theta must be arrays of numbers: {exc}") from None
+            if not np.all(np.isfinite(y)):
+                raise ProfileClassError("table abscissae y must be finite")
             if y.ndim != 1 or y.size < 2 or np.any(np.diff(y) <= 0) or y[0] < 0:
                 raise ProfileClassError("table abscissae must be >= 0, strictly increasing")
             if v.shape != y.shape or np.any(v < 0) or not np.all(np.isfinite(v)):
@@ -100,22 +89,44 @@ class ThetaProfile:
             raise ProfileClassError(f"unknown profile kind {self.kind!r}")
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "table":
-            return np.interp(np.abs(t), self.y, self.vals,
+        import numpy as np
+        y = np.abs(np.asarray(t, dtype=float))
+        kind = self.kind
+        if kind == "table":
+            return np.interp(y, self.y, self.vals,
                              left=self.vals[0], right=self.vals[-1])
-        return BUILTIN_THETAS[self.kind][0](t)
+        if kind == "inv-sqrt":
+            return (1.0 + y) ** -0.5
+        if kind == "inv-sqrt-strong":
+            with np.errstate(divide="ignore"):
+                return 2.0 * np.minimum(1.0, np.where(y > 0, y, np.inf) ** -0.5)
+        if kind == "inv-log":
+            return 1.0 / np.log(np.e + y)
+        if kind == "inv-log-sq":
+            return np.log(np.e + y) ** -2.0
+        return np.zeros_like(y)
 
     @property
     def divergent(self):
         return self.declared_class == "divergent"
 
 
+def require_convergent(profile,
+                       consequence="no compactly supported function can have "
+                                   "this spectral decay"):
+    """Refuse a profile declared divergent: the construction needs
+    int_1^inf Theta(t)/t dt < inf.  The check reads only the declared
+    class, so it runs before any numerics."""
+    if profile.divergent:
+        raise ProfileClassError(
+            f"profile {profile.name!r} is declared divergent: {consequence}")
+
+
 def builtin_theta(name):
     if name not in BUILTIN_THETAS:
         raise ProfileClassError(
             f"no builtin profile {name!r}; choose from {sorted(BUILTIN_THETAS)}")
-    return ThetaProfile(name=name, kind=name, declared_class=BUILTIN_THETAS[name][1])
+    return ThetaProfile(name=name, kind=name, declared_class=BUILTIN_THETAS[name])
 
 
 def theta_from_config(obj):
@@ -130,8 +141,7 @@ def theta_from_config(obj):
         if "y" not in obj or "theta" not in obj:
             raise ProfileClassError("table profile config needs 'y' and 'theta' arrays")
         return ThetaProfile(name=name, kind="table", declared_class=declared,
-                            y=np.array(obj["y"], dtype=float),
-                            vals=np.array(obj["theta"], dtype=float))
+                            y=obj["y"], vals=obj["theta"])
     if kind not in BUILTIN_THETAS:
         raise ProfileClassError(f"unknown profile kind {kind!r}")
     return ThetaProfile(name=name, kind=kind, declared_class=declared)
@@ -149,11 +159,3 @@ def load_theta(source):
     except ValueError as exc:
         raise ProfileClassError(f"profile config {source!r} is not valid JSON") from exc
     return theta_from_config(obj)
-
-
-def tail_integral_estimate(profile, lo=1.0, hi=1e8, nodes=4097):
-    """Trapezoid estimate of int_lo^hi Theta(t)/t dt on a log-spaced grid."""
-    t = np.geomspace(lo, hi, nodes)
-    x = np.log(t)
-    vals = profile(t)
-    return float(np.trapezoid(vals, x))

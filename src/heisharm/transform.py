@@ -26,7 +26,7 @@ from ._special import gammainc_int, gammaln
 from .errors import DimensionMismatchError, DomainError, GridMismatchError
 from .grids import QuadratureGrid, _unit_rule, gauss_legendre_panels
 from .jsonio import atomic_write_text, read_json, write_json
-from .laguerre import _orthonormal_table, normalized_laguerre_table
+from .laguerre import _orthonormal_rows, normalized_laguerre_table
 
 __all__ = [
     "SpectralCoefficients",
@@ -97,15 +97,19 @@ def ball_coefficients(s, k_max, n):
     alpha = n - 1.0
     a = ball_normalizer(n)
     x = 0.5 * s * a * a
-    orth = _orthonormal_table(k_max, alpha + 1.0, x)
     xpow = 2.0 * np.minimum(x, _POWER_CAP) ** (alpha + 1.0)
     J = np.empty((k_max + 1, s.size))
     J[0] = 2.0 ** (alpha + 1.0) * np.exp(0.5 * gammaln(alpha + 1.0)) \
         * gammainc_int(n, 0.5 * x)
-    for k in range(k_max):
-        J[k + 1] = (xpow * orth[k] - np.sqrt(k + alpha + 1.0) * J[k]) / np.sqrt(k + 1.0)
+    # rows 0..k_max-1 of the L^{alpha+1} recurrence feed J as they come, so
+    # J is the only (k_max+1)-row table held
+    rows = _orthonormal_rows(k_max, alpha + 1.0, x)
+    for k, orth_k in zip(range(k_max), rows):
+        J[k + 1] = (xpow * orth_k - np.sqrt(k + alpha + 1.0) * J[k]) / np.sqrt(k + 1.0)
     weights = _coefficient_weights(k_max, n) * (np.exp(0.5 * gammaln(n)) * 2.0 ** alpha)
-    return weights[:, None] * J * s ** -float(n)
+    J *= weights[:, None]
+    J *= s ** -float(n)
+    return J
 
 
 def _box_t_hat(tau, lam):
@@ -130,7 +134,8 @@ def box_coefficients(n, rho, tau, grid):
     oracle."""
     if rho <= 0 or tau <= 0:
         raise DomainError("box factor needs rho > 0 and tau > 0")
-    vals = ball_coefficients(grid.lam * rho ** 2, grid.k_max, n) * _box_t_hat(tau, grid.lam)
+    vals = ball_coefficients(grid.lam * rho ** 2, grid.k_max, n)
+    vals *= _box_t_hat(tau, grid.lam)
     return SpectralCoefficients(n=n, grid=grid, values=vals, symmetric=True)
 
 
@@ -235,8 +240,9 @@ def _norm_sq(coeffs, weight=None):
     hs = projection_hs_norm_sq(coeffs.k, n)
     sq = coeffs.values ** 2
     if weight is not None:
-        sq = sq * weight
-    per_lam = np.sum(sq * hs[:, None], axis=0)
+        sq *= weight
+    sq *= hs[:, None]
+    per_lam = np.sum(sq, axis=0)
     total = np.sum(per_lam * g.lambda_measure_weights(n))
     if coeffs.symmetric:
         total *= 2.0

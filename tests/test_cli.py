@@ -70,6 +70,20 @@ def test_divergent_profile_refused(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("command", ["ingham-plan", "ingham-verify"])
+@pytest.mark.parametrize("y", ["[0, NaN, 2]", "[0, 1, Infinity]"])
+def test_non_finite_table_abscissae_refused(tmp_path, capsys, command, y):
+    # Python's JSON reader takes NaN and Infinity; the profile refuses them
+    prof = tmp_path / "prof.json"
+    prof.write_text('{"name": "p", "kind": "table", "declared_class": '
+                    f'"convergent", "y": {y}, "theta": [1.0, 0.5, 0.2]}}')
+    code, report, _ = run(tmp_path, command, "--theta", str(prof))
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert err == (f"heisharm {command}: refused: "
+                   "table abscissae y must be finite\n")
+
+
 def test_gamma_bound_check_paths(tmp_path):
     # the default profile sits below the hypothesis threshold
     assert dispatch(["gamma-bound-check", "--out",

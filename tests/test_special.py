@@ -145,8 +145,8 @@ def test_runtime_import_path_never_loads_scipy(tmp_path):
 
 # the head of each fresh-interpreter script below: the package imports
 # nothing, and the CLI module loads only errors and jsonio of it, neither
-# hashlib (OpenSSL) nor numpy.polynomial; modules the environment loaded
-# before the package do not count
+# hashlib (OpenSSL) nor numpy; modules the environment loaded before the
+# package do not count
 _FOOTPRINT = (
     "import sys\n"
     "import heisharm\n"
@@ -158,10 +158,50 @@ _FOOTPRINT = (
     "import heisharm.cli\n"
     "pkg = sorted(m for m in added() if m.startswith('heisharm.'))\n"
     "assert pkg == ['heisharm.cli', 'heisharm.errors', 'heisharm.jsonio'], pkg\n"
-    "for name in ('hashlib', '_hashlib', 'numpy.polynomial'):\n"
+    "for name in ('hashlib', '_hashlib', 'numpy'):\n"
     "    assert name not in added(), name\n"
     "out = sys.argv[1]\n"
 )
+
+
+_DIVERGENT = ("heisharm {}: refused: profile {!r} is declared divergent: no "
+              "compactly supported function can have this spectral decay\n")
+
+
+@pytest.mark.parametrize("argv, code, stderr, unloaded", [
+    (["--help"], 0, "", ("numpy", "heisharm.theta")),
+    (["dilate-check", "--dilation", "inf"], 2,
+     "heisharm dilate-check: refused: dilation must be a finite number, "
+     "got inf\n", ("numpy", "heisharm.transform")),
+    (["ingham-plan", "--theta", "inv-log"], 2,
+     _DIVERGENT.format("ingham-plan", "inv-log"), ("numpy", "heisharm.ingham")),
+    (["ingham-verify", "--theta", "inv-log"], 2,
+     _DIVERGENT.format("ingham-verify", "inv-log"),
+     ("numpy", "heisharm.ingham")),
+    # a table is validated as a numpy array, but the planner never loads
+    (["ingham-plan", "--theta", "{dir}/slowlog.json"], 2,
+     _DIVERGENT.format("ingham-plan", "slowlog"),
+     ("heisharm.ingham", "heisharm.transform", "heisharm.fixtures")),
+], ids=["help", "config-refusal", "plan-inv-log", "verify-inv-log",
+        "plan-divergent-table"])
+def test_front_end_and_declared_refusals_skip_numpy(tmp_path, argv, code,
+                                                     stderr, unloaded):
+    (tmp_path / "slowlog.json").write_text(
+        '{"name": "slowlog", "kind": "table", "declared_class": "divergent",'
+        ' "y": [0.0, 1.0, 2.0], "theta": [1.0, 0.5, 0.2]}')
+    never = tmp_path / "never.json"
+    argv = [a.format(dir=tmp_path) for a in argv] + ["--out", str(never)]
+    script = _FOOTPRINT + (
+        f"code = heisharm.cli.dispatch({argv!r})\n"
+        f"for name in {unloaded!r}:\n"
+        "    assert name not in added(), name\n"
+        "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          capture_output=True, text=True, env=_fresh_env())
+    assert (proc.returncode, proc.stderr) == (code, stderr)
+    assert not never.exists()
+    if code == 0:
+        assert proc.stdout.startswith("usage: heisharm")
 
 
 def test_spectral_checks_skip_gauss_rules_and_plans_still_hash(tmp_path):

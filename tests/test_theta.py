@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from heisharm.errors import ProfileClassError
+from heisharm.oracles import tail_integral_estimate
 from heisharm.theta import (BUILTIN_THETAS, ThetaProfile, builtin_theta,
-                            load_theta, tail_integral_estimate,
-                            theta_from_config)
+                            load_theta, require_convergent, theta_from_config)
 
 
 def test_builtin_values():
@@ -29,6 +30,32 @@ def test_builtin_classes():
 def test_unknown_builtin_refused():
     with pytest.raises(ProfileClassError):
         builtin_theta("no-such-profile")
+
+
+def _inv_sqrt_strong(y):
+    y = np.abs(y)
+    with np.errstate(divide="ignore"):
+        return 2.0 * np.minimum(1.0, np.where(y > 0, y, np.inf) ** -0.5)
+
+
+# the builtin formulas as standalone functions of t, the branches of
+# ThetaProfile.__call__ must give the same floats
+_FORMULAS = {
+    "inv-sqrt": lambda y: (1.0 + np.abs(y)) ** -0.5,
+    "inv-sqrt-strong": _inv_sqrt_strong,
+    "inv-log": lambda y: 1.0 / np.log(np.e + np.abs(y)),
+    "inv-log-sq": lambda y: np.log(np.e + np.abs(y)) ** -2.0,
+    "zero": lambda y: np.zeros_like(np.asarray(y, dtype=float)),
+}
+
+
+def test_builtin_branches_match_formulas_bitwise():
+    assert set(_FORMULAS) == set(BUILTIN_THETAS)
+    t = np.concatenate([-np.geomspace(1e-3, 1e8, 50), [0.0],
+                        np.geomspace(1e-6, 1e12, 300)])
+    for name, formula in _FORMULAS.items():
+        assert_array_equal(builtin_theta(name)(t), formula(t), err_msg=name)
+        assert builtin_theta(name)(3.0) == formula(np.asarray(3.0)), name
 
 
 def test_all_builtins_nonincreasing():
@@ -62,6 +89,37 @@ def test_table_profile_validation():
                      y=np.array([0.0, 1.0]), vals=np.array([1.0, -0.2]))
     with pytest.raises(ProfileClassError):
         ThetaProfile(name="bad", kind="inv-sqrt", declared_class="sideways")
+
+
+@pytest.mark.parametrize("y", [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf],
+                               [-np.inf, 0.0, 1.0]])
+def test_table_abscissae_must_be_finite(y):
+    with pytest.raises(ProfileClassError, match="abscissae y must be finite"):
+        ThetaProfile(name="bad", kind="table", declared_class="convergent",
+                     y=np.array(y), vals=np.array([1.0, 0.5, 0.2]))
+    # the same from a config, where a JSON null reads as nan
+    cfg = {"name": "bad", "kind": "table", "declared_class": "divergent",
+           "y": [None if np.isnan(v) else v for v in y], "theta": [1.0, 0.5, 0.2]}
+    with pytest.raises(ProfileClassError, match="abscissae y must be finite"):
+        theta_from_config(cfg)
+
+
+def test_table_of_non_numbers_refused():
+    for y in (["a", "b"], [[0.0, 1.0], [2.0]], "0,1"):
+        with pytest.raises(ProfileClassError):
+            theta_from_config({"name": "bad", "kind": "table",
+                               "declared_class": "convergent",
+                               "y": y, "theta": [1.0, 0.5]})
+
+
+def test_require_convergent_reads_the_declared_class():
+    require_convergent(builtin_theta("inv-log-sq"))
+    with pytest.raises(ProfileClassError, match="'inv-log' is declared "
+                       "divergent: no compactly supported function"):
+        require_convergent(builtin_theta("inv-log"))
+    with pytest.raises(ProfileClassError,
+                       match="declared divergent: nothing to certify$"):
+        require_convergent(builtin_theta("inv-log"), "nothing to certify")
 
 
 def test_config_and_path_loading(tmp_path):

@@ -1,18 +1,23 @@
 """Forward transform, norms, multipliers, dilation and serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+from heisharm._special import gammainc_int, gammaln
 from heisharm.errors import DomainError, GridMismatchError
 from heisharm.grids import QuadratureGrid, radial_rule
+from heisharm.laguerre import _orthonormal_table
 from heisharm.oracles import (box_factor, forward_radial, gaussian_factor,
                               ground_state)
-from heisharm.transform import (SpectralCoefficients, apply_multiplier,
+from heisharm.transform import (_POWER_CAP, SpectralCoefficients,
+                                _coefficient_weights, apply_multiplier,
                                 ball_coefficients, ball_normalizer,
-                                dilate_coeffs, gaussian_coefficients,
+                                box_coefficients, dilate_coeffs, gaussian_coefficients,
                                 load_coefficients, multiply_coeffs,
                                 plancherel_norm, projection_hs_norm_sq,
                                 save_coefficients, sobolev_norm,
@@ -107,6 +112,60 @@ def test_ball_coefficients_rows_do_not_depend_on_top_degree(n, k, extra, log_s):
     s = _branch_s(n) * 10.0 ** np.array(log_s)
     assert_array_equal(ball_coefficients(s, k + extra, n)[:k + 1],
                        ball_coefficients(s, k, n))
+
+
+def _ball_coefficients_table(s, k_max, n):
+    """ball_coefficients with the whole L^{alpha+1} table built before the J
+    recurrence and one out-of-place scaling at the end: the streamed
+    version must give the same floats."""
+    alpha = n - 1.0
+    a = ball_normalizer(n)
+    x = 0.5 * s * a * a
+    orth = _orthonormal_table(k_max, alpha + 1.0, x)
+    xpow = 2.0 * np.minimum(x, _POWER_CAP) ** (alpha + 1.0)
+    J = np.empty((k_max + 1, s.size))
+    J[0] = 2.0 ** (alpha + 1.0) * np.exp(0.5 * gammaln(alpha + 1.0)) \
+        * gammainc_int(n, 0.5 * x)
+    for k in range(k_max):
+        J[k + 1] = (xpow * orth[k] - np.sqrt(k + alpha + 1.0) * J[k]) / np.sqrt(k + 1.0)
+    weights = _coefficient_weights(k_max, n) * (np.exp(0.5 * gammaln(n)) * 2.0 ** alpha)
+    return weights[:, None] * J * s ** -float(n)
+
+
+@seed(23)
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.integers(min_value=0, max_value=90),
+       st.lists(st.floats(min_value=-9.0, max_value=12.0), min_size=1,
+                max_size=8))
+def test_ball_coefficients_match_table_oracle_bitwise(n, k_max, log_s):
+    s = 10.0 ** np.array(log_s)
+    assert_array_equal(ball_coefficients(s, k_max, n),
+                       _ball_coefficients_table(s, k_max, n))
+
+
+def _peak_bytes(fn):
+    fn()  # the first call may fill caches
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ball_and_box_coefficients_hold_one_table():
+    # the streamed recurrence holds the returned table, a few rows and
+    # numpy's 64 KiB ufunc buffer; a whole Laguerre table or an out-of-place
+    # scaling would each add one more table
+    s = np.geomspace(1e-3, 1e3, 128)
+    out, peak = _peak_bytes(lambda: ball_coefficients(s, 256, 2))
+    assert peak <= 2.0 * out.nbytes
+    grid = QuadratureGrid.make(k_max=256, lambda_min=1e-4, lambda_max=1e2,
+                               lambda_nodes=576)
+    _, peak = _peak_bytes(
+        lambda: plancherel_norm(box_coefficients(1, 0.9, 0.8, grid)))
+    # values and their weighted squares: two tables
+    assert peak <= 2.5 * (grid.k_max + 1) * grid.lam.size * 8
 
 
 @seed(13)

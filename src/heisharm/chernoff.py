@@ -11,10 +11,9 @@ sum_m ||L^m f||^{-1/(2m)} is never "decided"; reports state partial sums
 and growth trends only.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from ._special import gammaln, logsumexp
 from .errors import DomainError, HypothesisError, TailError
 from .transform import projection_hs_norm_sq
@@ -37,24 +36,23 @@ __all__ = [
 MAX_POWER = 12
 
 
-@dataclass(frozen=True)
-class NormGrowthProfile:
+class NormGrowthProfile(Record):
     """Norms ||L^m f||_2 for m = 0..M with the derived Carleman data.
 
     log_norms is the primary record; norms is its exponential and may
     overflow to inf for wide spectral windows.  degenerate marks the zero
-    function, whose Carleman terms are reported as +inf.
+    function, whose Carleman terms are reported as +inf.  The three arrays
+    are made read-only.
     """
 
-    log_norms: np.ndarray
-    carleman_terms: np.ndarray
-    partial_sums: np.ndarray
-    degenerate: bool = False
+    __slots__ = ("log_norms", "carleman_terms", "partial_sums", "degenerate")
 
-    def __post_init__(self):
-        self.log_norms.setflags(write=False)
-        self.carleman_terms.setflags(write=False)
-        self.partial_sums.setflags(write=False)
+    def __init__(self, log_norms, carleman_terms, partial_sums, degenerate=False):
+        log_norms.setflags(write=False)
+        carleman_terms.setflags(write=False)
+        partial_sums.setflags(write=False)
+        self._assign(log_norms=log_norms, carleman_terms=carleman_terms,
+                     partial_sums=partial_sums, degenerate=degenerate)
 
     @property
     def norms(self):

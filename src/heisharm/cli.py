@@ -1,11 +1,12 @@
 """Command-line front end: one subcommand per certified check.
 
 Every run resolves a single RunConfig (flags override a JSON config file,
-which overrides built-in defaults), dispatches to exactly one library
-operation family, writes one JSON report atomically, and prints one summary
-line.  Exit status is the contract: 0 when the certified check passed, 1
-when it completed and failed, 2 for configuration or usage errors,
-including profile-class and hypothesis refusals.
+which overrides built-in defaults, and an option the command does not read
+is refused), dispatches to exactly one library operation family, writes one
+JSON report atomically, and prints one summary line.  Exit status is the
+contract: 0 when the certified check passed, 1 when it completed and failed,
+2 for configuration or usage errors, including profile-class and hypothesis
+refusals.
 
 Reports never embed timestamps or environment data, so identical configs
 and fixtures give byte-identical files on every run.
@@ -13,7 +14,7 @@ and fixtures give byte-identical files on every run.
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from .errors import (DimensionMismatchError, DomainError, GridMismatchError,
                      HypothesisError, ProfileClassError, QuadratureError,
@@ -30,7 +31,7 @@ _KINDS = {str: "a string", int: "an integer", float: "a finite number"}
 
 
 def _typed(name, kind, value):
-    """value as the type kind that RunConfig declares for the option name:
+    """value as the type kind that _OPTIONS declares for the option name:
     numbers must be finite and integers integral, and factors may be one
     comma-separated string.  Anything else is refused naming the option."""
     if kind is tuple:
@@ -54,35 +55,47 @@ def _typed(name, kind, value):
     return kind(value)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings of one CLI run.  Each field after command is an
-    option: its name is the flag's dest and the config-file key, and its
-    default applies where neither the command, the config file nor a flag
-    sets it."""
+# name, type, default: each option is a flag's dest, a config-file key and a
+# field of RunConfig, and its default applies where neither the command, the
+# config file nor a flag sets it
+_OPTIONS = (
+    ("theta", str, "inv-sqrt"),
+    ("n", int, 1),
+    ("k_max", int, 64),
+    ("lambda_min", float, 1e-2),
+    ("lambda_max", float, 1e2),
+    ("lambda_nodes", int, 192),
+    ("out", str, "report.json"),
+    ("fixtures", str, None),
+    ("family", str, None),
+    ("dilation", float, 1.4),
+    ("factors", tuple, (0.9, 0.8, 0.7, 0.6)),
+    ("max_power", int, None),
+    ("chain_length", int, 16),
+)
+_NAMES = tuple(name for name, _, _ in _OPTIONS)
 
-    command: str
-    theta: str = "inv-sqrt"
-    n: int = 1
-    k_max: int = 64
-    lambda_min: float = 1e-2
-    lambda_max: float = 1e2
-    lambda_nodes: int = 192
-    out: str = "report.json"
-    fixtures: str = None
-    family: str = None
-    dilation: float = 1.4
-    factors: tuple = (0.9, 0.8, 0.7, 0.6)
-    max_power: int = None
-    chain_length: int = 16
 
-    def __post_init__(self):
-        if self.command not in _COMMANDS:
-            raise DomainError(f"unknown command {self.command!r}")
-        for f in _OPTIONS:
-            value = getattr(self, f.name)
-            if value is not None or f.default is not None:
-                object.__setattr__(self, f.name, _typed(f.name, f.type, value))
+class RunConfig(namedtuple("RunConfig", ("command",) + _NAMES)):
+    """Resolved settings of one CLI run: the command and one field per
+    option of _OPTIONS, each checked against its declared type.  Configs
+    compare by value; _replace and _make validate like the constructor."""
+
+    __slots__ = ()
+
+    def __new__(cls, command, **options):
+        if command not in _COMMANDS:
+            raise DomainError(f"unknown command {command!r}")
+        unknown = sorted(set(options).difference(_NAMES))
+        if unknown:
+            raise TypeError(f"unknown RunConfig options: {', '.join(unknown)}")
+        values = []
+        for name, kind, default in _OPTIONS:
+            value = options.get(name, default)
+            if value is not None or default is not None:
+                value = _typed(name, kind, value)
+            values.append(value)
+        self = super().__new__(cls, command, *values)
         if self.n < 1 or self.k_max < 1 or self.lambda_nodes < 2:
             raise DomainError("grid controls must be positive")
         if not (0 < self.lambda_min < self.lambda_max):
@@ -94,6 +107,12 @@ class RunConfig:
             raise DomainError("dilation must be positive")
         if self.max_power is not None and self.max_power < 1:
             raise DomainError("max_power must be a positive integer")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        command, *values = iterable
+        return cls(command, **dict(zip(_NAMES, values)))
 
     def grid(self, **overrides):
         from .grids import QuadratureGrid
@@ -101,9 +120,6 @@ class RunConfig:
               "lambda_max": self.lambda_max, "lambda_nodes": self.lambda_nodes}
         kw.update(overrides)
         return QuadratureGrid.make(**kw)
-
-
-_OPTIONS = fields(RunConfig)[1:]
 
 
 def _cmd_laguerre_check(cfg):
@@ -133,9 +149,6 @@ def _cmd_plancherel_check(cfg):
     from .transform import (box_coefficients, gaussian_coefficients,
                             plancherel_norm)
     family = cfg.family
-    if family not in ("box", "gaussian", "both"):
-        raise DomainError(f"unknown family {family!r}; "
-                          "choose box, gaussian or both")
     grid = cfg.grid()
     n = cfg.n
     cases = []
@@ -332,7 +345,7 @@ def _cmd_carleman(cfg):
         ok = window_ok and sum_ok
         detail = {"term_window": [0.45, 0.5], "term_20_in_window": window_ok,
                   "sum_exceeds_5_by": crossed[0] if crossed else None}
-    elif family == "envelope":
+    else:  # envelope
         if cfg.n != 1:
             raise DomainError("the envelope family is implemented on H^1 only")
         theta = load_theta(cfg.theta)
@@ -365,8 +378,6 @@ def _cmd_carleman(cfg):
                                        f"hypothesis: {exc}"}
             ok = True
         rows = _carleman_rows(prof, ratios)
-    else:
-        raise DomainError(f"unknown family {family!r}; choose box or envelope")
     report = {
         "command": "carleman",
         "family": family,
@@ -446,37 +457,52 @@ def _cmd_symmdiff_check(cfg):
     }, summary
 
 
-# name -> (handler, the command's own defaults, help line); the config file
-# and the flags override the defaults
+_GRID = ("k_max", "lambda_min", "lambda_max", "lambda_nodes")
+
+# name -> (handler, the command's own defaults, the options it reads, help
+# line).  The options read are a tuple of names, or, where the family
+# decides, a dict from each family the command implements to its tuple; out
+# is read by every command.  The config file and the flags override the
+# defaults, and may set no option the command does not read.
 _COMMANDS = {
-    "laguerre-check": (_cmd_laguerre_check, {"k_max": 40},
+    "laguerre-check": (_cmd_laguerre_check, {"k_max": 40}, ("k_max", "fixtures"),
                        "Gram defect of the Laguerre functions plus envelope "
                        "validation against the frozen fixture"),
     "plancherel-check": (_cmd_plancherel_check,
                          {"k_max": 256, "lambda_min": 1e-4, "lambda_max": 1e2,
                           "lambda_nodes": 576, "family": "both"},
+                         {"box": ("n", *_GRID, "factors"),
+                          "gaussian": ("n", *_GRID),
+                          "both": ("n", *_GRID, "factors")},
                          "spectral vs spatial L2 norm for box and Gaussian factors"),
     "convolve-check": (_cmd_convolve_check,
                        {"k_max": 32, "lambda_min": 0.15, "lambda_max": 1.8,
                         "lambda_nodes": 16},
+                       ("n", *_GRID, "factors"),
                        "spatially computed box convolution vs the coefficient "
                        "product"),
     "dilate-check": (_cmd_dilate_check,
                      {"k_max": 64, "lambda_min": 1e-3, "lambda_max": 1e3,
                       "lambda_nodes": 320},
+                     ("n", *_GRID, "dilation"),
                      "dilation covariance of the coefficients on a Gaussian"),
     "ingham-plan": (_cmd_ingham_plan, {},
+                    ("theta", "n", "chain_length", "fixtures"),
                     "factor width sequences, support radius and a thinned "
                     "factor-bound replay"),
     "ingham-verify": (_cmd_ingham_verify, {},
+                      ("theta", "n", "chain_length", "fixtures", *_GRID),
                       "certified spectral decay of the adaptive chain"),
     "carleman": (_cmd_carleman,
                  {"family": "box", "k_max": 64, "lambda_min": 1e-3,
                   "lambda_max": 1e10, "lambda_nodes": 1024},
+                 {"box": ("max_power",),
+                  "envelope": ("theta", "n", *_GRID, "max_power")},
                  "sublaplacian norm growth and Carleman partial sums"),
     "gamma-bound-check": (_cmd_gamma_bound_check, {"max_power": 10},
+                          ("theta", "n", "max_power"),
                           "moment integrals against the two-term gamma bound"),
-    "symmdiff-check": (_cmd_symmdiff_check, {},
+    "symmdiff-check": (_cmd_symmdiff_check, {}, (),
                        "shifted-ball symmetric difference vs the surface bound"),
 }
 
@@ -489,7 +515,7 @@ def _build_parser():
                     "on the Heisenberg group.",
         epilog="commands:\n" + "\n".join(
             f"  {name:<{width}}  {help_line}"
-            for name, (_, _, help_line) in _COMMANDS.items()),
+            for name, (*_, help_line) in _COMMANDS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("command", choices=_COMMANDS, metavar="command",
                         help="the check to run (listed below)")
@@ -523,8 +549,10 @@ def _build_parser():
 
 def _resolve_config(args):
     """Command defaults, then the config file, then the flags; a null in the
-    file leaves the option unset, like an absent flag."""
+    file leaves the option unset, like an absent flag.  An option set in the
+    file or by a flag that the command does not read is refused."""
     merged = dict(_COMMANDS[args.command][1])
+    given = {}
     if args.config is not None:
         try:
             file_cfg = read_json(args.config)
@@ -535,15 +563,35 @@ def _resolve_config(args):
                               f"{exc}") from exc
         if not isinstance(file_cfg, dict):
             raise DomainError("config file must hold a JSON object")
-        unknown = sorted(set(file_cfg) - {f.name for f in _OPTIONS})
+        unknown = sorted(set(file_cfg).difference(_NAMES))
         if unknown:
             raise DomainError(f"unknown config keys: {', '.join(unknown)}")
-        merged.update((k, v) for k, v in file_cfg.items() if v is not None)
-    for f in _OPTIONS:
-        flag = getattr(args, f.name)
+        given.update((k, v) for k, v in file_cfg.items() if v is not None)
+    for name in _NAMES:
+        flag = getattr(args, name)
         if flag is not None:
-            merged[f.name] = flag
-    return RunConfig(command=args.command, **merged)
+            given[name] = flag
+    merged.update(given)
+    cfg = RunConfig(args.command, **merged)
+    _refuse_unread(cfg, given)
+    return cfg
+
+
+def _refuse_unread(cfg, given):
+    """Refuse a family the command does not implement, and any option in
+    given that the command (with its family) does not read."""
+    reads = _COMMANDS[cfg.command][2]
+    what = cfg.command
+    if isinstance(reads, dict):
+        if cfg.family not in reads:
+            *head, last = reads
+            raise DomainError(f"unknown family {cfg.family!r}; "
+                              f"choose {', '.join(head)} or {last}")
+        what = f"{cfg.command} --family {cfg.family}"
+        reads = ("family", *reads[cfg.family])
+    unread = sorted(set(given).difference(reads, ("out",)))
+    if unread:
+        raise DomainError(f"{what} does not read {', '.join(unread)}")
 
 
 def _rows_csv(rows):

@@ -12,11 +12,11 @@ that only positive nodes are stored and even integrands are doubled by the
 norm routines when appropriate.
 """
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
+from ._record import Record
 from .errors import DomainError
 from .laguerre import breakpoints, nu
 
@@ -74,28 +74,27 @@ def radial_rule(lam, k_max, n, support_radius, nodes_per_panel=DEFAULT_NODES_PER
     return gauss_legendre_panels(refined, nodes_per_panel)
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
+class QuadratureGrid(Record):
     """Discretization shared by all spectral objects.
 
-    Fields
-    ------
+    Attributes
+    ----------
     k_max : truncation degree of the Laguerre expansion.
     lam : positive lambda nodes, ascending, log-spaced.
     lam_log_w : trapezoidal weights in log lambda (measure factor |lam|^n
         applied later, since n belongs to the coefficient set).
     nodes_per_panel : Gauss-Legendre order used by radial rules.
+
+    Grids compare by identity; same_as compares values.
     """
 
-    k_max: int
-    lam: np.ndarray
-    lam_log_w: np.ndarray
-    nodes_per_panel: int = DEFAULT_NODES_PER_PANEL
+    __slots__ = ("k_max", "lam", "lam_log_w", "nodes_per_panel")
 
-    def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=float)
-        w = np.asarray(self.lam_log_w, dtype=float)
-        if self.k_max < 1:
+    def __init__(self, k_max, lam, lam_log_w,
+                 nodes_per_panel=DEFAULT_NODES_PER_PANEL):
+        lam = np.asarray(lam, dtype=float)
+        w = np.asarray(lam_log_w, dtype=float)
+        if k_max < 1:
             raise DomainError("k_max must be >= 1")
         if lam.ndim != 1 or np.any(lam <= 0) or np.any(np.diff(lam) <= 0):
             raise DomainError("lambda nodes must be positive, ascending, nonzero")
@@ -103,8 +102,8 @@ class QuadratureGrid:
             raise DomainError("lambda weights must be positive and match the nodes")
         lam.setflags(write=False)
         w.setflags(write=False)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "lam_log_w", w)
+        self._assign(k_max=k_max, lam=lam, lam_log_w=w,
+                     nodes_per_panel=nodes_per_panel)
 
     @classmethod
     def make(

@@ -12,10 +12,9 @@ first basis vector so the coordinate map is total.  Balls in C^n = R^2n
 have closed-form volume, surface and shifted-ball symmetric difference.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from ._special import betainc_half, gammaln
 from .errors import DimensionMismatchError, DomainError
 
@@ -38,32 +37,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HeisenbergPoint:
+class HeisenbergPoint(Record):
     """A point (z, t) with z in C^n and t real."""
 
-    z: np.ndarray
-    t: float
+    __slots__ = ("z", "t")
 
-    def __post_init__(self):
-        z = np.atleast_1d(np.asarray(self.z, dtype=complex))
+    def __init__(self, z, t):
+        z = np.atleast_1d(np.asarray(z, dtype=complex))
         if z.ndim != 1 or z.size == 0:
             raise DomainError("z must be a nonempty complex vector")
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "t", float(self.t))
+        self._assign(z=z, t=float(t))
 
     @property
     def n(self):
         return self.z.size
 
 
-@dataclass(frozen=True)
-class HeisenbergCoords:
+class HeisenbergCoords(Record):
     """Polar-type coordinates (rho, omega, theta) of a point."""
 
-    rho: float
-    omega: np.ndarray
-    theta: float
+    __slots__ = ("rho", "omega", "theta")
+
+    def __init__(self, rho, omega, theta):
+        self._assign(rho=rho, omega=omega, theta=theta)
 
 
 def _check_same_dim(x, y):

@@ -29,10 +29,9 @@ the reweighted square q = chain^2 e^{+2 Theta(sqrt(nu)) sqrt(nu)} over a
 (k, lam) window, in log space so nothing overflows.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .errors import DomainError
 from .fixtures import FACTOR_K_MAX, FACTOR_S_NODES, calibration_grid, load_fixture
 from .theta import require_convergent
@@ -58,27 +57,20 @@ __all__ = [
 TAU_GAUGE = 4.0 ** -0.25
 
 
-@dataclass(frozen=True)
-class SequencePlan:
+class SequencePlan(Record):
     """Frozen factor widths for one construction run.
 
     a is the ball-radius constant making each z-factor a probability
     density; c = 4^{-1/4} converts an interval half-length tau^2/2 into its
-    Koranyi gauge tau*c.
+    Koranyi gauge tau*c.  rho and tau are read-only float arrays of length J.
     """
 
-    theta_name: str
-    declared_class: str
-    n: int
-    J: int
-    c_n: float
-    rho: np.ndarray
-    tau: np.ndarray
+    __slots__ = ("theta_name", "declared_class", "n", "J", "c_n", "rho", "tau")
 
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=float)
-        tau = np.asarray(self.tau, dtype=float)
-        if rho.shape != (self.J,) or tau.shape != (self.J,):
+    def __init__(self, theta_name, declared_class, n, J, c_n, rho, tau):
+        rho = np.asarray(rho, dtype=float)
+        tau = np.asarray(tau, dtype=float)
+        if rho.shape != (J,) or tau.shape != (J,):
             raise DomainError("plan sequences must have length J")
         if np.any(rho <= 0) or np.any(tau <= 0):
             raise DomainError("factor widths must be strictly positive")
@@ -86,8 +78,8 @@ class SequencePlan:
             raise DomainError("factor widths must be nonincreasing")
         rho.setflags(write=False)
         tau.setflags(write=False)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "tau", tau)
+        self._assign(theta_name=theta_name, declared_class=declared_class,
+                     n=n, J=J, c_n=c_n, rho=rho, tau=tau)
 
     @property
     def a(self):

@@ -12,10 +12,9 @@ forms agree on the t-part by construction and differ only in the radial
 integral.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from ._special import gammaln
 from .errors import DimensionMismatchError, DomainError, QuadratureError
 from .grids import radial_rule
@@ -34,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RadialFunction:
+class RadialFunction(Record):
     """Separable radial function F(|z|, t) = profile(|z|) * (t-part).
 
     profile maps radial abscissae to values; when lambda_dependent is set it
@@ -46,18 +44,18 @@ class RadialFunction:
     panel edge, so profile discontinuities must sit there, not inside.
     """
 
-    n: int
-    profile: object
-    t_hat: object
-    support_radius: float
-    lambda_dependent: bool = False
-    label: str = ""
+    __slots__ = ("n", "profile", "t_hat", "support_radius",
+                 "lambda_dependent", "label")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n, profile, t_hat, support_radius,
+                 lambda_dependent=False, label=""):
+        if n < 1:
             raise DimensionMismatchError("n must be a positive integer")
-        if not self.support_radius > 0:
+        if not support_radius > 0:
             raise DomainError("support_radius must be positive")
+        self._assign(n=n, profile=profile, t_hat=t_hat,
+                     support_radius=support_radius,
+                     lambda_dependent=lambda_dependent, label=label)
 
     def profile_at(self, r, lam):
         if self.lambda_dependent:

@@ -27,8 +27,7 @@ validated, so the planners' refusal of a divergent builtin runs without
 the numeric stack.
 """
 
-from dataclasses import dataclass, field
-
+from ._record import Record
 from .errors import ProfileClassError
 from .jsonio import read_json
 
@@ -53,24 +52,22 @@ BUILTIN_THETAS = {
 }
 
 
-@dataclass(frozen=True)
-class ThetaProfile:
-    name: str
-    kind: str
-    declared_class: str
-    # read-only float arrays, for table profiles only
-    y: object = field(default=None, repr=False)
-    vals: object = field(default=None, repr=False)
+class ThetaProfile(Record):
+    """A decay profile: a builtin kind, or kind "table" with read-only
+    float arrays y (abscissae) and vals (the running minimum of the
+    tabulated values)."""
 
-    def __post_init__(self):
-        if self.declared_class not in _CLASSES:
+    __slots__ = ("name", "kind", "declared_class", "y", "vals")
+
+    def __init__(self, name, kind, declared_class, y=None, vals=None):
+        if declared_class not in _CLASSES:
             raise ProfileClassError(
-                f"declared_class must be one of {_CLASSES}, got {self.declared_class!r}")
-        if self.kind == "table":
+                f"declared_class must be one of {_CLASSES}, got {declared_class!r}")
+        if kind == "table":
             import numpy as np
             try:
-                y = np.asarray(self.y, dtype=float)
-                v = np.asarray(self.vals, dtype=float)
+                y = np.asarray(y, dtype=float)
+                v = np.asarray(vals, dtype=float)
             except (TypeError, ValueError) as exc:
                 raise ProfileClassError(
                     f"table y and theta must be arrays of numbers: {exc}") from None
@@ -80,13 +77,13 @@ class ThetaProfile:
                 raise ProfileClassError("table abscissae must be >= 0, strictly increasing")
             if v.shape != y.shape or np.any(v < 0) or not np.all(np.isfinite(v)):
                 raise ProfileClassError("table values must be finite and nonnegative")
-            v = np.minimum.accumulate(v)
+            vals = np.minimum.accumulate(v)
             y.setflags(write=False)
-            v.setflags(write=False)
-            object.__setattr__(self, "y", y)
-            object.__setattr__(self, "vals", v)
-        elif self.kind not in BUILTIN_THETAS:
-            raise ProfileClassError(f"unknown profile kind {self.kind!r}")
+            vals.setflags(write=False)
+        elif kind not in BUILTIN_THETAS:
+            raise ProfileClassError(f"unknown profile kind {kind!r}")
+        self._assign(name=name, kind=kind, declared_class=declared_class,
+                     y=y, vals=vals)
 
     def __call__(self, t):
         import numpy as np

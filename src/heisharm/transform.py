@@ -18,10 +18,9 @@ norm integrals double the single-sided value; with symmetric=False the
 norms are literal single-sided integrals.
 """
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
+from ._record import Record
 from ._special import gammainc_int, gammaln
 from .errors import DimensionMismatchError, DomainError, GridMismatchError
 from .grids import QuadratureGrid, _unit_rule, gauss_legendre_panels
@@ -168,36 +167,34 @@ def projection_hs_norm_sq(k, n):
     return np.exp(gammaln(k + n) - gammaln(k + 1) - gammaln(n))
 
 
-@dataclass(frozen=True)
-class SpectralCoefficients:
+class SpectralCoefficients(Record):
     """Matrix of R_k(lam) on a shared grid; rows are degrees 0..k_max,
     columns the positive lambda nodes.  Instances are immutable; all
     operations return new objects."""
 
-    n: int
-    grid: QuadratureGrid
-    values: np.ndarray
-    symmetric: bool = True
+    __slots__ = ("n", "grid", "values", "symmetric")
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        want = (self.grid.k_max + 1, self.grid.lam.size)
+    def __init__(self, n, grid, values, symmetric=True):
+        v = np.asarray(values, dtype=float)
+        want = (grid.k_max + 1, grid.lam.size)
         if v.shape != want:
             raise GridMismatchError(f"values shape {v.shape} != {want} from grid")
         if not np.all(np.isfinite(v)):
             raise DomainError("coefficient values must be finite")
-        if self.n < 1:
+        if n < 1:
             raise DimensionMismatchError("n must be a positive integer")
         v = v.copy()
         v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        self._assign(n=n, grid=grid, values=v, symmetric=symmetric)
 
     @property
     def k(self):
         return np.arange(self.grid.k_max + 1)
 
     def with_values(self, values):
-        return replace(self, values=values)
+        """The same coefficient set with new values, validated as in
+        construction."""
+        return type(self)(self.n, self.grid, values, self.symmetric)
 
 
 def _coefficient_weights(k_max, n):

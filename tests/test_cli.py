@@ -6,7 +6,8 @@ import shutil
 import numpy as np
 import pytest
 
-from heisharm.cli import _COMMANDS, dispatch
+from heisharm.cli import _COMMANDS, _NAMES, RunConfig, dispatch
+from heisharm.errors import HypothesisError, TailError
 from heisharm.fixtures import packaged_fixtures_dir
 
 
@@ -45,10 +46,83 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _flags(options):
+    argv = []
+    for name, value in options.items():
+        argv.append("--kmax" if name == "k_max" else "--" + name.replace("_", "-"))
+        argv.append(",".join(map(str, value)) if isinstance(value, list)
+                    else str(value))
+    return argv
+
+
+@pytest.mark.parametrize("command, options, message", [
+    ("laguerre-check", {"n": 2}, "laguerre-check does not read n"),
+    ("plancherel-check", {"family": "gaussian", "factors": [0.9, 0.8, 0.7, 0.6]},
+     "plancherel-check --family gaussian does not read factors"),
+    ("convolve-check", {"theta": "inv-log"}, "convolve-check does not read theta"),
+    ("dilate-check", {"family": "box"}, "dilate-check does not read family"),
+    ("ingham-plan", {"k_max": 12}, "ingham-plan does not read k_max"),
+    ("ingham-verify", {"dilation": 1.2}, "ingham-verify does not read dilation"),
+    ("carleman", {"family": "box", "n": 3}, "carleman --family box does not read n"),
+    ("carleman", {"family": "envelope", "fixtures": "fx"},
+     "carleman --family envelope does not read fixtures"),
+    ("carleman", {"family": "profile"},
+     "unknown family 'profile'; choose box or envelope"),
+    ("gamma-bound-check", {"lambda_nodes": 8},
+     "gamma-bound-check does not read lambda_nodes"),
+    ("symmdiff-check", {"k_max": 5, "n": 7}, "symmdiff-check does not read k_max, n"),
+])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_unread_option_refused(tmp_path, capsys, command, options, message, via):
+    # an option the command does not read is refused, whether a flag or a
+    # config key sets it; a family it does not implement likewise
+    if via == "flag":
+        argv = _flags(options)
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(options))
+        argv = ["--config", str(cfg)]
+    out = tmp_path / "never.json"
+    assert dispatch([command, *argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"heisharm {command}: refused: {message}\n"
+
+
+_SMALL = {"theta": "inv-sqrt-strong", "k_max": 8, "lambda_min": 0.3,
+          "lambda_max": 1.2, "lambda_nodes": 8, "max_power": 3,
+          "chain_length": 8}
+
+
+def test_commands_declare_exactly_the_options_they_read():
+    # replay every command and family on a small grid, recording each
+    # option its handler reads: the declaration in _COMMANDS must match it.
+    # A refusal on the small grid comes after the handler's last read.
+    seen = set()
+
+    class Recorder(RunConfig):
+        __slots__ = ()
+
+        def __getattribute__(self, name):
+            if name in _NAMES:
+                seen.add(name)
+            return super().__getattribute__(name)
+
+    for command, (handler, _, reads, _) in _COMMANDS.items():
+        families = reads if isinstance(reads, dict) else {None: reads}
+        for family, declared in families.items():
+            cfg = Recorder(command, family=family, **_SMALL)
+            seen.clear()
+            try:
+                handler(cfg)
+            except (HypothesisError, TailError):
+                pass
+            assert seen - {"family"} == set(declared), (command, family)
+
+
 def test_help_lists_every_command(capsys):
     assert dispatch(["--help"]) == 0
     out = capsys.readouterr().out
-    for name, (_, _, help_line) in _COMMANDS.items():
+    for name, (*_, help_line) in _COMMANDS.items():
         assert f"  {name}  " in out
         assert help_line in out
 

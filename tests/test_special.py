@@ -158,7 +158,7 @@ _FOOTPRINT = (
     "import heisharm.cli\n"
     "pkg = sorted(m for m in added() if m.startswith('heisharm.'))\n"
     "assert pkg == ['heisharm.cli', 'heisharm.errors', 'heisharm.jsonio'], pkg\n"
-    "for name in ('hashlib', '_hashlib', 'numpy'):\n"
+    "for name in ('hashlib', '_hashlib', 'numpy', 'dataclasses', 'inspect'):\n"
     "    assert name not in added(), name\n"
     "out = sys.argv[1]\n"
 )
@@ -168,20 +168,26 @@ _DIVERGENT = ("heisharm {}: refused: profile {!r} is declared divergent: no "
               "compactly supported function can have this spectral decay\n")
 
 
+# what the numpy-free paths never load: numpy imports inspect, so only the
+# paths that skip numpy can be held to leaving inspect out
+_LEAN = ("numpy", "dataclasses", "inspect")
+
+
 @pytest.mark.parametrize("argv, code, stderr, unloaded", [
-    (["--help"], 0, "", ("numpy", "heisharm.theta")),
+    (["--help"], 0, "", (*_LEAN, "heisharm.theta")),
     (["dilate-check", "--dilation", "inf"], 2,
      "heisharm dilate-check: refused: dilation must be a finite number, "
-     "got inf\n", ("numpy", "heisharm.transform")),
+     "got inf\n", (*_LEAN, "heisharm.transform")),
     (["ingham-plan", "--theta", "inv-log"], 2,
-     _DIVERGENT.format("ingham-plan", "inv-log"), ("numpy", "heisharm.ingham")),
+     _DIVERGENT.format("ingham-plan", "inv-log"), (*_LEAN, "heisharm.ingham")),
     (["ingham-verify", "--theta", "inv-log"], 2,
      _DIVERGENT.format("ingham-verify", "inv-log"),
-     ("numpy", "heisharm.ingham")),
+     (*_LEAN, "heisharm.ingham")),
     # a table is validated as a numpy array, but the planner never loads
     (["ingham-plan", "--theta", "{dir}/slowlog.json"], 2,
      _DIVERGENT.format("ingham-plan", "slowlog"),
-     ("heisharm.ingham", "heisharm.transform", "heisharm.fixtures")),
+     ("heisharm.ingham", "heisharm.transform", "heisharm.fixtures",
+      "dataclasses")),
 ], ids=["help", "config-refusal", "plan-inv-log", "verify-inv-log",
         "plan-divergent-table"])
 def test_front_end_and_declared_refusals_skip_numpy(tmp_path, argv, code,
@@ -259,9 +265,17 @@ def test_runtime_import_path_never_loads_oracles(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "convolve-check.json").exists()
     # and no production module imports the oracles at all
+    for name, lineno, mod in _package_imports():
+        if name != "oracles.py":
+            assert "oracles" not in mod.split("."), (name, lineno)
+
+
+def _package_imports():
+    """(file, line, module) for each module named by an import statement in
+    the package's sources, relative imports included."""
     pkg_dir = os.path.dirname(os.path.abspath(heisharm.__file__))
     for name in sorted(os.listdir(pkg_dir)):
-        if not name.endswith(".py") or name == "oracles.py":
+        if not name.endswith(".py"):
             continue
         with open(os.path.join(pkg_dir, name)) as fh:
             tree = ast.parse(fh.read())
@@ -270,5 +284,12 @@ def test_runtime_import_path_never_loads_oracles(tmp_path):
                 mods = [a.name for a in node.names]
                 if isinstance(node, ast.ImportFrom):
                     mods.append(node.module or "")
-                assert not any("oracles" in m.split(".") for m in mods), \
-                    (name, node.lineno)
+                for mod in mods:
+                    yield name, node.lineno, mod
+
+
+def test_no_module_imports_dataclasses():
+    # generated record classes load inspect, ast and tokenize at start-up;
+    # the records are plain __slots__ classes and namedtuples instead
+    assert not [(name, lineno) for name, lineno, mod in _package_imports()
+                if mod.split(".")[0] == "dataclasses"]

@@ -235,4 +235,5 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    from .cli import console_main
+    console_main(main)

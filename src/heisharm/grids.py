@@ -92,8 +92,9 @@ class QuadratureGrid(Record):
 
     def __init__(self, k_max, lam, lam_log_w,
                  nodes_per_panel=DEFAULT_NODES_PER_PANEL):
-        lam = np.asarray(lam, dtype=float)
-        w = np.asarray(lam_log_w, dtype=float)
+        # copies: the record freezes its arrays, never the caller's
+        lam = np.array(lam, dtype=float)
+        w = np.array(lam_log_w, dtype=float)
         if k_max < 1:
             raise DomainError("k_max must be >= 1")
         if lam.ndim != 1 or np.any(lam <= 0) or np.any(np.diff(lam) <= 0):

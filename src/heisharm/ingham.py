@@ -68,8 +68,9 @@ class SequencePlan(Record):
     __slots__ = ("theta_name", "declared_class", "n", "J", "c_n", "rho", "tau")
 
     def __init__(self, theta_name, declared_class, n, J, c_n, rho, tau):
-        rho = np.asarray(rho, dtype=float)
-        tau = np.asarray(tau, dtype=float)
+        # copies: the record freezes its arrays, never the caller's
+        rho = np.array(rho, dtype=float)
+        tau = np.array(tau, dtype=float)
         if rho.shape != (J,) or tau.shape != (J,):
             raise DomainError("plan sequences must have length J")
         if np.any(rho <= 0) or np.any(tau <= 0):

@@ -66,7 +66,8 @@ class ThetaProfile(Record):
         if kind == "table":
             import numpy as np
             try:
-                y = np.asarray(y, dtype=float)
+                # a copy: the record freezes its y, never the caller's
+                y = np.array(y, dtype=float)
                 v = np.asarray(vals, dtype=float)
             except (TypeError, ValueError) as exc:
                 raise ProfileClassError(

@@ -218,3 +218,18 @@ def test_array_fields_are_read_only():
         assert arr.dtype == np.float64 and not arr.flags.writeable
     assert HeisenbergPoint([1.0], 2).z.dtype == np.complex128
     assert type(HeisenbergPoint([1.0], 2).t) is float
+
+
+def test_records_copy_the_callers_arrays():
+    # the records freeze what they hold, never the array they were given
+    lam, w = np.geomspace(0.1, 10.0, 8), np.ones(8)
+    rho, tau, y = np.array([1.0, 0.5]), np.array([1.0, 0.25]), np.array([0.0, 1.0])
+    grid = QuadratureGrid(k_max=4, lam=lam, lam_log_w=w)
+    plan = SequencePlan(theta_name="x", declared_class="convergent", n=1, J=2,
+                        c_n=1.0, rho=rho, tau=tau)
+    table = ThetaProfile(name="t", kind="table", declared_class="convergent",
+                         y=y, vals=[1.0, 0.5])
+    for given, held in ((lam, grid.lam), (w, grid.lam_log_w), (rho, plan.rho),
+                        (tau, plan.tau), (y, table.y)):
+        assert given.flags.writeable and not held.flags.writeable
+        assert held is not given and np.array_equal(held, given)

@@ -22,13 +22,10 @@ __all__ = [
     "MAX_POWER",
     "sublaplacian_norms",
     "carleman_partial_sums",
-    "log_convexity_margin",
     "gamma_integral_log",
     "gamma_bound_log",
     "check_gamma_hypothesis",
     "ingham_norm_bound_check",
-    "inverse_square_sum",
-    "sequence_transfer_check",
 ]
 
 # gamma-integral quadrature holds its accuracy to about here; beyond it the
@@ -39,10 +36,9 @@ MAX_POWER = 12
 class NormGrowthProfile(Record):
     """Norms ||L^m f||_2 for m = 0..M with the derived Carleman data.
 
-    log_norms is the primary record; norms is its exponential and may
-    overflow to inf for wide spectral windows.  degenerate marks the zero
-    function, whose Carleman terms are reported as +inf.  The three arrays
-    are made read-only.
+    The norms are held as log_norms, since they overflow float64 for wide
+    spectral windows.  degenerate marks the zero function, whose Carleman
+    terms are reported as +inf.  The three arrays are made read-only.
     """
 
     __slots__ = ("log_norms", "carleman_terms", "partial_sums", "degenerate")
@@ -53,11 +49,6 @@ class NormGrowthProfile(Record):
         partial_sums.setflags(write=False)
         self._assign(log_norms=log_norms, carleman_terms=carleman_terms,
                      partial_sums=partial_sums, degenerate=degenerate)
-
-    @property
-    def norms(self):
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_norms)
 
     @property
     def M(self):
@@ -129,16 +120,6 @@ def carleman_partial_sums(profile):
     }
 
 
-def log_convexity_margin(profile):
-    """Smallest second difference of log ||L^m f||_2; Cauchy-Schwarz on the
-    spectral measure makes the exact sequence convex, so values below about
-    -1e-9 indicate a computation problem."""
-    ln = profile.log_norms
-    if ln.size < 3:
-        return np.inf
-    return float(np.min(np.diff(ln, 2)))
-
-
 def gamma_integral_log(theta, n, m, u_lo=-46.0, u_hi=60.0, nodes=8193):
     """log of I(m) = int_0^inf lam^{2m+n} e^{-Theta(sqrt(lam)) sqrt(lam)} dlam,
     by trapezoid in u = log lam under logsumexp shifting."""
@@ -203,56 +184,4 @@ def ingham_norm_bound_check(theta, n, M):
         "M": M,
         "rows": rows,
         "pass": bool(all(r["pass"] for r in rows)),
-    }
-
-
-def inverse_square_sum(n, terms=200000):
-    """(value, error bound) for sum_{k>=0} (2k+n)^{-2}, by partial sum plus
-    the integral tail estimate 1/(2(2T+n))."""
-    k = np.arange(terms, dtype=float)
-    partial = float(np.sum((2.0 * k + n) ** -2.0))
-    tail = 1.0 / (2.0 * (2.0 * terms + n))
-    # integral bracket: tail is between 1/(2(2T+n)) and 1/(2(2T+n-2))
-    err = 1.0 / (2.0 * (2.0 * terms + n - 2.0)) - tail
-    return partial + tail, err
-
-
-def sequence_transfer_check(M_seq, a, b, K_seq, N_terms):
-    """Demonstration harness for the transfer 0 <= K_n <= a M_n + b^n =>
-    K_n^{-1/n} >= min((2a M_n)^{-1/n}, (2 b^n)^{-1/n}).
-
-    Validates the domination on the inputs (HypothesisError names the first
-    failing index) and reports both partial-sum sequences with the
-    elementary lower bound; it demonstrates behavior, it proves nothing.
-    """
-    M_seq = np.asarray(M_seq, dtype=float)
-    K_seq = np.asarray(K_seq, dtype=float)
-    if N_terms < 1 or M_seq.size < N_terms or K_seq.size < N_terms:
-        raise DomainError("need N_terms >= 1 values in both sequences")
-    if np.any(M_seq[:N_terms] <= 0):
-        raise DomainError("all M_n must be positive")
-    idx = np.arange(1, N_terms + 1, dtype=float)
-    Mv = M_seq[:N_terms]
-    Kv = K_seq[:N_terms]
-    dominated = (Kv >= 0) & (Kv <= a * Mv + b ** idx + 1e-12 * np.abs(a * Mv + b ** idx))
-    if not np.all(dominated):
-        i_bad = int(np.argmin(dominated)) + 1
-        raise HypothesisError(
-            f"domination K_n <= a M_n + b^n fails at n = {i_bad}", sample=i_bad)
-    M_terms = Mv ** (-1.0 / idx)
-    with np.errstate(divide="ignore"):
-        K_terms = np.where(Kv > 0, Kv ** (-1.0 / idx), np.inf)
-    if b > 0:
-        alt = (2.0 * b ** idx) ** (-1.0 / idx)
-    else:
-        alt = np.full(N_terms, np.inf)
-    lower = np.minimum((2.0 * a * Mv) ** (-1.0 / idx), alt)
-    return {
-        "n": idx.astype(int).tolist(),
-        "M_terms": M_terms.tolist(),
-        "K_terms": K_terms.tolist(),
-        "lower_bounds": lower.tolist(),
-        "M_partial_sums": np.cumsum(M_terms).tolist(),
-        "K_partial_sums": np.cumsum(K_terms).tolist(),
-        "lower_bound_holds": bool(np.all(K_terms >= lower - 1e-12)),
     }

@@ -26,7 +26,7 @@ from .jsonio import atomic_write_text, read_json, write_json
 # body, so a run loads only the modules of the check it makes, and --help,
 # usage errors and config refusals load no numpy at all
 
-__all__ = ["RunConfig", "console_main", "dispatch", "main"]
+__all__ = ["RunConfig", "console_main", "main"]
 
 _KINDS = {str: "a string", int: "an integer", float: "a finite number"}
 
@@ -603,7 +603,7 @@ def _rows_csv(rows):
     return "\n".join(lines) + "\n"
 
 
-def dispatch(argv=None):
+def main(argv=None):
     """Run one subcommand; returns the process exit code."""
     parser = _build_parser()
     try:
@@ -613,6 +613,12 @@ def dispatch(argv=None):
     try:
         cfg = _resolve_config(args)
         report, summary = _COMMANDS[cfg.command][0](cfg)
+        if cfg.out:
+            write_json(cfg.out, report)
+            if cfg.command == "carleman":
+                csv_path = (cfg.out[:-5] + ".csv" if cfg.out.endswith(".json")
+                            else cfg.out + ".csv")
+                atomic_write_text(csv_path, _rows_csv(report["rows"]))
     except (ProfileClassError, HypothesisError, TailError, DomainError,
             DimensionMismatchError, GridMismatchError) as exc:
         print(f"heisharm {args.command}: refused: {exc}", file=sys.stderr)
@@ -623,26 +629,16 @@ def dispatch(argv=None):
     except OSError as exc:
         print(f"heisharm {args.command}: {exc}", file=sys.stderr)
         return 2
-    if cfg.out:
-        write_json(cfg.out, report)
-        if cfg.command == "carleman":
-            csv_path = (cfg.out[:-5] + ".csv" if cfg.out.endswith(".json")
-                        else cfg.out + ".csv")
-            atomic_write_text(csv_path, _rows_csv(report["rows"]))
     ok = bool(report.get("pass", True))
     print(f"{cfg.command}: {summary} pass={'true' if ok else 'false'}")
     return 0 if ok else 1
-
-
-def main(argv=None):
-    return dispatch(argv)
 
 
 def console_main(entry=main):
     """Process entry point: run entry(sys.argv[1:]) and end the process
     with the exit code it returns.  Serves the ``heisharm`` script,
     ``python -m heisharm.cli`` and ``python -m heisharm.calibrate``; call
-    main or dispatch to run a command in-process.
+    main to run a command in-process.
 
     By the time entry returns its report is written, so the process
     flushes its streams and leaves through os._exit, skipping the

@@ -41,13 +41,9 @@ from .transform import (SpectralCoefficients, _box_t_hat, ball_coefficients,
 __all__ = [
     "SequencePlan",
     "plan_sequences",
-    "factor_t_hat",
-    "factor_coeff",
     "factor_coeff_envelope",
     "factor_bound_check",
     "adaptive_N",
-    "chain_coeff",
-    "chain_coefficients",
     "verify_decay",
     "support_radius",
     "cauchy_gap",
@@ -122,25 +118,6 @@ def plan_sequences(theta, n, J=64, c_n=None, fixtures_dir=None):
     tau = 2.0 ** -j
     return SequencePlan(theta_name=theta.name, declared_class=theta.declared_class,
                         n=n, J=J, c_n=cn, rho=rho, tau=tau)
-
-
-def factor_t_hat(j, lam, plan):
-    """Transform of the j-th interval factor: sinc(tau_j^2 lam / 2)."""
-    if not (1 <= j <= plan.J):
-        raise DomainError(f"factor index {j} outside 1..{plan.J}")
-    return _box_t_hat(plan.tau[j - 1], lam)
-
-
-def factor_coeff(j, k, lam, plan):
-    """k-th coefficient of the j-th z-factor at lam (1-based j)."""
-    if not (1 <= j <= plan.J):
-        raise DomainError(f"factor index {j} outside 1..{plan.J}")
-    if lam == 0:
-        raise DomainError("lam must be nonzero")
-    # the rho-factor coefficient at lam is the unit-factor coefficient at
-    # the scale-invariant s = lam rho^2 (substitute r = rho v)
-    s = abs(lam) * plan.rho[j - 1] ** 2
-    return float(ball_coefficients(np.array([s]), int(k), plan.n)[int(k), 0])
 
 
 def factor_coeff_envelope(k, lam, rho, n, c_n):
@@ -229,29 +206,6 @@ def _chain_log_columns(plan, lam, k_max, N):
     return signs, logs
 
 
-def chain_coeff(plan, N, k, lam):
-    """Chain coefficient of G_N at one cell: the signed product of the
-    first N factor coefficients and interval transforms.  N = 0 is the
-    empty product 1."""
-    if N < 0 or N > plan.J:
-        raise DomainError(f"chain length {N} outside 0..{plan.J}")
-    if N == 0:
-        return 1.0
-    if lam == 0:
-        raise DomainError("lam must be nonzero")
-    signs, logs = _chain_log_columns(plan, [lam], int(k), N)
-    return float(signs[0, int(k)] * np.exp(logs[0, int(k)]))
-
-
-def chain_coefficients(plan, N, grid):
-    """SpectralCoefficients of G_N on the grid (even in t, so symmetric)."""
-    if N < 0 or N > plan.J:
-        raise DomainError(f"chain length {N} outside 0..{plan.J}")
-    signs, logs = _chain_log_columns(plan, grid.lam, grid.k_max, N)
-    vals = (signs * np.exp(logs)).T
-    return SpectralCoefficients(n=plan.n, grid=grid, values=vals, symmetric=True)
-
-
 def _log_q_table(plan, theta, k_max, lam_nodes):
     """log q = 2 log|G_N| + 2 Theta(sqrt(nu)) sqrt(nu) at every (lambda, k)
     cell of the window, with N = adaptive_N capped at the plan's J."""
@@ -278,8 +232,8 @@ def verify_decay(plan, theta, k_max=64, lambda_min=1e-2, lambda_max=1e2,
                  lambda_nodes=192, stability_check=True):
     """Certify the decay of the adaptive chain over a (k, lam) window.
 
-    Maximizes q(k, lam) = chain_coeff(plan, adaptive_N, k, lam)^2 *
-    e^{+2 Theta(sqrt(nu)) sqrt(nu)} in log space.  The fitted constant is
+    Maximizes q(k, lam) = G_N(k, lam)^2 e^{+2 Theta(sqrt(nu)) sqrt(nu)},
+    with N = adaptive_N, in log space.  The fitted constant is
     C = max q; pass requires a finite maximum that moves by at most 0.1 in
     log when k_max doubles.  One log q table serves both maxima: with the
     stability check it is built at 2 k_max, the certified maximum is read

@@ -39,11 +39,7 @@ from ._special import gammaln
 from .errors import DomainError
 
 __all__ = [
-    "laguerre_poly",
-    "std_laguerre_fn",
-    "std_laguerre_table",
     "normalized_laguerre_table",
-    "laguerre_norm_constant",
     "nu",
     "breakpoints",
     "envelope_values",
@@ -58,33 +54,6 @@ def _check_params(k, delta):
         raise DomainError(f"degree k must be a nonnegative integer, got {k}")
     if delta <= -1:
         raise DomainError(f"Laguerre type must satisfy delta > -1, got {delta}")
-
-
-def laguerre_poly(k, delta, r):
-    """Laguerre polynomial L_k^delta(r) by the three-term recurrence.
-
-    Intended for small and moderate k; the value itself grows factorially
-    in k for fixed r, which is why the function families below never go
-    through this routine for large degrees.
-
-    Parameters
-    ----------
-    k : int
-        Degree, k >= 0.
-    delta : float
-        Type parameter, delta > -1.
-    r : float or ndarray
-        Evaluation points, r >= 0.
-    """
-    _check_params(k, delta)
-    r = np.asarray(r, dtype=float)
-    p_prev = np.ones_like(r)
-    if k == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p = 1.0 + delta - r
-    for j in range(1, k):
-        p, p_prev = ((2 * j + 1 + delta - r) * p - (j + delta) * p_prev) / (j + 1), p
-    return p if p.ndim else float(p)
 
 
 def _orthonormal_rows(kmax, delta, u):
@@ -116,31 +85,6 @@ def _orthonormal_table(kmax, delta, u):
     for k, row in enumerate(_orthonormal_rows(kmax, delta, u)):
         out[k] = row
     return out
-
-
-def std_laguerre_table(kmax, delta, r):
-    """Orthonormal standard Laguerre functions for all degrees k <= kmax.
-
-    Returns an array of shape (kmax+1,) + r.shape; row k holds
-    std_L_k^delta at the points r.
-    """
-    _check_params(kmax, delta)
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise DomainError("standard Laguerre functions are defined for r >= 0")
-    tab = _orthonormal_table(kmax, delta, r)
-    if delta != 0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            halfpow = np.where(r > 0, np.power(r, 0.5 * delta), 0.0)
-        tab = tab * halfpow
-    return tab
-
-
-def std_laguerre_fn(k, delta, r):
-    """Standard Laguerre function std_L_k^delta(r), orthonormal on (0, inf)."""
-    scalar = np.isscalar(r) or np.asarray(r).ndim == 0
-    tab = std_laguerre_table(k, delta, np.atleast_1d(np.asarray(r, dtype=float)))
-    return float(tab[k][0]) if scalar else tab[k]
 
 
 def _laguerre_newton_step(N, delta, x):
@@ -206,12 +150,6 @@ def orthonormality_defect(kmax, delta, nodes=None):
     # overflowing e^x on its own for large nodes
     gram = (tab * np.exp(np.log(w) + x)) @ tab.T
     return float(np.max(np.abs(gram - np.eye(kmax + 1))))
-
-
-def laguerre_norm_constant(k, n):
-    """C_{k,n} = (k!(n-1)!/(k+n-1)!)^(1/2) via log-gamma."""
-    _check_params(k, n - 1)
-    return float(np.exp(0.5 * (gammaln(k + 1.0) + gammaln(float(n)) - gammaln(k + float(n)))))
 
 
 def normalized_laguerre_table(kmax, lam, n, r):

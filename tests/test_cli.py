@@ -6,14 +6,14 @@ import shutil
 import numpy as np
 import pytest
 
-from heisharm.cli import _COMMANDS, _NAMES, RunConfig, dispatch
+from heisharm.cli import _COMMANDS, _NAMES, RunConfig, main
 from heisharm.errors import HypothesisError, TailError
 from heisharm.fixtures import packaged_fixtures_dir
 
 
 def run(tmp_path, name, *argv, out="r.json"):
     path = tmp_path / out
-    code = dispatch([name, "--out", str(path), *argv])
+    code = main([name, "--out", str(path), *argv])
     report = json.loads(path.read_text()) if path.exists() else None
     return code, report, path
 
@@ -31,18 +31,18 @@ def test_laguerre_check_passes(tmp_path, capsys):
 
 def test_default_report_path(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert dispatch(["laguerre-check", "--kmax", "12"]) == 0
+    assert main(["laguerre-check", "--kmax", "12"]) == 0
     assert (tmp_path / "report.json").exists()
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
-    assert dispatch([]) == 2
-    assert dispatch(["no-such-command"]) == 2
-    assert dispatch(["laguerre-check", "--kmax", "0"]) == 2
-    assert dispatch(["ingham-verify", "--lambda-min", "5",
-                     "--lambda-max", "1"]) == 2
-    assert dispatch(["convolve-check", "--factors", "1,2,3"]) == 2
-    assert dispatch(["plancherel-check", "--family", "pyramid"]) == 2
+    assert main([]) == 2
+    assert main(["no-such-command"]) == 2
+    assert main(["laguerre-check", "--kmax", "0"]) == 2
+    assert main(["ingham-verify", "--lambda-min", "5",
+                 "--lambda-max", "1"]) == 2
+    assert main(["convolve-check", "--factors", "1,2,3"]) == 2
+    assert main(["plancherel-check", "--family", "pyramid"]) == 2
     capsys.readouterr()
 
 
@@ -83,7 +83,7 @@ def test_unread_option_refused(tmp_path, capsys, command, options, message, via)
         cfg.write_text(json.dumps(options))
         argv = ["--config", str(cfg)]
     out = tmp_path / "never.json"
-    assert dispatch([command, *argv, "--out", str(out)]) == 2
+    assert main([command, *argv, "--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err == f"heisharm {command}: refused: {message}\n"
 
@@ -120,7 +120,7 @@ def test_commands_declare_exactly_the_options_they_read():
 
 
 def test_help_lists_every_command(capsys):
-    assert dispatch(["--help"]) == 0
+    assert main(["--help"]) == 0
     out = capsys.readouterr().out
     for name, (*_, help_line) in _COMMANDS.items():
         assert f"  {name}  " in out
@@ -139,8 +139,8 @@ def test_ingham_verify_small_grid(tmp_path):
 
 def test_divergent_profile_refused(tmp_path):
     path = tmp_path / "never.json"
-    assert dispatch(["ingham-verify", "--theta", "inv-log",
-                     "--out", str(path)]) == 2
+    assert main(["ingham-verify", "--theta", "inv-log",
+                 "--out", str(path)]) == 2
     assert not path.exists()
 
 
@@ -160,8 +160,8 @@ def test_non_finite_table_abscissae_refused(tmp_path, capsys, command, y):
 
 def test_gamma_bound_check_paths(tmp_path):
     # the default profile sits below the hypothesis threshold
-    assert dispatch(["gamma-bound-check", "--out",
-                     str(tmp_path / "g.json")]) == 2
+    assert main(["gamma-bound-check", "--out",
+                 str(tmp_path / "g.json")]) == 2
     code, report, _ = run(tmp_path, "gamma-bound-check",
                           "--theta", "inv-sqrt-strong")
     assert code == 0
@@ -178,11 +178,11 @@ def test_gamma_bound_check_paths(tmp_path):
 def test_nonpositive_max_power_refused(tmp_path, capsys, argv, power):
     # an explicit power below 1 is refused, never replaced by the default
     out = tmp_path / "never.json"
-    assert dispatch([*argv, "--max-power", str(power),
-                     "--out", str(out)]) == 2
+    assert main([*argv, "--max-power", str(power),
+                 "--out", str(out)]) == 2
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"max_power": power}))
-    assert dispatch([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
     assert "max_power must be a positive integer" in capsys.readouterr().err
 
@@ -296,14 +296,14 @@ def test_config_precedence(tmp_path):
 def test_unknown_config_key_refused(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))
-    assert dispatch(["laguerre-check", "--config", str(cfg),
-                     "--out", str(tmp_path / "x.json")]) == 2
+    assert main(["laguerre-check", "--config", str(cfg),
+                 "--out", str(tmp_path / "x.json")]) == 2
     cfg.write_text("[]")
-    assert dispatch(["laguerre-check", "--config", str(cfg),
-                     "--out", str(tmp_path / "x.json")]) == 2
-    assert dispatch(["laguerre-check", "--config",
-                     str(tmp_path / "absent.json"),
-                     "--out", str(tmp_path / "x.json")]) == 2
+    assert main(["laguerre-check", "--config", str(cfg),
+                 "--out", str(tmp_path / "x.json")]) == 2
+    assert main(["laguerre-check", "--config",
+                 str(tmp_path / "absent.json"),
+                 "--out", str(tmp_path / "x.json")]) == 2
 
 
 @pytest.mark.parametrize("file_cfg, message", [
@@ -320,8 +320,8 @@ def test_config_value_of_wrong_type_refused(tmp_path, capsys, file_cfg, message)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(file_cfg))
     out = tmp_path / "never.json"
-    assert dispatch(["ingham-verify", "--config", str(cfg),
-                     "--out", str(out)]) == 2
+    assert main(["ingham-verify", "--config", str(cfg),
+                 "--out", str(out)]) == 2
     assert not out.exists()
     assert message in capsys.readouterr().err
 
@@ -356,9 +356,25 @@ def test_config_null_is_unset(tmp_path):
 ])
 def test_non_finite_option_refused(tmp_path, capsys, argv, message):
     out = tmp_path / "never.json"
-    assert dispatch([*argv, "--out", str(out)]) == 2
+    assert main([*argv, "--out", str(out)]) == 2
     assert not out.exists()
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_report_path_exits_2(tmp_path, capsys, target):
+    # a report that cannot be written is a usage error, not a failed check
+    out = tmp_path / "missing" / "r.json"
+    if target == "directory":
+        out = tmp_path / "taken"
+        out.mkdir()
+    assert main(["symmdiff-check", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("heisharm symmdiff-check: ")
+    # nothing is left behind, not even the writer's temporary file
+    left = [p.name for p in tmp_path.rglob("*")]
+    assert left == (["taken"] if target == "directory" else [])
 
 
 @pytest.mark.parametrize("command", ["ingham-plan", "ingham-verify"])
@@ -379,16 +395,16 @@ def test_reports_identical_across_dispatches(tmp_path):
     blobs = []
     for i in range(2):
         path = tmp_path / f"run{i}.json"
-        assert dispatch([*argv, "--out", str(path)]) == 0
+        assert main([*argv, "--out", str(path)]) == 0
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]
     # the worker-count option is gone, as flag and as config key
-    assert dispatch([*argv, "--threads", "2",
-                     "--out", str(tmp_path / "x.json")]) == 2
+    assert main([*argv, "--threads", "2",
+                 "--out", str(tmp_path / "x.json")]) == 2
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"threads": 2}))
-    assert dispatch([*argv, "--config", str(cfg),
-                     "--out", str(tmp_path / "x.json")]) == 2
+    assert main([*argv, "--config", str(cfg),
+                 "--out", str(tmp_path / "x.json")]) == 2
 
 
 def test_fixtures_dir_override(tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from heisharm.errors import DimensionMismatchError, DomainError
 from heisharm.grids import QuadratureGrid, _unit_rule
-from heisharm.group import HeisenbergPoint
 from heisharm.oracles import (box_factor, direct_convolution_oracle,
                               forward_radial)
 from heisharm.transform import (_box_u_rule, _ramp_arc_integral,
@@ -121,19 +120,17 @@ def test_oracle_mass_and_support():
     # the second support is nested inside the first, so at the origin the
     # convolution equals sup(f) exactly; the tensor rule resolves the disc
     # edge only at O(1/nodes)
-    origin = direct_convolution_oracle(f, g, HeisenbergPoint([0.0], 0.0),
-                                       z_r, t_r, nodes=48)
+    origin = direct_convolution_oracle(f, g, [0.0], 0.0, z_r, t_r, nodes=48)
     assert origin == pytest.approx(rho1 ** -2 * tau1 ** -2, rel=2e-2)
     # beyond the summed z-supports the convolution vanishes identically
-    far = HeisenbergPoint([a * (rho1 + rho2) + 0.1], 0.0)
-    assert direct_convolution_oracle(f, g, far, z_r, t_r, nodes=12) == 0.0
+    far = [a * (rho1 + rho2) + 0.1]
+    assert direct_convolution_oracle(f, g, far, 0.0, z_r, t_r, nodes=12) == 0.0
 
 
 def test_oracle_rejects_higher_dimension():
     f = box_callable(0.9, 0.8)
     with pytest.raises(DimensionMismatchError):
-        direct_convolution_oracle(f, f, HeisenbergPoint([0.1, 0.2], 0.0),
-                                  0.5, 0.3)
+        direct_convolution_oracle(f, f, [0.1, 0.2], 0.0, 0.5, 0.3)
 
 
 def test_box_pair_matches_oracle():
@@ -150,7 +147,7 @@ def test_box_pair_matches_oracle():
         errs = []
         for r, t in pts:
             direct = direct_convolution_oracle(
-                f, g, HeisenbergPoint([complex(r)], t), z_r, t_r, nodes=nodes)
+                f, g, [complex(r)], t, z_r, t_r, nodes=nodes)
             fast = box_pair_convolution(rho1, tau1, rho2, tau2, r, t)
             errs.append(abs(direct - fast))
         return max(errs)

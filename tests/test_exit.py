@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import heisharm
-from heisharm.cli import dispatch, main
+from heisharm.cli import main
 
 SRC = Path(heisharm.__file__).resolve().parent
 
@@ -46,7 +46,7 @@ def test_process_exit_matches_in_process_dispatch(tmp_path, capsys, monkeypatch,
                           cwd=fresh, capture_output=True, env=_buffered_env())
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(here)
-    assert dispatch(argv) == code
+    assert main(argv) == code
     out, err = capsys.readouterr()
     assert proc.returncode == code
     assert proc.stdout.decode() == out and proc.stderr.decode() == err

@@ -15,11 +15,11 @@ from heisharm.fixtures import (FACTOR_K_MAX, FACTOR_S_NODES, FACTOR_S_RANGE,
                                calibration_grid, load_fixture)
 from heisharm.grids import QuadratureGrid
 from heisharm.ingham import (SequencePlan, _chain_log_columns, adaptive_N,
-                             cauchy_gap, chain_coeff, chain_coefficients,
-                             factor_bound_check, factor_coeff,
-                             factor_coeff_envelope, factor_t_hat,
-                             plan_sequences, support_radius, verify_decay)
-from heisharm.oracles import box_factor, forward_radial
+                             cauchy_gap, factor_bound_check,
+                             factor_coeff_envelope, plan_sequences,
+                             support_radius, verify_decay)
+from heisharm.oracles import (box_factor, chain_coeff, chain_coefficients,
+                              factor_coeff, factor_t_hat, forward_radial)
 from heisharm.theta import ThetaProfile, builtin_theta
 from heisharm.transform import (SpectralCoefficients, _box_t_hat,
                                 ball_coefficients, box_coefficients,

@@ -4,25 +4,31 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
-from scipy.special import eval_genlaguerre, gamma
+from scipy.special import comb, eval_genlaguerre, gamma
 
 from heisharm.errors import DomainError
-from heisharm.laguerre import (breakpoints, envelope_values,
-                               laguerre_norm_constant, laguerre_poly,
+from heisharm.laguerre import (_orthonormal_table, breakpoints, envelope_values,
                                normalized_laguerre_table, nu,
-                               orthonormality_defect, std_laguerre_fn,
-                               std_laguerre_table)
+                               orthonormality_defect)
 
 R = np.array([0.0, 0.3, 1.7, 4.0, 11.5])
 
 
+def _row_scale(k, delta):
+    """c_k = (k! / Gamma(k+delta+1))^(1/2): row k of _orthonormal_table is
+    c_k L_k^delta(u) e^(-u/2)."""
+    return np.sqrt(gamma(k + 1.0) / gamma(k + delta + 1.0))
+
+
 def test_poly_low_degree_closed_forms():
     for delta in (0.0, 1.0, 2.5):
-        assert np.allclose(laguerre_poly(0, delta, R), 1.0)
-        assert np.allclose(laguerre_poly(1, delta, R), 1.0 + delta - R)
+        tab = _orthonormal_table(2, delta, R)
+        poly = [tab[k] * np.exp(0.5 * R) / _row_scale(k, delta) for k in range(3)]
+        assert np.allclose(poly[0], 1.0)
+        assert np.allclose(poly[1], 1.0 + delta - R)
         expect2 = 0.5 * (R ** 2 - 2.0 * (delta + 2.0) * R
                          + (delta + 1.0) * (delta + 2.0))
-        assert np.allclose(laguerre_poly(2, delta, R), expect2)
+        assert np.allclose(poly[2], expect2)
 
 
 @seed(3)
@@ -31,28 +37,34 @@ def test_poly_low_degree_closed_forms():
        st.floats(min_value=0.0, max_value=4.0),
        st.floats(min_value=0.0, max_value=60.0))
 def test_poly_matches_reference(k, delta, r):
-    ours = laguerre_poly(k, delta, r)
-    ref = float(eval_genlaguerre(k, delta, r))
+    ours = float(_orthonormal_table(k, delta, r)[k])
+    ref = _row_scale(k, delta) * float(eval_genlaguerre(k, delta, r)) * np.exp(-0.5 * r)
     assert ours == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
 
 def test_poly_rejects_bad_params():
     with pytest.raises(DomainError):
-        laguerre_poly(-1, 0.0, 1.0)
+        orthonormality_defect(-1, 0.0)
     with pytest.raises(DomainError):
-        laguerre_poly(2, -1.5, 1.0)
+        orthonormality_defect(2, -1.5)
 
 
 def test_std_function_degree_zero():
+    # std_L_0^delta(r) = r^(delta/2) e^(-r/2) / Gamma(delta+1)^(1/2)
     for delta in (0.0, 1.0, 3.0):
         expect = R ** (0.5 * delta) * np.exp(-0.5 * R) / np.sqrt(gamma(delta + 1.0))
-        assert np.allclose(std_laguerre_fn(0, delta, R), expect)
+        assert np.allclose(_orthonormal_table(0, delta, R)[0] * R ** (0.5 * delta),
+                           expect)
 
 
 def test_std_table_consistent_with_fn():
-    tab = std_laguerre_table(6, 2.0, R)
+    # C_{k,n} phi_{k,lam}^{n-1}(r) = Gamma(n)^(1/2) c_k L_k^{n-1}(u) e^(-u/2)
+    # at u = |lam| r^2 / 2
+    lam, n = 0.7, 3
+    tab = normalized_laguerre_table(6, lam, n, R)
+    std = _orthonormal_table(6, n - 1.0, 0.5 * lam * R ** 2)
     for k in (0, 3, 6):
-        assert np.allclose(tab[k], std_laguerre_fn(k, 2.0, R))
+        assert np.allclose(tab[k], np.sqrt(gamma(n)) * std[k])
 
 
 def test_orthonormality_defect_small():
@@ -71,10 +83,15 @@ def test_orthonormality_defect_refuses_subnormal_weights():
 
 
 def test_norm_constant_values():
-    assert laguerre_norm_constant(0, 4) == pytest.approx(1.0)
+    # L_k^{n-1}(0) = binom(k+n-1, k), so row k of the normalized table at
+    # r = 0 is C_{k,n} binom(k+n-1, k)
+    def norm_constant(k, n):
+        return normalized_laguerre_table(k, 1.0, n, 0.0)[k] / comb(k + n - 1, k)
+
+    assert norm_constant(0, 4) == pytest.approx(1.0)
     # C_{2,2}^2 = 2! 1! / 3! = 1/3
-    assert laguerre_norm_constant(2, 2) == pytest.approx(np.sqrt(1.0 / 3.0))
-    assert laguerre_norm_constant(5, 1) == pytest.approx(1.0)
+    assert norm_constant(2, 2) == pytest.approx(np.sqrt(1.0 / 3.0))
+    assert norm_constant(5, 1) == pytest.approx(1.0)
 
 
 def test_normalized_table_ground_row():

@@ -133,7 +133,7 @@ def test_runtime_import_path_never_loads_scipy(tmp_path):
         "import heisharm.cli, heisharm.calibrate\n"
         "out = sys.argv[1]\n"
         "for name in ('laguerre-check', 'symmdiff-check'):\n"
-        "    code = heisharm.cli.dispatch([name, '--out', f'{out}/{name}.json'])\n"
+        "    code = heisharm.cli.main([name, '--out', f'{out}/{name}.json'])\n"
         "    assert code == 0, (name, code)\n"
         "assert 'scipy' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
@@ -198,7 +198,7 @@ def test_front_end_and_declared_refusals_skip_numpy(tmp_path, argv, code,
     never = tmp_path / "never.json"
     argv = [a.format(dir=tmp_path) for a in argv] + ["--out", str(never)]
     script = _FOOTPRINT + (
-        f"code = heisharm.cli.dispatch({argv!r})\n"
+        f"code = heisharm.cli.main({argv!r})\n"
         f"for name in {unloaded!r}:\n"
         "    assert name not in added(), name\n"
         "sys.exit(code)\n")
@@ -214,10 +214,10 @@ def test_spectral_checks_skip_gauss_rules_and_plans_still_hash(tmp_path):
     # the Gaussian closed form builds no Gauss-Legendre rule; ingham-plan
     # still reads the packaged fixtures through their grid-hash gate
     code = _FOOTPRINT + (
-        "assert heisharm.cli.dispatch(['plancherel-check', '--family',\n"
+        "assert heisharm.cli.main(['plancherel-check', '--family',\n"
         "    'gaussian', '--out', out + '/plancherel.json']) == 0\n"
         "assert 'numpy.polynomial' not in added()\n"
-        "assert heisharm.cli.dispatch(\n"
+        "assert heisharm.cli.main(\n"
         "    ['ingham-plan', '--out', out + '/ingham-plan.json']) == 0\n"
         "assert {'heisharm.fixtures', 'hashlib'} <= set(sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
@@ -239,7 +239,7 @@ def test_spectral_checks_skip_gauss_rules_and_plans_still_hash(tmp_path):
 ])
 def test_light_checks_load_only_what_they_run(tmp_path, command, unloaded):
     code = _FOOTPRINT + (
-        f"assert heisharm.cli.dispatch([{command!r}, '--out',\n"
+        f"assert heisharm.cli.main([{command!r}, '--out',\n"
         f"    out + '/{command}.json']) == 0\n"
         f"for name in {unloaded!r}:\n"
         "    assert name not in added(), name\n")
@@ -254,7 +254,7 @@ def test_runtime_import_path_never_loads_oracles(tmp_path):
     # law, which only tests use, nor the fixtures, the calibration, the
     # planners or the decay profiles, which it does not run
     code = _FOOTPRINT + (
-        "assert heisharm.cli.dispatch(\n"
+        "assert heisharm.cli.main(\n"
         "    ['convolve-check', '--out', out + '/convolve-check.json']) == 0\n"
         "for name in ('oracles', 'group', 'calibrate', 'chernoff', 'ingham',\n"
         "             'theta', 'fixtures'):\n"

@@ -1,4 +1,4 @@
-"""Forward transform, norms, multipliers, dilation and serialization."""
+"""Forward transform, norms, dilation and the box convolution."""
 
 import tracemalloc
 
@@ -15,13 +15,11 @@ from heisharm.laguerre import _orthonormal_table
 from heisharm.oracles import (box_factor, forward_radial, gaussian_factor,
                               ground_state)
 from heisharm.transform import (_POWER_CAP, SpectralCoefficients,
-                                _coefficient_weights, apply_multiplier,
-                                ball_coefficients, ball_normalizer,
-                                box_coefficients, dilate_coeffs, gaussian_coefficients,
-                                load_coefficients, multiply_coeffs,
-                                plancherel_norm, projection_hs_norm_sq,
-                                save_coefficients, sobolev_norm,
-                                sublaplacian_symbol, transform_at_lambda)
+                                _coefficient_weights, ball_coefficients,
+                                ball_normalizer, box_coefficients,
+                                dilate_coeffs, gaussian_coefficients,
+                                multiply_coeffs, plancherel_norm,
+                                projection_hs_norm_sq, transform_at_lambda)
 
 GRID = QuadratureGrid.make(k_max=24, lambda_min=0.05, lambda_max=20.0,
                            lambda_nodes=64)
@@ -259,19 +257,10 @@ def test_spectral_box_norms_match_closed_forms():
     one = spectral_box(symmetric=False)
     assert plancherel_norm(one) == pytest.approx(
         np.sqrt(1.5 / (2.0 * np.pi) ** 2), rel=1e-6)
-    # sobolev s=2 adds (1+lam)^2: int_1^2 (1+lam)^2 lam dlam = 119/12
-    assert sobolev_norm(one, 2.0) == pytest.approx(
-        np.sqrt(119.0 / 12.0 / (2.0 * np.pi) ** 2), rel=1e-6)
     # the symmetric convention doubles the squared norm
     both = spectral_box(symmetric=True)
     assert plancherel_norm(both) == pytest.approx(
         np.sqrt(2.0) * plancherel_norm(one), rel=1e-12)
-
-
-def test_sobolev_zero_weight_is_plancherel():
-    c = spectral_box()
-    assert sobolev_norm(c, 0.0) == pytest.approx(plancherel_norm(c), rel=1e-12)
-    assert sobolev_norm(c, 1.0) >= plancherel_norm(c)
 
 
 def test_plancherel_gaussian(gaussian_plancherel_transform):
@@ -290,17 +279,6 @@ def test_projection_dimensions():
     assert projection_hs_norm_sq(np.arange(4), 1) == pytest.approx([1, 1, 1, 1])
     # dim of the k-th eigenspace on H^2 is k+1
     assert projection_hs_norm_sq(np.arange(4), 2) == pytest.approx([1, 2, 3, 4])
-
-
-def test_multiplier_algebra():
-    c = forward_radial(gaussian_factor(1, 1.0, 0.5), GRID)
-    m = sublaplacian_symbol(1)
-    once = apply_multiplier(c, m)
-    twice = apply_multiplier(once, m)
-    squared = apply_multiplier(c, lambda k, lam: m(k, lam) ** 2)
-    assert np.allclose(twice.values, squared.values, rtol=1e-12)
-    # k = 0 row of the symbol is lam itself
-    assert np.allclose(once.values[0], GRID.lam * c.values[0])
 
 
 def test_multiply_coeffs_requires_same_grid():
@@ -346,26 +324,3 @@ def test_dilation_matches_spatial_dilation():
     scale = np.max(np.abs(target.values[:, mask]))
     err = np.max(np.abs(d.values[:, mask] - target.values[:, mask])) / scale
     assert err < 1e-3
-
-
-def test_save_load_round_trip_bit_exact(tmp_path):
-    c = forward_radial(box_factor(1, 0.9, 0.8),
-                       QuadratureGrid.make(k_max=6, lambda_min=0.1,
-                                           lambda_max=10.0, lambda_nodes=24))
-    path = tmp_path / "coeffs.csv"
-    save_coefficients(c, str(path))
-    back = load_coefficients(str(path))
-    assert back.n == c.n and back.symmetric == c.symmetric
-    assert np.array_equal(back.values, c.values)
-    assert np.array_equal(back.grid.lam, c.grid.lam)
-    assert np.array_equal(back.grid.lam_log_w, c.grid.lam_log_w)
-    header = path.read_text().splitlines()[0]
-    assert header == "k,lambda,R"
-
-
-def test_load_rejects_foreign_header(tmp_path):
-    path = tmp_path / "x.csv"
-    path.write_text("k,lambda,R\n0,1.0,2.0\n")
-    (tmp_path / "x.csv.json").write_text('{"format": "something-else"}')
-    with pytest.raises(DomainError):
-        load_coefficients(str(path))

@@ -124,22 +124,21 @@ def calibrate_envelope():
     }
 
 
-def _quadrature_table(s, k_max, n, nodes_per_panel):
-    """ball_coefficients at the single s by radial Gauss-Legendre
-    quadrature: the oracle the closed form is checked against."""
-    x, w = radial_rule(s, k_max, n, ball_normalizer(n), nodes_per_panel)
+def _quadrature_table(s, k_max, n):
+    """ball_coefficients at the single s by radial Gauss-Legendre quadrature
+    (48 nodes per panel): the oracle the closed form is checked against."""
+    x, w = radial_rule(s, k_max, n, ball_normalizer(n), 48)
     return transform_at_lambda(np.ones_like(x), x, w, s, k_max, n)
 
 
-def calibrate_cn(n, k_max=FACTOR_K_MAX, s_nodes=FACTOR_S_NODES, nodes_per_panel=48,
-                 safety=CN_SAFETY, refine_check=True):
-    """Envelope constant: safety * sup over the calibration grid of
+def calibrate_cn(n, k_max=FACTOR_K_MAX, s_nodes=FACTOR_S_NODES, refine_check=True):
+    """Envelope constant: CN_SAFETY * sup over the calibration grid of
     |coeff(k, s)| ((2k+n) s)^{(2n-1)/4}, with the coefficients from the
     closed form.
 
     With refine_check the sup is recomputed on the doubled s grid and the
     two sups must agree within 5%, and the base-grid sup is recomputed by
-    radial quadrature at nodes_per_panel, which must agree within
+    radial quadrature, which must agree within
     _ORACLE_TOL, so a frozen constant can never be an artifact of either
     method.
     """
@@ -158,8 +157,7 @@ def calibrate_cn(n, k_max=FACTOR_K_MAX, s_nodes=FACTOR_S_NODES, nodes_per_panel=
             raise QuadratureError(
                 "factor-bound calibration sup moved under grid refinement",
                 disagreement=float(rel))
-        quad = np.stack([_quadrature_table(si, k_max, n, nodes_per_panel)
-                         for si in s], axis=1)
+        quad = np.stack([_quadrature_table(si, k_max, n) for si in s], axis=1)
         oracle = sup_of(s, quad)
         rel = abs(oracle - sup) / max(sup, oracle)
         if rel > _ORACLE_TOL:
@@ -167,7 +165,7 @@ def calibrate_cn(n, k_max=FACTOR_K_MAX, s_nodes=FACTOR_S_NODES, nodes_per_panel=
                 "closed-form calibration sup disagrees with radial quadrature",
                 disagreement=float(rel))
         sup = max(sup, fine)
-    return float(safety * sup)
+    return float(CN_SAFETY * sup)
 
 
 def calibrate_factor_bound():

@@ -32,6 +32,11 @@ __all__ = [
 # lambda moments outrun the node density
 MAX_POWER = 12
 
+# gamma_integral_log's trapezoid window in u = log lam and its node count;
+# check_gamma_hypothesis's samples, log-spaced on [1, HYPOTHESIS_Y_MAX]
+GAMMA_U_WINDOW, GAMMA_U_NODES = (-46.0, 60.0), 8193
+HYPOTHESIS_Y_MAX, HYPOTHESIS_NODES = 1e8, 2049
+
 
 class NormGrowthProfile(Record):
     """Norms ||L^m f||_2 for m = 0..M with the derived Carleman data.
@@ -74,7 +79,7 @@ def sublaplacian_norms(coeffs, M, tail_frac=1e-6):
                     + np.log(projection_hs_norm_sq(k, n))
                     + np.log(g.lambda_measure_weights(n))[None, :])
     log_mu = np.log((2.0 * k + n) * lam)
-    offset = (np.log(2.0) if coeffs.symmetric else 0.0) - (n + 1) * np.log(2.0 * np.pi)
+    offset = np.log(2.0) - (n + 1) * np.log(2.0 * np.pi)  # even in t
 
     log_norm_sq = np.empty(M + 1)
     for m in range(M + 1):
@@ -120,13 +125,13 @@ def carleman_partial_sums(profile):
     }
 
 
-def gamma_integral_log(theta, n, m, u_lo=-46.0, u_hi=60.0, nodes=8193):
+def gamma_integral_log(theta, n, m):
     """log of I(m) = int_0^inf lam^{2m+n} e^{-Theta(sqrt(lam)) sqrt(lam)} dlam,
-    by trapezoid in u = log lam under logsumexp shifting."""
-    u = np.linspace(u_lo, u_hi, nodes)
+    by trapezoid on GAMMA_U_NODES nodes of GAMMA_U_WINDOW in u = log lam."""
+    u = np.linspace(*GAMMA_U_WINDOW, GAMMA_U_NODES)
     lam = np.exp(u)
     log_g = (2.0 * m + n + 1.0) * u - theta(np.sqrt(lam)) * np.sqrt(lam)
-    w = np.full(nodes, u[1] - u[0])
+    w = np.full(GAMMA_U_NODES, u[1] - u[0])
     w[0] *= 0.5
     w[-1] *= 0.5
     return float(logsumexp(log_g + np.log(w)))
@@ -142,10 +147,10 @@ def gamma_bound_log(theta, n, m):
     return float(np.logaddexp(t1, t2)), float(t1), float(t2)
 
 
-def check_gamma_hypothesis(theta, y_max=1e8, nodes=2049):
-    """The gamma chain needs Theta(y) >= 2 y^{-1/2} for y >= 1; sampled
-    violation raises HypothesisError carrying the failing y."""
-    y = np.geomspace(1.0, y_max, nodes)
+def check_gamma_hypothesis(theta):
+    """The gamma chain needs Theta(y) >= 2 y^{-1/2} for y >= 1; a violation at
+    the HYPOTHESIS_NODES samples raises HypothesisError carrying the failing y."""
+    y = np.geomspace(1.0, HYPOTHESIS_Y_MAX, HYPOTHESIS_NODES)
     deficit = theta(y) - 2.0 * y ** -0.5
     bad = deficit < -1e-12
     if np.any(bad):

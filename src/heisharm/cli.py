@@ -332,8 +332,7 @@ def _cmd_carleman(cfg):
                                    nodes_per_panel=16)
         vals = np.zeros((2, grid.lam.size))
         vals[0] = 1.0
-        coeffs = SpectralCoefficients(n=1, grid=grid, values=vals,
-                                      symmetric=True)
+        coeffs = SpectralCoefficients(n=1, grid=grid, values=vals)
         # the window edge is the true spectral support boundary, not a
         # truncation, so the boundary-domination guard is off
         prof = sublaplacian_norms(coeffs, M, tail_frac=1.0)
@@ -352,9 +351,7 @@ def _cmd_carleman(cfg):
         grid = cfg.grid()
         k = np.arange(grid.k_max + 1, dtype=float)[:, None]
         root = np.sqrt((2.0 * k + 1.0) * grid.lam[None, :])
-        coeffs = SpectralCoefficients(n=1, grid=grid,
-                                      values=np.exp(-theta(root) * root),
-                                      symmetric=True)
+        coeffs = SpectralCoefficients(n=1, grid=grid, values=np.exp(-theta(root) * root))
         prof = sublaplacian_norms(coeffs, M)
         # the norm bound needs the doubled profile (squared coefficients)
         # to satisfy the gamma hypothesis
@@ -603,6 +600,19 @@ def _rows_csv(rows):
     return "\n".join(lines) + "\n"
 
 
+def _non_finite(value, key=""):
+    """Key paths, as rows[0].spectral_norm, of the floats in a report that
+    are not finite, in order; the bound is False for nan and for inf."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _non_finite(v, f"{key}.{k}" if key else k)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _non_finite(v, f"{key}[{i}]")
+    elif isinstance(value, float) and not abs(value) <= sys.float_info.max:
+        yield key
+
+
 def main(argv=None):
     """Run one subcommand; returns the process exit code."""
     parser = _build_parser()
@@ -613,6 +623,9 @@ def main(argv=None):
     try:
         cfg = _resolve_config(args)
         report, summary = _COMMANDS[cfg.command][0](cfg)
+        bad = next(_non_finite(report), None)
+        if bad is not None:
+            raise DomainError(f"report value {bad} is not finite")
         if cfg.out:
             write_json(cfg.out, report)
             if cfg.command == "carleman":

@@ -7,9 +7,8 @@ so panels are subdivided until each one holds comfortably fewer phase
 radians than it has nodes.
 
 The lambda axis carries a trapezoidal rule in log lambda for integrals
-against |lam|^n d lam on (0, inf); node placement is symmetric in the sense
-that only positive nodes are stored and even integrands are doubled by the
-norm routines when appropriate.
+against |lam|^n d lam on (0, inf); only positive nodes are stored, and the
+norm routines double the integrals, since every integrand is even in lam.
 """
 
 from functools import lru_cache

@@ -87,9 +87,7 @@ class SequencePlan(Record):
         return TAU_GAUGE
 
 
-def _chain_constant(n, c_n=None, fixtures_dir=None):
-    if c_n is not None:
-        return float(c_n)
+def _chain_constant(n, fixtures_dir):
     fx = load_fixture("box_factor_envelope.json", fixtures_dir)
     key = str(n)
     if key not in fx["c_n"]:
@@ -112,7 +110,7 @@ def plan_sequences(theta, n, J=64, c_n=None, fixtures_dir=None):
         # 2^{-1074} is the smallest positive double
         raise DomainError(f"at most 1074 factors: tau_j = 2^-j underflows to 0 "
                           f"past j = 1074, got J = {J}")
-    cn = _chain_constant(n, c_n, fixtures_dir)
+    cn = float(c_n) if c_n is not None else _chain_constant(n, fixtures_dir)
     j = np.arange(1, J + 1, dtype=float)
     rho = cn ** 2 * np.e ** 2 * theta(j) / j + 2.0 ** -j
     tau = 2.0 ** -j
@@ -129,15 +127,15 @@ def factor_coeff_envelope(k, lam, rho, n, c_n):
         return np.minimum(1.0, c_n * np.where(x > 0, x, np.inf) ** (0.5 - n))
 
 
-def factor_bound_check(n, c_n=None, k_max=FACTOR_K_MAX, s_nodes=FACTOR_S_NODES,
-                       thin=1, fixtures_dir=None):
+def factor_bound_check(n, k_max=FACTOR_K_MAX, s_nodes=FACTOR_S_NODES, thin=1,
+                       fixtures_dir=None):
     """Validate |coeff(k, s)| <= min(1, c_n ((2k+n) s)^{-(2n-1)/4}) over the
-    calibration grid, with the frozen c_n by default.
+    calibration grid, with the frozen c_n.
 
     thin keeps every thin-th s column, trading coverage for speed; the
     certified outcome is zero violations at thin = 1.
     """
-    c_n = _chain_constant(n, c_n, fixtures_dir)
+    c_n = _chain_constant(n, fixtures_dir)
     k, s = calibration_grid(k_max, s_nodes)
     s = s[::max(int(thin), 1)]
     vals = np.abs(ball_coefficients(s, k_max, n))
@@ -229,15 +227,15 @@ def _max_log_q(log_q, lam_nodes):
 
 
 def verify_decay(plan, theta, k_max=64, lambda_min=1e-2, lambda_max=1e2,
-                 lambda_nodes=192, stability_check=True):
+                 lambda_nodes=192):
     """Certify the decay of the adaptive chain over a (k, lam) window.
 
     Maximizes q(k, lam) = G_N(k, lam)^2 e^{+2 Theta(sqrt(nu)) sqrt(nu)},
     with N = adaptive_N, in log space.  The fitted constant is
     C = max q; pass requires a finite maximum that moves by at most 0.1 in
-    log when k_max doubles.  One log q table serves both maxima: with the
-    stability check it is built at 2 k_max, the certified maximum is read
-    from its k <= k_max block and the doubled one from the whole table.
+    log when k_max doubles, a check that is always on.  One log q table,
+    built at 2 k_max, serves both maxima: the certified one is read from its
+    k <= k_max block and the doubled one from the whole table.
     That is exact, since ball_coefficients is a forward recurrence in k
     (rows 0..k_max do not depend on the top degree) and adaptive_N and
     Theta act cell by cell.  Report schema is fixed; byte determinism
@@ -245,13 +243,10 @@ def verify_decay(plan, theta, k_max=64, lambda_min=1e-2, lambda_max=1e2,
     """
     require_convergent(theta, "nothing to certify")
     lam_nodes = np.geomspace(lambda_min, lambda_max, lambda_nodes)
-    top = 2 * k_max if stability_check else k_max
-    log_q = _log_q_table(plan, theta, top, lam_nodes)
+    log_q = _log_q_table(plan, theta, 2 * k_max, lam_nodes)
     max_log_q, k_star, lam_star = _max_log_q(log_q[:, :k_max + 1], lam_nodes)
-    stable = True
-    if stability_check:
-        max2, _, _ = _max_log_q(log_q, lam_nodes)
-        stable = bool(abs(max2 - max_log_q) <= 0.1)
+    max2, _, _ = _max_log_q(log_q, lam_nodes)
+    stable = bool(abs(max2 - max_log_q) <= 0.1)
     ok = bool(np.isfinite(max_log_q) and stable)
     return {
         "theta": plan.theta_name,
@@ -276,7 +271,7 @@ def support_radius(plan, N=None):
     return float(plan.a * np.sum(plan.rho[:N]) + TAU_GAUGE * np.sum(plan.tau[:N]))
 
 
-def cauchy_gap(plan, K, grid, c3=None, fixtures_dir=None):
+def cauchy_gap(plan, K, grid, c3=None):
     """(bounds, measured) arrays over the chain steps G_k -> G_{k+1},
     k = 1..K, all read from one stream of the factors of G_1 .. G_{K+1}.
 
@@ -288,10 +283,10 @@ def cauchy_gap(plan, K, grid, c3=None, fixtures_dir=None):
     if not (1 <= K < plan.J):
         raise DomainError(f"need 1 <= K < J = {plan.J}")
     if c3 is None:
-        c3 = float(load_fixture("chain_gap_constants.json", fixtures_dir)["c3"])
+        c3 = float(load_fixture("chain_gap_constants.json")["c3"])
     signs, logs = _chain_log_columns(plan, grid.lam, grid.k_max,
                                      np.arange(1, K + 2)[:, None, None])
     gaps = np.diff(signs * np.exp(logs), axis=0)
     measured = [plancherel_norm(SpectralCoefficients(
-        n=plan.n, grid=grid, values=g.T, symmetric=True)) for g in gaps]
+        n=plan.n, grid=grid, values=g.T)) for g in gaps]
     return plan.tau[1:K + 1] ** 2 + c3 * plan.rho[1:K + 1], np.array(measured)

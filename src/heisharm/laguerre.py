@@ -129,20 +129,18 @@ def roots_genlaguerre(N, delta):
     return x, w
 
 
-def orthonormality_defect(kmax, delta, nodes=None):
+def orthonormality_defect(kmax, delta):
     """Worst deviation of the Gram matrix of std_L_0..std_L_kmax from the
-    identity, measured with a Gauss rule of type delta.
+    identity, measured with a Gauss rule of type delta with kmax + 20 nodes.
 
     Every pairwise product is a degree <= 2 kmax polynomial against the
-    weight x^delta e^{-x}, so a rule with kmax + 20 nodes integrates the
-    whole Gram matrix exactly; any defect is pure rounding.  A rule whose
-    smallest weight is subnormal keeps only a few bits of it, so such rules
-    are refused: with the default kmax + 20 nodes that caps kmax at 165,
-    166, 168 and 169 for delta = 0, 1, 2 and 3.
+    weight x^delta e^{-x}, so that rule integrates the whole Gram matrix
+    exactly; any defect is pure rounding.  A rule whose smallest weight is
+    subnormal keeps only a few bits of it, so such rules are refused, which
+    caps kmax at 165, 166, 168 and 169 for delta = 0, 1, 2 and 3.
     """
     _check_params(kmax, delta)
-    nodes = int(nodes or (kmax + 20))
-    x, w = roots_genlaguerre(nodes, delta)
+    x, w = roots_genlaguerre(int(kmax + 20), delta)
     if not np.all((w >= np.finfo(float).tiny) & np.isfinite(w)):
         raise DomainError("Gauss-Laguerre weights underflowed; lower the degree")
     tab = _orthonormal_table(kmax, delta, x)

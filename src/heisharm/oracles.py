@@ -53,18 +53,15 @@ class RadialFunction(Record):
     panel edge, so profile discontinuities must sit there, not inside.
     """
 
-    __slots__ = ("n", "profile", "t_hat", "support_radius",
-                 "lambda_dependent", "label")
+    __slots__ = ("n", "profile", "t_hat", "support_radius", "lambda_dependent")
 
-    def __init__(self, n, profile, t_hat, support_radius,
-                 lambda_dependent=False, label=""):
+    def __init__(self, n, profile, t_hat, support_radius, lambda_dependent=False):
         if n < 1:
             raise DimensionMismatchError("n must be a positive integer")
         if not support_radius > 0:
             raise DomainError("support_radius must be positive")
         self._assign(n=n, profile=profile, t_hat=t_hat,
-                     support_radius=support_radius,
-                     lambda_dependent=lambda_dependent, label=label)
+                     support_radius=support_radius, lambda_dependent=lambda_dependent)
 
     def profile_at(self, r, lam):
         if self.lambda_dependent:
@@ -72,7 +69,7 @@ class RadialFunction(Record):
         return np.asarray(self.profile(r), dtype=float)
 
 
-def box_factor(n, rho, tau, label=""):
+def box_factor(n, rho, tau):
     """Product of normalized indicators: ball of radius a*rho in z, interval
     of length tau^2 in t.  Both parts integrate to one."""
     if rho <= 0 or tau <= 0:
@@ -87,8 +84,7 @@ def box_factor(n, rho, tau, label=""):
     def t_hat(lam):
         return _box_t_hat(tau, lam)
 
-    return RadialFunction(n=n, profile=profile, t_hat=t_hat, support_radius=R,
-                          label=label or f"box(rho={rho!r}, tau={tau!r})")
+    return RadialFunction(n=n, profile=profile, t_hat=t_hat, support_radius=R)
 
 
 def gaussian_factor(n, sigma_z, sigma_t, cutoff=14.0):
@@ -105,8 +101,7 @@ def gaussian_factor(n, sigma_z, sigma_t, cutoff=14.0):
         return _gaussian_t_hat(sigma_t, lam)
 
     return RadialFunction(n=n, profile=profile, t_hat=t_hat,
-                          support_radius=cutoff * sigma_z,
-                          label=f"gauss(sz={sigma_z!r}, st={sigma_t!r})")
+                          support_radius=cutoff * sigma_z)
 
 
 def ground_state(n, cutoff=14.0):
@@ -124,8 +119,7 @@ def ground_state(n, cutoff=14.0):
     # effective radial width is 2/sqrt(lam); the forward driver rescales
     # the support per lambda for lambda-dependent profiles
     return RadialFunction(n=n, profile=profile, t_hat=t_hat,
-                          support_radius=cutoff, lambda_dependent=True,
-                          label="ground-state")
+                          support_radius=cutoff, lambda_dependent=True)
 
 
 # radial nodes per Laguerre recurrence in _forward_columns: the few rows of
@@ -171,7 +165,7 @@ def _forward_columns(f, grid, nodes_per_panel):
     return weights[:, None] * out
 
 
-def forward_radial(f, grid, symmetric=True, check=True, check_tol=1e-8):
+def forward_radial(f, grid, check=True, check_tol=1e-8):
     """Transform a RadialFunction on the grid.
 
     With check=True every column is recomputed at doubled panel order and
@@ -192,7 +186,7 @@ def forward_radial(f, grid, symmetric=True, check=True, check_tol=1e-8):
                 disagreement=float(diff[worst] / scale),
             )
         vals = fine
-    return SpectralCoefficients(n=f.n, grid=grid, values=vals, symmetric=symmetric)
+    return SpectralCoefficients(n=f.n, grid=grid, values=vals)
 
 
 def direct_convolution_oracle(f, g, z, t, g_z_radius, g_t_radius, nodes=24):
@@ -262,9 +256,9 @@ def chain_coeff(plan, N, k, lam):
 
 
 def chain_coefficients(plan, N, grid):
-    """SpectralCoefficients of G_N on the grid (even in t, so symmetric)."""
+    """SpectralCoefficients of G_N on the grid."""
     if N < 0 or N > plan.J:
         raise DomainError(f"chain length {N} outside 0..{plan.J}")
     signs, logs = _chain_log_columns(plan, grid.lam, grid.k_max, N)
     vals = (signs * np.exp(logs)).T
-    return SpectralCoefficients(n=plan.n, grid=grid, values=vals, symmetric=True)
+    return SpectralCoefficients(n=plan.n, grid=grid, values=vals)

@@ -12,10 +12,9 @@ normalization the coefficients of the identity-scaled Gaussian e^{-|lam| r^2 / 4
 are (2 pi / lam)^n delta_{k0}, group convolution becomes the entrywise
 product, and the sublaplacian acts as multiplication by (2k+n) |lam|.
 
-Coefficients are stored on the positive lambda half-axis only.  The
-``symmetric`` flag records whether the function is even in t, in which case
-norm integrals double the single-sided value; with symmetric=False the
-norms are literal single-sided integrals.
+Coefficients are stored on the positive lambda half-axis only.  Every
+represented function is even in t, so R_k(-lam) = R_k(lam) and the norms
+double the one-sided lambda integral; there is no convention flag.
 """
 
 import numpy as np
@@ -129,7 +128,7 @@ def box_coefficients(n, rho, tau, grid):
         raise DomainError("box factor needs rho > 0 and tau > 0")
     vals = ball_coefficients(grid.lam * rho ** 2, grid.k_max, n)
     vals *= _box_t_hat(tau, grid.lam)
-    return SpectralCoefficients(n=n, grid=grid, values=vals, symmetric=True)
+    return SpectralCoefficients(n=n, grid=grid, values=vals)
 
 
 def gaussian_coefficients(n, sigma_z, sigma_t, grid):
@@ -151,7 +150,7 @@ def gaussian_coefficients(n, sigma_z, sigma_t, grid):
     k = np.arange(grid.k_max + 1, dtype=float)
     vals = (4.0 * np.pi * sigma_z ** 2 / (2.0 + b)) ** n * _gaussian_t_hat(sigma_t, grid.lam) \
         * q[None, :] ** k[:, None]
-    return SpectralCoefficients(n=n, grid=grid, values=vals, symmetric=True)
+    return SpectralCoefficients(n=n, grid=grid, values=vals)
 
 
 def projection_hs_norm_sq(k, n):
@@ -166,9 +165,9 @@ class SpectralCoefficients(Record):
     columns the positive lambda nodes.  Instances are immutable; all
     operations return new objects."""
 
-    __slots__ = ("n", "grid", "values", "symmetric")
+    __slots__ = ("n", "grid", "values")
 
-    def __init__(self, n, grid, values, symmetric=True):
+    def __init__(self, n, grid, values):
         v = np.asarray(values, dtype=float)
         want = (grid.k_max + 1, grid.lam.size)
         if v.shape != want:
@@ -179,16 +178,12 @@ class SpectralCoefficients(Record):
             raise DimensionMismatchError("n must be a positive integer")
         v = v.copy()
         v.setflags(write=False)
-        self._assign(n=n, grid=grid, values=v, symmetric=symmetric)
-
-    @property
-    def k(self):
-        return np.arange(self.grid.k_max + 1)
+        self._assign(n=n, grid=grid, values=v)
 
     def with_values(self, values):
         """The same coefficient set with new values, validated as in
         construction."""
-        return type(self)(self.n, self.grid, values, self.symmetric)
+        return type(self)(self.n, self.grid, values)
 
 
 def _coefficient_weights(k_max, n):
@@ -229,13 +224,12 @@ def plancherel_norm(coeffs):
     """L^2 norm of the represented function."""
     g = coeffs.grid
     n = coeffs.n
-    hs = projection_hs_norm_sq(coeffs.k, n)
+    hs = projection_hs_norm_sq(np.arange(g.k_max + 1), n)
     sq = coeffs.values ** 2
     sq *= hs[:, None]
     per_lam = np.sum(sq, axis=0)
     total = np.sum(per_lam * g.lambda_measure_weights(n))
-    if coeffs.symmetric:
-        total *= 2.0
+    total *= 2.0  # even in t
     return float(np.sqrt(total / (2.0 * np.pi) ** (n + 1)))
 
 
@@ -244,8 +238,6 @@ def _require_compatible(a, b):
         raise DimensionMismatchError(f"dimension mismatch: n={a.n} vs n={b.n}")
     if not a.grid.same_as(b.grid):
         raise GridMismatchError("coefficient sets live on different grids")
-    if a.symmetric != b.symmetric:
-        raise GridMismatchError("mixed symmetric conventions")
 
 
 def multiply_coeffs(a, b):

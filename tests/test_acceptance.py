@@ -154,7 +154,7 @@ def carleman_box_profile(M=20):
                                lambda_nodes=2049, nodes_per_panel=8)
     vals = np.zeros((2, grid.lam.size))
     vals[0] = 1.0
-    coeffs = SpectralCoefficients(n=1, grid=grid, values=vals, symmetric=True)
+    coeffs = SpectralCoefficients(n=1, grid=grid, values=vals)
     return sublaplacian_norms(coeffs, M, tail_frac=1.0)
 
 

@@ -31,7 +31,7 @@ def spectral_box(lambda_nodes=4097):
                             lambda_nodes=lambda_nodes, nodes_per_panel=8)
     vals = np.zeros((2, g.lam.size))
     vals[0] = 1.0
-    return SpectralCoefficients(n=1, grid=g, values=vals, symmetric=True)
+    return SpectralCoefficients(n=1, grid=g, values=vals)
 
 
 def box_log_norm_sq(m):
@@ -66,8 +66,7 @@ def test_box_moment_tail_gate():
 def test_degenerate_zero_function():
     g = QuadratureGrid.make(k_max=1, lambda_min=1.0, lambda_max=2.0,
                             lambda_nodes=64)
-    zero = SpectralCoefficients(n=1, grid=g, values=np.zeros((2, 64)),
-                                symmetric=True)
+    zero = SpectralCoefficients(n=1, grid=g, values=np.zeros((2, 64)))
     prof = sublaplacian_norms(zero, 4, tail_frac=1.0)
     assert prof.degenerate
     assert np.all(np.isinf(prof.carleman_terms))

@@ -2,11 +2,14 @@
 
 import json
 import shutil
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from heisharm.cli import _COMMANDS, _NAMES, RunConfig, main
+from heisharm.cli import (_COMMANDS, _NAMES, RunConfig, _build_parser,
+                          _resolve_config, main)
 from heisharm.errors import HypothesisError, TailError
 from heisharm.fixtures import packaged_fixtures_dir
 
@@ -372,9 +375,60 @@ def test_unwritable_report_path_exits_2(tmp_path, capsys, target):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("heisharm symmdiff-check: ")
+    # the message names the report path, not the writer's temporary file
+    assert str(out) in captured.err and ".tmp-" not in captured.err
     # nothing is left behind, not even the writer's temporary file
     left = [p.name for p in tmp_path.rglob("*")]
     assert left == (["taken"] if target == "directory" else [])
+
+
+@pytest.mark.parametrize("argv, key", [
+    pytest.param(["plancherel-check", "--family", "gaussian",
+                  "--lambda-max", "1e200"], "rows[0].spectral_norm",
+                 id="plancherel-gaussian"),
+    pytest.param(["plancherel-check", "--family", "box", "--lambda-max", "1e200"],
+                 "rows[0].spectral_norm", id="plancherel-box"),
+    pytest.param(["carleman", "--family", "envelope", "--theta", "inv-sqrt",
+                  "--lambda-max", "1e160"], "rows[0].log_norm", id="carleman"),
+    pytest.param(["ingham-verify", "--theta", "inv-sqrt", "--lambda-max", "1e300"],
+                 "C", id="ingham-verify"),
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_report_refused(tmp_path, capsys, argv, key):
+    # the overflow happens inside the computation; the report that would
+    # carry it is refused before anything is written
+    out = tmp_path / "r.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"heisharm {argv[0]}: refused: report value {key} "
+                            "is not finite\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, executed from its source so that nothing is
+    written under perfbench/."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    module = types.ModuleType("perfbench_workloads")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+         module.__dict__)
+    return module
+
+
+_WORKLOADS = _benchmark_workloads()
+
+
+@pytest.mark.parametrize("entry", [e for e in _WORKLOADS.all_entries()
+                                   if not e["calibrate"]],
+                         ids=lambda e: e["id"])
+def test_benchmark_entry_resolves(tmp_path, entry):
+    # every benchmark op parses and resolves to a config, without running:
+    # a CLI change that would fail an op fails here first
+    argv = _WORKLOADS.op_argv(entry, str(tmp_path / "r.json"), str(tmp_path),
+                              str(tmp_path / "fixtures"))
+    cfg = _resolve_config(_build_parser().parse_args(argv))
+    assert cfg.command == argv[0] and cfg.out == str(tmp_path / "r.json")
 
 
 @pytest.mark.parametrize("command", ["ingham-plan", "ingham-verify"])

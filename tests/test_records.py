@@ -33,7 +33,7 @@ def _table():
 
 def _coeffs():
     grid = _grid()
-    return SpectralCoefficients(n=1, grid=grid, symmetric=True,
+    return SpectralCoefficients(n=1, grid=grid,
                                 values=np.ones((grid.k_max + 1, grid.lam.size)))
 
 
@@ -187,7 +187,7 @@ def test_spectral_coefficients_refusals():
          "n must be a positive integer"),
     ]
     for kw, exc, message in cases:
-        args = {"n": 1, "grid": grid, "symmetric": True, **kw}
+        args = {"n": 1, "grid": grid, **kw}
         with pytest.raises(exc) as info:
             SpectralCoefficients(**args)
         assert type(info.value) is exc and str(info.value) == message
@@ -206,7 +206,7 @@ def test_with_values_validates_and_copies():
         c.with_values(bad)
     src = np.full(shape, 2.0)
     d = c.with_values(src)
-    assert d is not c and d.grid is c.grid and (d.n, d.symmetric) == (c.n, c.symmetric)
+    assert d is not c and d.grid is c.grid and d.n == c.n
     assert d.values is not src and not d.values.flags.writeable
     assert np.array_equal(d.values, src)
 

@@ -1,12 +1,14 @@
 """The public surface is what production reaches: every name a production
-module exports is used somewhere in production code.  Read from the source
-with ast, so nothing is imported.  heisharm.oracles is exempt; it holds the
+module exports is used somewhere in production code, and every parameter
+with a default is passed by some call.  Read from the source with ast, so
+nothing is imported.  heisharm.oracles is exempt as a definer; it holds the
 references the tests compare against."""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "heisharm"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "heisharm"
 
 
 def _production_trees():
@@ -42,3 +44,71 @@ def test_every_exported_name_is_reached_by_production_code():
     unreached = sorted(f"{module}:{name}" for module, tree in trees.items()
                        for name in _exported(tree) if name not in used)
     assert unreached == []
+
+
+def _defaulted(fn, is_method):
+    """(name, position) of each parameter of fn with a default; position is
+    the index among a call's positional arguments (self and cls excluded),
+    None for a keyword-only one."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    shift = 1 if is_method else 0
+    out = [(arg.arg, i - shift) for i, arg in enumerate(positional) if i >= first]
+    out += [(arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+            if d is not None]
+    return out
+
+
+def _knobs(tree, cls=None):
+    """(names a call reaches it by, qualified name, parameter, position) for
+    every defaulted parameter of every function in tree, nested ones
+    included.  A constructor is reached through its class name and
+    through cls(...)."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from _knobs(node, node.name)
+        elif isinstance(node, ast.FunctionDef):
+            names = {node.name}
+            if cls is not None and node.name in ("__init__", "__new__"):
+                names = {cls, "cls"}
+            qualname = f"{cls}.{node.name}" if cls else node.name
+            for param, pos in _defaulted(node, cls is not None):
+                yield names, qualname, param, pos
+            yield from _knobs(node)
+
+
+def _callee(call):
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def _passes(call, param, pos):
+    """Whether call sets param: by keyword, by **mapping, or by position
+    (a *sequence at or before it counts)."""
+    if any(kw.arg in (None, param) for kw in call.keywords):
+        return True
+    if pos is None:
+        return False
+    return len(call.args) > pos or any(
+        isinstance(arg, ast.Starred) for arg in call.args[:pos + 1])
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    callers = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "tests").glob("*.py")),
+               *sorted((ROOT / "perfbench").glob("*.py"))]
+    calls = {}
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_callee(node), []).append(node)
+    unturned = sorted(
+        f"{module[:-3]}.{qualname}:{param}"
+        for module, tree in _production_trees().items()
+        for names, qualname, param, pos in _knobs(tree)
+        if not any(_passes(call, param, pos)
+                   for name in names for call in calls.get(name, ())))
+    assert unturned == []

@@ -25,13 +25,13 @@ GRID = QuadratureGrid.make(k_max=24, lambda_min=0.05, lambda_max=20.0,
                            lambda_nodes=64)
 
 
-def spectral_box(symmetric=True, lambda_nodes=4097):
+def spectral_box(lambda_nodes=4097):
     """k = 0 indicator of lam in [1, 2]: every norm has a closed form."""
     g = QuadratureGrid.make(k_max=1, lambda_min=1.0, lambda_max=2.0,
                             lambda_nodes=lambda_nodes, nodes_per_panel=8)
     vals = np.zeros((2, g.lam.size))
     vals[0] = 1.0
-    return SpectralCoefficients(n=1, grid=g, values=vals, symmetric=symmetric)
+    return SpectralCoefficients(n=1, grid=g, values=vals)
 
 
 def test_ball_normalizer_unit_volume():
@@ -181,7 +181,7 @@ def test_gaussian_coefficients_match_quadrature(n, k_max, sigma_z, sigma_t, b_en
                                lambda_max=b_hi / sigma_z ** 2, lambda_nodes=4)
     oracle = forward_radial(gaussian_factor(n, sigma_z, sigma_t), grid).values
     closed = gaussian_coefficients(n, sigma_z, sigma_t, grid)
-    assert closed.symmetric and closed.grid is grid
+    assert closed.grid is grid
     assert (np.max(np.abs(closed.values - oracle))
             <= 1e-10 * np.max(np.abs(oracle)))
 
@@ -253,14 +253,10 @@ def test_unit_mass_bounds_coefficients():
 
 
 def test_spectral_box_norms_match_closed_forms():
-    # one-sided: ||f||^2 = (2 pi)^{-2} int_1^2 lam dlam = 3 / (8 pi^2)
-    one = spectral_box(symmetric=False)
-    assert plancherel_norm(one) == pytest.approx(
-        np.sqrt(1.5 / (2.0 * np.pi) ** 2), rel=1e-6)
-    # the symmetric convention doubles the squared norm
-    both = spectral_box(symmetric=True)
-    assert plancherel_norm(both) == pytest.approx(
-        np.sqrt(2.0) * plancherel_norm(one), rel=1e-12)
+    # even in t, so both lambda half-axes count:
+    # ||f||^2 = 2 (2 pi)^{-2} int_1^2 lam dlam = 3 / (4 pi^2)
+    assert plancherel_norm(spectral_box()) == pytest.approx(
+        np.sqrt(3.0 / (2.0 * np.pi) ** 2), rel=1e-6)
 
 
 def test_plancherel_gaussian(gaussian_plancherel_transform):
@@ -298,7 +294,7 @@ def test_dilation_closed_form_on_smooth_column():
                             lambda_nodes=512)
     vals = np.zeros((2, g.lam.size))
     vals[0] = np.exp(-np.log(g.lam) ** 2)
-    c = SpectralCoefficients(n=1, grid=g, values=vals, symmetric=True)
+    c = SpectralCoefficients(n=1, grid=g, values=vals)
     r = 1.3
     d = dilate_coeffs(c, r)
     inner = (g.lam >= g.lam[0] * r ** 2)

@@ -14,8 +14,9 @@ Each function covers only the domain its callers reach, and says so:
   accuracy near x = 1, where arcsin(sqrt x) does not.
 * ``logsumexp``: log sum exp(a), shifted by the maximum.
 
-The Gauss-Legendre rule is numpy's ``leggauss``; the Gauss-Laguerre rule
-lives in ``laguerre``, beside the orthonormal recurrence it evaluates.
+The Gauss rules live beside their users: the Gauss-Legendre rule in
+``grids`` (``roots_legendre``), the Gauss-Laguerre rule in ``laguerre``,
+beside the orthonormal recurrence it evaluates.
 """
 
 import math

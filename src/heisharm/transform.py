@@ -335,9 +335,9 @@ def _ramp_arc_integrals(d, s, psis):
     cells go through _ramp_arc_integral itself; every value is the float it
     gives, with the same operands in the same order.
     """
-    out = np.zeros((d.size, s.size))
-    # arc(lo1, hi1) + arc(-psis, hi2) of _ramp_arc_integral at a = arcsin(-1)
-    # for the rows with d > 0; their sign-changing cells are overwritten below
+    # arc(lo1, hi1) + arc(-psis, hi2) of _ramp_arc_integral at a = arcsin(-1),
+    # written for every row, then zeroed on the rows with d <= 0; the
+    # sign-changing cells are overwritten below
     a = np.arcsin(-1.0)
     neg = -psis
     lo1 = np.maximum(a, neg)
@@ -345,10 +345,14 @@ def _ramp_arc_integrals(d, s, psis):
     hi2 = np.maximum(neg, -np.pi - a)
     sin1 = 2.0 * s * np.sin(0.5 * (hi1 + lo1)) * np.sin(0.5 * (hi1 - lo1))
     sin2 = 2.0 * s * np.sin(0.5 * (hi2 + neg)) * np.sin(0.5 * (hi2 - neg))
-    up = np.flatnonzero(d > 0)
-    du = d[up, None]
-    out[up] = (du * (hi1 - lo1) + sin1) + (du * (hi2 - neg) + sin2)
-    # a NaN offset fails the comparison and keeps _ramp_arc_integral's NaN
+    out = np.multiply(d[:, None], hi1 - lo1)
+    out += sin1
+    second = np.multiply(d[:, None], hi2 - neg)
+    second += sin2
+    out += second
+    # a NaN offset fails both comparisons: its row is not zeroed, and every
+    # cell of it takes _ramp_arc_integral's NaN
+    out[d <= 0] = 0.0
     cells = np.flatnonzero(~(np.abs(d)[:, None] >= s))
     row, col = np.divmod(cells, s.size)
     out.flat[cells] = _ramp_arc_integral(d[row], s[col], psis[col])
@@ -404,12 +408,16 @@ def box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=256):
         else:
             psis = np.arccos(np.clip(gamma, -1.0, 1.0))
         sel = np.flatnonzero(which == j)
-        # ramps has shape (len(sel), 4, u nodes); u is the last, contiguous
-        # axis, so each sample's u-sum is the same whatever else is batched
-        d = (flat_t[sel, None] + offsets[None, :]).ravel()
-        ramps = _ramp_arc_integrals(d, 0.5 * ri * ux, psis).reshape(sel.size, 4, -1)
-        inner = ramps[:, 0] - ramps[:, 1] - ramps[:, 2] + ramps[:, 3]
-        flat_out[sel] = np.sum(inner * (ux * uw), axis=-1)
+        # ramp-major: ramps has shape (4, len(sel), u nodes), so each ramp's
+        # table is one contiguous block; u is the last, contiguous axis, so
+        # each sample's u-sum is the same whatever else is batched
+        d = (offsets[:, None] + flat_t[sel]).ravel()
+        ramps = _ramp_arc_integrals(d, 0.5 * ri * ux, psis).reshape(4, sel.size, -1)
+        inner = ramps[0] - ramps[1]
+        inner -= ramps[2]
+        inner += ramps[3]
+        inner *= ux * uw
+        flat_out[sel] = np.sum(inner, axis=-1)
     return out * (hgt / (rho1 ** 2 * rho2 ** 2))
 
 

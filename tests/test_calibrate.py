@@ -16,9 +16,9 @@ FIXTURES = ("lemma21_constants.json", "box_factor_envelope.json",
 def test_run_all_reproduces_packaged_fixtures(tmp_path):
     out = tmp_path / "new"  # does not exist yet: run_all creates it
     run_all(out_dir=out)
-    # byte for byte: no stored value passes through an eigensolver (numpy's
-    # leggauss runs only in calibrate_cn's quadrature cross-check), so a
-    # rerun has no LAPACK rounding to absorb
+    # byte for byte: no stored value passes through an eigensolver (the
+    # Gauss-Legendre rule, grids.roots_legendre, runs only in calibrate_cn's
+    # quadrature cross-check), so a rerun has no LAPACK rounding to absorb
     for name in FIXTURES:
         packaged = Path(packaged_fixtures_dir(), name).read_bytes()
         assert (out / name).read_bytes() == packaged, name

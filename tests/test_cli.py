@@ -406,17 +406,21 @@ def test_non_finite_report_refused(tmp_path, capsys, argv, key):
     assert list(tmp_path.iterdir()) == []
 
 
-def _benchmark_workloads():
-    """perfbench/workloads.py, executed from its source so that nothing is
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _benchmark_module(stem):
+    """perfbench/<stem>.py, executed from its source so that nothing is
     written under perfbench/."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    module = types.ModuleType("perfbench_workloads")
+    path = _PERFBENCH / f"{stem}.py"
+    module = types.ModuleType(f"perfbench_{stem}")
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
          module.__dict__)
     return module
 
 
-_WORKLOADS = _benchmark_workloads()
+_WORKLOADS = _benchmark_module("workloads")
+_OUTCOME = _benchmark_module("outcome")
 
 
 @pytest.mark.parametrize("entry", [e for e in _WORKLOADS.all_entries()
@@ -429,6 +433,22 @@ def test_benchmark_entry_resolves(tmp_path, entry):
                               str(tmp_path / "fixtures"))
     cfg = _resolve_config(_build_parser().parse_args(argv))
     assert cfg.command == argv[0] and cfg.out == str(tmp_path / "r.json")
+
+
+@pytest.mark.parametrize("entry", [e for e in _WORKLOADS.all_entries()
+                                   if e["kind"] == "convolve"],
+                         ids=lambda e: e["id"])
+def test_convolve_check_meets_benchmark_reference(tmp_path, entry):
+    # the benchmark's own check of a convolve-check op, run in-process: a
+    # change that moves a headline past the benchmark's tolerance, or the
+    # exit status, fails here first
+    refs = json.loads((_PERFBENCH / "references.json").read_text())
+    out_dir = tmp_path / "op"
+    out_dir.mkdir()
+    argv = _WORKLOADS.op_argv(entry, str(out_dir / "report.json"),
+                              str(tmp_path), str(tmp_path / "fixtures"))
+    got = _OUTCOME.outcome(entry, main(argv), str(out_dir))
+    assert _OUTCOME.check(got, refs[entry["id"]]) == []
 
 
 @pytest.mark.parametrize("command", ["ingham-plan", "ingham-verify"])

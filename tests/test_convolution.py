@@ -289,6 +289,115 @@ def test_cell_split_matches_all_cells(widths):
     assert np.max(np.abs(split - ref)) <= 4e-16 * np.max(np.abs(ref))
 
 
+def table_ramp_arc_integrals(d, s, psis):
+    """Oracle of _ramp_arc_integrals' table fill: the positive-offset formula
+    written only on the rows with d > 0 of a zeroed table, then the
+    sign-changing cells through _ramp_arc_integral."""
+    out = np.zeros((d.size, s.size))
+    a = np.arcsin(-1.0)
+    neg = -psis
+    lo1 = np.maximum(a, neg)
+    hi1 = np.maximum(lo1, np.minimum(np.pi - a, psis))
+    hi2 = np.maximum(neg, -np.pi - a)
+    sin1 = 2.0 * s * np.sin(0.5 * (hi1 + lo1)) * np.sin(0.5 * (hi1 - lo1))
+    sin2 = 2.0 * s * np.sin(0.5 * (hi2 + neg)) * np.sin(0.5 * (hi2 - neg))
+    up = np.flatnonzero(d > 0)
+    du = d[up, None]
+    out[up] = (du * (hi1 - lo1) + sin1) + (du * (hi2 - neg) + sin2)
+    cells = np.flatnonzero(~(np.abs(d)[:, None] >= s))
+    row, col = np.divmod(cells, s.size)
+    out.flat[cells] = _ramp_arc_integral(d[row], s[col], psis[col])
+    return out
+
+
+def sample_major_box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=256):
+    """Oracle of box_pair_convolution's in-place, ramp-major kernel: the same
+    u rule, with the (t, ramp, u) table laid out sample-major, filled by
+    table_ramp_arc_integrals and combined into fresh arrays."""
+    a = ball_normalizer(1)
+    A1, A2 = a * rho1, a * rho2
+    half1, half2 = tau1 ** 2 / 2.0, tau2 ** 2 / 2.0
+    hgt = 1.0 / (tau1 ** 2 * tau2 ** 2)
+    big, small = half1 + half2, abs(half1 - half2)
+    offsets = np.array([big, small, -small, -big])
+    rb, tb = np.broadcast_arrays(np.asarray(r, dtype=float),
+                                 np.asarray(t, dtype=float))
+    out = np.zeros(rb.shape)
+    flat_t, flat_out = tb.ravel(), out.reshape(-1)
+    radii, which = np.unique(rb.ravel(), return_inverse=True)
+    for j, ri in enumerate(radii.tolist()):
+        umax = min(A2, ri + A1)
+        if umax <= 0:
+            continue
+        singular = [c for c in (abs(A1 - ri), ri + A1) if 0.0 < c <= umax]
+        cuts = sorted({0.0, umax} | {c for c in singular if c < umax})
+        ux, uw = _box_u_rule(cuts, singular, u_nodes)
+        gamma = (ri ** 2 + ux ** 2 - A1 ** 2) / np.maximum(2.0 * ri * ux, 1e-300)
+        if ri == 0.0:
+            psis = np.where(ux <= A1, np.pi, 0.0)
+        else:
+            psis = np.arccos(np.clip(gamma, -1.0, 1.0))
+        sel = np.flatnonzero(which == j)
+        d = (flat_t[sel, None] + offsets[None, :]).ravel()
+        ramps = table_ramp_arc_integrals(d, 0.5 * ri * ux, psis).reshape(sel.size, 4, -1)
+        inner = ramps[:, 0] - ramps[:, 1] - ramps[:, 2] + ramps[:, 3]
+        flat_out[sel] = np.sum(inner * (ux * uw), axis=-1)
+    return out * (hgt / (rho1 ** 2 * rho2 ** 2))
+
+
+# the convolve-check width sets of the benchmark, then tau1 = tau2 (m = 0)
+@pytest.mark.parametrize("widths", [
+    (0.9, 0.8, 0.7, 0.6), (0.9, 0.6, 0.6, 0.8), (0.7, 0.9, 0.8, 0.5),
+    (0.8, 0.7, 0.9, 0.6), (0.6, 0.6, 0.9, 0.9), (0.8, 0.7, 0.9, 0.7),
+])
+def test_ramp_major_kernel_matches_sample_major_bitwise(widths):
+    # the grid of box_convolution_coefficients with an r = 0 row and a
+    # t = 0 column added, at both of the check's u rule sizes
+    x, _, tx, _ = box_convolution_grids(*widths)
+    r = np.concatenate([[0.0], x])[:, None]
+    t = np.concatenate([[0.0], tx])[None, :]
+    for u_nodes in (192, 256):
+        np.testing.assert_array_equal(
+            box_pair_convolution(*widths, r, t, u_nodes),
+            sample_major_box_pair_convolution(*widths, r, t, u_nodes))
+
+
+@seed(9)
+@settings(max_examples=40, deadline=None)
+@given(_box_widths(),
+       st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.2),
+                          st.floats(min_value=-1.2, max_value=1.2)),
+                min_size=1, max_size=8),
+       st.sampled_from([40, 96, 192]))
+def test_ramp_major_kernel_matches_sample_major_sweep(widths, points, u_nodes):
+    # r up to beyond A1 + A2 and t of either sign, past the support
+    a = ball_normalizer(1)
+    span = a * (widths[0] + widths[2])
+    r = np.array([fr * span for fr, _ in points])
+    t = np.array([ft for _, ft in points])
+    np.testing.assert_array_equal(
+        box_pair_convolution(*widths, r, t, u_nodes),
+        sample_major_box_pair_convolution(*widths, r, t, u_nodes))
+
+
+@seed(10)
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=6),
+       st.lists(st.tuples(st.floats(min_value=0.0, max_value=2.0),
+                          st.floats(min_value=0.0, max_value=np.pi)),
+                min_size=1, max_size=6))
+@example([0.5, -0.5, float("nan")], [(0.5, 1.0), (0.0, np.pi), (1.0, 0.0)])
+def test_ramp_table_fill_matches_positive_rows_fill(offsets, columns):
+    # the class boundaries d = +-s and d = 0 are hit exactly, and a NaN
+    # offset keeps its row of NaN
+    s = np.array([0.0] + [c[0] for c in columns])
+    psis = np.array([np.pi] + [c[1] for c in columns])
+    d = np.concatenate([offsets, s, -s, [0.0, 1.0, -1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.testing.assert_array_equal(_ramp_arc_integrals(d, s, psis),
+                                      table_ramp_arc_integrals(d, s, psis))
+
+
 @seed(8)
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=6),

@@ -1,21 +1,25 @@
-"""The numpy-only special functions and Gauss rules against scipy.special,
-over the argument ranges the package passes them, and a runtime import
-path that never loads scipy or the quadrature oracles."""
+"""The numpy-only special functions and Gauss rules against scipy.special
+(and the Gauss-Legendre rule against a 40-digit decimal reference), over
+the argument ranges the package passes them, and a runtime import path
+that never loads scipy, numpy.polynomial or the quadrature oracles."""
 
 import ast
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 import scipy.special as sc
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
 import heisharm
 from heisharm._special import betainc_half, gammainc_int, gammaln, logsumexp
-from heisharm.grids import _unit_rule
+from heisharm.errors import DomainError
+from heisharm.grids import _unit_rule, roots_legendre
 from heisharm.laguerre import roots_genlaguerre
 
 # below this both sides are subnormal and carry few significant bits
@@ -60,12 +64,61 @@ def test_betainc_refuses_other_a():
             betainc_half(a, 0.5)
 
 
-@pytest.mark.parametrize("p", [16, 64, 192])
+@pytest.mark.parametrize("p", [16, 64])
 def test_legendre_rule_matches_scipy(p):
     x, w = _unit_rule(p)
     xr, wr = sc.roots_legendre(p)
     assert np.max(np.abs(x - xr) / np.abs(xr)) <= 1e-13
     assert np.max(np.abs(w - wr) / wr) <= 1e-10
+
+
+def _decimal_legendre_rule(p, start):
+    """Gauss-Legendre nodes and weights to 40 digits for the nonnegative
+    float nodes start: three Newton steps on the three-term recurrence in
+    decimal arithmetic, then 2 / ((1 - x^2) P_p'(x)^2)."""
+    nodes, weights = [], []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for x0 in start:
+            x = Decimal(float(x0))
+            for step in range(4):
+                prev, cur = Decimal(1), x
+                for j in range(1, p):
+                    prev, cur = cur, ((2 * j + 1) * x * cur - j * prev) / (j + 1)
+                dp = p * (prev - x * cur) / (1 - x * x)
+                if step < 3:
+                    x -= cur / dp
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * dp * dp))
+    return nodes, weights
+
+
+@pytest.mark.parametrize("p", [13, 104, 192, 200])
+def test_legendre_rule_matches_decimal_reference(p):
+    # numpy's leggauss weights are 4.2e-11 and scipy's 1.2e-10 off at
+    # p = 192, so only an exact reference can hold the rule to 1e-12
+    x, w = _unit_rule(p)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    half = slice(p // 2, None)  # the nonnegative nodes
+    nodes, weights = _decimal_legendre_rule(p, x[half])
+    for xi, wi, xe, we in zip(x[half], w[half], nodes, weights):
+        assert abs(Decimal(float(xi)) - xe) <= Decimal("2.5e-16")
+        assert abs((Decimal(float(wi)) - we) / we) <= Decimal("1e-12")
+    # numpy's rule stays a second, independent oracle at its own accuracy
+    xl, wl = leggauss(p)
+    assert np.all(np.abs(x - xl) <= 1e-13 * np.abs(xl))
+    assert np.max(np.abs(w - wl) / wl) <= 1e-10
+
+
+def test_legendre_rule_small_orders_and_refusal():
+    assert roots_legendre(1)[0].tolist() == [0.0]
+    assert roots_legendre(1)[1].tolist() == [2.0]
+    x, w = roots_legendre(2)
+    np.testing.assert_allclose(x, [-3 ** -0.5, 3 ** -0.5], rtol=1e-15)
+    np.testing.assert_allclose(w, [1.0, 1.0], rtol=1e-15)
+    for p in (0, -1, 2.5):
+        with pytest.raises(DomainError):
+            roots_legendre(p)
 
 
 @pytest.mark.parametrize("delta", [0, 1, 2, 3])
@@ -252,22 +305,25 @@ def test_light_checks_load_only_what_they_run(tmp_path, command, unloaded):
 def test_runtime_import_path_never_loads_oracles(tmp_path):
     # a convolve-check loads neither the quadrature oracles nor the group
     # law, which only tests use, nor the fixtures, the calibration, the
-    # planners or the decay profiles, which it does not run
+    # planners or the decay profiles, which it does not run; its
+    # Gauss-Legendre rules are grids.roots_legendre, not numpy.polynomial
     code = _FOOTPRINT + (
         "assert heisharm.cli.main(\n"
         "    ['convolve-check', '--out', out + '/convolve-check.json']) == 0\n"
         "for name in ('oracles', 'group', 'calibrate', 'chernoff', 'ingham',\n"
         "             'theta', 'fixtures'):\n"
         "    assert 'heisharm.' + name not in added(), name\n"
-        "assert '_hashlib' not in added()\n")
+        "assert '_hashlib' not in added()\n"
+        "assert 'numpy.polynomial' not in added()\n")
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                           capture_output=True, text=True, env=_fresh_env())
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "convolve-check.json").exists()
-    # and no production module imports the oracles at all
+    # and no production module imports the oracles or numpy.polynomial
     for name, lineno, mod in _package_imports():
         if name != "oracles.py":
             assert "oracles" not in mod.split("."), (name, lineno)
+            assert "polynomial" not in mod.split("."), (name, lineno)
 
 
 def _package_imports():

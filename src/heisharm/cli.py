@@ -141,14 +141,19 @@ def _cmd_laguerre_check(cfg):
 
 
 _PLANCHEREL_TOL = 1e-4
+# the box's closed form divides by n! (_special.gammainc_int), and 171! is
+# past the largest float
+_BOX_MAX_N = 170
 
 
 def _cmd_plancherel_check(cfg):
+    family = cfg.family
+    if family in ("box", "both") and cfg.n > _BOX_MAX_N:
+        raise DomainError(f"the box family needs n <= {_BOX_MAX_N}, got {cfg.n}")
     import numpy as np
 
     from .transform import (box_coefficients, gaussian_coefficients,
                             plancherel_norm)
-    family = cfg.family
     grid = cfg.grid()
     n = cfg.n
     cases = []
@@ -235,6 +240,9 @@ def _cmd_dilate_check(cfg):
         raise DomainError("dilation pushes every node outside the window; "
                           "widen the lambda range")
     scale = float(np.max(np.abs(target.values[:, mask])))
+    if scale == 0.0:
+        raise DomainError("the target Gaussian underflows to 0 on every "
+                          "compared node; lower lambda_max or add lambda nodes")
     worst = float(np.max(np.abs(dilated.values[:, mask]
                                 - target.values[:, mask])) / scale)
     return {

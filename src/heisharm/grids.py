@@ -33,8 +33,13 @@ def roots_legendre(p):
     """p-point Gauss-Legendre rule (x, w) on [-1, 1], nodes ascending.
 
     Nodes are the eigenvalues of the Jacobi matrix (zero diagonal,
-    off-diagonal k / sqrt(4k^2 - 1)), Golub-Welsch (1969), polished by one
-    Newton step h = -P_p / P_p' on the three-term recurrence.  Weights are
+    off-diagonal b_k = k / sqrt(4k^2 - 1)), Golub-Welsch (1969).  The
+    matrix is bipartite between its even and odd rows, so its eigenvalues
+    are +-sigma, and 0 for odd p, where sigma^2 are the eigenvalues of the
+    floor(p/2)-square tridiagonal B^T B, B the even-to-odd bidiagonal block:
+    diagonal b_{2j+1}^2 + b_{2j+2}^2 and off-diagonal b_{2j+2} b_{2j+3}, with
+    b_p = 0.  The nodes are polished by one Newton step h = -P_p / P_p' on
+    the three-term recurrence.  Weights are
     2 / ((1 - x)(1 + x) P_p'(x)^2) at the polished node x0 + h before it is
     rounded: 1 -+ x0 is exact where it is small, so (1 -+ x0) -+ h keeps
     full relative accuracy, and P_p' moves by h P_p'', from the Legendre
@@ -46,8 +51,14 @@ def roots_legendre(p):
         raise DomainError(f"need a positive integer number of nodes, got {p}")
     p = int(p)
     k = np.arange(1.0, p)
-    off = k / np.sqrt(4.0 * k * k - 1.0)
-    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    b = np.zeros(p + 1)
+    b[1:p] = k / np.sqrt(4.0 * k * k - 1.0)
+    half = p // 2
+    diag = b[1:2 * half:2] ** 2 + b[2:2 * half + 1:2] ** 2
+    off = b[2:2 * half - 1:2] * b[3:2 * half:2]
+    sigma = np.sqrt(np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1)
+                                       + np.diag(off, -1)))
+    x = np.concatenate((-sigma[::-1], np.zeros(p % 2), sigma))
     prev, cur = np.ones_like(x), x
     for j in range(1, p):
         prev, cur = cur, ((2 * j + 1) * x * cur - j * prev) / (j + 1)

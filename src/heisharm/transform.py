@@ -323,39 +323,35 @@ def _ramp_arc_integral(d, s, psis):
     return arc(lo1, hi1) + arc(-psis, hi2)
 
 
-def _ramp_arc_integrals(d, s, psis):
-    """_ramp_arc_integral on the table of every offset d (1-d, rows) against
-    every (s, psi*) pair (1-d, columns), with the arcsin and the sines
-    evaluated only on the cells where the ramp changes sign on the arc.
+def _ramp_arc_sums(d, s, psis, w):
+    """sum_j w_j _ramp_arc_integral(d_i, s_j, psis_j) for every offset d_i
+    of a 1-d array, over the (s, psi*, w) columns of three 1-d arrays, with
+    s >= 0 and w >= 0.
 
     Where s <= |d| the integrand (d + s sin(psi))_+ keeps one sign on the
-    whole arc: for d <= 0 it is 0 there, which _ramp_arc_integral also
-    returns, and for d > 0 its clipped -d/s is -1, so a = -pi/2 and the arc
-    ends, with them the sine terms, depend on the column alone.  The other
-    cells go through _ramp_arc_integral itself; every value is the float it
-    gives, with the same operands in the same order.
+    whole arc, so the integral is 2 psi* d_+: the sines cancel.  With the
+    columns sorted by s, those cells of row i are the first
+    searchsorted(s, |d_i|, side="right") columns, and their sum is d_+ times
+    a prefix sum of 2 w psi*.  Only the remaining cells, where the ramp
+    changes sign on the arc, go through _ramp_arc_integral; bincount adds
+    each row's cells in column order, so a row's sum does not depend on the
+    other rows.  searchsorted places a NaN offset past every column, so its
+    row is NaN times a prefix sum: NaN, as _ramp_arc_integral gives.
     """
-    # arc(lo1, hi1) + arc(-psis, hi2) of _ramp_arc_integral at a = arcsin(-1),
-    # written for every row, then zeroed on the rows with d <= 0; the
-    # sign-changing cells are overwritten below
-    a = np.arcsin(-1.0)
-    neg = -psis
-    lo1 = np.maximum(a, neg)
-    hi1 = np.maximum(lo1, np.minimum(np.pi - a, psis))
-    hi2 = np.maximum(neg, -np.pi - a)
-    sin1 = 2.0 * s * np.sin(0.5 * (hi1 + lo1)) * np.sin(0.5 * (hi1 - lo1))
-    sin2 = 2.0 * s * np.sin(0.5 * (hi2 + neg)) * np.sin(0.5 * (hi2 - neg))
-    out = np.multiply(d[:, None], hi1 - lo1)
-    out += sin1
-    second = np.multiply(d[:, None], hi2 - neg)
-    second += sin2
-    out += second
-    # a NaN offset fails both comparisons: its row is not zeroed, and every
-    # cell of it takes _ramp_arc_integral's NaN
-    out[d <= 0] = 0.0
-    cells = np.flatnonzero(~(np.abs(d)[:, None] >= s))
-    row, col = np.divmod(cells, s.size)
-    out.flat[cells] = _ramp_arc_integral(d[row], s[col], psis[col])
+    order = np.argsort(s, kind="stable")
+    s, psis, w = s[order], psis[order], w[order]
+    prefix = np.zeros(s.size + 1)
+    np.cumsum(2.0 * w * psis, out=prefix[1:])
+    first = np.searchsorted(s, np.abs(d), side="right")
+    out = np.maximum(d, 0.0) * prefix[first]
+    # the sign-changing cells of row i are columns first[i]..s.size-1
+    counts = s.size - first
+    row = np.repeat(np.arange(d.size), counts)
+    starts = np.cumsum(counts) - counts
+    col = np.arange(row.size) + np.repeat(first - starts, counts)
+    part = _ramp_arc_integral(d[row], s[col], psis[col])
+    part *= w[col]
+    out += np.bincount(row, weights=part, minlength=d.size)
     return out
 
 
@@ -376,9 +372,10 @@ def box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=256):
         G(T) = hgt [(T+M)_+ - (T+m)_+ - (T-m)_+ + (T-M)_+],
 
     with M, m the sum and difference of the interval half-widths, so the
-    psi-integral is exact (:func:`_ramp_arc_integral`); its arcsin and
-    sines run only on the (t, ramp, u) cells where the ramp changes sign on
-    the arc (:func:`_ramp_arc_integrals`).  The u-integral is split where
+    psi-integral is exact (:func:`_ramp_arc_integral`).  Each (ramp, t)
+    row's u-sum takes its one-signed cells, 2 psi* d_+, from a prefix sum in
+    u and runs the arc formula only on the cells where the ramp changes
+    sign on the arc (:func:`_ramp_arc_sums`).  The u-integral is split where
     psi* loses smoothness; its rule depends on r only, so it is built once
     per distinct r and shared by every t.
     """
@@ -408,16 +405,10 @@ def box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=256):
         else:
             psis = np.arccos(np.clip(gamma, -1.0, 1.0))
         sel = np.flatnonzero(which == j)
-        # ramp-major: ramps has shape (4, len(sel), u nodes), so each ramp's
-        # table is one contiguous block; u is the last, contiguous axis, so
-        # each sample's u-sum is the same whatever else is batched
+        # ramp-major: row i * len(sel) + k is ramp i at the sample sel[k]
         d = (offsets[:, None] + flat_t[sel]).ravel()
-        ramps = _ramp_arc_integrals(d, 0.5 * ri * ux, psis).reshape(4, sel.size, -1)
-        inner = ramps[0] - ramps[1]
-        inner -= ramps[2]
-        inner += ramps[3]
-        inner *= ux * uw
-        flat_out[sel] = np.sum(inner, axis=-1)
+        ramps = _ramp_arc_sums(d, 0.5 * ri * ux, psis, ux * uw).reshape(4, sel.size)
+        flat_out[sel] = ramps[0] - ramps[1] - ramps[2] + ramps[3]
     return out * (hgt / (rho1 ** 2 * rho2 ** 2))
 
 

@@ -1,5 +1,7 @@
 """Sublaplacian moments, Carleman sums and the gamma-integral chain."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,20 @@ def test_gamma_bound_combines_terms():
     total, t1, t2 = gamma_bound_log(theta, 1, 4)
     assert total == pytest.approx(np.logaddexp(t1, t2))
     assert total >= max(t1, t2)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (2, 7), (3, 12), (1, 48)])
+def test_gamma_bound_terms_match_lgamma_derivation(n, m):
+    # inv-sqrt-strong is 2 min(1, y^{-1/2}), so Theta(m^4) = 2 / m^2 for
+    # m >= 1; the terms are 2 m^{8(n+1)} Gamma(4m) Theta(m^4)^{-4m} and
+    # 4 e^{-m^2} Gamma(8m + 4(n+1))
+    _, t1, t2 = gamma_bound_log(builtin_theta("inv-sqrt-strong"), n, m)
+    log_theta = math.log(2.0) - 2.0 * math.log(m)
+    want1 = (math.log(2.0) + 8 * (n + 1) * math.log(m) + math.lgamma(4 * m)
+             - 4 * m * log_theta)
+    want2 = math.log(4.0) - m * m + math.lgamma(8 * m + 4 * (n + 1))
+    assert t1 == pytest.approx(want1, rel=1e-12)
+    assert t2 == pytest.approx(want2, rel=1e-12)
 
 
 def test_hypothesis_gate():

@@ -3,6 +3,7 @@
 import json
 import shutil
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +265,32 @@ def test_plancherel_families(tmp_path):
                             out="box.json")
     assert code2 == 1
     assert report2["rows"][0]["pass"] is False
+
+
+@pytest.mark.parametrize("family", ["box", "both"])
+def test_box_plancherel_above_n_170_refused(tmp_path, capsys, family):
+    # 171! is past the largest float, which the box's closed form divides by
+    out = tmp_path / "r.json"
+    assert main(["plancherel-check", "--family", family, "--n", "171",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("heisharm plancherel-check: refused: "
+                                       "the box family needs n <= 170, got 171\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dilate_check_vanishing_target_refused(tmp_path, capsys):
+    # two nodes: the one compared is lam = 1e3, where the target Gaussian's
+    # e^{-lam^2 sigma_t^2 / 2} underflows to 0, so its scale is 0
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = main(["dilate-check", "--lambda-nodes", "2", "--out", str(out)])
+    assert code == 2
+    assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
+    assert capsys.readouterr().err == (
+        "heisharm dilate-check: refused: the target Gaussian underflows to 0 "
+        "on every compared node; lower lambda_max or add lambda nodes\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_symmdiff_check(tmp_path, capsys):

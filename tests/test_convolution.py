@@ -10,7 +10,7 @@ from heisharm.grids import QuadratureGrid, _unit_rule
 from heisharm.oracles import (box_factor, direct_convolution_oracle,
                               forward_radial)
 from heisharm.transform import (_box_u_rule, _ramp_arc_integral,
-                                _ramp_arc_integrals, _transform_at_lambdas,
+                                _ramp_arc_sums, _transform_at_lambdas,
                                 ball_normalizer, box_convolution_coefficients,
                                 box_convolution_grids, box_pair_convolution,
                                 multiply_coeffs, transform_at_lambda)
@@ -272,10 +272,18 @@ def all_cells_box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=256):
 
 
 # the convolve-check width sets of the benchmark, then tau1 = tau2 (m = 0)
-@pytest.mark.parametrize("widths", [
+_WIDTH_SETS = [
     (0.9, 0.8, 0.7, 0.6), (0.9, 0.6, 0.6, 0.8), (0.7, 0.9, 0.8, 0.5),
     (0.8, 0.7, 0.9, 0.6), (0.6, 0.6, 0.9, 0.9), (0.8, 0.7, 0.9, 0.7),
-])
+]
+
+# the prefix sum in u and the per-row bincount add the u terms in another
+# order than one contiguous sum does; the largest gap seen on the width
+# sets, at u nodes 64, 192 and 256, is 1.8e-15 of max |H|
+_SUM_ORDER_TOL = 4e-15
+
+
+@pytest.mark.parametrize("widths", _WIDTH_SETS)
 def test_cell_split_matches_all_cells(widths):
     # the default sampling grid of box_convolution_coefficients, with an
     # r = 0 row and a t = 0 column added
@@ -284,16 +292,25 @@ def test_cell_split_matches_all_cells(widths):
     t = np.concatenate([[0.0], tx])[None, :]
     split = box_pair_convolution(*widths, r, t, 192)
     ref = all_cells_box_pair_convolution(*widths, r, t, 192)
-    # equal bit for bit where both take numpy's same sine loops; the bound
-    # leaves room for a last-bit difference between its SIMD paths
-    assert np.max(np.abs(split - ref)) <= 4e-16 * np.max(np.abs(ref))
+    assert np.max(np.abs(split - ref)) <= _SUM_ORDER_TOL * np.max(np.abs(ref))
 
 
-def table_ramp_arc_integrals(d, s, psis):
-    """Oracle of _ramp_arc_integrals' table fill: the positive-offset formula
-    written only on the rows with d > 0 of a zeroed table, then the
-    sign-changing cells through _ramp_arc_integral."""
-    out = np.zeros((d.size, s.size))
+def dense_ramp_arc_integrals(d, s, psis):
+    """Oracle of _ramp_arc_sums: _ramp_arc_integral on the table of every
+    offset d (1-d, rows) against every (s, psi*) pair (1-d, columns), with
+    the arcsin and the sines evaluated only on the cells where the ramp
+    changes sign on the arc.
+
+    Where s <= |d| the integrand (d + s sin(psi))_+ keeps one sign on the
+    whole arc: for d <= 0 it is 0 there, which _ramp_arc_integral also
+    returns, and for d > 0 its clipped -d/s is -1, so a = -pi/2 and the arc
+    ends, with them the sine terms, depend on the column alone.  The other
+    cells go through _ramp_arc_integral itself; every value is the float it
+    gives, with the same operands in the same order.
+    """
+    # arc(lo1, hi1) + arc(-psis, hi2) of _ramp_arc_integral at a = arcsin(-1),
+    # written for every row, then zeroed on the rows with d <= 0; the
+    # sign-changing cells are overwritten below
     a = np.arcsin(-1.0)
     neg = -psis
     lo1 = np.maximum(a, neg)
@@ -301,19 +318,25 @@ def table_ramp_arc_integrals(d, s, psis):
     hi2 = np.maximum(neg, -np.pi - a)
     sin1 = 2.0 * s * np.sin(0.5 * (hi1 + lo1)) * np.sin(0.5 * (hi1 - lo1))
     sin2 = 2.0 * s * np.sin(0.5 * (hi2 + neg)) * np.sin(0.5 * (hi2 - neg))
-    up = np.flatnonzero(d > 0)
-    du = d[up, None]
-    out[up] = (du * (hi1 - lo1) + sin1) + (du * (hi2 - neg) + sin2)
+    out = np.multiply(d[:, None], hi1 - lo1)
+    out += sin1
+    second = np.multiply(d[:, None], hi2 - neg)
+    second += sin2
+    out += second
+    # a NaN offset fails both comparisons: its row is not zeroed, and every
+    # cell of it takes _ramp_arc_integral's NaN
+    out[d <= 0] = 0.0
     cells = np.flatnonzero(~(np.abs(d)[:, None] >= s))
     row, col = np.divmod(cells, s.size)
     out.flat[cells] = _ramp_arc_integral(d[row], s[col], psis[col])
     return out
 
 
-def sample_major_box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=256):
-    """Oracle of box_pair_convolution's in-place, ramp-major kernel: the same
-    u rule, with the (t, ramp, u) table laid out sample-major, filled by
-    table_ramp_arc_integrals and combined into fresh arrays."""
+def dense_box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=256):
+    """Oracle of box_pair_convolution's prefix-sum kernel: the same u rule,
+    with every (ramp, t, u) cell of a radius held in one ramp-major table
+    filled by dense_ramp_arc_integrals, combined in place and summed over
+    the contiguous u axis."""
     a = ball_normalizer(1)
     A1, A2 = a * rho1, a * rho2
     half1, half2 = tau1 ** 2 / 2.0, tau2 ** 2 / 2.0
@@ -338,28 +361,27 @@ def sample_major_box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=256)
         else:
             psis = np.arccos(np.clip(gamma, -1.0, 1.0))
         sel = np.flatnonzero(which == j)
-        d = (flat_t[sel, None] + offsets[None, :]).ravel()
-        ramps = table_ramp_arc_integrals(d, 0.5 * ri * ux, psis).reshape(sel.size, 4, -1)
-        inner = ramps[:, 0] - ramps[:, 1] - ramps[:, 2] + ramps[:, 3]
-        flat_out[sel] = np.sum(inner * (ux * uw), axis=-1)
+        d = (offsets[:, None] + flat_t[sel]).ravel()
+        ramps = dense_ramp_arc_integrals(d, 0.5 * ri * ux, psis).reshape(4, sel.size, -1)
+        inner = ramps[0] - ramps[1]
+        inner -= ramps[2]
+        inner += ramps[3]
+        inner *= ux * uw
+        flat_out[sel] = np.sum(inner, axis=-1)
     return out * (hgt / (rho1 ** 2 * rho2 ** 2))
 
 
-# the convolve-check width sets of the benchmark, then tau1 = tau2 (m = 0)
-@pytest.mark.parametrize("widths", [
-    (0.9, 0.8, 0.7, 0.6), (0.9, 0.6, 0.6, 0.8), (0.7, 0.9, 0.8, 0.5),
-    (0.8, 0.7, 0.9, 0.6), (0.6, 0.6, 0.9, 0.9), (0.8, 0.7, 0.9, 0.7),
-])
-def test_ramp_major_kernel_matches_sample_major_bitwise(widths):
+@pytest.mark.parametrize("widths", _WIDTH_SETS)
+def test_prefix_sum_kernel_matches_dense_kernel(widths):
     # the grid of box_convolution_coefficients with an r = 0 row and a
-    # t = 0 column added, at both of the check's u rule sizes
+    # t = 0 column added, at the check's two u rule sizes and a coarse one
     x, _, tx, _ = box_convolution_grids(*widths)
     r = np.concatenate([[0.0], x])[:, None]
     t = np.concatenate([[0.0], tx])[None, :]
-    for u_nodes in (192, 256):
-        np.testing.assert_array_equal(
-            box_pair_convolution(*widths, r, t, u_nodes),
-            sample_major_box_pair_convolution(*widths, r, t, u_nodes))
+    for u_nodes in (64, 192, 256):
+        got = box_pair_convolution(*widths, r, t, u_nodes)
+        ref = dense_box_pair_convolution(*widths, r, t, u_nodes)
+        assert np.max(np.abs(got - ref)) <= _SUM_ORDER_TOL * np.max(np.abs(ref))
 
 
 @seed(9)
@@ -369,33 +391,26 @@ def test_ramp_major_kernel_matches_sample_major_bitwise(widths):
                           st.floats(min_value=-1.2, max_value=1.2)),
                 min_size=1, max_size=8),
        st.sampled_from([40, 96, 192]))
-def test_ramp_major_kernel_matches_sample_major_sweep(widths, points, u_nodes):
-    # r up to beyond A1 + A2 and t of either sign, past the support
+def test_prefix_sum_kernel_matches_dense_kernel_sweep(widths, points, u_nodes):
+    # r up to beyond A1 + A2 and t of either sign, past the support; the
+    # origin is added so that max |H| is the scale of the function even
+    # when every drawn point lies outside the support
     a = ball_normalizer(1)
     span = a * (widths[0] + widths[2])
-    r = np.array([fr * span for fr, _ in points])
-    t = np.array([ft for _, ft in points])
-    np.testing.assert_array_equal(
-        box_pair_convolution(*widths, r, t, u_nodes),
-        sample_major_box_pair_convolution(*widths, r, t, u_nodes))
+    r = np.array([0.0] + [fr * span for fr, _ in points])
+    t = np.array([0.0] + [ft for _, ft in points])
+    got = box_pair_convolution(*widths, r, t, u_nodes)
+    ref = dense_box_pair_convolution(*widths, r, t, u_nodes)
+    assert np.max(np.abs(got - ref)) <= _SUM_ORDER_TOL * np.max(np.abs(ref))
 
 
-@seed(10)
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=6),
-       st.lists(st.tuples(st.floats(min_value=0.0, max_value=2.0),
-                          st.floats(min_value=0.0, max_value=np.pi)),
-                min_size=1, max_size=6))
-@example([0.5, -0.5, float("nan")], [(0.5, 1.0), (0.0, np.pi), (1.0, 0.0)])
-def test_ramp_table_fill_matches_positive_rows_fill(offsets, columns):
-    # the class boundaries d = +-s and d = 0 are hit exactly, and a NaN
-    # offset keeps its row of NaN
+def _ramp_columns(offsets, columns):
+    # an s = 0 column with psi* = pi, then the drawn (s, psi*) pairs; the
+    # offsets hit the class boundaries d = +-s and d = 0 exactly
     s = np.array([0.0] + [c[0] for c in columns])
     psis = np.array([np.pi] + [c[1] for c in columns])
     d = np.concatenate([offsets, s, -s, [0.0, 1.0, -1.0]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.testing.assert_array_equal(_ramp_arc_integrals(d, s, psis),
-                                      table_ramp_arc_integrals(d, s, psis))
+    return d, s, psis
 
 
 @seed(8)
@@ -404,23 +419,47 @@ def test_ramp_table_fill_matches_positive_rows_fill(offsets, columns):
        st.lists(st.tuples(st.floats(min_value=0.0, max_value=2.0),
                           st.floats(min_value=0.0, max_value=np.pi)),
                 min_size=1, max_size=6))
-@example([0.5, -0.5], [(0.5, 1.0), (0.0, np.pi), (1.0, 0.0)])
+@example([0.5, -0.5, float("nan")], [(0.5, 1.0), (0.0, np.pi), (1.0, 0.0)])
 def test_classified_ramps_match_ramp_arc_integral(offsets, columns):
-    s = np.array([0.0] + [c[0] for c in columns])
-    psis = np.array([np.pi] + [c[1] for c in columns])
-    # the class boundaries d = +-s are hit exactly, and the s = 0 column
-    # meets d = 0 and offsets of either sign
-    d = np.concatenate([offsets, s, -s, [0.0, 1.0, -1.0]])
-    got = _ramp_arc_integrals(d, s, psis)
-    with np.errstate(over="ignore"):
+    d, s, psis = _ramp_columns(offsets, columns)
+    # a unit weight on one column isolates that column's cell of every row
+    got = np.stack([_ramp_arc_sums(d, s, psis, w) for w in np.eye(s.size)], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
         # -d/s of a subnormal s overflows to -inf, which the clip handles
         ref = _ramp_arc_integral(d[:, None], s, psis)
     assert got.shape == ref.shape == (d.size, s.size)
-    # |value| <= 2 pi (|d| + s) bounds every term of the arc formula
+    nan = np.isnan(d)
+    assert np.all(np.isnan(got[nan])) and np.all(np.isnan(ref[nan]))
+    got, ref, d = got[~nan], ref[~nan], d[~nan]
+    # |value| <= 2 pi (|d| + s) bounds every term of the arc formula; below
+    # the normal range both sides round to multiples of the least subnormal
     scale = 2.0 * np.pi * (np.abs(d)[:, None] + s)
-    assert np.all(np.abs(got - ref) <= 4e-16 * scale)
+    tiny = np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(got - ref) <= 4e-16 * scale + 8.0 * tiny)
     # no cell with d <= -s carries mass
     assert np.all(got[d[:, None] <= -s] == 0.0)
+
+
+@seed(10)
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=6),
+       st.lists(st.tuples(st.floats(min_value=0.0, max_value=2.0),
+                          st.floats(min_value=0.0, max_value=np.pi),
+                          st.floats(min_value=0.0, max_value=1.0)),
+                min_size=1, max_size=6))
+@example([0.5, -0.5, float("nan")], [(0.5, 1.0, 0.3), (0.0, np.pi, 1.0), (1.0, 0.0, 0.5)])
+def test_ramp_arc_sums_match_dense_table(offsets, columns):
+    # columns in drawn order, not sorted by s, with drawn weights
+    d, s, psis = _ramp_columns(offsets, [c[:2] for c in columns])
+    w = np.array([0.25] + [c[2] for c in columns])
+    got = _ramp_arc_sums(d, s, psis, w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = dense_ramp_arc_integrals(d, s, psis)
+    ref = table @ w
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(d))
+    ok = ~np.isnan(d)
+    scale = 2.0 * np.pi * np.sum((np.abs(d)[ok, None] + s) * w, axis=1)
+    assert np.all(np.abs(got[ok] - ref[ok]) <= 4e-15 * scale)
 
 
 def test_box_pair_shapes_agree():

@@ -110,6 +110,37 @@ def test_legendre_rule_matches_decimal_reference(p):
     assert np.max(np.abs(w - wl) / wl) <= 1e-10
 
 
+def full_matrix_roots_legendre(p):
+    """Oracle of roots_legendre's half-size eigenproblem: the same Newton
+    step, weights and symmetrization after eigvalsh of the full p-square
+    Jacobi matrix (zero diagonal, off-diagonal k / sqrt(4k^2 - 1))."""
+    k = np.arange(1.0, p)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    prev, cur = np.ones_like(x), x
+    for j in range(1, p):
+        prev, cur = cur, ((2 * j + 1) * x * cur - j * prev) / (j + 1)
+    up, down = 1.0 + x, 1.0 - x
+    dp = p * (prev - x * cur) / (up * down)
+    d2p = (2.0 * x * dp - p * (p + 1.0) * cur) / (up * down)
+    h = -cur / dp
+    dp += h * d2p
+    w = 2.0 / ((up + h) * (down - h) * dp * dp)
+    x = x + h
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 12, 13, 56, 72, 104, 192, 200])
+def test_half_size_rule_matches_full_matrix(p):
+    # small odd and even orders, and the orders of the convolution's r, t
+    # and u rules
+    x, w = roots_legendre(p)
+    xf, wf = full_matrix_roots_legendre(p)
+    assert x.shape == w.shape == (p,)
+    assert np.max(np.abs(x - xf)) <= 2.5e-16
+    assert np.max(np.abs(w - wf) / wf) <= 1e-12
+
+
 def test_legendre_rule_small_orders_and_refusal():
     assert roots_legendre(1)[0].tolist() == [0.0]
     assert roots_legendre(1)[1].tolist() == [2.0]

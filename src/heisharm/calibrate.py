@@ -155,15 +155,15 @@ def calibrate_cn(n, k_max=FACTOR_K_MAX, s_nodes=FACTOR_S_NODES, refine_check=Tru
         rel = abs(fine - sup) / max(sup, fine)
         if rel > 0.05:
             raise QuadratureError(
-                "factor-bound calibration sup moved under grid refinement",
-                disagreement=float(rel))
+                f"factor-bound calibration sup moved under grid refinement "
+                f"by {rel:.3e} relative (> 0.05)")
         quad = np.stack([_quadrature_table(si, k_max, n) for si in s], axis=1)
         oracle = sup_of(s, quad)
         rel = abs(oracle - sup) / max(sup, oracle)
         if rel > _ORACLE_TOL:
             raise QuadratureError(
-                "closed-form calibration sup disagrees with radial quadrature",
-                disagreement=float(rel))
+                f"closed-form calibration sup disagrees with radial quadrature "
+                f"by {rel:.3e} relative (> {_ORACLE_TOL:g})")
         sup = max(sup, fine)
     return float(CN_SAFETY * sup)
 

@@ -21,7 +21,6 @@ from .transform import projection_hs_norm_sq
 __all__ = [
     "MAX_POWER",
     "sublaplacian_norms",
-    "carleman_partial_sums",
     "gamma_integral_log",
     "gamma_bound_log",
     "check_gamma_hypothesis",
@@ -42,18 +41,17 @@ class NormGrowthProfile(Record):
     """Norms ||L^m f||_2 for m = 0..M with the derived Carleman data.
 
     The norms are held as log_norms, since they overflow float64 for wide
-    spectral windows.  degenerate marks the zero function, whose Carleman
-    terms are reported as +inf.  The three arrays are made read-only.
+    spectral windows.  The three arrays are made read-only.
     """
 
-    __slots__ = ("log_norms", "carleman_terms", "partial_sums", "degenerate")
+    __slots__ = ("log_norms", "carleman_terms", "partial_sums")
 
-    def __init__(self, log_norms, carleman_terms, partial_sums, degenerate=False):
+    def __init__(self, log_norms, carleman_terms, partial_sums):
         log_norms.setflags(write=False)
         carleman_terms.setflags(write=False)
         partial_sums.setflags(write=False)
         self._assign(log_norms=log_norms, carleman_terms=carleman_terms,
-                     partial_sums=partial_sums, degenerate=degenerate)
+                     partial_sums=partial_sums)
 
     @property
     def M(self):
@@ -63,10 +61,11 @@ class NormGrowthProfile(Record):
 def sublaplacian_norms(coeffs, M, tail_frac=1e-6):
     """Norm growth profile for m = 0..M on the coefficient grid.
 
-    Each moment must actually converge inside the lambda window: if the
-    topmost lambda column carries more than tail_frac of the m-th squared
-    norm, the m-th moment is boundary-dominated and TailError names the
-    smallest failing m.
+    The Carleman sum is a criterion on a nonzero f, so coefficients whose
+    norm is zero are refused with DomainError.  Each moment must actually
+    converge inside the lambda window: if the topmost lambda column carries
+    more than tail_frac of the m-th squared norm, the m-th moment is
+    boundary-dominated and TailError names the smallest failing m.
     """
     if M < 1:
         raise DomainError("need M >= 1")
@@ -92,37 +91,17 @@ def sublaplacian_norms(coeffs, M, tail_frac=1e-6):
                 raise TailError(
                     f"moment m={m} dominated by the lambda boundary "
                     f"(share {np.exp(boundary - total):.2e} > {tail_frac:.0e}); "
-                    "widen the lambda window", failing_power=m)
+                    "widen the lambda window")
+    if np.isneginf(log_norm_sq[0]):
+        raise DomainError("zero function: Carleman sums are degenerate")
 
-    degenerate = bool(np.isneginf(log_norm_sq[0]))
     log_norms = 0.5 * log_norm_sq
     m = np.arange(1, M + 1, dtype=float)
     with np.errstate(over="ignore"):
         terms = np.exp(-log_norms[1:] / (2.0 * m))
-    terms = np.where(np.isneginf(log_norms[1:]), np.inf, terms)
     return NormGrowthProfile(log_norms=log_norms,
                              carleman_terms=terms,
-                             partial_sums=np.cumsum(terms),
-                             degenerate=degenerate)
-
-
-def carleman_partial_sums(profile):
-    """Partial sums of the Carleman terms, raw and unit-normalized.
-
-    Under unit normalization (||f||_2 scaled to 1) the terms are
-    nonincreasing in m, which makes trends comparable across functions.
-    """
-    if profile.degenerate:
-        raise DomainError("zero function: Carleman sums are degenerate")
-    m = np.arange(1, profile.M + 1, dtype=float)
-    log_rel = profile.log_norms[1:] - profile.log_norms[0]
-    normalized = np.exp(-log_rel / (2.0 * m))
-    return {
-        "terms": profile.carleman_terms.copy(),
-        "partial_sums": profile.partial_sums.copy(),
-        "normalized_terms": normalized,
-        "normalized_partial_sums": np.cumsum(normalized),
-    }
+                             partial_sums=np.cumsum(terms))
 
 
 def gamma_integral_log(theta, n, m):
@@ -149,15 +128,14 @@ def gamma_bound_log(theta, n, m):
 
 def check_gamma_hypothesis(theta):
     """The gamma chain needs Theta(y) >= 2 y^{-1/2} for y >= 1; a violation at
-    the HYPOTHESIS_NODES samples raises HypothesisError carrying the failing y."""
+    the HYPOTHESIS_NODES samples raises HypothesisError naming the failing y."""
     y = np.geomspace(1.0, HYPOTHESIS_Y_MAX, HYPOTHESIS_NODES)
     deficit = theta(y) - 2.0 * y ** -0.5
     bad = deficit < -1e-12
     if np.any(bad):
         y_bad = float(y[np.argmax(bad)])
         raise HypothesisError(
-            f"profile fails Theta(y) >= 2/sqrt(y) at y = {y_bad:.6g}",
-            sample=y_bad)
+            f"profile fails Theta(y) >= 2/sqrt(y) at y = {y_bad:.6g}")
 
 
 def ingham_norm_bound_check(theta, n, M):

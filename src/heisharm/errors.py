@@ -1,4 +1,9 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Every error states its numbers in its message: the failing sample, power
+or disagreement is part of the text, and no error carries a payload
+attribute.  The command line refuses any HeisharmError with exit 2.
+"""
 
 
 class HeisharmError(Exception):
@@ -18,16 +23,8 @@ class GridMismatchError(HeisharmError):
 
 
 class QuadratureError(HeisharmError):
-    """A quadrature failed its internal refinement check.
-
-    Carries the worst offending cell so the caller can diagnose which
-    coefficient did not converge.
-    """
-
-    def __init__(self, message, worst_cell=None, disagreement=None):
-        super().__init__(message)
-        self.worst_cell = worst_cell
-        self.disagreement = disagreement
+    """A quadrature failed its internal refinement check; the message names
+    the disagreement and, where there is one, the worst cell."""
 
 
 class ProfileClassError(HeisharmError):
@@ -35,16 +32,9 @@ class ProfileClassError(HeisharmError):
 
 
 class HypothesisError(HeisharmError):
-    """A numerical hypothesis check failed; carries the failing sample."""
-
-    def __init__(self, message, sample=None):
-        super().__init__(message)
-        self.sample = sample
+    """A numerical hypothesis check failed at the sample the message names."""
 
 
 class TailError(HeisharmError):
-    """A spectral tail dominates the grid boundary; the moment is unreliable."""
-
-    def __init__(self, message, failing_power=None):
-        super().__init__(message)
-        self.failing_power = failing_power
+    """A spectral tail dominates the grid boundary at the moment the message
+    names; that moment is unreliable."""

@@ -52,6 +52,9 @@ __all__ = [
 # Koranyi gauge of the point (0, tau^2/2): (t^2)^{1/4} = tau / sqrt(2)
 TAU_GAUGE = 4.0 ** -0.25
 
+# exp overflows past the log of the largest double
+_LOG_MAX = float(np.log(np.finfo(float).max))
+
 
 class SequencePlan(Record):
     """Frozen factor widths for one construction run.
@@ -61,9 +64,9 @@ class SequencePlan(Record):
     Koranyi gauge tau*c.  rho and tau are read-only float arrays of length J.
     """
 
-    __slots__ = ("theta_name", "declared_class", "n", "J", "c_n", "rho", "tau")
+    __slots__ = ("theta_name", "n", "J", "c_n", "rho", "tau")
 
-    def __init__(self, theta_name, declared_class, n, J, c_n, rho, tau):
+    def __init__(self, theta_name, n, J, c_n, rho, tau):
         # copies: the record freezes its arrays, never the caller's
         rho = np.array(rho, dtype=float)
         tau = np.array(tau, dtype=float)
@@ -75,8 +78,7 @@ class SequencePlan(Record):
             raise DomainError("factor widths must be nonincreasing")
         rho.setflags(write=False)
         tau.setflags(write=False)
-        self._assign(theta_name=theta_name, declared_class=declared_class,
-                     n=n, J=J, c_n=c_n, rho=rho, tau=tau)
+        self._assign(theta_name=theta_name, n=n, J=J, c_n=c_n, rho=rho, tau=tau)
 
     @property
     def a(self):
@@ -114,8 +116,7 @@ def plan_sequences(theta, n, J=64, c_n=None, fixtures_dir=None):
     j = np.arange(1, J + 1, dtype=float)
     rho = cn ** 2 * np.e ** 2 * theta(j) / j + 2.0 ** -j
     tau = 2.0 ** -j
-    return SequencePlan(theta_name=theta.name, declared_class=theta.declared_class,
-                        n=n, J=J, c_n=cn, rho=rho, tau=tau)
+    return SequencePlan(theta_name=theta.name, n=n, J=J, c_n=cn, rho=rho, tau=tau)
 
 
 def factor_coeff_envelope(k, lam, rho, n, c_n):
@@ -163,7 +164,13 @@ def adaptive_N(theta, k, lam, n):
     nu = (2.0 * np.asarray(k, dtype=float) + n) * np.abs(lam)
     root = np.sqrt(nu)
     raw = np.floor(theta(root) * root)
-    return np.minimum(raw, np.floor(root)).astype(int)
+    count = np.minimum(raw, np.floor(root))
+    # an int64 holds the count below 2^63; nan, from an infinite nu, is refused too
+    if not np.all(count < 2.0 ** 63):
+        raise DomainError(f"the factor count must stay below 2^63 = {2.0 ** 63:.6g}, "
+                          f"where it leaves int64; got {np.max(count):.6g} at "
+                          f"nu = (2k+n)|lam| up to {np.max(nu):.6g}")
+    return count.astype(int)
 
 
 def _chain_log_columns(plan, lam, k_max, N):
@@ -232,8 +239,9 @@ def verify_decay(plan, theta, k_max=64, lambda_min=1e-2, lambda_max=1e2,
 
     Maximizes q(k, lam) = G_N(k, lam)^2 e^{+2 Theta(sqrt(nu)) sqrt(nu)},
     with N = adaptive_N, in log space.  The fitted constant is
-    C = max q; pass requires a finite maximum that moves by at most 0.1 in
-    log when k_max doubles, a check that is always on.  One log q table,
+    C = max q, and a maximum whose C overflows is refused; pass requires a
+    finite maximum that moves by at most 0.1 in log when k_max doubles, a
+    check that is always on.  One log q table,
     built at 2 k_max, serves both maxima: the certified one is read from its
     k <= k_max block and the doubled one from the whole table.
     That is exact, since ball_coefficients is a forward recurrence in k
@@ -245,6 +253,9 @@ def verify_decay(plan, theta, k_max=64, lambda_min=1e-2, lambda_max=1e2,
     lam_nodes = np.geomspace(lambda_min, lambda_max, lambda_nodes)
     log_q = _log_q_table(plan, theta, 2 * k_max, lam_nodes)
     max_log_q, k_star, lam_star = _max_log_q(log_q[:, :k_max + 1], lam_nodes)
+    if max_log_q > _LOG_MAX:
+        raise DomainError(f"C = exp(max_log_q) overflows: max_log_q = {max_log_q:.6g} "
+                          f"is past {_LOG_MAX:.6g}, the log of the largest double")
     max2, _, _ = _max_log_q(log_q, lam_nodes)
     stable = bool(abs(max2 - max_log_q) <= 0.1)
     ok = bool(np.isfinite(max_log_q) and stable)

@@ -87,7 +87,16 @@ def box_factor(n, rho, tau):
     return RadialFunction(n=n, profile=profile, t_hat=t_hat, support_radius=R)
 
 
-def gaussian_factor(n, sigma_z, sigma_t, cutoff=14.0):
+# radial support of the Gaussian oracles: 14 sigma_z for gaussian_factor,
+# whose profile is e^-98 there, and 14 / sqrt(lam) for ground_state (e^-49)
+_GAUSSIAN_CUTOFF = 14.0
+
+# forward_radial's panel-refinement tolerance, relative to the largest
+# coefficient
+_CHECK_TOL = 1e-8
+
+
+def gaussian_factor(n, sigma_z, sigma_t):
     """Gaussian e^{-|z|^2/(2 sigma_z^2)} e^{-t^2/(2 sigma_t^2)}; t_hat is the
     usual Gaussian transform sigma_t sqrt(2 pi) e^{-lam^2 sigma_t^2 / 2}."""
     if sigma_z <= 0 or sigma_t <= 0:
@@ -101,10 +110,10 @@ def gaussian_factor(n, sigma_z, sigma_t, cutoff=14.0):
         return _gaussian_t_hat(sigma_t, lam)
 
     return RadialFunction(n=n, profile=profile, t_hat=t_hat,
-                          support_radius=cutoff * sigma_z)
+                          support_radius=_GAUSSIAN_CUTOFF * sigma_z)
 
 
-def ground_state(n, cutoff=14.0):
+def ground_state(n):
     """Function whose partial transform is e^{-|lam| r^2 / 4}: the lowest
     scaled Laguerre function at every lambda.  Coefficients are exactly
     (2 pi / lam)^n delta_{k0}."""
@@ -119,7 +128,7 @@ def ground_state(n, cutoff=14.0):
     # effective radial width is 2/sqrt(lam); the forward driver rescales
     # the support per lambda for lambda-dependent profiles
     return RadialFunction(n=n, profile=profile, t_hat=t_hat,
-                          support_radius=cutoff, lambda_dependent=True)
+                          support_radius=_GAUSSIAN_CUTOFF, lambda_dependent=True)
 
 
 # radial nodes per Laguerre recurrence in _forward_columns: the few rows of
@@ -165,12 +174,13 @@ def _forward_columns(f, grid, nodes_per_panel):
     return weights[:, None] * out
 
 
-def forward_radial(f, grid, check=True, check_tol=1e-8):
+def forward_radial(f, grid, check=True):
     """Transform a RadialFunction on the grid.
 
     With check=True every column is recomputed at doubled panel order and
-    the two must agree to check_tol relative to the largest coefficient;
-    otherwise QuadratureError reports the worst (k, lambda) cell.
+    the two must agree to _CHECK_TOL relative to the largest coefficient;
+    otherwise QuadratureError names the disagreement and the worst
+    (k, lambda) cell.
     """
     npp = grid.nodes_per_panel
     vals = _forward_columns(f, grid, npp)
@@ -179,12 +189,11 @@ def forward_radial(f, grid, check=True, check_tol=1e-8):
         scale = max(1.0, float(np.max(np.abs(fine))))
         diff = np.abs(vals - fine)
         worst = np.unravel_index(int(np.argmax(diff)), diff.shape)
-        if diff[worst] > check_tol * scale:
+        if diff[worst] > _CHECK_TOL * scale:
             raise QuadratureError(
-                "radial quadrature did not settle under panel refinement",
-                worst_cell=(int(worst[0]), float(grid.lam[worst[1]])),
-                disagreement=float(diff[worst] / scale),
-            )
+                f"radial quadrature did not settle under panel refinement: "
+                f"disagreement {diff[worst] / scale:.3e} (> {_CHECK_TOL:g}) "
+                f"at k = {int(worst[0])}, lambda = {float(grid.lam[worst[1]]):.6g}")
         vals = fine
     return SpectralCoefficients(n=f.n, grid=grid, values=vals)
 
@@ -214,9 +223,10 @@ def direct_convolution_oracle(f, g, z, t, g_z_radius, g_t_radius, nodes=24):
     return float(np.sum(fv * g(wz, s) * wts))
 
 
-def tail_integral_estimate(profile, lo=1.0, hi=1e8, nodes=4097):
-    """Trapezoid estimate of int_lo^hi Theta(t)/t dt on a log-spaced grid."""
-    t = np.geomspace(lo, hi, nodes)
+def tail_integral_estimate(profile, hi=1e8):
+    """Trapezoid estimate of int_1^hi Theta(t)/t dt on 4097 log-spaced
+    nodes."""
+    t = np.geomspace(1.0, hi, 4097)
     x = np.log(t)
     vals = profile(t)
     return float(np.trapezoid(vals, x))

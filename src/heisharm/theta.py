@@ -140,8 +140,6 @@ def theta_from_config(obj):
             raise ProfileClassError("table profile config needs 'y' and 'theta' arrays")
         return ThetaProfile(name=name, kind="table", declared_class=declared,
                             y=obj["y"], vals=obj["theta"])
-    if kind not in BUILTIN_THETAS:
-        raise ProfileClassError(f"unknown profile kind {kind!r}")
     return ThetaProfile(name=name, kind=kind, declared_class=declared)
 
 

@@ -197,27 +197,20 @@ def _coefficient_weights(k_max, n):
 def transform_at_lambda(fvals, x, w, lam, k_max, n):
     """Coefficient vector R_.(lam) from samples fvals of f^lam on the radial
     rule (x, w).  Used directly when f^lam only exists as samples, e.g. the
-    output of a spatial convolution."""
-    fvals = np.asarray(fvals, dtype=float)
-    x = np.asarray(x, dtype=float)
-    table = normalized_laguerre_table(k_max, lam, n, x)
-    integrand = fvals * w * x ** (2 * n - 1)
-    return _coefficient_weights(k_max, n) * np.sum(table * integrand[None, :], axis=1)
+    output of a spatial convolution.
 
-
-def _transform_at_lambdas(fvals, x, w, lams, k_max, n):
-    """transform_at_lambda at every lam of a 1-d array at once, with row i
-    of fvals holding the samples at lams[i]; returns shape
-    (k_max+1, lams.size).
-
+    lam is a scalar, giving shape (k_max+1,), or a 1-d array with row i of
+    fvals holding the samples at lam[i], giving shape (k_max+1, lam.size).
     One Laguerre table covers every (lam, r) pair, and each (k, lam) sum
-    runs over the same contiguous row of radii as in transform_at_lambda,
-    so every column is the float that transform_at_lambda gives.
+    runs over one contiguous row of radii, so a column does not depend on
+    the other lambdas batched with it.
     """
+    lam = np.asarray(lam, dtype=float)
     x = np.asarray(x, dtype=float)
-    table = normalized_laguerre_table(k_max, np.asarray(lams, dtype=float)[:, None], n, x)
+    table = normalized_laguerre_table(k_max, lam[..., None], n, x)
     integrand = np.asarray(fvals, dtype=float) * w * x ** (2 * n - 1)
-    return _coefficient_weights(k_max, n)[:, None] * np.sum(table * integrand, axis=-1)
+    weights = _coefficient_weights(k_max, n).reshape((-1,) + (1,) * lam.ndim)
+    return weights * np.sum(table * integrand, axis=-1)
 
 
 def plancherel_norm(coeffs):
@@ -455,4 +448,4 @@ def box_convolution_coefficients(rho1, tau1, rho2, tau2, lams, k_max,
     # whatever else is batched
     cosines = wt * np.cos(lams[:, None] * tx)
     flam = 2.0 * np.sum(H[None, :, :] * cosines[:, None, :], axis=-1)
-    return _transform_at_lambdas(flam, x, wx, lams, k_max, 1)
+    return transform_at_lambda(flam, x, wx, lams, k_max, 1)

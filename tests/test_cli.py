@@ -1,7 +1,11 @@
 """CLI contract: exit codes, config precedence, reports, determinism."""
 
 import json
+import math
+import os
 import shutil
+import subprocess
+import sys
 import types
 import warnings
 from pathlib import Path
@@ -9,10 +13,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import heisharm
+from heisharm.chernoff import gamma_bound_log
 from heisharm.cli import (_COMMANDS, _NAMES, RunConfig, _build_parser,
                           _resolve_config, main)
-from heisharm.errors import HypothesisError, TailError
+from heisharm.errors import HeisharmError, HypothesisError, TailError
 from heisharm.fixtures import packaged_fixtures_dir
+from heisharm.group import ball_shift_symmdiff, ball_volume
+from heisharm.theta import builtin_theta
+
+_SRC = Path(heisharm.__file__).resolve().parents[1]
 
 
 def run(tmp_path, name, *argv, out="r.json"):
@@ -31,6 +41,10 @@ def test_laguerre_check_passes(tmp_path, capsys):
     assert report["envelope"]["violations"] == 0
     line = capsys.readouterr().out.strip()
     assert line.startswith("laguerre-check:") and line.endswith("pass=true")
+    # the Gram check runs at min(kmax, 40)
+    for kmax, gram_k in ((50, 40), (30, 30)):
+        code, report, _ = run(tmp_path, "laguerre-check", "--kmax", str(kmax))
+        assert code == 0 and report["gram"]["k_max"] == gram_k
 
 
 def test_default_report_path(tmp_path, monkeypatch):
@@ -171,6 +185,10 @@ def test_gamma_bound_check_paths(tmp_path):
     assert code == 0
     assert report["M"] == 10
     assert all(r["ratio"] <= 1.0 for r in report["rows"])
+    code, report, _ = run(tmp_path, "gamma-bound-check",
+                          "--theta", "inv-sqrt-strong", "--max-power", "1")
+    assert code == 0
+    assert report["M"] == 1 and [r["m"] for r in report["rows"]] == [1]
 
 
 @pytest.mark.parametrize("argv", [
@@ -211,6 +229,16 @@ def test_carleman_envelope_family(tmp_path):
     assert code == 0
     assert report["all_ratios_le_1"] is True
     assert all(r["bound_ratio"] <= 1.0 for r in report["rows"])
+    # the bound's front constant -2 log(2 pi) + log 2 + log(pi^2 / 8) is
+    # -log 16, so each ratio is ||L^m f||^2 * 16 / (the doubled profile's
+    # two-term gamma bound)
+    theta = builtin_theta("inv-sqrt-strong")
+    doubled = lambda y: 2.0 * theta(y)
+    assert [r["m"] for r in report["rows"]] == list(range(1, 7))
+    for row in report["rows"]:
+        log_bound = gamma_bound_log(doubled, 1, row["m"])[0]
+        want = math.exp(2.0 * row["log_norm"] + math.log(16.0) - log_bound)
+        assert row["bound_ratio"] == pytest.approx(want, rel=1e-12)
     # a profile whose doubling misses the hypothesis skips the bound
     code2, report2, _ = run(tmp_path, "carleman", "--family", "envelope",
                             "--theta", "inv-sqrt", "--max-power", "4",
@@ -298,8 +326,20 @@ def test_symmdiff_check(tmp_path, capsys):
     assert code == 0
     assert [r["dim"] for r in report["rows"]] == [2, 4]
     assert all(r["bound_violations"] == 0 for r in report["rows"])
-    assert report["rows"][0]["max_lens_error"] <= 1e-10
     assert "dim2_ratio=" in capsys.readouterr().out
+    # the dim-2 lens check compares all 50 (R, d) pairs: its reported error
+    # is the recomputed maximum, positive and within the tolerance
+    row = report["rows"][0]
+    assert row["pairs"] == 50
+    worst = 0.0
+    for R in np.geomspace(0.5, 5.0, 10).tolist():
+        for d in (frac * R for frac in (0.1, 0.5, 1.0, 1.5, 1.9)):
+            lens = ball_volume(R, 2) - 0.5 * ball_shift_symmdiff(2, R, d)
+            exact = (2.0 * R * R * np.arccos(0.5 * d / R)
+                     - 0.5 * d * np.sqrt(4.0 * R * R - d * d))
+            worst = max(worst, abs(lens - exact))
+    assert 0.0 < row["max_lens_error"] <= 1e-10
+    assert row["max_lens_error"] == worst
 
 
 def test_ingham_plan_report(tmp_path):
@@ -409,28 +449,99 @@ def test_unwritable_report_path_exits_2(tmp_path, capsys, target):
     assert left == (["taken"] if target == "directory" else [])
 
 
-@pytest.mark.parametrize("argv, key", [
+def _warning_run(tmp_path, argv):
+    """A fresh process of the command with warnings on, so that stderr shows
+    every RuntimeWarning the run raises."""
+    env = dict(os.environ, PYTHONWARNINGS="default")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(_SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "heisharm.cli", *argv,
+                           "--out", "r.json"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+
+
+_MEASURE = ("lambda_max must stay below 1.34078e+154 at n = 1, where lam^2 "
+            "of the lambda measure overflows; got {}")
+_FACTOR_COUNT = ("the factor count must stay below 2^63 = 9.22337e+18, where it "
+                 "leaves int64; got {} at nu = (2k+n)|lam| up to {}")
+
+
+@pytest.mark.parametrize("argv, message", [
     pytest.param(["plancherel-check", "--family", "gaussian",
-                  "--lambda-max", "1e200"], "rows[0].spectral_norm",
+                  "--lambda-max", "1e200"], _MEASURE.format("1e+200"),
                  id="plancherel-gaussian"),
     pytest.param(["plancherel-check", "--family", "box", "--lambda-max", "1e200"],
-                 "rows[0].spectral_norm", id="plancherel-box"),
+                 _MEASURE.format("1e+200"), id="plancherel-box"),
+    pytest.param(["plancherel-check", "--lambda-max", "1e300"],
+                 _MEASURE.format("1e+300"), id="plancherel-both"),
     pytest.param(["carleman", "--family", "envelope", "--theta", "inv-sqrt",
-                  "--lambda-max", "1e160"], "rows[0].log_norm", id="carleman"),
+                  "--lambda-max", "1e160"], _MEASURE.format("1e+160"), id="carleman"),
+    pytest.param(["carleman", "--family", "envelope", "--lambda-max", "1e200"],
+                 _MEASURE.format("1e+200"), id="carleman-default-theta"),
+    pytest.param(["carleman", "--family", "envelope", "--lambda-max", "1.35e154"],
+                 _MEASURE.format("1.35e+154"), id="carleman-past-limit"),
     pytest.param(["ingham-verify", "--theta", "inv-sqrt", "--lambda-max", "1e300"],
-                 "C", id="ingham-verify"),
+                 _FACTOR_COUNT.format("4.0039e+75", "2.57e+302"), id="ingham-verify"),
+    # k runs to 2 k_max = 128 in the stability table, so nu = 257 lambda_max,
+    # and the inv-sqrt count is about nu^(1/4)
+    pytest.param(["ingham-verify", "--lambda-max", "3e73"],
+                 _FACTOR_COUNT.format("9.37052e+18", "7.71e+75"),
+                 id="ingham-verify-past-limit"),
+    pytest.param(["ingham-verify", "--lambda-max", "1e12"],
+                 "C = exp(max_log_q) overflows: max_log_q = 5445.46 is past "
+                 "709.783, the log of the largest double", id="ingham-verify-C"),
+    pytest.param(["carleman", "--family", "envelope", "--theta", "inv-sqrt",
+                  "--lambda-min", "1e12", "--lambda-max", "1e13"],
+                 "zero function: Carleman sums are degenerate", id="zero-function"),
 ])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_report_refused(tmp_path, capsys, argv, key):
-    # the overflow happens inside the computation; the report that would
-    # carry it is refused before anything is written
+def test_non_finite_report_refused(tmp_path, argv, message):
+    # a window whose report would not be finite is refused with one line
+    # that names the limit, and numpy warns of nothing
+    proc = _warning_run(tmp_path, argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr == f"heisharm {argv[0]}: refused: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_window_below_the_measure_limit_runs(tmp_path):
+    proc = _warning_run(tmp_path, ["carleman", "--family", "envelope",
+                                   "--lambda-max", "1.34e154"])
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads((tmp_path / "r.json").read_text())["pass"] is True
+
+
+def test_non_finite_report_value_refused(tmp_path, capsys, monkeypatch):
+    # the last guard: a report value that is not finite is refused before
+    # anything is written
+    handler = lambda cfg: ({"rows": [{"x": 1.0}, {"x": float("nan")}]}, "")
+    monkeypatch.setitem(_COMMANDS, "symmdiff-check",
+                        (handler, *_COMMANDS["symmdiff-check"][1:]))
     out = tmp_path / "r.json"
-    assert main([*argv, "--out", str(out)]) == 2
+    assert main(["symmdiff-check", "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"heisharm {argv[0]}: refused: report value {key} "
-                            "is not finite\n")
+    assert captured.err == ("heisharm symmdiff-check: refused: report value "
+                            "rows[1].x is not finite\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("error", HeisharmError.__subclasses__(),
+                         ids=lambda error: error.__name__)
+def test_every_library_error_is_refused(tmp_path, capsys, monkeypatch, error):
+    # one clause refuses every HeisharmError with exit 2, whatever raises it
+    def handler(cfg):
+        raise error("raised by the handler")
+    monkeypatch.setitem(_COMMANDS, "symmdiff-check",
+                        (handler, *_COMMANDS["symmdiff-check"][1:]))
+    out = tmp_path / "r.json"
+    assert main(["symmdiff-check", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("heisharm symmdiff-check: refused: raised by the "
+                            "handler\n")
+    assert not out.exists()
 
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from heisharm.errors import DimensionMismatchError, DomainError
 from heisharm.grids import QuadratureGrid, _unit_rule
+from heisharm.laguerre import normalized_laguerre_table
 from heisharm.oracles import (box_factor, direct_convolution_oracle,
                               forward_radial)
-from heisharm.transform import (_box_u_rule, _ramp_arc_integral,
-                                _ramp_arc_sums, _transform_at_lambdas,
+from heisharm.transform import (_box_u_rule, _coefficient_weights,
+                                _ramp_arc_integral, _ramp_arc_sums,
                                 ball_normalizer, box_convolution_coefficients,
                                 box_convolution_grids, box_pair_convolution,
                                 multiply_coeffs, transform_at_lambda)
@@ -491,15 +492,25 @@ def test_convolution_theorem_small_grid():
     assert err < CONV_TOL
 
 
+def per_lambda_transform(fvals, x, w, lam, k_max, n):
+    """Oracle of transform_at_lambda: the coefficient vector R_.(lam) at one
+    scalar lam, from one Laguerre table over the radii alone."""
+    fvals = np.asarray(fvals, dtype=float)
+    x = np.asarray(x, dtype=float)
+    table = normalized_laguerre_table(k_max, lam, n, x)
+    integrand = fvals * w * x ** (2 * n - 1)
+    return _coefficient_weights(k_max, n) * np.sum(table * integrand[None, :], axis=1)
+
+
 def per_lambda_box_convolution_coefficients(rho1, tau1, rho2, tau2, lams, k_max):
     """Oracle of box_convolution_coefficients: one cosine sum and one
-    transform_at_lambda per lam."""
+    per-lam transform per lam."""
     x, wx, tx, wt = box_convolution_grids(rho1, tau1, rho2, tau2)
     H = box_pair_convolution(rho1, tau1, rho2, tau2, x[:, None], tx[None, :], 192)
     out = np.empty((k_max + 1, len(lams)))
     for i, lam in enumerate(np.asarray(lams, dtype=float)):
         flam = 2.0 * np.sum(H * (wt * np.cos(lam * tx))[None, :], axis=1)
-        out[:, i] = transform_at_lambda(flam, x, wx, lam, k_max, 1)
+        out[:, i] = per_lambda_transform(flam, x, wx, lam, k_max, 1)
     return out
 
 
@@ -521,16 +532,32 @@ def test_batched_transform_refusals():
     x, w = np.linspace(0.1, 2.0, 8), np.full(8, 0.25)
     fvals = np.ones((3, 8))
     with pytest.raises(DomainError):
-        _transform_at_lambdas(fvals, x, w, np.array([0.5, 0.0, 1.0]), 4, 1)
+        transform_at_lambda(fvals, x, w, np.array([0.5, 0.0, 1.0]), 4, 1)
     with pytest.raises(DomainError):
-        _transform_at_lambdas(fvals, -x, w, np.array([0.5, 0.7, 1.0]), 4, 1)
-    # either sign of lam gives the transform_at_lambda column, at n = 2 too
-    lams = np.array([-0.5, 0.7, 1.0])
-    for n in (1, 2):
-        got = _transform_at_lambdas(fvals, x, w, lams, 4, n)
-        for i, lam in enumerate(lams):
-            np.testing.assert_array_equal(
-                got[:, i], transform_at_lambda(fvals[i], x, w, lam, 4, n))
+        transform_at_lambda(fvals, -x, w, np.array([0.5, 0.7, 1.0]), 4, 1)
+    with pytest.raises(DomainError):
+        transform_at_lambda(fvals[0], x, w, 0.0, 4, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k_max", [1, 32, 200])
+def test_transform_at_lambda_matches_per_lambda_oracle(n, k_max):
+    # a scalar lam gives shape (k_max+1,) and a 1-d array one column per
+    # lam, each the oracle's float, for lam of both signs
+    rng = np.random.default_rng(100 * n + k_max)
+    x, w = np.sort(rng.uniform(0.0, 6.0, 97)), rng.uniform(0.0, 0.1, 97)
+    lams = rng.uniform(0.05, 30.0, 7) * rng.choice([-1.0, 1.0], 7)
+    fvals = rng.normal(size=(lams.size, x.size))
+    got = transform_at_lambda(fvals, x, w, lams, k_max, n)
+    assert got.shape == (k_max + 1, lams.size)
+    for i, lam in enumerate(lams):
+        want = per_lambda_transform(fvals[i], x, w, lam, k_max, n)
+        np.testing.assert_array_equal(got[:, i], want)
+        one = transform_at_lambda(fvals[i], x, w, lam, k_max, n)
+        assert one.shape == (k_max + 1,)
+        np.testing.assert_array_equal(one, want)
+    np.testing.assert_array_equal(
+        transform_at_lambda(fvals[:1], x, w, lams[:1], k_max, n), got[:, :1])
 
 
 def test_unit_rule_arrays_read_only():

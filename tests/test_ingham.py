@@ -46,7 +46,7 @@ def test_plan_refuses_divergent_profile():
 
 
 def test_plan_validation():
-    good = dict(theta_name="x", declared_class="convergent", n=1, J=3, c_n=1.0)
+    good = dict(theta_name="x", n=1, J=3, c_n=1.0)
     with pytest.raises(DomainError):
         SequencePlan(rho=np.array([1.0, 2.0, 3.0]),
                      tau=np.array([1.0, 0.5, 0.25]), **good)
@@ -130,7 +130,9 @@ def test_calibrate_cn_cross_checks_quadrature(monkeypatch):
     monkeypatch.setattr(
         "heisharm.calibrate.ball_coefficients",
         lambda s, k_max, n: ball_coefficients(s, k_max, n) * (1.0 + 1e-6))
-    with pytest.raises(QuadratureError):
+    with pytest.raises(QuadratureError, match=r"disagrees with radial quadrature "
+                                              r"by \d\.\d{3}e-0[67] relative "
+                                              r"\(> 1e-09\)$"):
         calibrate_cn(1, k_max=20, s_nodes=12)
 
 

@@ -22,7 +22,7 @@ def _grid():
 
 
 def _plan():
-    return SequencePlan(theta_name="x", declared_class="convergent", n=1, J=3,
+    return SequencePlan(theta_name="x", n=1, J=3,
                         c_n=1.0, rho=[1.0, 0.5, 0.25], tau=[1.0, 0.5, 0.25])
 
 
@@ -129,13 +129,13 @@ REFUSALS = [
      DomainError, "lambda nodes must be positive, ascending, nonzero"),
     (QuadratureGrid, dict(k_max=2, **_arrays(lam=[1.0, 2.0], lam_log_w=[1.0])),
      DomainError, "lambda weights must be positive and match the nodes"),
-    (SequencePlan, dict(theta_name="x", declared_class="convergent", n=1, J=3,
+    (SequencePlan, dict(theta_name="x", n=1, J=3,
                         c_n=1.0, rho=[1.0, 2.0, 3.0], tau=[1.0, 0.5, 0.25]),
      DomainError, "factor widths must be nonincreasing"),
-    (SequencePlan, dict(theta_name="x", declared_class="convergent", n=1, J=3,
+    (SequencePlan, dict(theta_name="x", n=1, J=3,
                         c_n=1.0, rho=[1.0, 0.5], tau=[1.0, 0.5]),
      DomainError, "plan sequences must have length J"),
-    (SequencePlan, dict(theta_name="x", declared_class="convergent", n=1, J=3,
+    (SequencePlan, dict(theta_name="x", n=1, J=3,
                         c_n=1.0, rho=[1.0, 0.5, 0.0], tau=[1.0, 0.5, 0.25]),
      DomainError, "factor widths must be strictly positive"),
     (RadialFunction, dict(n=0, profile=abs, t_hat=abs, support_radius=1.0),
@@ -223,7 +223,7 @@ def test_records_copy_the_callers_arrays():
     lam, w = np.geomspace(0.1, 10.0, 8), np.ones(8)
     rho, tau, y = np.array([1.0, 0.5]), np.array([1.0, 0.25]), np.array([0.0, 1.0])
     grid = QuadratureGrid(k_max=4, lam=lam, lam_log_w=w)
-    plan = SequencePlan(theta_name="x", declared_class="convergent", n=1, J=2,
+    plan = SequencePlan(theta_name="x", n=1, J=2,
                         c_n=1.0, rho=rho, tau=tau)
     table = ThetaProfile(name="t", kind="table", declared_class="convergent",
                          y=y, vals=[1.0, 0.5])

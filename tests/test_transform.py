@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from heisharm._special import gammainc_int, gammaln
-from heisharm.errors import DomainError, GridMismatchError
+from heisharm.errors import DomainError, GridMismatchError, QuadratureError
 from heisharm.grids import QuadratureGrid, radial_rule
 from heisharm.laguerre import _orthonormal_table
 from heisharm.oracles import (box_factor, forward_radial, gaussian_factor,
@@ -240,6 +240,17 @@ def test_forward_radial_matches_per_column_loop(f, batch_nodes, monkeypatch):
     for got, npp in ((coarse, 32), (fine, 64)):
         ref = per_column_forward(f, grid, npp)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_forward_radial_refusal_names_its_numbers():
+    # three nodes per panel do not resolve degree 24: the refusal states the
+    # disagreement, the tolerance and the worst cell
+    grid = QuadratureGrid.make(k_max=24, lambda_min=0.5, lambda_max=40.0,
+                               lambda_nodes=4, nodes_per_panel=3)
+    with pytest.raises(QuadratureError, match=r"panel refinement: disagreement "
+                                              r"\d\.\d{3}e-\d\d \(> 1e-08\) "
+                                              r"at k = \d+, lambda = [\d.]+$"):
+        forward_radial(gaussian_factor(1, 1.0, 0.4), grid)
 
 
 def test_unit_mass_bounds_coefficients():

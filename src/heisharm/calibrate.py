@@ -105,12 +105,11 @@ def calibrate_envelope():
 
     worst = -np.inf
     for (n, lam), tab in tables.items():
-        for ki in k:
-            shape = envelope_values(int(ki), lam, n, r, 1.0, gamma_fit)
-            mask = tab[ki] > 0
-            with np.errstate(divide="ignore"):
-                ratio = np.log(tab[ki][mask]) - np.log(shape[mask])
-            worst = max(worst, float(np.max(ratio)))
+        shape = envelope_values(ENVELOPE_K_MAX, lam, n, r, 1.0, gamma_fit)
+        mask = tab > 0
+        with np.errstate(divide="ignore"):
+            ratio = np.log(tab[mask]) - np.log(shape[mask])
+        worst = max(worst, float(np.max(ratio)))
     c_fit = 1.1 * float(np.exp(worst))
     return {
         "C_fit": c_fit,

@@ -16,10 +16,12 @@ import numpy as np
 from ._record import Record
 from ._special import gammaln, logsumexp
 from .errors import DomainError, HypothesisError, TailError
-from .transform import projection_hs_norm_sq
+from .grids import QuadratureGrid
+from .transform import SpectralCoefficients, projection_hs_norm_sq
 
 __all__ = [
     "MAX_POWER",
+    "spectral_box",
     "sublaplacian_norms",
     "gamma_integral_log",
     "gamma_bound_log",
@@ -56,6 +58,22 @@ class NormGrowthProfile(Record):
     @property
     def M(self):
         return self.log_norms.size - 1
+
+
+# lambda nodes of the closed-form Carleman example
+_BOX_NODES = 2049
+
+
+def spectral_box():
+    """The closed-form Carleman example: coefficients R_0 = 1 on lam in
+    [1, 2] at n = 1, every other coefficient 0, on _BOX_NODES log-spaced
+    nodes.  Its moments are
+    ||L^m f||_2^2 = 2 (2pi)^-2 int_1^2 lam^{2m+1} dlam."""
+    grid = QuadratureGrid.make(k_max=1, lambda_min=1.0, lambda_max=2.0,
+                               lambda_nodes=_BOX_NODES)
+    vals = np.zeros((2, grid.lam.size))
+    vals[0] = 1.0
+    return SpectralCoefficients(n=1, grid=grid, values=vals)
 
 
 def sublaplacian_norms(coeffs, M, tail_frac=1e-6):

@@ -13,6 +13,7 @@ and fixtures give byte-identical files on every run.
 """
 
 import argparse
+import math
 import os
 import sys
 from collections import namedtuple
@@ -54,25 +55,27 @@ def _typed(name, kind, value):
     return kind(value)
 
 
-# name, type, default: each option is a flag's dest, a config-file key and a
-# field of RunConfig, and its default applies where neither the command, the
-# config file nor a flag sets it
+# name, type, default, help: each option is a flag (_flag), a config-file key
+# and a field of RunConfig, and its default applies where neither the
+# command, the config file nor a flag sets it
 _OPTIONS = (
-    ("theta", str, "inv-sqrt"),
-    ("n", int, 1),
-    ("k_max", int, 64),
-    ("lambda_min", float, 1e-2),
-    ("lambda_max", float, 1e2),
-    ("lambda_nodes", int, 192),
-    ("out", str, "report.json"),
-    ("fixtures", str, None),
-    ("family", str, None),
-    ("dilation", float, 1.4),
-    ("factors", tuple, (0.9, 0.8, 0.7, 0.6)),
-    ("max_power", int, None),
-    ("chain_length", int, 16),
+    ("theta", str, "inv-sqrt", "decay profile: builtin name or JSON config path"),
+    ("n", int, 1, "group dimension n"),
+    ("k_max", int, 64, "Laguerre truncation degree"),
+    ("lambda_min", float, 1e-2, "smallest lambda node"),
+    ("lambda_max", float, 1e2, "largest lambda node"),
+    ("lambda_nodes", int, 192, "number of log-spaced lambda nodes"),
+    ("out", str, "report.json", "report path (default report.json)"),
+    ("fixtures", str, None,
+     "directory overriding the packaged calibration fixtures"),
+    ("family", str, None, "test family where the command offers several"),
+    ("dilation", float, 1.4, "dilation factor for dilate-check"),
+    ("factors", tuple, (0.9, 0.8, 0.7, 0.6),
+     "box factor widths R1,T1,R2,T2 for convolve/plancherel checks"),
+    ("max_power", int, None, "highest sublaplacian power"),
+    ("chain_length", int, 16, "number of factors J in the chain plan"),
 )
-_NAMES = tuple(name for name, _, _ in _OPTIONS)
+_NAMES = tuple(name for name, *_ in _OPTIONS)
 
 
 class RunConfig(namedtuple("RunConfig", ("command",) + _NAMES)):
@@ -89,7 +92,7 @@ class RunConfig(namedtuple("RunConfig", ("command",) + _NAMES)):
         if unknown:
             raise TypeError(f"unknown RunConfig options: {', '.join(unknown)}")
         values = []
-        for name, kind, default in _OPTIONS:
+        for name, kind, default, _ in _OPTIONS:
             value = options.get(name, default)
             if value is not None or default is not None:
                 value = _typed(name, kind, value)
@@ -145,15 +148,21 @@ _BOX_MAX_N = 170
 
 
 def _require_finite_measure(cfg):
-    """Refuse, before any compute, a window whose lambda measure overflows:
-    norms integrate against |lam|^n dlam with the weights lam_log_w
-    lam^(n+1) (QuadratureGrid.lambda_measure_weights), and lam^(n+1) is
-    past the largest double from its (n+1)-th root on."""
-    limit = sys.float_info.max ** (1.0 / (cfg.n + 1))
+    """Refuse, before any compute, a window whose lambda measure overflows.
+    Norms integrate against |lam|^n dlam with the weights lam_log_w
+    lam^(n+1) (QuadratureGrid.lambda_measure_weights): lam^(n+1) is formed
+    first and then scaled by the trapezoid weight in log lam, h / 2 at the
+    top node and h at the interior ones, h the log spacing of the nodes.
+    The largest of these products is at the top node or the next one down,
+    e^(-(n+1) h) lower in lam^(n+1)."""
+    n, nodes = cfg.n, cfg.lambda_nodes
+    h = (math.log(cfg.lambda_max) - math.log(cfg.lambda_min)) / (nodes - 1)
+    scale = max(1.0, 0.5 * h, h * math.exp(-(n + 1) * h) if nodes > 2 else 0.0)
+    limit = (sys.float_info.max / scale) ** (1.0 / (n + 1))
     if cfg.lambda_max >= limit:
-        raise DomainError(f"lambda_max must stay below {limit:.6g} at n = {cfg.n}, "
-                          f"where lam^{cfg.n + 1} of the lambda measure overflows; "
-                          f"got {cfg.lambda_max:g}")
+        raise DomainError(f"lambda_max must stay below {limit:.6g} at n = {n}, "
+                          f"where lam_log_w lam^{n + 1} of the lambda measure "
+                          f"overflows; got {cfg.lambda_max:g}")
 
 
 def _cmd_plancherel_check(cfg):
@@ -315,11 +324,6 @@ def _cmd_ingham_verify(cfg):
                     f"max_log_q={report['max_log_q']:.6f} C={report['C']:.6g}")
 
 
-# spectral window of the closed-form Carleman example: the k = 0 indicator
-# on lam in [1, 2]
-_CARLEMAN_BOX_NODES = 2049
-
-
 def _carleman_rows(prof, ratios):
     rows = []
     for i in range(prof.M):
@@ -337,22 +341,15 @@ def _cmd_carleman(cfg):
     import numpy as np
 
     from .chernoff import (check_gamma_hypothesis, gamma_bound_log,
-                           sublaplacian_norms)
-    from .grids import QuadratureGrid
+                           spectral_box, sublaplacian_norms)
     from .theta import load_theta
     from .transform import SpectralCoefficients
     family = cfg.family
     if family == "box":
         M = 20 if cfg.max_power is None else cfg.max_power
-        grid = QuadratureGrid.make(k_max=1, lambda_min=1.0, lambda_max=2.0,
-                                   lambda_nodes=_CARLEMAN_BOX_NODES,
-                                   nodes_per_panel=16)
-        vals = np.zeros((2, grid.lam.size))
-        vals[0] = 1.0
-        coeffs = SpectralCoefficients(n=1, grid=grid, values=vals)
         # the window edge is the true spectral support boundary, not a
         # truncation, so the boundary-domination guard is off
-        prof = sublaplacian_norms(coeffs, M, tail_frac=1.0)
+        prof = sublaplacian_norms(spectral_box(), M, tail_frac=1.0)
         rows = _carleman_rows(prof, None)
         crossed = [r["m"] for r in rows if r["partial_sum"] > 5.0]
         sum_ok = bool(crossed and crossed[0] <= 12)
@@ -521,6 +518,12 @@ _COMMANDS = {
 }
 
 
+def _flag(name):
+    """The command-line flag of the option name: --kmax for k_max, else the
+    name with dashes for underscores."""
+    return "--kmax" if name == "k_max" else "--" + name.replace("_", "-")
+
+
 def _build_parser():
     width = max(map(len, _COMMANDS))
     parser = argparse.ArgumentParser(
@@ -533,31 +536,13 @@ def _build_parser():
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("command", choices=_COMMANDS, metavar="command",
                         help="the check to run (listed below)")
-    parser.add_argument("--theta", default=None, metavar="NAME|PATH",
-                        help="decay profile: builtin name or JSON config path")
-    parser.add_argument("--n", type=int, default=None, help="group dimension n")
-    parser.add_argument("--kmax", dest="k_max", type=int, default=None,
-                        help="Laguerre truncation degree")
-    parser.add_argument("--lambda-min", type=float, default=None)
-    parser.add_argument("--lambda-max", type=float, default=None)
-    parser.add_argument("--lambda-nodes", type=int, default=None)
-    parser.add_argument("--out", default=None, metavar="PATH",
-                        help="report path (default report.json)")
-    parser.add_argument("--fixtures", default=None, metavar="DIR",
-                        help="directory overriding the packaged calibration "
-                             "fixtures")
     parser.add_argument("--config", default=None, metavar="PATH",
                         help="JSON file of defaults; explicit flags win")
-    parser.add_argument("--family", default=None,
-                        help="test family where the command offers several")
-    parser.add_argument("--dilation", type=float, default=None,
-                        help="dilation factor for dilate-check")
-    parser.add_argument("--factors", default=None, metavar="R1,T1,R2,T2",
-                        help="box factor widths for convolve/plancherel checks")
-    parser.add_argument("--max-power", type=int, default=None,
-                        help="highest sublaplacian power")
-    parser.add_argument("--chain-length", type=int, default=None,
-                        help="number of factors J in the chain plan")
+    for name, kind, _, help_line in _OPTIONS:
+        # a tuple option stays a string here; RunConfig parses it
+        parser.add_argument(_flag(name), dest=name, default=None,
+                            type=kind if kind in (int, float) else None,
+                            help=help_line)
     return parser
 
 

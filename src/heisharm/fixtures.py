@@ -37,7 +37,7 @@ CHAIN_GAP_THETA = "inv-sqrt"
 CHAIN_GAP_J = 16
 CHAIN_GAP_K_PROBE = 12
 CHAIN_GAP_GRID = {"k_max": 64, "lambda_min": 1e-3, "lambda_max": 1e3,
-                  "lambda_nodes": 128, "nodes_per_panel": 48}
+                  "lambda_nodes": 128}
 
 
 def _grid_hash(*parts):

@@ -26,7 +26,6 @@ DEFAULT_LAMBDA_MIN = 1e-3
 DEFAULT_LAMBDA_MAX = 1e3
 DEFAULT_LAMBDA_NODES = 256
 DEFAULT_K_MAX = 256
-DEFAULT_NODES_PER_PANEL = 64
 
 
 def roots_legendre(p):
@@ -96,7 +95,7 @@ def gauss_legendre_panels(edges, nodes_per_panel):
     return x, w
 
 
-def radial_rule(lam, k_max, n, support_radius, nodes_per_panel=DEFAULT_NODES_PER_PANEL):
+def radial_rule(lam, k_max, n, support_radius, nodes_per_panel):
     """Panelized radial rule on [0, support_radius] resolving degree k_max.
 
     Edges start from the envelope breakpoints of the largest degree, then
@@ -125,15 +124,13 @@ class QuadratureGrid(Record):
     lam : positive lambda nodes, ascending, log-spaced.
     lam_log_w : trapezoidal weights in log lambda (measure factor |lam|^n
         applied later, since n belongs to the coefficient set).
-    nodes_per_panel : Gauss-Legendre order used by radial rules.
 
     Grids compare by identity; same_as compares values.
     """
 
-    __slots__ = ("k_max", "lam", "lam_log_w", "nodes_per_panel")
+    __slots__ = ("k_max", "lam", "lam_log_w")
 
-    def __init__(self, k_max, lam, lam_log_w,
-                 nodes_per_panel=DEFAULT_NODES_PER_PANEL):
+    def __init__(self, k_max, lam, lam_log_w):
         # copies: the record freezes its arrays, never the caller's
         lam = np.array(lam, dtype=float)
         w = np.array(lam_log_w, dtype=float)
@@ -145,8 +142,7 @@ class QuadratureGrid(Record):
             raise DomainError("lambda weights must be positive and match the nodes")
         lam.setflags(write=False)
         w.setflags(write=False)
-        self._assign(k_max=k_max, lam=lam, lam_log_w=w,
-                     nodes_per_panel=nodes_per_panel)
+        self._assign(k_max=k_max, lam=lam, lam_log_w=w)
 
     @classmethod
     def make(
@@ -155,7 +151,6 @@ class QuadratureGrid(Record):
         lambda_min=DEFAULT_LAMBDA_MIN,
         lambda_max=DEFAULT_LAMBDA_MAX,
         lambda_nodes=DEFAULT_LAMBDA_NODES,
-        nodes_per_panel=DEFAULT_NODES_PER_PANEL,
     ):
         if not (0 < lambda_min < lambda_max):
             raise DomainError("need 0 < lambda_min < lambda_max")
@@ -167,7 +162,7 @@ class QuadratureGrid(Record):
         w[1:-1] = 0.5 * (logl[2:] - logl[:-2])
         w[0] = 0.5 * (logl[1] - logl[0])
         w[-1] = 0.5 * (logl[-1] - logl[-2])
-        return cls(k_max=int(k_max), lam=lam, lam_log_w=w, nodes_per_panel=int(nodes_per_panel))
+        return cls(k_max=int(k_max), lam=lam, lam_log_w=w)
 
     def lambda_measure_weights(self, n):
         """Weights for integrating against |lam|^n d lam over the positive nodes."""
@@ -176,7 +171,6 @@ class QuadratureGrid(Record):
     def same_as(self, other):
         return (
             self.k_max == other.k_max
-            and self.nodes_per_panel == other.nodes_per_panel
             and np.array_equal(self.lam, other.lam)
             and np.array_equal(self.lam_log_w, other.lam_log_w)
         )

@@ -250,8 +250,15 @@ def verify_decay(plan, theta, k_max=64, lambda_min=1e-2, lambda_max=1e2,
     across repeated runs is part of the contract.
     """
     require_convergent(theta, "nothing to certify")
+    k_top = 2 * k_max
+    # the table forms nu = (2k+n)|lam| at every k <= k_top
+    limit = np.finfo(float).max / (2 * k_top + plan.n)
+    if lambda_max >= limit:
+        raise DomainError(f"lambda_max must stay below {limit:.6g} at k_max = "
+                          f"{k_max}, n = {plan.n}, where nu = (2k+n)|lam| at k "
+                          f"up to 2 k_max overflows; got {lambda_max:g}")
     lam_nodes = np.geomspace(lambda_min, lambda_max, lambda_nodes)
-    log_q = _log_q_table(plan, theta, 2 * k_max, lam_nodes)
+    log_q = _log_q_table(plan, theta, k_top, lam_nodes)
     max_log_q, k_star, lam_star = _max_log_q(log_q[:, :k_max + 1], lam_nodes)
     if max_log_q > _LOG_MAX:
         raise DomainError(f"C = exp(max_log_q) overflows: max_log_q = {max_log_q:.6g} "

@@ -188,8 +188,10 @@ def breakpoints(k, lam, n):
     return (np.sqrt(2.0 / (v * al)), np.sqrt(v / al), np.sqrt(3.0 * v / al))
 
 
-def envelope_values(k, lam, n, r, c_fit, gamma_fit):
-    """Envelope for C_{k,n}|phi_{k,lam}^{n-1}| at the radii r (vectorized).
+def envelope_values(k_max, lam, n, r, c_fit, gamma_fit):
+    """Envelope for C_{k,n}|phi_{k,lam}^{n-1}| at every degree k <= k_max
+    and the radii r: shape (k_max+1,) + r.shape, the shape of
+    normalized_laguerre_table(k_max, lam, n, r).
 
     The four cases, in the scaled variable w = |lam| r^2 / 2 and with
     s = r sqrt(|lam|):
@@ -209,15 +211,21 @@ def envelope_values(k, lam, n, r, c_fit, gamma_fit):
         raise DomainError("lambda must be nonzero")
     r = np.asarray(r, dtype=float)
     al = abs(lam)
-    v = nu(k, n)
     w = 0.5 * al * r * r
     s = r * np.sqrt(al)
+    # the powers of nu alone are taken one degree at a time: numpy's pow
+    # over an array of degrees can differ from its 0-d pow in the last bit;
+    # at r = 0 the (n-1)-powers cancel, leaving the finite limit (nu/2)^((n-1)/2)
+    powers = [(d, d ** -0.25, d ** (1.0 / 3.0), (0.5 * d) ** (0.5 * (n - 1.0)))
+              for d in (nu(k, n) for k in range(k_max + 1))]
+    # one row per degree, broadcast against r of any shape
+    v, v_quarter, v_third, v_core = np.array(powers).T.reshape(
+        (4, -1) + (1,) * r.ndim)
     with np.errstate(divide="ignore", invalid="ignore"):
         spow = np.where(r > 0, s ** (-(n - 1.0)), 1.0)
-        # at r = 0 the (n-1)-powers cancel, leaving the finite limit (nu/2)^((n-1)/2)
-        core = np.where(r > 0, (v * w) ** (0.5 * (n - 1.0)), (0.5 * v) ** (0.5 * (n - 1.0)))
+        core = np.where(r > 0, (v * w) ** (0.5 * (n - 1.0)), v_core)
         osc = np.where(w > 0, (v * w) ** -0.25, np.inf)
-        turn = v ** -0.25 * (v ** (1.0 / 3.0) + np.abs(v - w)) ** -0.25
+        turn = v_quarter * (v_third + np.abs(v - w)) ** -0.25
         expo = np.exp(-gamma_fit * w)
     case = np.where(
         w <= 1.0 / v,
@@ -250,17 +258,16 @@ def envelope_check(fixture, k_max=None):
     for n in fixture["dims"]:
         for lam in fixture["lambdas"]:
             tab = np.abs(normalized_laguerre_table(k_hi, lam, n, r))
-            for ki in range(k_hi + 1):
-                env = envelope_values(ki, lam, n, r, c_fit, gamma_fit)
-                points += r.size
-                # envelope underflow deep in the exponential zone is a
-                # violation only if the function itself is still nonzero
-                pos = env > 0
-                violations += int(np.sum(tab[ki][~pos] > 0))
-                ratio = tab[ki][pos] / env[pos]
-                violations += int(np.sum(ratio > 1.0))
-                if ratio.size:
-                    worst = max(worst, float(np.max(ratio)))
+            env = envelope_values(k_hi, lam, n, r, c_fit, gamma_fit)
+            points += env.size
+            # envelope underflow deep in the exponential zone is a
+            # violation only if the function itself is still nonzero
+            pos = env > 0
+            violations += int(np.sum(tab[~pos] > 0))
+            ratio = tab[pos] / env[pos]
+            violations += int(np.sum(ratio > 1.0))
+            if ratio.size:
+                worst = max(worst, float(np.max(ratio)))
     return {
         "C_fit": c_fit,
         "gamma_fit": gamma_fit,

@@ -174,18 +174,18 @@ def _forward_columns(f, grid, nodes_per_panel):
     return weights[:, None] * out
 
 
-def forward_radial(f, grid, check=True):
-    """Transform a RadialFunction on the grid.
+def forward_radial(f, grid, check=True, nodes_per_panel=64):
+    """Transform a RadialFunction on the grid, by radial rules of
+    nodes_per_panel Gauss-Legendre nodes per panel.
 
     With check=True every column is recomputed at doubled panel order and
     the two must agree to _CHECK_TOL relative to the largest coefficient;
     otherwise QuadratureError names the disagreement and the worst
     (k, lambda) cell.
     """
-    npp = grid.nodes_per_panel
-    vals = _forward_columns(f, grid, npp)
+    vals = _forward_columns(f, grid, nodes_per_panel)
     if check:
-        fine = _forward_columns(f, grid, 2 * npp)
+        fine = _forward_columns(f, grid, 2 * nodes_per_panel)
         scale = max(1.0, float(np.max(np.abs(fine))))
         diff = np.abs(vals - fine)
         worst = np.unravel_index(int(np.argmax(diff)), diff.shape)

@@ -81,7 +81,8 @@ class ThetaProfile(Record):
             vals = np.minimum.accumulate(v)
             y.setflags(write=False)
             vals.setflags(write=False)
-        elif kind not in BUILTIN_THETAS:
+        elif not isinstance(kind, str) or kind not in BUILTIN_THETAS:
+            # a kind that is no string, as a JSON list, would not hash
             raise ProfileClassError(f"unknown profile kind {kind!r}")
         self._assign(name=name, kind=kind, declared_class=declared_class,
                      y=y, vals=vals)

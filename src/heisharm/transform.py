@@ -114,7 +114,10 @@ def _gaussian_t_hat(sigma_t, lam):
     """Transform of e^{-t^2/(2 sigma_t^2)}: sigma_t sqrt(2 pi)
     e^{-lam^2 sigma_t^2 / 2}."""
     lam = np.asarray(lam, dtype=float)
-    return sigma_t * np.sqrt(2.0 * np.pi) * np.exp(-(lam * sigma_t) ** 2 / 2.0)
+    # (lam sigma_t)^2 overflows to inf past about 1e154 / sigma_t, where
+    # exp(-inf) = 0 is the transform's limit
+    with np.errstate(over="ignore"):
+        return sigma_t * np.sqrt(2.0 * np.pi) * np.exp(-(lam * sigma_t) ** 2 / 2.0)
 
 
 def box_coefficients(n, rho, tau, grid):

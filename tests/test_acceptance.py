@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import heisharm
-from heisharm.chernoff import ingham_norm_bound_check, sublaplacian_norms
+from heisharm.chernoff import (ingham_norm_bound_check, spectral_box,
+                               sublaplacian_norms)
 from heisharm.fixtures import load_fixture
 from heisharm.grids import QuadratureGrid
 from heisharm.group import ball_shift_symmdiff, ball_volume, sphere_surface
@@ -23,8 +24,7 @@ from heisharm.ingham import factor_bound_check, plan_sequences, verify_decay
 from heisharm.laguerre import envelope_check, orthonormality_defect
 from heisharm.oracles import box_factor, forward_radial
 from heisharm.theta import builtin_theta
-from heisharm.transform import (SpectralCoefficients,
-                                box_convolution_coefficients, multiply_coeffs,
+from heisharm.transform import (box_convolution_coefficients, multiply_coeffs,
                                 plancherel_norm)
 
 ORTHO_TOL = 1e-8
@@ -149,13 +149,9 @@ def test_ball_symmdiff_surface_bound_and_lens():
     assert time.perf_counter() - t0 <= 5.0
 
 
-def carleman_box_profile(M=20):
-    grid = QuadratureGrid.make(k_max=1, lambda_min=1.0, lambda_max=2.0,
-                               lambda_nodes=2049, nodes_per_panel=8)
-    vals = np.zeros((2, grid.lam.size))
-    vals[0] = 1.0
-    coeffs = SpectralCoefficients(n=1, grid=grid, values=vals)
-    return sublaplacian_norms(coeffs, M, tail_frac=1.0)
+def carleman_box_profile():
+    # the example of carleman --family box, at its default M = 20
+    return sublaplacian_norms(spectral_box(), 20, tail_frac=1.0)
 
 
 def test_carleman_term20_in_stated_window():

@@ -7,7 +7,8 @@ import pytest
 
 from heisharm.chernoff import (MAX_POWER, check_gamma_hypothesis,
                                gamma_bound_log, gamma_integral_log,
-                               ingham_norm_bound_check, sublaplacian_norms)
+                               ingham_norm_bound_check, spectral_box,
+                               sublaplacian_norms)
 from heisharm.errors import DomainError, HypothesisError, TailError
 from heisharm.grids import QuadratureGrid
 from heisharm.oracles import forward_radial, gaussian_factor
@@ -27,12 +28,8 @@ def log_convexity_margin(profile):
     return float(np.min(np.diff(ln, 2)))
 
 
-def spectral_box(lambda_nodes=4097):
-    g = QuadratureGrid.make(k_max=1, lambda_min=1.0, lambda_max=2.0,
-                            lambda_nodes=lambda_nodes, nodes_per_panel=8)
-    vals = np.zeros((2, g.lam.size))
-    vals[0] = 1.0
-    return SpectralCoefficients(n=1, grid=g, values=vals)
+# the example of carleman --family box
+BOX = spectral_box()
 
 
 def box_log_norm_sq(m):
@@ -42,7 +39,7 @@ def box_log_norm_sq(m):
 
 
 def test_box_moments_match_closed_form():
-    prof = sublaplacian_norms(spectral_box(), 20, tail_frac=1.0)
+    prof = sublaplacian_norms(BOX, 20, tail_frac=1.0)
     assert prof.M == 20
     # log-trapezoid curvature error grows like (2m+2)^2 h^2
     for m in (0, 1, 5, 20):
@@ -58,9 +55,9 @@ def test_box_moment_tail_gate():
     # the window edge carries a fixed share of every moment, so the default
     # interior-decay gate refuses the pure indicator
     with pytest.raises(TailError, match=r"^moment m=0 "):
-        sublaplacian_norms(spectral_box(), 3)
+        sublaplacian_norms(BOX, 3)
     with pytest.raises(DomainError):
-        sublaplacian_norms(spectral_box(), 0, tail_frac=1.0)
+        sublaplacian_norms(BOX, 0, tail_frac=1.0)
 
 
 def test_degenerate_zero_function():
@@ -76,7 +73,7 @@ def test_degenerate_zero_function():
 
 
 def test_log_convexity_of_moments():
-    prof = sublaplacian_norms(spectral_box(), 15, tail_frac=1.0)
+    prof = sublaplacian_norms(BOX, 15, tail_frac=1.0)
     assert log_convexity_margin(prof) >= CONVEXITY_TOL
     g = QuadratureGrid.make(k_max=24, lambda_min=1e-3, lambda_max=50.0,
                             lambda_nodes=160)

@@ -15,7 +15,7 @@ import pytest
 
 import heisharm
 from heisharm.chernoff import gamma_bound_log
-from heisharm.cli import (_COMMANDS, _NAMES, RunConfig, _build_parser,
+from heisharm.cli import (_COMMANDS, _NAMES, RunConfig, _build_parser, _flag,
                           _resolve_config, main)
 from heisharm.errors import HeisharmError, HypothesisError, TailError
 from heisharm.fixtures import packaged_fixtures_dir
@@ -67,7 +67,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
 def _flags(options):
     argv = []
     for name, value in options.items():
-        argv.append("--kmax" if name == "k_max" else "--" + name.replace("_", "-"))
+        argv.append(_flag(name))
         argv.append(",".join(map(str, value)) if isinstance(value, list)
                     else str(value))
     return argv
@@ -176,6 +176,21 @@ def test_non_finite_table_abscissae_refused(tmp_path, capsys, command, y):
                    "table abscissae y must be finite\n")
 
 
+@pytest.mark.parametrize("command", ["ingham-plan", "ingham-verify"])
+@pytest.mark.parametrize("kind, shown", [([1], "[1]"), ({"a": 1}, "{'a': 1}")],
+                         ids=["list", "dict"])
+def test_non_string_profile_kind_refused(tmp_path, capsys, command, kind, shown):
+    # a JSON list or object as kind is refused like any unknown kind, not
+    # left to fail on hashing
+    prof = tmp_path / "prof.json"
+    prof.write_text(json.dumps({"name": "q", "kind": kind,
+                                "declared_class": "convergent"}))
+    code, report, _ = run(tmp_path, command, "--theta", str(prof))
+    assert code == 2 and report is None
+    assert capsys.readouterr().err == (f"heisharm {command}: refused: "
+                                       f"unknown profile kind {shown}\n")
+
+
 def test_gamma_bound_check_paths(tmp_path):
     # the default profile sits below the hypothesis threshold
     assert main(["gamma-bound-check", "--out",
@@ -281,6 +296,13 @@ def test_dilate_check(tmp_path):
     assert code == 0
     assert report["dilation"] == pytest.approx(1.4)
     assert report["max_rel_error"] <= report["tol"]
+
+
+def test_dilate_check_defaults(tmp_path):
+    code, report, _ = run(tmp_path, "dilate-check")
+    assert code == 0
+    assert report["lambda_range"] == [1e-3, 1e3]
+    assert report["k_max"] == 64 and report["lambda_nodes"] == 320
 
 
 def test_plancherel_families(tmp_path):
@@ -460,26 +482,41 @@ def _warning_run(tmp_path, argv):
                           capture_output=True, text=True)
 
 
-_MEASURE = ("lambda_max must stay below 1.34078e+154 at n = 1, where lam^2 "
+_MEASURE = ("lambda_max must stay below {} at n = 1, where lam_log_w lam^2 "
             "of the lambda measure overflows; got {}")
+# the square root of the largest double: the limit where the weights are <= 1
+_ROOT = "1.34078e+154"
 _FACTOR_COUNT = ("the factor count must stay below 2^63 = 9.22337e+18, where it "
                  "leaves int64; got {} at nu = (2k+n)|lam| up to {}")
 
 
 @pytest.mark.parametrize("argv, message", [
     pytest.param(["plancherel-check", "--family", "gaussian",
-                  "--lambda-max", "1e200"], _MEASURE.format("1e+200"),
+                  "--lambda-max", "1e200"], _MEASURE.format(_ROOT, "1e+200"),
                  id="plancherel-gaussian"),
     pytest.param(["plancherel-check", "--family", "box", "--lambda-max", "1e200"],
-                 _MEASURE.format("1e+200"), id="plancherel-box"),
+                 _MEASURE.format(_ROOT, "1e+200"), id="plancherel-box"),
     pytest.param(["plancherel-check", "--lambda-max", "1e300"],
-                 _MEASURE.format("1e+300"), id="plancherel-both"),
+                 _MEASURE.format(_ROOT, "1e+300"), id="plancherel-both"),
     pytest.param(["carleman", "--family", "envelope", "--theta", "inv-sqrt",
-                  "--lambda-max", "1e160"], _MEASURE.format("1e+160"), id="carleman"),
+                  "--lambda-max", "1e160"], _MEASURE.format(_ROOT, "1e+160"),
+                 id="carleman"),
     pytest.param(["carleman", "--family", "envelope", "--lambda-max", "1e200"],
-                 _MEASURE.format("1e+200"), id="carleman-default-theta"),
+                 _MEASURE.format(_ROOT, "1e+200"), id="carleman-default-theta"),
     pytest.param(["carleman", "--family", "envelope", "--lambda-max", "1.35e154"],
-                 _MEASURE.format("1.35e+154"), id="carleman-past-limit"),
+                 _MEASURE.format(_ROOT, "1.35e+154"), id="carleman-past-limit"),
+    # two nodes: the log weight of the top node is about 180, and the
+    # product with lam^2 overflows though lam^2 does not
+    pytest.param(["carleman", "--family", "envelope", "--lambda-max", "1e154",
+                  "--lambda-nodes", "2"], _MEASURE.format("9.97275e+152", "1e+154"),
+                 id="carleman-top-weight"),
+    pytest.param(["plancherel-check", "--family", "gaussian", "--lambda-max",
+                  "1e153", "--lambda-nodes", "2"],
+                 _MEASURE.format("9.97275e+152", "1e+153"), id="plancherel-top-weight"),
+    pytest.param(["ingham-verify", "--lambda-max", "1e307"],
+                 "lambda_max must stay below 6.99491e+305 at k_max = 64, n = 1, "
+                 "where nu = (2k+n)|lam| at k up to 2 k_max overflows; got 1e+307",
+                 id="ingham-verify-nu"),
     pytest.param(["ingham-verify", "--theta", "inv-sqrt", "--lambda-max", "1e300"],
                  _FACTOR_COUNT.format("4.0039e+75", "2.57e+302"), id="ingham-verify"),
     # k runs to 2 k_max = 128 in the stability table, so nu = 257 lambda_max,
@@ -510,6 +547,14 @@ def test_window_below_the_measure_limit_runs(tmp_path):
                                    "--lambda-max", "1.34e154"])
     assert proc.returncode == 0 and proc.stderr == ""
     assert json.loads((tmp_path / "r.json").read_text())["pass"] is True
+
+
+def test_dilate_check_far_window_runs_quietly(tmp_path):
+    # (lam sigma_t)^2 overflows past about 1e154, and the Gaussian's
+    # transform there is exp(-inf) = 0: the run completes without a warning
+    proc = _warning_run(tmp_path, ["dilate-check", "--lambda-max", "1e300"])
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert json.loads((tmp_path / "r.json").read_text())["pass"] is False
 
 
 def test_non_finite_report_value_refused(tmp_path, capsys, monkeypatch):

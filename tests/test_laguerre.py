@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
 from scipy.special import comb, eval_genlaguerre, gamma
 
 from heisharm.errors import DomainError
@@ -147,22 +148,63 @@ def test_breakpoints_select_envelope_regime():
     expect = c * np.array([1.0, (v * w[1]) ** -0.25,
                            v ** -0.25 * (v ** (1.0 / 3.0) + abs(v - w[2])) ** -0.25,
                            np.exp(-g * w[3])])
-    assert envelope_values(k, lam, n, r, c, g) == pytest.approx(expect, rel=1e-12)
+    assert envelope_values(k, lam, n, r, c, g)[k] == pytest.approx(expect, rel=1e-12)
+
+
+def envelope_at_degree(k, lam, n, r, c_fit, gamma_fit):
+    """Row k of envelope_values, one degree at a time: the oracle of its
+    block form."""
+    r = np.asarray(r, dtype=float)
+    al = abs(lam)
+    v = nu(k, n)
+    w = 0.5 * al * r * r
+    s = r * np.sqrt(al)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spow = np.where(r > 0, s ** (-(n - 1.0)), 1.0)
+        core = np.where(r > 0, (v * w) ** (0.5 * (n - 1.0)),
+                        (0.5 * v) ** (0.5 * (n - 1.0)))
+        osc = np.where(w > 0, (v * w) ** -0.25, np.inf)
+        turn = v ** -0.25 * (v ** (1.0 / 3.0) + np.abs(v - w)) ** -0.25
+        expo = np.exp(-gamma_fit * w)
+    case = np.where(
+        w <= 1.0 / v,
+        core,
+        np.where(w <= 0.5 * v, osc, np.where(w <= 1.5 * v, turn, expo)),
+    )
+    return c_fit * spow * case
+
+
+def test_envelope_values_match_per_degree_oracle():
+    # the calibration's radii, and its constants with unit ones: every
+    # degree's row equals the per-degree evaluation bit for bit
+    r = np.concatenate(([0.0], np.geomspace(1e-3, 300.0, 399)))
+    k_max = 200
+    for n in (1, 2, 3):
+        for lam in (1e-2, 0.3, 1.0, 7.0, 1e2, -2.5):
+            for c, g in ((1.0, 0.06), (1.7, 0.0123)):
+                block = envelope_values(k_max, lam, n, r, c, g)
+                assert block.shape == normalized_laguerre_table(k_max, lam, n, r).shape
+                for k in range(k_max + 1):
+                    assert_array_equal(block[k], envelope_at_degree(k, lam, n, r, c, g))
 
 
 def test_envelope_values_match_per_radius():
     k, lam, n = 7, 0.3, 2
     r = np.array([0.1, 1.0, 5.0, 12.0, 40.0])
     vals = envelope_values(k, lam, n, r, 1.2, 0.06)
+    # a 0-d radius gives one value per degree, a 2-d block keeps its shape
     for i, ri in enumerate(r):
-        assert vals[i] == pytest.approx(
-            envelope_values(k, lam, n, np.array([ri]), 1.2, 0.06)[0], rel=1e-12)
+        assert vals[:, i] == pytest.approx(
+            envelope_values(k, lam, n, ri, 1.2, 0.06), rel=1e-12)
+    block = envelope_values(k, lam, n, r.reshape(5, 1), 1.2, 0.06)
+    assert block.shape == (k + 1, 5, 1)
+    assert block[:, :, 0] == pytest.approx(vals, rel=1e-12)
 
 
 def test_envelope_origin_finite():
     for n in (1, 2, 3):
         v = envelope_values(5, 1.0, n, np.array([0.0]), 1.0, 0.05)
-        assert np.isfinite(v[0]) and v[0] > 0
+        assert np.all(np.isfinite(v)) and np.all(v > 0)
 
 
 def test_envelope_rejects_bad_constants():

@@ -1,9 +1,10 @@
 """The public surface is what production reaches: every name a production
-module exports is used somewhere in production code, and every parameter
-with a default is passed by some call.  Read from the source with ast, so
-nothing is imported.  heisharm.oracles is exempt from the first census as a
-definer, since its names are the references the tests compare against; its
-parameters are counted like any other."""
+module exports is used somewhere in production code, every parameter with a
+default is passed by some call, and every field of a production record is
+read by production code.  Read from the source with ast, so nothing is
+imported.  heisharm.oracles is left out of the first and the third census,
+since its names and records are the references the tests compare against
+(nor do its reads count); its parameters are counted like any other."""
 
 import ast
 from pathlib import Path
@@ -17,10 +18,12 @@ def _trees(skip=()):
             for path in sorted(PACKAGE.glob("*.py")) if path.name not in skip}
 
 
-def _exported(tree):
-    for node in tree.body:
+def _listed(body, name):
+    """The strings of the assignment name = (...) among the statements of
+    body, as __all__ of a module or __slots__ of a class."""
+    for node in body:
         if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                and any(isinstance(t, ast.Name) and t.id == name
                         for t in node.targets)):
             return [elt.value for elt in node.value.elts]
     return []
@@ -43,7 +46,7 @@ def test_every_exported_name_is_reached_by_production_code():
     trees = _trees(skip=("oracles.py",))
     used = _used(trees)
     unreached = sorted(f"{module}:{name}" for module, tree in trees.items()
-                       for name in _exported(tree) if name not in used)
+                       for name in _listed(tree.body, "__all__") if name not in used)
     assert unreached == []
 
 
@@ -113,3 +116,35 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
         if not any(_passes(call, param, pos)
                    for name in names for call in calls.get(name, ())))
     assert unturned == []
+
+
+def _attribute_loads(trees, skip):
+    """Names of the attributes loaded in trees, outside the nodes in skip."""
+    loads = set()
+    stack = list(trees.values())
+    while stack:
+        node = stack.pop()
+        if node in skip:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loads.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return loads
+
+
+def test_every_record_field_is_read_by_production_code():
+    # a field counts as read where production code loads it, except in its
+    # own class's __init__ and same_as, which only set and compare it
+    trees = _trees(skip=("oracles.py",))
+    unread = []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            own = {fn for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                   and fn.name in ("__init__", "same_as")}
+            loads = _attribute_loads(trees, own)
+            unread += [f"{module}:{cls.name}.{field}"
+                       for field in _listed(cls.body, "__slots__")
+                       if field not in loads]
+    assert unread == []

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from heisharm._special import gammainc_int, gammaln
+from heisharm.chernoff import spectral_box
 from heisharm.errors import DomainError, GridMismatchError, QuadratureError
 from heisharm.grids import QuadratureGrid, radial_rule
 from heisharm.laguerre import _orthonormal_table
@@ -23,15 +24,6 @@ from heisharm.transform import (_POWER_CAP, SpectralCoefficients,
 
 GRID = QuadratureGrid.make(k_max=24, lambda_min=0.05, lambda_max=20.0,
                            lambda_nodes=64)
-
-
-def spectral_box(lambda_nodes=4097):
-    """k = 0 indicator of lam in [1, 2]: every norm has a closed form."""
-    g = QuadratureGrid.make(k_max=1, lambda_min=1.0, lambda_max=2.0,
-                            lambda_nodes=lambda_nodes, nodes_per_panel=8)
-    vals = np.zeros((2, g.lam.size))
-    vals[0] = 1.0
-    return SpectralCoefficients(n=1, grid=g, values=vals)
 
 
 def test_ball_normalizer_unit_volume():
@@ -234,9 +226,9 @@ def test_forward_radial_matches_per_column_loop(f, batch_nodes, monkeypatch):
     if batch_nodes is not None:
         monkeypatch.setattr("heisharm.oracles._BATCH_NODES", batch_nodes)
     grid = QuadratureGrid.make(k_max=24, lambda_min=1e-3, lambda_max=50.0,
-                               lambda_nodes=12, nodes_per_panel=32)
-    coarse = forward_radial(f, grid, check=False).values
-    fine = forward_radial(f, grid).values
+                               lambda_nodes=12)
+    coarse = forward_radial(f, grid, check=False, nodes_per_panel=32).values
+    fine = forward_radial(f, grid, nodes_per_panel=32).values
     for got, npp in ((coarse, 32), (fine, 64)):
         ref = per_column_forward(f, grid, npp)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -246,11 +238,11 @@ def test_forward_radial_refusal_names_its_numbers():
     # three nodes per panel do not resolve degree 24: the refusal states the
     # disagreement, the tolerance and the worst cell
     grid = QuadratureGrid.make(k_max=24, lambda_min=0.5, lambda_max=40.0,
-                               lambda_nodes=4, nodes_per_panel=3)
+                               lambda_nodes=4)
     with pytest.raises(QuadratureError, match=r"panel refinement: disagreement "
                                               r"\d\.\d{3}e-\d\d \(> 1e-08\) "
                                               r"at k = \d+, lambda = [\d.]+$"):
-        forward_radial(gaussian_factor(1, 1.0, 0.4), grid)
+        forward_radial(gaussian_factor(1, 1.0, 0.4), grid, nodes_per_panel=3)
 
 
 def test_unit_mass_bounds_coefficients():

@@ -316,10 +316,7 @@ def _cmd_ingham_verify(cfg):
     from .ingham import plan_sequences, verify_decay
     plan = plan_sequences(theta, cfg.n, J=cfg.chain_length,
                           fixtures_dir=cfg.fixtures)
-    report = verify_decay(plan, theta, k_max=cfg.k_max,
-                          lambda_min=cfg.lambda_min,
-                          lambda_max=cfg.lambda_max,
-                          lambda_nodes=cfg.lambda_nodes)
+    report = verify_decay(plan, theta, cfg.grid())
     return report, (f"theta={theta.name} n={cfg.n} k_max={cfg.k_max} "
                     f"max_log_q={report['max_log_q']:.6f} C={report['C']:.6g}")
 

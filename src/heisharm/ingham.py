@@ -98,7 +98,7 @@ def _chain_constant(n, fixtures_dir):
     return float(fx["c_n"][key])
 
 
-def plan_sequences(theta, n, J=64, c_n=None, fixtures_dir=None):
+def plan_sequences(theta, n, J, c_n=None, fixtures_dir=None):
     """Factor widths rho_j, tau_j for j = 1..J under the profile theta.
 
     The additive 2^{-j} keeps rho strictly positive and summable even for
@@ -173,28 +173,17 @@ def adaptive_N(theta, k, lam, n):
     return count.astype(int)
 
 
-def _chain_log_columns(plan, lam, k_max, N):
-    """Signed log chain coefficients of G_N at every (lambda, k) cell.
+def _chain_prefixes(plan, lam, k_max, need):
+    """Stream the chain's partial products G_1, G_2, ... over a 1-d array
+    lam of nonzero lambdas, column i taking need[i] factors.
 
-    lam is a 1-d array of nonzero lambdas and N the number of factors at
-    each cell: one int for all, or an int array broadcasting against
-    (lam.size, k_max+1), whose leading axes ask for several chain lengths
-    at once.  Returns (signs, logmags) of the broadcast shape; N = 0 is the
-    empty product 1.  The factors stream in increasing j: factor j's table
-    comes from one ball_coefficients call over the lambda columns that
-    still need it, its log magnitude is added to a running (lambda, k) sum,
-    and each cell copies the running values out once j reaches its N.  The
-    sums thus accumulate serially in increasing j from 0.0, which is the
-    determinism contract, and no factor table outlives its step.
+    After factor j it yields the running (signs, logmags), of shape
+    (lam.size, k_max+1) and updated in place: G_j on the columns with
+    need >= j.  Factor j's table is one ball_coefficients call over those
+    columns, and its log magnitude is added serially in increasing j from
+    0.0, which is the determinism contract.
     """
-    lam = np.asarray(lam, dtype=float)
-    N = np.asarray(N, dtype=int)
-    N = np.broadcast_to(N, np.broadcast_shapes(N.shape, (lam.size, k_max + 1)))
-    # the factors each lambda column needs, over k and any leading axes
-    need = N.max(axis=tuple(a for a in range(N.ndim) if a != N.ndim - 2),
-                 initial=0)
-    signs, logs = np.ones(N.shape), np.zeros(N.shape)
-    run_signs, run_logs = np.ones(N.shape[-2:]), np.zeros(N.shape[-2:])
+    signs, logs = np.ones((lam.size, k_max + 1)), np.zeros((lam.size, k_max + 1))
     for j in range(int(need.max(initial=0))):
         cols = np.flatnonzero(need > j)
         # one-element slices keep ** 2 on numpy's array path, the path
@@ -203,24 +192,25 @@ def _chain_log_columns(plan, lam, k_max, N):
         term = (ball_coefficients(s, k_max, plan.n)
                 * _box_t_hat(plan.tau[j:j + 1], lam[cols])).T
         with np.errstate(divide="ignore"):
-            run_logs[cols] += np.log(np.abs(term))
-        run_signs[cols] *= np.sign(term)
-        done = N == j + 1
-        np.copyto(signs, run_signs, where=done)
-        np.copyto(logs, run_logs, where=done)
-    return signs, logs
+            logs[cols] += np.log(np.abs(term))
+        signs[cols] *= np.sign(term)
+        yield signs, logs
 
 
 def _log_q_table(plan, theta, k_max, lam_nodes):
     """log q = 2 log|G_N| + 2 Theta(sqrt(nu)) sqrt(nu) at every (lambda, k)
-    cell of the window, with N = adaptive_N capped at the plan's J."""
+    cell of the window, with N = adaptive_N capped at the plan's J; each
+    cell copies its G_N as the chain stream passes j = N."""
     k = np.arange(k_max + 1, dtype=float)[None, :]
     lam = lam_nodes[:, None]
     root = np.sqrt((2.0 * k + plan.n) * np.abs(lam))
     # a plan only has J factors; using fewer than adaptive_N asks for
     # weakens the certified decay, which is conservative, not wrong
     N = np.minimum(adaptive_N(theta, k, lam, plan.n), plan.J)
-    _, logs = _chain_log_columns(plan, lam_nodes, k_max, N)
+    logs = np.zeros(N.shape)
+    stream = _chain_prefixes(plan, lam_nodes, k_max, N.max(axis=1))
+    for j, (_, run_logs) in enumerate(stream, start=1):
+        np.copyto(logs, run_logs, where=N == j)
     return 2.0 * logs + 2.0 * theta(root) * root
 
 
@@ -233,9 +223,8 @@ def _max_log_q(log_q, lam_nodes):
     return float(col_max[best]), int(k_star[best]), float(lam_nodes[best])
 
 
-def verify_decay(plan, theta, k_max=64, lambda_min=1e-2, lambda_max=1e2,
-                 lambda_nodes=192):
-    """Certify the decay of the adaptive chain over a (k, lam) window.
+def verify_decay(plan, theta, grid):
+    """Certify the adaptive chain's decay at k <= grid.k_max, lam in grid.lam.
 
     Maximizes q(k, lam) = G_N(k, lam)^2 e^{+2 Theta(sqrt(nu)) sqrt(nu)},
     with N = adaptive_N, in log space.  The fitted constant is
@@ -250,14 +239,14 @@ def verify_decay(plan, theta, k_max=64, lambda_min=1e-2, lambda_max=1e2,
     across repeated runs is part of the contract.
     """
     require_convergent(theta, "nothing to certify")
+    k_max, lam_nodes = grid.k_max, grid.lam
     k_top = 2 * k_max
     # the table forms nu = (2k+n)|lam| at every k <= k_top
     limit = np.finfo(float).max / (2 * k_top + plan.n)
-    if lambda_max >= limit:
+    if lam_nodes[-1] >= limit:
         raise DomainError(f"lambda_max must stay below {limit:.6g} at k_max = "
                           f"{k_max}, n = {plan.n}, where nu = (2k+n)|lam| at k "
-                          f"up to 2 k_max overflows; got {lambda_max:g}")
-    lam_nodes = np.geomspace(lambda_min, lambda_max, lambda_nodes)
+                          f"up to 2 k_max overflows; got {lam_nodes[-1]:g}")
     log_q = _log_q_table(plan, theta, k_top, lam_nodes)
     max_log_q, k_star, lam_star = _max_log_q(log_q[:, :k_max + 1], lam_nodes)
     if max_log_q > _LOG_MAX:
@@ -270,7 +259,7 @@ def verify_decay(plan, theta, k_max=64, lambda_min=1e-2, lambda_max=1e2,
         "theta": plan.theta_name,
         "n": plan.n,
         "k_max": k_max,
-        "lambda_range": [float(lambda_min), float(lambda_max)],
+        "lambda_range": [float(lam_nodes[0]), float(lam_nodes[-1])],
         "max_log_q": float(max_log_q),
         "argmax": {"k": int(k_star), "lambda": float(lam_star)},
         "C": float(np.exp(max_log_q)),
@@ -289,22 +278,18 @@ def support_radius(plan, N=None):
     return float(plan.a * np.sum(plan.rho[:N]) + TAU_GAUGE * np.sum(plan.tau[:N]))
 
 
-def cauchy_gap(plan, K, grid, c3=None):
+def cauchy_gap(plan, K, grid, c3):
     """(bounds, measured) arrays over the chain steps G_k -> G_{k+1},
     k = 1..K, all read from one stream of the factors of G_1 .. G_{K+1}.
 
-    bound = tau_{k+1}^2 + c3 rho_{k+1} with the calibrated c3; measured is
-    the Plancherel norm of the coefficient difference on the grid.  The
-    calibrated envelope constant C (measured <= C * bound) lives in the
-    chain-gap fixture next to c3.
+    bound = tau_{k+1}^2 + c3 rho_{k+1}; measured is the Plancherel norm of
+    the coefficient difference on the grid.  The chain-gap fixture holds the
+    calibrated c3 and the constant C of the envelope measured <= C * bound.
     """
     if not (1 <= K < plan.J):
         raise DomainError(f"need 1 <= K < J = {plan.J}")
-    if c3 is None:
-        c3 = float(load_fixture("chain_gap_constants.json")["c3"])
-    signs, logs = _chain_log_columns(plan, grid.lam, grid.k_max,
-                                     np.arange(1, K + 2)[:, None, None])
-    gaps = np.diff(signs * np.exp(logs), axis=0)
+    stream = _chain_prefixes(plan, grid.lam, grid.k_max, np.full(grid.lam.size, K + 1))
+    gaps = np.diff([signs * np.exp(logs) for signs, logs in stream], axis=0)
     measured = [plancherel_norm(SpectralCoefficients(
         n=plan.n, grid=grid, values=g.T)) for g in gaps]
     return plan.tau[1:K + 1] ** 2 + c3 * plan.rho[1:K + 1], np.array(measured)

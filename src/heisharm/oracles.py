@@ -13,7 +13,8 @@ t-part by construction and differ only in the radial integral.
 
 factor_t_hat, factor_coeff, chain_coeff and chain_coefficients evaluate the
 Ingham chain of heisharm.ingham one factor, one cell or one chain length at
-a time: the references for its streamed (lambda, k) sweeps.
+a time, as products of factor values in linear space: the references for
+its stream of log partial products.
 """
 
 import numpy as np
@@ -22,7 +23,6 @@ from ._record import Record
 from ._special import gammaln
 from .errors import DimensionMismatchError, DomainError, QuadratureError
 from .grids import radial_rule
-from .ingham import _chain_log_columns
 from .laguerre import _orthonormal_rows
 from .transform import (SpectralCoefficients, _box_t_hat, _coefficient_weights,
                         _gaussian_t_hat, ball_coefficients, ball_normalizer)
@@ -223,7 +223,7 @@ def direct_convolution_oracle(f, g, z, t, g_z_radius, g_t_radius, nodes=24):
     return float(np.sum(fv * g(wz, s) * wts))
 
 
-def tail_integral_estimate(profile, hi=1e8):
+def tail_integral_estimate(profile, hi):
     """Trapezoid estimate of int_1^hi Theta(t)/t dt on 4097 log-spaced
     nodes."""
     t = np.geomspace(1.0, hi, 4097)
@@ -252,23 +252,24 @@ def factor_coeff(j, k, lam, plan):
 
 
 def chain_coeff(plan, N, k, lam):
-    """Chain coefficient of G_N at one cell: the signed product of the
-    first N factor coefficients and interval transforms.  N = 0 is the
-    empty product 1."""
+    """Chain coefficient of G_N at one cell: the product of the first N
+    factor coefficients and interval transforms.  N = 0 is the empty
+    product 1."""
     if N < 0 or N > plan.J:
         raise DomainError(f"chain length {N} outside 0..{plan.J}")
-    if N == 0:
-        return 1.0
-    if lam == 0:
-        raise DomainError("lam must be nonzero")
-    signs, logs = _chain_log_columns(plan, [lam], int(k), N)
-    return float(signs[0, int(k)] * np.exp(logs[0, int(k)]))
+    value = 1.0
+    for j in range(1, N + 1):
+        value *= factor_coeff(j, k, lam, plan) * float(factor_t_hat(j, lam, plan))
+    return value
 
 
 def chain_coefficients(plan, N, grid):
-    """SpectralCoefficients of G_N on the grid."""
+    """SpectralCoefficients of G_N on the grid: the product of the first N
+    factor tables."""
     if N < 0 or N > plan.J:
         raise DomainError(f"chain length {N} outside 0..{plan.J}")
-    signs, logs = _chain_log_columns(plan, grid.lam, grid.k_max, N)
-    vals = (signs * np.exp(logs)).T
+    vals = np.ones((grid.k_max + 1, grid.lam.size))
+    for rho, tau in zip(plan.rho[:N], plan.tau[:N]):
+        vals *= (ball_coefficients(grid.lam * rho ** 2, grid.k_max, plan.n)
+                 * _box_t_hat(tau, grid.lam))
     return SpectralCoefficients(n=plan.n, grid=grid, values=vals)

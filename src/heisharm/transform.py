@@ -217,15 +217,24 @@ def transform_at_lambda(fvals, x, w, lam, k_max, n):
 
 
 def plancherel_norm(coeffs):
-    """L^2 norm of the represented function."""
+    """L^2 norm of the represented function.  R_k^2 is weighted before the
+    lambda measure scales it down, so a product can overflow where the norm
+    would fit; that is refused, naming n and the product."""
     g = coeffs.grid
     n = coeffs.n
     hs = projection_hs_norm_sq(np.arange(g.k_max + 1), n)
-    sq = coeffs.values ** 2
-    sq *= hs[:, None]
-    per_lam = np.sum(sq, axis=0)
-    total = np.sum(per_lam * g.lambda_measure_weights(n))
-    total *= 2.0  # even in t
+    step = "R_k(lam)^2"
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            sq = coeffs.values ** 2
+            step = "R_k(lam)^2 times the Hilbert-Schmidt weight"
+            sq *= hs[:, None]
+            step = "the sum against the lambda measure"
+            # twice the one-sided integral: even in t
+            total = 2.0 * np.sum(np.sum(sq, axis=0) * g.lambda_measure_weights(n))
+    except FloatingPointError:
+        raise DomainError(f"the Plancherel norm overflows at n = {n}: {step} "
+                          f"passes the largest double") from None
     return float(np.sqrt(total / (2.0 * np.pi) ** (n + 1)))
 
 
@@ -351,7 +360,12 @@ def _ramp_arc_sums(d, s, psis, w):
     return out
 
 
-def box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=256):
+# the spatial box convolution's Gauss-Legendre nodes per r and per t panel
+# of its sampling grid, and per u rule of each sample's planar integral
+CONV_R_NODES, CONV_T_NODES, CONV_U_NODES = 12, 13, 192
+
+
+def box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=CONV_U_NODES):
     """Group convolution of two box factors on the n=1 group, evaluated
     directly in space at the points (|z|, t) = (r, t).
 
@@ -409,7 +423,7 @@ def box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=256):
 
 
 def box_convolution_grids(rho1, tau1, rho2, tau2,
-                          r_panel_nodes=12, t_panel_nodes=13):
+                          r_panel_nodes=CONV_R_NODES, t_panel_nodes=CONV_T_NODES):
     """Sampling grids (r nodes, r weights, t nodes, t weights) for the
     spatial convolution of two box factors on H^1.
 
@@ -431,8 +445,8 @@ def box_convolution_grids(rho1, tau1, rho2, tau2,
 
 
 def box_convolution_coefficients(rho1, tau1, rho2, tau2, lams, k_max,
-                                 r_panel_nodes=12, t_panel_nodes=13,
-                                 u_nodes=192):
+                                 r_panel_nodes=CONV_R_NODES,
+                                 t_panel_nodes=CONV_T_NODES, u_nodes=CONV_U_NODES):
     """Spectral coefficients of the group convolution of two box factors on
     H^1, obtained entirely on the spatial side.
 

@@ -557,6 +557,26 @@ def test_dilate_check_far_window_runs_quietly(tmp_path):
     assert json.loads((tmp_path / "r.json").read_text())["pass"] is False
 
 
+@pytest.mark.parametrize("n, code, err", [
+    (81, 1, ""),
+    # R_k^2 times the Hilbert-Schmidt weight overflows before the lambda
+    # measure scales it down, though the norm itself would fit
+    (82, 2, "heisharm plancherel-check: refused: the Plancherel norm overflows "
+            "at n = 82: R_k(lam)^2 times the Hilbert-Schmidt weight passes the "
+            "largest double\n"),
+])
+def test_gaussian_plancherel_overflow_refused_quietly(tmp_path, capsys, n, code,
+                                                       err):
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["plancherel-check", "--family", "gaussian", "--n", str(n),
+                     "--out", str(out)]) == code
+    assert caught == []
+    assert capsys.readouterr().err == err
+    assert out.exists() == (code == 1)
+
+
 def test_non_finite_report_value_refused(tmp_path, capsys, monkeypatch):
     # the last guard: a report value that is not finite is refused before
     # anything is written
@@ -630,6 +650,24 @@ def test_convolve_check_meets_benchmark_reference(tmp_path, entry):
     out_dir.mkdir()
     argv = _WORKLOADS.op_argv(entry, str(out_dir / "report.json"),
                               str(tmp_path), str(tmp_path / "fixtures"))
+    got = _OUTCOME.outcome(entry, main(argv), str(out_dir))
+    assert _OUTCOME.check(got, refs[entry["id"]]) == []
+
+
+@pytest.mark.parametrize("entry", [e for e in _WORKLOADS.all_entries()
+                                   if e["argv"][:1] in (["ingham-plan"],
+                                                        ["ingham-verify"])],
+                         ids=lambda e: e["id"])
+def test_chain_meets_benchmark_reference(tmp_path, entry):
+    # the benchmark's own check of an ingham-plan or ingham-verify op, run
+    # in-process on the packaged fixtures, which the benchmark's calibration
+    # op reproduces
+    refs = json.loads((_PERFBENCH / "references.json").read_text())
+    _WORKLOADS.write_profiles(str(tmp_path))
+    out_dir = tmp_path / "op"
+    out_dir.mkdir()
+    argv = _WORKLOADS.op_argv(entry, str(out_dir / "report.json"),
+                              str(tmp_path), str(packaged_fixtures_dir()))
     got = _OUTCOME.outcome(entry, main(argv), str(out_dir))
     assert _OUTCOME.check(got, refs[entry["id"]]) == []
 

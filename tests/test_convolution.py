@@ -10,7 +10,7 @@ from heisharm.grids import QuadratureGrid, _unit_rule
 from heisharm.laguerre import normalized_laguerre_table
 from heisharm.oracles import (box_factor, direct_convolution_oracle,
                               forward_radial)
-from heisharm.transform import (_box_u_rule, _coefficient_weights,
+from heisharm.transform import (CONV_U_NODES, _box_u_rule, _coefficient_weights,
                                 _ramp_arc_integral, _ramp_arc_sums,
                                 ball_normalizer, box_convolution_coefficients,
                                 box_convolution_grids, box_pair_convolution,
@@ -291,8 +291,8 @@ def test_cell_split_matches_all_cells(widths):
     x, _, tx, _ = box_convolution_grids(*widths)
     r = np.concatenate([[0.0], x])[:, None]
     t = np.concatenate([[0.0], tx])[None, :]
-    split = box_pair_convolution(*widths, r, t, 192)
-    ref = all_cells_box_pair_convolution(*widths, r, t, 192)
+    split = box_pair_convolution(*widths, r, t)
+    ref = all_cells_box_pair_convolution(*widths, r, t, CONV_U_NODES)
     assert np.max(np.abs(split - ref)) <= _SUM_ORDER_TOL * np.max(np.abs(ref))
 
 
@@ -506,7 +506,7 @@ def per_lambda_box_convolution_coefficients(rho1, tau1, rho2, tau2, lams, k_max)
     """Oracle of box_convolution_coefficients: one cosine sum and one
     per-lam transform per lam."""
     x, wx, tx, wt = box_convolution_grids(rho1, tau1, rho2, tau2)
-    H = box_pair_convolution(rho1, tau1, rho2, tau2, x[:, None], tx[None, :], 192)
+    H = box_pair_convolution(rho1, tau1, rho2, tau2, x[:, None], tx[None, :])
     out = np.empty((k_max + 1, len(lams)))
     for i, lam in enumerate(np.asarray(lams, dtype=float)):
         flam = 2.0 * np.sum(H * (wt * np.cos(lam * tx))[None, :], axis=1)

@@ -14,8 +14,8 @@ from heisharm.errors import DomainError, ProfileClassError, QuadratureError
 from heisharm.fixtures import (FACTOR_K_MAX, FACTOR_S_NODES, FACTOR_S_RANGE,
                                calibration_grid, load_fixture)
 from heisharm.grids import QuadratureGrid
-from heisharm.ingham import (SequencePlan, _chain_log_columns, adaptive_N,
-                             cauchy_gap, factor_bound_check,
+from heisharm.ingham import (SequencePlan, _chain_prefixes, _log_q_table,
+                             adaptive_N, cauchy_gap, factor_bound_check,
                              factor_coeff_envelope, plan_sequences,
                              support_radius, verify_decay)
 from heisharm.oracles import (box_factor, chain_coeff, chain_coefficients,
@@ -197,15 +197,20 @@ def _dense_chain_log_columns(plan, lam, k_max, n_cap):
     return signs, logs
 
 
-def _dense_max_log_q(plan, theta, k_max, lam_nodes):
-    """Oracle for one of verify_decay's maxima, built at its own k_max."""
+def _dense_log_q_table(plan, theta, k_max, lam_nodes):
+    """Oracle for _log_q_table, from the dense chain tables."""
     k = np.arange(k_max + 1, dtype=float)[None, :]
     lam = lam_nodes[:, None]
     root = np.sqrt((2.0 * k + plan.n) * np.abs(lam))
     N = np.minimum(adaptive_N(theta, k, lam, plan.n), plan.J)
     _, logs = _dense_chain_log_columns(plan, lam_nodes, k_max, N.max(axis=1))
     chain = np.take_along_axis(logs, N[:, None, :], axis=1)[:, 0, :]
-    log_q = 2.0 * chain + 2.0 * theta(root) * root
+    return 2.0 * chain + 2.0 * theta(root) * root
+
+
+def _dense_max_log_q(plan, theta, k_max, lam_nodes):
+    """Oracle for one of verify_decay's maxima, built at its own k_max."""
+    log_q = _dense_log_q_table(plan, theta, k_max, lam_nodes)
     k_star = np.argmax(log_q, axis=1)
     col_max = log_q[np.arange(lam_nodes.size), k_star]
     best = int(np.argmax(col_max))
@@ -217,29 +222,25 @@ def _dense_max_log_q(plan, theta, k_max, lam_nodes):
 @given(st.sampled_from([1, 2, 3]), st.integers(min_value=1, max_value=10),
        st.integers(min_value=1, max_value=5), st.data())
 def test_chain_columns_match_scalar_products(n, k_max, lam_count, data):
-    # one batched call with its own factor count at every (lambda, k) cell
-    # against the product of scalar factor coefficients and interval
+    # every prefix of one stream, each lambda column with its own factor
+    # count, against the product of scalar factor coefficients and interval
     # transforms, cell by cell
     plan = plan_sequences(builtin_theta("inv-sqrt"), n, J=6, c_n=1.2)
     lam = np.geomspace(1e-2, 1e2, lam_count)
-    N = np.array(data.draw(st.lists(
-        st.lists(st.integers(min_value=0, max_value=6), min_size=k_max + 1,
-                 max_size=k_max + 1), min_size=lam_count, max_size=lam_count)))
-    signs, logs = _chain_log_columns(plan, lam, k_max, N)
-    assert signs.shape == logs.shape == (lam_count, k_max + 1)
-    for i in range(lam_count):
-        factors = [float(factor_t_hat(j, lam[i], plan)) * np.array(
-            [factor_coeff(j, k, lam[i], plan) for k in range(k_max + 1)])
-            for j in range(1, int(N[i].max()) + 1)]
-        for k in range(k_max + 1):
-            expect = np.prod([f[k] for f in factors[:N[i, k]]])
-            got = signs[i, k] * np.exp(logs[i, k])
-            assert np.allclose(got, expect, rtol=1e-12, atol=0.0)
-    # leading axes of N ask for several chain lengths from one stream
-    both = _chain_log_columns(plan, lam, k_max, np.stack([N, N[::-1]]))
-    for m, Nm in enumerate((N, N[::-1])):
-        for got, want in zip(both, _chain_log_columns(plan, lam, k_max, Nm)):
-            assert_array_equal(got[m], want)
+    need = np.array(data.draw(st.lists(st.integers(min_value=0, max_value=6),
+                                       min_size=lam_count, max_size=lam_count)))
+    steps = 0
+    for j, (signs, logs) in enumerate(_chain_prefixes(plan, lam, k_max, need),
+                                      start=1):
+        steps = j
+        assert signs.shape == logs.shape == (lam_count, k_max + 1)
+        for i in range(lam_count):
+            N = min(j, need[i])
+            for k in range(k_max + 1):
+                expect = chain_coeff(plan, N, k, lam[i])
+                got = signs[i, k] * np.exp(logs[i, k])
+                assert np.allclose(got, expect, rtol=1e-12, atol=0.0)
+    assert steps == need.max()
 
 
 def test_chain_coefficients_grid():
@@ -251,6 +252,13 @@ def test_chain_coefficients_grid():
     for k, i in ((0, 0), (5, 3)):
         assert c.values[k, i] == pytest.approx(
             chain_coeff(plan, 2, k, grid.lam[i]), rel=1e-9)
+    # the stream's prefixes against the products of whole factor tables
+    need = np.full(grid.lam.size, plan.J)
+    stream = _chain_prefixes(plan, grid.lam, grid.k_max, need)
+    for N, (signs, logs) in enumerate(stream, start=1):
+        assert np.allclose((signs * np.exp(logs)).T,
+                           chain_coefficients(plan, N, grid).values,
+                           rtol=1e-12, atol=0.0)
 
 
 def test_support_radius_formula():
@@ -268,12 +276,12 @@ def test_cauchy_gap_within_calibrated_envelope():
     plan = plan_sequences(builtin_theta("inv-sqrt"), 1, J=16)
     grid = QuadratureGrid.make(k_max=32, lambda_min=1e-2, lambda_max=1e2,
                                lambda_nodes=64)
-    C = float(load_fixture("chain_gap_constants.json")["C"])
-    bounds, measured = cauchy_gap(plan, 4, grid)
+    fixture = load_fixture("chain_gap_constants.json")
+    bounds, measured = cauchy_gap(plan, 4, grid, fixture["c3"])
     assert bounds.shape == measured.shape == (4,)
-    assert np.all(measured <= C * bounds)
+    assert np.all(measured <= fixture["C"] * bounds)
     with pytest.raises(DomainError):
-        cauchy_gap(plan, 16, grid)
+        cauchy_gap(plan, 16, grid, fixture["c3"])
 
 
 def test_cauchy_gap_streams_the_chain_once(monkeypatch):
@@ -290,7 +298,7 @@ def test_cauchy_gap_streams_the_chain_once(monkeypatch):
 
     monkeypatch.setattr("heisharm.ingham.ball_coefficients", counted)
     K = 12
-    bounds, measured = cauchy_gap(plan, K, grid, c3=1.0)
+    bounds, measured = cauchy_gap(plan, K, grid, 1.0)
     assert len(calls) == K + 1
     monkeypatch.undo()
     for k in (1, 5, K):
@@ -305,16 +313,16 @@ def test_cauchy_gap_streams_the_chain_once(monkeypatch):
 def test_verify_decay_smoke():
     theta = builtin_theta("inv-sqrt")
     plan = plan_sequences(theta, 1, J=16)
-    report = verify_decay(plan, theta, k_max=12, lambda_min=0.1,
-                          lambda_max=10.0, lambda_nodes=24)
+    report = verify_decay(plan, theta, QuadratureGrid.make(
+        k_max=12, lambda_min=0.1, lambda_max=10.0, lambda_nodes=24))
     assert sorted(report) == ["C", "argmax", "k_max", "lambda_range",
                               "max_log_q", "n", "pass", "theta"]
     assert report["pass"] is True
     assert report["C"] == pytest.approx(np.exp(report["max_log_q"]))
     assert 0 <= report["argmax"]["k"] <= 12
     with pytest.raises(ProfileClassError):
-        verify_decay(plan, builtin_theta("inv-log"), k_max=4,
-                     lambda_nodes=4)
+        verify_decay(plan, builtin_theta("inv-log"), QuadratureGrid.make(
+            k_max=4, lambda_min=1e-2, lambda_max=1e2, lambda_nodes=4))
 
 
 def test_verify_decay_tracemalloc_peak():
@@ -323,10 +331,12 @@ def test_verify_decay_tracemalloc_peak():
     # for the same window take 6.8 MiB
     theta = builtin_theta("inv-log-sq")
     plan = plan_sequences(theta, 2, J=16)
-    verify_decay(plan, theta)
+    grid = QuadratureGrid.make(k_max=64, lambda_min=1e-2, lambda_max=1e2,
+                               lambda_nodes=192)
+    verify_decay(plan, theta, grid)
     tracemalloc.start()
     try:
-        verify_decay(plan, theta)
+        verify_decay(plan, theta, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -358,7 +368,8 @@ def test_table_profiles_plan_and_verify(n, theta):
     for seq in (plan.rho, plan.tau):
         assert seq.shape == (J,)
         assert np.all(seq > 0) and np.all(np.diff(seq) <= 0)
-    report = verify_decay(plan, theta, k_max=16, lambda_nodes=32)
+    report = verify_decay(plan, theta, QuadratureGrid.make(
+        k_max=16, lambda_min=1e-2, lambda_max=1e2, lambda_nodes=32))
     assert sorted(report) == ["C", "argmax", "k_max", "lambda_range",
                               "max_log_q", "n", "pass", "theta"]
     assert np.isfinite(report["max_log_q"])
@@ -379,13 +390,33 @@ def test_verify_decay_matches_two_pass_oracle(theta, n, J, k_max, window,
     # one 2 k_max table for both maxima against two dense passes, one at
     # k_max and one at 2 k_max
     plan = plan_sequences(theta, n, J=J)
-    report = verify_decay(plan, theta, k_max=k_max, lambda_min=window[0],
-                          lambda_max=window[1], lambda_nodes=lambda_nodes)
-    lam_nodes = np.geomspace(*window, lambda_nodes)
+    grid = QuadratureGrid.make(k_max=k_max, lambda_min=window[0],
+                               lambda_max=window[1], lambda_nodes=lambda_nodes)
+    report = verify_decay(plan, theta, grid)
+    lam_nodes = grid.lam
     max_log_q, k_star, lam_star = _dense_max_log_q(plan, theta, k_max, lam_nodes)
     max2 = _dense_max_log_q(plan, theta, 2 * k_max, lam_nodes)[0]
+    assert report["lambda_range"] == list(window)
     assert report["max_log_q"] == max_log_q
     assert report["argmax"] == {"k": k_star, "lambda": lam_star}
     assert report["C"] == float(np.exp(max_log_q))
     assert report["pass"] == bool(np.isfinite(max_log_q)
                                   and abs(max2 - max_log_q) <= 0.1)
+
+
+@seed(13)
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(st.sampled_from([builtin_theta(name) for name in
+                                  ("inv-sqrt", "inv-sqrt-strong", "inv-log-sq",
+                                   "zero")]),
+                 tail_tables()),
+       st.sampled_from([1, 2, 3]), st.integers(min_value=1, max_value=24),
+       st.integers(min_value=1, max_value=48),
+       st.sampled_from([(1e-2, 1e2), (0.1, 10.0), (1e-3, 1e3)]),
+       st.integers(min_value=2, max_value=48))
+def test_log_q_table_matches_dense_table(theta, n, J, k_max, window, lambda_nodes):
+    # every cell of the streamed table, bitwise, against the dense chain
+    plan = plan_sequences(theta, n, J=J)
+    lam_nodes = np.geomspace(*window, lambda_nodes)
+    assert_array_equal(_log_q_table(plan, theta, k_max, lam_nodes),
+                       _dense_log_q_table(plan, theta, k_max, lam_nodes))

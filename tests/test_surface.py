@@ -1,10 +1,11 @@
 """The public surface is what production reaches: every name a production
 module exports is used somewhere in production code, every parameter with a
-default is passed by some call, and every field of a production record is
-read by production code.  Read from the source with ast, so nothing is
-imported.  heisharm.oracles is left out of the first and the third census,
-since its names and records are the references the tests compare against
-(nor do its reads count); its parameters are counted like any other."""
+default is passed by some call and left to its default by another, and every
+field of a production record is read by production code.  Read from the
+source with ast, so nothing is imported.  heisharm.oracles is left out of
+the first and the last census, since its names and records are the
+references the tests compare against (nor do its reads count); its
+parameters are counted like any other."""
 
 import ast
 from pathlib import Path
@@ -101,7 +102,10 @@ def _passes(call, param, pos):
         isinstance(arg, ast.Starred) for arg in call.args[:pos + 1])
 
 
-def test_every_defaulted_parameter_is_passed_by_some_call():
+def _census(keep):
+    """module.qualname:param of every defaulted parameter whose calls in the
+    package, the tests and perfbench do not satisfy keep(passes), passes
+    holding one bool per call: whether that call sets the parameter."""
     callers = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "tests").glob("*.py")),
                *sorted((ROOT / "perfbench").glob("*.py"))]
     calls = {}
@@ -109,13 +113,21 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call):
                 calls.setdefault(_callee(node), []).append(node)
-    unturned = sorted(
+    return sorted(
         f"{module[:-3]}.{qualname}:{param}"
         for module, tree in _trees().items()
         for names, qualname, param, pos in _knobs(tree)
-        if not any(_passes(call, param, pos)
-                   for name in names for call in calls.get(name, ())))
-    assert unturned == []
+        if not keep([_passes(call, param, pos)
+                     for name in names for call in calls.get(name, ())]))
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    assert _census(any) == []
+
+
+def test_every_default_is_relied_on_by_some_call():
+    # a default that every call overrides states a value nothing uses
+    assert _census(lambda passes: not all(passes)) == []
 
 
 def _attribute_loads(trees, skip):

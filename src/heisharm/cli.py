@@ -12,7 +12,6 @@ Reports never embed timestamps or environment data, so identical configs
 and fixtures give byte-identical files on every run.
 """
 
-import argparse
 import math
 import os
 import sys
@@ -521,41 +520,104 @@ def _flag(name):
     return "--kmax" if name == "k_max" else "--" + name.replace("_", "-")
 
 
-def _build_parser():
+# flag -> (option, type): --config names the JSON file of defaults, and
+# each option of _OPTIONS has its flag
+_FLAGS = {"--config": ("config", str),
+          **{_flag(name): (name, kind) for name, kind, *_ in _OPTIONS}}
+
+
+class _UsageError(Exception):
+    """A malformed command line; the message is the line printed."""
+
+
+def _is_number(arg):
+    try:
+        float(arg)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_args(argv):
+    """(command, config path or None, {option: value} of the other flags
+    given) from argv, read left to right, or None at -h or --help.
+
+    The one argument that is not a flag is the command, before, between or
+    after the flags.  A flag is spelled in full, as --flag VALUE or
+    --flag=VALUE; a separate VALUE may not look like a flag unless it is a
+    number, and a repeated flag keeps its last value.  An int or float
+    option's value must parse as one; the other values stay strings, for
+    RunConfig to check.  Anything else raises _UsageError."""
+    command, given = None, {}
+    args = iter(argv)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            return None
+        if not arg.startswith("-") or _is_number(arg):
+            if command is not None:
+                raise _UsageError(f"unexpected argument {arg!r} after the "
+                                  f"command {command}")
+            if arg not in _COMMANDS:
+                raise _UsageError(f"unknown command {arg!r}; heisharm --help "
+                                  f"lists the commands")
+            command = arg
+            continue
+        flag, eq, value = arg.partition("=")
+        if flag not in _FLAGS:
+            raise _UsageError(f"unknown flag {flag}; heisharm --help lists "
+                              f"the flags")
+        name, kind = _FLAGS[flag]
+        if not eq:
+            value = next(args, None)
+            if value is None or value.startswith("-") and not _is_number(value):
+                raise _UsageError(f"{flag} needs a value")
+        if kind in (int, float):
+            try:
+                value = kind(value)
+            except ValueError:
+                what = "an integer" if kind is int else "a number"
+                raise _UsageError(f"{flag} needs {what}, got {value!r}") from None
+        given[name] = value
+    if command is None:
+        raise _UsageError("no command; heisharm --help lists the commands")
+    return command, given.pop("config", None), given
+
+
+def _help():
+    flags = [("-h, --help", "show this help and exit"),
+             ("--config PATH", "JSON file of defaults; explicit flags win")]
+    flags += [(f"{_flag(name)} {name.upper()}", help_line)
+              for name, _, _, help_line in _OPTIONS]
     width = max(map(len, _COMMANDS))
-    parser = argparse.ArgumentParser(
-        prog="heisharm",
-        description="Certified numerical checks for radial harmonic analysis "
-                    "on the Heisenberg group.",
-        epilog="commands:\n" + "\n".join(
-            f"  {name:<{width}}  {help_line}"
-            for name, (*_, help_line) in _COMMANDS.items()),
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("command", choices=_COMMANDS, metavar="command",
-                        help="the check to run (listed below)")
-    parser.add_argument("--config", default=None, metavar="PATH",
-                        help="JSON file of defaults; explicit flags win")
-    for name, kind, _, help_line in _OPTIONS:
-        # a tuple option stays a string here; RunConfig parses it
-        parser.add_argument(_flag(name), dest=name, default=None,
-                            type=kind if kind in (int, float) else None,
-                            help=help_line)
-    return parser
+    flag_width = max(len(flag) for flag, _ in flags)
+    return "\n".join([
+        "usage: heisharm command [--flag VALUE | --flag=VALUE ...]",
+        "",
+        "Certified numerical checks for radial harmonic analysis on the "
+        "Heisenberg group.",
+        "",
+        "commands:",
+        *(f"  {name:<{width}}  {help_line}"
+          for name, (*_, help_line) in _COMMANDS.items()),
+        "",
+        "flags (spelled in full; the last of a repeated flag wins):",
+        *(f"  {flag:<{flag_width}}  {help_line}" for flag, help_line in flags),
+    ]) + "\n"
 
 
-def _resolve_config(args):
+def _resolve_config(command, config, flags):
     """Command defaults, then the config file, then the flags; a null in the
     file leaves the option unset, like an absent flag.  An option set in the
     file or by a flag that the command does not read is refused."""
-    merged = dict(_COMMANDS[args.command][1])
+    merged = dict(_COMMANDS[command][1])
     given = {}
-    if args.config is not None:
+    if config is not None:
         try:
-            file_cfg = read_json(args.config)
+            file_cfg = read_json(config)
         except OSError as exc:
-            raise DomainError(f"cannot read config {args.config!r}: {exc}") from exc
+            raise DomainError(f"cannot read config {config!r}: {exc}") from exc
         except ValueError as exc:
-            raise DomainError(f"config {args.config!r} is not valid JSON: "
+            raise DomainError(f"config {config!r} is not valid JSON: "
                               f"{exc}") from exc
         if not isinstance(file_cfg, dict):
             raise DomainError("config file must hold a JSON object")
@@ -563,12 +625,9 @@ def _resolve_config(args):
         if unknown:
             raise DomainError(f"unknown config keys: {', '.join(unknown)}")
         given.update((k, v) for k, v in file_cfg.items() if v is not None)
-    for name in _NAMES:
-        flag = getattr(args, name)
-        if flag is not None:
-            given[name] = flag
+    given.update(flags)
     merged.update(given)
-    cfg = RunConfig(args.command, **merged)
+    cfg = RunConfig(command, **merged)
     _refuse_unread(cfg, given)
     return cfg
 
@@ -615,13 +674,17 @@ def _non_finite(value, key=""):
 
 def main(argv=None):
     """Run one subcommand; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        print(f"heisharm: error: {exc}", file=sys.stderr)
+        return 2
+    if args is None:
+        sys.stdout.write(_help())
+        return 0
+    command = args[0]
     try:
-        cfg = _resolve_config(args)
+        cfg = _resolve_config(*args)
         report, summary = _COMMANDS[cfg.command][0](cfg)
         bad = next(_non_finite(report), None)
         if bad is not None:
@@ -633,10 +696,10 @@ def main(argv=None):
                             else cfg.out + ".csv")
                 atomic_write_text(csv_path, _rows_csv(report["rows"]))
     except HeisharmError as exc:
-        print(f"heisharm {args.command}: refused: {exc}", file=sys.stderr)
+        print(f"heisharm {command}: refused: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"heisharm {args.command}: {exc}", file=sys.stderr)
+        print(f"heisharm {command}: {exc}", file=sys.stderr)
         return 2
     ok = bool(report.get("pass", True))
     print(f"{cfg.command}: {summary} pass={'true' if ok else 'false'}")

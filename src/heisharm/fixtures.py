@@ -2,13 +2,12 @@
 
 Fixtures are JSON files produced by the calibration entry point
 (python -m heisharm.calibrate); each records a hash of the calibration grid
-that produced it.  The grid constants live here, so every load checks the
-recorded hash against the grid this package calibrates on and refuses a
-fixture from any other grid.  An explicit directory (CLI flag --fixtures)
-overrides the packaged copies.
+that produced it.  The grid constants and their hashes live here, so every
+load checks the recorded hash against the grid this package calibrates on
+and refuses a fixture from any other grid.  An explicit directory (CLI flag
+--fixtures) overrides the packaged copies.
 """
 
-import hashlib
 import os
 
 import numpy as np
@@ -40,19 +39,15 @@ CHAIN_GAP_GRID = {"k_max": 64, "lambda_min": 1e-3, "lambda_max": 1e3,
                   "lambda_nodes": 128}
 
 
-def _grid_hash(*parts):
-    return hashlib.sha256(";".join(repr(p) for p in parts).encode()).hexdigest()[:16]
-
-
+# the first 16 hex digits of the sha256 of each grid's constants, joined
+# by ";" as their reprs in the order the fixture's calibration reads them,
+# recorded here so that loading a fixture computes no digest; change them
+# with the constants (tests/test_calibrate.py recomputes them) and rerun
+# the calibration
 GRID_HASHES = {
-    "lemma21_constants.json": _grid_hash(ENVELOPE_K_MAX, ENVELOPE_LAMBDAS,
-                                         ENVELOPE_DIMS, ENVELOPE_RADII_NODES,
-                                         ENVELOPE_RADII_RANGE),
-    "box_factor_envelope.json": _grid_hash(FACTOR_DIMS, FACTOR_K_MAX,
-                                           FACTOR_S_NODES, FACTOR_S_RANGE),
-    "chain_gap_constants.json": _grid_hash(CHAIN_GAP_THETA, CHAIN_GAP_J,
-                                           CHAIN_GAP_K_PROBE,
-                                           *CHAIN_GAP_GRID.values()),
+    "lemma21_constants.json": "1199a72dcc8683a0",
+    "box_factor_envelope.json": "8304b7e31ea3de08",
+    "chain_gap_constants.json": "3270dbb54515680f",
 }
 
 

@@ -19,9 +19,10 @@ calibrated oscillatory envelope
     |coeff| <= min(1, c_n (rho sqrt((2k+n)|lam|))^{-n+1/2}),
 
 with c_n frozen by the calibration run.  The coefficients come from the
-closed form in transform.ball_coefficients, one call per factor over the
-lambda columns that still need it, so a chain sweep holds (lambda, k)
-arrays only; heisharm.calibrate freezes c_n, after cross-checking the
+closed form in transform.ball_coefficients over the lambda columns that
+still need each factor, one call per block of consecutive factors within
+a fixed cell budget, so a chain sweep holds (lambda, k) arrays and one
+block's table only; heisharm.calibrate freezes c_n, after cross-checking the
 closed form against radial quadrature.  Taking N = adaptive_N factors at
 spectral frequency nu = (2k+n)|lam| yields decay e^{-Theta(sqrt(nu)) sqrt(nu)}
 up to a constant; verify_decay certifies this numerically by maximizing
@@ -173,28 +174,49 @@ def adaptive_N(theta, k, lam, n):
     return count.astype(int)
 
 
+# cells of one ball_coefficients table in the chain stream, 1 MiB of
+# doubles: consecutive factors share a call while their columns fit
+_BLOCK_CELLS = 2 ** 17
+
+
 def _chain_prefixes(plan, lam, k_max, need):
     """Stream the chain's partial products G_1, G_2, ... over a 1-d array
     lam of nonzero lambdas, column i taking need[i] factors.
 
     After factor j it yields the running (signs, logmags), of shape
     (lam.size, k_max+1) and updated in place: G_j on the columns with
-    need >= j.  Factor j's table is one ball_coefficients call over those
-    columns, and its log magnitude is added serially in increasing j from
-    0.0, which is the determinism contract.
+    need >= j.  Factor j's table covers those columns.  Consecutive factors
+    share one ball_coefficients call, their s values side by side, while
+    the block's tables stay within _BLOCK_CELLS cells; a factor is never
+    split across blocks.  The table at a factor's columns is the table that
+    factor would get on its own, bit for bit (ball_coefficients' column
+    property).  Each factor's log magnitude is added serially in increasing
+    j from 0.0, which is the determinism contract.
     """
     signs, logs = np.ones((lam.size, k_max + 1)), np.zeros((lam.size, k_max + 1))
-    for j in range(int(need.max(initial=0))):
-        cols = np.flatnonzero(need > j)
-        # one-element slices keep ** 2 on numpy's array path, the path
-        # a gather of every factor's widths at once takes
-        s = np.abs(lam[cols]) * plan.rho[j:j + 1] ** 2
-        term = (ball_coefficients(s, k_max, plan.n)
-                * _box_t_hat(plan.tau[j:j + 1], lam[cols])).T
-        with np.errstate(divide="ignore"):
-            logs[cols] += np.log(np.abs(term))
-        signs[cols] *= np.sign(term)
-        yield signs, logs
+    top = int(need.max(initial=0))
+    # the (factor, column) pairs in increasing factor, then column; factor j
+    # owns the pairs first[j]:first[j + 1]
+    jj, li = np.nonzero(np.arange(top)[:, None] < need)
+    first = np.searchsorted(jj, np.arange(top + 1))
+    start = 0
+    while start < top:
+        stop = start + 1
+        while (stop < top and (first[stop + 1] - first[start]) * (k_max + 1)
+               <= _BLOCK_CELLS):
+            stop += 1
+        block = slice(first[start], first[stop])
+        s = np.abs(lam[li[block]]) * plan.rho[jj[block]] ** 2
+        table = ball_coefficients(s, k_max, plan.n)
+        table *= _box_t_hat(plan.tau[jj[block]], lam[li[block]])
+        for j in range(start, stop):
+            term = table[:, first[j] - block.start:first[j + 1] - block.start].T
+            cols = li[first[j]:first[j + 1]]
+            with np.errstate(divide="ignore"):
+                logs[cols] += np.log(np.abs(term))
+            signs[cols] *= np.sign(term)
+            yield signs, logs
+        start = stop
 
 
 def _log_q_table(plan, theta, k_max, lam_nodes):

@@ -77,7 +77,10 @@ def ball_coefficients(s, k_max, n):
     Two properties hold bit for bit, and the chain layer relies on both:
     the table at a subset of the s values is those columns of the full
     table, and rows 0..k of a table up to any degree K >= k are the table
-    up to k, since both recurrences run forward in k.  The one batch-wide
+    up to k, since both recurrences run forward in k.  By the first,
+    ingham._chain_prefixes puts the s values of a block of factors side by
+    side in one call and reads each factor's columns back as the table
+    that factor would get alone.  The one batch-wide
     quantity is the length of gammainc_int's series, which runs until every
     column has converged; the terms a column gets past its own stopping
     point are below _SERIES_EPS = 1e-17 of its sum, under half an ulp, so

@@ -1,11 +1,13 @@
 """Calibration reproduces the packaged fixtures."""
 
+import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import heisharm
+from heisharm import fixtures
 from heisharm.calibrate import run_all
 from heisharm.fixtures import packaged_fixtures_dir
 
@@ -22,6 +24,26 @@ def test_run_all_reproduces_packaged_fixtures(tmp_path):
     for name in FIXTURES:
         packaged = Path(packaged_fixtures_dir(), name).read_bytes()
         assert (out / name).read_bytes() == packaged, name
+
+
+def _grid_hash(*parts):
+    return hashlib.sha256(";".join(repr(p) for p in parts).encode()).hexdigest()[:16]
+
+
+def test_grid_hashes_cover_the_grid_constants():
+    # the package records each hash as a constant, so that loading a fixture
+    # needs no digest; here they are recomputed from the grid constants
+    f = fixtures
+    assert f.GRID_HASHES == {
+        "lemma21_constants.json": _grid_hash(
+            f.ENVELOPE_K_MAX, f.ENVELOPE_LAMBDAS, f.ENVELOPE_DIMS,
+            f.ENVELOPE_RADII_NODES, f.ENVELOPE_RADII_RANGE),
+        "box_factor_envelope.json": _grid_hash(
+            f.FACTOR_DIMS, f.FACTOR_K_MAX, f.FACTOR_S_NODES, f.FACTOR_S_RANGE),
+        "chain_gap_constants.json": _grid_hash(
+            f.CHAIN_GAP_THETA, f.CHAIN_GAP_J, f.CHAIN_GAP_K_PROBE,
+            *f.CHAIN_GAP_GRID.values()),
+    }
 
 
 def _fresh_env():

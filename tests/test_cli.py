@@ -1,5 +1,6 @@
 """CLI contract: exit codes, config precedence, reports, determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -12,11 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import heisharm
 from heisharm.chernoff import gamma_bound_log
-from heisharm.cli import (_COMMANDS, _NAMES, RunConfig, _build_parser, _flag,
-                          _resolve_config, main)
+from heisharm.cli import (_COMMANDS, _NAMES, _OPTIONS, RunConfig, _flag,
+                          _parse_args, _resolve_config, main)
 from heisharm.errors import HeisharmError, HypothesisError, TailError
 from heisharm.fixtures import packaged_fixtures_dir
 from heisharm.group import ball_shift_symmdiff, ball_volume
@@ -62,6 +65,139 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["convolve-check", "--factors", "1,2,3"]) == 2
     assert main(["plancherel-check", "--family", "pyramid"]) == 2
     capsys.readouterr()
+
+
+def _build_parser():
+    """The argparse parser that served the command line before the
+    table-driven _parse_args, kept as its oracle on valid command lines."""
+    width = max(map(len, _COMMANDS))
+    parser = argparse.ArgumentParser(
+        prog="heisharm",
+        description="Certified numerical checks for radial harmonic analysis "
+                    "on the Heisenberg group.",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<{width}}  {help_line}"
+            for name, (*_, help_line) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help="the check to run (listed below)")
+    parser.add_argument("--config", default=None, metavar="PATH",
+                        help="JSON file of defaults; explicit flags win")
+    for name, kind, _, help_line in _OPTIONS:
+        # a tuple option stays a string here; RunConfig parses it
+        parser.add_argument(_flag(name), dest=name, default=None,
+                            type=kind if kind in (int, float) else None,
+                            help=help_line)
+    return parser
+
+
+_ORACLE = _build_parser()
+
+# values of each flag that argparse reads as values: nothing that starts
+# with "-" but negative integers, some of them refused later by RunConfig
+_INT = st.integers(min_value=-3, max_value=300).map(str)
+_FLOAT = st.floats(min_value=1e-4, max_value=1e4).map(repr)
+_VALUES = {
+    "theta": st.sampled_from(["inv-sqrt", "inv-log-sq", "inv-log", "p.json"]),
+    "n": _INT, "k_max": _INT, "lambda_nodes": _INT, "max_power": _INT,
+    "chain_length": _INT,
+    "lambda_min": _FLOAT, "lambda_max": _FLOAT, "dilation": _FLOAT,
+    "out": st.sampled_from(["r.json", "sub/r.json", "report"]),
+    "fixtures": st.sampled_from(["fx", "fixtures/dir"]),
+    "family": st.sampled_from(["box", "gaussian", "both", "envelope", "cone"]),
+    "factors": st.lists(st.floats(min_value=0.1, max_value=2.0), min_size=3,
+                        max_size=5).map(lambda v: ",".join(map(repr, v))),
+}
+
+
+def _resolved(args):
+    try:
+        return _resolve_config(*args)
+    except HeisharmError as exc:
+        return f"refused: {exc}"
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("config") / "cfg.json"
+    path.write_text(json.dumps({"n": 2, "k_max": 12, "lambda_nodes": None}))
+    return str(path)
+
+
+@seed(26)
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parser_matches_argparse_oracle(config_path, data):
+    # valid command lines: any subset of the flags in any order, each as
+    # --flag VALUE or --flag=VALUE, some repeated, the command anywhere
+    # between them; both parsers give the same fields and the same
+    # RunConfig, or the same refusal
+    names = data.draw(st.lists(st.sampled_from(("config",) + _NAMES), max_size=8))
+    groups = []
+    for name in names:
+        flag = "--config" if name == "config" else _flag(name)
+        value = (config_path if name == "config"
+                 else data.draw(_VALUES[name], label=name))
+        joined = data.draw(st.booleans(), label="joined")
+        groups.append([f"{flag}={value}"] if joined else [flag, value])
+    command = data.draw(st.sampled_from(sorted(_COMMANDS)), label="command")
+    groups.insert(data.draw(st.integers(0, len(groups)), label="at"), [command])
+    argv = [arg for group in groups for arg in group]
+    ours, oracle = _parse_args(argv), vars(_ORACLE.parse_args(argv))
+    theirs = (oracle.pop("command"), oracle.pop("config"),
+              {name: v for name, v in oracle.items() if v is not None})
+    assert ours == theirs
+    assert _resolved(ours) == _resolved(theirs)
+
+
+_MALFORMED = {
+    "no-command": [],
+    "flags-only": ["--kmax", "3"],
+    "unknown-command": ["bogus"],
+    "second-command": ["laguerre-check", "symmdiff-check"],
+    "unknown-flag": ["symmdiff-check", "--bogus"],
+    "abbreviated": ["laguerre-check", "--km", "3"],
+    "abbreviated-joined": ["dilate-check", "--dil=1.2"],
+    "single-dash": ["laguerre-check", "-k", "3"],
+    "missing-value": ["laguerre-check", "--kmax"],
+    "flag-as-value": ["laguerre-check", "--out", "--kmax"],
+    "non-integer": ["laguerre-check", "--kmax", "3.5"],
+    "non-integer-joined": ["laguerre-check", "--kmax=x"],
+    "non-number": ["dilate-check", "--dilation", "abc"],
+    "empty-number": ["dilate-check", "--dilation="],
+}
+
+
+def test_malformed_command_lines_exit_2_with_one_line(tmp_path):
+    # each in one fresh interpreter that never loads numpy: exit 2, nothing
+    # on stdout, one line on stderr, and no report written
+    script = ("import contextlib, io, json, sys\n"
+              "import heisharm.cli\n"
+              "rows = {}\n"
+              "for key, argv in json.loads(sys.argv[1]).items():\n"
+              "    out, err = io.StringIO(), io.StringIO()\n"
+              "    with contextlib.redirect_stdout(out), "
+              "contextlib.redirect_stderr(err):\n"
+              "        code = heisharm.cli.main(['--out', 'never.json', *argv])\n"
+              "    rows[key] = [code, out.getvalue(), err.getvalue()]\n"
+              "rows['numpy'] = 'numpy' in sys.modules\n"
+              "print(json.dumps(rows))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(_SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(_MALFORMED)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)
+    assert rows.pop("numpy") is False
+    for key, (code, out, err) in rows.items():
+        assert (code, out) == (2, ""), key
+        assert err.startswith("heisharm: error: ") and err.count("\n") == 1, key
+    assert rows["abbreviated"][2] == ("heisharm: error: unknown flag --km; "
+                                      "heisharm --help lists the flags\n")
+    assert rows["non-integer"][2] == ("heisharm: error: --kmax needs an "
+                                      "integer, got '3.5'\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _flags(options):
@@ -634,7 +770,7 @@ def test_benchmark_entry_resolves(tmp_path, entry):
     # a CLI change that would fail an op fails here first
     argv = _WORKLOADS.op_argv(entry, str(tmp_path / "r.json"), str(tmp_path),
                               str(tmp_path / "fixtures"))
-    cfg = _resolve_config(_build_parser().parse_args(argv))
+    cfg = _resolve_config(*_parse_args(argv))
     assert cfg.command == argv[0] and cfg.out == str(tmp_path / "r.json")
 
 

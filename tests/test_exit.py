@@ -27,11 +27,11 @@ CASES = {
 def _buffered_env():
     """Environment of a fresh interpreter that imports this heisharm, with
     PYTHONUNBUFFERED removed: unbuffered streams would hide a missing flush
-    before os._exit.  COLUMNS fixes argparse's line width on both sides."""
+    before os._exit.  No COLUMNS is set: the help text is fixed lines from
+    the command and option tables, not wrapped to the terminal width."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    env["COLUMNS"] = "80"
     return env
 
 
@@ -44,7 +44,6 @@ def test_process_exit_matches_in_process_dispatch(tmp_path, capsys, monkeypatch,
     here.mkdir()
     proc = subprocess.run([sys.executable, "-m", "heisharm.cli", *argv],
                           cwd=fresh, capture_output=True, env=_buffered_env())
-    monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(here)
     assert main(argv) == code
     out, err = capsys.readouterr()

@@ -9,6 +9,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+from heisharm import ingham
 from heisharm.calibrate import calibrate_cn
 from heisharm.errors import DomainError, ProfileClassError, QuadratureError
 from heisharm.fixtures import (FACTOR_K_MAX, FACTOR_S_NODES, FACTOR_S_RANGE,
@@ -286,7 +287,8 @@ def test_cauchy_gap_within_calibrated_envelope():
 
 def test_cauchy_gap_streams_the_chain_once(monkeypatch):
     # the gaps for k = 1..K come from one stream of the K+1 factors of
-    # G_{K+1}, each gap the difference of consecutive chain columns
+    # G_{K+1}, each gap the difference of consecutive chain columns; the
+    # factors share ball_coefficients calls as far as the cell budget lets
     plan = plan_sequences(builtin_theta("inv-sqrt"), 1, J=16, c_n=1.2)
     grid = QuadratureGrid.make(k_max=16, lambda_min=1e-2, lambda_max=1e2,
                                lambda_nodes=24)
@@ -299,7 +301,13 @@ def test_cauchy_gap_streams_the_chain_once(monkeypatch):
     monkeypatch.setattr("heisharm.ingham.ball_coefficients", counted)
     K = 12
     bounds, measured = cauchy_gap(plan, K, grid, 1.0)
-    assert len(calls) == K + 1
+    # all 13 factors over all 24 columns fit one block
+    assert calls == [(K + 1) * 24]
+    # a budget of five factors' tables: blocks of 5, 5 and 3 factors
+    calls.clear()
+    monkeypatch.setattr("heisharm.ingham._BLOCK_CELLS", 5 * 24 * 17)
+    assert_array_equal(cauchy_gap(plan, K, grid, 1.0)[1], measured)
+    assert calls == [5 * 24, 5 * 24, 3 * 24]
     monkeypatch.undo()
     for k in (1, 5, K):
         gap = (chain_coefficients(plan, k + 1, grid).values
@@ -420,3 +428,62 @@ def test_log_q_table_matches_dense_table(theta, n, J, k_max, window, lambda_node
     lam_nodes = np.geomspace(*window, lambda_nodes)
     assert_array_equal(_log_q_table(plan, theta, k_max, lam_nodes),
                        _dense_log_q_table(plan, theta, k_max, lam_nodes))
+
+
+def _per_factor_chain_prefixes(plan, lam, k_max, need):
+    """The chain stream with one ball_coefficients call per factor, kept as
+    the oracle of the blocked _chain_prefixes."""
+    signs, logs = np.ones((lam.size, k_max + 1)), np.zeros((lam.size, k_max + 1))
+    for j in range(int(need.max(initial=0))):
+        cols = np.flatnonzero(need > j)
+        s = np.abs(lam[cols]) * plan.rho[j:j + 1] ** 2
+        term = (ball_coefficients(s, k_max, plan.n)
+                * _box_t_hat(plan.tau[j:j + 1], lam[cols])).T
+        with np.errstate(divide="ignore"):
+            logs[cols] += np.log(np.abs(term))
+        signs[cols] *= np.sign(term)
+        yield signs, logs
+
+
+@seed(26)
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.sampled_from([builtin_theta(name) for name in
+                                  ("inv-sqrt", "inv-sqrt-strong", "inv-log-sq",
+                                   "zero")]),
+                 tail_tables()),
+       st.sampled_from([1, 2, 3]), st.integers(min_value=2, max_value=24),
+       st.integers(min_value=1, max_value=64),
+       st.sampled_from([(1e-2, 1e2), (0.1, 10.0), (1e-3, 1e3)]),
+       st.integers(min_value=2, max_value=48),
+       st.sampled_from(["one", "several", "all"]), st.data())
+def test_blocked_chain_matches_per_factor_oracle(theta, n, J, k_max, window,
+                                                 lambda_nodes, blocks, data):
+    # blocks of one factor, of at least three whole-grid factors, and of
+    # every factor: the stream, verify_decay and cauchy_gap equal the
+    # per-factor oracle's, bit for bit
+    plan = plan_sequences(theta, n, J=J)
+    grid = QuadratureGrid.make(k_max=k_max, lambda_min=window[0],
+                               lambda_max=window[1], lambda_nodes=lambda_nodes)
+    budget = {"one": 1, "several": 3 * lambda_nodes * (2 * k_max + 1),
+              "all": 2 ** 62}[blocks]
+    need = np.array(data.draw(st.lists(st.integers(min_value=0, max_value=J),
+                                       min_size=lambda_nodes,
+                                       max_size=lambda_nodes), label="need"))
+    K = data.draw(st.integers(min_value=1, max_value=J - 1), label="K")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingham, "_BLOCK_CELLS", budget)
+        pairs = [(signs.copy(), logs.copy()) for signs, logs
+                 in _chain_prefixes(plan, grid.lam, k_max, need)]
+        report = verify_decay(plan, theta, grid)
+        gap = cauchy_gap(plan, K, grid, 1.0)
+        mp.setattr(ingham, "_chain_prefixes", _per_factor_chain_prefixes)
+        expect = [(signs.copy(), logs.copy()) for signs, logs
+                  in _per_factor_chain_prefixes(plan, grid.lam, k_max, need)]
+        assert verify_decay(plan, theta, grid) == report
+        expect_gap = cauchy_gap(plan, K, grid, 1.0)
+    assert len(pairs) == len(expect) == need.max()
+    for (signs, logs), (expect_signs, expect_logs) in zip(pairs, expect):
+        assert_array_equal(signs, expect_signs)
+        assert_array_equal(logs, expect_logs)
+    for got, want in zip(gap, expect_gap):
+        assert_array_equal(got, want)

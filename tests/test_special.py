@@ -4,7 +4,9 @@ the argument ranges the package passes them, and a runtime import path
 that never loads scipy, numpy.polynomial or the quadrature oracles."""
 
 import ast
+import json
 import os
+import shutil
 import subprocess
 import sys
 from decimal import Decimal, localcontext
@@ -19,6 +21,7 @@ from numpy.polynomial.legendre import leggauss
 import heisharm
 from heisharm._special import betainc_half, gammainc_int, gammaln, logsumexp
 from heisharm.errors import DomainError
+from heisharm.fixtures import packaged_fixtures_dir
 from heisharm.grids import _unit_rule, roots_legendre
 from heisharm.laguerre import roots_genlaguerre
 
@@ -228,9 +231,9 @@ def test_runtime_import_path_never_loads_scipy(tmp_path):
 
 
 # the head of each fresh-interpreter script below: the package imports
-# nothing, and the CLI module loads only errors and jsonio of it, neither
-# hashlib (OpenSSL) nor numpy; modules the environment loaded before the
-# package do not count
+# nothing, and the CLI module loads only errors and jsonio of it, and
+# neither numpy, argparse (with gettext) nor hashlib (OpenSSL); modules the
+# environment loaded before the package do not count
 _FOOTPRINT = (
     "import sys\n"
     "import heisharm\n"
@@ -242,7 +245,8 @@ _FOOTPRINT = (
     "import heisharm.cli\n"
     "pkg = sorted(m for m in added() if m.startswith('heisharm.'))\n"
     "assert pkg == ['heisharm.cli', 'heisharm.errors', 'heisharm.jsonio'], pkg\n"
-    "for name in ('hashlib', '_hashlib', 'numpy', 'dataclasses', 'inspect'):\n"
+    "for name in ('hashlib', '_hashlib', 'argparse', 'gettext', 'numpy',\n"
+    "             'dataclasses', 'inspect'):\n"
     "    assert name not in added(), name\n"
     "out = sys.argv[1]\n"
 )
@@ -296,18 +300,33 @@ def test_front_end_and_declared_refusals_skip_numpy(tmp_path, argv, code,
 
 def test_spectral_checks_skip_gauss_rules_and_plans_still_hash(tmp_path):
     # the Gaussian closed form builds no Gauss-Legendre rule; ingham-plan
-    # still reads the packaged fixtures through their grid-hash gate
+    # still reads its fixtures through their grid-hash gate, which compares
+    # recorded constants and so loads no OpenSSL
+    path = tmp_path / "fx" / "box_factor_envelope.json"
+    shutil.copytree(packaged_fixtures_dir(), path.parent)
+    fixture = json.loads(path.read_text())
+    fixture["grid_hash"] = "8304b7e31ea3de09"
+    path.write_text(json.dumps(fixture))
     code = _FOOTPRINT + (
         "assert heisharm.cli.main(['plancherel-check', '--family',\n"
         "    'gaussian', '--out', out + '/plancherel.json']) == 0\n"
         "assert 'numpy.polynomial' not in added()\n"
         "assert heisharm.cli.main(\n"
         "    ['ingham-plan', '--out', out + '/ingham-plan.json']) == 0\n"
-        "assert {'heisharm.fixtures', 'hashlib'} <= set(sys.modules)\n")
+        "assert heisharm.cli.main(['ingham-plan', '--fixtures', out + '/fx',\n"
+        "    '--out', out + '/never.json']) == 2\n"
+        "assert 'heisharm.fixtures' in added()\n"
+        "assert '_hashlib' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                           capture_output=True, text=True, env=_fresh_env())
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "ingham-plan.json").exists()
+    assert not (tmp_path / "never.json").exists()
+    assert proc.stderr == (
+        f"heisharm ingham-plan: refused: calibration fixture {str(path)!r} "
+        "records grid_hash '8304b7e31ea3de09', not '8304b7e31ea3de08' of this "
+        "package's calibration grid; run 'python -m heisharm.calibrate' to "
+        "regenerate\n")
 
 
 @pytest.mark.parametrize("command, unloaded", [
@@ -373,6 +392,13 @@ def _package_imports():
                     mods.append(node.module or "")
                 for mod in mods:
                     yield name, node.lineno, mod
+
+
+def test_no_module_imports_argparse_or_hashlib():
+    # the command line is parsed from the option table and the grid hashes
+    # are recorded constants, so no production module needs either
+    assert not [(name, lineno, mod) for name, lineno, mod in _package_imports()
+                if mod.split(".")[0] in ("argparse", "hashlib")]
 
 
 def test_no_module_imports_dataclasses():

@@ -13,8 +13,6 @@ are byte-identical across repeated runs.
 
 The package re-exports nothing: import each name from the module that
 defines it (``from heisharm.transform import gaussian_coefficients``).
-The oracles of the closed forms and of the streamed chain live in
-heisharm.oracles, which neither the command line nor the calibration imports.
 """
 
 __version__ = "0.1.0"

@@ -29,8 +29,11 @@ __all__ = [
     "ingham_norm_bound_check",
 ]
 
-# gamma-integral quadrature holds its accuracy to about here; beyond it the
-# lambda moments outrun the node density
+# the highest power the gamma-bound check accepts: a policy, not an accuracy
+# limit.  gamma_integral_log agrees with a 262145-node trapezoid on
+# u in [-60, 120] to 2.3e-13 in log I for m up to 48 (inv-sqrt-strong,
+# inv-sqrt and inv-log-sq at n = 1); the cap stays until a computed guard on
+# the integrand's share at the window ends replaces it
 MAX_POWER = 12
 
 # gamma_integral_log's trapezoid window in u = log lam and its node count;
@@ -160,8 +163,8 @@ def ingham_norm_bound_check(theta, n, M):
     """Check I(m) <= gamma bound for m = 1..M and report the ratios.
 
     The hypothesis Theta(y) >= 2 y^{-1/2} (y >= 1) is verified on samples
-    first; M is capped at MAX_POWER because the quadrature loses relative
-    accuracy beyond that.
+    first.  M is capped at MAX_POWER by policy (see its comment); the
+    quadrature itself stays accurate well past it.
     """
     if not (1 <= M <= MAX_POWER):
         raise DomainError(f"need 1 <= M <= {MAX_POWER}")

@@ -127,9 +127,7 @@ def box_coefficients(n, rho, tau, grid):
     """SpectralCoefficients on the grid of the box factor: the normalized
     indicator of the ball of radius a*rho in z (a = ball_normalizer(n))
     times that of an interval of length tau^2 in t.  Closed form: the unit
-    ball table at s = lam rho^2 times the interval transform.
-    heisharm.oracles.forward_radial of oracles.box_factor is its quadrature
-    oracle."""
+    ball table at s = lam rho^2 times the interval transform."""
     if rho <= 0 or tau <= 0:
         raise DomainError("box factor needs rho > 0 and tau > 0")
     vals = ball_coefficients(grid.lam * rho ** 2, grid.k_max, n)
@@ -146,8 +144,6 @@ def gaussian_coefficients(n, sigma_z, sigma_t, grid):
         R_k(lam) = (4 pi sigma_z^2 / (2 + b))^n q^k t_hat(lam).
 
     At b = 2 this is the ground state (2 pi / lam)^n delta_{k0}.
-    heisharm.oracles.forward_radial of oracles.gaussian_factor is its
-    quadrature oracle.
     """
     if sigma_z <= 0 or sigma_t <= 0:
         raise DomainError("gaussian factor needs positive widths")

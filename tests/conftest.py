@@ -1,11 +1,15 @@
 """Fixtures shared between test modules."""
 
+import os
 import time
+from pathlib import Path
 
 import pytest
 
+import heisharm
 from heisharm.grids import QuadratureGrid
-from heisharm.oracles import forward_radial, gaussian_factor
+
+from oracles import forward_radial, gaussian_factor
 
 
 @pytest.fixture(scope="session")
@@ -19,3 +23,16 @@ def gaussian_plancherel_transform():
     t0 = time.perf_counter()
     coeffs = forward_radial(gaussian_factor(1, 2.0, 0.2), grid)
     return coeffs, time.perf_counter() - t0
+
+
+@pytest.fixture
+def fresh_env():
+    """Environment of a fresh interpreter that imports the package tree this
+    test process imported: its root goes first on PYTHONPATH, so a child
+    started in another directory, where a relative PYTHONPATH does not
+    resolve, runs the same code."""
+    root = str(Path(heisharm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env

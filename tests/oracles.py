@@ -1,7 +1,8 @@
 """Quadrature and one-cell oracles of the fast paths in heisharm.
 
-Nothing in the command line or the calibration imports this module; the
-tests check every closed form and every streamed sweep against it.
+The tests check every closed form and every streamed sweep against these
+references; they live beside the tests, outside the package, since no
+production code path uses them.
 RadialFunction samples a separable radial function in space,
 forward_radial pushes it through radial Gauss-Legendre quadrature with a
 panel-refinement check, direct_convolution_oracle evaluates a group
@@ -19,27 +20,14 @@ its stream of log partial products.
 
 import numpy as np
 
-from ._record import Record
-from ._special import gammaln
-from .errors import DimensionMismatchError, DomainError, QuadratureError
-from .grids import radial_rule
-from .laguerre import _orthonormal_rows
-from .transform import (SpectralCoefficients, _box_t_hat, _coefficient_weights,
-                        _gaussian_t_hat, ball_coefficients, ball_normalizer)
-
-__all__ = [
-    "RadialFunction",
-    "box_factor",
-    "gaussian_factor",
-    "ground_state",
-    "forward_radial",
-    "direct_convolution_oracle",
-    "tail_integral_estimate",
-    "factor_t_hat",
-    "factor_coeff",
-    "chain_coeff",
-    "chain_coefficients",
-]
+from heisharm._record import Record
+from heisharm._special import gammaln
+from heisharm.errors import DimensionMismatchError, DomainError, QuadratureError
+from heisharm.grids import radial_rule
+from heisharm.laguerre import _orthonormal_rows
+from heisharm.transform import (SpectralCoefficients, _box_t_hat,
+                                _coefficient_weights, _gaussian_t_hat,
+                                ball_coefficients, ball_normalizer)
 
 
 class RadialFunction(Record):

@@ -6,7 +6,6 @@ test also asserts its own wall-clock budget.
 """
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -14,7 +13,6 @@ import time
 import numpy as np
 import pytest
 
-import heisharm
 from heisharm.chernoff import (ingham_norm_bound_check, spectral_box,
                                sublaplacian_norms)
 from heisharm.fixtures import load_fixture
@@ -22,10 +20,11 @@ from heisharm.grids import QuadratureGrid
 from heisharm.group import ball_shift_symmdiff, ball_volume, sphere_surface
 from heisharm.ingham import factor_bound_check, plan_sequences, verify_decay
 from heisharm.laguerre import envelope_check, orthonormality_defect
-from heisharm.oracles import box_factor, forward_radial
 from heisharm.theta import builtin_theta
 from heisharm.transform import (box_convolution_coefficients, multiply_coeffs,
                                 plancherel_norm)
+
+from oracles import box_factor, forward_radial
 
 ORTHO_TOL = 1e-8
 PLANCHEREL_TOL = 1e-4
@@ -177,15 +176,8 @@ def test_carleman_closed_form_and_sum_growth():
     assert time.perf_counter() - t0 <= 10.0
 
 
-def test_reports_byte_identical_across_processes(tmp_path):
+def test_reports_byte_identical_across_processes(tmp_path, fresh_env):
     t0 = time.perf_counter()
-    # the children run from tmp_path, where a relative PYTHONPATH does not
-    # resolve; point them at the package tree this process imported
-    pkg_root = os.path.dirname(
-        os.path.dirname(os.path.abspath(heisharm.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [pkg_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     blobs = []
     for i in range(2):
         path = tmp_path / f"run{i}.json"
@@ -193,7 +185,7 @@ def test_reports_byte_identical_across_processes(tmp_path):
             [sys.executable, "-m", "heisharm.cli", "ingham-verify",
              "--kmax", "64", "--lambda-min", "0.01", "--lambda-max", "100",
              "--lambda-nodes", "192", "--out", str(path)],
-            capture_output=True, text=True, cwd=tmp_path, env=env)
+            capture_output=True, text=True, cwd=tmp_path, env=fresh_env)
         assert proc.returncode == 0, proc.stderr
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]

@@ -11,9 +11,10 @@ from heisharm.chernoff import (MAX_POWER, check_gamma_hypothesis,
                                sublaplacian_norms)
 from heisharm.errors import DomainError, HypothesisError, TailError
 from heisharm.grids import QuadratureGrid
-from heisharm.oracles import forward_radial, gaussian_factor
 from heisharm.theta import builtin_theta
 from heisharm.transform import SpectralCoefficients
+
+from oracles import forward_radial, gaussian_factor
 
 CONVEXITY_TOL = -1e-9
 

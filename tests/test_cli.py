@@ -16,16 +16,14 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-import heisharm
 from heisharm.chernoff import gamma_bound_log
 from heisharm.cli import (_COMMANDS, _NAMES, _OPTIONS, RunConfig, _flag,
                           _parse_args, _resolve_config, main)
 from heisharm.errors import HeisharmError, HypothesisError, TailError
 from heisharm.fixtures import packaged_fixtures_dir
 from heisharm.group import ball_shift_symmdiff, ball_volume
+from heisharm.jsonio import write_json
 from heisharm.theta import builtin_theta
-
-_SRC = Path(heisharm.__file__).resolve().parents[1]
 
 
 def run(tmp_path, name, *argv, out="r.json"):
@@ -168,7 +166,7 @@ _MALFORMED = {
 }
 
 
-def test_malformed_command_lines_exit_2_with_one_line(tmp_path):
+def test_malformed_command_lines_exit_2_with_one_line(tmp_path, fresh_env):
     # each in one fresh interpreter that never loads numpy: exit 2, nothing
     # on stdout, one line on stderr, and no report written
     script = ("import contextlib, io, json, sys\n"
@@ -182,11 +180,9 @@ def test_malformed_command_lines_exit_2_with_one_line(tmp_path):
               "    rows[key] = [code, out.getvalue(), err.getvalue()]\n"
               "rows['numpy'] = 'numpy' in sys.modules\n"
               "print(json.dumps(rows))\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(_SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(_MALFORMED)],
-                          cwd=tmp_path, env=env, capture_output=True, text=True)
+                          cwd=tmp_path, env=fresh_env, capture_output=True,
+                          text=True)
     assert proc.returncode == 0, proc.stderr
     rows = json.loads(proc.stdout)
     assert rows.pop("numpy") is False
@@ -607,14 +603,54 @@ def test_unwritable_report_path_exits_2(tmp_path, capsys, target):
     assert left == (["taken"] if target == "directory" else [])
 
 
-def _warning_run(tmp_path, argv):
+def test_written_files_get_the_mode_open_gives(tmp_path):
+    # the writer's temporary file is created 0o666 & ~umask, like open()'s,
+    # not 0o600
+    umask = os.umask(0o022)
+    try:
+        (tmp_path / "plain.txt").write_text("x")
+        write_json(tmp_path / "r.json", {"a": 1})
+    finally:
+        os.umask(umask)
+    modes = [(tmp_path / name).stat().st_mode & 0o777
+             for name in ("r.json", "plain.txt")]
+    assert modes == [0o644, 0o644]
+
+
+def test_failed_replace_leaves_no_temporary_file(tmp_path, monkeypatch):
+    target = tmp_path / "r.json"
+    target.write_text("old\n")
+
+    def refuse(src, dst):
+        raise PermissionError(13, "refused", src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(PermissionError) as info:
+        write_json(target, {"a": 1})
+    assert info.value.filename == str(target) and info.value.filename2 is None
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
+    assert target.read_text() == "old\n"
+
+
+def test_temporary_name_collision_removes_nothing(tmp_path, monkeypatch):
+    # a temporary name that already exists is refused by O_EXCL, and the
+    # writer removes only a file it created
+    monkeypatch.setattr(os, "urandom", lambda k: bytes(k))
+    taken = tmp_path / (".tmp-" + bytes(8).hex())
+    taken.write_text("someone else's\n")
+    with pytest.raises(FileExistsError) as info:
+        write_json(tmp_path / "r.json", {"a": 1})
+    assert info.value.filename == str(tmp_path / "r.json")
+    assert taken.read_text() == "someone else's\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+def _warning_run(tmp_path, fresh_env, argv):
     """A fresh process of the command with warnings on, so that stderr shows
     every RuntimeWarning the run raises."""
-    env = dict(os.environ, PYTHONWARNINGS="default")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(_SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, "-m", "heisharm.cli", *argv,
-                           "--out", "r.json"], cwd=tmp_path, env=env,
+                           "--out", "r.json"], cwd=tmp_path,
+                          env=dict(fresh_env, PYTHONWARNINGS="default"),
                           capture_output=True, text=True)
 
 
@@ -667,10 +703,10 @@ _FACTOR_COUNT = ("the factor count must stay below 2^63 = 9.22337e+18, where it 
                   "--lambda-min", "1e12", "--lambda-max", "1e13"],
                  "zero function: Carleman sums are degenerate", id="zero-function"),
 ])
-def test_non_finite_report_refused(tmp_path, argv, message):
+def test_non_finite_report_refused(tmp_path, fresh_env, argv, message):
     # a window whose report would not be finite is refused with one line
     # that names the limit, and numpy warns of nothing
-    proc = _warning_run(tmp_path, argv)
+    proc = _warning_run(tmp_path, fresh_env, argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "RuntimeWarning" not in proc.stderr
@@ -678,17 +714,18 @@ def test_non_finite_report_refused(tmp_path, argv, message):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_window_below_the_measure_limit_runs(tmp_path):
-    proc = _warning_run(tmp_path, ["carleman", "--family", "envelope",
-                                   "--lambda-max", "1.34e154"])
+def test_window_below_the_measure_limit_runs(tmp_path, fresh_env):
+    proc = _warning_run(tmp_path, fresh_env, ["carleman", "--family", "envelope",
+                                              "--lambda-max", "1.34e154"])
     assert proc.returncode == 0 and proc.stderr == ""
     assert json.loads((tmp_path / "r.json").read_text())["pass"] is True
 
 
-def test_dilate_check_far_window_runs_quietly(tmp_path):
+def test_dilate_check_far_window_runs_quietly(tmp_path, fresh_env):
     # (lam sigma_t)^2 overflows past about 1e154, and the Gaussian's
     # transform there is exp(-inf) = 0: the run completes without a warning
-    proc = _warning_run(tmp_path, ["dilate-check", "--lambda-max", "1e300"])
+    proc = _warning_run(tmp_path, fresh_env,
+                        ["dilate-check", "--lambda-max", "1e300"])
     assert proc.returncode == 1 and proc.stderr == ""
     assert json.loads((tmp_path / "r.json").read_text())["pass"] is False
 

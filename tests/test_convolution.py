@@ -8,20 +8,20 @@ from hypothesis import strategies as st
 from heisharm.errors import DimensionMismatchError, DomainError
 from heisharm.grids import QuadratureGrid, _unit_rule
 from heisharm.laguerre import normalized_laguerre_table
-from heisharm.oracles import (box_factor, direct_convolution_oracle,
-                              forward_radial)
 from heisharm.transform import (CONV_U_NODES, _box_u_rule, _coefficient_weights,
                                 _ramp_arc_integral, _ramp_arc_sums,
                                 ball_normalizer, box_convolution_coefficients,
                                 box_convolution_grids, box_pair_convolution,
                                 multiply_coeffs, transform_at_lambda)
 
+from oracles import box_factor, direct_convolution_oracle, forward_radial
+
 CONV_TOL = 1e-3
 
 
 def gl_box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=256, psi_nodes=256):
-    """Oracle of box_pair_convolution: the same u rule, with the angular
-    integral done by a psi_nodes-point Gauss-Legendre rule.
+    """Oracle of box_pair_convolution: the same u rule (_box_u_rule), with
+    the angular integral done by a psi_nodes-point Gauss-Legendre rule.
 
     Group convolution of two box factors on the n=1 group, evaluated
     directly in space at the points (|z|, t) = (r, t).
@@ -48,34 +48,6 @@ def gl_box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=256, psi_nodes
 
     xg, wg = _unit_rule(psi_nodes)
 
-    def u_rule(cuts, singular, nodes):
-        # arccos of the overlap angle behaves like sqrt(u - c) at the cut
-        # points where the circles touch; substituting u = c +/- v^2 on
-        # panels ending there makes the integrand analytic again
-        panels = []
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            s_lo = any(abs(lo - c) < 1e-12 for c in singular)
-            s_hi = any(abs(hi - c) < 1e-12 for c in singular)
-            if s_lo and s_hi:
-                mid = 0.5 * (lo + hi)
-                panels += [(lo, mid, True, False), (mid, hi, False, True)]
-            else:
-                panels.append((lo, hi, s_lo, s_hi))
-        per = nodes // len(panels) + 8
-        q, qw = _unit_rule(per)
-        xs, ws = [], []
-        for lo, hi, s_lo, s_hi in panels:
-            if s_lo or s_hi:
-                vmax = np.sqrt(hi - lo)
-                v = 0.5 * vmax * (q + 1.0)
-                wv = 0.5 * vmax * qw * 2.0 * v
-                xs.append(lo + v ** 2 if s_lo else hi - v ** 2)
-                ws.append(wv)
-            else:
-                xs.append(0.5 * (hi - lo) * (q + 1.0) + lo)
-                ws.append(np.full(per, 0.5 * (hi - lo)) * qw)
-        return np.concatenate(xs), np.concatenate(ws)
-
     r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
     out = np.zeros(np.broadcast(r, t).shape)
@@ -87,7 +59,7 @@ def gl_box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=256, psi_nodes
             continue
         singular = [c for c in (abs(A1 - ri), ri + A1) if 0.0 < c <= umax]
         cuts = sorted({0.0, umax} | {c for c in singular if c < umax})
-        ux, uw = u_rule(cuts, singular, u_nodes)
+        ux, uw = _box_u_rule(cuts, singular, u_nodes)
         gamma = (ri ** 2 + ux ** 2 - A1 ** 2) / np.maximum(2.0 * ri * ux, 1e-300)
         if ri == 0.0:
             psis = np.where(ux <= A1, np.pi, 0.0)

@@ -24,26 +24,24 @@ CASES = {
 }
 
 
-def _buffered_env():
-    """Environment of a fresh interpreter that imports this heisharm, with
-    PYTHONUNBUFFERED removed: unbuffered streams would hide a missing flush
-    before os._exit.  No COLUMNS is set: the help text is fixed lines from
-    the command and option tables, not wrapped to the terminal width."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return env
+def _buffered_env(fresh_env):
+    """fresh_env with PYTHONUNBUFFERED removed: unbuffered streams would hide
+    a missing flush before os._exit.  No COLUMNS is set: the help text is
+    fixed lines from the command and option tables, not wrapped to the
+    terminal width."""
+    return {k: v for k, v in fresh_env.items() if k != "PYTHONUNBUFFERED"}
 
 
 @pytest.mark.parametrize("argv, code", CASES.values(), ids=CASES)
 def test_process_exit_matches_in_process_dispatch(tmp_path, capsys, monkeypatch,
-                                                  argv, code):
+                                                  fresh_env, argv, code):
     argv = [*argv, "--out", "r.json"]
     fresh, here = tmp_path / "fresh", tmp_path / "here"
     fresh.mkdir()
     here.mkdir()
     proc = subprocess.run([sys.executable, "-m", "heisharm.cli", *argv],
-                          cwd=fresh, capture_output=True, env=_buffered_env())
+                          cwd=fresh, capture_output=True,
+                          env=_buffered_env(fresh_env))
     monkeypatch.chdir(here)
     assert main(argv) == code
     out, err = capsys.readouterr()
@@ -55,7 +53,7 @@ def test_process_exit_matches_in_process_dispatch(tmp_path, capsys, monkeypatch,
         assert (fresh / name).read_bytes() == (here / name).read_bytes(), name
 
 
-def test_flush_into_closed_pipe_exits_120(tmp_path):
+def test_flush_into_closed_pipe_exits_120(tmp_path, fresh_env):
     # the summary line sits in the buffer of a pipe whose reader is gone:
     # the explicit flush fails and the interpreter's own final flush reports
     # it, as a process ending through sys.exit does
@@ -65,7 +63,8 @@ def test_flush_into_closed_pipe_exits_120(tmp_path):
         proc = subprocess.run([sys.executable, "-m", "heisharm.cli",
                                "symmdiff-check", "--out", "r.json"],
                               cwd=tmp_path, stdout=write_end,
-                              stderr=subprocess.PIPE, env=_buffered_env())
+                              stderr=subprocess.PIPE,
+                              env=_buffered_env(fresh_env))
     finally:
         os.close(write_end)
     assert proc.returncode == 120
@@ -73,13 +72,14 @@ def test_flush_into_closed_pipe_exits_120(tmp_path):
     assert (tmp_path / "r.json").exists()
 
 
-def test_closed_stdout_keeps_the_exit_code(tmp_path):
+def test_closed_stdout_keeps_the_exit_code(tmp_path, fresh_env):
     # started with descriptor 1 closed, the interpreter sets sys.stdout to
     # None: there is nothing to flush, and the code is the command's own
     proc = subprocess.run([sys.executable, "-m", "heisharm.cli",
                            "symmdiff-check", "--out", "r.json"],
                           cwd=tmp_path, stderr=subprocess.PIPE,
-                          env=_buffered_env(), preexec_fn=lambda: os.close(1))
+                          env=_buffered_env(fresh_env),
+                          preexec_fn=lambda: os.close(1))
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert (tmp_path / "r.json").exists()
 

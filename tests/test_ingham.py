@@ -19,12 +19,13 @@ from heisharm.ingham import (SequencePlan, _chain_prefixes, _log_q_table,
                              adaptive_N, cauchy_gap, factor_bound_check,
                              factor_coeff_envelope, plan_sequences,
                              support_radius, verify_decay)
-from heisharm.oracles import (box_factor, chain_coeff, chain_coefficients,
-                              factor_coeff, factor_t_hat, forward_radial)
 from heisharm.theta import ThetaProfile, builtin_theta
 from heisharm.transform import (SpectralCoefficients, _box_t_hat,
                                 ball_coefficients, box_coefficients,
                                 plancherel_norm)
+
+from oracles import (box_factor, chain_coeff, chain_coefficients, factor_coeff,
+                     factor_t_hat, forward_radial)
 
 
 def test_plan_width_formulas():

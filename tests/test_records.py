@@ -11,9 +11,10 @@ from heisharm.errors import (DimensionMismatchError, DomainError,
                              GridMismatchError, ProfileClassError)
 from heisharm.grids import QuadratureGrid
 from heisharm.ingham import SequencePlan
-from heisharm.oracles import RadialFunction, box_factor
 from heisharm.theta import ThetaProfile, builtin_theta
 from heisharm.transform import SpectralCoefficients
+
+from oracles import RadialFunction, box_factor
 
 
 def _grid():

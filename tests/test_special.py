@@ -1,7 +1,7 @@
 """The numpy-only special functions and Gauss rules against scipy.special
 (and the Gauss-Legendre rule against a 40-digit decimal reference), over
 the argument ranges the package passes them, and a runtime import path
-that never loads scipy, numpy.polynomial or the quadrature oracles."""
+that never loads scipy or numpy.polynomial."""
 
 import ast
 import json
@@ -195,18 +195,7 @@ def test_logsumexp_all_minus_inf():
     assert logsumexp(np.full((3, 2), -np.inf)) == -np.inf
 
 
-def _fresh_env():
-    """Environment of a fresh interpreter that imports the package tree this
-    test process imported."""
-    pkg_root = os.path.dirname(
-        os.path.dirname(os.path.abspath(heisharm.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [pkg_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return env
-
-
-def test_runtime_import_path_never_loads_scipy(tmp_path):
+def test_runtime_import_path_never_loads_scipy(tmp_path, fresh_env):
     # a fresh interpreter in which scipy cannot be imported: the CLI and the
     # calibration must still import, and the two subcommands that use the
     # Gauss-Laguerre rule and the incomplete beta must still run
@@ -224,7 +213,7 @@ def test_runtime_import_path_never_loads_scipy(tmp_path):
         "    assert code == 0, (name, code)\n"
         "assert 'scipy' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
-                          capture_output=True, text=True, env=_fresh_env())
+                          capture_output=True, text=True, env=fresh_env)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "laguerre-check.json").exists()
     assert (tmp_path / "symmdiff-check.json").exists()
@@ -278,8 +267,8 @@ _LEAN = ("numpy", "dataclasses", "inspect")
       "dataclasses")),
 ], ids=["help", "config-refusal", "plan-inv-log", "verify-inv-log",
         "plan-divergent-table"])
-def test_front_end_and_declared_refusals_skip_numpy(tmp_path, argv, code,
-                                                     stderr, unloaded):
+def test_front_end_and_declared_refusals_skip_numpy(tmp_path, fresh_env, argv,
+                                                     code, stderr, unloaded):
     (tmp_path / "slowlog.json").write_text(
         '{"name": "slowlog", "kind": "table", "declared_class": "divergent",'
         ' "y": [0.0, 1.0, 2.0], "theta": [1.0, 0.5, 0.2]}')
@@ -291,14 +280,15 @@ def test_front_end_and_declared_refusals_skip_numpy(tmp_path, argv, code,
         "    assert name not in added(), name\n"
         "sys.exit(code)\n")
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
-                          capture_output=True, text=True, env=_fresh_env())
+                          capture_output=True, text=True, env=fresh_env)
     assert (proc.returncode, proc.stderr) == (code, stderr)
     assert not never.exists()
     if code == 0:
         assert proc.stdout.startswith("usage: heisharm")
 
 
-def test_spectral_checks_skip_gauss_rules_and_plans_still_hash(tmp_path):
+def test_spectral_checks_skip_gauss_rules_and_plans_still_hash(tmp_path,
+                                                              fresh_env):
     # the Gaussian closed form builds no Gauss-Legendre rule; ingham-plan
     # still reads its fixtures through their grid-hash gate, which compares
     # recorded constants and so loads no OpenSSL
@@ -318,7 +308,7 @@ def test_spectral_checks_skip_gauss_rules_and_plans_still_hash(tmp_path):
         "assert 'heisharm.fixtures' in added()\n"
         "assert '_hashlib' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
-                          capture_output=True, text=True, env=_fresh_env())
+                          capture_output=True, text=True, env=fresh_env)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "ingham-plan.json").exists()
     assert not (tmp_path / "never.json").exists()
@@ -340,40 +330,39 @@ def test_spectral_checks_skip_gauss_rules_and_plans_still_hash(tmp_path):
                         "heisharm.theta", "heisharm.transform",
                         "heisharm.grids")),
 ])
-def test_light_checks_load_only_what_they_run(tmp_path, command, unloaded):
+def test_light_checks_load_only_what_they_run(tmp_path, fresh_env, command,
+                                              unloaded):
     code = _FOOTPRINT + (
         f"assert heisharm.cli.main([{command!r}, '--out',\n"
         f"    out + '/{command}.json']) == 0\n"
         f"for name in {unloaded!r}:\n"
         "    assert name not in added(), name\n")
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
-                          capture_output=True, text=True, env=_fresh_env())
+                          capture_output=True, text=True, env=fresh_env)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / f"{command}.json").exists()
 
 
-def test_runtime_import_path_never_loads_oracles(tmp_path):
-    # a convolve-check loads neither the quadrature oracles nor the group
-    # law, which only tests use, nor the fixtures, the calibration, the
-    # planners or the decay profiles, which it does not run; its
-    # Gauss-Legendre rules are grids.roots_legendre, not numpy.polynomial
+def test_convolve_check_loads_only_what_it_runs(tmp_path, fresh_env):
+    # a convolve-check loads neither the group law, which only tests use,
+    # nor the fixtures, the calibration, the planners or the decay
+    # profiles, which it does not run; its Gauss-Legendre rules are
+    # grids.roots_legendre, not numpy.polynomial
     code = _FOOTPRINT + (
         "assert heisharm.cli.main(\n"
         "    ['convolve-check', '--out', out + '/convolve-check.json']) == 0\n"
-        "for name in ('oracles', 'group', 'calibrate', 'chernoff', 'ingham',\n"
-        "             'theta', 'fixtures'):\n"
+        "for name in ('group', 'calibrate', 'chernoff', 'ingham', 'theta',\n"
+        "             'fixtures'):\n"
         "    assert 'heisharm.' + name not in added(), name\n"
         "assert '_hashlib' not in added()\n"
         "assert 'numpy.polynomial' not in added()\n")
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
-                          capture_output=True, text=True, env=_fresh_env())
+                          capture_output=True, text=True, env=fresh_env)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "convolve-check.json").exists()
-    # and no production module imports the oracles or numpy.polynomial
+    # and no production module imports numpy.polynomial
     for name, lineno, mod in _package_imports():
-        if name != "oracles.py":
-            assert "oracles" not in mod.split("."), (name, lineno)
-            assert "polynomial" not in mod.split("."), (name, lineno)
+        assert "polynomial" not in mod.split("."), (name, lineno)
 
 
 def _package_imports():
@@ -395,10 +384,11 @@ def _package_imports():
 
 
 def test_no_module_imports_argparse_or_hashlib():
-    # the command line is parsed from the option table and the grid hashes
-    # are recorded constants, so no production module needs either
+    # the command line is parsed from the option table, the grid hashes
+    # are recorded constants and the writer creates its temporary file with
+    # os.open, so no production module needs argparse, hashlib or tempfile
     assert not [(name, lineno, mod) for name, lineno, mod in _package_imports()
-                if mod.split(".")[0] in ("argparse", "hashlib")]
+                if mod.split(".")[0] in ("argparse", "hashlib", "tempfile")]
 
 
 def test_no_module_imports_dataclasses():

@@ -2,21 +2,21 @@
 module exports is used somewhere in production code, every parameter with a
 default is passed by some call and left to its default by another, and every
 field of a production record is read by production code.  Read from the
-source with ast, so nothing is imported.  heisharm.oracles is left out of
-the first and the last census, since its names and records are the
-references the tests compare against (nor do its reads count); its
-parameters are counted like any other."""
+source with ast, so nothing is imported.  Every census reads the whole
+package; the parameter censuses also count the defaults of the tests'
+oracles (tests/oracles.py), which the tests alone call."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "heisharm"
+PACKAGE = sorted((ROOT / "src" / "heisharm").glob("*.py"))
+ORACLES = ROOT / "tests" / "oracles.py"
 
 
-def _trees(skip=()):
+def _trees(paths):
     return {path.name: ast.parse(path.read_text(encoding="utf-8"))
-            for path in sorted(PACKAGE.glob("*.py")) if path.name not in skip}
+            for path in paths}
 
 
 def _listed(body, name):
@@ -44,7 +44,7 @@ def _used(trees):
 
 
 def test_every_exported_name_is_reached_by_production_code():
-    trees = _trees(skip=("oracles.py",))
+    trees = _trees(PACKAGE)
     used = _used(trees)
     unreached = sorted(f"{module}:{name}" for module, tree in trees.items()
                        for name in _listed(tree.body, "__all__") if name not in used)
@@ -103,10 +103,11 @@ def _passes(call, param, pos):
 
 
 def _census(keep):
-    """module.qualname:param of every defaulted parameter whose calls in the
-    package, the tests and perfbench do not satisfy keep(passes), passes
-    holding one bool per call: whether that call sets the parameter."""
-    callers = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "tests").glob("*.py")),
+    """module.qualname:param of every defaulted parameter of the package and
+    the tests' oracles whose calls in the package, the tests and perfbench
+    do not satisfy keep(passes), passes holding one bool per call: whether
+    that call sets the parameter."""
+    callers = [*PACKAGE, *sorted((ROOT / "tests").glob("*.py")),
                *sorted((ROOT / "perfbench").glob("*.py"))]
     calls = {}
     for path in callers:
@@ -115,7 +116,7 @@ def _census(keep):
                 calls.setdefault(_callee(node), []).append(node)
     return sorted(
         f"{module[:-3]}.{qualname}:{param}"
-        for module, tree in _trees().items()
+        for module, tree in _trees([*PACKAGE, ORACLES]).items()
         for names, qualname, param, pos in _knobs(tree)
         if not keep([_passes(call, param, pos)
                      for name in names for call in calls.get(name, ())]))
@@ -147,7 +148,7 @@ def _attribute_loads(trees, skip):
 def test_every_record_field_is_read_by_production_code():
     # a field counts as read where production code loads it, except in its
     # own class's __init__ and same_as, which only set and compare it
-    trees = _trees(skip=("oracles.py",))
+    trees = _trees(PACKAGE)
     unread = []
     for module, tree in trees.items():
         for cls in ast.walk(tree):

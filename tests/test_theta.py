@@ -5,9 +5,10 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from heisharm.errors import ProfileClassError
-from heisharm.oracles import tail_integral_estimate
 from heisharm.theta import (BUILTIN_THETAS, ThetaProfile, builtin_theta,
                             load_theta, require_convergent, theta_from_config)
+
+from oracles import tail_integral_estimate
 
 
 def test_builtin_values():

@@ -13,14 +13,14 @@ from heisharm.chernoff import spectral_box
 from heisharm.errors import DomainError, GridMismatchError, QuadratureError
 from heisharm.grids import QuadratureGrid, radial_rule
 from heisharm.laguerre import _orthonormal_table
-from heisharm.oracles import (box_factor, forward_radial, gaussian_factor,
-                              ground_state)
 from heisharm.transform import (_POWER_CAP, SpectralCoefficients,
                                 _coefficient_weights, ball_coefficients,
                                 ball_normalizer, box_coefficients,
                                 dilate_coeffs, gaussian_coefficients,
                                 multiply_coeffs, plancherel_norm,
                                 projection_hs_norm_sq, transform_at_lambda)
+
+from oracles import box_factor, forward_radial, gaussian_factor, ground_state
 
 GRID = QuadratureGrid.make(k_max=24, lambda_min=0.05, lambda_max=20.0,
                            lambda_nodes=64)
@@ -224,7 +224,7 @@ def per_column_forward(f, grid, nodes_per_panel):
 def test_forward_radial_matches_per_column_loop(f, batch_nodes, monkeypatch):
     # 300 nodes split the grid into several batches, some of a single column
     if batch_nodes is not None:
-        monkeypatch.setattr("heisharm.oracles._BATCH_NODES", batch_nodes)
+        monkeypatch.setattr("oracles._BATCH_NODES", batch_nodes)
     grid = QuadratureGrid.make(k_max=24, lambda_min=1e-3, lambda_max=50.0,
                                lambda_nodes=12)
     coarse = forward_radial(f, grid, check=False, nodes_per_panel=32).values

@@ -130,41 +130,38 @@ def _quadrature_table(s, k_max, n):
     return transform_at_lambda(np.ones_like(x), x, w, s, k_max, n)
 
 
-def calibrate_cn(n, k_max=FACTOR_K_MAX, s_nodes=FACTOR_S_NODES, refine_check=True):
+def calibrate_cn(n):
     """Envelope constant: CN_SAFETY * sup over the calibration grid of
     |coeff(k, s)| ((2k+n) s)^{(2n-1)/4}, with the coefficients from the
     closed form.
 
-    With refine_check the sup is recomputed on the doubled s grid and the
-    two sups must agree within 5%, and the base-grid sup is recomputed by
-    radial quadrature, which must agree within
-    _ORACLE_TOL, so a frozen constant can never be an artifact of either
-    method.
+    The sup is recomputed on the doubled s grid and the two sups must agree
+    within 5%, and the base-grid sup is recomputed by radial quadrature,
+    which must agree within _ORACLE_TOL, so a frozen constant can never be
+    an artifact of either method.
     """
-    k, s = calibration_grid(k_max, s_nodes)
+    k, s = calibration_grid()
 
     def sup_of(s, table):
         weight = ((2.0 * k[:, None] + n) * s[None, :]) ** ((2.0 * n - 1.0) / 4.0)
         return float(np.max(np.abs(table) * weight))
 
-    sup = sup_of(s, ball_coefficients(s, k_max, n))
-    if refine_check:
-        _, s2 = calibration_grid(k_max, 2 * s_nodes)
-        fine = sup_of(s2, ball_coefficients(s2, k_max, n))
-        rel = abs(fine - sup) / max(sup, fine)
-        if rel > 0.05:
-            raise QuadratureError(
-                f"factor-bound calibration sup moved under grid refinement "
-                f"by {rel:.3e} relative (> 0.05)")
-        quad = np.stack([_quadrature_table(si, k_max, n) for si in s], axis=1)
-        oracle = sup_of(s, quad)
-        rel = abs(oracle - sup) / max(sup, oracle)
-        if rel > _ORACLE_TOL:
-            raise QuadratureError(
-                f"closed-form calibration sup disagrees with radial quadrature "
-                f"by {rel:.3e} relative (> {_ORACLE_TOL:g})")
-        sup = max(sup, fine)
-    return float(CN_SAFETY * sup)
+    sup = sup_of(s, ball_coefficients(s, FACTOR_K_MAX, n))
+    _, s2 = calibration_grid(2 * FACTOR_S_NODES)
+    fine = sup_of(s2, ball_coefficients(s2, FACTOR_K_MAX, n))
+    rel = abs(fine - sup) / max(sup, fine)
+    if rel > 0.05:
+        raise QuadratureError(
+            f"factor-bound calibration sup moved under grid refinement "
+            f"by {rel:.3e} relative (> 0.05)")
+    quad = np.stack([_quadrature_table(si, FACTOR_K_MAX, n) for si in s], axis=1)
+    oracle = sup_of(s, quad)
+    rel = abs(oracle - sup) / max(sup, oracle)
+    if rel > _ORACLE_TOL:
+        raise QuadratureError(
+            f"closed-form calibration sup disagrees with radial quadrature "
+            f"by {rel:.3e} relative (> {_ORACLE_TOL:g})")
+    return float(CN_SAFETY * max(sup, fine))
 
 
 def calibrate_factor_bound():

@@ -80,7 +80,7 @@ _NAMES = tuple(name for name, *_ in _OPTIONS)
 class RunConfig(namedtuple("RunConfig", ("command",) + _NAMES)):
     """Resolved settings of one CLI run: the command and one field per
     option of _OPTIONS, each checked against its declared type.  Configs
-    compare by value; _replace and _make validate like the constructor."""
+    compare by value."""
 
     __slots__ = ()
 
@@ -110,16 +110,10 @@ class RunConfig(namedtuple("RunConfig", ("command",) + _NAMES)):
             raise DomainError("max_power must be a positive integer")
         return self
 
-    @classmethod
-    def _make(cls, iterable):
-        command, *values = iterable
-        return cls(command, **dict(zip(_NAMES, values)))
-
     def grid(self):
         from .grids import QuadratureGrid
-        return QuadratureGrid.make(k_max=self.k_max, lambda_min=self.lambda_min,
-                                   lambda_max=self.lambda_max,
-                                   lambda_nodes=self.lambda_nodes)
+        return QuadratureGrid.make(self.k_max, self.lambda_min, self.lambda_max,
+                                   self.lambda_nodes)
 
 
 def _cmd_laguerre_check(cfg):
@@ -141,9 +135,35 @@ def _cmd_laguerre_check(cfg):
 
 
 _PLANCHEREL_TOL = 1e-4
+# widths sz, st of the Gaussian that plancherel- and dilate-check transform
+_GAUSSIAN = (2.0, 0.2)
 # the box's closed form divides by n! (_special.gammainc_int), and 171! is
 # past the largest float
 _BOX_MAX_N = 170
+
+
+# logs of the largest and the smallest positive double, pulled in by a
+# relative 1e-12 so that a log's rounding cannot pass a form out of range
+_LOG_HUGE = math.log(sys.float_info.max) * (1.0 - 1e-12)
+_LOG_TINY = math.log(math.ulp(0.0)) * (1.0 - 1e-12)
+
+
+def _require_doubles(option, x, forms, at=""):
+    """Refuse the value x of option where one of forms, the closed forms
+    (p, c, name, zero_ok) e^c x^p a command evaluates on it, overflows or,
+    unless zero_ok, underflows to 0.  The line names the tightest limit on
+    x that is crossed, with at, the setting it holds for."""
+    log_x, crossed = math.log(x), []
+    for p, c, name, zero_ok in forms:
+        for edge, fate in ((_LOG_HUGE, "overflows"), (_LOG_TINY, "underflows to 0")):
+            # the form meets edge at log x = limit; upper: x must stay below
+            limit, upper = (edge - c) / p, (edge > 0) == (p > 0)
+            if (log_x > limit) == upper and not (zero_ok and edge < 0):
+                crossed.append((abs(log_x - limit), limit, upper, f"{name} {fate}"))
+    if crossed:
+        _, limit, upper, why = max(crossed)
+        raise DomainError(f"{option} must stay {'below' if upper else 'above'} "
+                          f"{math.exp(limit):.6g}{at}, where {why}; got {x:g}")
 
 
 def _require_finite_measure(cfg):
@@ -157,11 +177,19 @@ def _require_finite_measure(cfg):
     n, nodes = cfg.n, cfg.lambda_nodes
     h = (math.log(cfg.lambda_max) - math.log(cfg.lambda_min)) / (nodes - 1)
     scale = max(1.0, 0.5 * h, h * math.exp(-(n + 1) * h) if nodes > 2 else 0.0)
-    limit = (sys.float_info.max / scale) ** (1.0 / (n + 1))
-    if cfg.lambda_max >= limit:
-        raise DomainError(f"lambda_max must stay below {limit:.6g} at n = {n}, "
-                          f"where lam_log_w lam^{n + 1} of the lambda measure "
-                          f"overflows; got {cfg.lambda_max:g}")
+    _require_doubles("lambda_max", cfg.lambda_max, [
+        (n + 1, math.log(scale), f"lam_log_w lam^{n + 1} of the lambda measure",
+         True)], f" at n = {n}")
+
+
+def _box_forms(cfg, n, rho, tau):
+    """The forms of box_coefficients at dimension n on the widths named rho
+    and tau: rho^2 and tau^2, and on the lambda window s = lam rho^2 and
+    lam tau^2 at the top and s^-n at the bottom, where 0 does no harm."""
+    top, bottom = math.log(cfg.lambda_max), math.log(cfg.lambda_min)
+    return ([(2, 0.0, f"{rho}^2", False), (2, top, f"lambda_max {rho}^2", True),
+             (-2 * n, -n * bottom, f"(lambda_min {rho}^2)^-{n}", True)],
+            [(2, 0.0, f"{tau}^2", False), (2, top, f"lambda_max {tau}^2", True)])
 
 
 def _cmd_plancherel_check(cfg):
@@ -169,18 +197,25 @@ def _cmd_plancherel_check(cfg):
     if family in ("box", "both") and cfg.n > _BOX_MAX_N:
         raise DomainError(f"the box family needs n <= {_BOX_MAX_N}, got {cfg.n}")
     _require_finite_measure(cfg)
+    n = cfg.n
+    if family in ("box", "both"):
+        rho, tau = cfg.factors[0], cfg.factors[1]
+        rho_forms, tau_forms = _box_forms(cfg, n, "rho1", "tau1")
+        _require_doubles("factors tau1", tau, tau_forms)
+        # and the spatial norm rho^-n / tau
+        _require_doubles("factors rho1", rho, rho_forms + [
+            (-n, 0.0, f"rho1^-{n}", False),
+            (-n, -math.log(tau), f"rho1^-{n} / tau1", False)])
     import numpy as np
 
     from .transform import (box_coefficients, gaussian_coefficients,
                             plancherel_norm)
     grid = cfg.grid()
-    n = cfg.n
     cases = []
     if family in ("box", "both"):
-        rho, tau = cfg.factors[0], cfg.factors[1]
         cases.append(("box", box_coefficients(n, rho, tau, grid), rho ** -n / tau))
     if family in ("gaussian", "both"):
-        sz, st = 2.0, 0.2
+        sz, st = _GAUSSIAN
         cases.append(("gaussian", gaussian_coefficients(n, sz, st, grid),
                       float(np.sqrt((np.pi * sz ** 2) ** n * st * np.sqrt(np.pi)))))
     rows = []
@@ -208,13 +243,24 @@ _CONVOLVE_TOL = 1e-3
 
 
 def _cmd_convolve_check(cfg):
+    if cfg.n != 1:
+        raise DomainError("the spatial convolution oracle runs on H^1 only")
+    rho1, tau1, rho2, tau2 = cfg.factors
+    for i, rho, tau in ((1, rho1, tau1), (2, rho2, tau2)):
+        rho_forms, tau_forms = _box_forms(cfg, 1, f"rho{i}", f"tau{i}")
+        _require_doubles(f"factors rho{i}", rho, rho_forms)
+        _require_doubles(f"factors tau{i}", tau, tau_forms)
+    # the spatial convolution's height and the scale it divides by
+    c = -2 * math.log(tau2)
+    _require_doubles("factors tau1", tau1, [(-2, c, "1/(tau1^2 tau2^2)", False)])
+    _require_doubles("factors rho1", rho1, [
+        (2, 2 * math.log(rho2), "rho1^2 rho2^2", False),
+        (-2, c - 2 * (math.log(tau1) + math.log(rho2)),
+         "1/(rho1^2 tau1^2 rho2^2 tau2^2)", False)])
     import numpy as np
 
     from .transform import (box_coefficients, box_convolution_coefficients,
                             box_convolution_grids, multiply_coeffs)
-    if cfg.n != 1:
-        raise DomainError("the spatial convolution oracle runs on H^1 only")
-    rho1, tau1, rho2, tau2 = cfg.factors
     grid = cfg.grid()
     c1 = box_coefficients(1, rho1, tau1, grid)
     c2 = box_coefficients(1, rho2, tau2, grid)
@@ -243,12 +289,14 @@ _DILATE_TOL = 1e-3
 
 
 def _cmd_dilate_check(cfg):
+    r, k = cfg.dilation, 2 * cfg.n + 2
+    _require_doubles("dilation", r, [(k, 0.0, f"r^{k}", False),
+                                     (-k, 0.0, f"r^-{k}", False)])
     import numpy as np
 
     from .transform import dilate_coeffs, gaussian_coefficients
-    r = cfg.dilation
     grid = cfg.grid()
-    sz, st = 2.0, 0.2
+    sz, st = _GAUSSIAN
     c = gaussian_coefficients(cfg.n, sz, st, grid)
     dilated = dilate_coeffs(c, r)
     target = gaussian_coefficients(cfg.n, sz / r, st / r ** 2, grid)
@@ -672,10 +720,10 @@ def _non_finite(value, key=""):
         yield key
 
 
-def main(argv=None):
-    """Run one subcommand; returns the process exit code."""
+def main(argv):
+    """Run one subcommand on argv; returns the process exit code."""
     try:
-        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        args = _parse_args(argv)
     except _UsageError as exc:
         print(f"heisharm: error: {exc}", file=sys.stderr)
         return 2

@@ -51,11 +51,11 @@ GRID_HASHES = {
 }
 
 
-def calibration_grid(k_max=FACTOR_K_MAX, s_nodes=FACTOR_S_NODES):
+def calibration_grid(s_nodes=FACTOR_S_NODES):
     """Shared (k, s) sampling for calibrating and validating the factor
-    envelope: all degrees up to k_max, s = lam rho^2 log-spaced across the
-    lam in [1e-3, 1e3], rho in [1e-3, 1] product range."""
-    return np.arange(k_max + 1), np.geomspace(*FACTOR_S_RANGE, s_nodes)
+    envelope: all degrees up to FACTOR_K_MAX, and s_nodes of s = lam rho^2
+    log-spaced across the lam in [1e-3, 1e3], rho in [1e-3, 1] product range."""
+    return np.arange(FACTOR_K_MAX + 1), np.geomspace(*FACTOR_S_RANGE, s_nodes)
 
 
 def packaged_fixtures_dir():

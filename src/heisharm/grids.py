@@ -22,11 +22,6 @@ from .laguerre import breakpoints, nu
 __all__ = ["QuadratureGrid", "gauss_legendre_panels", "radial_rule",
            "roots_legendre"]
 
-DEFAULT_LAMBDA_MIN = 1e-3
-DEFAULT_LAMBDA_MAX = 1e3
-DEFAULT_LAMBDA_NODES = 256
-DEFAULT_K_MAX = 256
-
 
 def roots_legendre(p):
     """p-point Gauss-Legendre rule (x, w) on [-1, 1], nodes ascending.
@@ -145,13 +140,7 @@ class QuadratureGrid(Record):
         self._assign(k_max=k_max, lam=lam, lam_log_w=w)
 
     @classmethod
-    def make(
-        cls,
-        k_max=DEFAULT_K_MAX,
-        lambda_min=DEFAULT_LAMBDA_MIN,
-        lambda_max=DEFAULT_LAMBDA_MAX,
-        lambda_nodes=DEFAULT_LAMBDA_NODES,
-    ):
+    def make(cls, k_max, lambda_min, lambda_max, lambda_nodes):
         if not (0 < lambda_min < lambda_max):
             raise DomainError("need 0 < lambda_min < lambda_max")
         if lambda_nodes < 2:

@@ -34,7 +34,7 @@ import numpy as np
 
 from ._record import Record
 from .errors import DomainError
-from .fixtures import FACTOR_K_MAX, FACTOR_S_NODES, calibration_grid, load_fixture
+from .fixtures import FACTOR_K_MAX, calibration_grid, load_fixture
 from .theta import require_convergent
 from .transform import (SpectralCoefficients, _box_t_hat, ball_coefficients,
                         ball_normalizer, plancherel_norm)
@@ -129,8 +129,7 @@ def factor_coeff_envelope(k, lam, rho, n, c_n):
         return np.minimum(1.0, c_n * np.where(x > 0, x, np.inf) ** (0.5 - n))
 
 
-def factor_bound_check(n, k_max=FACTOR_K_MAX, s_nodes=FACTOR_S_NODES, thin=1,
-                       fixtures_dir=None):
+def factor_bound_check(n, thin=1, fixtures_dir=None):
     """Validate |coeff(k, s)| <= min(1, c_n ((2k+n) s)^{-(2n-1)/4}) over the
     calibration grid, with the frozen c_n.
 
@@ -138,17 +137,17 @@ def factor_bound_check(n, k_max=FACTOR_K_MAX, s_nodes=FACTOR_S_NODES, thin=1,
     certified outcome is zero violations at thin = 1.
     """
     c_n = _chain_constant(n, fixtures_dir)
-    k, s = calibration_grid(k_max, s_nodes)
+    k, s = calibration_grid()
     s = s[::max(int(thin), 1)]
-    vals = np.abs(ball_coefficients(s, k_max, n))
+    vals = np.abs(ball_coefficients(s, FACTOR_K_MAX, n))
     # a unit-radius factor at lam = s
     env = factor_coeff_envelope(k[:, None], s[None, :], 1.0, n, c_n)
     return {
         "n": n,
         "c_n": c_n,
-        "k_max": k_max,
+        "k_max": FACTOR_K_MAX,
         "s_columns": int(s.size),
-        "points": int((k_max + 1) * s.size),
+        "points": int(k.size * s.size),
         "violations": int(np.sum(vals > env)),
         "max_ratio": float(np.max(vals / env)),
     }
@@ -289,15 +288,10 @@ def verify_decay(plan, theta, grid):
     }
 
 
-def support_radius(plan, N=None):
-    """Koranyi-gauge radius containing supp G_N: triangle inequality over
-    the a*rho_j ball factors and tau_j/sqrt(2) interval factors.  N = None
-    uses the full plan."""
-    if N is None:
-        N = plan.J
-    if not (1 <= N <= plan.J):
-        raise DomainError(f"need 1 <= N <= J = {plan.J}")
-    return float(plan.a * np.sum(plan.rho[:N]) + TAU_GAUGE * np.sum(plan.tau[:N]))
+def support_radius(plan):
+    """Koranyi-gauge radius containing supp G_J: triangle inequality over
+    the a*rho_j ball factors and tau_j/sqrt(2) interval factors."""
+    return float(plan.a * np.sum(plan.rho) + TAU_GAUGE * np.sum(plan.tau))
 
 
 def cauchy_gap(plan, K, grid, c3):

@@ -714,6 +714,96 @@ def test_non_finite_report_refused(tmp_path, fresh_env, argv, message):
     assert list(tmp_path.iterdir()) == []
 
 
+_WIDTH = "factors {} must stay {} {}, where {}; got {}"
+_EXTREME = [
+    pytest.param(["dilate-check", "--dilation", "1e200"],
+                 "dilation must stay below 1.15792e+77, where r^4 overflows; "
+                 "got 1e+200", id="dilate-large"),
+    pytest.param(["dilate-check", "--dilation", "1e-150"],
+                 "dilation must stay above 8.63617e-78, where r^-4 overflows; "
+                 "got 1e-150", id="dilate-small"),
+    pytest.param(["dilate-check", "--n", "30", "--dilation", "1e-5"],
+                 "dilation must stay above 1.06696e-05, where r^-62 overflows; "
+                 "got 1e-05", id="dilate-n30"),
+    # convolve-check's window tops out at lambda_max = 1.8
+    pytest.param(["convolve-check", "--factors", "1e300,1,1,1"],
+                 _WIDTH.format("rho1", "below", "9.99359e+153",
+                               "lambda_max rho1^2 overflows", "1e+300"),
+                 id="convolve-rho1-1e300"),
+    pytest.param(["convolve-check", "--factors", "1e200,0.8,0.7,0.6"],
+                 _WIDTH.format("rho1", "below", "9.99359e+153",
+                               "lambda_max rho1^2 overflows", "1e+200"),
+                 id="convolve-rho1-1e200"),
+    pytest.param(["convolve-check", "--factors", "0.9,1e200,0.7,0.6"],
+                 _WIDTH.format("tau1", "below", "9.99359e+153",
+                               "lambda_max tau1^2 overflows", "1e+200"),
+                 id="convolve-tau1-1e200"),
+    pytest.param(["convolve-check", "--factors", "0.9,1e-200,0.7,0.6"],
+                 _WIDTH.format("tau1", "above", "2.22276e-162",
+                               "tau1^2 underflows to 0", "1e-200"),
+                 id="convolve-tau1-1e-200"),
+    # and at lambda_min = 0.15 s^-1 = 1 / (lambda_min rho1^2) overflows
+    pytest.param(["convolve-check", "--factors", "1e-300,1,1,1"],
+                 _WIDTH.format("rho1", "above", "1.92574e-154",
+                               "(lambda_min rho1^2)^-1 overflows", "1e-300"),
+                 id="convolve-rho1-1e-300"),
+    # plancherel-check's window is [1e-4, 100]
+    pytest.param(["plancherel-check", "--family", "box", "--factors", "1e300,1,1,1"],
+                 _WIDTH.format("rho1", "below", "1.34078e+153",
+                               "lambda_max rho1^2 overflows", "1e+300"),
+                 id="plancherel-rho1-1e300"),
+    pytest.param(["plancherel-check", "--family", "box", "--factors", "1,1e200,1,1"],
+                 _WIDTH.format("tau1", "below", "1.34078e+153",
+                               "lambda_max tau1^2 overflows", "1e+200"),
+                 id="plancherel-tau1-1e200"),
+    pytest.param(["plancherel-check", "--family", "box", "--factors", "1e-300,1,1,1"],
+                 _WIDTH.format("rho1", "above", "7.45834e-153",
+                               "(lambda_min rho1^2)^-1 overflows", "1e-300"),
+                 id="plancherel-rho1-1e-300"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _EXTREME)
+def test_extreme_widths_and_dilations_refused(tmp_path, fresh_env, argv, message):
+    # a width or dilation whose closed forms leave the finite nonzero
+    # doubles is refused before numpy loads, with one line naming the limit
+    proc = _warning_run(tmp_path, fresh_env, argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    assert proc.stderr == f"heisharm {argv[0]}: refused: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_width_refusals_load_no_numpy(tmp_path, fresh_env):
+    # every refusal above, in one fresh interpreter: numpy never loads
+    script = ("import contextlib, io, json, sys\n"
+              "import heisharm.cli\n"
+              "with contextlib.redirect_stderr(io.StringIO()):\n"
+              "    codes = [heisharm.cli.main([*argv, '--out', 'r.json'])\n"
+              "             for argv in json.loads(sys.argv[1])]\n"
+              "print(json.dumps([codes, 'numpy' in sys.modules]))\n")
+    argvs = [param.values[0] for param in _EXTREME]
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          cwd=tmp_path, env=fresh_env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[2] * len(argvs), False]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["convolve-check", "--factors", "1e150,0.8,0.7,0.6"], 0),
+    (["plancherel-check", "--family", "box", "--factors", "1,1e-150,1,1"], 1),
+    (["dilate-check", "--dilation", "1e76", "--lambda-min", "1e-300",
+      "--lambda-max", "1e300"], 1),
+])
+def test_widths_inside_the_limits_run_quietly(tmp_path, fresh_env, argv, code):
+    proc = _warning_run(tmp_path, fresh_env, argv)
+    assert proc.returncode == code and proc.stderr == ""
+    assert (tmp_path / "r.json").exists()
+
+
 def test_window_below_the_measure_limit_runs(tmp_path, fresh_env):
     proc = _warning_run(tmp_path, fresh_env, ["carleman", "--family", "envelope",
                                               "--lambda-max", "1.34e154"])

@@ -114,20 +114,17 @@ def test_factor_envelope_formula():
 
 
 def test_calibration_grid_shape():
-    k, s = calibration_grid(k_max=17, s_nodes=9)
-    assert k.shape == (18,) and np.array_equal(k, np.arange(18))
+    k, s = calibration_grid(9)
+    assert np.array_equal(k, np.arange(FACTOR_K_MAX + 1))
     assert s.shape == (9,)
     assert s[0] == pytest.approx(1e-9) and s[-1] == pytest.approx(1e3)
-    # the defaults are the grid the factor fixture's hash covers
+    # the default is the grid the factor fixture's hash covers
     k, s = calibration_grid()
     assert k[-1] == FACTOR_K_MAX and s.size == FACTOR_S_NODES
     assert (s[0], s[-1]) == pytest.approx(FACTOR_S_RANGE)
 
 
 def test_calibrate_cn_cross_checks_quadrature(monkeypatch):
-    cn = calibrate_cn(1, k_max=20, s_nodes=12)
-    assert cn == pytest.approx(calibrate_cn(1, k_max=20, s_nodes=12,
-                                            refine_check=False))
     # a closed form off by 1e-6 relative must not freeze a constant
     monkeypatch.setattr(
         "heisharm.calibrate.ball_coefficients",
@@ -135,19 +132,20 @@ def test_calibrate_cn_cross_checks_quadrature(monkeypatch):
     with pytest.raises(QuadratureError, match=r"disagrees with radial quadrature "
                                               r"by \d\.\d{3}e-0[67] relative "
                                               r"\(> 1e-09\)$"):
-        calibrate_cn(1, k_max=20, s_nodes=12)
+        calibrate_cn(1)
 
 
 def test_factor_bound_small_replay():
-    out = factor_bound_check(1, k_max=60, s_nodes=30, thin=3)
+    out = factor_bound_check(1, thin=3)
     assert out["violations"] == 0
     assert out["max_ratio"] <= 1.0
-    assert out["points"] == 61 * out["s_columns"]
+    assert out["s_columns"] == FACTOR_S_NODES // 3
+    assert out["points"] == (FACTOR_K_MAX + 1) * out["s_columns"]
 
 
 def test_factor_bound_check_refuses_uncalibrated_dimension():
     with pytest.raises(DomainError, match="n=4"):
-        factor_bound_check(4, k_max=4, s_nodes=3)
+        factor_bound_check(4)
 
 
 def test_adaptive_factor_count():
@@ -265,13 +263,15 @@ def test_chain_coefficients_grid():
 
 def test_support_radius_formula():
     plan = plan_sequences(builtin_theta("inv-sqrt"), 1, J=5, c_n=1.1)
-    expect = (plan.a * (plan.rho[0] + plan.rho[1])
-              + plan.c * (plan.tau[0] + plan.tau[1]))
-    assert support_radius(plan, 2) == pytest.approx(expect, rel=1e-14)
     assert support_radius(plan) == pytest.approx(
         plan.a * plan.rho.sum() + plan.c * plan.tau.sum(), rel=1e-14)
-    with pytest.raises(DomainError):
-        support_radius(plan, 0)
+    # a two-factor plan has the same first two widths
+    two = plan_sequences(builtin_theta("inv-sqrt"), 1, J=2, c_n=1.1)
+    assert_array_equal(two.rho, plan.rho[:2])
+    assert_array_equal(two.tau, plan.tau[:2])
+    expect = (plan.a * (plan.rho[0] + plan.rho[1])
+              + plan.c * (plan.tau[0] + plan.tau[1]))
+    assert support_radius(two) == pytest.approx(expect, rel=1e-14)
 
 
 def test_cauchy_gap_within_calibrated_envelope():

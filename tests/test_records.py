@@ -93,17 +93,6 @@ def test_run_config_compares_by_value():
     assert {one, two} == {one}
 
 
-def test_run_config_replace_validates():
-    cfg = RunConfig("ingham-verify")
-    assert cfg._replace(k_max=8).k_max == 8
-    with pytest.raises(DomainError, match="grid controls must be positive"):
-        cfg._replace(k_max=0)
-    with pytest.raises(DomainError, match="k_max must be an integer"):
-        cfg._replace(k_max=2.5)
-    with pytest.raises(DomainError, match="unknown command 'nope'"):
-        cfg._replace(command="nope")
-
-
 def _arrays(**kw):
     return {k: np.asarray(v, dtype=float) for k, v in kw.items()}
 

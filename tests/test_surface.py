@@ -4,7 +4,13 @@ default is passed by some call and left to its default by another, and every
 field of a production record is read by production code.  Read from the
 source with ast, so nothing is imported.  Every census reads the whole
 package; the parameter censuses also count the defaults of the tests'
-oracles (tests/oracles.py), which the tests alone call."""
+oracles (tests/oracles.py), which the tests alone call.
+
+The parameter censuses count a call of a function only where the calling
+file's own imports and definitions resolve the callee to it, scope by
+scope as Python looks names up: a same-named local function, pytest
+argument or foreign module's function does not count, nor does a call
+through an instance or a parameter."""
 
 import ast
 from pathlib import Path
@@ -65,30 +71,122 @@ def _defaulted(fn, is_method):
     return out
 
 
-def _knobs(tree, cls=None):
-    """(names a call reaches it by, qualified name, parameter, position) for
-    every defaulted parameter of every function in tree, nested ones
-    included.  A constructor is reached through its class name and
-    through cls(...)."""
+def _module_path(path):
+    """The dotted name a file is imported by, as a tuple: heisharm.X for a
+    module of the package, the bare stem for tests/ and perfbench/, whose
+    directories are on sys.path when their files run."""
+    if path.parent.name == "heisharm":
+        return ("heisharm",) if path.stem == "__init__" else ("heisharm", path.stem)
+    return (path.stem,)
+
+
+def _knobs(tree, path, in_class=False):
+    """(dotted path of the function, dotted path a call reaches it by,
+    parameter, position) for every defaulted parameter of every function
+    in tree, nested ones included, path being tree's own.  A constructor
+    is reached through its class."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, ast.ClassDef):
-            yield from _knobs(node, node.name)
+            yield from _knobs(node, path + (node.name,), True)
         elif isinstance(node, ast.FunctionDef):
-            names = {node.name}
-            if cls is not None and node.name in ("__init__", "__new__"):
-                names = {cls, "cls"}
-            qualname = f"{cls}.{node.name}" if cls else node.name
-            for param, pos in _defaulted(node, cls is not None):
-                yield names, qualname, param, pos
-            yield from _knobs(node)
+            own = path + (node.name,)
+            ctor = in_class and node.name in ("__init__", "__new__")
+            for param, pos in _defaulted(node, in_class):
+                yield own, path if ctor else own, param, pos
+            yield from _knobs(node, own)
 
 
-def _callee(call):
-    if isinstance(call.func, ast.Name):
-        return call.func.id
-    if isinstance(call.func, ast.Attribute):
-        return call.func.attr
+def _bindings(body, module, path):
+    """{name: dotted path or None} of the names the statements body of one
+    scope bind, path being the scope's own: an import binds the path it
+    names and a def or class its own path; any other binding (an
+    assignment, a loop or except variable) binds None, since a call
+    through it cannot be resolved.  Nested scopes bind only their name."""
+    paths, other = {}, set()
+    stack = list(body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            paths[node.name] = path + (node.name,)
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    paths[alias.asname] = tuple(alias.name.split("."))
+                else:
+                    head = alias.name.split(".")[0]
+                    paths[head] = (head,)
+        elif isinstance(node, ast.ImportFrom):
+            base = module[:len(module) - node.level] if node.level else ()
+            base += tuple(node.module.split(".")) if node.module else ()
+            for alias in node.names:
+                paths[alias.asname or alias.name] = base + (alias.name,)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            other.add(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            other.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return {**paths, **dict.fromkeys(other)}
+
+
+def _resolve(expr, scopes):
+    """Dotted path of expr, a name or an attribute chain, looked up in
+    scopes innermost first; None where it does not resolve."""
+    if isinstance(expr, ast.Attribute):
+        base = _resolve(expr.value, scopes)
+        return None if base is None else base + (expr.attr,)
+    if isinstance(expr, ast.Name):
+        for scope in scopes:
+            if expr.id in scope:
+                return scope[expr.id]
     return None
+
+
+def _calls(nodes, module, scopes, path, cls=None):
+    """(call, dotted path of its callee or None) for every call among nodes
+    and below them, in a file of module: each name resolves through the
+    scopes enclosing it, the innermost first, as Python looks it up.
+    scopes are the enclosing function and module bindings, path the
+    innermost scope's own dotted path and cls the bindings of the class
+    body the nodes are in, which no nested function sees.  A method's
+    first parameter resolves to its class, so cls(...) calls the
+    constructor; a call through an instance or a parameter is
+    unresolved."""
+    visible = scopes if cls is None else [cls, *scopes]
+    for node in nodes:
+        if isinstance(node, ast.ClassDef):
+            yield from _calls([*node.decorator_list, *node.bases, *node.keywords],
+                              module, scopes, path, cls)
+            own = path + (node.name,)
+            yield from _calls(node.body, module, scopes, own,
+                              _bindings(node.body, module, own))
+        elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            is_def, a = isinstance(node, ast.FunctionDef), node.args
+            decorators = node.decorator_list if is_def else []
+            yield from _calls([*decorators, *a.defaults, *filter(None, a.kw_defaults)],
+                              module, scopes, path, cls)
+            head = [*a.posonlyargs, *a.args]
+            local = dict.fromkeys(arg.arg for arg in
+                                  [*head, *a.kwonlyargs, a.vararg, a.kwarg] if arg)
+            body, own = (node.body, path + (node.name,)) if is_def else ([node.body], path)
+            local.update(_bindings(body, module, own))
+            if is_def and cls is not None and head:
+                # a method's first parameter, self or cls, is its class
+                local[head[0].arg] = path
+            yield from _calls(body, module, [local, *scopes], own)
+        else:
+            if isinstance(node, ast.Call):
+                yield node, _resolve(node.func, visible)
+            yield from _calls(ast.iter_child_nodes(node), module, scopes, path, cls)
+
+
+def _file_calls(tree, module):
+    """(call, dotted path of its callee or None) for every call in tree, the
+    parsed file of module."""
+    return _calls(tree.body, module, [_bindings(tree.body, module, module)],
+                  module)
 
 
 def _passes(call, param, pos):
@@ -106,20 +204,65 @@ def _census(keep):
     """module.qualname:param of every defaulted parameter of the package and
     the tests' oracles whose calls in the package, the tests and perfbench
     do not satisfy keep(passes), passes holding one bool per call: whether
-    that call sets the parameter."""
+    that call sets the parameter.  A call counts where it resolves to the
+    function itself through its file's imports and definitions."""
     callers = [*PACKAGE, *sorted((ROOT / "tests").glob("*.py")),
                *sorted((ROOT / "perfbench").glob("*.py"))]
     calls = {}
     for path in callers:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                calls.setdefault(_callee(node), []).append(node)
-    return sorted(
-        f"{module[:-3]}.{qualname}:{param}"
-        for module, tree in _trees([*PACKAGE, ORACLES]).items()
-        for names, qualname, param, pos in _knobs(tree)
-        if not keep([_passes(call, param, pos)
-                     for name in names for call in calls.get(name, ())]))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for call, callee in _file_calls(tree, _module_path(path)):
+            calls.setdefault(callee, []).append(call)
+    found = []
+    for path in [*PACKAGE, ORACLES]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for own, target, param, pos in _knobs(tree, _module_path(path)):
+            if not keep([_passes(call, param, pos)
+                         for call in calls.get(target, ())]):
+                name = ".".join(own[1:] if own[0] == "heisharm" else own)
+                found.append(f"{name}:{param}")
+    return sorted(found)
+
+
+def test_calls_resolve_through_the_callers_own_bindings():
+    # a same-named local function, argument or foreign module's function
+    # is not the package's function
+    source = """
+import unittest
+from .grids import QuadratureGrid
+from heisharm import cli
+import heisharm.ingham
+
+def make():
+    pass
+
+def test_records(make, main):
+    make()
+    main()
+    QuadratureGrid.make(k_max=1)
+    cli.main([])
+    heisharm.ingham.support_radius(plan)
+    unittest.main()
+
+class Grid:
+    make = QuadratureGrid.make
+
+    @classmethod
+    def build(cls):
+        return cls(make())
+"""
+    module = ("heisharm", "records")
+    got = [(call.lineno, callee)
+           for call, callee in _file_calls(ast.parse(source), module)]
+    assert got == [
+        (11, None), (12, None),
+        (13, ("heisharm", "grids", "QuadratureGrid", "make")),
+        (14, ("heisharm", "cli", "main")),
+        (15, ("heisharm", "ingham", "support_radius")),
+        (16, ("unittest", "main")),
+        (23, ("heisharm", "records", "Grid")),
+        (23, ("heisharm", "records", "make")),
+    ]
 
 
 def test_every_defaulted_parameter_is_passed_by_some_call():

@@ -125,7 +125,6 @@ def _cmd_laguerre_check(cfg):
     env = envelope_check(load_fixture("lemma21_constants.json", cfg.fixtures), cfg.k_max)
     ok = worst <= 1e-8 and env["violations"] == 0
     return {
-        "command": "laguerre-check",
         "gram": {"k_max": gram_k, "defects": defects, "max_defect": worst,
                  "tol": 1e-8},
         "envelope": env,
@@ -228,15 +227,7 @@ def _cmd_plancherel_check(cfg):
                      "pass": bool(rel <= _PLANCHEREL_TOL)})
     ok = all(r["pass"] for r in rows)
     summary = " ".join(f"{r['family']}={r['rel_error']:.3e}" for r in rows)
-    return {
-        "command": "plancherel-check",
-        "n": n,
-        "k_max": grid.k_max,
-        "lambda_range": [cfg.lambda_min, cfg.lambda_max],
-        "lambda_nodes": cfg.lambda_nodes,
-        "rows": rows,
-        "pass": bool(ok),
-    }, summary
+    return {"rows": rows, "pass": bool(ok)}, summary
 
 
 _CONVOLVE_TOL = 1e-3
@@ -257,6 +248,17 @@ def _cmd_convolve_check(cfg):
         (2, 2 * math.log(rho2), "rho1^2 rho2^2", False),
         (-2, c - 2 * (math.log(tau1) + math.log(rho2)),
          "1/(rho1^2 tau1^2 rho2^2 tau2^2)", False)])
+    # box_pair_convolution's overlap angle arccos(gamma) lives where
+    # 1 - gamma <= A1^2 / (2 r u), with r and u up to A1 + A2, and gamma
+    # carries a rounding of about eps: arccos keeps a relative precision of
+    # about eps ((rho1 + rho2) / rho1)^2, which must stay within the tolerance
+    wider = math.sqrt(_CONVOLVE_TOL / sys.float_info.epsilon) - 1
+    if rho2 > wider * rho1:
+        raise DomainError(
+            f"factors rho2 must stay below {wider * rho1:.6g} "
+            f"({wider:.6g} rho1), where the spatial convolution's overlap "
+            f"angle arccos(gamma) loses the tolerance {_CONVOLVE_TOL:g} to "
+            f"rounding; got {rho2:g}")
     import numpy as np
 
     from .transform import (box_coefficients, box_convolution_coefficients,
@@ -272,11 +274,7 @@ def _cmd_convolve_check(cfg):
     ki, li = np.unravel_index(int(np.argmax(err)), err.shape)
     worst = float(err[ki, li])
     return {
-        "command": "convolve-check",
         "factors": list(cfg.factors),
-        "k_max": grid.k_max,
-        "lambda_range": [cfg.lambda_min, cfg.lambda_max],
-        "lambda_nodes": cfg.lambda_nodes,
         "oracle_samples": int(x.size * tx.size),
         "max_rel_error": worst,
         "argmax": {"k": int(ki), "lambda": float(grid.lam[li])},
@@ -289,17 +287,46 @@ _DILATE_TOL = 1e-3
 
 
 def _cmd_dilate_check(cfg):
-    r, k = cfg.dilation, 2 * cfg.n + 2
+    n, r, k = cfg.n, cfg.dilation, 2 * cfg.n + 2
     _require_doubles("dilation", r, [(k, 0.0, f"r^{k}", False),
                                      (-k, 0.0, f"r^-{k}", False)])
+    # the source Gaussian (sz, st) and the dilated target (sz / r, st / r^2):
+    # b = lam sz^2 at the top of the window, and (4 pi sz^2/(2 + b))^n, alone
+    # and times st sqrt(2 pi), at its bottom must stay doubles
+    sz, st = _GAUSSIAN
+    widths = (("sz", sz, st, "st"), ("(sz/r)", sz / r, st / r ** 2, "(st/r^2)"))
+    _require_doubles("lambda_max", cfg.lambda_max, [
+        (1, 2 * math.log(z), f"b = lambda_max {name}^2", True)
+        for name, z, _, _ in widths])
+    limits = []
+    for name, z, t, t_name in widths:
+        log_base = math.log(4 * math.pi * z * z / (2 + cfg.lambda_min * z * z))
+        log_t = math.log(t * math.sqrt(2 * math.pi))
+        if log_base > 0:
+            limits.append(((_LOG_HUGE - max(log_t, 0.0)) / log_base,
+                           f"(4 pi {name}^2/(2 + lambda_min {name}^2))^n"
+                           + (f" {t_name} sqrt(2 pi)" if log_t > 0 else "")))
+    if limits and n > min(limits)[0]:
+        limit, form = min(limits)
+        raise DomainError(f"n must stay below {limit:.6g} at lambda_min = "
+                          f"{cfg.lambda_min:g}, where {form} overflows; got {n}")
+    # dilate_coeffs reads the source at lam / r^2 >= lambda_min and scales it
+    # by r^-k; the coefficients fall with lam, and the largest it reads is
+    # at a node above lam_q e^-h, h the log spacing of the nodes
+    h = (math.log(cfg.lambda_max) - math.log(cfg.lambda_min)) / (cfg.lambda_nodes - 1)
+    lam_q = max(cfg.lambda_min, cfg.lambda_min / (r * r) * math.exp(-h))
+    log_top = (n * math.log(4 * math.pi * sz * sz / (2 + lam_q * sz * sz))
+               + math.log(st * math.sqrt(2 * math.pi)) - lam_q * st * lam_q * st / 2)
+    _require_doubles("dilation", r, [
+        (-k, log_top, f"r^-{k} times the source coefficients it reads, up to "
+                      f"{math.exp(log_top):.6g},", True)], f" at n = {n}")
     import numpy as np
 
     from .transform import dilate_coeffs, gaussian_coefficients
     grid = cfg.grid()
-    sz, st = _GAUSSIAN
-    c = gaussian_coefficients(cfg.n, sz, st, grid)
+    c = gaussian_coefficients(n, sz, st, grid)
     dilated = dilate_coeffs(c, r)
-    target = gaussian_coefficients(cfg.n, sz / r, st / r ** 2, grid)
+    target = gaussian_coefficients(n, sz / r, st / r ** 2, grid)
     # interpolation queries lam / r^2 must stay inside the stored window
     mask = ((grid.lam >= cfg.lambda_min * max(1.0, r ** 2))
             & (grid.lam <= cfg.lambda_max * min(1.0, r ** 2)))
@@ -310,15 +337,12 @@ def _cmd_dilate_check(cfg):
     if scale == 0.0:
         raise DomainError("the target Gaussian underflows to 0 on every "
                           "compared node; lower lambda_max or add lambda nodes")
+    # a Python float quotient past the largest double is inf, not a numpy
+    # warning, and main refuses the report for it
     worst = float(np.max(np.abs(dilated.values[:, mask]
-                                - target.values[:, mask])) / scale)
+                                - target.values[:, mask]))) / scale
     return {
-        "command": "dilate-check",
-        "n": cfg.n,
         "dilation": r,
-        "k_max": grid.k_max,
-        "lambda_range": [cfg.lambda_min, cfg.lambda_max],
-        "lambda_nodes": cfg.lambda_nodes,
         "compared_nodes": int(np.sum(mask)),
         "max_rel_error": worst,
         "tol": _DILATE_TOL,
@@ -339,9 +363,7 @@ def _cmd_ingham_plan(cfg):
     check = factor_bound_check(cfg.n, thin=6, fixtures_dir=cfg.fixtures)
     ok = check["violations"] == 0
     return {
-        "command": "ingham-plan",
         "theta": theta.name,
-        "n": cfg.n,
         "J": plan.J,
         "a": plan.a,
         "c": plan.c,
@@ -434,7 +456,6 @@ def _cmd_carleman(cfg):
             ok = True
         rows = _carleman_rows(prof, ratios)
     report = {
-        "command": "carleman",
         "family": family,
         "M": M,
         "rows": rows,
@@ -454,7 +475,6 @@ def _cmd_gamma_bound_check(cfg):
     from .theta import load_theta
     theta = load_theta(cfg.theta)
     report = ingham_norm_bound_check(theta, cfg.n, cfg.max_power)
-    report = {"command": "gamma-bound-check", **report}
     worst = max(r["ratio"] for r in report["rows"])
     return report, f"theta={theta.name} M={report['M']} max_ratio={worst:.3e}"
 
@@ -505,11 +525,7 @@ def _cmd_symmdiff_check(cfg):
     ok = ok and rows[0]["max_lens_error"] <= _LENS_TOL
     summary = " ".join(
         f"dim{r['dim']}_ratio={r['max_bound_ratio']:.4f}" for r in rows)
-    return {
-        "command": "symmdiff-check",
-        "rows": rows,
-        "pass": bool(ok),
-    }, summary
+    return {"rows": rows, "pass": bool(ok)}, summary
 
 
 _GRID = ("k_max", "lambda_min", "lambda_max", "lambda_nodes")
@@ -676,25 +692,37 @@ def _resolve_config(command, config, flags):
     given.update(flags)
     merged.update(given)
     cfg = RunConfig(command, **merged)
-    _refuse_unread(cfg, given)
-    return cfg
-
-
-def _refuse_unread(cfg, given):
-    """Refuse a family the command does not implement, and any option in
-    given that the command (with its family) does not read."""
-    reads = _COMMANDS[cfg.command][2]
-    what = cfg.command
-    if isinstance(reads, dict):
-        if cfg.family not in reads:
-            *head, last = reads
-            raise DomainError(f"unknown family {cfg.family!r}; "
-                              f"choose {', '.join(head)} or {last}")
-        what = f"{cfg.command} --family {cfg.family}"
-        reads = ("family", *reads[cfg.family])
+    what, reads = _reads(cfg)
     unread = sorted(set(given).difference(reads, ("out",)))
     if unread:
         raise DomainError(f"{what} does not read {', '.join(unread)}")
+    return cfg
+
+
+def _reads(cfg):
+    """(the command as a refusal names it, the options it reads with its
+    family); a family the command does not implement is refused."""
+    reads = _COMMANDS[cfg.command][2]
+    if not isinstance(reads, dict):
+        return cfg.command, reads
+    if cfg.family not in reads:
+        *head, last = reads
+        raise DomainError(f"unknown family {cfg.family!r}; "
+                          f"choose {', '.join(head)} or {last}")
+    return f"{cfg.command} --family {cfg.family}", ("family", *reads[cfg.family])
+
+
+def _run_description(cfg):
+    """The keys every report starts from: the command, n where the command
+    reads it, and the lambda grid where the command reads one."""
+    reads = _reads(cfg)[1]
+    description = {"command": cfg.command}
+    if "n" in reads:
+        description["n"] = cfg.n
+    if "lambda_nodes" in reads:
+        description.update(k_max=cfg.k_max, lambda_nodes=cfg.lambda_nodes,
+                           lambda_range=[cfg.lambda_min, cfg.lambda_max])
+    return description
 
 
 def _rows_csv(rows):
@@ -734,6 +762,7 @@ def main(argv):
     try:
         cfg = _resolve_config(*args)
         report, summary = _COMMANDS[cfg.command][0](cfg)
+        report = {**_run_description(cfg), **report}
         bad = next(_non_finite(report), None)
         if bad is not None:
             raise DomainError(f"report value {bad} is not finite")

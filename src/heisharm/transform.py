@@ -147,6 +147,9 @@ def gaussian_coefficients(n, sigma_z, sigma_t, grid):
     """
     if sigma_z <= 0 or sigma_t <= 0:
         raise DomainError("gaussian factor needs positive widths")
+    # cli._cmd_dilate_check refuses, before numpy loads, a window where b
+    # (at its top) or the prefactor, alone or times t_hat's bound
+    # sigma_t sqrt(2 pi) (at its bottom), overflows: keep the two in step
     b = grid.lam * sigma_z ** 2
     q = (2.0 - b) / (2.0 + b)
     k = np.arange(grid.k_max + 1, dtype=float)
@@ -267,6 +270,8 @@ def dilate_coeffs(coeffs, r):
     out = np.empty_like(coeffs.values)
     for k in range(coeffs.values.shape[0]):
         out[k] = np.interp(q, logl, coeffs.values[k], left=0.0, right=0.0)
+    # cli._cmd_dilate_check bounds this product for its Gaussian by the
+    # largest value interpolated here, at a node above lam_min / r^2 e^-h
     out *= float(r) ** (-(2.0 * coeffs.n + 2.0))
     return coeffs.with_values(out)
 
@@ -408,6 +413,8 @@ def box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=CONV_U_NODES):
         singular = [c for c in (abs(A1 - ri), ri + A1) if 0.0 < c <= umax]
         cuts = sorted({0.0, umax} | {c for c in singular if c < umax})
         ux, uw = _box_u_rule(cuts, singular, u_nodes)
+        # 1 - gamma <= A1^2 / (2 ri u) cancels where A1 << ri: cli's
+        # convolve-check refuses a rho2 / rho1 where it loses the tolerance
         gamma = (ri ** 2 + ux ** 2 - A1 ** 2) / np.maximum(2.0 * ri * ux, 1e-300)
         if ri == 0.0:
             psis = np.where(ux <= A1, np.pi, 0.0)

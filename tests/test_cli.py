@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from heisharm.chernoff import gamma_bound_log
 from heisharm.cli import (_COMMANDS, _NAMES, _OPTIONS, RunConfig, _flag,
-                          _parse_args, _resolve_config, main)
+                          _parse_args, _resolve_config, _run_description, main)
 from heisharm.errors import HeisharmError, HypothesisError, TailError
 from heisharm.fixtures import packaged_fixtures_dir
 from heisharm.group import ball_shift_symmdiff, ball_volume
@@ -269,6 +269,59 @@ def test_commands_declare_exactly_the_options_they_read():
             assert seen - {"family"} == set(declared), (command, family)
 
 
+# one small run of each command and family: (command, family, options), of
+# which a run sets by flag those the command reads
+_DESCRIBED = [
+    ("laguerre-check", None, {"k_max": 12}),
+    ("plancherel-check", "both", {"n": 2, **_SMALL}),
+    ("plancherel-check", "gaussian", {"n": 2, **_SMALL}),
+    ("convolve-check", None, {"k_max": 8, "lambda_nodes": 6}),
+    ("dilate-check", None, {"n": 2, **_SMALL}),
+    ("ingham-plan", None, {"n": 2, **_SMALL}),
+    ("ingham-verify", None, {"n": 2, **_SMALL}),
+    ("carleman", "box", {"max_power": 3}),
+    ("carleman", "envelope", {"k_max": 16, "lambda_nodes": 64, "max_power": 3}),
+    ("gamma-bound-check", None, {"n": 2, **_SMALL}),
+    ("symmdiff-check", None, {}),
+]
+
+
+@pytest.mark.parametrize("command, family, options", _DESCRIBED,
+                         ids=[f"{c}-{f}" if f else c for c, f, _ in _DESCRIBED])
+def test_every_report_names_its_command_and_grid(tmp_path, monkeypatch, command,
+                                                 family, options):
+    # main writes the run description: the command always, n where the
+    # command reads it, and the lambda grid where it reads one, each equal
+    # to the resolved config
+    reads = _COMMANDS[command][2]
+    reads = reads[family] if family else reads
+    flags = {k: v for k, v in options.items() if k in reads}
+    if family:
+        flags["family"] = family
+    argv = [a for k, v in flags.items() for a in (_flag(k), str(v))]
+    handler, *rest = _COMMANDS[command]
+    written = []
+    monkeypatch.setitem(_COMMANDS, command, (
+        lambda cfg: written.append(handler(cfg)) or written[-1], *rest))
+    code, report, _ = run(tmp_path, command, *argv)
+    assert code in (0, 1)
+    cfg = _resolve_config(command, None, flags)
+    # a key the handler writes as well (verify_decay's n and grid, the
+    # gamma-bound report's n) is the value main writes, not a second one
+    (own, _), = written
+    described = _run_description(cfg)
+    shared = sorted(described.keys() & own.keys())
+    assert (json.loads(json.dumps([own[k] for k in shared]))
+            == [described[k] for k in shared])
+    assert report["command"] == command
+    assert report.get("n") == (cfg.n if "n" in reads else None)
+    reads_grid = "lambda_min" in reads
+    for key, value in (("k_max", cfg.k_max),
+                       ("lambda_range", [cfg.lambda_min, cfg.lambda_max]),
+                       ("lambda_nodes", cfg.lambda_nodes)):
+        assert report.get(key) == (value if reads_grid else None), key
+
+
 def test_help_lists_every_command(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
@@ -283,8 +336,8 @@ def test_ingham_verify_small_grid(tmp_path):
                           "--lambda-nodes", "24")
     assert code == 0
     assert report["pass"] is True
-    assert sorted(report) == ["C", "argmax", "k_max", "lambda_range",
-                              "max_log_q", "n", "pass", "theta"]
+    assert sorted(report) == ["C", "argmax", "command", "k_max", "lambda_nodes",
+                              "lambda_range", "max_log_q", "n", "pass", "theta"]
 
 
 def test_divergent_profile_refused(tmp_path):
@@ -702,6 +755,11 @@ _FACTOR_COUNT = ("the factor count must stay below 2^63 = 9.22337e+18, where it 
     pytest.param(["carleman", "--family", "envelope", "--theta", "inv-sqrt",
                   "--lambda-min", "1e12", "--lambda-max", "1e13"],
                  "zero function: Carleman sums are degenerate", id="zero-function"),
+    # where the dilated and target coefficients differ by more than the
+    # largest double times the target's scale
+    pytest.param(["dilate-check", "--n", "220", "--kmax", "3", "--lambda-nodes", "6",
+                  "--lambda-min", "7.72e-47", "--lambda-max", "4e191"],
+                 "report value max_rel_error is not finite", id="dilate-relative-error"),
 ])
 def test_non_finite_report_refused(tmp_path, fresh_env, argv, message):
     # a window whose report would not be finite is refused with one line
@@ -725,6 +783,38 @@ _EXTREME = [
     pytest.param(["dilate-check", "--n", "30", "--dilation", "1e-5"],
                  "dilation must stay above 1.06696e-05, where r^-62 overflows; "
                  "got 1e-05", id="dilate-n30"),
+    # the Gaussians' closed forms: b = lam sz^2 with sz = 2 at the top of the
+    # window, (4 pi sz^2/(2 + b))^n at its bottom, for the source and for the
+    # target, whose width is sz / r, and the source times r^-(2n+2)
+    pytest.param(["dilate-check", "--lambda-max", "5e307"],
+                 "lambda_max must stay below 4.49423e+307, where b = lambda_max "
+                 "sz^2 overflows; got 5e+307", id="dilate-b"),
+    pytest.param(["dilate-check", "--dilation", "0.5", "--lambda-max", "3e307"],
+                 "lambda_max must stay below 1.12356e+307, where b = lambda_max "
+                 "(sz/r)^2 overflows; got 3e+307", id="dilate-target-b"),
+    pytest.param(["dilate-check", "--n", "221"],
+                 "n must stay below 220.281 at lambda_min = 0.001, where "
+                 "(4 pi sz^2/(2 + lambda_min sz^2))^n overflows; got 221",
+                 id="dilate-n221"),
+    pytest.param(["dilate-check", "--n", "30", "--dilation", "1.1e-5",
+                  "--lambda-min", "1e-20"],
+                 "n must stay below 26.3873 at lambda_min = 1e-20, where "
+                 "(4 pi (sz/r)^2/(2 + lambda_min (sz/r)^2))^n (st/r^2) sqrt(2 pi) "
+                 "overflows; got 30", id="dilate-target-n"),
+    pytest.param(["dilate-check", "--n", "120", "--dilation", "0.1", "--lambda-min",
+                  "1", "--lambda-max", "1e6", "--lambda-nodes", "2"],
+                 "dilation must stay above 0.152296 at n = 120, where r^-242 times "
+                 "the source coefficients it reads, up to 2.92191e+110, overflows; "
+                 "got 0.1", id="dilate-source-times-r"),
+    # a second ball so much wider than the first that the spatial side's
+    # overlap angle loses the check's tolerance to rounding, long before its
+    # u-sums overflow
+    *(pytest.param(["convolve-check", "--factors", f"0.9,0.8,{rho2},0.6"],
+                   "factors rho2 must stay below 1.90995e+06 (2.12217e+06 rho1), "
+                   "where the spatial convolution's overlap angle arccos(gamma) "
+                   f"loses the tolerance 0.001 to rounding; got {rho2}",
+                   id=f"convolve-rho2-{rho2}")
+      for rho2 in ("1.91e+06", "3e+84", "3e+85", "1e+86")),
     # convolve-check's window tops out at lambda_max = 1.8
     pytest.param(["convolve-check", "--factors", "1e300,1,1,1"],
                  _WIDTH.format("rho1", "below", "9.99359e+153",
@@ -797,6 +887,15 @@ def test_width_refusals_load_no_numpy(tmp_path, fresh_env):
     (["plancherel-check", "--family", "box", "--factors", "1,1e-150,1,1"], 1),
     (["dilate-check", "--dilation", "1e76", "--lambda-min", "1e-300",
       "--lambda-max", "1e300"], 1),
+    (["dilate-check", "--lambda-max", "4e307"], 1),
+    (["dilate-check", "--n", "220"], 0),
+    (["convolve-check", "--factors", "0.9,0.8,1.9e6,0.6"], 0),
+    # just inside dilate-check's limits on the target's b and prefactor and
+    # on the source times r^-(2n+2)
+    (["dilate-check", "--dilation", "0.5", "--lambda-max", "1.1e307"], 1),
+    (["dilate-check", "--n", "26", "--dilation", "1.1e-5", "--lambda-min", "1e-20"], 1),
+    (["dilate-check", "--n", "120", "--dilation", "0.153", "--lambda-min", "1",
+      "--lambda-max", "1e6", "--lambda-nodes", "2"], 1),
 ])
 def test_widths_inside_the_limits_run_quietly(tmp_path, fresh_env, argv, code):
     proc = _warning_run(tmp_path, fresh_env, argv)

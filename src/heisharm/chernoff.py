@@ -184,7 +184,6 @@ def ingham_norm_bound_check(theta, n, M):
         })
     return {
         "theta": getattr(theta, "name", "<callable>"),
-        "n": n,
         "M": M,
         "rows": rows,
         "pass": bool(all(r["pass"] for r in rows)),

@@ -278,9 +278,6 @@ def verify_decay(plan, theta, grid):
     ok = bool(np.isfinite(max_log_q) and stable)
     return {
         "theta": plan.theta_name,
-        "n": plan.n,
-        "k_max": k_max,
-        "lambda_range": [float(lam_nodes[0]), float(lam_nodes[-1])],
         "max_log_q": float(max_log_q),
         "argmax": {"k": int(k_star), "lambda": float(lam_star)},
         "C": float(np.exp(max_log_q)),

@@ -19,6 +19,7 @@ CASES = {
     "symmdiff-check": (["symmdiff-check"], 0),
     "plancherel-box": (["plancherel-check", "--family", "box"], 1),
     "inv-log-refused": (["ingham-verify", "--theta", "inv-log"], 2),
+    "width-refused": (["convolve-check", "--factors", "0.9,0.8,1e+86,0.6"], 2),
     "unknown-flag": (["symmdiff-check", "--bogus"], 2),
     "help": (["--help"], 0),
 }

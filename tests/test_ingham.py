@@ -324,8 +324,7 @@ def test_verify_decay_smoke():
     plan = plan_sequences(theta, 1, J=16)
     report = verify_decay(plan, theta, QuadratureGrid.make(
         k_max=12, lambda_min=0.1, lambda_max=10.0, lambda_nodes=24))
-    assert sorted(report) == ["C", "argmax", "k_max", "lambda_range",
-                              "max_log_q", "n", "pass", "theta"]
+    assert sorted(report) == ["C", "argmax", "max_log_q", "pass", "theta"]
     assert report["pass"] is True
     assert report["C"] == pytest.approx(np.exp(report["max_log_q"]))
     assert 0 <= report["argmax"]["k"] <= 12
@@ -379,8 +378,7 @@ def test_table_profiles_plan_and_verify(n, theta):
         assert np.all(seq > 0) and np.all(np.diff(seq) <= 0)
     report = verify_decay(plan, theta, QuadratureGrid.make(
         k_max=16, lambda_min=1e-2, lambda_max=1e2, lambda_nodes=32))
-    assert sorted(report) == ["C", "argmax", "k_max", "lambda_range",
-                              "max_log_q", "n", "pass", "theta"]
+    assert sorted(report) == ["C", "argmax", "max_log_q", "pass", "theta"]
     assert np.isfinite(report["max_log_q"])
 
 
@@ -405,7 +403,7 @@ def test_verify_decay_matches_two_pass_oracle(theta, n, J, k_max, window,
     lam_nodes = grid.lam
     max_log_q, k_star, lam_star = _dense_max_log_q(plan, theta, k_max, lam_nodes)
     max2 = _dense_max_log_q(plan, theta, 2 * k_max, lam_nodes)[0]
-    assert report["lambda_range"] == list(window)
+    assert [lam_nodes[0], lam_nodes[-1]] == list(window)
     assert report["max_log_q"] == max_log_q
     assert report["argmax"] == {"k": k_star, "lambda": lam_star}
     assert report["C"] == float(np.exp(max_log_q))

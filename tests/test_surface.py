@@ -10,19 +10,26 @@ The parameter censuses count a call of a function only where the calling
 file's own imports and definitions resolve the callee to it, scope by
 scope as Python looks names up: a same-named local function, pytest
 argument or foreign module's function does not count, nor does a call
-through an instance or a parameter."""
+through an instance or a parameter.  Each file is parsed once per session."""
 
 import ast
+import functools
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "heisharm").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 ORACLES = ROOT / "tests" / "oracles.py"
 
 
+@functools.cache
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
 def _trees(paths):
-    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
-            for path in paths}
+    return {path.name: _tree(path) for path in paths}
 
 
 def _listed(body, name):
@@ -200,28 +207,24 @@ def _passes(call, param, pos):
         isinstance(arg, ast.Starred) for arg in call.args[:pos + 1])
 
 
-def _census(keep):
-    """module.qualname:param of every defaulted parameter of the package and
-    the tests' oracles whose calls in the package, the tests and perfbench
-    do not satisfy keep(passes), passes holding one bool per call: whether
-    that call sets the parameter.  A call counts where it resolves to the
-    function itself through its file's imports and definitions."""
-    callers = [*PACKAGE, *sorted((ROOT / "tests").glob("*.py")),
-               *sorted((ROOT / "perfbench").glob("*.py"))]
+@functools.cache
+def _knob_calls():
+    """{module.qualname:param: passes} for every defaulted parameter of the
+    package and the tests' oracles, passes holding one bool per call in the
+    package, the tests and perfbench that resolves to the function itself
+    through its file's imports and definitions: whether that call sets the
+    parameter."""
     calls = {}
-    for path in callers:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for call, callee in _file_calls(tree, _module_path(path)):
+    for path in [*PACKAGE, *TESTS, *sorted((ROOT / "perfbench").glob("*.py"))]:
+        for call, callee in _file_calls(_tree(path), _module_path(path)):
             calls.setdefault(callee, []).append(call)
-    found = []
+    found = {}
     for path in [*PACKAGE, ORACLES]:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for own, target, param, pos in _knobs(tree, _module_path(path)):
-            if not keep([_passes(call, param, pos)
-                         for call in calls.get(target, ())]):
-                name = ".".join(own[1:] if own[0] == "heisharm" else own)
-                found.append(f"{name}:{param}")
-    return sorted(found)
+        for own, target, param, pos in _knobs(_tree(path), _module_path(path)):
+            name = ".".join(own[1:] if own[0] == "heisharm" else own)
+            found[f"{name}:{param}"] = [_passes(call, param, pos)
+                                        for call in calls.get(target, ())]
+    return found
 
 
 def test_calls_resolve_through_the_callers_own_bindings():
@@ -266,41 +269,83 @@ class Grid:
 
 
 def test_every_defaulted_parameter_is_passed_by_some_call():
-    assert _census(any) == []
+    assert [knob for knob, passes in _knob_calls().items() if not any(passes)] == []
 
 
 def test_every_default_is_relied_on_by_some_call():
     # a default that every call overrides states a value nothing uses
-    assert _census(lambda passes: not all(passes)) == []
+    assert [knob for knob, passes in _knob_calls().items() if all(passes)] == []
 
 
-def _attribute_loads(trees, skip):
-    """Names of the attributes loaded in trees, outside the nodes in skip."""
-    loads = set()
-    stack = list(trees.values())
-    while stack:
-        node = stack.pop()
-        if node in skip:
-            continue
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            loads.add(node.attr)
-        stack.extend(ast.iter_child_nodes(node))
-    return loads
+def _attribute_loads(nodes):
+    """How often each attribute name is loaded in and below nodes."""
+    return Counter(node.attr for top in nodes for node in ast.walk(top)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, ast.Load))
 
 
 def test_every_record_field_is_read_by_production_code():
     # a field counts as read where production code loads it, except in its
     # own class's __init__ and same_as, which only set and compare it
     trees = _trees(PACKAGE)
+    loads = _attribute_loads(trees.values())
     unread = []
     for module, tree in trees.items():
         for cls in ast.walk(tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
-            own = {fn for fn in cls.body if isinstance(fn, ast.FunctionDef)
-                   and fn.name in ("__init__", "same_as")}
-            loads = _attribute_loads(trees, own)
+            own = _attribute_loads(fn for fn in cls.body if isinstance(
+                fn, ast.FunctionDef) and fn.name in ("__init__", "same_as"))
             unread += [f"{module}:{cls.name}.{field}"
                        for field in _listed(cls.body, "__slots__")
-                       if field not in loads]
+                       if loads[field] == own[field]]
     assert unread == []
+
+
+# the tests that start a fresh interpreter, each with why the process itself
+# is what it tests; every other test runs main(argv) in this process, where
+# capsys, monkeypatch.chdir and warnings.catch_warnings see the same exit
+# code, streams, files and warnings
+_PROCESS_TESTS = {
+    "test_acceptance.py:test_reports_byte_identical_across_processes":
+        "report bytes must not depend on the process that writes them",
+    "test_calibrate.py:test_package_import_leaves_calibrate_unloaded":
+        "the import set of a fresh `import heisharm`",
+    "test_calibrate.py:test_calibrate_module_refuses_arguments":
+        "`python -m heisharm.calibrate`, an entry point of its own",
+    "test_cli.py:test_malformed_command_lines_exit_2_with_one_line":
+        "the import set: a malformed command line never loads numpy",
+    "test_cli.py:test_width_refusals_load_no_numpy":
+        "the import set: a width or dilation refusal never loads numpy",
+    "test_exit.py:test_process_exit_matches_in_process_dispatch":
+        "the exit path, console_main's flush and os._exit, against main",
+    "test_exit.py:test_flush_into_closed_pipe_exits_120":
+        "the final flush into a pipe whose reader is gone",
+    "test_exit.py:test_closed_stdout_keeps_the_exit_code":
+        "a process started with its standard output closed",
+    "test_special.py:test_runtime_import_path_never_loads_scipy":
+        "the import set, with scipy blocked from the start",
+    "test_special.py:test_front_end_and_declared_refusals_skip_numpy":
+        "the import set of the front end and the declared refusals",
+    "test_special.py:test_spectral_checks_skip_gauss_rules_and_plans_still_hash":
+        "the import set: no Gauss rule module and no OpenSSL",
+    "test_special.py:test_light_checks_load_only_what_they_run":
+        "the import set of symmdiff-check and laguerre-check",
+    "test_special.py:test_convolve_check_loads_only_what_it_runs":
+        "the import set of convolve-check",
+}
+
+
+def _starts_a_process(fn):
+    """Whether fn names the subprocess module or reads sys.executable."""
+    return any(isinstance(node, ast.Name) and node.id == "subprocess"
+               or isinstance(node, ast.Attribute) and node.attr == "executable"
+               and isinstance(node.value, ast.Name) and node.value.id == "sys"
+               for node in ast.walk(fn))
+
+
+def test_fresh_interpreters_only_where_the_process_is_tested():
+    found = [f"{path.name}:{fn.name}" for path in TESTS
+             for fn in ast.walk(_tree(path))
+             if isinstance(fn, ast.FunctionDef) and _starts_a_process(fn)]
+    assert sorted(found) == sorted(_PROCESS_TESTS)

@@ -160,7 +160,8 @@ def check_gamma_hypothesis(theta):
 
 
 def ingham_norm_bound_check(theta, n, M):
-    """Check I(m) <= gamma bound for m = 1..M and report the ratios.
+    """Check I(m) <= gamma bound for m = 1..M on the ThetaProfile theta and
+    report its name and the ratios.
 
     The hypothesis Theta(y) >= 2 y^{-1/2} (y >= 1) is verified on samples
     first.  M is capped at MAX_POWER by policy (see its comment); the
@@ -183,8 +184,7 @@ def ingham_norm_bound_check(theta, n, M):
             "pass": bool(log_i <= log_b),
         })
     return {
-        "theta": getattr(theta, "name", "<callable>"),
-        "M": M,
+        "theta": theta.name,
         "rows": rows,
         "pass": bool(all(r["pass"] for r in rows)),
     }

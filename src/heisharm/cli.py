@@ -279,14 +279,13 @@ def _cmd_convolve_check(cfg):
     # far below 1, and reads near 0 on a spatial side wrong by its whole size
     column = float(np.max(diff.max(axis=0) / np.abs(prod.values).max(axis=0)))
     return {
-        "factors": list(cfg.factors),
         "oracle_samples": int(x.size * tx.size),
         "max_rel_error": worst,
         "max_column_error": column,
         "argmax": {"k": int(ki), "lambda": float(grid.lam[li])},
         "tol": _CONVOLVE_TOL,
         "pass": bool(column <= _CONVOLVE_TOL),
-    }, f"max_rel_error={worst:.3e} samples={x.size * tx.size}"
+    }, f"max_column_error={column:.3e} samples={x.size * tx.size}"
 
 
 _DILATE_TOL = 1e-3
@@ -348,7 +347,6 @@ def _cmd_dilate_check(cfg):
     worst = float(np.max(np.abs(dilated.values[:, mask]
                                 - target.values[:, mask]))) / scale
     return {
-        "dilation": r,
         "compared_nodes": int(np.sum(mask)),
         "max_rel_error": worst,
         "tol": _DILATE_TOL,
@@ -368,19 +366,18 @@ def _cmd_ingham_plan(cfg):
     # acceptance-grade run
     check = factor_bound_check(cfg.n, thin=6, fixtures_dir=cfg.fixtures)
     ok = check["violations"] == 0
+    radius = support_radius(plan)
     return {
         "theta": theta.name,
-        "J": plan.J,
         "a": plan.a,
         "c": plan.c,
         "c_n": plan.c_n,
         "rho_head": [float(v) for v in plan.rho[:8]],
         "tau_head": [float(v) for v in plan.tau[:8]],
-        "support_radius": support_radius(plan),
+        "support_radius": radius,
         "factor_bound": check,
         "pass": bool(ok),
-    }, (f"theta={theta.name} J={plan.J} "
-        f"support_radius={support_radius(plan):.6g} "
+    }, (f"theta={theta.name} J={plan.J} support_radius={radius:.6g} "
         f"factor_violations={check['violations']}/{check['points']}")
 
 
@@ -391,7 +388,7 @@ def _cmd_ingham_verify(cfg):
     from .ingham import plan_sequences, verify_decay
     plan = plan_sequences(theta, cfg.n, J=cfg.chain_length,
                           fixtures_dir=cfg.fixtures)
-    report = verify_decay(plan, theta, cfg.grid())
+    report = {**verify_decay(plan, theta, cfg.grid()), "c_n": plan.c_n}
     return report, (f"theta={theta.name} n={cfg.n} k_max={cfg.k_max} "
                     f"max_log_q={report['max_log_q']:.6f} C={report['C']:.6g}")
 
@@ -462,7 +459,6 @@ def _cmd_carleman(cfg):
             ok = True
         rows = _carleman_rows(prof, ratios)
     report = {
-        "family": family,
         "M": M,
         "rows": rows,
         **detail,
@@ -482,7 +478,7 @@ def _cmd_gamma_bound_check(cfg):
     theta = load_theta(cfg.theta)
     report = ingham_norm_bound_check(theta, cfg.n, cfg.max_power)
     worst = max(r["ratio"] for r in report["rows"])
-    return report, f"theta={theta.name} M={report['M']} max_ratio={worst:.3e}"
+    return report, f"theta={theta.name} M={cfg.max_power} max_ratio={worst:.3e}"
 
 
 _SYMMDIFF_RADII = 10
@@ -719,15 +715,17 @@ def _reads(cfg):
 
 
 def _run_description(cfg):
-    """The keys every report starts from: the command, n where the command
-    reads it, and the lambda grid where the command reads one."""
-    reads = _reads(cfg)[1]
+    """The keys every report starts from: the command, and each option it
+    reads under its own name with its resolved value, factors as a list and
+    an unset option as null.  fixtures, a path on one host, is left out, and
+    so is theta, which may be one: a handler that loads the profile writes
+    its name.  So with a builtin profile a report's option keys are a config
+    that runs it again."""
     description = {"command": cfg.command}
-    if "n" in reads:
-        description["n"] = cfg.n
-    if "lambda_nodes" in reads:
-        description.update(k_max=cfg.k_max, lambda_nodes=cfg.lambda_nodes,
-                           lambda_range=[cfg.lambda_min, cfg.lambda_max])
+    for name in _reads(cfg)[1]:
+        if name not in ("fixtures", "theta"):
+            value = getattr(cfg, name)
+            description[name] = list(value) if isinstance(value, tuple) else value
     return description
 
 

@@ -300,32 +300,41 @@ _DESCRIBED = [
                          ids=[f"{c}-{f}" if f else c for c, f, _ in _DESCRIBED])
 def test_every_report_names_its_command_and_grid(tmp_path, monkeypatch, command,
                                                  family, options):
-    # main writes the run description: the command always, n where the
-    # command reads it, and the lambda grid where it reads one, each equal
-    # to the resolved config
+    # main writes the run description: the command, and every option the
+    # command reads but the fixtures path under its own name, each equal to
+    # the resolved config; so the report's option keys re-run it
     reads = _COMMANDS[command][2]
     reads = reads[family] if family else reads
     flags = {k: v for k, v in options.items() if k in reads}
     if family:
         flags["family"] = family
+        reads = ("family", *reads)
     argv = [a for k, v in flags.items() for a in (_flag(k), str(v))]
     handler, *rest = _COMMANDS[command]
     written = []
     monkeypatch.setitem(_COMMANDS, command, (
         lambda cfg: written.append(handler(cfg)) or written[-1], *rest))
-    code, report, _ = run(tmp_path, command, *argv)
+    code, report, first = run(tmp_path, command, *argv)
     assert code in (0, 1)
     cfg = _resolve_config(command, None, flags)
     # main alone writes the description: no handler restates any of its keys
     (own, _), = written
     assert own.keys() & _run_description(cfg).keys() == set()
     assert report["command"] == command
-    assert report.get("n") == (cfg.n if "n" in reads else None)
-    reads_grid = "lambda_min" in reads
-    for key, value in (("k_max", cfg.k_max),
-                       ("lambda_range", [cfg.lambda_min, cfg.lambda_max]),
-                       ("lambda_nodes", cfg.lambda_nodes)):
-        assert report.get(key) == (value if reads_grid else None), key
+    # theta, which may be a path, is the profile's name, written by the
+    # handler; with a builtin profile that is the resolved value
+    keys = {k: v for k, v in report.items() if k in _NAMES}
+    assert keys.keys() == set(reads) - {"fixtures"}
+    for key, value in keys.items():
+        want = getattr(cfg, key)
+        assert value == (list(want) if isinstance(want, tuple) else want), key
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(keys))
+    again = tmp_path / "again"
+    again.mkdir()
+    monkeypatch.chdir(again)
+    assert main([command, "--config", str(config)]) == code
+    assert (again / "report.json").read_bytes() == first.read_bytes()
 
 
 def test_help_lists_every_command(capsys):
@@ -342,8 +351,9 @@ def test_ingham_verify_small_grid(tmp_path):
                           "--lambda-nodes", "24")
     assert code == 0
     assert report["pass"] is True
-    assert sorted(report) == ["C", "argmax", "command", "k_max", "lambda_nodes",
-                              "lambda_range", "max_log_q", "n", "pass", "theta"]
+    assert sorted(report) == ["C", "argmax", "c_n", "chain_length", "command",
+                              "k_max", "lambda_max", "lambda_min", "lambda_nodes",
+                              "max_log_q", "n", "pass", "theta"]
 
 
 def test_divergent_profile_refused(tmp_path):
@@ -389,12 +399,12 @@ def test_gamma_bound_check_paths(tmp_path):
     code, report, _ = run(tmp_path, "gamma-bound-check",
                           "--theta", "inv-sqrt-strong")
     assert code == 0
-    assert report["M"] == 10
+    assert report["max_power"] == 10
     assert all(r["ratio"] <= 1.0 for r in report["rows"])
     code, report, _ = run(tmp_path, "gamma-bound-check",
                           "--theta", "inv-sqrt-strong", "--max-power", "1")
     assert code == 0
-    assert report["M"] == 1 and [r["m"] for r in report["rows"]] == [1]
+    assert report["max_power"] == 1 and [r["m"] for r in report["rows"]] == [1]
 
 
 @pytest.mark.parametrize("argv", [
@@ -482,6 +492,19 @@ def test_convolve_check_small(tmp_path):
     assert report["oracle_samples"] >= 500
 
 
+def test_convolve_check_prints_the_measure_pass_reads(tmp_path, capsys):
+    # a second ball 1000 times wider: max_rel_error sits under the
+    # tolerance, the column measure that pass reads does not, and the
+    # summary line prints the latter
+    code, report, _ = run(tmp_path, "convolve-check",
+                          "--factors", "0.9,0.8,1000,0.6")
+    assert code == 1 and report["pass"] is False
+    assert report["max_rel_error"] <= report["tol"] < 8 < report["max_column_error"]
+    assert capsys.readouterr().out == (
+        f"convolve-check: max_column_error={report['max_column_error']:.3e} "
+        f"samples={report['oracle_samples']} pass=false\n")
+
+
 def test_dilate_check(tmp_path):
     code, report, _ = run(tmp_path, "dilate-check", "--lambda-nodes", "160")
     assert code == 0
@@ -492,7 +515,7 @@ def test_dilate_check(tmp_path):
 def test_dilate_check_defaults(tmp_path):
     code, report, _ = run(tmp_path, "dilate-check")
     assert code == 0
-    assert report["lambda_range"] == [1e-3, 1e3]
+    assert (report["lambda_min"], report["lambda_max"]) == (1e-3, 1e3)
     assert report["k_max"] == 64 and report["lambda_nodes"] == 320
 
 
@@ -555,7 +578,7 @@ def test_symmdiff_check(tmp_path, capsys):
 def test_ingham_plan_report(tmp_path):
     code, report, _ = run(tmp_path, "ingham-plan", "--chain-length", "12")
     assert code == 0
-    assert report["J"] == 12
+    assert report["chain_length"] == 12
     assert report["a"] == pytest.approx(np.pi ** -0.5)
     assert report["factor_bound"]["violations"] == 0
     rho1 = report["c_n"] ** 2 * np.e ** 2 * (0.5 ** 0.5) + 0.5
@@ -570,7 +593,8 @@ def test_config_precedence(tmp_path):
                           "--kmax", "12")
     assert code == 0
     assert report["k_max"] == 12  # flag beats config
-    assert report["lambda_range"] == [0.2, 5.0]  # config beats default
+    # config beats default
+    assert (report["lambda_min"], report["lambda_max"]) == (0.2, 5.0)
 
 
 def test_unknown_config_key_refused(tmp_path):
@@ -623,7 +647,7 @@ def test_config_null_is_unset(tmp_path):
     assert code3 == 1 and report["family"] == "box" and report["M"] == 20
     code4, report, _ = run(tmp_path, "gamma-bound-check", "--theta",
                            "inv-sqrt-strong", "--config", str(cfg), out="g.json")
-    assert code4 == 0 and report["M"] == 10
+    assert code4 == 0 and report["max_power"] == 10
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -1067,6 +1091,25 @@ def test_fixtures_dir_override(tmp_path):
     code, report, _ = run(tmp_path, "ingham-plan", "--fixtures", str(fxdir))
     assert code == 1
     assert report["factor_bound"]["violations"] > 0
+
+
+def test_ingham_verify_names_the_fixture_constant(tmp_path):
+    # the report's c_n is the constant read from --fixtures, not the
+    # packaged one
+    fxdir = tmp_path / "fx"
+    shutil.copytree(packaged_fixtures_dir(), fxdir)
+    path = fxdir / "box_factor_envelope.json"
+    fx = json.loads(path.read_text())
+    packaged = fx["c_n"]["1"]
+    fx["c_n"]["1"] = 1.5 * packaged
+    path.write_text(json.dumps(fx))
+    small = ["--kmax", "8", "--lambda-min", "0.1", "--lambda-max", "10",
+             "--lambda-nodes", "8"]
+    code, report, _ = run(tmp_path, "ingham-verify", *small)
+    assert code == 0 and report["c_n"] == packaged
+    code, report, _ = run(tmp_path, "ingham-verify", *small,
+                          "--fixtures", str(fxdir), out="scaled.json")
+    assert code == 0 and report["c_n"] == 1.5 * packaged
 
 
 @pytest.mark.parametrize("tamper", ["mismatch", "missing", "not-json"])

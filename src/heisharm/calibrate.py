@@ -19,10 +19,10 @@ then only read:
   chain; c3 is fixed at 1 since the interval term is negligible next to the
   ball term and only the product C*c3 is identifiable.
 
-Every fixture records a hash of the grid parameters that produced it; the
-grid constants and their hashes live in :mod:`heisharm.fixtures`, which
-refuses a fixture whose hash does not match.  Rerun with
-``python -m heisharm.calibrate`` after changing any of those constants.
+Every fixture records, beside its constants, the grid that produced them;
+the grids are stated once, in :data:`heisharm.fixtures.GRIDS`, which the
+calibration writes and every load compares.  Rerun with
+``python -m heisharm.calibrate`` after changing any grid constant there.
 """
 
 import os
@@ -36,23 +36,22 @@ from .fixtures import (
     CHAIN_GAP_J,
     CHAIN_GAP_K_PROBE,
     CHAIN_GAP_THETA,
+    CN_SAFETY,
     ENVELOPE_DIMS,
     ENVELOPE_K_MAX,
     ENVELOPE_LAMBDAS,
-    ENVELOPE_RADII_NODES,
-    ENVELOPE_RADII_RANGE,
     FACTOR_DIMS,
     FACTOR_K_MAX,
     FACTOR_S_NODES,
-    FACTOR_S_RANGE,
-    GRID_HASHES,
+    GRIDS,
     calibration_grid,
+    envelope_radii,
     packaged_fixtures_dir,
 )
 from .grids import QuadratureGrid, radial_rule
 from .ingham import cauchy_gap, plan_sequences
 from .jsonio import write_json
-from .laguerre import envelope_radii, envelope_values, normalized_laguerre_table, nu
+from .laguerre import envelope_values, normalized_laguerre_table, nu
 from .theta import builtin_theta
 from .transform import ball_coefficients, ball_normalizer, transform_at_lambda
 
@@ -70,12 +69,9 @@ GAMMA_FLOOR = 1e-3
 # quadrature calibration sups: the change the frozen c_n may tolerate
 _ORACLE_TOL = 1e-9
 
-# margin of the frozen c_n over the calibration sup
-CN_SAFETY = 1.1
-
 
 def calibrate_envelope():
-    """Fit (C_fit, gamma_fit) for the four-region envelope.
+    """Fit (C_fit, gamma_fit) for the four-region envelope, with their grid.
 
     Pass one scans the exponential region (w > 3 nu / 2) for the slowest
     observed decay rate of C_{k,n} |phi| * s^{n-1} in w and backs gamma_fit
@@ -84,7 +80,7 @@ def calibrate_envelope():
     adds another 10%.  Zero table entries (underflow far past the turning
     point) are skipped: the envelope dominates them trivially.
     """
-    r = envelope_radii(ENVELOPE_RADII_RANGE, ENVELOPE_RADII_NODES)
+    r = envelope_radii()
     k = np.arange(ENVELOPE_K_MAX + 1)
     tables = {}
     rates = []
@@ -111,16 +107,7 @@ def calibrate_envelope():
             ratio = np.log(tab[mask]) - np.log(shape[mask])
         worst = max(worst, float(np.max(ratio)))
     c_fit = 1.1 * float(np.exp(worst))
-    return {
-        "C_fit": c_fit,
-        "gamma_fit": gamma_fit,
-        "k_max": ENVELOPE_K_MAX,
-        "lambdas": list(ENVELOPE_LAMBDAS),
-        "dims": list(ENVELOPE_DIMS),
-        "radii_nodes": ENVELOPE_RADII_NODES,
-        "radii_range": list(ENVELOPE_RADII_RANGE),
-        "grid_hash": GRID_HASHES["lemma21_constants.json"],
-    }
+    return {"C_fit": c_fit, "gamma_fit": gamma_fit, **GRIDS["lemma21_constants.json"]}
 
 
 def _quadrature_table(s, k_max, n):
@@ -165,34 +152,20 @@ def calibrate_cn(n):
 
 
 def calibrate_factor_bound():
-    """Frozen c_n for each supported dimension."""
-    return {
-        "c_n": {str(n): calibrate_cn(n) for n in FACTOR_DIMS},
-        "k_max": FACTOR_K_MAX,
-        "s_nodes": FACTOR_S_NODES,
-        "s_range": list(FACTOR_S_RANGE),
-        "safety": CN_SAFETY,
-        "grid_hash": GRID_HASHES["box_factor_envelope.json"],
-    }
+    """Frozen c_n for each supported dimension, with their grid of GRIDS."""
+    return {"c_n": {str(n): calibrate_cn(n) for n in FACTOR_DIMS},
+            **GRIDS["box_factor_envelope.json"]}
 
 
 def calibrate_chain_gap(c_n_1):
     """Frozen C for the chain Cauchy-gap bound, probed at k = 1..12 of the
-    reference inv-sqrt chain on H^1."""
+    reference inv-sqrt chain on H^1, with its grid of GRIDS."""
     theta = builtin_theta(CHAIN_GAP_THETA)
     plan = plan_sequences(theta, 1, J=CHAIN_GAP_J, c_n=c_n_1)
     grid = QuadratureGrid.make(**CHAIN_GAP_GRID)
     bounds, measured = cauchy_gap(plan, CHAIN_GAP_K_PROBE, grid, c3=1.0)
-    return {
-        "C": 1.1 * float(np.max(measured / bounds)),
-        "c3": 1.0,
-        "theta": CHAIN_GAP_THETA,
-        "n": 1,
-        "J": CHAIN_GAP_J,
-        "k_probe_max": CHAIN_GAP_K_PROBE,
-        "grid": dict(CHAIN_GAP_GRID),
-        "grid_hash": GRID_HASHES["chain_gap_constants.json"],
-    }
+    return {"C": 1.1 * float(np.max(measured / bounds)), "c3": 1.0,
+            **GRIDS["chain_gap_constants.json"]}
 
 
 def run_all(out_dir=None):

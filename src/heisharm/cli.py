@@ -192,12 +192,12 @@ def _box_forms(cfg, n, rho, tau):
 
 
 def _cmd_plancherel_check(cfg):
-    family = cfg.family
-    if family in ("box", "both") and cfg.n > _BOX_MAX_N:
-        raise DomainError(f"the box family needs n <= {_BOX_MAX_N}, got {cfg.n}")
-    _require_finite_measure(cfg)
     n = cfg.n
-    if family in ("box", "both"):
+    box, gaussian = (cfg.family in (f, "both") for f in ("box", "gaussian"))
+    if box and n > _BOX_MAX_N:
+        raise DomainError(f"the box family needs n <= {_BOX_MAX_N}, got {n}")
+    _require_finite_measure(cfg)
+    if box:
         rho, tau = cfg.factors[0], cfg.factors[1]
         rho_forms, tau_forms = _box_forms(cfg, n, "rho1", "tau1")
         _require_doubles("factors tau1", tau, tau_forms)
@@ -211,9 +211,9 @@ def _cmd_plancherel_check(cfg):
                             plancherel_norm)
     grid = cfg.grid()
     cases = []
-    if family in ("box", "both"):
+    if box:
         cases.append(("box", box_coefficients(n, rho, tau, grid), rho ** -n / tau))
-    if family in ("gaussian", "both"):
+    if gaussian:
         sz, st = _GAUSSIAN
         cases.append(("gaussian", gaussian_coefficients(n, sz, st, grid),
                       float(np.sqrt((np.pi * sz ** 2) ** n * st * np.sqrt(np.pi)))))
@@ -457,6 +457,7 @@ def _cmd_carleman(cfg):
                       "bound_skipped": f"doubled profile fails the gamma "
                                        f"hypothesis: {exc}"}
             ok = True
+        detail["theta"] = theta.name
         rows = _carleman_rows(prof, ratios)
     report = {
         "M": M,
@@ -464,8 +465,6 @@ def _cmd_carleman(cfg):
         **detail,
         "pass": bool(ok),
     }
-    if family == "envelope":
-        report["theta"] = theta.name
     summary = (f"family={family} M={M} "
                f"term_{M}={rows[-1]['carleman_term']:.4f} "
                f"partial_sum={rows[-1]['partial_sum']:.4f}")

@@ -1,21 +1,24 @@
 """Access to calibrated constants shipped with the package.
 
 Fixtures are JSON files produced by the calibration entry point
-(python -m heisharm.calibrate); each records a hash of the calibration grid
-that produced it.  The grid constants and their hashes live here, so every
-load checks the recorded hash against the grid this package calibrates on
-and refuses a fixture from any other grid.  An explicit directory (CLI flag
---fixtures) overrides the packaged copies.
+(python -m heisharm.calibrate).  Each holds the constants calibrated on one
+grid beside the fields of that grid, which this module states once, in
+GRIDS.  Every load compares those fields with GRIDS and checks the
+constants a command reads, so a fixture from another grid, or one lacking a
+usable constant, is refused.  An explicit directory (CLI flag --fixtures)
+overrides the packaged copies.
 """
 
 import os
+import sys
 
 import numpy as np
 
 from .errors import DomainError
 from .jsonio import read_json
 
-__all__ = ["packaged_fixtures_dir", "load_fixture", "calibration_grid"]
+__all__ = ["packaged_fixtures_dir", "load_fixture", "calibration_grid",
+           "envelope_radii"]
 
 # envelope calibration grid: all degrees to ENVELOPE_K_MAX, five lambda
 # decades, 400 radii (origin + log-spaced over the range), three dimensions
@@ -30,6 +33,8 @@ FACTOR_DIMS = (1, 2, 3)
 FACTOR_K_MAX = 200
 FACTOR_S_NODES = 120
 FACTOR_S_RANGE = (1e-9, 1e3)
+# margin of the frozen c_n over the calibration sup
+CN_SAFETY = 1.1
 
 # chain-gap probe: the reference chain and the spectral grid it is read on
 CHAIN_GAP_THETA = "inv-sqrt"
@@ -39,15 +44,27 @@ CHAIN_GAP_GRID = {"k_max": 64, "lambda_min": 1e-3, "lambda_max": 1e3,
                   "lambda_nodes": 128}
 
 
-# the first 16 hex digits of the sha256 of each grid's constants, joined
-# by ";" as their reprs in the order the fixture's calibration reads them,
-# recorded here so that loading a fixture computes no digest; change them
-# with the constants (tests/test_calibrate.py recomputes them) and rerun
-# the calibration
-GRID_HASHES = {
-    "lemma21_constants.json": "1199a72dcc8683a0",
-    "box_factor_envelope.json": "8304b7e31ea3de08",
-    "chain_gap_constants.json": "3270dbb54515680f",
+# each fixture's grid as it records it, beside the constants calibrated on
+# it: the calibration writes these fields and every load compares them
+GRIDS = {
+    "lemma21_constants.json": {
+        "k_max": ENVELOPE_K_MAX, "lambdas": list(ENVELOPE_LAMBDAS),
+        "dims": list(ENVELOPE_DIMS), "radii_nodes": ENVELOPE_RADII_NODES,
+        "radii_range": list(ENVELOPE_RADII_RANGE)},
+    "box_factor_envelope.json": {
+        "k_max": FACTOR_K_MAX, "s_nodes": FACTOR_S_NODES,
+        "s_range": list(FACTOR_S_RANGE), "safety": CN_SAFETY},
+    "chain_gap_constants.json": {
+        "theta": CHAIN_GAP_THETA, "n": 1, "J": CHAIN_GAP_J,
+        "k_probe_max": CHAIN_GAP_K_PROBE, "grid": CHAIN_GAP_GRID},
+}
+
+# the constants commands read from each fixture, as dotted key paths; each
+# must be a positive finite number
+_CONSTANTS = {
+    "lemma21_constants.json": ("C_fit", "gamma_fit"),
+    "box_factor_envelope.json": tuple(f"c_n.{n}" for n in FACTOR_DIMS),
+    "chain_gap_constants.json": ("C", "c3"),
 }
 
 
@@ -58,27 +75,44 @@ def calibration_grid(s_nodes=FACTOR_S_NODES):
     return np.arange(FACTOR_K_MAX + 1), np.geomspace(*FACTOR_S_RANGE, s_nodes)
 
 
+def envelope_radii():
+    """The envelope calibration radii: the origin, then log-spaced radii."""
+    return np.concatenate(([0.0], np.geomspace(*ENVELOPE_RADII_RANGE,
+                                               ENVELOPE_RADII_NODES - 1)))
+
+
 def packaged_fixtures_dir():
     return os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 
 def load_fixture(name, fixtures_dir=None):
-    if name not in GRID_HASHES:
+    if name not in GRIDS:
         raise DomainError(f"unknown calibration fixture {name!r}")
     path = os.path.join(fixtures_dir or packaged_fixtures_dir(), name)
+    regenerate = "; run 'python -m heisharm.calibrate' to regenerate"
     try:
         obj = read_json(path)
     except OSError as exc:
-        raise DomainError(
-            f"missing calibration fixture {path!r}; run "
-            "'python -m heisharm.calibrate' to regenerate") from exc
+        raise DomainError(f"missing calibration fixture {path!r}"
+                          + regenerate) from exc
     except ValueError as exc:
         raise DomainError(f"calibration fixture {path!r} is not valid JSON: "
                           f"{exc}") from exc
-    recorded = obj.get("grid_hash") if isinstance(obj, dict) else None
-    if recorded != GRID_HASHES[name]:
-        raise DomainError(
-            f"calibration fixture {path!r} records grid_hash {recorded!r}, "
-            f"not {GRID_HASHES[name]!r} of this package's calibration grid; "
-            "run 'python -m heisharm.calibrate' to regenerate")
+    if not isinstance(obj, dict):
+        raise DomainError(f"calibration fixture {path!r} holds no JSON object"
+                          + regenerate)
+    for key, value in GRIDS[name].items():
+        if obj.get(key) != value:
+            raise DomainError(
+                f"calibration fixture {path!r} records {key} = {obj.get(key)!r}"
+                f", not {value!r} of this package's calibration grid" + regenerate)
+    for keys in _CONSTANTS[name]:
+        value = obj
+        for key in keys.split("."):
+            value = value.get(key) if isinstance(value, dict) else None
+        if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                or not 0 < value <= sys.float_info.max):
+            raise DomainError(f"calibration fixture {path!r} holds {keys} = "
+                              f"{value!r}, not a positive finite number"
+                              + regenerate)
     return obj

@@ -34,7 +34,7 @@ import numpy as np
 
 from ._record import Record
 from .errors import DomainError
-from .fixtures import FACTOR_K_MAX, calibration_grid, load_fixture
+from .fixtures import FACTOR_DIMS, FACTOR_K_MAX, calibration_grid, load_fixture
 from .theta import require_convergent
 from .transform import (SpectralCoefficients, _box_t_hat, ball_coefficients,
                         ball_normalizer, plancherel_norm)
@@ -91,12 +91,11 @@ class SequencePlan(Record):
 
 
 def _chain_constant(n, fixtures_dir):
-    fx = load_fixture("box_factor_envelope.json", fixtures_dir)
-    key = str(n)
-    if key not in fx["c_n"]:
-        raise DomainError(
-            f"no calibrated factor-bound constant for n={n}; rerun calibration")
-    return float(fx["c_n"][key])
+    calibrated = [str(d) for d in FACTOR_DIMS]
+    if str(n) not in calibrated:
+        raise DomainError(f"no calibrated factor-bound constant for n={n}; the "
+                          f"calibration covers n = {', '.join(calibrated)}")
+    return float(load_fixture("box_factor_envelope.json", fixtures_dir)["c_n"][str(n)])
 
 
 def plan_sequences(theta, n, J, c_n=None, fixtures_dir=None):

@@ -30,7 +30,7 @@ argument ``w = |lam| r^2 / 2``, the radial axis splits at
 flat core, an oscillatory stretch with ``(nu w)^(-1/4)`` decay, an Airy-type
 turning-point window, and an exponentially decaying far zone.  The two free
 constants of the envelope are calibrated once and frozen in a fixture, and
-envelope_check replays the fixture's grid against them.
+envelope_check replays the package's calibration grid against them.
 """
 
 import numpy as np
@@ -43,7 +43,6 @@ __all__ = [
     "nu",
     "breakpoints",
     "envelope_values",
-    "envelope_radii",
     "envelope_check",
     "orthonormality_defect",
 ]
@@ -235,28 +234,25 @@ def envelope_values(k_max, lam, n, r, c_fit, gamma_fit):
     return c_fit * spow * case
 
 
-def envelope_radii(radii_range, nodes):
-    """The origin, then nodes - 1 radii log-spaced across radii_range."""
-    return np.concatenate(([0.0], np.geomspace(*radii_range, nodes - 1)))
-
-
 def envelope_check(fixture, k_max=None):
-    """Validate the frozen envelope of a loaded lemma21_constants.json
-    fixture against the grid it records.
+    """Validate the frozen C_fit and gamma_fit of a loaded
+    lemma21_constants.json fixture on the package's envelope calibration grid.
 
-    Replays that calibration grid (optionally truncated in degree) and
-    counts points where the normalized scaled Laguerre function exceeds the
-    fitted envelope.  The certified outcome is zero violations.
+    Replays that grid (optionally truncated in degree) and counts points
+    where the normalized scaled Laguerre function exceeds the fitted
+    envelope.  The certified outcome is zero violations.
     """
+    # imported here: the transforms import this module and load no fixtures
+    from .fixtures import ENVELOPE_DIMS, ENVELOPE_K_MAX, ENVELOPE_LAMBDAS, envelope_radii
     c_fit = float(fixture["C_fit"])
     gamma_fit = float(fixture["gamma_fit"])
-    k_hi = int(fixture["k_max"]) if k_max is None else int(min(k_max, fixture["k_max"]))
-    r = envelope_radii(fixture["radii_range"], fixture["radii_nodes"])
+    k_hi = ENVELOPE_K_MAX if k_max is None else int(min(k_max, ENVELOPE_K_MAX))
+    r = envelope_radii()
     points = 0
     violations = 0
     worst = 0.0
-    for n in fixture["dims"]:
-        for lam in fixture["lambdas"]:
+    for n in ENVELOPE_DIMS:
+        for lam in ENVELOPE_LAMBDAS:
             tab = np.abs(normalized_laguerre_table(k_hi, lam, n, r))
             env = envelope_values(k_hi, lam, n, r, c_fit, gamma_fit)
             points += env.size
@@ -272,9 +268,8 @@ def envelope_check(fixture, k_max=None):
         "C_fit": c_fit,
         "gamma_fit": gamma_fit,
         "k_max": k_hi,
-        "dims": list(fixture["dims"]),
+        "dims": list(ENVELOPE_DIMS),
         "points": points,
         "violations": violations,
         "max_ratio": worst,
-        "grid_hash": fixture["grid_hash"],
     }

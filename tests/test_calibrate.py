@@ -1,47 +1,43 @@
 """Calibration reproduces the packaged fixtures."""
 
-import hashlib
 import subprocess
 import sys
 from pathlib import Path
 
-from heisharm import fixtures
+import pytest
+
 from heisharm.calibrate import run_all
-from heisharm.fixtures import packaged_fixtures_dir
+from heisharm.cli import main
+from heisharm.fixtures import GRIDS, load_fixture, packaged_fixtures_dir
 
-FIXTURES = ("lemma21_constants.json", "box_factor_envelope.json",
-            "chain_gap_constants.json")
+FIXTURES = tuple(GRIDS)
 
 
-def test_run_all_reproduces_packaged_fixtures(tmp_path):
-    out = tmp_path / "new"  # does not exist yet: run_all creates it
+@pytest.fixture(scope="module")
+def calibrated(tmp_path_factory):
+    """The directory of one run_all, shared by the tests of this module."""
+    out = tmp_path_factory.mktemp("calibrated") / "new"  # run_all creates it
     run_all(out_dir=out)
+    return out
+
+
+def test_run_all_reproduces_packaged_fixtures(calibrated):
     # byte for byte: no stored value passes through an eigensolver (the
     # Gauss-Legendre rule, grids.roots_legendre, runs only in calibrate_cn's
     # quadrature cross-check), so a rerun has no LAPACK rounding to absorb
     for name in FIXTURES:
         packaged = Path(packaged_fixtures_dir(), name).read_bytes()
-        assert (out / name).read_bytes() == packaged, name
+        assert (calibrated / name).read_bytes() == packaged, name
 
 
-def _grid_hash(*parts):
-    return hashlib.sha256(";".join(repr(p) for p in parts).encode()).hexdigest()[:16]
-
-
-def test_grid_hashes_cover_the_grid_constants():
-    # the package records each hash as a constant, so that loading a fixture
-    # needs no digest; here they are recomputed from the grid constants
-    f = fixtures
-    assert f.GRID_HASHES == {
-        "lemma21_constants.json": _grid_hash(
-            f.ENVELOPE_K_MAX, f.ENVELOPE_LAMBDAS, f.ENVELOPE_DIMS,
-            f.ENVELOPE_RADII_NODES, f.ENVELOPE_RADII_RANGE),
-        "box_factor_envelope.json": _grid_hash(
-            f.FACTOR_DIMS, f.FACTOR_K_MAX, f.FACTOR_S_NODES, f.FACTOR_S_RANGE),
-        "chain_gap_constants.json": _grid_hash(
-            f.CHAIN_GAP_THETA, f.CHAIN_GAP_J, f.CHAIN_GAP_K_PROBE,
-            *f.CHAIN_GAP_GRID.values()),
-    }
+def test_calibrated_fixtures_pass_the_gate(calibrated, tmp_path):
+    # each fixture records the grid that load_fixture compares, and the
+    # commands that read them run on the new directory
+    for name in FIXTURES:
+        load_fixture(name, calibrated)
+    for command in ("laguerre-check", "ingham-plan"):
+        assert main([command, "--fixtures", str(calibrated),
+                     "--out", str(tmp_path / f"{command}.json")]) == 0
 
 
 def test_package_import_leaves_calibrate_unloaded(fresh_env):

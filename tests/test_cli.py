@@ -917,6 +917,13 @@ def test_width_refusals_load_no_numpy(tmp_path, fresh_env):
     (["dilate-check", "--n", "26", "--dilation", "1.1e-5", "--lambda-min", "1e-20"], 1),
     (["dilate-check", "--n", "120", "--dilation", "0.153", "--lambda-min", "1",
       "--lambda-max", "1e6", "--lambda-nodes", "2"], 1),
+    # just inside the box forms' limits on rho^2, tau^2 and rho^-n / tau,
+    # and on rho^2 for each ball of the convolution
+    (["plancherel-check", "--family", "box", "--factors", "1.3e153,1,1,1"], 1),
+    (["plancherel-check", "--family", "box", "--factors", "1,1.3e153,1,1"], 1),
+    (["plancherel-check", "--family", "box", "--factors", "7.5e-153,1,1,1"], 1),
+    (["convolve-check", "--factors", "9.9e153,1,1,1"], 1),
+    (["convolve-check", "--factors", "0.9,9.9e153,0.7,0.6"], 1),
 ])
 def test_widths_inside_the_limits_run_quietly(tmp_path, monkeypatch, capsys,
                                               argv, code):
@@ -1112,18 +1119,53 @@ def test_ingham_verify_names_the_fixture_constant(tmp_path):
     assert code == 0 and report["c_n"] == 1.5 * packaged
 
 
-@pytest.mark.parametrize("tamper", ["mismatch", "missing", "not-json"])
-def test_fixture_grid_hash_gate(tmp_path, tamper):
+# tamper -> (fixture, command that reads it, part of the refusal line)
+_GATE_CASES = {
+    # a fixture of an 18-point grid: one dimension and one lambda, degrees
+    # 0 to 5, three radii
+    "shrunk-grid": ("lemma21_constants.json", "laguerre-check",
+                    "records k_max = 5, not 200 of this package's calibration grid"),
+    "no-dims": ("lemma21_constants.json", "laguerre-check",
+                "records dims = None, not [1, 2, 3] of this package's calibration grid"),
+    "no-C_fit": ("lemma21_constants.json", "laguerre-check",
+                 "holds C_fit = None, not a positive finite number"),
+    "text-c_n": ("box_factor_envelope.json", "ingham-plan",
+                 "holds c_n.1 = 'abc', not a positive finite number"),
+    "not-json": ("box_factor_envelope.json", "ingham-plan", "is not valid JSON"),
+    "not-object": ("box_factor_envelope.json", "ingham-plan", "holds no JSON object"),
+}
+
+
+@pytest.mark.parametrize("tamper", list(_GATE_CASES))
+def test_fixture_grid_record_gate(tmp_path, capsys, tamper):
+    name, command, says = _GATE_CASES[tamper]
     fxdir = tmp_path / "fx"
     shutil.copytree(packaged_fixtures_dir(), fxdir)
-    assert run(tmp_path, "ingham-plan", "--fixtures", str(fxdir))[0] == 0
-    path = fxdir / "box_factor_envelope.json"
+    assert run(tmp_path, command, "--fixtures", str(fxdir))[0] == 0
+    capsys.readouterr()
+    path = fxdir / name
     fx = json.loads(path.read_text())
-    if tamper == "mismatch":
-        fx["grid_hash"] = "0" * 16
-    elif tamper == "missing":
-        del fx["grid_hash"]
-    path.write_text(json.dumps(fx) if tamper != "not-json" else "{")
-    code, _, _ = run(tmp_path, "ingham-plan", "--fixtures", str(fxdir),
-                     out="tampered.json")
-    assert code == 2
+    if tamper == "shrunk-grid":
+        fx.update(dims=[1], lambdas=[1.0], k_max=5, radii_nodes=3)
+    elif tamper in ("no-dims", "no-C_fit"):
+        del fx[tamper[3:]]
+    elif tamper == "text-c_n":
+        fx["c_n"]["1"] = "abc"
+    path.write_text({"not-json": "{", "not-object": "[1]"}.get(tamper, json.dumps(fx)))
+    code, _, out = run(tmp_path, command, "--fixtures", str(fxdir),
+                       out="tampered.json")
+    err = capsys.readouterr().err
+    assert (code, err.count("\n"), out.exists()) == (2, 1, False)
+    assert err.startswith(f"heisharm {command}: refused: calibration fixture "
+                          f"{str(path)!r} ")
+    assert says in err
+
+
+@pytest.mark.parametrize("command", ["ingham-plan", "ingham-verify"])
+def test_uncalibrated_dimension_names_the_calibrated_ones(tmp_path, capsys,
+                                                         command):
+    code, _, path = run(tmp_path, command, "--n", "4")
+    assert (code, path.exists()) == (2, False)
+    assert capsys.readouterr().err == (
+        f"heisharm {command}: refused: no calibrated factor-bound constant "
+        "for n=4; the calibration covers n = 1, 2, 3\n")

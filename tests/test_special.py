@@ -290,12 +290,12 @@ def test_front_end_and_declared_refusals_skip_numpy(tmp_path, fresh_env, argv,
 def test_spectral_checks_skip_gauss_rules_and_plans_still_hash(tmp_path,
                                                               fresh_env):
     # the Gaussian closed form builds no Gauss-Legendre rule; ingham-plan
-    # still reads its fixtures through their grid-hash gate, which compares
-    # recorded constants and so loads no OpenSSL
+    # still reads its fixtures through their grid gate, which compares the
+    # recorded grid fields and so loads no OpenSSL
     path = tmp_path / "fx" / "box_factor_envelope.json"
     shutil.copytree(packaged_fixtures_dir(), path.parent)
     fixture = json.loads(path.read_text())
-    fixture["grid_hash"] = "8304b7e31ea3de09"
+    fixture["s_nodes"] = 121
     path.write_text(json.dumps(fixture))
     code = _FOOTPRINT + (
         "assert heisharm.cli.main(['plancherel-check', '--family',\n"
@@ -314,9 +314,8 @@ def test_spectral_checks_skip_gauss_rules_and_plans_still_hash(tmp_path,
     assert not (tmp_path / "never.json").exists()
     assert proc.stderr == (
         f"heisharm ingham-plan: refused: calibration fixture {str(path)!r} "
-        "records grid_hash '8304b7e31ea3de09', not '8304b7e31ea3de08' of this "
-        "package's calibration grid; run 'python -m heisharm.calibrate' to "
-        "regenerate\n")
+        "records s_nodes = 121, not 120 of this package's calibration grid; "
+        "run 'python -m heisharm.calibrate' to regenerate\n")
 
 
 @pytest.mark.parametrize("command, unloaded", [

@@ -23,10 +23,10 @@ import math
 
 import numpy as np
 
-__all__ = ["gammaln", "gammainc_int", "betainc_half", "logsumexp"]
+# the series' stopping share, which _ball's float twin of gammainc_int shares
+from ._ball import _SERIES_EPS
 
-# series terms below this share of the running sum no longer change it
-_SERIES_EPS = 1e-17
+__all__ = ["gammaln", "gammainc_int", "betainc_half", "logsumexp"]
 
 
 def gammaln(x):

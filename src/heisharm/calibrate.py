@@ -30,6 +30,7 @@ import sys
 
 import numpy as np
 
+from ._ball import ball_normalizer
 from .errors import QuadratureError
 from .fixtures import (
     CHAIN_GAP_GRID,
@@ -49,11 +50,12 @@ from .fixtures import (
     packaged_fixtures_dir,
 )
 from .grids import QuadratureGrid, radial_rule
-from .ingham import cauchy_gap, plan_sequences
+from .ingham import cauchy_gap
 from .jsonio import write_json
 from .laguerre import envelope_values, normalized_laguerre_table, nu
+from .plan import plan_sequences
 from .theta import builtin_theta
-from .transform import ball_coefficients, ball_normalizer, transform_at_lambda
+from .transform import ball_coefficients, transform_at_lambda
 
 __all__ = [
     "calibrate_envelope",

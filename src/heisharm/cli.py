@@ -359,12 +359,14 @@ def _cmd_ingham_plan(cfg):
     theta = load_theta(cfg.theta)
     # a declared-divergent profile is refused before the planner loads
     require_convergent(theta)
-    from .ingham import factor_bound_check, plan_sequences, support_radius
+    # the plan and the replay run on Python floats: with a builtin profile
+    # this command loads no numpy
+    from .plan import factor_bound_check, plan_sequences, support_radius
     plan = plan_sequences(theta, cfg.n, J=cfg.chain_length,
                           fixtures_dir=cfg.fixtures)
-    # thinned replay of the factor-bound calibration; full density is the
-    # acceptance-grade run
-    check = factor_bound_check(cfg.n, thin=6, fixtures_dir=cfg.fixtures)
+    # thinned replay of the factor-bound calibration with the plan's c_n;
+    # full density is the acceptance-grade run
+    check = factor_bound_check(plan.n, plan.c_n, thin=6)
     ok = check["violations"] == 0
     radius = support_radius(plan)
     return {
@@ -372,8 +374,8 @@ def _cmd_ingham_plan(cfg):
         "a": plan.a,
         "c": plan.c,
         "c_n": plan.c_n,
-        "rho_head": [float(v) for v in plan.rho[:8]],
-        "tau_head": [float(v) for v in plan.tau[:8]],
+        "rho_head": list(plan.rho[:8]),
+        "tau_head": list(plan.tau[:8]),
         "support_radius": radius,
         "factor_bound": check,
         "pass": bool(ok),
@@ -385,7 +387,8 @@ def _cmd_ingham_verify(cfg):
     from .theta import load_theta, require_convergent
     theta = load_theta(cfg.theta)
     require_convergent(theta)
-    from .ingham import plan_sequences, verify_decay
+    from .ingham import verify_decay
+    from .plan import plan_sequences
     plan = plan_sequences(theta, cfg.n, J=cfg.chain_length,
                           fixtures_dir=cfg.fixtures)
     report = {**verify_decay(plan, theta, cfg.grid()), "c_n": plan.c_n}

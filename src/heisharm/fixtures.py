@@ -7,12 +7,13 @@ GRIDS.  Every load compares those fields with GRIDS and checks the
 constants a command reads, so a fixture from another grid, or one lacking a
 usable constant, is refused.  An explicit directory (CLI flag --fixtures)
 overrides the packaged copies.
+
+Loading a fixture needs no numpy; only the two grid builders import it, so
+ingham-plan reads its constant without the numeric stack.
 """
 
 import os
 import sys
-
-import numpy as np
 
 from .errors import DomainError
 from .jsonio import read_json
@@ -72,11 +73,13 @@ def calibration_grid(s_nodes=FACTOR_S_NODES):
     """Shared (k, s) sampling for calibrating and validating the factor
     envelope: all degrees up to FACTOR_K_MAX, and s_nodes of s = lam rho^2
     log-spaced across the lam in [1e-3, 1e3], rho in [1e-3, 1] product range."""
+    import numpy as np
     return np.arange(FACTOR_K_MAX + 1), np.geomspace(*FACTOR_S_RANGE, s_nodes)
 
 
 def envelope_radii():
     """The envelope calibration radii: the origin, then log-spaced radii."""
+    import numpy as np
     return np.concatenate(([0.0], np.geomspace(*ENVELOPE_RADII_RANGE,
                                                ENVELOPE_RADII_NODES - 1)))
 

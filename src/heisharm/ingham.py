@@ -4,13 +4,15 @@ The construction convolves box factors F_j: the j-th factor is the group
 convolution of a normalized ball indicator of radius a*rho_j in z with a
 normalized interval indicator of length tau_j^2 in t (their group
 convolution is just the pointwise product, since the twist vanishes when
-one factor sits at z = 0).  The widths come from a decay profile Theta:
+one factor sits at z = 0).  The widths come from a decay profile Theta,
+planned on Python floats in heisharm.plan:
 
     rho_j = c_n^2 e^2 Theta(j) / j + 2^{-j},      tau_j = 2^{-j}.
 
-Summability of rho_j is the convergence of int_1^inf Theta(t)/t dt, so
-profiles declared divergent are refused: no compactly supported function
-can decay that fast spectrally.
+This module runs the chain on them, as numpy arrays.  Summability of
+rho_j is the convergence of int_1^inf Theta(t)/t dt, so profiles declared
+divergent are refused: no compactly supported function can decay that
+fast spectrally.
 
 Spectrally the chain G_N is the entrywise product of factor coefficients.
 A z-factor's k-th coefficient depends only on s = lam rho^2 and obeys the
@@ -30,126 +32,24 @@ the reweighted square q = chain^2 e^{+2 Theta(sqrt(nu)) sqrt(nu)} over a
 (k, lam) window, in log space so nothing overflows.
 """
 
+import math
+import sys
+
 import numpy as np
 
-from ._record import Record
 from .errors import DomainError
-from .fixtures import FACTOR_DIMS, FACTOR_K_MAX, calibration_grid, load_fixture
 from .theta import require_convergent
 from .transform import (SpectralCoefficients, _box_t_hat, ball_coefficients,
-                        ball_normalizer, plancherel_norm)
+                        plancherel_norm)
 
 __all__ = [
-    "SequencePlan",
-    "plan_sequences",
-    "factor_coeff_envelope",
-    "factor_bound_check",
     "adaptive_N",
     "verify_decay",
-    "support_radius",
     "cauchy_gap",
 ]
 
-# Koranyi gauge of the point (0, tau^2/2): (t^2)^{1/4} = tau / sqrt(2)
-TAU_GAUGE = 4.0 ** -0.25
-
 # exp overflows past the log of the largest double
-_LOG_MAX = float(np.log(np.finfo(float).max))
-
-
-class SequencePlan(Record):
-    """Frozen factor widths for one construction run.
-
-    a is the ball-radius constant making each z-factor a probability
-    density; c = 4^{-1/4} converts an interval half-length tau^2/2 into its
-    Koranyi gauge tau*c.  rho and tau are read-only float arrays of length J.
-    """
-
-    __slots__ = ("theta_name", "n", "J", "c_n", "rho", "tau")
-
-    def __init__(self, theta_name, n, J, c_n, rho, tau):
-        # copies: the record freezes its arrays, never the caller's
-        rho = np.array(rho, dtype=float)
-        tau = np.array(tau, dtype=float)
-        if rho.shape != (J,) or tau.shape != (J,):
-            raise DomainError("plan sequences must have length J")
-        if np.any(rho <= 0) or np.any(tau <= 0):
-            raise DomainError("factor widths must be strictly positive")
-        if np.any(np.diff(rho) > 0) or np.any(np.diff(tau) > 0):
-            raise DomainError("factor widths must be nonincreasing")
-        rho.setflags(write=False)
-        tau.setflags(write=False)
-        self._assign(theta_name=theta_name, n=n, J=J, c_n=c_n, rho=rho, tau=tau)
-
-    @property
-    def a(self):
-        return ball_normalizer(self.n)
-
-    @property
-    def c(self):
-        return TAU_GAUGE
-
-
-def _chain_constant(n, fixtures_dir):
-    calibrated = [str(d) for d in FACTOR_DIMS]
-    if str(n) not in calibrated:
-        raise DomainError(f"no calibrated factor-bound constant for n={n}; the "
-                          f"calibration covers n = {', '.join(calibrated)}")
-    return float(load_fixture("box_factor_envelope.json", fixtures_dir)["c_n"][str(n)])
-
-
-def plan_sequences(theta, n, J, c_n=None, fixtures_dir=None):
-    """Factor widths rho_j, tau_j for j = 1..J under the profile theta.
-
-    The additive 2^{-j} keeps rho strictly positive and summable even for
-    the zero profile; the leading term meets the required lower bound
-    rho_j >= c_n^2 e^2 Theta(j)/j by construction.
-    """
-    require_convergent(theta)
-    if J < 1:
-        raise DomainError("need at least one factor")
-    if J > 1074:
-        # 2^{-1074} is the smallest positive double
-        raise DomainError(f"at most 1074 factors: tau_j = 2^-j underflows to 0 "
-                          f"past j = 1074, got J = {J}")
-    cn = float(c_n) if c_n is not None else _chain_constant(n, fixtures_dir)
-    j = np.arange(1, J + 1, dtype=float)
-    rho = cn ** 2 * np.e ** 2 * theta(j) / j + 2.0 ** -j
-    tau = 2.0 ** -j
-    return SequencePlan(theta_name=theta.name, n=n, J=J, c_n=cn, rho=rho, tau=tau)
-
-
-def factor_coeff_envelope(k, lam, rho, n, c_n):
-    """Oscillatory bound min(1, c_n (rho sqrt((2k+n)|lam|))^{-n+1/2}) on a
-    z-factor coefficient, with the trivial unit bound taking over where the
-    power blows up."""
-    x = rho * np.sqrt((2.0 * np.asarray(k, dtype=float) + n) * np.abs(lam))
-    with np.errstate(divide="ignore"):
-        return np.minimum(1.0, c_n * np.where(x > 0, x, np.inf) ** (0.5 - n))
-
-
-def factor_bound_check(n, thin=1, fixtures_dir=None):
-    """Validate |coeff(k, s)| <= min(1, c_n ((2k+n) s)^{-(2n-1)/4}) over the
-    calibration grid, with the frozen c_n.
-
-    thin keeps every thin-th s column, trading coverage for speed; the
-    certified outcome is zero violations at thin = 1.
-    """
-    c_n = _chain_constant(n, fixtures_dir)
-    k, s = calibration_grid()
-    s = s[::max(int(thin), 1)]
-    vals = np.abs(ball_coefficients(s, FACTOR_K_MAX, n))
-    # a unit-radius factor at lam = s
-    env = factor_coeff_envelope(k[:, None], s[None, :], 1.0, n, c_n)
-    return {
-        "n": n,
-        "c_n": c_n,
-        "k_max": FACTOR_K_MAX,
-        "s_columns": int(s.size),
-        "points": int(k.size * s.size),
-        "violations": int(np.sum(vals > env)),
-        "max_ratio": float(np.max(vals / env)),
-    }
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def adaptive_N(theta, k, lam, n):
@@ -192,6 +92,7 @@ def _chain_prefixes(plan, lam, k_max, need):
     j from 0.0, which is the determinism contract.
     """
     signs, logs = np.ones((lam.size, k_max + 1)), np.zeros((lam.size, k_max + 1))
+    rho, tau = np.asarray(plan.rho), np.asarray(plan.tau)
     top = int(need.max(initial=0))
     # the (factor, column) pairs in increasing factor, then column; factor j
     # owns the pairs first[j]:first[j + 1]
@@ -204,9 +105,9 @@ def _chain_prefixes(plan, lam, k_max, need):
                <= _BLOCK_CELLS):
             stop += 1
         block = slice(first[start], first[stop])
-        s = np.abs(lam[li[block]]) * plan.rho[jj[block]] ** 2
+        s = np.abs(lam[li[block]]) * rho[jj[block]] ** 2
         table = ball_coefficients(s, k_max, plan.n)
-        table *= _box_t_hat(plan.tau[jj[block]], lam[li[block]])
+        table *= _box_t_hat(tau[jj[block]], lam[li[block]])
         for j in range(start, stop):
             term = table[:, first[j] - block.start:first[j + 1] - block.start].T
             cols = li[first[j]:first[j + 1]]
@@ -284,12 +185,6 @@ def verify_decay(plan, theta, grid):
     }
 
 
-def support_radius(plan):
-    """Koranyi-gauge radius containing supp G_J: triangle inequality over
-    the a*rho_j ball factors and tau_j/sqrt(2) interval factors."""
-    return float(plan.a * np.sum(plan.rho) + TAU_GAUGE * np.sum(plan.tau))
-
-
 def cauchy_gap(plan, K, grid, c3):
     """(bounds, measured) arrays over the chain steps G_k -> G_{k+1},
     k = 1..K, all read from one stream of the factors of G_1 .. G_{K+1}.
@@ -304,4 +199,5 @@ def cauchy_gap(plan, K, grid, c3):
     gaps = np.diff([signs * np.exp(logs) for signs, logs in stream], axis=0)
     measured = [plancherel_norm(SpectralCoefficients(
         n=plan.n, grid=grid, values=g.T)) for g in gaps]
-    return plan.tau[1:K + 1] ** 2 + c3 * plan.rho[1:K + 1], np.array(measured)
+    rho, tau = np.asarray(plan.rho[1:K + 1]), np.asarray(plan.tau[1:K + 1])
+    return tau ** 2 + c3 * rho, np.array(measured)

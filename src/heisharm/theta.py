@@ -22,10 +22,14 @@ and their values are forced nonincreasing with a running minimum and
 extended by constants on both sides of the tabulated range.
 
 Resolving a builtin name or the declared_class of a config needs no
-numpy: it is imported where a profile is evaluated and where a table is
-validated, so the planners' refusal of a divergent builtin runs without
-the numeric stack.
+numpy: it is imported where a profile is evaluated on an array and where
+a table is validated, so the planners' refusal of a divergent builtin
+runs without the numeric stack.  ThetaProfile.at evaluates a builtin at
+one point with math, which is all that planning the factor widths reads,
+so ingham-plan with a builtin profile runs without numpy too.
 """
+
+import math
 
 from ._record import Record
 from .errors import ProfileClassError
@@ -42,7 +46,8 @@ __all__ = [
 
 _CLASSES = ("convergent", "divergent")
 
-# name -> declared class; ThetaProfile.__call__ holds the formulas
+# name -> declared class; ThetaProfile.__call__ (arrays) and at (one
+# float) hold the formulas
 BUILTIN_THETAS = {
     "inv-sqrt": "convergent",
     "inv-sqrt-strong": "convergent",
@@ -104,6 +109,28 @@ class ThetaProfile(Record):
         if kind == "inv-log-sq":
             return np.log(np.e + y) ** -2.0
         return np.zeros_like(y)
+
+    def at(self, t):
+        """Theta(|t|) at one number t, as a float.  A builtin is evaluated
+        with math, so planning factor widths loads no numpy; it agrees with
+        __call__ to an ulp, where numpy's log and pow take SIMD code paths.
+        A table interpolates with numpy, as __call__ does."""
+        y = abs(float(t))
+        kind = self.kind
+        if kind == "table":
+            import numpy as np
+            return float(np.interp(y, self.y, self.vals,
+                                   left=self.vals[0], right=self.vals[-1]))
+        if kind == "inv-sqrt":
+            return (1.0 + y) ** -0.5
+        if kind == "inv-sqrt-strong":
+            # as __call__, which takes inf ** -0.5 = 0 at y = 0
+            return 2.0 * min(1.0, y ** -0.5 if y > 0 else 0.0)
+        if kind == "inv-log":
+            return 1.0 / math.log(math.e + y)
+        if kind == "inv-log-sq":
+            return math.log(math.e + y) ** -2.0
+        return 0.0
 
     @property
     def divergent(self):

@@ -19,6 +19,7 @@ double the one-sided lambda integral; there is no convention flag.
 
 import numpy as np
 
+from ._ball import _POWER_CAP, ball_normalizer
 from ._record import Record
 from ._special import gammainc_int, gammaln
 from .errors import DimensionMismatchError, DomainError, GridMismatchError
@@ -29,7 +30,6 @@ __all__ = [
     "SpectralCoefficients",
     "box_coefficients",
     "gaussian_coefficients",
-    "ball_normalizer",
     "ball_coefficients",
     "projection_hs_norm_sq",
     "transform_at_lambda",
@@ -40,21 +40,6 @@ __all__ = [
     "box_convolution_grids",
     "box_convolution_coefficients",
 ]
-
-
-def ball_normalizer(n):
-    """Radius multiplier a with vol_{2n}(a) * a^{2n}-ball volume equal to 1.
-
-    The ball of radius a*rho in C^n has Lebesgue volume rho^{2n}, so the
-    indicator scaled by rho^{-2n} integrates to one.
-    """
-    return float(np.exp((gammaln(n + 1) - n * np.log(np.pi)) / (2.0 * n)))
-
-
-# e^{-x/2} is exactly zero in double precision past x = 1491, so every row of
-# an orthonormal table is zero there; capping x^{alpha+1} at this point only
-# keeps 0 * inf out of the recurrence
-_POWER_CAP = 1e4
 
 
 def ball_coefficients(s, k_max, n):
@@ -85,6 +70,11 @@ def ball_coefficients(s, k_max, n):
     column has converged; the terms a column gets past its own stopping
     point are below _SERIES_EPS = 1e-17 of its sum, under half an ulp, so
     they leave it unchanged.
+
+    Its float twin, _ball.ball_columns, evaluates the same closed form one
+    column at a time on Python floats for ingham-plan's factor-bound
+    replay; tests/test_plan.py::test_ball_columns_match_ball_coefficients
+    pins the two together.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 1 or not np.all(s > 0):

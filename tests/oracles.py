@@ -15,19 +15,23 @@ t-part by construction and differ only in the radial integral.
 factor_t_hat, factor_coeff, chain_coeff and chain_coefficients evaluate the
 Ingham chain of heisharm.ingham one factor, one cell or one chain length at
 a time, as products of factor values in linear space: the references for
-its stream of log partial products.
+its stream of log partial products.  factor_bound_replay is the
+factor-bound replay of heisharm.plan on numpy arrays, over the
+calibration grid's own nodes: the reference for its float replay.
 """
 
 import numpy as np
 
+from heisharm._ball import ball_normalizer
 from heisharm._record import Record
 from heisharm._special import gammaln
 from heisharm.errors import DimensionMismatchError, DomainError, QuadratureError
+from heisharm.fixtures import FACTOR_K_MAX, calibration_grid
 from heisharm.grids import radial_rule
 from heisharm.laguerre import _orthonormal_rows
 from heisharm.transform import (SpectralCoefficients, _box_t_hat,
                                 _coefficient_weights, _gaussian_t_hat,
-                                ball_coefficients, ball_normalizer)
+                                ball_coefficients)
 
 
 class RadialFunction(Record):
@@ -261,3 +265,17 @@ def chain_coefficients(plan, N, grid):
         vals *= (ball_coefficients(grid.lam * rho ** 2, grid.k_max, plan.n)
                  * _box_t_hat(tau, grid.lam))
     return SpectralCoefficients(n=plan.n, grid=grid, values=vals)
+
+
+def factor_bound_replay(n, c_n, thin):
+    """plan.factor_bound_check's report, from one ball_coefficients table on
+    every thin-th s column of calibration_grid, against the envelope
+    min(1, c_n ((2k+n) s)^{-(2n-1)/4}) as arrays."""
+    k, s = calibration_grid()
+    s = s[::thin]
+    vals = np.abs(ball_coefficients(s, FACTOR_K_MAX, n))
+    env = np.minimum(1.0, c_n * np.sqrt((2.0 * k[:, None] + n) * s) ** (0.5 - n))
+    return {"n": n, "c_n": c_n, "k_max": FACTOR_K_MAX, "s_columns": int(s.size),
+            "points": int(k.size * s.size),
+            "violations": int(np.sum(vals > env)),
+            "max_ratio": float(np.max(vals / env))}

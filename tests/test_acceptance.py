@@ -18,8 +18,9 @@ from heisharm.chernoff import (ingham_norm_bound_check, spectral_box,
 from heisharm.fixtures import load_fixture
 from heisharm.grids import QuadratureGrid
 from heisharm.group import ball_shift_symmdiff, ball_volume, sphere_surface
-from heisharm.ingham import factor_bound_check, plan_sequences, verify_decay
+from heisharm.ingham import verify_decay
 from heisharm.laguerre import envelope_check, orthonormality_defect
+from heisharm.plan import factor_bound_check, plan_sequences
 from heisharm.theta import builtin_theta
 from heisharm.transform import (box_convolution_coefficients, multiply_coeffs,
                                 plancherel_norm)
@@ -100,8 +101,9 @@ def test_convolution_theorem_matches_spatial_oracle():
 
 def test_factor_coefficients_under_calibrated_envelope():
     t0 = time.perf_counter()
+    c_n = load_fixture("box_factor_envelope.json")["c_n"]
     for n in (1, 2):
-        out = factor_bound_check(n)
+        out = factor_bound_check(n, c_n[str(n)])
         assert out["points"] == 201 * 120
         assert out["violations"] == 0
         assert out["max_ratio"] <= 1.0

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from heisharm.errors import DimensionMismatchError, DomainError
 from heisharm.grids import QuadratureGrid, _unit_rule
+from heisharm._ball import ball_normalizer
 from heisharm.laguerre import normalized_laguerre_table
 from heisharm.transform import (CONV_U_NODES, _box_u_rule, _coefficient_weights,
                                 _ramp_arc_integral, _ramp_arc_sums,
-                                ball_normalizer, box_convolution_coefficients,
+                                box_convolution_coefficients,
                                 box_convolution_grids, box_pair_convolution,
                                 multiply_coeffs, transform_at_lambda)
 

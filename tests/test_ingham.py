@@ -15,10 +15,11 @@ from heisharm.errors import DomainError, ProfileClassError, QuadratureError
 from heisharm.fixtures import (FACTOR_K_MAX, FACTOR_S_NODES, FACTOR_S_RANGE,
                                calibration_grid, load_fixture)
 from heisharm.grids import QuadratureGrid
-from heisharm.ingham import (SequencePlan, _chain_prefixes, _log_q_table,
-                             adaptive_N, cauchy_gap, factor_bound_check,
-                             factor_coeff_envelope, plan_sequences,
-                             support_radius, verify_decay)
+from heisharm.ingham import (_chain_prefixes, _log_q_table, adaptive_N,
+                             cauchy_gap, verify_decay)
+from heisharm.plan import (SequencePlan, factor_bound_check,
+                           factor_coeff_envelope, plan_sequences,
+                           support_radius)
 from heisharm.theta import ThetaProfile, builtin_theta
 from heisharm.transform import (SpectralCoefficients, _box_t_hat,
                                 ball_coefficients, box_coefficients,
@@ -96,7 +97,7 @@ def test_factor_coeff_matches_table():
     plan = plan_sequences(builtin_theta("inv-sqrt"), 1, J=4, c_n=1.2)
     lam, k = 2.5, 3
     # one table over every factor's s = lam rho_j^2; factor j reads column j-1
-    table = ball_coefficients(lam * plan.rho ** 2, k, 1)
+    table = ball_coefficients(lam * np.asarray(plan.rho) ** 2, k, 1)
     for j in range(1, plan.J + 1):
         assert factor_coeff(j, k, lam, plan) == pytest.approx(
             float(table[k, j - 1]), rel=1e-12)
@@ -107,7 +108,7 @@ def test_factor_coeff_matches_table():
 
 def test_factor_envelope_formula():
     k = np.array([0, 3, 50])
-    env = factor_coeff_envelope(k, 2.0, 0.5, 2, 5.1)
+    env = np.array([factor_coeff_envelope(kk, 2.0, 0.5, 2, 5.1) for kk in k])
     x = 0.5 * np.sqrt((2.0 * k + 2) * 2.0)
     assert np.allclose(env, np.minimum(1.0, 5.1 * x ** -1.5))
     assert factor_coeff_envelope(0, 1e-30, 1.0, 1, 1.3) == 1.0
@@ -136,7 +137,8 @@ def test_calibrate_cn_cross_checks_quadrature(monkeypatch):
 
 
 def test_factor_bound_small_replay():
-    out = factor_bound_check(1, thin=3)
+    c_n = load_fixture("box_factor_envelope.json")["c_n"]["1"]
+    out = factor_bound_check(1, c_n, thin=3)
     assert out["violations"] == 0
     assert out["max_ratio"] <= 1.0
     assert out["s_columns"] == FACTOR_S_NODES // 3
@@ -144,8 +146,10 @@ def test_factor_bound_small_replay():
 
 
 def test_factor_bound_check_refuses_uncalibrated_dimension():
+    # the replay takes the plan's c_n, and the planner reads it from the
+    # fixture, which holds none for n = 4
     with pytest.raises(DomainError, match="n=4"):
-        factor_bound_check(4)
+        plan_sequences(builtin_theta("inv-sqrt"), 4, J=4)
 
 
 def test_adaptive_factor_count():
@@ -183,8 +187,9 @@ def _dense_chain_log_columns(plan, lam, k_max, n_cap):
     n_cap = np.broadcast_to(np.asarray(n_cap, dtype=int), lam.shape)
     top = int(n_cap.max(initial=0))
     li, jj = np.nonzero(np.arange(top)[None, :] < n_cap[:, None])
-    s = np.abs(lam[li]) * plan.rho[jj] ** 2
-    term = (ball_coefficients(s, k_max, plan.n) * _box_t_hat(plan.tau[jj], lam[li])).T
+    s = np.abs(lam[li]) * np.asarray(plan.rho)[jj] ** 2
+    term = (ball_coefficients(s, k_max, plan.n)
+            * _box_t_hat(np.asarray(plan.tau)[jj], lam[li])).T
     step_logs = np.zeros((lam.size, top, k_max + 1))
     step_signs = np.ones((lam.size, top, k_max + 1))
     with np.errstate(divide="ignore"):
@@ -264,7 +269,8 @@ def test_chain_coefficients_grid():
 def test_support_radius_formula():
     plan = plan_sequences(builtin_theta("inv-sqrt"), 1, J=5, c_n=1.1)
     assert support_radius(plan) == pytest.approx(
-        plan.a * plan.rho.sum() + plan.c * plan.tau.sum(), rel=1e-14)
+        plan.a * np.asarray(plan.rho).sum() + plan.c * np.asarray(plan.tau).sum(),
+        rel=1e-14)
     # a two-factor plan has the same first two widths
     two = plan_sequences(builtin_theta("inv-sqrt"), 1, J=2, c_n=1.1)
     assert_array_equal(two.rho, plan.rho[:2])
@@ -373,7 +379,7 @@ def tail_tables(draw):
 def test_table_profiles_plan_and_verify(n, theta):
     J = 16
     plan = plan_sequences(theta, n, J=J)
-    for seq in (plan.rho, plan.tau):
+    for seq in (np.asarray(plan.rho), np.asarray(plan.tau)):
         assert seq.shape == (J,)
         assert np.all(seq > 0) and np.all(np.diff(seq) <= 0)
     report = verify_decay(plan, theta, QuadratureGrid.make(
@@ -435,9 +441,9 @@ def _per_factor_chain_prefixes(plan, lam, k_max, need):
     signs, logs = np.ones((lam.size, k_max + 1)), np.zeros((lam.size, k_max + 1))
     for j in range(int(need.max(initial=0))):
         cols = np.flatnonzero(need > j)
-        s = np.abs(lam[cols]) * plan.rho[j:j + 1] ** 2
+        s = np.abs(lam[cols]) * np.asarray(plan.rho[j:j + 1]) ** 2
         term = (ball_coefficients(s, k_max, plan.n)
-                * _box_t_hat(plan.tau[j:j + 1], lam[cols])).T
+                * _box_t_hat(np.asarray(plan.tau[j:j + 1]), lam[cols])).T
         with np.errstate(divide="ignore"):
             logs[cols] += np.log(np.abs(term))
         signs[cols] *= np.sign(term)

@@ -10,7 +10,7 @@ from heisharm.cli import RunConfig
 from heisharm.errors import (DimensionMismatchError, DomainError,
                              GridMismatchError, ProfileClassError)
 from heisharm.grids import QuadratureGrid
-from heisharm.ingham import SequencePlan
+from heisharm.plan import SequencePlan
 from heisharm.theta import ThetaProfile, builtin_theta
 from heisharm.transform import SpectralCoefficients
 
@@ -203,9 +203,11 @@ def test_with_values_validates_and_copies():
 
 def test_array_fields_are_read_only():
     table, plan, grid = _table(), _plan(), _grid()
-    for arr in (table.y, table.vals, plan.rho, plan.tau, grid.lam, grid.lam_log_w,
-                _coeffs().values):
+    for arr in (table.y, table.vals, grid.lam, grid.lam_log_w, _coeffs().values):
         assert arr.dtype == np.float64 and not arr.flags.writeable
+    # a plan's widths are tuples of floats, frozen as the record is
+    for seq in (plan.rho, plan.tau):
+        assert type(seq) is tuple and all(type(v) is float for v in seq)
 
 
 def test_records_copy_the_callers_arrays():
@@ -217,7 +219,12 @@ def test_records_copy_the_callers_arrays():
                         c_n=1.0, rho=rho, tau=tau)
     table = ThetaProfile(name="t", kind="table", declared_class="convergent",
                          y=y, vals=[1.0, 0.5])
-    for given, held in ((lam, grid.lam), (w, grid.lam_log_w), (rho, plan.rho),
-                        (tau, plan.tau), (y, table.y)):
+    for given, held in ((lam, grid.lam), (w, grid.lam_log_w), (y, table.y)):
         assert given.flags.writeable and not held.flags.writeable
         assert held is not given and np.array_equal(held, given)
+    # the plan's widths are tuples of floats copied from the caller's arrays
+    for given, held in ((rho, plan.rho), (tau, plan.tau)):
+        assert type(held) is tuple and all(type(v) is float for v in held)
+        assert held == tuple(given.tolist())
+        given[0] = 7.0
+        assert held[0] == 1.0

@@ -250,6 +250,14 @@ _DIVERGENT = ("heisharm {}: refused: profile {!r} is declared divergent: no "
 _LEAN = ("numpy", "dataclasses", "inspect")
 
 
+# ingham-plan with each convergent builtin plans, bounds and replays on
+# Python floats
+_PLANS = [["ingham-plan", "--theta", name, "--n", str(n)]
+          for name in ("inv-sqrt", "inv-sqrt-strong", "inv-log-sq", "zero")
+          for n in (1, 2, 3)]
+_PLANS.append(["ingham-plan", "--theta", "inv-sqrt", "--chain-length", "64"])
+
+
 @pytest.mark.parametrize("argv, code, stderr, unloaded", [
     (["--help"], 0, "", (*_LEAN, "heisharm.theta")),
     (["dilate-check", "--dilation", "inf"], 2,
@@ -265,15 +273,18 @@ _LEAN = ("numpy", "dataclasses", "inspect")
      _DIVERGENT.format("ingham-plan", "slowlog"),
      ("heisharm.ingham", "heisharm.transform", "heisharm.fixtures",
       "dataclasses")),
+    *[(argv, 0, "", (*_LEAN, "heisharm.ingham", "heisharm.transform"))
+      for argv in _PLANS],
 ], ids=["help", "config-refusal", "plan-inv-log", "verify-inv-log",
-        "plan-divergent-table"])
+        "plan-divergent-table",
+        *("plan-" + "-".join(v.lstrip("-") for v in a[2:]) for a in _PLANS)])
 def test_front_end_and_declared_refusals_skip_numpy(tmp_path, fresh_env, argv,
                                                      code, stderr, unloaded):
     (tmp_path / "slowlog.json").write_text(
         '{"name": "slowlog", "kind": "table", "declared_class": "divergent",'
         ' "y": [0.0, 1.0, 2.0], "theta": [1.0, 0.5, 0.2]}')
-    never = tmp_path / "never.json"
-    argv = [a.format(dir=tmp_path) for a in argv] + ["--out", str(never)]
+    report = tmp_path / "report.json"
+    argv = [a.format(dir=tmp_path) for a in argv] + ["--out", str(report)]
     script = _FOOTPRINT + (
         f"code = heisharm.cli.main({argv!r})\n"
         f"for name in {unloaded!r}:\n"
@@ -282,9 +293,12 @@ def test_front_end_and_declared_refusals_skip_numpy(tmp_path, fresh_env, argv,
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                           capture_output=True, text=True, env=fresh_env)
     assert (proc.returncode, proc.stderr) == (code, stderr)
-    assert not never.exists()
+    # --help and the refusals write nothing; a command that ran writes its
+    # report and prints its summary line
+    ran = code == 0 and argv[0] != "--help"
+    assert report.exists() == ran
     if code == 0:
-        assert proc.stdout.startswith("usage: heisharm")
+        assert proc.stdout.startswith(f"{argv[0]}: " if ran else "usage: heisharm")
 
 
 def test_spectral_checks_skip_gauss_rules_and_plans_still_hash(tmp_path,

@@ -8,14 +8,15 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+from heisharm._ball import _POWER_CAP, ball_normalizer
 from heisharm._special import gammainc_int, gammaln
 from heisharm.chernoff import spectral_box
 from heisharm.errors import DomainError, GridMismatchError, QuadratureError
 from heisharm.grids import QuadratureGrid, radial_rule
 from heisharm.laguerre import _orthonormal_table
-from heisharm.transform import (_POWER_CAP, SpectralCoefficients,
+from heisharm.transform import (SpectralCoefficients,
                                 _coefficient_weights, ball_coefficients,
-                                ball_normalizer, box_coefficients,
+                                box_coefficients,
                                 dilate_coeffs, gaussian_coefficients,
                                 multiply_coeffs, plancherel_norm,
                                 projection_hs_norm_sq, transform_at_lambda)

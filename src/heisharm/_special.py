@@ -7,7 +7,9 @@ Each function covers only the domain its callers reach, and says so:
 * ``gammainc_int``: the regularized lower incomplete gamma P(n, y) for an
   integer n >= 1 (DLMF 8.4.11), by its power series below y = n + 1 and by
   one minus the finite Poisson sum above, with every term in log form so
-  nothing overflows however large y is.
+  nothing overflows however large y is.  The two halves are written once
+  in ``_ball``, for one float or an array; this function masks an array
+  between them.
 * ``betainc_half``: the regularized incomplete beta I_x(a, 1/2) for a
   half-integer a, from I_x(1/2, 1/2) = (2/pi) atan2(sqrt x, sqrt(1-x)),
   stepped in a by DLMF 8.17.20.  The atan2 form keeps full absolute
@@ -16,15 +18,14 @@ Each function covers only the domain its callers reach, and says so:
 
 The Gauss rules live beside their users: the Gauss-Legendre rule in
 ``grids`` (``roots_legendre``), the Gauss-Laguerre rule in ``laguerre``,
-beside the orthonormal recurrence it evaluates.
+beside the orthonormal table it evaluates.
 """
 
 import math
 
 import numpy as np
 
-# the series' stopping share, which _ball's float twin of gammainc_int shares
-from ._ball import _SERIES_EPS
+from ._ball import gammainc_poisson, gammainc_series
 
 __all__ = ["gammaln", "gammainc_int", "betainc_half", "logsumexp"]
 
@@ -41,37 +42,16 @@ def gammaln(x):
 
 def gammainc_int(n, y):
     """Regularized lower incomplete gamma P(n, y) for an integer n >= 1 and
-    finite y >= 0 (array or scalar).
-
-    Below y = n + 1 the series e^{-y} y^n / n! sum_m y^m n!/(n+m)! has
-    ratios under one and no cancellation.  Above it, P = 1 - sum_{j<n}
-    exp(-y + j log y - lgamma(j+1)), where the sum is below 1/2, so the
-    subtraction costs at most one bit; the log form keeps y^j from
-    overflowing at large y.
-    """
+    finite y >= 0 (array or scalar): _ball.gammainc_series below
+    y = n + 1 and _ball.gammainc_poisson above, each on its entries."""
     if n < 1 or n != int(n):
         raise ValueError(f"need an integer n >= 1, got {n}")
     n = int(n)
     y = np.asarray(y, dtype=float)
     out = np.empty_like(y)
     small = y < n + 1.0
-
-    ys = y[small]
-    term = np.ones_like(ys)
-    total = np.ones_like(ys)
-    m = 0
-    while np.any(term > _SERIES_EPS * total):
-        m += 1
-        term = term * ys / (n + m)
-        total = total + term
-    out[small] = np.exp(-ys) * ys ** n / math.factorial(n) * total
-
-    yl = y[~small]
-    logy = np.log(yl)
-    q = np.zeros_like(yl)
-    for j in range(n):
-        q += np.exp(-yl + j * logy - math.lgamma(j + 1.0))
-    out[~small] = 1.0 - q
+    out[small] = gammainc_series(np, n, y[small])
+    out[~small] = gammainc_poisson(np, n, y[~small])
     return out if out.ndim else float(out)
 
 

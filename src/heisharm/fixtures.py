@@ -9,17 +9,18 @@ usable constant, is refused.  An explicit directory (CLI flag --fixtures)
 overrides the packaged copies.
 
 Loading a fixture needs no numpy; only the two grid builders import it, so
-ingham-plan reads its constant without the numeric stack.
+ingham-plan reads its constant and s nodes without the numeric stack.
 """
 
+import math
 import os
 import sys
 
 from .errors import DomainError
 from .jsonio import read_json
 
-__all__ = ["packaged_fixtures_dir", "load_fixture", "calibration_grid",
-           "envelope_radii"]
+__all__ = ["packaged_fixtures_dir", "load_fixture", "calibration_s_nodes",
+           "calibration_grid", "envelope_radii"]
 
 # envelope calibration grid: all degrees to ENVELOPE_K_MAX, five lambda
 # decades, 400 radii (origin + log-spaced over the range), three dimensions
@@ -69,12 +70,22 @@ _CONSTANTS = {
 }
 
 
+def calibration_s_nodes(count):
+    """count floats s = lam rho^2 log-spaced across the lam in [1e-3, 1e3],
+    rho in [1e-3, 1] product range: numpy.geomspace's formula
+    10 ** (log10 lo + i step), with the endpoints exact."""
+    lo, hi = FACTOR_S_RANGE
+    start = math.log10(lo)
+    step = (math.log10(hi) - start) / (count - 1)
+    return [lo, *(10.0 ** (i * step + start) for i in range(1, count - 1)), hi]
+
+
 def calibration_grid(s_nodes=FACTOR_S_NODES):
     """Shared (k, s) sampling for calibrating and validating the factor
-    envelope: all degrees up to FACTOR_K_MAX, and s_nodes of s = lam rho^2
-    log-spaced across the lam in [1e-3, 1e3], rho in [1e-3, 1] product range."""
+    envelope, as numpy arrays: all degrees up to FACTOR_K_MAX, and the
+    s_nodes values of calibration_s_nodes."""
     import numpy as np
-    return np.arange(FACTOR_K_MAX + 1), np.geomspace(*FACTOR_S_RANGE, s_nodes)
+    return np.arange(FACTOR_K_MAX + 1), np.array(calibration_s_nodes(s_nodes))
 
 
 def envelope_radii():

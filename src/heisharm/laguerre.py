@@ -22,6 +22,8 @@ Raw polynomial values overflow near k = 150, so all function evaluation
 runs a recurrence carried directly on the orthonormal family, whose values
 stay bounded; the square-root normalization ratios are folded into the
 recurrence coefficients.  Gamma ratios are always taken through log-gamma.
+The recurrence is ``_ball.orthonormal_rows``, written once for one float or
+an array; ``_orthonormal_table`` runs it on numpy arrays.
 
 The module also provides the four-region piecewise envelope that dominates
 ``C_{k,n} |phi_{k,lam}^{n-1}(r)|``: with ``nu = 2(2k+n)`` and the scaled
@@ -35,6 +37,7 @@ envelope_check replays the package's calibration grid against them.
 
 import numpy as np
 
+from ._ball import orthonormal_rows, row_steps
 from ._special import gammaln
 from .errors import DomainError
 
@@ -55,22 +58,6 @@ def _check_params(k, delta):
         raise DomainError(f"Laguerre type must satisfy delta > -1, got {delta}")
 
 
-def _orthonormal_rows(kmax, delta, u):
-    """Rows k = 0..kmax of _orthonormal_table, yielded one at a time; only
-    the two rows the recurrence needs are held."""
-    prev = np.exp(-0.5 * u - 0.5 * gammaln(delta + 1.0))
-    yield prev
-    if kmax < 1:
-        return
-    row = (1.0 + delta - u) * prev / np.sqrt(1.0 + delta)
-    yield row
-    for k in range(1, kmax):
-        a = (2.0 * k + 1.0 + delta - u) / np.sqrt((k + 1.0) * (k + 1.0 + delta))
-        b = np.sqrt(k * (k + delta) / ((k + 1.0) * (k + 1.0 + delta)))
-        prev, row = row, a * row - b * prev
-        yield row
-
-
 def _orthonormal_table(kmax, delta, u):
     """Values c_k L_k^delta(u) e^(-u/2) for all k <= kmax.
 
@@ -81,7 +68,8 @@ def _orthonormal_table(kmax, delta, u):
     """
     u = np.asarray(u, dtype=float)
     out = np.empty((kmax + 1,) + u.shape)
-    for k, row in enumerate(_orthonormal_rows(kmax, delta, u)):
+    rows = orthonormal_rows(np, kmax, delta, u, row_steps(kmax, delta))
+    for k, row in enumerate(rows):
         out[k] = row
     return out
 

@@ -13,10 +13,10 @@ calibrated factor bound
 on a thinned calibration grid.  It imports no numpy: ``ingham-plan`` with
 a builtin profile computes a few thousand scalars, and loading numpy
 would cost it more than all of them (a table profile loads numpy to
-validate its arrays).  The replay evaluates the factor coefficients with
-``_ball.ball_columns``, the float twin of
-``transform.ball_coefficients``; the chain code in ``heisharm.ingham``
-reads the plan's widths as numpy arrays.
+validate its arrays).  Theta (``ThetaProfile.at``), the replay's s nodes
+(``fixtures.calibration_s_nodes``) and coefficients (``_ball.ball_columns``)
+come from the one source of each formula, evaluated with math; the chain
+code in ``heisharm.ingham`` reads the widths as numpy arrays.
 """
 
 import math
@@ -25,7 +25,7 @@ from ._ball import ball_columns, ball_normalizer
 from ._record import Record
 from .errors import DomainError
 from .fixtures import (FACTOR_DIMS, FACTOR_K_MAX, FACTOR_S_NODES,
-                       FACTOR_S_RANGE, load_fixture)
+                       calibration_s_nodes, load_fixture)
 from .theta import require_convergent
 
 __all__ = [
@@ -116,18 +116,6 @@ def factor_coeff_envelope(k, lam, rho, n, c_n):
     return min(1.0, c_n * x ** (0.5 - n)) if x > 0 else 1.0
 
 
-def _replay_s_nodes():
-    """The calibration's s nodes, geometric on FACTOR_S_RANGE, computed as
-    numpy.geomspace does: 10 ** (log10 lo + i step), with the endpoints
-    exact.  libm's pow and numpy's differ by an ulp at 5 of the 120 nodes,
-    none of them a column of the command's thinned replay."""
-    lo, hi = FACTOR_S_RANGE
-    start = math.log10(lo)
-    step = (math.log10(hi) - start) / (FACTOR_S_NODES - 1)
-    return [lo, *(10.0 ** (i * step + start) for i in range(1, FACTOR_S_NODES - 1)),
-            hi]
-
-
 def factor_bound_check(n, c_n, thin=1):
     """Validate |coeff(k, s)| <= min(1, c_n ((2k+n) s)^{-(2n-1)/4}) over the
     calibration grid, with the constant c_n.
@@ -135,7 +123,7 @@ def factor_bound_check(n, c_n, thin=1):
     thin keeps every thin-th s column, trading coverage for speed; the
     certified outcome is zero violations at thin = 1.
     """
-    s = _replay_s_nodes()[::max(int(thin), 1)]
+    s = calibration_s_nodes(FACTOR_S_NODES)[::max(int(thin), 1)]
     violations, max_ratio = 0, 0.0
     for si, column in zip(s, ball_columns(s, FACTOR_K_MAX, n)):
         for k, value in enumerate(column):

@@ -24,13 +24,15 @@ extended by constants on both sides of the tabulated range.
 Resolving a builtin name or the declared_class of a config needs no
 numpy: it is imported where a profile is evaluated on an array and where
 a table is validated, so the planners' refusal of a divergent builtin
-runs without the numeric stack.  ThetaProfile.at evaluates a builtin at
-one point with math, which is all that planning the factor widths reads,
-so ingham-plan with a builtin profile runs without numpy too.
+runs without the numeric stack.  Each builtin formula is written once,
+for numpy (ThetaProfile.__call__) or _ball.FLOATS (ThetaProfile.at, all
+that planning the factor widths reads), so ingham-plan with a builtin
+profile runs without numpy too.
 """
 
 import math
 
+from ._ball import FLOATS
 from ._record import Record
 from .errors import ProfileClassError
 from .jsonio import read_json
@@ -46,8 +48,8 @@ __all__ = [
 
 _CLASSES = ("convergent", "divergent")
 
-# name -> declared class; ThetaProfile.__call__ (arrays) and at (one
-# float) hold the formulas
+# name -> declared class; _builtin holds the formulas, for one float
+# (ThetaProfile.at) or an array (ThetaProfile.__call__)
 BUILTIN_THETAS = {
     "inv-sqrt": "convergent",
     "inv-sqrt-strong": "convergent",
@@ -55,6 +57,21 @@ BUILTIN_THETAS = {
     "inv-log-sq": "convergent",
     "zero": "convergent",
 }
+
+
+def _builtin(xp, kind, y):
+    """Theta(y) of a builtin kind at y >= 0, with the elementary functions
+    of xp: numpy for an array, _ball.FLOATS for one float."""
+    if kind == "inv-sqrt":
+        return (1.0 + y) ** -0.5
+    if kind == "inv-sqrt-strong":
+        # 2 min(1, y^{-1/2}), which is 2 at y = 0
+        return 2.0 * xp.where(y > 1.0, y, 1.0) ** -0.5
+    if kind == "inv-log":
+        return 1.0 / xp.log(math.e + y)
+    if kind == "inv-log-sq":
+        return xp.log(math.e + y) ** -2.0
+    return xp.zeros_like(y)
 
 
 class ThetaProfile(Record):
@@ -95,42 +112,19 @@ class ThetaProfile(Record):
     def __call__(self, t):
         import numpy as np
         y = np.abs(np.asarray(t, dtype=float))
-        kind = self.kind
-        if kind == "table":
+        if self.kind == "table":
             return np.interp(y, self.y, self.vals,
                              left=self.vals[0], right=self.vals[-1])
-        if kind == "inv-sqrt":
-            return (1.0 + y) ** -0.5
-        if kind == "inv-sqrt-strong":
-            with np.errstate(divide="ignore"):
-                return 2.0 * np.minimum(1.0, np.where(y > 0, y, np.inf) ** -0.5)
-        if kind == "inv-log":
-            return 1.0 / np.log(np.e + y)
-        if kind == "inv-log-sq":
-            return np.log(np.e + y) ** -2.0
-        return np.zeros_like(y)
+        return _builtin(np, self.kind, y)
 
     def at(self, t):
-        """Theta(|t|) at one number t, as a float.  A builtin is evaluated
-        with math, so planning factor widths loads no numpy; it agrees with
-        __call__ to an ulp, where numpy's log and pow take SIMD code paths.
-        A table interpolates with numpy, as __call__ does."""
+        """Theta(|t|) at one number t, as a float: a builtin by its formula
+        with FLOATS, within an ulp of __call__ (numpy's log and pow take
+        SIMD code paths), and a table by __call__, which loads numpy."""
         y = abs(float(t))
-        kind = self.kind
-        if kind == "table":
-            import numpy as np
-            return float(np.interp(y, self.y, self.vals,
-                                   left=self.vals[0], right=self.vals[-1]))
-        if kind == "inv-sqrt":
-            return (1.0 + y) ** -0.5
-        if kind == "inv-sqrt-strong":
-            # as __call__, which takes inf ** -0.5 = 0 at y = 0
-            return 2.0 * min(1.0, y ** -0.5 if y > 0 else 0.0)
-        if kind == "inv-log":
-            return 1.0 / math.log(math.e + y)
-        if kind == "inv-log-sq":
-            return math.log(math.e + y) ** -2.0
-        return 0.0
+        if self.kind == "table":
+            return float(self(y))
+        return _builtin(FLOATS, self.kind, y)
 
     @property
     def divergent(self):

@@ -19,12 +19,13 @@ double the one-sided lambda integral; there is no convention flag.
 
 import numpy as np
 
-from ._ball import _POWER_CAP, ball_normalizer
+from ._ball import (ball_normalizer, ball_recurrence, ball_steps, ball_weights,
+                    coefficient_weights, log_c)
 from ._record import Record
 from ._special import gammainc_int, gammaln
 from .errors import DimensionMismatchError, DomainError, GridMismatchError
 from .grids import _unit_rule, gauss_legendre_panels
-from .laguerre import _orthonormal_rows, normalized_laguerre_table
+from .laguerre import normalized_laguerre_table
 
 __all__ = [
     "SpectralCoefficients",
@@ -67,32 +68,25 @@ def ball_coefficients(s, k_max, n):
     side in one call and reads each factor's columns back as the table
     that factor would get alone.  The one batch-wide
     quantity is the length of gammainc_int's series, which runs until every
-    column has converged; the terms a column gets past its own stopping
-    point are below _SERIES_EPS = 1e-17 of its sum, under half an ulp, so
-    they leave it unchanged.
+    column has converged and leaves each column unchanged
+    (_ball.gammainc_series says why).
 
-    Its float twin, _ball.ball_columns, evaluates the same closed form one
-    column at a time on Python floats for ingham-plan's factor-bound
-    replay; tests/test_plan.py::test_ball_columns_match_ball_coefficients
-    pins the two together.
+    The recurrence and the weights are written once in _ball, over a
+    namespace of elementary functions: this function runs them with numpy
+    on every column at once, and _ball.ball_columns with math one column
+    at a time, for ingham-plan's factor-bound replay.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 1 or not np.all(s > 0):
         raise DomainError("need a 1-d array of s > 0")
-    alpha = n - 1.0
     a = ball_normalizer(n)
     x = 0.5 * s * a * a
-    xpow = 2.0 * np.minimum(x, _POWER_CAP) ** (alpha + 1.0)
     J = np.empty((k_max + 1, s.size))
-    J[0] = 2.0 ** (alpha + 1.0) * np.exp(0.5 * gammaln(alpha + 1.0)) \
-        * gammainc_int(n, 0.5 * x)
-    # rows 0..k_max-1 of the L^{alpha+1} recurrence feed J as they come, so
-    # J is the only (k_max+1)-row table held
-    rows = _orthonormal_rows(k_max, alpha + 1.0, x)
-    for k, orth_k in zip(range(k_max), rows):
-        J[k + 1] = (xpow * orth_k - np.sqrt(k + alpha + 1.0) * J[k]) / np.sqrt(k + 1.0)
-    weights = _coefficient_weights(k_max, n) * (np.exp(0.5 * gammaln(n)) * 2.0 ** alpha)
-    J *= weights[:, None]
+    # the J rows come one at a time, so J is the only (k_max+1)-row table held
+    rows = ball_recurrence(np, n, x, gammainc_int(n, 0.5 * x), ball_steps(k_max, n))
+    for k, row in enumerate(rows):
+        J[k] = row
+    J *= ball_weights(np, log_c(k_max, n), n)[:, None]
     J *= s ** -float(n)
     return J
 
@@ -181,14 +175,6 @@ class SpectralCoefficients(Record):
         return type(self)(self.n, self.grid, values)
 
 
-def _coefficient_weights(k_max, n):
-    """pref C_{k,n} for k = 0..k_max, with pref = 2 pi^n / Gamma(n): the
-    factor in front of every coefficient's radial integral."""
-    k = np.arange(k_max + 1)
-    c = np.exp(0.5 * (gammaln(k + 1) + gammaln(n) - gammaln(k + n)))
-    return 2.0 * np.pi ** n / np.exp(gammaln(n)) * c
-
-
 def transform_at_lambda(fvals, x, w, lam, k_max, n):
     """Coefficient vector R_.(lam) from samples fvals of f^lam on the radial
     rule (x, w).  Used directly when f^lam only exists as samples, e.g. the
@@ -204,7 +190,8 @@ def transform_at_lambda(fvals, x, w, lam, k_max, n):
     x = np.asarray(x, dtype=float)
     table = normalized_laguerre_table(k_max, lam[..., None], n, x)
     integrand = np.asarray(fvals, dtype=float) * w * x ** (2 * n - 1)
-    weights = _coefficient_weights(k_max, n).reshape((-1,) + (1,) * lam.ndim)
+    weights = coefficient_weights(np, log_c(k_max, n), n).reshape(
+        (-1,) + (1,) * lam.ndim)
     return weights * np.sum(table * integrand, axis=-1)
 
 

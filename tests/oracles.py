@@ -12,6 +12,9 @@ gaussian_factor share their t-transforms with box_coefficients and
 gaussian_coefficients, so the oracles and the closed forms agree on the
 t-part by construction and differ only in the radial integral.
 
+ball_coefficients_table is ball_coefficients with its numpy operations
+written out, the bitwise reference of the closed form's streamed
+recurrences.
 factor_t_hat, factor_coeff, chain_coeff and chain_coefficients evaluate the
 Ingham chain of heisharm.ingham one factor, one cell or one chain length at
 a time, as products of factor values in linear space: the references for
@@ -20,18 +23,20 @@ factor-bound replay of heisharm.plan on numpy arrays, over the
 calibration grid's own nodes: the reference for its float replay.
 """
 
+import math
+
 import numpy as np
 
-from heisharm._ball import ball_normalizer
+from heisharm._ball import (_POWER_CAP, _SERIES_EPS, ball_normalizer,
+                            coefficient_weights, log_c, orthonormal_rows,
+                            row_steps)
 from heisharm._record import Record
 from heisharm._special import gammaln
 from heisharm.errors import DimensionMismatchError, DomainError, QuadratureError
 from heisharm.fixtures import FACTOR_K_MAX, calibration_grid
 from heisharm.grids import radial_rule
-from heisharm.laguerre import _orthonormal_rows
 from heisharm.transform import (SpectralCoefficients, _box_t_hat,
-                                _coefficient_weights, _gaussian_t_hat,
-                                ball_coefficients)
+                                _gaussian_t_hat, ball_coefficients)
 
 
 class RadialFunction(Record):
@@ -158,11 +163,13 @@ def _forward_columns(f, grid, nodes_per_panel):
         lo, hi = cols[0], cols[-1] + 1
         starts = offsets[lo:hi] - offsets[lo]
         integrand = np.concatenate(integrands[lo:hi])
-        rows = _orthonormal_rows(k_max, n - 1.0, np.concatenate(us[lo:hi]))
+        rows = orthonormal_rows(np, k_max, n - 1.0, np.concatenate(us[lo:hi]),
+                                row_steps(k_max, n - 1.0))
         for k, row in enumerate(rows):
             out[k, lo:hi] = np.add.reduceat(row * integrand, starts)
     # C_{k,n} phi_k = sqrt(Gamma(n)) * c_k L_k^{n-1}(u) e^{-u/2}
-    weights = _coefficient_weights(k_max, n) * np.exp(0.5 * gammaln(float(n)))
+    weights = (coefficient_weights(np, log_c(k_max, n), n)
+               * np.exp(0.5 * gammaln(float(n))))
     return weights[:, None] * out
 
 
@@ -222,6 +229,51 @@ def tail_integral_estimate(profile, hi):
     x = np.log(t)
     vals = profile(t)
     return float(np.trapezoid(vals, x))
+
+
+def ball_coefficients_table(s, k_max, n):
+    """ball_coefficients with its numpy operations written out here: the
+    whole orthonormal L^{alpha+1} table built before the J recurrence, the
+    incomplete gamma's series and Poisson sum masked in place, and one
+    out-of-place scaling at the end.  The closed form, streamed over the
+    recurrences of _ball, must give the same floats."""
+    alpha = n - 1.0
+    delta = alpha + 1.0
+    a = ball_normalizer(n)
+    x = 0.5 * s * a * a
+    orth = np.empty((k_max + 1, s.size))
+    orth[0] = np.exp(-0.5 * x - 0.5 * gammaln(delta + 1.0))
+    if k_max >= 1:
+        orth[1] = (1.0 + delta - x) * orth[0] / np.sqrt(1.0 + delta)
+    for k in range(1, k_max):
+        step = (2.0 * k + 1.0 + delta - x) / np.sqrt((k + 1.0) * (k + 1.0 + delta))
+        b = np.sqrt(k * (k + delta) / ((k + 1.0) * (k + 1.0 + delta)))
+        orth[k + 1] = step * orth[k] - b * orth[k - 1]
+    # P(n, x/2): the series below n + 1, one minus the Poisson sum above
+    y = 0.5 * x
+    small = y < n + 1.0
+    ys, yl = y[small], y[~small]
+    term, total, m = np.ones_like(ys), np.ones_like(ys), 0
+    while np.any(term > _SERIES_EPS * total):
+        m += 1
+        term = term * ys / (n + m)
+        total = total + term
+    q, logy = np.zeros_like(yl), np.log(yl)
+    for j in range(n):
+        q += np.exp(-yl + j * logy - math.lgamma(j + 1.0))
+    gamma = np.empty_like(y)
+    gamma[small] = np.exp(-ys) * ys ** n / math.factorial(n) * total
+    gamma[~small] = 1.0 - q
+    xpow = 2.0 * np.minimum(x, _POWER_CAP) ** delta
+    J = np.empty((k_max + 1, s.size))
+    J[0] = 2.0 ** delta * np.exp(0.5 * gammaln(delta)) * gamma
+    for k in range(k_max):
+        J[k + 1] = (xpow * orth[k] - np.sqrt(k + alpha + 1.0) * J[k]) / np.sqrt(k + 1.0)
+    k = np.arange(k_max + 1)
+    c = np.exp(0.5 * (gammaln(k + 1) + gammaln(n) - gammaln(k + n)))
+    weights = (2.0 * np.pi ** n / np.exp(gammaln(n)) * c
+               * (np.exp(0.5 * gammaln(n)) * 2.0 ** alpha))
+    return weights[:, None] * J * s ** -float(n)
 
 
 def factor_t_hat(j, lam, plan):

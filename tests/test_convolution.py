@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from heisharm.errors import DimensionMismatchError, DomainError
 from heisharm.grids import QuadratureGrid, _unit_rule
-from heisharm._ball import ball_normalizer
+from heisharm._ball import ball_normalizer, coefficient_weights, log_c
 from heisharm.laguerre import normalized_laguerre_table
-from heisharm.transform import (CONV_U_NODES, _box_u_rule, _coefficient_weights,
+from heisharm.transform import (CONV_U_NODES, _box_u_rule,
                                 _ramp_arc_integral, _ramp_arc_sums,
                                 box_convolution_coefficients,
                                 box_convolution_grids, box_pair_convolution,
@@ -472,7 +472,8 @@ def per_lambda_transform(fvals, x, w, lam, k_max, n):
     x = np.asarray(x, dtype=float)
     table = normalized_laguerre_table(k_max, lam, n, x)
     integrand = fvals * w * x ** (2 * n - 1)
-    return _coefficient_weights(k_max, n) * np.sum(table * integrand[None, :], axis=1)
+    weights = coefficient_weights(np, log_c(k_max, n), n)
+    return weights * np.sum(table * integrand[None, :], axis=1)
 
 
 def per_lambda_box_convolution_coefficients(rho1, tau1, rho2, tau2, lams, k_max):

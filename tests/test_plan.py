@@ -1,5 +1,6 @@
-"""The plan on Python floats: the float twin of the ball coefficients, the
-float profiles, the replay's nodes and one fixture read per ingham-plan."""
+"""The plan on Python floats: the ball coefficients and the profiles
+evaluated with math against the same formulas on numpy arrays, the float
+replay against the array replay and one fixture read per ingham-plan."""
 
 import math
 
@@ -10,8 +11,7 @@ from heisharm import cli, plan
 from heisharm._ball import ball_columns
 from heisharm.fixtures import (FACTOR_DIMS, FACTOR_K_MAX, calibration_grid,
                                load_fixture)
-from heisharm.plan import (_replay_s_nodes, factor_bound_check, plan_sequences,
-                           support_radius)
+from heisharm.plan import factor_bound_check, plan_sequences, support_radius
 from heisharm.theta import BUILTIN_THETAS, ThetaProfile, builtin_theta
 from heisharm.transform import ball_coefficients
 
@@ -80,17 +80,6 @@ def test_support_radius_is_correctly_rounded():
                                  + p.c * math.fsum(p.tau))
     assert support_radius(p) == pytest.approx(
         p.a * np.sum(p.rho) + p.c * np.sum(p.tau), rel=1e-15)
-
-
-def test_replay_nodes_are_the_calibration_nodes():
-    # libm's pow and numpy's differ by an ulp at a few nodes, at none of
-    # the columns ingham-plan's thinned replay reads
-    _, s = calibration_grid()
-    nodes = _replay_s_nodes()
-    assert len(nodes) == s.size
-    assert _within_ulps(nodes, s.tolist(), 1)
-    assert nodes[::6] == s[::6].tolist()
-    assert (nodes[0], nodes[-1]) == (s[0], s[-1])
 
 
 @pytest.mark.parametrize("n", FACTOR_DIMS)

@@ -256,6 +256,9 @@ _PLANS = [["ingham-plan", "--theta", name, "--n", str(n)]
           for name in ("inv-sqrt", "inv-sqrt-strong", "inv-log-sq", "zero")
           for n in (1, 2, 3)]
 _PLANS.append(["ingham-plan", "--theta", "inv-sqrt", "--chain-length", "64"])
+# the longest plan a chain can have
+_PLANS.append(["ingham-plan", "--theta", "inv-sqrt-strong", "--n", "3",
+               "--chain-length", "1074"])
 
 
 @pytest.mark.parametrize("argv, code, stderr, unloaded", [

@@ -34,9 +34,9 @@ def test_unknown_builtin_refused():
 
 
 def _inv_sqrt_strong(y):
-    y = np.abs(y)
+    # the paper's 2 min(1, y^{-1/2}), with y^{-1/2} = inf at y = 0
     with np.errstate(divide="ignore"):
-        return 2.0 * np.minimum(1.0, np.where(y > 0, y, np.inf) ** -0.5)
+        return 2.0 * np.minimum(1.0, np.abs(y) ** -0.5)
 
 
 # the builtin formulas as standalone functions of t, the branches of
@@ -60,7 +60,7 @@ def test_builtin_branches_match_formulas_bitwise():
 
 
 def test_all_builtins_nonincreasing():
-    y = np.geomspace(1e-3, 1e8, 200)
+    y = np.concatenate(([0.0], np.geomspace(1e-3, 1e8, 200)))
     for name in BUILTIN_THETAS:
         vals = builtin_theta(name)(y)
         assert np.all(np.diff(vals) <= 1e-15), name

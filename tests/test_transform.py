@@ -8,20 +8,18 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from heisharm._ball import _POWER_CAP, ball_normalizer
-from heisharm._special import gammainc_int, gammaln
+from heisharm._ball import ball_normalizer
 from heisharm.chernoff import spectral_box
 from heisharm.errors import DomainError, GridMismatchError, QuadratureError
 from heisharm.grids import QuadratureGrid, radial_rule
-from heisharm.laguerre import _orthonormal_table
-from heisharm.transform import (SpectralCoefficients,
-                                _coefficient_weights, ball_coefficients,
+from heisharm.transform import (SpectralCoefficients, ball_coefficients,
                                 box_coefficients,
                                 dilate_coeffs, gaussian_coefficients,
                                 multiply_coeffs, plancherel_norm,
                                 projection_hs_norm_sq, transform_at_lambda)
 
-from oracles import box_factor, forward_radial, gaussian_factor, ground_state
+from oracles import (ball_coefficients_table, box_factor, forward_radial,
+                     gaussian_factor, ground_state)
 
 GRID = QuadratureGrid.make(k_max=24, lambda_min=0.05, lambda_max=20.0,
                            lambda_nodes=64)
@@ -105,24 +103,6 @@ def test_ball_coefficients_rows_do_not_depend_on_top_degree(n, k, extra, log_s):
                        ball_coefficients(s, k, n))
 
 
-def _ball_coefficients_table(s, k_max, n):
-    """ball_coefficients with the whole L^{alpha+1} table built before the J
-    recurrence and one out-of-place scaling at the end: the streamed
-    version must give the same floats."""
-    alpha = n - 1.0
-    a = ball_normalizer(n)
-    x = 0.5 * s * a * a
-    orth = _orthonormal_table(k_max, alpha + 1.0, x)
-    xpow = 2.0 * np.minimum(x, _POWER_CAP) ** (alpha + 1.0)
-    J = np.empty((k_max + 1, s.size))
-    J[0] = 2.0 ** (alpha + 1.0) * np.exp(0.5 * gammaln(alpha + 1.0)) \
-        * gammainc_int(n, 0.5 * x)
-    for k in range(k_max):
-        J[k + 1] = (xpow * orth[k] - np.sqrt(k + alpha + 1.0) * J[k]) / np.sqrt(k + 1.0)
-    weights = _coefficient_weights(k_max, n) * (np.exp(0.5 * gammaln(n)) * 2.0 ** alpha)
-    return weights[:, None] * J * s ** -float(n)
-
-
 @seed(23)
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([1, 2, 3]), st.integers(min_value=0, max_value=90),
@@ -131,7 +111,7 @@ def _ball_coefficients_table(s, k_max, n):
 def test_ball_coefficients_match_table_oracle_bitwise(n, k_max, log_s):
     s = 10.0 ** np.array(log_s)
     assert_array_equal(ball_coefficients(s, k_max, n),
-                       _ball_coefficients_table(s, k_max, n))
+                       ball_coefficients_table(s, k_max, n))
 
 
 def _peak_bytes(fn):

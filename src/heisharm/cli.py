@@ -108,6 +108,9 @@ class RunConfig(namedtuple("RunConfig", ("command",) + _NAMES)):
             raise DomainError("dilation must be positive")
         if self.max_power is not None and self.max_power < 1:
             raise DomainError("max_power must be a positive integer")
+        for name in ("out", "fixtures"):
+            if getattr(self, name) == "":
+                raise DomainError(f"{name} must name a path, got ''")
         return self
 
     def grid(self):
@@ -772,12 +775,11 @@ def main(argv):
         bad = next(_non_finite(report), None)
         if bad is not None:
             raise DomainError(f"report value {bad} is not finite")
-        if cfg.out:
-            write_json(cfg.out, report)
-            if cfg.command == "carleman":
-                csv_path = (cfg.out[:-5] + ".csv" if cfg.out.endswith(".json")
-                            else cfg.out + ".csv")
-                atomic_write_text(csv_path, _rows_csv(report["rows"]))
+        write_json(cfg.out, report)
+        if cfg.command == "carleman":
+            csv_path = (cfg.out[:-5] + ".csv" if cfg.out.endswith(".json")
+                        else cfg.out + ".csv")
+            atomic_write_text(csv_path, _rows_csv(report["rows"]))
     except HeisharmError as exc:
         print(f"heisharm {command}: refused: {exc}", file=sys.stderr)
         return 2

@@ -99,10 +99,12 @@ def packaged_fixtures_dir():
     return os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 
-def load_fixture(name, fixtures_dir=None):
+def load_fixture(name, fixtures_dir):
+    """The checked fixture name from fixtures_dir, or if None the package's."""
     if name not in GRIDS:
         raise DomainError(f"unknown calibration fixture {name!r}")
-    path = os.path.join(fixtures_dir or packaged_fixtures_dir(), name)
+    path = os.path.join(packaged_fixtures_dir() if fixtures_dir is None
+                        else fixtures_dir, name)
     regenerate = "; run 'python -m heisharm.calibrate' to regenerate"
     try:
         obj = read_json(path)

@@ -53,23 +53,23 @@ _LOG_MAX = math.log(sys.float_info.max)
 
 
 def adaptive_N(theta, k, lam, n):
-    """Number of chain factors used at the cell (k, lam):
-    floor(Theta(sqrt(nu)) sqrt(nu)) with nu = (2k+n)|lam|, clamped to
-    floor(sqrt(nu)) so that every factor index stays below sqrt(nu) even
-    for profiles with Theta(0) > 1."""
+    """(N, decay) at the cells (k, lam): decay = Theta(sqrt(nu)) sqrt(nu)
+    with nu = (2k+n)|lam|, and the chain's factor count N = floor(decay),
+    clamped to floor(sqrt(nu)) so that every factor index stays below
+    sqrt(nu) even for profiles with Theta(0) > 1."""
     lam = np.asarray(lam, dtype=float)
     if np.any(lam == 0):
         raise DomainError("lam must be nonzero")
     nu = (2.0 * np.asarray(k, dtype=float) + n) * np.abs(lam)
     root = np.sqrt(nu)
-    raw = np.floor(theta(root) * root)
-    count = np.minimum(raw, np.floor(root))
+    decay = theta(root) * root
+    count = np.minimum(np.floor(decay), np.floor(root))
     # an int64 holds the count below 2^63; nan, from an infinite nu, is refused too
     if not np.all(count < 2.0 ** 63):
         raise DomainError(f"the factor count must stay below 2^63 = {2.0 ** 63:.6g}, "
                           f"where it leaves int64; got {np.max(count):.6g} at "
                           f"nu = (2k+n)|lam| up to {np.max(nu):.6g}")
-    return count.astype(int)
+    return count.astype(int), decay
 
 
 # cells of one ball_coefficients table in the chain stream, 1 MiB of
@@ -123,16 +123,15 @@ def _log_q_table(plan, theta, k_max, lam_nodes):
     cell of the window, with N = adaptive_N capped at the plan's J; each
     cell copies its G_N as the chain stream passes j = N."""
     k = np.arange(k_max + 1, dtype=float)[None, :]
-    lam = lam_nodes[:, None]
-    root = np.sqrt((2.0 * k + plan.n) * np.abs(lam))
+    N, decay = adaptive_N(theta, k, lam_nodes[:, None], plan.n)
     # a plan only has J factors; using fewer than adaptive_N asks for
     # weakens the certified decay, which is conservative, not wrong
-    N = np.minimum(adaptive_N(theta, k, lam, plan.n), plan.J)
+    N = np.minimum(N, plan.J)
     logs = np.zeros(N.shape)
     stream = _chain_prefixes(plan, lam_nodes, k_max, N.max(axis=1))
     for j, (_, run_logs) in enumerate(stream, start=1):
         np.copyto(logs, run_logs, where=N == j)
-    return 2.0 * logs + 2.0 * theta(root) * root
+    return 2.0 * logs + 2.0 * decay
 
 
 def _max_log_q(log_q, lam_nodes):

@@ -222,19 +222,19 @@ def envelope_values(k_max, lam, n, r, c_fit, gamma_fit):
     return c_fit * spow * case
 
 
-def envelope_check(fixture, k_max=None):
+def envelope_check(fixture, k_max):
     """Validate the frozen C_fit and gamma_fit of a loaded
     lemma21_constants.json fixture on the package's envelope calibration grid.
 
-    Replays that grid (optionally truncated in degree) and counts points
-    where the normalized scaled Laguerre function exceeds the fitted
+    Replays that grid up to degree min(k_max, ENVELOPE_K_MAX) and counts
+    points where the normalized scaled Laguerre function exceeds the fitted
     envelope.  The certified outcome is zero violations.
     """
     # imported here: the transforms import this module and load no fixtures
     from .fixtures import ENVELOPE_DIMS, ENVELOPE_K_MAX, ENVELOPE_LAMBDAS, envelope_radii
     c_fit = float(fixture["C_fit"])
     gamma_fit = float(fixture["gamma_fit"])
-    k_hi = ENVELOPE_K_MAX if k_max is None else int(min(k_max, ENVELOPE_K_MAX))
+    k_hi = int(min(k_max, ENVELOPE_K_MAX))
     r = envelope_radii()
     points = 0
     violations = 0

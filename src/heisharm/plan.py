@@ -116,7 +116,7 @@ def factor_coeff_envelope(k, lam, rho, n, c_n):
     return min(1.0, c_n * x ** (0.5 - n)) if x > 0 else 1.0
 
 
-def factor_bound_check(n, c_n, thin=1):
+def factor_bound_check(n, c_n, thin):
     """Validate |coeff(k, s)| <= min(1, c_n ((2k+n) s)^{-(2n-1)/4}) over the
     calibration grid, with the constant c_n.
 

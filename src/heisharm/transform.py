@@ -341,12 +341,12 @@ def _ramp_arc_sums(d, s, psis, w):
     return out
 
 
-# the spatial box convolution's Gauss-Legendre nodes per r and per t panel
-# of its sampling grid, and per u rule of each sample's planar integral
+# the spatial box convolution's Gauss-Legendre nodes, read at call time: per
+# r and per t panel of its sampling grid, per u rule of a sample's integral
 CONV_R_NODES, CONV_T_NODES, CONV_U_NODES = 12, 13, 192
 
 
-def box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=CONV_U_NODES):
+def box_pair_convolution(rho1, tau1, rho2, tau2, r, t):
     """Group convolution of two box factors on the n=1 group, evaluated
     directly in space at the points (|z|, t) = (r, t).
 
@@ -367,8 +367,8 @@ def box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=CONV_U_NODES):
     row's u-sum takes its one-signed cells, 2 psi* d_+, from a prefix sum in
     u and runs the arc formula only on the cells where the ramp changes
     sign on the arc (:func:`_ramp_arc_sums`).  The u-integral is split where
-    psi* loses smoothness; its rule depends on r only, so it is built once
-    per distinct r and shared by every t.
+    psi* loses smoothness; its rule, on a budget of CONV_U_NODES, depends on
+    r only, so it is built once per distinct r and shared by every t.
     """
     a = ball_normalizer(1)
     A1, A2 = a * rho1, a * rho2
@@ -389,7 +389,7 @@ def box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=CONV_U_NODES):
             continue
         singular = [c for c in (abs(A1 - ri), ri + A1) if 0.0 < c <= umax]
         cuts = sorted({0.0, umax} | {c for c in singular if c < umax})
-        ux, uw = _box_u_rule(cuts, singular, u_nodes)
+        ux, uw = _box_u_rule(cuts, singular, CONV_U_NODES)
         # 1 - gamma <= A1^2 / (2 ri u) cancels where A1 << ri: cli's
         # convolve-check refuses a rho2 / rho1 where it loses the tolerance
         gamma = (ri ** 2 + ux ** 2 - A1 ** 2) / np.maximum(2.0 * ri * ux, 1e-300)
@@ -405,10 +405,10 @@ def box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=CONV_U_NODES):
     return out * (hgt / (rho1 ** 2 * rho2 ** 2))
 
 
-def box_convolution_grids(rho1, tau1, rho2, tau2,
-                          r_panel_nodes=CONV_R_NODES, t_panel_nodes=CONV_T_NODES):
+def box_convolution_grids(rho1, tau1, rho2, tau2):
     """Sampling grids (r nodes, r weights, t nodes, t weights) for the
-    spatial convolution of two box factors on H^1.
+    spatial convolution of two box factors on H^1, of CONV_R_NODES
+    Gauss-Legendre nodes per r panel and CONV_T_NODES per t panel.
 
     Panels split where the convolution has kinks: at |A1 - A2| and A1 + A2
     in r, at the interval half-width gap and sum in t.  The twist term of
@@ -420,28 +420,24 @@ def box_convolution_grids(rho1, tau1, rho2, tau2,
     half1, half2 = 0.5 * tau1 ** 2, 0.5 * tau2 ** 2
     t_top = half1 + half2 + 0.5 * A1 * A2
     rcuts = [0.0] + sorted(c for c in {abs(A1 - A2)} if 0.0 < c < A1 + A2) + [A1 + A2]
-    x, wx = gauss_legendre_panels(rcuts, r_panel_nodes)
+    x, wx = gauss_legendre_panels(rcuts, CONV_R_NODES)
     tcuts = [0.0] + sorted(c for c in {abs(half1 - half2), half1 + half2}
                            if 0.0 < c < t_top) + [t_top]
-    tx, wt = gauss_legendre_panels(tcuts, t_panel_nodes)
+    tx, wt = gauss_legendre_panels(tcuts, CONV_T_NODES)
     return x, wx, tx, wt
 
 
-def box_convolution_coefficients(rho1, tau1, rho2, tau2, lams, k_max,
-                                 r_panel_nodes=CONV_R_NODES,
-                                 t_panel_nodes=CONV_T_NODES, u_nodes=CONV_U_NODES):
+def box_convolution_coefficients(rho1, tau1, rho2, tau2, lams, k_max):
     """Spectral coefficients of the group convolution of two box factors on
     H^1, obtained entirely on the spatial side.
 
     The convolution is sampled on the tensor grid of
-    :func:`box_convolution_grids`, cosine-transformed in t at each lam, then
-    pushed through the radial transform, every lam at once.  Returns an
-    array of shape (k_max+1, len(lams)).
+    :func:`box_convolution_grids` at the CONV_* node counts, cosine-transformed
+    in t at each lam, then pushed through the radial transform, every lam at
+    once.  Returns an array of shape (k_max+1, len(lams)).
     """
-    x, wx, tx, wt = box_convolution_grids(rho1, tau1, rho2, tau2,
-                                          r_panel_nodes, t_panel_nodes)
-    H = box_pair_convolution(rho1, tau1, rho2, tau2, x[:, None], tx[None, :],
-                             u_nodes)
+    x, wx, tx, wt = box_convolution_grids(rho1, tau1, rho2, tau2)
+    H = box_pair_convolution(rho1, tau1, rho2, tau2, x[:, None], tx[None, :])
     lams = np.asarray(lams, dtype=float)
     # even in t, so the transform in t is twice the half-line cosine sum; t
     # is the last, contiguous axis, so each (lam, r) sum is the same row sum

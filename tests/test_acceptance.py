@@ -15,7 +15,7 @@ import pytest
 
 from heisharm.chernoff import (ingham_norm_bound_check, spectral_box,
                                sublaplacian_norms)
-from heisharm.fixtures import load_fixture
+from heisharm.fixtures import ENVELOPE_K_MAX, load_fixture, packaged_fixtures_dir
 from heisharm.grids import QuadratureGrid
 from heisharm.group import ball_shift_symmdiff, ball_volume, sphere_surface
 from heisharm.ingham import verify_decay
@@ -48,7 +48,8 @@ def test_laguerre_orthonormality():
 
 def test_envelope_dominates_all_grid_points():
     t0 = time.perf_counter()
-    out = envelope_check(load_fixture("lemma21_constants.json"))
+    out = envelope_check(load_fixture("lemma21_constants.json",
+                                      packaged_fixtures_dir()), ENVELOPE_K_MAX)
     assert out["points"] >= 400_000
     assert out["dims"] == [1, 2, 3] and out["k_max"] == 200
     assert out["violations"] == 0
@@ -80,8 +81,10 @@ def test_plancherel_round_trip_box():
     assert time.perf_counter() - t0 <= 30.0
 
 
-def test_convolution_theorem_matches_spatial_oracle():
+def test_convolution_theorem_matches_spatial_oracle(monkeypatch):
     t0 = time.perf_counter()
+    # 13 Gauss nodes per r panel, one more than the check's own grid
+    monkeypatch.setattr("heisharm.transform.CONV_R_NODES", 13)
     rho1, tau1, rho2, tau2 = 0.9, 0.8, 0.7, 0.6
     grid = QuadratureGrid.make(k_max=32, lambda_min=0.15, lambda_max=1.8,
                                lambda_nodes=16)
@@ -89,8 +92,7 @@ def test_convolution_theorem_matches_spatial_oracle():
         forward_radial(box_factor(1, rho1, tau1), grid),
         forward_radial(box_factor(1, rho2, tau2), grid))
     spatial = box_convolution_coefficients(rho1, tau1, rho2, tau2,
-                                           grid.lam, grid.k_max,
-                                           r_panel_nodes=13)
+                                           grid.lam, grid.k_max)
     samples = 26 * 39  # spatial sampling grid of the oracle side
     assert samples >= 1000
     err = np.max(np.abs(spatial - product.values)
@@ -101,9 +103,9 @@ def test_convolution_theorem_matches_spatial_oracle():
 
 def test_factor_coefficients_under_calibrated_envelope():
     t0 = time.perf_counter()
-    c_n = load_fixture("box_factor_envelope.json")["c_n"]
+    c_n = load_fixture("box_factor_envelope.json", packaged_fixtures_dir())["c_n"]
     for n in (1, 2):
-        out = factor_bound_check(n, c_n[str(n)])
+        out = factor_bound_check(n, c_n[str(n)], thin=1)
         assert out["points"] == 201 * 120
         assert out["violations"] == 0
         assert out["max_ratio"] <= 1.0

@@ -665,6 +665,28 @@ def test_non_finite_option_refused(tmp_path, capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["out", "fixtures"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_empty_path_refused(tmp_path, monkeypatch, capsys, option, via):
+    # an empty report path would write nothing and an empty fixtures
+    # directory would read the packaged fixtures; both are refused up front
+    monkeypatch.chdir(tmp_path)
+    if via == "flag":
+        argv = [_flag(option), ""]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({option: ""}))
+        argv = ["--config", "cfg.json"]
+    if option == "fixtures":
+        argv += ["--out", "r.json"]
+    assert main(["laguerre-check", "--kmax", "4", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"heisharm laguerre-check: refused: {option} must "
+                            "name a path, got ''\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        [] if via == "flag" else ["cfg.json"])
+
+
 @pytest.mark.parametrize("target", ["missing-dir", "directory"])
 def test_unwritable_report_path_exits_2(tmp_path, capsys, target):
     # a report that cannot be written is a usage error, not a failed check
@@ -853,6 +875,20 @@ _EXTREME = [
                  _WIDTH.format("rho1", "above", "1.92574e-154",
                                "(lambda_min rho1^2)^-1 overflows", "1e-300"),
                  id="convolve-rho1-1e-300"),
+    # the spatial side's prefactors: rho1^2 rho2^2, 1/(tau1^2 tau2^2) and
+    # their quotient 1/(rho1^2 tau1^2 rho2^2 tau2^2)
+    pytest.param(["convolve-check", "--factors", "1e100,1,1e60,1"],
+                 _WIDTH.format("rho1", "below", "1.34078e+94",
+                               "rho1^2 rho2^2 overflows", "1e+100"),
+                 id="convolve-rho-product"),
+    pytest.param(["convolve-check", "--factors", "1e40,1e-100,1e40,1e-70"],
+                 _WIDTH.format("tau1", "above", "7.45834e-85",
+                               "1/(tau1^2 tau2^2) overflows", "1e-100"),
+                 id="convolve-tau-product"),
+    pytest.param(["convolve-check", "--factors", "0.9,0.8,1e-100,1e-100"],
+                 _WIDTH.format("rho1", "above", "9.32293e+45",
+                               "1/(rho1^2 tau1^2 rho2^2 tau2^2) overflows", "0.9"),
+                 id="convolve-width-quotient"),
     # plancherel-check's window is [1e-4, 100]
     pytest.param(["plancherel-check", "--family", "box", "--factors", "1e300,1,1,1"],
                  _WIDTH.format("rho1", "below", "1.34078e+153",
@@ -924,6 +960,10 @@ def test_width_refusals_load_no_numpy(tmp_path, fresh_env):
     (["plancherel-check", "--family", "box", "--factors", "7.5e-153,1,1,1"], 1),
     (["convolve-check", "--factors", "9.9e153,1,1,1"], 1),
     (["convolve-check", "--factors", "0.9,9.9e153,0.7,0.6"], 1),
+    # and just inside the spatial side's limits on rho1^2 rho2^2 and
+    # 1/(tau1^2 tau2^2)
+    (["convolve-check", "--factors", "1.3e94,1,1e60,1"], 1),
+    (["convolve-check", "--factors", "1e40,7.5e-85,1e40,1e-70"], 1),
 ])
 def test_widths_inside_the_limits_run_quietly(tmp_path, monkeypatch, capsys,
                                               argv, code):

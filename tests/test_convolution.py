@@ -188,7 +188,9 @@ def test_closed_form_matches_psi_rule_oracle(widths, fractions):
     t = [0.5 * small, small, 0.5 * big] + [ft * t_top for _, ft in fractions]
     r, t = np.array(r), np.array(t)
     u_nodes = 96
-    closed = box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("heisharm.transform.CONV_U_NODES", u_nodes)
+        closed = box_pair_convolution(rho1, tau1, rho2, tau2, r, t)
     ref = gl_box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes, 2048)
     coarse = gl_box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes, 192)
     sup = np.max(np.abs(ref))
@@ -346,14 +348,15 @@ def dense_box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=256):
 
 
 @pytest.mark.parametrize("widths", _WIDTH_SETS)
-def test_prefix_sum_kernel_matches_dense_kernel(widths):
+def test_prefix_sum_kernel_matches_dense_kernel(widths, monkeypatch):
     # the grid of box_convolution_coefficients with an r = 0 row and a
     # t = 0 column added, at the check's two u rule sizes and a coarse one
     x, _, tx, _ = box_convolution_grids(*widths)
     r = np.concatenate([[0.0], x])[:, None]
     t = np.concatenate([[0.0], tx])[None, :]
     for u_nodes in (64, 192, 256):
-        got = box_pair_convolution(*widths, r, t, u_nodes)
+        monkeypatch.setattr("heisharm.transform.CONV_U_NODES", u_nodes)
+        got = box_pair_convolution(*widths, r, t)
         ref = dense_box_pair_convolution(*widths, r, t, u_nodes)
         assert np.max(np.abs(got - ref)) <= _SUM_ORDER_TOL * np.max(np.abs(ref))
 
@@ -373,7 +376,9 @@ def test_prefix_sum_kernel_matches_dense_kernel_sweep(widths, points, u_nodes):
     span = a * (widths[0] + widths[2])
     r = np.array([0.0] + [fr * span for fr, _ in points])
     t = np.array([0.0] + [ft for _, ft in points])
-    got = box_pair_convolution(*widths, r, t, u_nodes)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("heisharm.transform.CONV_U_NODES", u_nodes)
+        got = box_pair_convolution(*widths, r, t)
     ref = dense_box_pair_convolution(*widths, r, t, u_nodes)
     assert np.max(np.abs(got - ref)) <= _SUM_ORDER_TOL * np.max(np.abs(ref))
 

@@ -13,7 +13,8 @@ from heisharm import ingham
 from heisharm.calibrate import calibrate_cn
 from heisharm.errors import DomainError, ProfileClassError, QuadratureError
 from heisharm.fixtures import (FACTOR_K_MAX, FACTOR_S_NODES, FACTOR_S_RANGE,
-                               calibration_grid, load_fixture)
+                               calibration_grid, load_fixture,
+                               packaged_fixtures_dir)
 from heisharm.grids import QuadratureGrid
 from heisharm.ingham import (_chain_prefixes, _log_q_table, adaptive_N,
                              cauchy_gap, verify_decay)
@@ -137,7 +138,7 @@ def test_calibrate_cn_cross_checks_quadrature(monkeypatch):
 
 
 def test_factor_bound_small_replay():
-    c_n = load_fixture("box_factor_envelope.json")["c_n"]["1"]
+    c_n = load_fixture("box_factor_envelope.json", packaged_fixtures_dir())["c_n"]["1"]
     out = factor_bound_check(1, c_n, thin=3)
     assert out["violations"] == 0
     assert out["max_ratio"] <= 1.0
@@ -154,12 +155,14 @@ def test_factor_bound_check_refuses_uncalibrated_dimension():
 
 def test_adaptive_factor_count():
     inv = builtin_theta("inv-sqrt")
-    # nu = 100: floor(10 / sqrt(11)) = 3
-    assert adaptive_N(inv, 49, 1.0, 2) == 3
-    assert adaptive_N(builtin_theta("zero"), 49, 1.0, 2) == 0
+    # nu = 100: the decay is 10 / sqrt(11), and N = floor(10 / sqrt(11)) = 3
+    count, decay = adaptive_N(inv, 49, 1.0, 2)
+    assert count == 3 and decay == pytest.approx(10.0 / np.sqrt(11.0), rel=1e-15)
+    assert adaptive_N(builtin_theta("zero"), 49, 1.0, 2) == (0, 0.0)
     # Theta(0+) > 1 profiles are clamped to floor(sqrt(nu))
-    assert adaptive_N(builtin_theta("inv-sqrt-strong"), 0, 1.0, 1) == 1
-    assert adaptive_N(inv, np.array([0, 49]), 1.0, 2).shape == (2,)
+    assert adaptive_N(builtin_theta("inv-sqrt-strong"), 0, 1.0, 1)[0] == 1
+    count, decay = adaptive_N(inv, np.array([0, 49]), 1.0, 2)
+    assert count.shape == decay.shape == (2,)
     with pytest.raises(DomainError):
         adaptive_N(inv, 3, 0.0, 1)
 
@@ -207,7 +210,7 @@ def _dense_log_q_table(plan, theta, k_max, lam_nodes):
     k = np.arange(k_max + 1, dtype=float)[None, :]
     lam = lam_nodes[:, None]
     root = np.sqrt((2.0 * k + plan.n) * np.abs(lam))
-    N = np.minimum(adaptive_N(theta, k, lam, plan.n), plan.J)
+    N = np.minimum(adaptive_N(theta, k, lam, plan.n)[0], plan.J)
     _, logs = _dense_chain_log_columns(plan, lam_nodes, k_max, N.max(axis=1))
     chain = np.take_along_axis(logs, N[:, None, :], axis=1)[:, 0, :]
     return 2.0 * chain + 2.0 * theta(root) * root
@@ -284,7 +287,7 @@ def test_cauchy_gap_within_calibrated_envelope():
     plan = plan_sequences(builtin_theta("inv-sqrt"), 1, J=16)
     grid = QuadratureGrid.make(k_max=32, lambda_min=1e-2, lambda_max=1e2,
                                lambda_nodes=64)
-    fixture = load_fixture("chain_gap_constants.json")
+    fixture = load_fixture("chain_gap_constants.json", packaged_fixtures_dir())
     bounds, measured = cauchy_gap(plan, 4, grid, fixture["c3"])
     assert bounds.shape == measured.shape == (4,)
     assert np.all(measured <= fixture["C"] * bounds)

@@ -10,7 +10,7 @@ import pytest
 from heisharm import cli, plan
 from heisharm._ball import ball_columns
 from heisharm.fixtures import (FACTOR_DIMS, FACTOR_K_MAX, calibration_grid,
-                               load_fixture)
+                               load_fixture, packaged_fixtures_dir)
 from heisharm.plan import factor_bound_check, plan_sequences, support_radius
 from heisharm.theta import BUILTIN_THETAS, ThetaProfile, builtin_theta
 from heisharm.transform import ball_coefficients
@@ -84,7 +84,7 @@ def test_support_radius_is_correctly_rounded():
 
 @pytest.mark.parametrize("n", FACTOR_DIMS)
 def test_float_replay_matches_array_replay(n):
-    c_n = load_fixture("box_factor_envelope.json")["c_n"][str(n)]
+    c_n = load_fixture("box_factor_envelope.json", packaged_fixtures_dir())["c_n"][str(n)]
     got = factor_bound_check(n, c_n, thin=6)
     want = factor_bound_replay(n, c_n, 6)
     ratio = got.pop("max_ratio"), want.pop("max_ratio")

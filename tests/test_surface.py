@@ -3,8 +3,11 @@ module exports is used somewhere in production code, every parameter with a
 default is passed by some call and left to its default by another, and every
 field of a production record is read by production code.  Read from the
 source with ast, so nothing is imported.  Every census reads the whole
-package; the parameter censuses also count the defaults of the tests'
-oracles (tests/oracles.py), which the tests alone call.
+package.  The parameter censuses count, for a function of the package, only
+the calls of the shipped code, the package and perfbench, so a test's call
+keeps no setting or default of the package alive.  They also count the
+defaults of the tests' oracles (tests/oracles.py), over the calls of the
+tests, which alone call them.
 
 The parameter censuses count a call of a function only where the calling
 file's own imports and definitions resolve the callee to it, scope by
@@ -20,7 +23,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "heisharm").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
-ORACLES = ROOT / "tests" / "oracles.py"
 
 
 @functools.cache
@@ -207,24 +209,33 @@ def _passes(call, param, pos):
         isinstance(arg, ast.Starred) for arg in call.args[:pos + 1])
 
 
-@functools.cache
-def _knob_calls():
+def _census(defining, calling):
     """{module.qualname:param: passes} for every defaulted parameter of the
-    package and the tests' oracles, passes holding one bool per call in the
-    package, the tests and perfbench that resolves to the function itself
-    through its file's imports and definitions: whether that call sets the
-    parameter."""
+    files defining, passes holding one bool per call in the files calling
+    that resolves to the function itself through its file's imports and
+    definitions: whether that call sets the parameter."""
     calls = {}
-    for path in [*PACKAGE, *TESTS, *sorted((ROOT / "perfbench").glob("*.py"))]:
+    for path in calling:
         for call, callee in _file_calls(_tree(path), _module_path(path)):
             calls.setdefault(callee, []).append(call)
     found = {}
-    for path in [*PACKAGE, ORACLES]:
+    for path in defining:
         for own, target, param, pos in _knobs(_tree(path), _module_path(path)):
             name = ".".join(own[1:] if own[0] == "heisharm" else own)
             found[f"{name}:{param}"] = [_passes(call, param, pos)
                                         for call in calls.get(target, ())]
     return found
+
+
+@functools.cache
+def _knob_calls(root):
+    """The census of the repository at root: the package's defaults counted
+    over the calls of the shipped code, the package and perfbench, and the
+    defaults of the tests' oracles over the calls of the tests."""
+    package = sorted((root / "src" / "heisharm").glob("*.py"))
+    tests = sorted((root / "tests").glob("*.py"))
+    return {**_census(package, [*package, *sorted((root / "perfbench").glob("*.py"))]),
+            **_census([root / "tests" / "oracles.py"], tests)}
 
 
 def test_calls_resolve_through_the_callers_own_bindings():
@@ -268,13 +279,33 @@ class Grid:
     ]
 
 
+def test_census_counts_test_calls_only_for_the_oracles(tmp_path):
+    # f's default is passed only by a test, so the census reports it;
+    # perfbench's calls count for the package, the tests' for the oracles
+    files = {
+        "src/heisharm/m.py": ("def f(x=1):\n    return x\n\n\ndef h(z=1):\n"
+                              "    return z\n\n\ndef g():\n    return f() + h()\n"),
+        "perfbench/bench.py": "from heisharm.m import h\n\nh(z=3)\n",
+        "tests/oracles.py": "def o(y=1):\n    return y\n",
+        "tests/test_m.py": ("from heisharm.m import f\nfrom oracles import o\n\n\n"
+                            "def test_f():\n    assert f(x=2) == o(y=2) == o()\n"),
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    found = _knob_calls(tmp_path)
+    assert found == {"m.f:x": [False], "m.h:z": [False, True],
+                     "oracles.o:y": [True, False]}
+    assert [knob for knob, passes in found.items() if not any(passes)] == ["m.f:x"]
+
+
 def test_every_defaulted_parameter_is_passed_by_some_call():
-    assert [knob for knob, passes in _knob_calls().items() if not any(passes)] == []
+    assert [knob for knob, passes in _knob_calls(ROOT).items() if not any(passes)] == []
 
 
 def test_every_default_is_relied_on_by_some_call():
     # a default that every call overrides states a value nothing uses
-    assert [knob for knob, passes in _knob_calls().items() if all(passes)] == []
+    assert [knob for knob, passes in _knob_calls(ROOT).items() if all(passes)] == []
 
 
 def _attribute_loads(nodes):

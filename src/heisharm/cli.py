@@ -97,8 +97,10 @@ class RunConfig(namedtuple("RunConfig", ("command",) + _NAMES)):
                 value = _typed(name, kind, value)
             values.append(value)
         self = super().__new__(cls, command, *values)
-        if self.n < 1 or self.k_max < 1 or self.lambda_nodes < 2:
-            raise DomainError("grid controls must be positive")
+        for name, least in (("n", 1), ("k_max", 1), ("lambda_nodes", 2)):
+            if getattr(self, name) < least:
+                raise DomainError(f"{name} must be at least {least}, "
+                                  f"got {getattr(self, name)}")
         if not (0 < self.lambda_min < self.lambda_max):
             raise DomainError("need 0 < lambda_min < lambda_max")
         if len(self.factors) != 4 or any(v <= 0 for v in self.factors):
@@ -394,7 +396,7 @@ def _cmd_ingham_verify(cfg):
     from .plan import plan_sequences
     plan = plan_sequences(theta, cfg.n, J=cfg.chain_length,
                           fixtures_dir=cfg.fixtures)
-    report = {**verify_decay(plan, theta, cfg.grid()), "c_n": plan.c_n}
+    report = {**verify_decay(plan, cfg.grid()), "c_n": plan.c_n}
     return report, (f"theta={theta.name} n={cfg.n} k_max={cfg.k_max} "
                     f"max_log_q={report['max_log_q']:.6f} C={report['C']:.6g}")
 

@@ -10,9 +10,9 @@ planned on Python floats in heisharm.plan:
     rho_j = c_n^2 e^2 Theta(j) / j + 2^{-j},      tau_j = 2^{-j}.
 
 This module runs the chain on them, as numpy arrays.  Summability of
-rho_j is the convergence of int_1^inf Theta(t)/t dt, so profiles declared
-divergent are refused: no compactly supported function can decay that
-fast spectrally.
+rho_j is the convergence of int_1^inf Theta(t)/t dt, so a plan refuses a
+profile declared divergent: no compactly supported function can decay
+that fast spectrally.
 
 Spectrally the chain G_N is the entrywise product of factor coefficients.
 A z-factor's k-th coefficient depends only on s = lam rho^2 and obeys the
@@ -38,7 +38,6 @@ import sys
 import numpy as np
 
 from .errors import DomainError
-from .theta import require_convergent
 from .transform import (SpectralCoefficients, _box_t_hat, ball_coefficients,
                         plancherel_norm)
 
@@ -118,12 +117,12 @@ def _chain_prefixes(plan, lam, k_max, need):
         start = stop
 
 
-def _log_q_table(plan, theta, k_max, lam_nodes):
-    """log q = 2 log|G_N| + 2 Theta(sqrt(nu)) sqrt(nu) at every (lambda, k)
-    cell of the window, with N = adaptive_N capped at the plan's J; each
-    cell copies its G_N as the chain stream passes j = N."""
+def _log_q_table(plan, k_max, lam_nodes):
+    """log q = 2 log|G_N| + 2 Theta(sqrt(nu)) sqrt(nu), Theta the plan's, at
+    every (lambda, k) cell of the window, with N = adaptive_N capped at the
+    plan's J; each cell copies its G_N as the chain stream passes j = N."""
     k = np.arange(k_max + 1, dtype=float)[None, :]
-    N, decay = adaptive_N(theta, k, lam_nodes[:, None], plan.n)
+    N, decay = adaptive_N(plan.theta, k, lam_nodes[:, None], plan.n)
     # a plan only has J factors; using fewer than adaptive_N asks for
     # weakens the certified decay, which is conservative, not wrong
     N = np.minimum(N, plan.J)
@@ -143,11 +142,11 @@ def _max_log_q(log_q, lam_nodes):
     return float(col_max[best]), int(k_star[best]), float(lam_nodes[best])
 
 
-def verify_decay(plan, theta, grid):
+def verify_decay(plan, grid):
     """Certify the adaptive chain's decay at k <= grid.k_max, lam in grid.lam.
 
     Maximizes q(k, lam) = G_N(k, lam)^2 e^{+2 Theta(sqrt(nu)) sqrt(nu)},
-    with N = adaptive_N, in log space.  The fitted constant is
+    Theta the plan's, with N = adaptive_N, in log space.  The fitted constant is
     C = max q, and a maximum whose C overflows is refused; pass requires a
     finite maximum that moves by at most 0.1 in log when k_max doubles, a
     check that is always on.  One log q table,
@@ -158,7 +157,6 @@ def verify_decay(plan, theta, grid):
     Theta act cell by cell.  Report schema is fixed; byte determinism
     across repeated runs is part of the contract.
     """
-    require_convergent(theta, "nothing to certify")
     k_max, lam_nodes = grid.k_max, grid.lam
     k_top = 2 * k_max
     # the table forms nu = (2k+n)|lam| at every k <= k_top
@@ -167,7 +165,7 @@ def verify_decay(plan, theta, grid):
         raise DomainError(f"lambda_max must stay below {limit:.6g} at k_max = "
                           f"{k_max}, n = {plan.n}, where nu = (2k+n)|lam| at k "
                           f"up to 2 k_max overflows; got {lam_nodes[-1]:g}")
-    log_q = _log_q_table(plan, theta, k_top, lam_nodes)
+    log_q = _log_q_table(plan, k_top, lam_nodes)
     max_log_q, k_star, lam_star = _max_log_q(log_q[:, :k_max + 1], lam_nodes)
     if max_log_q > _LOG_MAX:
         raise DomainError(f"C = exp(max_log_q) overflows: max_log_q = {max_log_q:.6g} "
@@ -176,7 +174,7 @@ def verify_decay(plan, theta, grid):
     stable = bool(abs(max2 - max_log_q) <= 0.1)
     ok = bool(np.isfinite(max_log_q) and stable)
     return {
-        "theta": plan.theta_name,
+        "theta": plan.theta.name,
         "max_log_q": float(max_log_q),
         "argmax": {"k": int(k_star), "lambda": float(lam_star)},
         "C": float(np.exp(max_log_q)),

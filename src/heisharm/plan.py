@@ -41,7 +41,8 @@ TAU_GAUGE = 4.0 ** -0.25
 
 
 class SequencePlan(Record):
-    """Frozen factor widths for one construction run.
+    """Frozen factor widths for one construction run under the profile
+    theta, which a plan refuses if it is declared divergent.
 
     a is the ball-radius constant making each z-factor a probability
     density; c = 4^{-1/4} converts an interval half-length tau^2/2 into its
@@ -49,9 +50,10 @@ class SequencePlan(Record):
     the caller's sequences.
     """
 
-    __slots__ = ("theta_name", "n", "J", "c_n", "rho", "tau")
+    __slots__ = ("theta", "n", "J", "c_n", "rho", "tau")
 
-    def __init__(self, theta_name, n, J, c_n, rho, tau):
+    def __init__(self, theta, n, J, c_n, rho, tau):
+        require_convergent(theta)
         rho = tuple(map(float, rho))
         tau = tuple(map(float, tau))
         if len(rho) != J or len(tau) != J:
@@ -60,7 +62,7 @@ class SequencePlan(Record):
             raise DomainError("factor widths must be strictly positive")
         if any(later > v for seq in (rho, tau) for v, later in zip(seq, seq[1:])):
             raise DomainError("factor widths must be nonincreasing")
-        self._assign(theta_name=theta_name, n=n, J=J, c_n=c_n, rho=rho, tau=tau)
+        self._assign(theta=theta, n=n, J=J, c_n=c_n, rho=rho, tau=tau)
 
     @property
     def a(self):
@@ -87,7 +89,6 @@ def plan_sequences(theta, n, J, c_n=None, fixtures_dir=None):
     rho_j >= c_n^2 e^2 Theta(j)/j by construction.  c_n, when not given, is
     read from the factor-bound fixture.
     """
-    require_convergent(theta)
     if J < 1:
         raise DomainError("need at least one factor")
     if J > 1074:
@@ -98,7 +99,7 @@ def plan_sequences(theta, n, J, c_n=None, fixtures_dir=None):
     rho = [cn ** 2 * math.e ** 2 * theta.at(j) / j + 2.0 ** -j
            for j in range(1, J + 1)]
     tau = [2.0 ** -j for j in range(1, J + 1)]
-    return SequencePlan(theta_name=theta.name, n=n, J=J, c_n=cn, rho=rho, tau=tau)
+    return SequencePlan(theta=theta, n=n, J=J, c_n=cn, rho=rho, tau=tau)
 
 
 def support_radius(plan):

@@ -5,32 +5,33 @@ construction that these profiles feed is possible precisely when
 
     int_1^inf Theta(t) / t dt < inf,
 
-so every profile carries a declared_class of "convergent" or "divergent"
+so every profile has a declared_class of "convergent" or "divergent"
 for that integral.  Divergent profiles are loadable (the calculus on them
-is well defined) but the planners refuse them; the refusal is a
-configuration error, not a numerical failure.
+is well defined) but a plan refuses them; the refusal is a configuration
+error, not a numerical failure.
 
-Builtins:
+Builtins, each a name with the package's class, which no argument sets:
     inv-sqrt        (1+y)^{-1/2}          convergent
     inv-sqrt-strong 2*min(1, y^{-1/2})    convergent
     inv-log         1/log(e+y)            divergent
     inv-log-sq      1/log(e+y)^2          convergent
     zero            0                     convergent
 
-Table profiles come from JSON configs; their abscissae must be finite,
-and their values are forced nonincreasing with a running minimum and
-extended by constants on both sides of the tabulated range.
+Table profiles come from JSON configs, each under a name of its own; their
+abscissae must be finite, and their values are forced nonincreasing with a
+running minimum and extended by constants beyond the tabulated range.
 
-Resolving a builtin name or the declared_class of a config needs no
-numpy: it is imported where a profile is evaluated on an array and where
-a table is validated, so the planners' refusal of a divergent builtin
-runs without the numeric stack.  Each builtin formula is written once,
-for numpy (ThetaProfile.__call__) or _ball.FLOATS (ThetaProfile.at, all
-that planning the factor widths reads), so ingham-plan with a builtin
+Resolving a builtin name, and refusing a config's kind, name or class,
+needs no numpy: it is imported where a profile is evaluated on an array
+and where a table is validated, so the planners' refusal of a divergent
+builtin runs without the numeric stack.  Each builtin formula is written
+once, for numpy (ThetaProfile.__call__) or _ball.FLOATS (ThetaProfile.at,
+all that planning the factor widths reads), so ingham-plan with a builtin
 profile runs without numpy too.
 """
 
 import math
+import sys
 
 from ._ball import FLOATS
 from ._record import Record
@@ -59,41 +60,67 @@ BUILTIN_THETAS = {
 }
 
 
-def _builtin(xp, kind, y):
-    """Theta(y) of a builtin kind at y >= 0, with the elementary functions
+def _builtin(xp, name, y):
+    """Theta(y) of the builtin name at y >= 0, with the elementary functions
     of xp: numpy for an array, _ball.FLOATS for one float."""
-    if kind == "inv-sqrt":
+    if name == "inv-sqrt":
         return (1.0 + y) ** -0.5
-    if kind == "inv-sqrt-strong":
+    if name == "inv-sqrt-strong":
         # 2 min(1, y^{-1/2}), which is 2 at y = 0
         return 2.0 * xp.where(y > 1.0, y, 1.0) ** -0.5
-    if kind == "inv-log":
+    if name == "inv-log":
         return 1.0 / xp.log(math.e + y)
-    if kind == "inv-log-sq":
+    if name == "inv-log-sq":
         return xp.log(math.e + y) ** -2.0
     return xp.zeros_like(y)
 
 
+def _require_numbers(field, values):
+    """Refuse the table column field unless it is a list of numbers: numpy
+    would read the strings "0" and "1", and the booleans false and true, as
+    numbers.  A float passes whatever its value, and so does None, a JSON
+    null read as nan: the table checks refuse those as not finite.  An int
+    passes where a float holds it."""
+    try:
+        bad = [values] if isinstance(values, str) else [
+            v for v in values if not (v is None or isinstance(v, float) or
+                                      type(v) is int and abs(v) <= sys.float_info.max)]
+    except TypeError:
+        bad = [values]
+    if bad:
+        raise ProfileClassError(f"table {field} must hold numbers only, "
+                                f"got {bad[0]!r}")
+
+
 class ThetaProfile(Record):
-    """A decay profile: a builtin kind, or kind "table" with read-only
-    float arrays y (abscissae) and vals (the running minimum of the
-    tabulated values)."""
+    """A decay profile: a builtin, named in BUILTIN_THETAS and of its class
+    there, or a table under a name of its own and of the class it declares,
+    with read-only float arrays y (abscissae) and vals (running minimum)."""
 
-    __slots__ = ("name", "kind", "declared_class", "y", "vals")
+    __slots__ = ("name", "declared_class", "y", "vals")
 
-    def __init__(self, name, kind, declared_class, y=None, vals=None):
-        if declared_class not in _CLASSES:
-            raise ProfileClassError(
-                f"declared_class must be one of {_CLASSES}, got {declared_class!r}")
-        if kind == "table":
-            import numpy as np
-            try:
-                # a copy: the record freezes its y, never the caller's
-                y = np.array(y, dtype=float)
-                v = np.asarray(vals, dtype=float)
-            except (TypeError, ValueError) as exc:
+    def __init__(self, name, declared_class=None, y=None, vals=None):
+        # a name is one line: it heads a report and the summary line
+        if not isinstance(name, str) or name.splitlines() != [name]:
+            raise ProfileClassError(f"profile name must be a one-line string, "
+                                    f"got {name!r}")
+        if name in BUILTIN_THETAS:
+            # a builtin is its name, and its class is the package's
+            if any(v is not None for v in (declared_class, y, vals)):
                 raise ProfileClassError(
-                    f"table y and theta must be arrays of numbers: {exc}") from None
+                    f"{name!r} names a builtin profile, {BUILTIN_THETAS[name]} "
+                    f"by the package; a table needs a name of its own")
+            declared_class = BUILTIN_THETAS[name]
+        else:
+            if declared_class not in _CLASSES:
+                raise ProfileClassError(
+                    f"declared_class must be one of {_CLASSES}, got {declared_class!r}")
+            _require_numbers("y", y)
+            _require_numbers("theta", vals)
+            import numpy as np
+            # a copy: the record freezes its y, never the caller's
+            y = np.array(y, dtype=float)
+            v = np.asarray(vals, dtype=float)
             if not np.all(np.isfinite(y)):
                 raise ProfileClassError("table abscissae y must be finite")
             if y.ndim != 1 or y.size < 2 or np.any(np.diff(y) <= 0) or y[0] < 0:
@@ -103,66 +130,55 @@ class ThetaProfile(Record):
             vals = np.minimum.accumulate(v)
             y.setflags(write=False)
             vals.setflags(write=False)
-        elif not isinstance(kind, str) or kind not in BUILTIN_THETAS:
-            # a kind that is no string, as a JSON list, would not hash
-            raise ProfileClassError(f"unknown profile kind {kind!r}")
-        self._assign(name=name, kind=kind, declared_class=declared_class,
-                     y=y, vals=vals)
+        self._assign(name=name, declared_class=declared_class, y=y, vals=vals)
 
     def __call__(self, t):
         import numpy as np
         y = np.abs(np.asarray(t, dtype=float))
-        if self.kind == "table":
+        if self.y is not None:
             return np.interp(y, self.y, self.vals,
                              left=self.vals[0], right=self.vals[-1])
-        return _builtin(np, self.kind, y)
+        return _builtin(np, self.name, y)
 
     def at(self, t):
         """Theta(|t|) at one number t, as a float: a builtin by its formula
         with FLOATS, within an ulp of __call__ (numpy's log and pow take
         SIMD code paths), and a table by __call__, which loads numpy."""
         y = abs(float(t))
-        if self.kind == "table":
+        if self.y is not None:
             return float(self(y))
-        return _builtin(FLOATS, self.kind, y)
-
-    @property
-    def divergent(self):
-        return self.declared_class == "divergent"
+        return _builtin(FLOATS, self.name, y)
 
 
-def require_convergent(profile,
-                       consequence="no compactly supported function can have "
-                                   "this spectral decay"):
+def require_convergent(profile):
     """Refuse a profile declared divergent: the construction needs
     int_1^inf Theta(t)/t dt < inf.  The check reads only the declared
     class, so it runs before any numerics."""
-    if profile.divergent:
+    if profile.declared_class == "divergent":
         raise ProfileClassError(
-            f"profile {profile.name!r} is declared divergent: {consequence}")
+            f"profile {profile.name!r} is declared divergent: no compactly "
+            f"supported function can have this spectral decay")
 
 
 def builtin_theta(name):
     if name not in BUILTIN_THETAS:
         raise ProfileClassError(
             f"no builtin profile {name!r}; choose from {sorted(BUILTIN_THETAS)}")
-    return ThetaProfile(name=name, kind=name, declared_class=BUILTIN_THETAS[name])
+    return ThetaProfile(name=name)
 
 
 def theta_from_config(obj):
-    """Profile from a parsed JSON config {name, kind, declared_class[, y, theta]}."""
+    """Table profile from a parsed JSON config {name, kind: "table",
+    declared_class, y, theta}: a builtin is chosen by its name alone."""
     try:
-        name = obj["name"]
-        kind = obj["kind"]
-        declared = obj["declared_class"]
+        name, kind, declared = obj["name"], obj["kind"], obj["declared_class"]
+        if kind != "table":
+            raise ProfileClassError(f"profile config kind must be 'table', got "
+                                    f"{kind!r}; a builtin is chosen by its name alone")
+        y, vals = obj["y"], obj["theta"]
     except (KeyError, TypeError) as exc:
         raise ProfileClassError(f"profile config missing field: {exc}") from exc
-    if kind == "table":
-        if "y" not in obj or "theta" not in obj:
-            raise ProfileClassError("table profile config needs 'y' and 'theta' arrays")
-        return ThetaProfile(name=name, kind="table", declared_class=declared,
-                            y=obj["y"], vals=obj["theta"])
-    return ThetaProfile(name=name, kind=kind, declared_class=declared)
+    return ThetaProfile(name=name, declared_class=declared, y=y, vals=vals)
 
 
 def load_theta(source):

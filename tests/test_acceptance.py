@@ -116,7 +116,7 @@ def test_decay_certification_stable_under_doubling():
     t0 = time.perf_counter()
     theta = builtin_theta("inv-sqrt")
     plan = plan_sequences(theta, 1, J=16)
-    report = verify_decay(plan, theta, QuadratureGrid.make(
+    report = verify_decay(plan, QuadratureGrid.make(
         k_max=64, lambda_min=1e-2, lambda_max=1e2, lambda_nodes=192))
     assert np.isfinite(report["max_log_q"])
     assert report["pass"] is True

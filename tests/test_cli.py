@@ -377,19 +377,56 @@ def test_non_finite_table_abscissae_refused(tmp_path, capsys, command, y):
                    "table abscissae y must be finite\n")
 
 
-@pytest.mark.parametrize("command", ["ingham-plan", "ingham-verify"])
-@pytest.mark.parametrize("kind, shown", [([1], "[1]"), ({"a": 1}, "{'a': 1}")],
-                         ids=["list", "dict"])
-def test_non_string_profile_kind_refused(tmp_path, capsys, command, kind, shown):
-    # a JSON list or object as kind is refused like any unknown kind, not
-    # left to fail on hashing
-    prof = tmp_path / "prof.json"
-    prof.write_text(json.dumps({"name": "q", "kind": kind,
-                                "declared_class": "convergent"}))
-    code, report, _ = run(tmp_path, command, "--theta", str(prof))
-    assert code == 2 and report is None
-    assert capsys.readouterr().err == (f"heisharm {command}: refused: "
-                                       f"unknown profile kind {shown}\n")
+_TABLE = {"name": "tab", "kind": "table", "declared_class": "convergent",
+          "y": [0.0, 1.0], "theta": [1.0, 0.5]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingham-plan"], ["ingham-verify"], ["carleman", "--family", "envelope"],
+    ["gamma-bound-check"]], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("config, message", [
+    # a builtin kind with a class of the config's choosing
+    ({"name": "sneaky", "kind": "inv-log", "declared_class": "convergent"},
+     "profile config kind must be 'table', got 'inv-log'; a builtin is "
+     "chosen by its name alone"),
+    # a table whose report would re-run as the builtin it is named after
+    ({**_TABLE, "name": "inv-sqrt", "theta": [1.0, 1.0]},
+     "'inv-sqrt' names a builtin profile, convergent by the package; a table "
+     "needs a name of its own"),
+    ({**_TABLE, "y": ["0", "1"], "theta": ["1", "0.5"]},
+     "table y must hold numbers only, got '0'"),
+    ({**_TABLE, "theta": ["1", "0.5"]},
+     "table theta must hold numbers only, got '1'"),
+    ({**_TABLE, "y": [False, True], "theta": [True, False]},
+     "table y must hold numbers only, got False"),
+    ({**_TABLE, "name": 5}, "profile name must be a one-line string, got 5"),
+    ({**_TABLE, "name": None}, "profile name must be a one-line string, got None"),
+    ({**_TABLE, "name": ["a"]},
+     "profile name must be a one-line string, got ['a']"),
+    ({**_TABLE, "name": ""}, "profile name must be a one-line string, got ''"),
+    ({**_TABLE, "name": "x\ny"},
+     "profile name must be a one-line string, got 'x\\ny'"),
+    # a JSON list or object as kind is refused like any kind but "table",
+    # not left to fail on hashing
+    ({"name": "q", "kind": [1], "declared_class": "convergent"},
+     "profile config kind must be 'table', got [1]; a builtin is chosen by "
+     "its name alone"),
+    ({"name": "q", "kind": {"a": 1}, "declared_class": "convergent"},
+     "profile config kind must be 'table', got {'a': 1}; a builtin is chosen "
+     "by its name alone"),
+], ids=["sneaky", "builtin-name", "string-y", "string-theta", "booleans",
+        "name-5", "name-null", "name-list", "name-empty", "name-two-lines",
+        "kind-list", "kind-dict"])
+def test_config_profile_refusals(tmp_path, monkeypatch, capsys, argv, config,
+                                 message):
+    # every command that reads --theta refuses each with exit 2 and one line
+    # that names the field, and writes nothing
+    (tmp_path / "prof.json").write_text(json.dumps(config))
+    code, out, err, caught = _quiet_run(tmp_path, monkeypatch, capsys,
+                                        [*argv, "--theta", "prof.json"])
+    assert (code, out, caught) == (2, "", [])
+    assert err == f"heisharm {argv[0]}: refused: {message}\n"
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "prof.json"]
 
 
 def test_gamma_bound_check_paths(tmp_path):
@@ -657,6 +694,11 @@ def test_config_null_is_unset(tmp_path):
     (["convolve-check", "--factors", "nan,0.8,0.7,0.6"],
      "factors must be a finite number"),
     (["convolve-check", "--factors", "0.9,x,0.7,0.6"], "cannot parse factors"),
+    # each grid control names its own bound
+    (["plancherel-check", "--lambda-nodes", "1"],
+     "lambda_nodes must be at least 2, got 1"),
+    (["plancherel-check", "--n", "0"], "n must be at least 1, got 0"),
+    (["plancherel-check", "--kmax", "0"], "k_max must be at least 1, got 0"),
 ])
 def test_non_finite_option_refused(tmp_path, capsys, argv, message):
     out = tmp_path / "never.json"

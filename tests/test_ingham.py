@@ -39,7 +39,7 @@ def test_plan_width_formulas():
     assert np.allclose(plan.tau, 2.0 ** -j)
     assert plan.a == pytest.approx(np.pi ** -0.5)
     assert plan.c == pytest.approx(4.0 ** -0.25)
-    assert plan.theta_name == "inv-sqrt"
+    assert plan.theta is theta
 
 
 def test_plan_refuses_divergent_profile():
@@ -50,7 +50,7 @@ def test_plan_refuses_divergent_profile():
 
 
 def test_plan_validation():
-    good = dict(theta_name="x", n=1, J=3, c_n=1.0)
+    good = dict(theta=builtin_theta("inv-sqrt"), n=1, J=3, c_n=1.0)
     with pytest.raises(DomainError):
         SequencePlan(rho=np.array([1.0, 2.0, 3.0]),
                      tau=np.array([1.0, 0.5, 0.25]), **good)
@@ -205,8 +205,9 @@ def _dense_chain_log_columns(plan, lam, k_max, n_cap):
     return signs, logs
 
 
-def _dense_log_q_table(plan, theta, k_max, lam_nodes):
+def _dense_log_q_table(plan, k_max, lam_nodes):
     """Oracle for _log_q_table, from the dense chain tables."""
+    theta = plan.theta
     k = np.arange(k_max + 1, dtype=float)[None, :]
     lam = lam_nodes[:, None]
     root = np.sqrt((2.0 * k + plan.n) * np.abs(lam))
@@ -216,9 +217,9 @@ def _dense_log_q_table(plan, theta, k_max, lam_nodes):
     return 2.0 * chain + 2.0 * theta(root) * root
 
 
-def _dense_max_log_q(plan, theta, k_max, lam_nodes):
+def _dense_max_log_q(plan, k_max, lam_nodes):
     """Oracle for one of verify_decay's maxima, built at its own k_max."""
-    log_q = _dense_log_q_table(plan, theta, k_max, lam_nodes)
+    log_q = _dense_log_q_table(plan, k_max, lam_nodes)
     k_star = np.argmax(log_q, axis=1)
     col_max = log_q[np.arange(lam_nodes.size), k_star]
     best = int(np.argmax(col_max))
@@ -331,15 +332,15 @@ def test_cauchy_gap_streams_the_chain_once(monkeypatch):
 def test_verify_decay_smoke():
     theta = builtin_theta("inv-sqrt")
     plan = plan_sequences(theta, 1, J=16)
-    report = verify_decay(plan, theta, QuadratureGrid.make(
+    report = verify_decay(plan, QuadratureGrid.make(
         k_max=12, lambda_min=0.1, lambda_max=10.0, lambda_nodes=24))
     assert sorted(report) == ["C", "argmax", "max_log_q", "pass", "theta"]
     assert report["pass"] is True
     assert report["C"] == pytest.approx(np.exp(report["max_log_q"]))
     assert 0 <= report["argmax"]["k"] <= 12
-    with pytest.raises(ProfileClassError):
-        verify_decay(plan, builtin_theta("inv-log"), QuadratureGrid.make(
-            k_max=4, lambda_min=1e-2, lambda_max=1e2, lambda_nodes=4))
+    # no divergent case: verify_decay reads the plan's own profile, and a
+    # plan refuses a divergent one when it is built (test_records and
+    # test_plan_refuses_divergent_profile), so none reaches verify_decay
 
 
 def test_verify_decay_tracemalloc_peak():
@@ -350,10 +351,10 @@ def test_verify_decay_tracemalloc_peak():
     plan = plan_sequences(theta, 2, J=16)
     grid = QuadratureGrid.make(k_max=64, lambda_min=1e-2, lambda_max=1e2,
                                lambda_nodes=192)
-    verify_decay(plan, theta, grid)
+    verify_decay(plan, grid)
     tracemalloc.start()
     try:
-        verify_decay(plan, theta, grid)
+        verify_decay(plan, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -372,8 +373,8 @@ def tail_tables(draw):
     tail = draw(st.sampled_from(["zero", "flat"]))
     y = np.concatenate(([0.0], np.cumsum(steps)))
     vals.append(0.0 if tail == "zero" else min(vals))
-    return ThetaProfile(name=f"table-{tail}", kind="table",
-                        declared_class="convergent", y=y, vals=np.array(vals))
+    return ThetaProfile(name=f"table-{tail}", declared_class="convergent",
+                        y=y, vals=np.array(vals))
 
 
 @seed(19)
@@ -385,7 +386,7 @@ def test_table_profiles_plan_and_verify(n, theta):
     for seq in (np.asarray(plan.rho), np.asarray(plan.tau)):
         assert seq.shape == (J,)
         assert np.all(seq > 0) and np.all(np.diff(seq) <= 0)
-    report = verify_decay(plan, theta, QuadratureGrid.make(
+    report = verify_decay(plan, QuadratureGrid.make(
         k_max=16, lambda_min=1e-2, lambda_max=1e2, lambda_nodes=32))
     assert sorted(report) == ["C", "argmax", "max_log_q", "pass", "theta"]
     assert np.isfinite(report["max_log_q"])
@@ -408,10 +409,10 @@ def test_verify_decay_matches_two_pass_oracle(theta, n, J, k_max, window,
     plan = plan_sequences(theta, n, J=J)
     grid = QuadratureGrid.make(k_max=k_max, lambda_min=window[0],
                                lambda_max=window[1], lambda_nodes=lambda_nodes)
-    report = verify_decay(plan, theta, grid)
+    report = verify_decay(plan, grid)
     lam_nodes = grid.lam
-    max_log_q, k_star, lam_star = _dense_max_log_q(plan, theta, k_max, lam_nodes)
-    max2 = _dense_max_log_q(plan, theta, 2 * k_max, lam_nodes)[0]
+    max_log_q, k_star, lam_star = _dense_max_log_q(plan, k_max, lam_nodes)
+    max2 = _dense_max_log_q(plan, 2 * k_max, lam_nodes)[0]
     assert [lam_nodes[0], lam_nodes[-1]] == list(window)
     assert report["max_log_q"] == max_log_q
     assert report["argmax"] == {"k": k_star, "lambda": lam_star}
@@ -434,8 +435,8 @@ def test_log_q_table_matches_dense_table(theta, n, J, k_max, window, lambda_node
     # every cell of the streamed table, bitwise, against the dense chain
     plan = plan_sequences(theta, n, J=J)
     lam_nodes = np.geomspace(*window, lambda_nodes)
-    assert_array_equal(_log_q_table(plan, theta, k_max, lam_nodes),
-                       _dense_log_q_table(plan, theta, k_max, lam_nodes))
+    assert_array_equal(_log_q_table(plan, k_max, lam_nodes),
+                       _dense_log_q_table(plan, k_max, lam_nodes))
 
 
 def _per_factor_chain_prefixes(plan, lam, k_max, need):
@@ -482,12 +483,12 @@ def test_blocked_chain_matches_per_factor_oracle(theta, n, J, k_max, window,
         mp.setattr(ingham, "_BLOCK_CELLS", budget)
         pairs = [(signs.copy(), logs.copy()) for signs, logs
                  in _chain_prefixes(plan, grid.lam, k_max, need)]
-        report = verify_decay(plan, theta, grid)
+        report = verify_decay(plan, grid)
         gap = cauchy_gap(plan, K, grid, 1.0)
         mp.setattr(ingham, "_chain_prefixes", _per_factor_chain_prefixes)
         expect = [(signs.copy(), logs.copy()) for signs, logs
                   in _per_factor_chain_prefixes(plan, grid.lam, k_max, need)]
-        assert verify_decay(plan, theta, grid) == report
+        assert verify_decay(plan, grid) == report
         expect_gap = cauchy_gap(plan, K, grid, 1.0)
     assert len(pairs) == len(expect) == need.max()
     for (signs, logs), (expect_signs, expect_logs) in zip(pairs, expect):

@@ -54,7 +54,7 @@ def test_float_profiles_match_array_profiles():
         for t in (0.0, -2.5, 1e300):
             assert _within_ulps([theta.at(t)], [float(theta(t))], 1), (name, t)
     # a table interpolates with numpy in both, bit for bit
-    table = ThetaProfile(name="t", kind="table", declared_class="convergent",
+    table = ThetaProfile(name="t", declared_class="convergent",
                          y=[0.0, 3.0, 40.0], vals=[1.5, 0.4, 0.1])
     y = [0.0, 1.0, 2.7, 3.0, 17.0, 40.0, 1e4, -5.0]
     assert [table.at(v) for v in y] == table(np.array(y)).tolist()

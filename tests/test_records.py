@@ -23,12 +23,12 @@ def _grid():
 
 
 def _plan():
-    return SequencePlan(theta_name="x", n=1, J=3,
+    return SequencePlan(theta=builtin_theta("inv-sqrt"), n=1, J=3,
                         c_n=1.0, rho=[1.0, 0.5, 0.25], tau=[1.0, 0.5, 0.25])
 
 
 def _table():
-    return ThetaProfile(name="t", kind="table", declared_class="convergent",
+    return ThetaProfile(name="t", declared_class="convergent",
                         y=[0.0, 1.0, 2.0], vals=[1.0, 0.5, 0.2])
 
 
@@ -99,18 +99,19 @@ def _arrays(**kw):
 
 # constructor, its arguments, and the exception type and message it raises
 REFUSALS = [
-    (ThetaProfile, dict(name="b", kind="inv-sqrt", declared_class="sideways"),
+    (ThetaProfile, dict(name="b", declared_class="sideways",
+                        y=[0.0, 1.0, 2.0], vals=[1.0, 0.5, 0.2]),
      ProfileClassError, "declared_class must be one of ('convergent', "
                         "'divergent'), got 'sideways'"),
-    (ThetaProfile, dict(name="b", kind="cubic", declared_class="convergent"),
-     ProfileClassError, "unknown profile kind 'cubic'"),
-    (ThetaProfile, dict(name="b", kind="table", declared_class="convergent",
+    (ThetaProfile, dict(name="cubic", declared_class="convergent"),
+     ProfileClassError, "table y must hold numbers only, got None"),
+    (ThetaProfile, dict(name="b", declared_class="convergent",
                         y=[0.0, np.nan, 2.0], vals=[1.0, 0.5, 0.2]),
      ProfileClassError, "table abscissae y must be finite"),
-    (ThetaProfile, dict(name="b", kind="table", declared_class="convergent",
+    (ThetaProfile, dict(name="b", declared_class="convergent",
                         y=[0.0, 2.0, 1.0], vals=[1.0, 0.5, 0.2]),
      ProfileClassError, "table abscissae must be >= 0, strictly increasing"),
-    (ThetaProfile, dict(name="b", kind="table", declared_class="convergent",
+    (ThetaProfile, dict(name="b", declared_class="convergent",
                         y=[0.0, 1.0, 2.0], vals=[1.0, -0.5, 0.2]),
      ProfileClassError, "table values must be finite and nonnegative"),
     (QuadratureGrid, dict(k_max=0, **_arrays(lam=[1.0, 2.0], lam_log_w=[1.0, 1.0])),
@@ -119,13 +120,13 @@ REFUSALS = [
      DomainError, "lambda nodes must be positive, ascending, nonzero"),
     (QuadratureGrid, dict(k_max=2, **_arrays(lam=[1.0, 2.0], lam_log_w=[1.0])),
      DomainError, "lambda weights must be positive and match the nodes"),
-    (SequencePlan, dict(theta_name="x", n=1, J=3,
+    (SequencePlan, dict(theta=builtin_theta("inv-sqrt"), n=1, J=3,
                         c_n=1.0, rho=[1.0, 2.0, 3.0], tau=[1.0, 0.5, 0.25]),
      DomainError, "factor widths must be nonincreasing"),
-    (SequencePlan, dict(theta_name="x", n=1, J=3,
+    (SequencePlan, dict(theta=builtin_theta("inv-sqrt"), n=1, J=3,
                         c_n=1.0, rho=[1.0, 0.5], tau=[1.0, 0.5]),
      DomainError, "plan sequences must have length J"),
-    (SequencePlan, dict(theta_name="x", n=1, J=3,
+    (SequencePlan, dict(theta=builtin_theta("inv-sqrt"), n=1, J=3,
                         c_n=1.0, rho=[1.0, 0.5, 0.0], tau=[1.0, 0.5, 0.25]),
      DomainError, "factor widths must be strictly positive"),
     (RadialFunction, dict(n=0, profile=abs, t_hat=abs, support_radius=1.0),
@@ -135,7 +136,7 @@ REFUSALS = [
     (RunConfig, dict(command="no-such-command"),
      DomainError, "unknown command 'no-such-command'"),
     (RunConfig, dict(command="laguerre-check", lambda_nodes=1),
-     DomainError, "grid controls must be positive"),
+     DomainError, "lambda_nodes must be at least 2, got 1"),
     (RunConfig, dict(command="laguerre-check", lambda_min=2.0, lambda_max=1.0),
      DomainError, "need 0 < lambda_min < lambda_max"),
     (RunConfig, dict(command="laguerre-check", factors=(1.0, 1.0, 1.0)),
@@ -146,6 +147,29 @@ REFUSALS = [
      DomainError, "max_power must be a positive integer"),
     (RunConfig, dict(command="laguerre-check", n=None),
      DomainError, "n must be an integer, got None"),
+    # a plan holds its profile and refuses one declared divergent
+    (SequencePlan, dict(theta=builtin_theta("inv-log"), n=1, J=3,
+                        c_n=1.0, rho=[1.0, 0.5, 0.25], tau=[1.0, 0.5, 0.25]),
+     ProfileClassError, "profile 'inv-log' is declared divergent: no compactly "
+                        "supported function can have this spectral decay"),
+    # a builtin's class is the package's, and a table's name is its own
+    (ThetaProfile, dict(name="inv-log", declared_class="convergent"),
+     ProfileClassError, "'inv-log' names a builtin profile, divergent by the "
+                        "package; a table needs a name of its own"),
+    (ThetaProfile, dict(name="inv-sqrt", declared_class="convergent",
+                        y=[0.0, 1.0], vals=[1.0, 1.0]),
+     ProfileClassError, "'inv-sqrt' names a builtin profile, convergent by the "
+                        "package; a table needs a name of its own"),
+    (ThetaProfile, dict(name="x\ny", declared_class="convergent",
+                        y=[0.0, 1.0], vals=[1.0, 1.0]),
+     ProfileClassError, "profile name must be a one-line string, got 'x\\ny'"),
+    (ThetaProfile, dict(name="b", declared_class="convergent",
+                        y=[False, True], vals=[1.0, 1.0]),
+     ProfileClassError, "table y must hold numbers only, got False"),
+    (RunConfig, dict(command="laguerre-check", n=0),
+     DomainError, "n must be at least 1, got 0"),
+    (RunConfig, dict(command="laguerre-check", k_max=0),
+     DomainError, "k_max must be at least 1, got 0"),
 ]
 
 
@@ -215,9 +239,9 @@ def test_records_copy_the_callers_arrays():
     lam, w = np.geomspace(0.1, 10.0, 8), np.ones(8)
     rho, tau, y = np.array([1.0, 0.5]), np.array([1.0, 0.25]), np.array([0.0, 1.0])
     grid = QuadratureGrid(k_max=4, lam=lam, lam_log_w=w)
-    plan = SequencePlan(theta_name="x", n=1, J=2,
+    plan = SequencePlan(theta=builtin_theta("inv-sqrt"), n=1, J=2,
                         c_n=1.0, rho=rho, tau=tau)
-    table = ThetaProfile(name="t", kind="table", declared_class="convergent",
+    table = ThetaProfile(name="t", declared_class="convergent",
                          y=y, vals=[1.0, 0.5])
     for given, held in ((lam, grid.lam), (w, grid.lam_log_w), (y, table.y)):
         assert given.flags.writeable and not held.flags.writeable

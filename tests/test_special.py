@@ -250,6 +250,16 @@ _DIVERGENT = ("heisharm {}: refused: profile {!r} is declared divergent: no "
 _LEAN = ("numpy", "dataclasses", "inspect")
 
 
+# the profile configs that the theta module refuses before numpy loads: the
+# file each test writes, and the refusal
+_CONFIG_REFUSALS = [
+    ("sneaky.json", "profile config kind must be 'table', got 'inv-log'; a "
+                    "builtin is chosen by its name alone"),
+    ("builtin-named.json", "'inv-sqrt' names a builtin profile, convergent "
+                           "by the package; a table needs a name of its own"),
+]
+
+
 # ingham-plan with each convergent builtin plans, bounds and replays on
 # Python floats
 _PLANS = [["ingham-plan", "--theta", name, "--n", str(n)]
@@ -276,16 +286,30 @@ _PLANS.append(["ingham-plan", "--theta", "inv-sqrt-strong", "--n", "3",
      _DIVERGENT.format("ingham-plan", "slowlog"),
      ("heisharm.ingham", "heisharm.transform", "heisharm.fixtures",
       "dataclasses")),
+    # a config naming a builtin kind, and a table under a builtin's name,
+    # are refused before numpy validates any table
+    *[([command, "--theta", "{dir}/" + config], 2,
+       f"heisharm {command}: refused: {message}\n",
+       (*_LEAN, "heisharm.fixtures", "heisharm.ingham"))
+      for config, message in _CONFIG_REFUSALS
+      for command in ("ingham-plan", "ingham-verify")],
     *[(argv, 0, "", (*_LEAN, "heisharm.ingham", "heisharm.transform"))
       for argv in _PLANS],
 ], ids=["help", "config-refusal", "plan-inv-log", "verify-inv-log",
         "plan-divergent-table",
+        *(f"{command[7:]}-{config[:-5]}" for config, _ in _CONFIG_REFUSALS
+          for command in ("ingham-plan", "ingham-verify")),
         *("plan-" + "-".join(v.lstrip("-") for v in a[2:]) for a in _PLANS)])
 def test_front_end_and_declared_refusals_skip_numpy(tmp_path, fresh_env, argv,
                                                      code, stderr, unloaded):
     (tmp_path / "slowlog.json").write_text(
         '{"name": "slowlog", "kind": "table", "declared_class": "divergent",'
         ' "y": [0.0, 1.0, 2.0], "theta": [1.0, 0.5, 0.2]}')
+    (tmp_path / "sneaky.json").write_text(
+        '{"name": "sneaky", "kind": "inv-log", "declared_class": "convergent"}')
+    (tmp_path / "builtin-named.json").write_text(
+        '{"name": "inv-sqrt", "kind": "table", "declared_class": "convergent",'
+        ' "y": [0.0, 1.0], "theta": [1.0, 1.0]}')
     report = tmp_path / "report.json"
     argv = [a.format(dir=tmp_path) for a in argv] + ["--out", str(report)]
     script = _FOOTPRINT + (

@@ -24,8 +24,20 @@ def test_builtin_values():
 
 def test_builtin_classes():
     assert builtin_theta("inv-sqrt").declared_class == "convergent"
-    assert builtin_theta("inv-log").divergent
-    assert not builtin_theta("inv-log-sq").divergent
+    assert builtin_theta("inv-log").declared_class == "divergent"
+    assert builtin_theta("inv-log-sq").declared_class == "convergent"
+    # a builtin is a name: its class comes from BUILTIN_THETAS, and no
+    # constructor argument declares another, nor the same one again, nor
+    # gives a table the builtin's name
+    for name, declared in BUILTIN_THETAS.items():
+        assert ThetaProfile(name).declared_class == declared
+        for other in ("convergent", "divergent"):
+            for table in ({}, {"y": [0.0, 1.0], "vals": [1.0, 1.0]}):
+                with pytest.raises(ProfileClassError) as info:
+                    ThetaProfile(name, declared_class=other, **table)
+                assert str(info.value) == (
+                    f"'{name}' names a builtin profile, {declared} by the "
+                    f"package; a table needs a name of its own")
 
 
 def test_unknown_builtin_refused():
@@ -67,7 +79,7 @@ def test_all_builtins_nonincreasing():
 
 
 def test_table_profile_running_minimum():
-    th = ThetaProfile(name="bump", kind="table", declared_class="convergent",
+    th = ThetaProfile(name="bump", declared_class="convergent",
                       y=np.array([0.0, 1.0, 2.0, 3.0]),
                       vals=np.array([1.0, 0.4, 0.7, 0.2]))
     # the bump at y=2 is flattened to the running minimum
@@ -75,28 +87,28 @@ def test_table_profile_running_minimum():
     assert th(10.0) == pytest.approx(0.2)  # constant extension on the right
     assert th(-0.5) == pytest.approx(th(0.5))  # profiles are even
     # left-constant extension below the first tabulated abscissa
-    shifted = ThetaProfile(name="shift", kind="table",
-                           declared_class="convergent",
+    shifted = ThetaProfile(name="shift", declared_class="convergent",
                            y=np.array([1.0, 2.0]), vals=np.array([0.8, 0.3]))
     assert shifted(0.1) == pytest.approx(0.8)
 
 
 def test_table_profile_validation():
     with pytest.raises(ProfileClassError):
-        ThetaProfile(name="bad", kind="table", declared_class="convergent",
+        ThetaProfile(name="bad", declared_class="convergent",
                      y=np.array([1.0, 0.5]), vals=np.array([1.0, 1.0]))
     with pytest.raises(ProfileClassError):
-        ThetaProfile(name="bad", kind="table", declared_class="convergent",
+        ThetaProfile(name="bad", declared_class="convergent",
                      y=np.array([0.0, 1.0]), vals=np.array([1.0, -0.2]))
     with pytest.raises(ProfileClassError):
-        ThetaProfile(name="bad", kind="inv-sqrt", declared_class="sideways")
+        ThetaProfile(name="bad", declared_class="sideways",
+                     y=np.array([0.0, 1.0]), vals=np.array([1.0, 1.0]))
 
 
 @pytest.mark.parametrize("y", [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf],
                                [-np.inf, 0.0, 1.0]])
 def test_table_abscissae_must_be_finite(y):
     with pytest.raises(ProfileClassError, match="abscissae y must be finite"):
-        ThetaProfile(name="bad", kind="table", declared_class="convergent",
+        ThetaProfile(name="bad", declared_class="convergent",
                      y=np.array(y), vals=np.array([1.0, 0.5, 0.2]))
     # the same from a config, where a JSON null reads as nan
     cfg = {"name": "bad", "kind": "table", "declared_class": "divergent",
@@ -105,12 +117,44 @@ def test_table_abscissae_must_be_finite(y):
         theta_from_config(cfg)
 
 
+# config field, the value that replaces a good one, and the refusal
+_NOT_A_TABLE = [
+    ("y", ["a", "b"], "table y must hold numbers only, got 'a'"),
+    ("y", [[0.0, 1.0], [2.0]], "table y must hold numbers only, got [0.0, 1.0]"),
+    ("y", "0,1", "table y must hold numbers only, got '0,1'"),
+    ("y", 5, "table y must hold numbers only, got 5"),
+    ("y", ["0", "1"], "table y must hold numbers only, got '0'"),
+    ("theta", ["1", "0.5"], "table theta must hold numbers only, got '1'"),
+    ("y", [False, True], "table y must hold numbers only, got False"),
+    ("theta", [True, False], "table theta must hold numbers only, got True"),
+    ("theta", [1.0, 10 ** 400],
+     "table theta must hold numbers only, got 1" + "0" * 400),
+    ("name", 5, "profile name must be a one-line string, got 5"),
+    ("name", None, "profile name must be a one-line string, got None"),
+    ("name", ["a"], "profile name must be a one-line string, got ['a']"),
+    ("name", "", "profile name must be a one-line string, got ''"),
+    ("name", "x\ny", "profile name must be a one-line string, got 'x\\ny'"),
+    ("name", "x\n", "profile name must be a one-line string, got 'x\\n'"),
+    # a config holds a table under a name of its own: a builtin kind, with a
+    # class of the config's choosing, and a builtin's name are refused
+    ("kind", "inv-log", "profile config kind must be 'table', got 'inv-log'; "
+                        "a builtin is chosen by its name alone"),
+    ("kind", [1], "profile config kind must be 'table', got [1]; a builtin is "
+                  "chosen by its name alone"),
+    ("name", "inv-sqrt", "'inv-sqrt' names a builtin profile, convergent by "
+                         "the package; a table needs a name of its own"),
+]
+
+
 def test_table_of_non_numbers_refused():
-    for y in (["a", "b"], [[0.0, 1.0], [2.0]], "0,1"):
-        with pytest.raises(ProfileClassError):
-            theta_from_config({"name": "bad", "kind": "table",
-                               "declared_class": "convergent",
-                               "y": y, "theta": [1.0, 0.5]})
+    # numpy would read the strings and booleans as numbers, and a name
+    # heads a one-line summary; each is refused naming its field
+    for field, value, message in _NOT_A_TABLE:
+        cfg = {"name": "ok", "kind": "table", "declared_class": "convergent",
+               "y": [0.0, 1.0], "theta": [1.0, 0.5], field: value}
+        with pytest.raises(ProfileClassError) as info:
+            theta_from_config(cfg)
+        assert str(info.value) == message, (field, value)
 
 
 def test_require_convergent_reads_the_declared_class():
@@ -118,9 +162,8 @@ def test_require_convergent_reads_the_declared_class():
     with pytest.raises(ProfileClassError, match="'inv-log' is declared "
                        "divergent: no compactly supported function"):
         require_convergent(builtin_theta("inv-log"))
-    with pytest.raises(ProfileClassError,
-                       match="declared divergent: nothing to certify$"):
-        require_convergent(builtin_theta("inv-log"), "nothing to certify")
+    # the one message: the refusal is the plan's (SequencePlan), and
+    # verify_decay, which reads the plan's profile, never sees a divergent one
 
 
 def test_config_and_path_loading(tmp_path):

@@ -15,9 +15,8 @@ then only read:
   against radial quadrature.
 
 * ``chain_gap_constants.json`` - the constant C with
-  measured gap <= C * (tau_{k+1}^2 + c3 rho_{k+1}) along the reference
-  chain; c3 is fixed at 1 since the interval term is negligible next to the
-  ball term and only the product C*c3 is identifiable.
+  measured gap <= C * (tau_{k+1}^2 + rho_{k+1}) along the reference
+  chain; a constant on the ball term alone could not be told from C.
 
 Every fixture records, beside its constants, the grid that produced them;
 the grids are stated once, in :data:`heisharm.fixtures.GRIDS`, which the
@@ -36,6 +35,7 @@ from .fixtures import (
     CHAIN_GAP_GRID,
     CHAIN_GAP_J,
     CHAIN_GAP_K_PROBE,
+    CHAIN_GAP_N,
     CHAIN_GAP_THETA,
     CN_SAFETY,
     ENVELOPE_DIMS,
@@ -159,14 +159,14 @@ def calibrate_factor_bound():
             **GRIDS["box_factor_envelope.json"]}
 
 
-def calibrate_chain_gap(c_n_1):
+def calibrate_chain_gap(c_n):
     """Frozen C for the chain Cauchy-gap bound, probed at k = 1..12 of the
-    reference inv-sqrt chain on H^1, with its grid of GRIDS."""
+    reference inv-sqrt chain on H^1 with c_n, with its grid of GRIDS."""
     theta = builtin_theta(CHAIN_GAP_THETA)
-    plan = plan_sequences(theta, 1, J=CHAIN_GAP_J, c_n=c_n_1)
+    plan = plan_sequences(theta, CHAIN_GAP_N, J=CHAIN_GAP_J, c_n=c_n)
     grid = QuadratureGrid.make(**CHAIN_GAP_GRID)
-    bounds, measured = cauchy_gap(plan, CHAIN_GAP_K_PROBE, grid, c3=1.0)
-    return {"C": 1.1 * float(np.max(measured / bounds)), "c3": 1.0,
+    bounds, measured = cauchy_gap(plan, CHAIN_GAP_K_PROBE, grid)
+    return {"C": 1.1 * float(np.max(measured / bounds)),
             **GRIDS["chain_gap_constants.json"]}
 
 
@@ -180,9 +180,9 @@ def run_all(out_dir=None):
     write_json(f"{out_dir}/box_factor_envelope.json", fac)
     print("box_factor_envelope.json: " +
           " ".join(f"c_{n}={fac['c_n'][n]:.6g}" for n in sorted(fac["c_n"])))
-    gap = calibrate_chain_gap(float(fac["c_n"]["1"]))
+    gap = calibrate_chain_gap(float(fac["c_n"][str(CHAIN_GAP_N)]))
     write_json(f"{out_dir}/chain_gap_constants.json", gap)
-    print(f"chain_gap_constants.json: C={gap['C']:.6g} c3={gap['c3']:.6g}")
+    print(f"chain_gap_constants.json: C={gap['C']:.6g}")
 
 
 _USAGE = ("usage: python -m heisharm.calibrate  (takes no arguments; rewrites "

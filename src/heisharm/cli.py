@@ -121,17 +121,21 @@ class RunConfig(namedtuple("RunConfig", ("command",) + _NAMES)):
                                    self.lambda_nodes)
 
 
+_GRAM_K_MAX = 40
+_GRAM_TOL = 1e-8
+
+
 def _cmd_laguerre_check(cfg):
     from .fixtures import load_fixture
     from .laguerre import envelope_check, orthonormality_defect
-    gram_k = min(cfg.k_max, 40)
+    gram_k = min(cfg.k_max, _GRAM_K_MAX)
     defects = {str(d): orthonormality_defect(gram_k, d) for d in (0, 1, 2, 3)}
     worst = max(defects.values())
     env = envelope_check(load_fixture("lemma21_constants.json", cfg.fixtures), cfg.k_max)
-    ok = worst <= 1e-8 and env["violations"] == 0
+    ok = worst <= _GRAM_TOL and env["violations"] == 0
     return {
         "gram": {"k_max": gram_k, "defects": defects, "max_defect": worst,
-                 "tol": 1e-8},
+                 "tol": _GRAM_TOL},
         "envelope": env,
         "pass": bool(ok),
     }, (f"gram_defect={worst:.3e} "
@@ -369,9 +373,7 @@ def _cmd_ingham_plan(cfg):
     from .plan import factor_bound_check, plan_sequences, support_radius
     plan = plan_sequences(theta, cfg.n, J=cfg.chain_length,
                           fixtures_dir=cfg.fixtures)
-    # thinned replay of the factor-bound calibration with the plan's c_n;
-    # full density is the acceptance-grade run
-    check = factor_bound_check(plan.n, plan.c_n, thin=6)
+    check = factor_bound_check(plan.n, plan.c_n)
     ok = check["violations"] == 0
     radius = support_radius(plan)
     return {
@@ -414,6 +416,10 @@ def _carleman_rows(prof, ratios):
     return rows
 
 
+_BOX_TERM = 20
+_BOX_TERM_WINDOW = (0.45, 0.5)
+
+
 def _cmd_carleman(cfg):
     import numpy as np
 
@@ -423,16 +429,19 @@ def _cmd_carleman(cfg):
     from .transform import SpectralCoefficients
     family = cfg.family
     if family == "box":
-        M = 20 if cfg.max_power is None else cfg.max_power
+        M = _BOX_TERM if cfg.max_power is None else cfg.max_power
         # the window edge is the true spectral support boundary, not a
         # truncation, so the boundary-domination guard is off
         prof = sublaplacian_norms(spectral_box(), M, tail_frac=1.0)
         rows = _carleman_rows(prof, None)
         crossed = [r["m"] for r in rows if r["partial_sum"] > 5.0]
         sum_ok = bool(crossed and crossed[0] <= 12)
-        window_ok = bool(M >= 20 and 0.45 <= rows[19]["carleman_term"] <= 0.5)
+        lo, hi = _BOX_TERM_WINDOW
+        window_ok = bool(M >= _BOX_TERM
+                         and lo <= rows[_BOX_TERM - 1]["carleman_term"] <= hi)
         ok = window_ok and sum_ok
-        detail = {"term_window": [0.45, 0.5], "term_20_in_window": window_ok,
+        detail = {"term_window": [lo, hi],
+                  f"term_{_BOX_TERM}_in_window": window_ok,
                   "sum_exceeds_5_by": crossed[0] if crossed else None}
     else:  # envelope
         if cfg.n != 1:
@@ -545,7 +554,8 @@ _GRID = ("k_max", "lambda_min", "lambda_max", "lambda_nodes")
 # is read by every command.  The config file and the flags override the
 # defaults, and may set no option the command does not read.
 _COMMANDS = {
-    "laguerre-check": (_cmd_laguerre_check, {"k_max": 40}, ("k_max", "fixtures"),
+    "laguerre-check": (_cmd_laguerre_check, {"k_max": _GRAM_K_MAX},
+                       ("k_max", "fixtures"),
                        "Gram defect of the Laguerre functions plus envelope "
                        "validation against the frozen fixture"),
     "plancherel-check": (_cmd_plancherel_check,

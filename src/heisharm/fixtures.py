@@ -40,6 +40,7 @@ CN_SAFETY = 1.1
 
 # chain-gap probe: the reference chain and the spectral grid it is read on
 CHAIN_GAP_THETA = "inv-sqrt"
+CHAIN_GAP_N = 1
 CHAIN_GAP_J = 16
 CHAIN_GAP_K_PROBE = 12
 CHAIN_GAP_GRID = {"k_max": 64, "lambda_min": 1e-3, "lambda_max": 1e3,
@@ -57,7 +58,7 @@ GRIDS = {
         "k_max": FACTOR_K_MAX, "s_nodes": FACTOR_S_NODES,
         "s_range": list(FACTOR_S_RANGE), "safety": CN_SAFETY},
     "chain_gap_constants.json": {
-        "theta": CHAIN_GAP_THETA, "n": 1, "J": CHAIN_GAP_J,
+        "theta": CHAIN_GAP_THETA, "n": CHAIN_GAP_N, "J": CHAIN_GAP_J,
         "k_probe_max": CHAIN_GAP_K_PROBE, "grid": CHAIN_GAP_GRID},
 }
 
@@ -66,7 +67,7 @@ GRIDS = {
 _CONSTANTS = {
     "lemma21_constants.json": ("C_fit", "gamma_fit"),
     "box_factor_envelope.json": tuple(f"c_n.{n}" for n in FACTOR_DIMS),
-    "chain_gap_constants.json": ("C", "c3"),
+    "chain_gap_constants.json": ("C",),
 }
 
 

@@ -15,12 +15,8 @@ profile declared divergent: no compactly supported function can decay
 that fast spectrally.
 
 Spectrally the chain G_N is the entrywise product of factor coefficients.
-A z-factor's k-th coefficient depends only on s = lam rho^2 and obeys the
-calibrated oscillatory envelope
-
-    |coeff| <= min(1, c_n (rho sqrt((2k+n)|lam|))^{-n+1/2}),
-
-with c_n frozen by the calibration run.  The coefficients come from the
+A z-factor's k-th coefficient depends only on s = lam rho^2, and obeys the
+factor bound that heisharm.plan replays.  The coefficients come from the
 closed form in transform.ball_coefficients over the lambda columns that
 still need each factor, one call per block of consecutive factors within
 a fixed cell budget, so a chain sweep holds (lambda, k) arrays and one
@@ -182,13 +178,13 @@ def verify_decay(plan, grid):
     }
 
 
-def cauchy_gap(plan, K, grid, c3):
+def cauchy_gap(plan, K, grid):
     """(bounds, measured) arrays over the chain steps G_k -> G_{k+1},
     k = 1..K, all read from one stream of the factors of G_1 .. G_{K+1}.
 
-    bound = tau_{k+1}^2 + c3 rho_{k+1}; measured is the Plancherel norm of
+    bound = tau_{k+1}^2 + rho_{k+1}; measured is the Plancherel norm of
     the coefficient difference on the grid.  The chain-gap fixture holds the
-    calibrated c3 and the constant C of the envelope measured <= C * bound.
+    calibrated constant C of the envelope measured <= C * bound.
     """
     if not (1 <= K < plan.J):
         raise DomainError(f"need 1 <= K < J = {plan.J}")
@@ -197,4 +193,4 @@ def cauchy_gap(plan, K, grid, c3):
     measured = [plancherel_norm(SpectralCoefficients(
         n=plan.n, grid=grid, values=g.T)) for g in gaps]
     rho, tau = np.asarray(plan.rho[1:K + 1]), np.asarray(plan.tau[1:K + 1])
-    return tau ** 2 + c3 * rho, np.array(measured)
+    return tau ** 2 + rho, np.array(measured)

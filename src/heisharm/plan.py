@@ -6,9 +6,9 @@ times a normalized interval of length tau_j^2 in t, with the widths
     rho_j = c_n^2 e^2 Theta(j) / j + 2^{-j},      tau_j = 2^{-j}.
 
 This module plans them, bounds the support of the chain and replays the
-calibrated factor bound
+calibrated factor bound at the unit-radius scale s = |lam| rho^2,
 
-    |coeff| <= min(1, c_n (rho sqrt((2k+n)|lam|))^{-n+1/2})
+    |coeff| <= min(1, c_n sqrt((2k+n) s)^{-n+1/2}),
 
 on a thinned calibration grid.  It imports no numpy: ``ingham-plan`` with
 a builtin profile computes a few thousand scalars, and loading numpy
@@ -36,8 +36,9 @@ __all__ = [
     "factor_bound_check",
 ]
 
-# Koranyi gauge of the point (0, tau^2/2): (t^2)^{1/4} = tau / sqrt(2)
-TAU_GAUGE = 4.0 ** -0.25
+# factor_bound_check replays every REPLAY_THIN-th s column, so ingham-plan
+# stays light; the certified outcome is zero violations at REPLAY_THIN = 1
+REPLAY_THIN = 6
 
 
 class SequencePlan(Record):
@@ -51,6 +52,7 @@ class SequencePlan(Record):
     """
 
     __slots__ = ("theta", "n", "J", "c_n", "rho", "tau")
+    c = 4.0 ** -0.25
 
     def __init__(self, theta, n, J, c_n, rho, tau):
         require_convergent(theta)
@@ -67,10 +69,6 @@ class SequencePlan(Record):
     @property
     def a(self):
         return ball_normalizer(self.n)
-
-    @property
-    def c(self):
-        return TAU_GAUGE
 
 
 def _chain_constant(n, fixtures_dir):
@@ -106,30 +104,25 @@ def support_radius(plan):
     """Koranyi-gauge radius containing supp G_J: triangle inequality over
     the a*rho_j ball factors and tau_j/sqrt(2) interval factors, each sum
     correctly rounded."""
-    return plan.a * math.fsum(plan.rho) + TAU_GAUGE * math.fsum(plan.tau)
+    return plan.a * math.fsum(plan.rho) + plan.c * math.fsum(plan.tau)
 
 
-def factor_coeff_envelope(k, lam, rho, n, c_n):
-    """Oscillatory bound min(1, c_n (rho sqrt((2k+n)|lam|))^{-n+1/2}) on a
-    z-factor coefficient, with the trivial unit bound taking over where the
-    power blows up."""
-    x = rho * math.sqrt((2.0 * k + n) * abs(lam))
+def factor_coeff_envelope(k, s, n, c_n):
+    """Oscillatory bound min(1, c_n sqrt((2k+n) s)^{-n+1/2}) on the k-th
+    coefficient of a z-factor at the unit-radius scale s = |lam| rho^2,
+    with the trivial unit bound taking over where the power blows up."""
+    x = math.sqrt((2.0 * k + n) * s)
     return min(1.0, c_n * x ** (0.5 - n)) if x > 0 else 1.0
 
 
-def factor_bound_check(n, c_n, thin):
-    """Validate |coeff(k, s)| <= min(1, c_n ((2k+n) s)^{-(2n-1)/4}) over the
-    calibration grid, with the constant c_n.
-
-    thin keeps every thin-th s column, trading coverage for speed; the
-    certified outcome is zero violations at thin = 1.
-    """
-    s = calibration_s_nodes(FACTOR_S_NODES)[::max(int(thin), 1)]
+def factor_bound_check(n, c_n):
+    """Validate |coeff(k, s)| <= min(1, c_n ((2k+n) s)^{-(2n-1)/4}) over
+    every REPLAY_THIN-th s column of the calibration grid, with c_n."""
+    s = calibration_s_nodes(FACTOR_S_NODES)[::REPLAY_THIN]
     violations, max_ratio = 0, 0.0
     for si, column in zip(s, ball_columns(s, FACTOR_K_MAX, n)):
         for k, value in enumerate(column):
-            # a unit-radius factor at lam = s
-            env = factor_coeff_envelope(k, si, 1.0, n, c_n)
+            env = factor_coeff_envelope(k, si, n, c_n)
             violations += abs(value) > env
             max_ratio = max(max_ratio, abs(value) / env)
     return {

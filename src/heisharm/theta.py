@@ -100,10 +100,10 @@ class ThetaProfile(Record):
     __slots__ = ("name", "declared_class", "y", "vals")
 
     def __init__(self, name, declared_class=None, y=None, vals=None):
-        # a name is one line: it heads a report and the summary line
-        if not isinstance(name, str) or name.splitlines() != [name]:
-            raise ProfileClassError(f"profile name must be a one-line string, "
-                                    f"got {name!r}")
+        # a name heads the summary line a terminal prints: one printable line
+        if not isinstance(name, str) or not name or not name.isprintable():
+            raise ProfileClassError(f"profile name must be a nonempty string of "
+                                    f"printable characters, got {name!r}")
         if name in BUILTIN_THETAS:
             # a builtin is its name, and its class is the package's
             if any(v is not None for v in (declared_class, y, vals)):

@@ -1,5 +1,6 @@
 """Calibration reproduces the packaged fixtures."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +39,16 @@ def test_calibrated_fixtures_pass_the_gate(calibrated, tmp_path):
     for command in ("laguerre-check", "ingham-plan"):
         assert main([command, "--fixtures", str(calibrated),
                      "--out", str(tmp_path / f"{command}.json")]) == 0
+
+
+def test_chain_gap_fixture_with_the_retired_c3_still_loads(tmp_path):
+    # fixtures calibrated when the ball term had a constant c3 = 1 of its
+    # own keep loading: only C is read
+    path = Path(packaged_fixtures_dir(), "chain_gap_constants.json")
+    (tmp_path / path.name).write_text(json.dumps({**json.loads(path.read_text()),
+                                                  "c3": 1.0}))
+    fixture = load_fixture(path.name, tmp_path)
+    assert fixture["C"] == load_fixture(path.name, None)["C"]
 
 
 def test_package_import_leaves_calibrate_unloaded(fresh_env):

@@ -379,6 +379,7 @@ def test_non_finite_table_abscissae_refused(tmp_path, capsys, command, y):
 
 _TABLE = {"name": "tab", "kind": "table", "declared_class": "convergent",
           "y": [0.0, 1.0], "theta": [1.0, 0.5]}
+_BAD_NAME = "profile name must be a nonempty string of printable characters, got "
 
 
 @pytest.mark.parametrize("argv", [
@@ -399,13 +400,13 @@ _TABLE = {"name": "tab", "kind": "table", "declared_class": "convergent",
      "table theta must hold numbers only, got '1'"),
     ({**_TABLE, "y": [False, True], "theta": [True, False]},
      "table y must hold numbers only, got False"),
-    ({**_TABLE, "name": 5}, "profile name must be a one-line string, got 5"),
-    ({**_TABLE, "name": None}, "profile name must be a one-line string, got None"),
-    ({**_TABLE, "name": ["a"]},
-     "profile name must be a one-line string, got ['a']"),
-    ({**_TABLE, "name": ""}, "profile name must be a one-line string, got ''"),
-    ({**_TABLE, "name": "x\ny"},
-     "profile name must be a one-line string, got 'x\\ny'"),
+    ({**_TABLE, "name": 5}, _BAD_NAME + "5"),
+    ({**_TABLE, "name": None}, _BAD_NAME + "None"),
+    ({**_TABLE, "name": ["a"]}, _BAD_NAME + "['a']"),
+    ({**_TABLE, "name": ""}, _BAD_NAME + "''"),
+    ({**_TABLE, "name": "x\ny"}, _BAD_NAME + "'x\\ny'"),
+    # an escape sequence would colour the summary line
+    ({**_TABLE, "name": "red\u001b[31mX"}, _BAD_NAME + "'red\\x1b[31mX'"),
     # a JSON list or object as kind is refused like any kind but "table",
     # not left to fail on hashing
     ({"name": "q", "kind": [1], "declared_class": "convergent"},
@@ -416,7 +417,7 @@ _TABLE = {"name": "tab", "kind": "table", "declared_class": "convergent",
      "by its name alone"),
 ], ids=["sneaky", "builtin-name", "string-y", "string-theta", "booleans",
         "name-5", "name-null", "name-list", "name-empty", "name-two-lines",
-        "kind-list", "kind-dict"])
+        "name-escape", "kind-list", "kind-dict"])
 def test_config_profile_refusals(tmp_path, monkeypatch, capsys, argv, config,
                                  message):
     # every command that reads --theta refuses each with exit 2 and one line

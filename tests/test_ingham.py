@@ -108,11 +108,12 @@ def test_factor_coeff_matches_table():
 
 
 def test_factor_envelope_formula():
+    # a factor of radius rho = 0.5 at lam = 2 has the scale s = lam rho^2
     k = np.array([0, 3, 50])
-    env = np.array([factor_coeff_envelope(kk, 2.0, 0.5, 2, 5.1) for kk in k])
+    env = np.array([factor_coeff_envelope(kk, 2.0 * 0.5 ** 2, 2, 5.1) for kk in k])
     x = 0.5 * np.sqrt((2.0 * k + 2) * 2.0)
     assert np.allclose(env, np.minimum(1.0, 5.1 * x ** -1.5))
-    assert factor_coeff_envelope(0, 1e-30, 1.0, 1, 1.3) == 1.0
+    assert factor_coeff_envelope(0, 1e-30, 1, 1.3) == 1.0
 
 
 def test_calibration_grid_shape():
@@ -120,7 +121,7 @@ def test_calibration_grid_shape():
     assert np.array_equal(k, np.arange(FACTOR_K_MAX + 1))
     assert s.shape == (9,)
     assert s[0] == pytest.approx(1e-9) and s[-1] == pytest.approx(1e3)
-    # the default is the grid the factor fixture's hash covers
+    # the default is the grid the factor fixture records
     k, s = calibration_grid()
     assert k[-1] == FACTOR_K_MAX and s.size == FACTOR_S_NODES
     assert (s[0], s[-1]) == pytest.approx(FACTOR_S_RANGE)
@@ -137,9 +138,10 @@ def test_calibrate_cn_cross_checks_quadrature(monkeypatch):
         calibrate_cn(1)
 
 
-def test_factor_bound_small_replay():
+def test_factor_bound_small_replay(monkeypatch):
     c_n = load_fixture("box_factor_envelope.json", packaged_fixtures_dir())["c_n"]["1"]
-    out = factor_bound_check(1, c_n, thin=3)
+    monkeypatch.setattr("heisharm.plan.REPLAY_THIN", 3)
+    out = factor_bound_check(1, c_n)
     assert out["violations"] == 0
     assert out["max_ratio"] <= 1.0
     assert out["s_columns"] == FACTOR_S_NODES // 3
@@ -289,11 +291,11 @@ def test_cauchy_gap_within_calibrated_envelope():
     grid = QuadratureGrid.make(k_max=32, lambda_min=1e-2, lambda_max=1e2,
                                lambda_nodes=64)
     fixture = load_fixture("chain_gap_constants.json", packaged_fixtures_dir())
-    bounds, measured = cauchy_gap(plan, 4, grid, fixture["c3"])
+    bounds, measured = cauchy_gap(plan, 4, grid)
     assert bounds.shape == measured.shape == (4,)
     assert np.all(measured <= fixture["C"] * bounds)
     with pytest.raises(DomainError):
-        cauchy_gap(plan, 16, grid, fixture["c3"])
+        cauchy_gap(plan, 16, grid)
 
 
 def test_cauchy_gap_streams_the_chain_once(monkeypatch):
@@ -311,13 +313,13 @@ def test_cauchy_gap_streams_the_chain_once(monkeypatch):
 
     monkeypatch.setattr("heisharm.ingham.ball_coefficients", counted)
     K = 12
-    bounds, measured = cauchy_gap(plan, K, grid, 1.0)
+    bounds, measured = cauchy_gap(plan, K, grid)
     # all 13 factors over all 24 columns fit one block
     assert calls == [(K + 1) * 24]
     # a budget of five factors' tables: blocks of 5, 5 and 3 factors
     calls.clear()
     monkeypatch.setattr("heisharm.ingham._BLOCK_CELLS", 5 * 24 * 17)
-    assert_array_equal(cauchy_gap(plan, K, grid, 1.0)[1], measured)
+    assert_array_equal(cauchy_gap(plan, K, grid)[1], measured)
     assert calls == [5 * 24, 5 * 24, 3 * 24]
     monkeypatch.undo()
     for k in (1, 5, K):
@@ -484,12 +486,12 @@ def test_blocked_chain_matches_per_factor_oracle(theta, n, J, k_max, window,
         pairs = [(signs.copy(), logs.copy()) for signs, logs
                  in _chain_prefixes(plan, grid.lam, k_max, need)]
         report = verify_decay(plan, grid)
-        gap = cauchy_gap(plan, K, grid, 1.0)
+        gap = cauchy_gap(plan, K, grid)
         mp.setattr(ingham, "_chain_prefixes", _per_factor_chain_prefixes)
         expect = [(signs.copy(), logs.copy()) for signs, logs
                   in _per_factor_chain_prefixes(plan, grid.lam, k_max, need)]
         assert verify_decay(plan, grid) == report
-        expect_gap = cauchy_gap(plan, K, grid, 1.0)
+        expect_gap = cauchy_gap(plan, K, grid)
     assert len(pairs) == len(expect) == need.max()
     for (signs, logs), (expect_signs, expect_logs) in zip(pairs, expect):
         assert_array_equal(signs, expect_signs)

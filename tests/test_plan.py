@@ -85,8 +85,8 @@ def test_support_radius_is_correctly_rounded():
 @pytest.mark.parametrize("n", FACTOR_DIMS)
 def test_float_replay_matches_array_replay(n):
     c_n = load_fixture("box_factor_envelope.json", packaged_fixtures_dir())["c_n"][str(n)]
-    got = factor_bound_check(n, c_n, thin=6)
-    want = factor_bound_replay(n, c_n, 6)
+    got = factor_bound_check(n, c_n)
+    want = factor_bound_replay(n, c_n, plan.REPLAY_THIN)
     ratio = got.pop("max_ratio"), want.pop("max_ratio")
     assert got == want
     assert got["violations"] == 0 and got["s_columns"] == 20

@@ -162,7 +162,8 @@ REFUSALS = [
                         "package; a table needs a name of its own"),
     (ThetaProfile, dict(name="x\ny", declared_class="convergent",
                         y=[0.0, 1.0], vals=[1.0, 1.0]),
-     ProfileClassError, "profile name must be a one-line string, got 'x\\ny'"),
+     ProfileClassError, "profile name must be a nonempty string of printable "
+                        "characters, got 'x\\ny'"),
     (ThetaProfile, dict(name="b", declared_class="convergent",
                         y=[False, True], vals=[1.0, 1.0]),
      ProfileClassError, "table y must hold numbers only, got False"),

@@ -257,6 +257,9 @@ _CONFIG_REFUSALS = [
                     "builtin is chosen by its name alone"),
     ("builtin-named.json", "'inv-sqrt' names a builtin profile, convergent "
                            "by the package; a table needs a name of its own"),
+    # a name holding a terminal escape, which the summary line would print
+    ("escape-named.json", "profile name must be a nonempty string of "
+                          "printable characters, got 'red\\x1b[31mX'"),
 ]
 
 
@@ -286,8 +289,9 @@ _PLANS.append(["ingham-plan", "--theta", "inv-sqrt-strong", "--n", "3",
      _DIVERGENT.format("ingham-plan", "slowlog"),
      ("heisharm.ingham", "heisharm.transform", "heisharm.fixtures",
       "dataclasses")),
-    # a config naming a builtin kind, and a table under a builtin's name,
-    # are refused before numpy validates any table
+    # a config naming a builtin kind, a table under a builtin's name and
+    # one under an unprintable name are refused before numpy validates any
+    # table
     *[([command, "--theta", "{dir}/" + config], 2,
        f"heisharm {command}: refused: {message}\n",
        (*_LEAN, "heisharm.fixtures", "heisharm.ingham"))
@@ -310,6 +314,9 @@ def test_front_end_and_declared_refusals_skip_numpy(tmp_path, fresh_env, argv,
     (tmp_path / "builtin-named.json").write_text(
         '{"name": "inv-sqrt", "kind": "table", "declared_class": "convergent",'
         ' "y": [0.0, 1.0], "theta": [1.0, 1.0]}')
+    (tmp_path / "escape-named.json").write_text(
+        '{"name": "red\\u001b[31mX", "kind": "table", "declared_class":'
+        ' "convergent", "y": [0.0, 1.0], "theta": [1.0, 0.5]}')
     report = tmp_path / "report.json"
     argv = [a.format(dir=tmp_path) for a in argv] + ["--out", str(report)]
     script = _FOOTPRINT + (
@@ -424,9 +431,10 @@ def _package_imports():
 
 
 def test_no_module_imports_argparse_or_hashlib():
-    # the command line is parsed from the option table, the grid hashes
-    # are recorded constants and the writer creates its temporary file with
-    # os.open, so no production module needs argparse, hashlib or tempfile
+    # the command line is parsed from the option table, a fixture is gated
+    # by comparing the grid it records and the writer creates its temporary
+    # file with os.open, so no production module needs argparse, hashlib or
+    # tempfile
     assert not [(name, lineno, mod) for name, lineno, mod in _package_imports()
                 if mod.split(".")[0] in ("argparse", "hashlib", "tempfile")]
 

@@ -9,6 +9,13 @@ keeps no setting or default of the package alive.  They also count the
 defaults of the tests' oracles (tests/oracles.py), over the calls of the
 tests, which alone call them.
 
+The settings census reads the package's parameters without a default:
+one that every call passes the same literal is a setting with only one
+value, which belongs in a constant.  It counts the calls of the package,
+perfbench and the tests' oracles, which are reference paths whose inputs
+count; the other tests' calls count for nothing.  A call that passes a
+name, an expression, a *sequence or a **mapping passes no literal.
+
 The parameter censuses count a call of a function only where the calling
 file's own imports and definitions resolve the callee to it, scope by
 scope as Python looks names up: a same-named local function, pytest
@@ -89,20 +96,34 @@ def _module_path(path):
     return (path.stem,)
 
 
-def _knobs(tree, path, in_class=False):
+def _required(fn, is_method):
+    """(name, position) of each parameter of fn without a default, as
+    _defaulted gives them."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    shift = 1 if is_method else 0
+    out = [(arg.arg, i - shift) for i, arg in enumerate(positional)
+           if shift <= i < first]
+    out += [(arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+            if d is None]
+    return out
+
+
+def _knobs(tree, path, params=_defaulted, in_class=False):
     """(dotted path of the function, dotted path a call reaches it by,
-    parameter, position) for every defaulted parameter of every function
-    in tree, nested ones included, path being tree's own.  A constructor
-    is reached through its class."""
+    parameter, position) for every parameter params picks of every
+    function in tree, nested ones included, path being tree's own.  A
+    constructor is reached through its class."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, ast.ClassDef):
-            yield from _knobs(node, path + (node.name,), True)
+            yield from _knobs(node, path + (node.name,), params, True)
         elif isinstance(node, ast.FunctionDef):
             own = path + (node.name,)
             ctor = in_class and node.name in ("__init__", "__new__")
-            for param, pos in _defaulted(node, in_class):
+            for param, pos in params(node, in_class):
                 yield own, path if ctor else own, param, pos
-            yield from _knobs(node, own)
+            yield from _knobs(node, own, params)
 
 
 def _bindings(body, module, path):
@@ -209,20 +230,41 @@ def _passes(call, param, pos):
         isinstance(arg, ast.Starred) for arg in call.args[:pos + 1])
 
 
-def _census(defining, calling):
-    """{module.qualname:param: passes} for every defaulted parameter of the
-    files defining, passes holding one bool per call in the files calling
-    that resolves to the function itself through its file's imports and
-    definitions: whether that call sets the parameter."""
+# what _argument gives for an argument that is not a literal
+_NOT_LITERAL = object()
+
+
+def _argument(call, param, pos):
+    """The literal value call passes for param, a parameter without a
+    default, by keyword or by position; _NOT_LITERAL where it passes a
+    name or an expression, or where a *sequence or **mapping may hold it."""
+    if any(kw.arg is None for kw in call.keywords) or pos is not None and any(
+            isinstance(arg, ast.Starred) for arg in call.args[:pos + 1]):
+        return _NOT_LITERAL
+    node = next((kw.value for kw in call.keywords if kw.arg == param), None)
+    if node is None and pos is not None and len(call.args) > pos:
+        node = call.args[pos]
+    try:
+        return _NOT_LITERAL if node is None else ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return _NOT_LITERAL
+
+
+def _census(defining, calling, params=_defaulted, of_call=_passes):
+    """{module.qualname:param: [of_call(call, param, position) for each
+    call]} for every parameter params picks of the functions of the files
+    defining, over the calls in the files calling that resolve to the
+    function itself through their file's imports and definitions."""
     calls = {}
     for path in calling:
         for call, callee in _file_calls(_tree(path), _module_path(path)):
             calls.setdefault(callee, []).append(call)
     found = {}
     for path in defining:
-        for own, target, param, pos in _knobs(_tree(path), _module_path(path)):
+        for own, target, param, pos in _knobs(_tree(path), _module_path(path),
+                                              params):
             name = ".".join(own[1:] if own[0] == "heisharm" else own)
-            found[f"{name}:{param}"] = [_passes(call, param, pos)
+            found[f"{name}:{param}"] = [of_call(call, param, pos)
                                         for call in calls.get(target, ())]
     return found
 
@@ -236,6 +278,20 @@ def _knob_calls(root):
     tests = sorted((root / "tests").glob("*.py"))
     return {**_census(package, [*package, *sorted((root / "perfbench").glob("*.py"))]),
             **_census([root / "tests" / "oracles.py"], tests)}
+
+
+def _fixed_settings(root):
+    """The parameters without a default of the package at root that every
+    call of the shipped code and the tests' oracles passes one literal:
+    settings with only one value.  The oracles are reference paths, whose
+    inputs count; the other test files count for nothing."""
+    package = sorted((root / "src" / "heisharm").glob("*.py"))
+    calling = [*package, *sorted((root / "perfbench").glob("*.py")),
+               root / "tests" / "oracles.py"]
+    found = _census(package, calling, _required, _argument)
+    return sorted(knob for knob, values in found.items()
+                  if values and _NOT_LITERAL not in values
+                  and all(value == values[0] for value in values))
 
 
 def test_calls_resolve_through_the_callers_own_bindings():
@@ -279,6 +335,12 @@ class Grid:
     ]
 
 
+def _write_repository(root, files):
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text, encoding="utf-8")
+
+
 def test_census_counts_test_calls_only_for_the_oracles(tmp_path):
     # f's default is passed only by a test, so the census reports it;
     # perfbench's calls count for the package, the tests' for the oracles
@@ -290,9 +352,7 @@ def test_census_counts_test_calls_only_for_the_oracles(tmp_path):
         "tests/test_m.py": ("from heisharm.m import f\nfrom oracles import o\n\n\n"
                             "def test_f():\n    assert f(x=2) == o(y=2) == o()\n"),
     }
-    for name, text in files.items():
-        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
-        (tmp_path / name).write_text(text, encoding="utf-8")
+    _write_repository(tmp_path, files)
     found = _knob_calls(tmp_path)
     assert found == {"m.f:x": [False], "m.h:z": [False, True],
                      "oracles.o:y": [True, False]}
@@ -306,6 +366,29 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
 def test_every_default_is_relied_on_by_some_call():
     # a default that every call overrides states a value nothing uses
     assert [knob for knob, passes in _knob_calls(ROOT).items() if all(passes)] == []
+
+
+def test_settings_census_counts_shipped_calls_and_the_oracles(tmp_path):
+    # f's x takes 1 from the package and 2 only from a plain test, so it is
+    # listed; an oracle's second literal keeps g's y, a name h's z and a
+    # *sequence u's w, each off the list
+    package = ("def f(x):\n    return x\n\n\ndef g(y):\n    return y\n\n\n"
+               "def h(z):\n    return z\n\n\ndef u(w):\n    return w\n\n\n"
+               "def run(a):\n    return f(1) + g(y=2) + h(3) + h(a) + u(4)\n")
+    _write_repository(tmp_path, {
+        "src/heisharm/m.py": package,
+        "perfbench/bench.py": "from heisharm.m import f, u\n\nf(x=1)\nu(*[5])\n",
+        "tests/oracles.py": ("from heisharm.m import g\n\n\n"
+                             "def o():\n    return g(3)\n"),
+        "tests/test_m.py": "from heisharm.m import f\n\n\ndef test_f():\n    f(2)\n",
+    })
+    assert _fixed_settings(tmp_path) == ["m.f:x"]
+
+
+def test_every_setting_takes_more_than_one_value():
+    # a parameter every shipped call passes the same literal is a constant
+    # with a call-site spelling
+    assert _fixed_settings(ROOT) == []
 
 
 def _attribute_loads(nodes):

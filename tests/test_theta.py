@@ -117,6 +117,8 @@ def test_table_abscissae_must_be_finite(y):
         theta_from_config(cfg)
 
 
+_BAD_NAME = "profile name must be a nonempty string of printable characters, got "
+
 # config field, the value that replaces a good one, and the refusal
 _NOT_A_TABLE = [
     ("y", ["a", "b"], "table y must hold numbers only, got 'a'"),
@@ -129,12 +131,14 @@ _NOT_A_TABLE = [
     ("theta", [True, False], "table theta must hold numbers only, got True"),
     ("theta", [1.0, 10 ** 400],
      "table theta must hold numbers only, got 1" + "0" * 400),
-    ("name", 5, "profile name must be a one-line string, got 5"),
-    ("name", None, "profile name must be a one-line string, got None"),
-    ("name", ["a"], "profile name must be a one-line string, got ['a']"),
-    ("name", "", "profile name must be a one-line string, got ''"),
-    ("name", "x\ny", "profile name must be a one-line string, got 'x\\ny'"),
-    ("name", "x\n", "profile name must be a one-line string, got 'x\\n'"),
+    ("name", 5, _BAD_NAME + "5"),
+    ("name", None, _BAD_NAME + "None"),
+    ("name", ["a"], _BAD_NAME + "['a']"),
+    ("name", "", _BAD_NAME + "''"),
+    ("name", "x\ny", _BAD_NAME + "'x\\ny'"),
+    ("name", "x\n", _BAD_NAME + "'x\\n'"),
+    # a terminal escape would reach the summary line raw
+    ("name", "red\u001b[31mX", _BAD_NAME + "'red\\x1b[31mX'"),
     # a config holds a table under a name of its own: a builtin kind, with a
     # class of the config's choosing, and a builtin's name are refused
     ("kind", "inv-log", "profile config kind must be 'table', got 'inv-log'; "
@@ -148,7 +152,8 @@ _NOT_A_TABLE = [
 
 def test_table_of_non_numbers_refused():
     # numpy would read the strings and booleans as numbers, and a name
-    # heads a one-line summary; each is refused naming its field
+    # heads a one-line summary a terminal shows; each is refused naming its
+    # field
     for field, value, message in _NOT_A_TABLE:
         cfg = {"name": "ok", "kind": "table", "declared_class": "convergent",
                "y": [0.0, 1.0], "theta": [1.0, 0.5], field: value}

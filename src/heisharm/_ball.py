@@ -1,5 +1,21 @@
 """The ball factor's closed form, written once for one float or an array.
 
+The coefficients of the unit normalized ball indicator (height 1 on
+|z| <= a, a = ball_normalizer(n)) at s = lam rho^2 come from the radial
+transform in closed form: with alpha = n-1, x = s a^2 / 2 and
+I_k(x) = int_0^x u^alpha e^{-u/2} L_k^alpha(u) du,
+
+    I_0 = 2^{alpha+1} gamma(alpha+1, x/2),
+    I_{k+1} = (2 x^{alpha+1} e^{-x/2} L_k^{alpha+1}(x)
+               - (k+alpha+1) I_k) / (k+1),
+
+carried on J_k = (k!/Gamma(k+alpha+1))^{1/2} I_k so that the
+L_k^{alpha+1} values come bounded from the orthonormal recurrence.  The
+substitution u = s r^2 / 2 turns R_k into 2^alpha s^{-n} sqrt(Gamma(n))
+pref C_{k,n} J_k, with pref C_{k,n} the weights of
+transform.transform_at_lambda.  The lower incomplete gamma enters as
+gamma(n, x/2) = Gamma(n) P(n, x/2).
+
 Each function that takes xp evaluates its formula with the elementary
 functions of that namespace: numpy for an array, FLOATS for one Python
 float.  Constants that do not depend on the argument are taken with math
@@ -7,19 +23,19 @@ on both paths, and ``**`` is numpy's pow on an array and libm's on a
 float, so each path keeps the exp, log and pow it has always used, and
 the two agree to rounding: numpy's may take SIMD code paths an ulp away
 from libm's.  The array callers are ``laguerre._orthonormal_table``
-(``orthonormal_rows``), ``_special.gammainc_int`` (the two halves
-``gammainc_series`` and ``gammainc_poisson``) and
-``transform.ball_coefficients`` (the J recurrence and its weights); the
-float caller is ``ball_columns``, one s column at a time for
-``ingham-plan``'s factor-bound replay, which imports no numpy.
+(``orthonormal_rows``) and ``transform.ball_coefficients`` (the J
+recurrence and its weights); the float caller is ``ball_columns``, one s
+column at a time for ``ingham-plan``'s factor-bound replay, which imports
+no numpy.
 """
 
 import math
 from types import SimpleNamespace
 
-__all__ = ["FLOATS", "row_steps", "orthonormal_rows", "gammainc_series",
-           "gammainc_poisson", "log_c", "coefficient_weights", "ball_normalizer",
-           "ball_steps", "ball_recurrence", "ball_weights", "ball_columns"]
+__all__ = ["MAX_N", "POWER_CAP", "FLOATS", "row_steps", "orthonormal_rows",
+           "gammainc_series", "gammainc_poisson", "gammainc", "log_c",
+           "coefficient_weights", "ball_normalizer", "ball_steps",
+           "ball_recurrence", "ball_weights", "ball_columns"]
 
 # the elementary functions the closed forms take from their caller, under
 # numpy's names, on one Python float; numpy itself serves an array
@@ -27,10 +43,16 @@ FLOATS = SimpleNamespace(exp=math.exp, log=math.log, minimum=min, any=bool,
                          where=lambda cond, a, b: a if cond else b,
                          zeros_like=lambda y: 0.0)
 
-# e^{-x/2} is exactly zero in double precision past x = 1491, so every row of
-# an orthonormal table is zero there; capping x^{alpha+1} at this point only
-# keeps 0 * inf out of the recurrence
-_POWER_CAP = 1e4
+# the largest n the closed form takes: gammainc_series divides by n!, and
+# 171! is past the largest double
+MAX_N = 170
+
+# e^{-x/2} is exactly zero in double precision from x = 1490.27 on, and so is
+# every row of an orthonormal table of L^n there, so capping x at this point
+# leaves every product 2 x^n row as it was.  2 POWER_CAP^n is a double up to
+# n = 97; past it, cli refuses a window whose x reaches past
+# (max double / 2)^(1/n), and so keeps 0 * inf out of the recurrence
+POWER_CAP = 1490.3
 
 # series terms below this share of the running sum no longer change it
 _SERIES_EPS = 1e-17
@@ -63,7 +85,8 @@ def gammainc_series(xp, n, y):
     sum_m y^m n!/(n+m)!, whose ratios stay under one for y < n + 1.  On an
     array the series runs until every entry has converged; the terms an
     entry gets past its own stopping point are below _SERIES_EPS of its
-    sum, under half an ulp, so they leave it unchanged."""
+    sum, under half an ulp, so they leave it unchanged.  y^n stays a double
+    wherever ball_recurrence's 2 x^n at x = 2y does."""
     term = total = 1.0
     m = 0
     while xp.any(term > _SERIES_EPS * total):
@@ -75,14 +98,26 @@ def gammainc_series(xp, n, y):
 
 def gammainc_poisson(xp, n, y):
     """P(n, y) = 1 - sum_{j<n} exp(-y + j log y - lgamma(j+1)) for an
-    integer n >= 1 and y >= n + 1, where the sum is below 1/2, so the
-    subtraction costs at most one bit; the log form keeps y^j from
+    integer n >= 1 and finite y >= n + 1, where the sum is below 1/2, so
+    the subtraction costs at most one bit; the log form keeps y^j from
     overflowing at large y."""
     logy = xp.log(y)
     q = 0.0
     for j in range(n):
         q += xp.exp(-y + j * logy - math.lgamma(j + 1.0))
     return 1.0 - q
+
+
+def gammainc(xp, n, y):
+    """The regularized lower incomplete gamma P(n, y) (DLMF 8.4.11) for an
+    integer 1 <= n <= MAX_N and finite y >= 0: gammainc_series below
+    y = n + 1 and gammainc_poisson above.  Each half gets only its own
+    entries, the series 0 and the Poisson sum n + 1 in the other's, so the
+    series runs no longer than its own entries need and neither half meets
+    an argument that would overflow it."""
+    small = y < n + 1.0
+    return xp.where(small, gammainc_series(xp, n, xp.where(small, y, 0.0)),
+                    gammainc_poisson(xp, n, xp.where(small, n + 1.0, y)))
 
 
 def log_c(k_max, n):
@@ -108,20 +143,22 @@ def ball_normalizer(n):
 
 
 def ball_steps(k_max, n):
-    """The x-free constants of ball_recurrence to degree k_max in dimension
-    n: the row steps of L^n, and (sqrt(k+n), sqrt(k+1)) for each k < k_max."""
-    return (row_steps(k_max, float(n)),
+    """The s-free constants of ball_recurrence to degree k_max in dimension
+    n: the radius multiplier a, the row steps of L^n, and
+    (sqrt(k+n), sqrt(k+1)) for each k < k_max."""
+    return (ball_normalizer(n), row_steps(k_max, float(n)),
             [(math.sqrt(k + n), math.sqrt(k + 1.0)) for k in range(k_max)])
 
 
-def ball_recurrence(xp, n, x, p, steps):
-    """J_k = (k!/Gamma(k+n))^{1/2} I_k for k = 0..k_max at x = s a^2 / 2,
-    one at a time, from p = P(n, x/2) and steps = ball_steps(k_max, n), as
-    transform.ball_coefficients states them; rows of L^n feed J as they come."""
+def ball_recurrence(xp, n, s, steps):
+    """J_k for k = 0..k_max at x = s a^2 / 2, one at a time, from
+    steps = ball_steps(k_max, n): J_0 from P(n, x/2), and the rows of L^n
+    feed the recurrence as they come."""
     delta = float(n)
-    rows, scales = steps
-    xpow = 2.0 * xp.minimum(x, _POWER_CAP) ** delta
-    J = 2.0 ** delta * xp.exp(0.5 * math.lgamma(delta)) * p
+    a, rows, scales = steps
+    x = 0.5 * s * a * a
+    xpow = 2.0 * xp.minimum(x, POWER_CAP) ** delta
+    J = 2.0 ** delta * xp.exp(0.5 * math.lgamma(delta)) * gammainc(xp, n, 0.5 * x)
     yield J
     for (up, down), row in zip(scales, orthonormal_rows(xp, len(scales), delta,
                                                         x, rows)):
@@ -141,15 +178,11 @@ def ball_columns(s, k_max, n):
     float s > 0 of the sequence s, as one list per s: column i of
     transform.ball_coefficients(s, k_max, n), to rounding, evaluated with
     FLOATS.  The constants that do not depend on s are computed once."""
-    a = ball_normalizer(n)
     steps = ball_steps(k_max, n)
     weights = [ball_weights(FLOATS, c, n) for c in log_c(k_max, n)]
     columns = []
     for si in s:
-        x = 0.5 * si * a * a
-        y = 0.5 * x
-        p = (gammainc_series if y < n + 1.0 else gammainc_poisson)(FLOATS, n, y)
         scale = si ** -float(n)
         columns.append([J * w * scale for J, w in zip(
-            ball_recurrence(FLOATS, n, x, p, steps), weights)])
+            ball_recurrence(FLOATS, n, si, steps), weights)])
     return columns

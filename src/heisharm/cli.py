@@ -145,9 +145,6 @@ def _cmd_laguerre_check(cfg):
 _PLANCHEREL_TOL = 1e-4
 # widths sz, st of the Gaussian that plancherel- and dilate-check transform
 _GAUSSIAN = (2.0, 0.2)
-# the box's closed form divides by n! (_special.gammainc_int), and 171! is
-# past the largest float
-_BOX_MAX_N = 170
 
 
 # logs of the largest and the smallest positive double, pulled in by a
@@ -193,18 +190,28 @@ def _require_finite_measure(cfg):
 def _box_forms(cfg, n, rho, tau):
     """The forms of box_coefficients at dimension n on the widths named rho
     and tau: rho^2 and tau^2, and on the lambda window s = lam rho^2 and
-    lam tau^2 at the top and s^-n at the bottom, where 0 does no harm."""
+    lam tau^2 at the top and s^-n at the bottom, where 0 does no harm.
+    Past n = 97, where 2 _ball.POWER_CAP^n overflows, the J recurrence's
+    power 2 x^n at x = s a^2/2 joins them at the top of the window (the
+    incomplete gamma's y^n, y = x/2, stays a double wherever it does)."""
+    from ._ball import POWER_CAP, ball_normalizer
     top, bottom = math.log(cfg.lambda_max), math.log(cfg.lambda_min)
-    return ([(2, 0.0, f"{rho}^2", False), (2, top, f"lambda_max {rho}^2", True),
-             (-2 * n, -n * bottom, f"(lambda_min {rho}^2)^-{n}", True)],
+    rho_forms = [(2, 0.0, f"{rho}^2", False), (2, top, f"lambda_max {rho}^2", True),
+                 (-2 * n, -n * bottom, f"(lambda_min {rho}^2)^-{n}", True)]
+    if n * math.log(POWER_CAP) + math.log(2.0) > _LOG_HUGE:
+        log_x = top + 2.0 * math.log(ball_normalizer(n)) - math.log(2.0)
+        rho_forms.append((2 * n, math.log(2.0) + n * log_x,
+                          f"2 x^{n} at x = lambda_max {rho}^2 a^2/2", True))
+    return (rho_forms,
             [(2, 0.0, f"{tau}^2", False), (2, top, f"lambda_max {tau}^2", True)])
 
 
 def _cmd_plancherel_check(cfg):
     n = cfg.n
     box, gaussian = (cfg.family in (f, "both") for f in ("box", "gaussian"))
-    if box and n > _BOX_MAX_N:
-        raise DomainError(f"the box family needs n <= {_BOX_MAX_N}, got {n}")
+    from ._ball import MAX_N
+    if box and n > MAX_N:
+        raise DomainError(f"the box family needs n <= {MAX_N}, got {n}")
     _require_finite_measure(cfg)
     if box:
         rho, tau = cfg.factors[0], cfg.factors[1]
@@ -268,6 +275,14 @@ def _cmd_convolve_check(cfg):
             f"({wider:.6g} rho1), where the spatial convolution's overlap "
             f"angle arccos(gamma) loses the tolerance {_CONVOLVE_TOL:g} to "
             f"rounding; got {rho2:g}")
+    # the cosine transform takes lam t up to the top t of the spatial grid,
+    # box_convolution_grids' t_top = tau1^2/2 + tau2^2/2 + a^2 rho1 rho2 / 2
+    from ._ball import ball_normalizer
+    t_top = (0.5 * tau1 ** 2 + 0.5 * tau2 ** 2
+             + 0.5 * ball_normalizer(1) ** 2 * rho1 * rho2)
+    _require_doubles("lambda_max", cfg.lambda_max, [
+        (1, math.log(t_top), "lambda_max t_top of the cosine transform", True)],
+        f" at t_top = {t_top:.6g}")
     import numpy as np
 
     from .transform import (box_coefficients, box_convolution_coefficients,
@@ -276,6 +291,17 @@ def _cmd_convolve_check(cfg):
     c1 = box_coefficients(1, rho1, tau1, grid)
     c2 = box_coefficients(1, rho2, tau2, grid)
     prod = multiply_coeffs(c1, c2)
+    # pass reads each lambda column against its own scale, the largest
+    # |prod| over k: max_rel_error turns absolute where the coefficients are
+    # far below 1, and reads near 0 on a spatial side wrong by its whole size
+    scale = np.abs(prod.values).max(axis=0)
+    if not np.all(scale > 0):
+        raise DomainError(
+            f"the window must stay below lambda = "
+            f"{float(grid.lam[np.argmin(scale > 0)]):.6g}, where the product of "
+            f"the two box tables underflows to 0 at every degree and "
+            f"max_column_error would divide by it; got lambda_max = "
+            f"{cfg.lambda_max:g}")
     conv = box_convolution_coefficients(rho1, tau1, rho2, tau2,
                                         grid.lam, grid.k_max)
     x, _, tx, _ = box_convolution_grids(rho1, tau1, rho2, tau2)
@@ -283,10 +309,7 @@ def _cmd_convolve_check(cfg):
     err = diff / (1.0 + np.abs(prod.values))
     ki, li = np.unravel_index(int(np.argmax(err)), err.shape)
     worst = float(err[ki, li])
-    # pass reads each lambda column against its own scale, the largest
-    # |prod| over k: max_rel_error turns absolute where the coefficients are
-    # far below 1, and reads near 0 on a spatial side wrong by its whole size
-    column = float(np.max(diff.max(axis=0) / np.abs(prod.values).max(axis=0)))
+    column = float(np.max(diff.max(axis=0) / scale))
     return {
         "oracle_samples": int(x.size * tx.size),
         "max_rel_error": worst,
@@ -418,6 +441,10 @@ def _carleman_rows(prof, ratios):
 
 _BOX_TERM = 20
 _BOX_TERM_WINDOW = (0.45, 0.5)
+# the box family's partial sum must pass this level by the power m given
+_BOX_SUM_LEVEL, _BOX_SUM_BY = 5.0, 12
+# the envelope family's highest power where max_power is unset
+_ENVELOPE_M = 12
 
 
 def _cmd_carleman(cfg):
@@ -434,21 +461,21 @@ def _cmd_carleman(cfg):
         # truncation, so the boundary-domination guard is off
         prof = sublaplacian_norms(spectral_box(), M, tail_frac=1.0)
         rows = _carleman_rows(prof, None)
-        crossed = [r["m"] for r in rows if r["partial_sum"] > 5.0]
-        sum_ok = bool(crossed and crossed[0] <= 12)
+        crossed = [r["m"] for r in rows if r["partial_sum"] > _BOX_SUM_LEVEL]
+        sum_ok = bool(crossed and crossed[0] <= _BOX_SUM_BY)
         lo, hi = _BOX_TERM_WINDOW
         window_ok = bool(M >= _BOX_TERM
                          and lo <= rows[_BOX_TERM - 1]["carleman_term"] <= hi)
         ok = window_ok and sum_ok
         detail = {"term_window": [lo, hi],
                   f"term_{_BOX_TERM}_in_window": window_ok,
-                  "sum_exceeds_5_by": crossed[0] if crossed else None}
+                  f"sum_exceeds_{_BOX_SUM_LEVEL:g}_by": crossed[0] if crossed else None}
     else:  # envelope
         if cfg.n != 1:
             raise DomainError("the envelope family is implemented on H^1 only")
         _require_finite_measure(cfg)
         theta = load_theta(cfg.theta)
-        M = 12 if cfg.max_power is None else cfg.max_power
+        M = _ENVELOPE_M if cfg.max_power is None else cfg.max_power
         grid = cfg.grid()
         k = np.arange(grid.k_max + 1, dtype=float)[:, None]
         root = np.sqrt((2.0 * k + 1.0) * grid.lam[None, :])

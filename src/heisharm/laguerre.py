@@ -35,10 +35,11 @@ constants of the envelope are calibrated once and frozen in a fixture, and
 envelope_check replays the package's calibration grid against them.
 """
 
+import math
+
 import numpy as np
 
 from ._ball import orthonormal_rows, row_steps
-from ._special import gammaln
 from .errors import DomainError
 
 __all__ = [
@@ -154,7 +155,7 @@ def normalized_laguerre_table(kmax, lam, n, r):
         raise DomainError("radii must be nonnegative")
     u = 0.5 * np.abs(lam) * r * r
     # C_{k,n} phi_k = sqrt(Gamma(n)) * c_k L_k^{n-1}(u) e^{-u/2}
-    return np.exp(0.5 * gammaln(float(n))) * _orthonormal_table(kmax, n - 1.0, u)
+    return np.exp(0.5 * math.lgamma(n)) * _orthonormal_table(kmax, n - 1.0, u)
 
 
 # ---------------------------------------------------------------------------

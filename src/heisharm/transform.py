@@ -17,12 +17,13 @@ represented function is even in t, so R_k(-lam) = R_k(lam) and the norms
 double the one-sided lambda integral; there is no convention flag.
 """
 
+import math
+
 import numpy as np
 
 from ._ball import (ball_normalizer, ball_recurrence, ball_steps, ball_weights,
                     coefficient_weights, log_c)
 from ._record import Record
-from ._special import gammainc_int, gammaln
 from .errors import DimensionMismatchError, DomainError, GridMismatchError
 from .grids import _unit_rule, gauss_legendre_panels
 from .laguerre import normalized_laguerre_table
@@ -46,19 +47,10 @@ __all__ = [
 def ball_coefficients(s, k_max, n):
     """Coefficients 0..k_max of the unit normalized ball indicator (height 1
     on |z| <= a, a = ball_normalizer(n)) at every s = lam rho^2 > 0 of a 1-d
-    array; returns shape (k_max+1, s.size).
-
-    Closed form of the radial transform: with alpha = n-1, x = s a^2 / 2 and
-    I_k(x) = int_0^x u^alpha e^{-u/2} L_k^alpha(u) du,
-
-        I_0 = 2^{alpha+1} gamma(alpha+1, x/2),
-        I_{k+1} = (2 x^{alpha+1} e^{-x/2} L_k^{alpha+1}(x)
-                   - (k+alpha+1) I_k) / (k+1),
-
-    carried on J_k = (k!/Gamma(k+alpha+1))^{1/2} I_k so that the
-    L_k^{alpha+1} values come bounded from the orthonormal recurrence.  The
-    substitution u = s r^2 / 2 turns R_k into 2^alpha s^{-n} sqrt(Gamma(n))
-    pref C_{k,n} J_k, with pref C_{k,n} the weights of transform_at_lambda.
+    array; returns shape (k_max+1, s.size).  _ball states the closed form
+    and evaluates it: this function runs its recurrence and weights with
+    numpy on every column at once, and _ball.ball_columns with math one
+    column at a time, for ingham-plan's factor-bound replay.
 
     Two properties hold bit for bit, and the chain layer relies on both:
     the table at a subset of the s values is those columns of the full
@@ -66,25 +58,17 @@ def ball_coefficients(s, k_max, n):
     up to k, since both recurrences run forward in k.  By the first,
     ingham._chain_prefixes puts the s values of a block of factors side by
     side in one call and reads each factor's columns back as the table
-    that factor would get alone.  The one batch-wide
-    quantity is the length of gammainc_int's series, which runs until every
-    column has converged and leaves each column unchanged
+    that factor would get alone.  The one batch-wide quantity is the
+    length of the incomplete gamma's series, which runs until every column
+    has converged and leaves each column unchanged
     (_ball.gammainc_series says why).
-
-    The recurrence and the weights are written once in _ball, over a
-    namespace of elementary functions: this function runs them with numpy
-    on every column at once, and _ball.ball_columns with math one column
-    at a time, for ingham-plan's factor-bound replay.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 1 or not np.all(s > 0):
         raise DomainError("need a 1-d array of s > 0")
-    a = ball_normalizer(n)
-    x = 0.5 * s * a * a
     J = np.empty((k_max + 1, s.size))
     # the J rows come one at a time, so J is the only (k_max+1)-row table held
-    rows = ball_recurrence(np, n, x, gammainc_int(n, 0.5 * x), ball_steps(k_max, n))
-    for k, row in enumerate(rows):
+    for k, row in enumerate(ball_recurrence(np, n, s, ball_steps(k_max, n))):
         J[k] = row
     J *= ball_weights(np, log_c(k_max, n), n)[:, None]
     J *= s ** -float(n)
@@ -144,9 +128,11 @@ def gaussian_coefficients(n, sigma_z, sigma_t, grid):
 
 def projection_hs_norm_sq(k, n):
     """Squared Hilbert-Schmidt norm of the k-th spectral projection:
-    the eigenspace dimension (k+n-1)! / (k! (n-1)!)."""
-    k = np.asarray(k)
-    return np.exp(gammaln(k + n) - gammaln(k + 1) - gammaln(n))
+    the eigenspace dimension (k+n-1)! / (k! (n-1)!), of k's shape."""
+    k = np.asarray(k, dtype=float)
+    log_dim = [math.lgamma(j + n) - math.lgamma(j + 1.0) - math.lgamma(n)
+               for j in k.ravel().tolist()]
+    return np.exp(np.reshape(log_dim, k.shape))
 
 
 class SpectralCoefficients(Record):

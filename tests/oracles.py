@@ -27,11 +27,10 @@ import math
 
 import numpy as np
 
-from heisharm._ball import (_POWER_CAP, _SERIES_EPS, ball_normalizer,
+from heisharm._ball import (_SERIES_EPS, POWER_CAP, ball_normalizer,
                             coefficient_weights, log_c, orthonormal_rows,
                             row_steps)
 from heisharm._record import Record
-from heisharm._special import gammaln
 from heisharm.errors import DimensionMismatchError, DomainError, QuadratureError
 from heisharm.fixtures import FACTOR_K_MAX, calibration_grid
 from heisharm.grids import radial_rule
@@ -169,7 +168,7 @@ def _forward_columns(f, grid, nodes_per_panel):
             out[k, lo:hi] = np.add.reduceat(row * integrand, starts)
     # C_{k,n} phi_k = sqrt(Gamma(n)) * c_k L_k^{n-1}(u) e^{-u/2}
     weights = (coefficient_weights(np, log_c(k_max, n), n)
-               * np.exp(0.5 * gammaln(float(n))))
+               * np.exp(0.5 * math.lgamma(n)))
     return weights[:, None] * out
 
 
@@ -231,6 +230,11 @@ def tail_integral_estimate(profile, hi):
     return float(np.trapezoid(vals, x))
 
 
+def _lgamma(x):
+    """math.lgamma on every entry of the 1-d array x."""
+    return np.array([math.lgamma(v) for v in x.tolist()])
+
+
 def ball_coefficients_table(s, k_max, n):
     """ball_coefficients with its numpy operations written out here: the
     whole orthonormal L^{alpha+1} table built before the J recurrence, the
@@ -242,7 +246,7 @@ def ball_coefficients_table(s, k_max, n):
     a = ball_normalizer(n)
     x = 0.5 * s * a * a
     orth = np.empty((k_max + 1, s.size))
-    orth[0] = np.exp(-0.5 * x - 0.5 * gammaln(delta + 1.0))
+    orth[0] = np.exp(-0.5 * x - 0.5 * math.lgamma(delta + 1.0))
     if k_max >= 1:
         orth[1] = (1.0 + delta - x) * orth[0] / np.sqrt(1.0 + delta)
     for k in range(1, k_max):
@@ -264,15 +268,15 @@ def ball_coefficients_table(s, k_max, n):
     gamma = np.empty_like(y)
     gamma[small] = np.exp(-ys) * ys ** n / math.factorial(n) * total
     gamma[~small] = 1.0 - q
-    xpow = 2.0 * np.minimum(x, _POWER_CAP) ** delta
+    xpow = 2.0 * np.minimum(x, POWER_CAP) ** delta
     J = np.empty((k_max + 1, s.size))
-    J[0] = 2.0 ** delta * np.exp(0.5 * gammaln(delta)) * gamma
+    J[0] = 2.0 ** delta * np.exp(0.5 * math.lgamma(delta)) * gamma
     for k in range(k_max):
         J[k + 1] = (xpow * orth[k] - np.sqrt(k + alpha + 1.0) * J[k]) / np.sqrt(k + 1.0)
     k = np.arange(k_max + 1)
-    c = np.exp(0.5 * (gammaln(k + 1) + gammaln(n) - gammaln(k + n)))
-    weights = (2.0 * np.pi ** n / np.exp(gammaln(n)) * c
-               * (np.exp(0.5 * gammaln(n)) * 2.0 ** alpha))
+    c = np.exp(0.5 * (_lgamma(k + 1) + math.lgamma(n) - _lgamma(k + n)))
+    weights = (2.0 * np.pi ** n / np.exp(math.lgamma(n)) * c
+               * (np.exp(0.5 * math.lgamma(n)) * 2.0 ** alpha))
     return weights[:, None] * J * s ** -float(n)
 
 

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from heisharm.errors import HeisharmError, HypothesisError, TailError
 from heisharm.fixtures import packaged_fixtures_dir
 from heisharm.group import ball_shift_symmdiff, ball_volume
 from heisharm.jsonio import write_json
-from heisharm.theta import builtin_theta
+from heisharm.theta import BUILTIN_THETAS, builtin_theta
 
 
 def run(tmp_path, name, *argv, out="r.json"):
@@ -796,6 +797,9 @@ _MEASURE = ("lambda_max must stay below {} at n = 1, where lam_log_w lam^2 "
 _ROOT = "1.34078e+154"
 _FACTOR_COUNT = ("the factor count must stay below 2^63 = 9.22337e+18, where it "
                  "leaves int64; got {} at nu = (2k+n)|lam| up to {}")
+_ZERO_COLUMN = ("the window must stay below lambda = {}, where the product of the "
+                "two box tables underflows to 0 at every degree and "
+                "max_column_error would divide by it; got lambda_max = {}")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -843,6 +847,16 @@ _FACTOR_COUNT = ("the factor count must stay below 2^63 = 9.22337e+18, where it 
     pytest.param(["dilate-check", "--n", "220", "--kmax", "3", "--lambda-nodes", "6",
                   "--lambda-min", "7.72e-47", "--lambda-max", "4e191"],
                  "report value max_rel_error is not finite", id="dilate-relative-error"),
+    # the two box tables' product underflows to 0 in a whole column, which
+    # max_column_error divides by: at lambda = 8.8e83 and 1e90 here, and at
+    # every node of the far window, whose lambda t_top stays a double
+    pytest.param(["convolve-check", "--lambda-max", "1e90"],
+                 _ZERO_COLUMN.format("8.81196e+83", "1e+90"), id="convolve-zero-column"),
+    pytest.param(["convolve-check", "--lambda-min", "1e307", "--lambda-max", "1.7e308"],
+                 _ZERO_COLUMN.format("1e+307", "1.7e+308"), id="convolve-far-window"),
+    pytest.param(["convolve-check", "--factors", "1,1,1,1", "--lambda-min", "1e307",
+                  "--lambda-max", "1.55e308"],
+                 _ZERO_COLUMN.format("1e+307", "1.55e+308"), id="convolve-below-t-top"),
 ])
 def test_non_finite_report_refused(tmp_path, monkeypatch, capsys, argv, message):
     # a window whose report would not be finite is refused with one line
@@ -945,6 +959,25 @@ _EXTREME = [
                  _WIDTH.format("rho1", "above", "7.45834e-153",
                                "(lambda_min rho1^2)^-1 overflows", "1e-300"),
                  id="plancherel-rho1-1e-300"),
+    # past n = 97, 2 x^n in the box's J recurrence overflows below the cap
+    # x = 1490.3 from which every row is zero (and the incomplete gamma's
+    # series y^n, y = x/2, with it at n = 150)
+    pytest.param(["plancherel-check", "--family", "box", "--n", "150",
+                  "--lambda-min", "0.1", "--lambda-max", "60", "--factors", "1,1,1,1"],
+                 _WIDTH.format("rho1", "below", "0.457794",
+                               "2 x^150 at x = lambda_max rho1^2 a^2/2 overflows", "1"),
+                 id="plancherel-box-power-n150"),
+    pytest.param(["plancherel-check", "--family", "both", "--n", "98",
+                  "--lambda-min", "1", "--factors", "5,1,1,1"],
+                 _WIDTH.format("rho1", "below", "1.53003",
+                               "2 x^98 at x = lambda_max rho1^2 a^2/2 overflows", "5"),
+                 id="plancherel-box-power-n98"),
+    # the cosine transform's lambda t up to the spatial grid's top t
+    pytest.param(["convolve-check", "--factors", "1,1,1,1", "--lambda-min", "1e307",
+                  "--lambda-max", "1.7e308"],
+                 "lambda_max must stay below 1.55087e+308 at t_top = 1.15915, where "
+                 "lambda_max t_top of the cosine transform overflows; got 1.7e+308",
+                 id="convolve-lambda-t-top"),
 ]
 
 
@@ -1007,6 +1040,21 @@ def test_width_refusals_load_no_numpy(tmp_path, fresh_env):
     # 1/(tau1^2 tau2^2)
     (["convolve-check", "--factors", "1.3e94,1,1e60,1"], 1),
     (["convolve-check", "--factors", "1e40,7.5e-85,1e40,1e-70"], 1),
+    # the box past n = 76, where 2 x^n below the old cap x = 1e4 overflowed;
+    # as --n 76 on the same window
+    (["plancherel-check", "--family", "box", "--n", "77", "--lambda-min", "1e-3",
+      "--lambda-max", "6000"], 1),
+    (["plancherel-check", "--family", "box", "--n", "77", "--lambda-min", "1e-3",
+      "--factors", "10,1,1,1"], 1),
+    (["plancherel-check", "--family", "box", "--n", "76", "--lambda-min", "1e-3",
+      "--lambda-max", "6000"], 1),
+    # just inside the limits of 2 x^n at n = 150 and 98, and of the product
+    # of the two box tables, whose smallest column is 4.9e-309 here
+    (["plancherel-check", "--family", "box", "--n", "150", "--lambda-min", "0.1",
+      "--lambda-max", "60", "--factors", "0.4577,1,1,1"], 1),
+    (["plancherel-check", "--family", "both", "--n", "98", "--lambda-min", "1",
+      "--factors", "1.53,1,1,1"], 1),
+    (["convolve-check", "--lambda-max", "1e80"], 1),
 ])
 def test_widths_inside_the_limits_run_quietly(tmp_path, monkeypatch, capsys,
                                               argv, code):
@@ -1077,6 +1125,76 @@ def test_every_library_error_is_refused(tmp_path, capsys, monkeypatch, error):
     assert captured.err == ("heisharm symmdiff-check: refused: raised by the "
                             "handler\n")
     assert not out.exists()
+
+
+def _log_uniform(rng, lo, hi):
+    return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
+
+
+def _fuzz_value(rng, name):
+    """A value of the option name: a width or dilation near 1 or anywhere
+    in 1e-300..1e300, n up to the box's 170, and counts past their limits."""
+    width = lambda: repr(_log_uniform(rng, 0.1, 10.0) if rng.random() < 0.5
+                         else _log_uniform(rng, 1e-300, 1e300))
+    draws = {
+        "n": lambda: rng.randint(1, 3) if rng.random() < 0.5 else rng.randint(1, 170),
+        "k_max": lambda: rng.randint(1, 128),
+        "lambda_nodes": lambda: rng.randint(2, 64),
+        "factors": lambda: ",".join(width() for _ in range(4)),
+        "dilation": width,
+        "max_power": lambda: rng.randint(1, 40),
+        "chain_length": lambda: rng.randint(1, 1100),
+        "theta": lambda: rng.choice(sorted(BUILTIN_THETAS)),
+    }
+    return str(draws[name]())
+
+
+def _fuzz_argv(rng):
+    """A command, one of its families, and a random subset of the options
+    it reads with random values; a lambda window anywhere in
+    1e-300..1.7e308, narrow or wide.  fixtures keeps the packaged ones."""
+    command = rng.choice(sorted(_COMMANDS))
+    reads = _COMMANDS[command][2]
+    argv = [command]
+    if isinstance(reads, dict):
+        family = rng.choice(sorted(reads))
+        argv += ["--family", family]
+        reads = reads[family]
+    for name in reads:
+        if name not in ("fixtures", "lambda_min", "lambda_max") and rng.random() < 0.6:
+            argv += [_flag(name), _fuzz_value(rng, name)]
+    if "lambda_max" in reads and rng.random() < 0.6:
+        lo = _log_uniform(rng, 1e-300, 1.7e308)
+        hi = (min(1.7e308, lo * _log_uniform(rng, 1.5, 1e4)) if rng.random() < 0.5
+              else _log_uniform(rng, 1e-300, 1.7e308))
+        lo, hi = sorted((lo, hi))
+        argv += ["--lambda-min", repr(lo), "--lambda-max", repr(hi)]
+    return argv
+
+
+_FUZZ_RUNS = 300
+_FUZZ_FIXED = [
+    ["plancherel-check", "--family", "box", "--n", "77", "--lambda-min", "1e-3",
+     "--lambda-max", "6000"],
+    ["convolve-check", "--lambda-max", "1e90"],
+]
+
+
+def test_fuzzed_command_lines_exit_cleanly(tmp_path, monkeypatch, capsys):
+    # seeded command lines over the typed option space, in process: each
+    # exits 0 or 1 with a report and a quiet stderr, or 2 with one stderr
+    # line and no report, and numpy warns of nothing
+    rng = random.Random(40)
+    faults = []
+    for argv in _FUZZ_FIXED + [_fuzz_argv(rng) for _ in range(_FUZZ_RUNS)]:
+        code, _, err, caught = _quiet_run(tmp_path, monkeypatch, capsys, argv)
+        stderr_ok = (err == "" if code in (0, 1) else
+                     code == 2 and err.endswith("\n") and err.count("\n") == 1)
+        if caught or not stderr_ok or (tmp_path / "r.json").exists() != (code != 2):
+            faults.append((argv, code, err, [str(w.message) for w in caught]))
+        for path in tmp_path.iterdir():
+            path.unlink()
+    assert faults == []
 
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

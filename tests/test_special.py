@@ -5,6 +5,7 @@ that never loads scipy or numpy.polynomial."""
 
 import ast
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -17,13 +18,17 @@ import scipy.special as sc
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
+from numpy.testing import assert_array_equal
 
 import heisharm
-from heisharm._special import betainc_half, gammainc_int, gammaln, logsumexp
+from heisharm._ball import FLOATS, gammainc, gammainc_poisson, gammainc_series
+from heisharm.chernoff import logsumexp
 from heisharm.errors import DomainError
 from heisharm.fixtures import packaged_fixtures_dir
+from heisharm.group import betainc_half
 from heisharm.grids import _unit_rule, roots_legendre
 from heisharm.laguerre import roots_genlaguerre
+from heisharm.transform import projection_hs_norm_sq
 
 # below this both sides are subnormal and carry few significant bits
 _TINY = 1e-300
@@ -35,18 +40,32 @@ _TINY = 1e-300
        st.one_of(st.floats(min_value=0.0, max_value=1e3),
                  st.sampled_from([0.0, 1e200])))
 def test_gammainc_matches_scipy(n, y):
-    ours = gammainc_int(n, np.array([y]))[0]
     ref = sc.gammainc(n, y)
-    assert abs(ours - ref) <= 1e-13 * abs(ref) + _TINY
-    assert gammainc_int(n, y) == ours
+    for ours in (gammainc(np, n, np.array([y]))[0], gammainc(FLOATS, n, y)):
+        assert abs(ours - ref) <= 1e-13 * abs(ref) + _TINY
 
 
-def test_gammainc_ends_and_refusal():
-    y = np.array([0.0, 1e200, 1e300])
+def test_gammainc_ends():
+    y = [0.0, 1e200, 1e300]
     for n in (1, 2, 3):
-        assert gammainc_int(n, y).tolist() == [0.0, 1.0, 1.0]
-    with pytest.raises(ValueError):
-        gammainc_int(1.5, 1.0)
+        assert gammainc(np, n, np.array(y)).tolist() == [0.0, 1.0, 1.0]
+        assert [gammainc(FLOATS, n, v) for v in y] == [0.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 142])
+def test_gammainc_is_each_half_on_its_own_entries(n):
+    # bit for bit: the masked-out entries neither lengthen the series nor
+    # reach the Poisson sum's result, on an array that straddles y = n + 1;
+    # up to n = 142, where the series' y^n stays a double below n + 1
+    y = np.array([0.0, 1e-300, 0.3, n + 1.0 - 1e-9, np.nextafter(n + 1.0, 0.0),
+                  n + 1.0, n + 1.5, 3.0 * n + 7.0, 1e200, 1e300])
+    small = y < n + 1.0
+    got = gammainc(np, n, y)
+    assert_array_equal(got[small], gammainc_series(np, n, y[small]))
+    assert_array_equal(got[~small], gammainc_poisson(np, n, y[~small]))
+    for v, is_small in zip(y.tolist(), small.tolist()):
+        half = gammainc_series if is_small else gammainc_poisson
+        assert gammainc(FLOATS, n, v) == half(FLOATS, n, v)
 
 
 @seed(22)
@@ -166,15 +185,18 @@ def test_laguerre_rule_matches_scipy(delta):
 @seed(23)
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=20000), min_size=1, max_size=40),
-       st.sampled_from([1.0, 0.5, 2.0, 3.0]))
-def test_gammaln_matches_scipy(k, shift):
-    # the shapes the package passes: k + 1, k + n, half-integers 0.5 dim + 1
-    x = np.asarray(k, dtype=float) + shift
-    ours = gammaln(x.reshape(-1, 1))
-    assert ours.shape == (x.size, 1)
-    ref = sc.gammaln(x)
-    assert np.all(np.abs(ours[:, 0] - ref) <= 1e-13 * np.abs(ref) + _TINY)
-    assert gammaln(x[0]) == ours[0, 0]
+       st.sampled_from([1, 2, 3, 40]))
+def test_projection_hs_norm_sq_matches_binomial(k, n):
+    # the shapes the package passes, a row of integer degrees and a column
+    # of float ones, against the exact dimension binom(k+n-1, n-1); a few
+    # ulps of log Gamma(k+n) in the exponent bound the relative error
+    ref = np.array([float(math.comb(j + n - 1, n - 1)) for j in k])
+    tol = 8.0 * np.finfo(float).eps * (1.0 + math.lgamma(n + max(k)))
+    k = np.asarray(k)
+    for degrees in (k, k.reshape(-1, 1).astype(float)):
+        ours = projection_hs_norm_sq(degrees, n)
+        assert ours.shape == degrees.shape
+        assert np.all(np.abs(ours.ravel() - ref) <= tol * ref)
 
 
 @seed(24)
@@ -367,7 +389,7 @@ def test_spectral_checks_skip_gauss_rules_and_plans_still_hash(tmp_path,
 
 
 @pytest.mark.parametrize("command, unloaded", [
-    # three closed-form geometry formulas over _special: no planner, no
+    # three closed-form geometry formulas of group: no planner, no
     # transform and no fixture, so no OpenSSL either
     ("symmdiff-check", ("heisharm.ingham", "heisharm.transform",
                         "heisharm.laguerre", "heisharm.grids",

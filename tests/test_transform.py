@@ -1,5 +1,6 @@
 """Forward transform, norms, dilation and the box convolution."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from heisharm._ball import ball_normalizer
+import heisharm._ball
+from heisharm._ball import POWER_CAP, ball_normalizer
 from heisharm.chernoff import spectral_box
 from heisharm.errors import DomainError, GridMismatchError, QuadratureError
 from heisharm.grids import QuadratureGrid, radial_rule
@@ -64,8 +66,8 @@ def test_ball_coefficients_refuse_bad_s_and_stay_finite():
 
 
 def _branch_s(n):
-    """s at which ball_coefficients' gammainc_int argument s a^2 / 4 meets
-    its series/sum branch point y = n + 1."""
+    """s at which the incomplete gamma's argument s a^2 / 4 meets its
+    series/sum branch point y = n + 1."""
     return 4.0 * (n + 1.0) / ball_normalizer(n) ** 2
 
 
@@ -112,6 +114,19 @@ def test_ball_coefficients_match_table_oracle_bitwise(n, k_max, log_s):
     s = 10.0 ** np.array(log_s)
     assert_array_equal(ball_coefficients(s, k_max, n),
                        ball_coefficients_table(s, k_max, n))
+
+
+@pytest.mark.parametrize("n", [1, 3, 76])
+def test_power_cap_leaves_the_table_as_it_was(monkeypatch, n):
+    # every row is zero from x = POWER_CAP on, so the coefficients are those
+    # of the earlier cap x = 1e4, bit for bit, wherever 2 * 1e4^n is a double
+    assert math.exp(-0.5 * POWER_CAP) == 0.0
+    assert np.exp(-0.5 * np.array([POWER_CAP])).tolist() == [0.0]
+    x = np.array([0.5, 1400.0, 1490.2, POWER_CAP, 1491.0, 5000.0, 1e4, 1e6])
+    s = 2.0 * x / ball_normalizer(n) ** 2
+    capped = ball_coefficients(s, 40, n)
+    monkeypatch.setattr(heisharm._ball, "POWER_CAP", 1e4)
+    assert_array_equal(capped, ball_coefficients(s, 40, n))
 
 
 def _peak_bytes(fn):

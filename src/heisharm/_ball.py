@@ -26,22 +26,56 @@ from libm's.  The array callers are ``laguerre._orthonormal_table``
 (``orthonormal_rows``) and ``transform.ball_coefficients`` (the J
 recurrence and its weights); the float caller is ``ball_columns``, one s
 column at a time for ``ingham-plan``'s factor-bound replay, which imports
-no numpy.
+no numpy.  ``geomspace`` and ``interp`` give numpy's log-spaced nodes
+and its linear interpolation on Python floats, for the float paths that
+sample and interpolate on them.
 """
 
 import math
+from bisect import bisect_right
 from types import SimpleNamespace
 
-__all__ = ["MAX_N", "POWER_CAP", "FLOATS", "row_steps", "orthonormal_rows",
-           "gammainc_series", "gammainc_poisson", "gammainc", "log_c",
-           "coefficient_weights", "ball_normalizer", "ball_steps",
-           "ball_recurrence", "ball_weights", "ball_columns"]
+__all__ = ["MAX_N", "POWER_CAP", "FLOATS", "geomspace", "interp", "row_steps",
+           "orthonormal_rows", "gammainc_series", "gammainc_poisson",
+           "gammainc", "log_c", "coefficient_weights", "ball_normalizer",
+           "ball_steps", "ball_recurrence", "ball_weights", "ball_columns"]
 
 # the elementary functions the closed forms take from their caller, under
 # numpy's names, on one Python float; numpy itself serves an array
 FLOATS = SimpleNamespace(exp=math.exp, log=math.log, minimum=min, any=bool,
                          where=lambda cond, a, b: a if cond else b,
                          zeros_like=lambda y: 0.0)
+
+
+def geomspace(start, stop, num):
+    """np.geomspace(start, stop, num) for 0 < start < stop and num >= 2, as a
+    list of Python floats: 10 ** (i step + log10 start), step = (log10 stop
+    - log10 start) / (num - 1), or (i / (num - 1)) delta where step
+    underflows to 0, with the endpoints exact.  numpy's power may take a
+    SIMD code path an ulp away from libm's."""
+    log_start = math.log10(start)
+    delta = math.log10(stop) - log_start
+    step = delta / (num - 1)
+    inner = ([i * step + log_start for i in range(1, num - 1)] if step != 0.0
+             else [i / (num - 1) * delta + log_start for i in range(1, num - 1)])
+    return [start, *(10.0 ** y for y in inner), stop]
+
+
+def interp(x, xs, column):
+    """[np.interp(x, xs, row, left=0.0, right=0.0) for each row] at one
+    float x, for ascending nodes xs, where column(j) is the list of the
+    rows' finite values at node j: 0 outside [xs[0], xs[-1]], f_j at a node
+    x = xs[j], and else slope (x - x_j) + f_j on the interval [x_j,
+    x_{j+1}) that holds x, with slope = (f_{j+1} - f_j) / (x_{j+1} - x_j),
+    as numpy forms it."""
+    if not xs[0] <= x <= xs[-1]:
+        return [0.0] * len(column(0))
+    j = bisect_right(xs, x) - 1
+    if x == xs[j]:
+        return column(j)
+    dx, u = xs[j + 1] - xs[j], x - xs[j]
+    return [(f1 - f0) / dx * u + f0 for f0, f1 in zip(column(j), column(j + 1))]
+
 
 # the largest n the closed form takes: gammainc_series divides by n!, and
 # 171! is past the largest double

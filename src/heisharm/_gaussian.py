@@ -1,0 +1,110 @@
+"""The Gaussian's closed form, written once for one float or an array, and
+dilate-check's path on Python floats.
+
+The Gaussian e^{-|z|^2/(2 sz^2)} e^{-t^2/(2 st^2)} has, by the Laguerre
+generating function, with b = lam sz^2 and q = (2 - b) / (2 + b),
+
+    R_k(lam) = (4 pi sz^2 / (2 + b))^n t_hat(lam) q^k,
+    t_hat(lam) = st sqrt(2 pi) e^{-(lam st)^2 / 2},
+
+and at b = 2 this is the ground state (2 pi / lam)^n delta_{k0}.  q^k is
+taken as |q|^k, negated where q < 0 and k is odd: a negative base sends
+numpy's pow down its slow path, and |q|^k is the same number to an ulp.
+
+Each function that takes xp evaluates its formula with the elementary
+functions of that namespace, as _ball's kernels do: numpy for an array
+(transform.gaussian_coefficients), _ball.FLOATS for one float
+(dilation_gap).  The two agree to rounding: numpy's exp and pow may take
+SIMD code paths an ulp away from libm's.  (lam st)^2 is formed as a
+product, which overflows to inf and so to t_hat = 0 on both paths; a
+Python float's ``**`` and math.exp would raise there instead.
+
+dilation_gap is dilate-check on Python floats, which imports no numpy;
+its oracle in the tests runs the same comparison with numpy
+(transform.gaussian_coefficients and the tests' dilate_coeffs).
+"""
+
+import math
+
+from ._ball import FLOATS, geomspace, interp
+from .errors import DomainError
+
+__all__ = ["gaussian_t_hat", "gaussian_column", "gaussian_powers",
+           "dilation_gap"]
+
+
+def gaussian_t_hat(xp, sigma_t, lam):
+    """Transform of e^{-t^2/(2 sigma_t^2)}: sigma_t sqrt(2 pi)
+    e^{-(lam sigma_t)^2 / 2}, which is 0 where the square overflows."""
+    return (sigma_t * math.sqrt(2.0 * math.pi)
+            * xp.exp(-(lam * sigma_t) * (lam * sigma_t) / 2.0))
+
+
+def gaussian_column(xp, n, sigma_z, sigma_t, lam):
+    """(c, q) at lam: R_k(lam) = c q^k, with c = (4 pi sigma_z^2 /
+    (2 + b))^n t_hat(lam) and q = (2 - b) / (2 + b), b = lam sigma_z^2."""
+    b = lam * sigma_z ** 2
+    c = (4.0 * math.pi * sigma_z ** 2 / (2.0 + b)) ** n * gaussian_t_hat(xp, sigma_t, lam)
+    return c, (2.0 - b) / (2.0 + b)
+
+
+def gaussian_powers(xp, q, k):
+    """q^k for |q| <= 1 and float degrees k, as |q|^k negated where q < 0
+    and k is odd; it stays in [-1, 1], so no power overflows."""
+    p = abs(q) ** k
+    return xp.where((q < 0.0) & (k % 2.0 == 1.0), -p, p)
+
+
+def _column(n, sigma_z, sigma_t, lam, ks):
+    """R_k(lam) of the Gaussian for every float degree k of ks."""
+    c, q = gaussian_column(FLOATS, n, sigma_z, sigma_t, lam)
+    return [c * gaussian_powers(FLOATS, q, k) for k in ks]
+
+
+def dilation_gap(n, source, target, r, k_max, lambda_min, lambda_max,
+                 lambda_nodes):
+    """dilate-check on Python floats, for the Gaussian of widths source =
+    (sigma_z, sigma_t), dilated by r, against the Gaussian of widths target,
+    on the grid of QuadratureGrid.make(k_max, lambda_min, lambda_max,
+    lambda_nodes): (the count of nodes lam in [lambda_min max(1, r^2),
+    lambda_max min(1, r^2)], where the queries lam / r^2 stay in the window,
+    and over those nodes and degrees 0..k_max the largest |target| and the
+    largest |dilated - target|).  The dilated coefficients are
+    r^{-(2n+2)} R_k(lam / r^2), interpolated linearly in log lam by
+    np.interp's formula (_ball.interp), 0 outside the window; the
+    bound cli._cmd_dilate_check puts on r^{-(2n+2)} times the source
+    values read keeps each product a double.  The source's columns are
+    evaluated only where the interpolation reads them.  A window whose nodes
+    or log-lambda weights the grid would refuse is refused with its
+    message."""
+    lam = geomspace(lambda_min, lambda_max, lambda_nodes)
+    if not all(a < b for a, b in zip(lam, lam[1:])):
+        raise DomainError("lambda nodes must be positive, ascending, nonzero")
+    logl = [math.log(v) for v in lam]
+    # QuadratureGrid's trapezoid weights in log lambda, half the spread of
+    # each node's neighbours, must be positive
+    if not all(0.5 * (b - a) > 0.0 for a, b in
+               [logl[:2], *zip(logl, logl[2:]), logl[-2:]]):
+        raise DomainError("lambda weights must be positive and match the nodes")
+    lo = lambda_min * max(1.0, r ** 2)
+    hi = lambda_max * min(1.0, r ** 2)
+    ks = [float(k) for k in range(k_max + 1)]
+    shift = 2.0 * math.log(r)
+    factor = float(r) ** (-(2.0 * n + 2.0))
+    columns = {}
+
+    def column(j):
+        if j not in columns:
+            columns[j] = _column(n, *source, lam[j], ks)
+        return columns[j]
+
+    compared, scale, gap = 0, 0.0, 0.0
+    for lj, xj in zip(lam, logl):
+        if not lo <= lj <= hi:
+            continue
+        compared += 1
+        want = _column(n, *target, lj, ks)
+        got = interp(xj - shift, logl, column)
+        scale = max(scale, max(map(abs, want)))
+        gap = max(gap, max(abs(d * factor - t) for d, t in zip(got, want)))
+    return compared, scale, gap

@@ -9,16 +9,18 @@ Everything here runs in log space: the moments overflow float64 long
 before they stop being informative.  Divergence of the Carleman sum
 sum_m ||L^m f||^{-1/(2m)} is never "decided"; reports state partial sums
 and growth trends only.
+
+The module imports numpy where it evaluates on arrays, so loading it costs
+nothing: ingham_norm_bound_check refuses a power past MAX_POWER, and a
+profile that fails the gamma hypothesis (checked on Python floats), before
+numpy loads.
 """
 
 import math
 
-import numpy as np
-
+from ._ball import geomspace
 from ._record import Record
 from .errors import DomainError, HypothesisError, TailError
-from .grids import QuadratureGrid
-from .transform import SpectralCoefficients, projection_hs_norm_sq
 
 __all__ = [
     "MAX_POWER",
@@ -74,6 +76,10 @@ def spectral_box():
     [1, 2] at n = 1, every other coefficient 0, on _BOX_NODES log-spaced
     nodes.  Its moments are
     ||L^m f||_2^2 = 2 (2pi)^-2 int_1^2 lam^{2m+1} dlam."""
+    import numpy as np
+
+    from .grids import QuadratureGrid
+    from .transform import SpectralCoefficients
     grid = QuadratureGrid.make(k_max=1, lambda_min=1.0, lambda_max=2.0,
                                lambda_nodes=_BOX_NODES)
     vals = np.zeros((2, grid.lam.size))
@@ -84,6 +90,7 @@ def spectral_box():
 def logsumexp(a):
     """log(sum(exp(a))) over every entry of a, shifted by the maximum; an
     all -inf input gives -inf."""
+    import numpy as np
     a = np.asarray(a, dtype=float)
     top = np.max(a)
     if not np.isfinite(top):
@@ -102,6 +109,9 @@ def sublaplacian_norms(coeffs, M, tail_frac=1e-6):
     """
     if M < 1:
         raise DomainError("need M >= 1")
+    import numpy as np
+
+    from .transform import projection_hs_norm_sq
     g = coeffs.grid
     n = coeffs.n
     k = np.arange(g.k_max + 1, dtype=float)[:, None]
@@ -140,6 +150,7 @@ def sublaplacian_norms(coeffs, M, tail_frac=1e-6):
 def gamma_integral_log(theta, n, m):
     """log of I(m) = int_0^inf lam^{2m+n} e^{-Theta(sqrt(lam)) sqrt(lam)} dlam,
     by trapezoid on GAMMA_U_NODES nodes of GAMMA_U_WINDOW in u = log lam."""
+    import numpy as np
     u = np.linspace(*GAMMA_U_WINDOW, GAMMA_U_NODES)
     lam = np.exp(u)
     log_g = (2.0 * m + n + 1.0) * u - theta(np.sqrt(lam)) * np.sqrt(lam)
@@ -153,22 +164,23 @@ def gamma_bound_log(theta, n, m):
     """log of the two-term gamma bound
     2 m^{8(n+1)} Gamma(4m) Theta(m^4)^{-4m} + 4 e^{-m^2} Gamma(8m + 4(n+1)),
     returned with the two constituent term logs."""
+    import numpy as np
     t1 = (np.log(2.0) + 8.0 * (n + 1) * np.log(m) + math.lgamma(4.0 * m)
           - 4.0 * m * np.log(theta(float(m) ** 4)))
     t2 = np.log(4.0) - float(m) ** 2 + math.lgamma(8.0 * m + 4.0 * (n + 1))
     return float(np.logaddexp(t1, t2)), float(t1), float(t2)
 
 
-def check_gamma_hypothesis(theta):
-    """The gamma chain needs Theta(y) >= 2 y^{-1/2} for y >= 1; a violation at
-    the HYPOTHESIS_NODES samples raises HypothesisError naming the failing y."""
-    y = np.geomspace(1.0, HYPOTHESIS_Y_MAX, HYPOTHESIS_NODES)
-    deficit = theta(y) - 2.0 * y ** -0.5
-    bad = deficit < -1e-12
-    if np.any(bad):
-        y_bad = float(y[np.argmax(bad)])
-        raise HypothesisError(
-            f"profile fails Theta(y) >= 2/sqrt(y) at y = {y_bad:.6g}")
+def check_gamma_hypothesis(theta_at):
+    """The gamma chain needs Theta(y) >= 2 y^{-1/2} for y >= 1, with Theta
+    given at one float by theta_at (a profile's ThetaProfile.at); the first
+    violation at the HYPOTHESIS_NODES samples, geomspace on
+    [1, HYPOTHESIS_Y_MAX] on Python floats, raises HypothesisError naming
+    its y."""
+    for y in geomspace(1.0, HYPOTHESIS_Y_MAX, HYPOTHESIS_NODES):
+        if theta_at(y) - 2.0 * y ** -0.5 < -1e-12:
+            raise HypothesisError(
+                f"profile fails Theta(y) >= 2/sqrt(y) at y = {y:.6g}")
 
 
 def ingham_norm_bound_check(theta, n, M):
@@ -181,7 +193,8 @@ def ingham_norm_bound_check(theta, n, M):
     """
     if not (1 <= M <= MAX_POWER):
         raise DomainError(f"need 1 <= M <= {MAX_POWER}")
-    check_gamma_hypothesis(theta)
+    check_gamma_hypothesis(theta.at)
+    import numpy as np
     rows = []
     for m in range(1, M + 1):
         log_i = gamma_integral_log(theta, n, m)

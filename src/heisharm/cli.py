@@ -293,14 +293,19 @@ def _cmd_convolve_check(cfg):
     prod = multiply_coeffs(c1, c2)
     # pass reads each lambda column against its own scale, the largest
     # |prod| over k: max_rel_error turns absolute where the coefficients are
-    # far below 1, and reads near 0 on a spatial side wrong by its whole size
+    # far below 1, and reads near 0 on a spatial side wrong by its whole size;
+    # a subnormal scale has lost its relative precision, so it is refused
+    # like one that underflows to 0
     scale = np.abs(prod.values).max(axis=0)
-    if not np.all(scale > 0):
+    low = scale < sys.float_info.min
+    if np.any(low):
+        j = int(np.argmax(low))
+        fate = ("underflows to 0" if scale[j] == 0.0 else
+                f"falls to {float(scale[j]):.3g}, below the smallest normal double,")
         raise DomainError(
-            f"the window must stay below lambda = "
-            f"{float(grid.lam[np.argmin(scale > 0)]):.6g}, where the product of "
-            f"the two box tables underflows to 0 at every degree and "
-            f"max_column_error would divide by it; got lambda_max = "
+            f"the window must stay below lambda = {float(grid.lam[j]):.6g}, "
+            f"where the product of the two box tables {fate} at every degree "
+            f"and max_column_error would divide by it; got lambda_max = "
             f"{cfg.lambda_max:g}")
     conv = box_convolution_coefficients(rho1, tau1, rho2, tau2,
                                         grid.lam, grid.k_max)
@@ -331,7 +336,8 @@ def _cmd_dilate_check(cfg):
     # b = lam sz^2 at the top of the window, and (4 pi sz^2/(2 + b))^n, alone
     # and times st sqrt(2 pi), at its bottom must stay doubles
     sz, st = _GAUSSIAN
-    widths = (("sz", sz, st, "st"), ("(sz/r)", sz / r, st / r ** 2, "(st/r^2)"))
+    target = (sz / r, st / r ** 2)
+    widths = (("sz", sz, st, "st"), ("(sz/r)", *target, "(st/r^2)"))
     _require_doubles("lambda_max", cfg.lambda_max, [
         (1, 2 * math.log(z), f"b = lambda_max {name}^2", True)
         for name, z, _, _ in widths])
@@ -347,7 +353,7 @@ def _cmd_dilate_check(cfg):
         limit, form = min(limits)
         raise DomainError(f"n must stay below {limit:.6g} at lambda_min = "
                           f"{cfg.lambda_min:g}, where {form} overflows; got {n}")
-    # dilate_coeffs reads the source at lam / r^2 >= lambda_min and scales it
+    # the dilation reads the source at lam / r^2 >= lambda_min and scales it
     # by r^-k; the coefficients fall with lam, and the largest it reads is
     # at a node above lam_q e^-h, h the log spacing of the nodes
     h = (math.log(cfg.lambda_max) - math.log(cfg.lambda_min)) / (cfg.lambda_nodes - 1)
@@ -357,29 +363,23 @@ def _cmd_dilate_check(cfg):
     _require_doubles("dilation", r, [
         (-k, log_top, f"r^-{k} times the source coefficients it reads, up to "
                       f"{math.exp(log_top):.6g},", True)], f" at n = {n}")
-    import numpy as np
-
-    from .transform import dilate_coeffs, gaussian_coefficients
-    grid = cfg.grid()
-    c = gaussian_coefficients(n, sz, st, grid)
-    dilated = dilate_coeffs(c, r)
-    target = gaussian_coefficients(n, sz / r, st / r ** 2, grid)
-    # interpolation queries lam / r^2 must stay inside the stored window
-    mask = ((grid.lam >= cfg.lambda_min * max(1.0, r ** 2))
-            & (grid.lam <= cfg.lambda_max * min(1.0, r ** 2)))
-    if not np.any(mask):
+    # on Python floats: numpy's import alone costs more than the whole
+    # check at the defaults (README)
+    from ._gaussian import dilation_gap
+    compared, scale, gap = dilation_gap(n, _GAUSSIAN, target, r, cfg.k_max,
+                                        cfg.lambda_min, cfg.lambda_max,
+                                        cfg.lambda_nodes)
+    if not compared:
         raise DomainError("dilation pushes every node outside the window; "
                           "widen the lambda range")
-    scale = float(np.max(np.abs(target.values[:, mask])))
     if scale == 0.0:
         raise DomainError("the target Gaussian underflows to 0 on every "
                           "compared node; lower lambda_max or add lambda nodes")
     # a Python float quotient past the largest double is inf, not a numpy
     # warning, and main refuses the report for it
-    worst = float(np.max(np.abs(dilated.values[:, mask]
-                                - target.values[:, mask]))) / scale
+    worst = gap / scale
     return {
-        "compared_nodes": int(np.sum(mask)),
+        "compared_nodes": compared,
         "max_rel_error": worst,
         "tol": _DILATE_TOL,
         "pass": bool(worst <= _DILATE_TOL),
@@ -483,7 +483,7 @@ def _cmd_carleman(cfg):
         prof = sublaplacian_norms(coeffs, M)
         # the norm bound needs the doubled profile (squared coefficients)
         # to satisfy the gamma hypothesis
-        doubled = lambda y: 2.0 * theta(y)
+        doubled = lambda y: 2.0 * theta.at(y)
         try:
             check_gamma_hypothesis(doubled)
             ratios = []

@@ -12,10 +12,10 @@ Loading a fixture needs no numpy; only the two grid builders import it, so
 ingham-plan reads its constant and s nodes without the numeric stack.
 """
 
-import math
 import os
 import sys
 
+from ._ball import geomspace
 from .errors import DomainError
 from .jsonio import read_json
 
@@ -73,12 +73,8 @@ _CONSTANTS = {
 
 def calibration_s_nodes(count):
     """count floats s = lam rho^2 log-spaced across the lam in [1e-3, 1e3],
-    rho in [1e-3, 1] product range: numpy.geomspace's formula
-    10 ** (log10 lo + i step), with the endpoints exact."""
-    lo, hi = FACTOR_S_RANGE
-    start = math.log10(lo)
-    step = (math.log10(hi) - start) / (count - 1)
-    return [lo, *(10.0 ** (i * step + start) for i in range(1, count - 1)), hi]
+    rho in [1e-3, 1] product range, by numpy.geomspace's formula."""
+    return geomspace(*FACTOR_S_RANGE, count)
 
 
 def calibration_grid(s_nodes=FACTOR_S_NODES):

@@ -26,14 +26,16 @@ needs no numpy: it is imported where a profile is evaluated on an array
 and where a table is validated, so the planners' refusal of a divergent
 builtin runs without the numeric stack.  Each builtin formula is written
 once, for numpy (ThetaProfile.__call__) or _ball.FLOATS (ThetaProfile.at,
-all that planning the factor widths reads), so ingham-plan with a builtin
-profile runs without numpy too.
+all that planning the factor widths and checking the gamma hypothesis
+read), so ingham-plan with a builtin profile runs without numpy too.  A
+table's at interpolates with np.interp's formula on Python floats
+(_ball.interp), so it costs no numpy call per float either.
 """
 
 import math
 import sys
 
-from ._ball import FLOATS
+from ._ball import FLOATS, interp
 from ._record import Record
 from .errors import ProfileClassError
 from .jsonio import read_json
@@ -95,9 +97,11 @@ def _require_numbers(field, values):
 class ThetaProfile(Record):
     """A decay profile: a builtin, named in BUILTIN_THETAS and of its class
     there, or a table under a name of its own and of the class it declares,
-    with read-only float arrays y (abscissae) and vals (running minimum)."""
+    with read-only float arrays y (abscissae) and vals (running minimum),
+    held again as Python floats for at, one one-value row per node as
+    _ball.interp reads them."""
 
-    __slots__ = ("name", "declared_class", "y", "vals")
+    __slots__ = ("name", "declared_class", "y", "vals", "_points")
 
     def __init__(self, name, declared_class=None, y=None, vals=None):
         # a name heads the summary line a terminal prints: one printable line
@@ -130,7 +134,9 @@ class ThetaProfile(Record):
             vals = np.minimum.accumulate(v)
             y.setflags(write=False)
             vals.setflags(write=False)
-        self._assign(name=name, declared_class=declared_class, y=y, vals=vals)
+        points = None if y is None else (y.tolist(), [[v] for v in vals.tolist()])
+        self._assign(name=name, declared_class=declared_class, y=y, vals=vals,
+                     _points=points)
 
     def __call__(self, t):
         import numpy as np
@@ -143,10 +149,12 @@ class ThetaProfile(Record):
     def at(self, t):
         """Theta(|t|) at one number t, as a float: a builtin by its formula
         with FLOATS, within an ulp of __call__ (numpy's log and pow take
-        SIMD code paths), and a table by __call__, which loads numpy."""
+        SIMD code paths), and a table as __call__ gives it, by np.interp's
+        formula with y clamped to the table, where the end values hold."""
         y = abs(float(t))
-        if self.y is not None:
-            return float(self(y))
+        if self._points is not None:
+            ys, vals = self._points
+            return interp(min(max(y, ys[0]), ys[-1]), ys, vals.__getitem__)[0]
         return _builtin(FLOATS, self.name, y)
 
 

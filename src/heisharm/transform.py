@@ -23,6 +23,7 @@ import numpy as np
 
 from ._ball import (ball_normalizer, ball_recurrence, ball_steps, ball_weights,
                     coefficient_weights, log_c)
+from ._gaussian import gaussian_column, gaussian_powers
 from ._record import Record
 from .errors import DimensionMismatchError, DomainError, GridMismatchError
 from .grids import _unit_rule, gauss_legendre_panels
@@ -37,7 +38,6 @@ __all__ = [
     "transform_at_lambda",
     "plancherel_norm",
     "multiply_coeffs",
-    "dilate_coeffs",
     "box_pair_convolution",
     "box_convolution_grids",
     "box_convolution_coefficients",
@@ -81,16 +81,6 @@ def _box_t_hat(tau, lam):
     return np.sinc(tau ** 2 * np.asarray(lam, dtype=float) / (2.0 * np.pi))
 
 
-def _gaussian_t_hat(sigma_t, lam):
-    """Transform of e^{-t^2/(2 sigma_t^2)}: sigma_t sqrt(2 pi)
-    e^{-lam^2 sigma_t^2 / 2}."""
-    lam = np.asarray(lam, dtype=float)
-    # (lam sigma_t)^2 overflows to inf past about 1e154 / sigma_t, where
-    # exp(-inf) = 0 is the transform's limit
-    with np.errstate(over="ignore"):
-        return sigma_t * np.sqrt(2.0 * np.pi) * np.exp(-(lam * sigma_t) ** 2 / 2.0)
-
-
 def box_coefficients(n, rho, tau, grid):
     """SpectralCoefficients on the grid of the box factor: the normalized
     indicator of the ball of radius a*rho in z (a = ball_normalizer(n))
@@ -106,24 +96,21 @@ def box_coefficients(n, rho, tau, grid):
 def gaussian_coefficients(n, sigma_z, sigma_t, grid):
     """SpectralCoefficients on the grid of the Gaussian
     e^{-|z|^2/(2 sigma_z^2)} e^{-t^2/(2 sigma_t^2)}, from the closed form
-    given by the Laguerre generating function: with b = lam sigma_z^2 and
-    q = (2 - b) / (2 + b),
-
-        R_k(lam) = (4 pi sigma_z^2 / (2 + b))^n q^k t_hat(lam).
-
-    At b = 2 this is the ground state (2 pi / lam)^n delta_{k0}.
+    that _gaussian states, R_k(lam) = c(lam) q(lam)^k, evaluated with numpy
+    on every column at once; _gaussian.dilation_gap evaluates it with math,
+    one column at a time, for dilate-check's float path.
     """
     if sigma_z <= 0 or sigma_t <= 0:
         raise DomainError("gaussian factor needs positive widths")
     # cli._cmd_dilate_check refuses, before numpy loads, a window where b
     # (at its top) or the prefactor, alone or times t_hat's bound
-    # sigma_t sqrt(2 pi) (at its bottom), overflows: keep the two in step
-    b = grid.lam * sigma_z ** 2
-    q = (2.0 - b) / (2.0 + b)
-    k = np.arange(grid.k_max + 1, dtype=float)
-    vals = (4.0 * np.pi * sigma_z ** 2 / (2.0 + b)) ** n * _gaussian_t_hat(sigma_t, grid.lam) \
-        * q[None, :] ** k[:, None]
-    return SpectralCoefficients(n=n, grid=grid, values=vals)
+    # sigma_t sqrt(2 pi) (at its bottom), overflows: keep the two in step.
+    # (lam sigma_t)^2 overflows to inf past about 1e154 / sigma_t, where
+    # exp(-inf) = 0 is the transform's limit
+    with np.errstate(over="ignore"):
+        c, q = gaussian_column(np, n, sigma_z, sigma_t, grid.lam)
+    k = np.arange(grid.k_max + 1, dtype=float)[:, None]
+    return SpectralCoefficients(n=n, grid=grid, values=c * gaussian_powers(np, q, k))
 
 
 def projection_hs_norm_sq(k, n):
@@ -214,29 +201,6 @@ def multiply_coeffs(a, b):
     """Spectral side of group convolution: entrywise product."""
     _require_compatible(a, b)
     return a.with_values(a.values * b.values)
-
-
-def dilate_coeffs(coeffs, r):
-    """Coefficients of f composed with the dilation (z,t) -> (rz, r^2 t):
-
-        R_k(lam) -> r^{-(2n+2)} R_k(lam / r^2),
-
-    evaluated by linear interpolation in log lambda; queries outside the
-    stored window are set to zero, so norms of strongly dilated functions
-    lose the mass that leaves the window.
-    """
-    if not r > 0:
-        raise DomainError("dilation factor must be positive")
-    g = coeffs.grid
-    logl = np.log(g.lam)
-    q = logl - 2.0 * np.log(r)
-    out = np.empty_like(coeffs.values)
-    for k in range(coeffs.values.shape[0]):
-        out[k] = np.interp(q, logl, coeffs.values[k], left=0.0, right=0.0)
-    # cli._cmd_dilate_check bounds this product for its Gaussian by the
-    # largest value interpolated here, at a node above lam_min / r^2 e^-h
-    out *= float(r) ** (-(2.0 * coeffs.n + 2.0))
-    return coeffs.with_values(out)
 
 
 def _box_u_rule(cuts, singular, nodes):

@@ -12,6 +12,11 @@ gaussian_factor share their t-transforms with box_coefficients and
 gaussian_coefficients, so the oracles and the closed forms agree on the
 t-part by construction and differ only in the radial integral.
 
+dilate_coeffs dilates a coefficient set on its grid with numpy, and
+dilation_gap_numpy is dilate-check's comparison on numpy's grid with
+transform's gaussian_coefficients and dilate_coeffs: the reference of
+_gaussian.dilation_gap, dilate-check's path on Python floats.
+
 ball_coefficients_table is ball_coefficients with its numpy operations
 written out, the bitwise reference of the closed form's streamed
 recurrences.
@@ -30,12 +35,13 @@ import numpy as np
 from heisharm._ball import (_SERIES_EPS, POWER_CAP, ball_normalizer,
                             coefficient_weights, log_c, orthonormal_rows,
                             row_steps)
+from heisharm._gaussian import gaussian_t_hat
 from heisharm._record import Record
 from heisharm.errors import DimensionMismatchError, DomainError, QuadratureError
 from heisharm.fixtures import FACTOR_K_MAX, calibration_grid
-from heisharm.grids import radial_rule
+from heisharm.grids import QuadratureGrid, radial_rule
 from heisharm.transform import (SpectralCoefficients, _box_t_hat,
-                                _gaussian_t_hat, ball_coefficients)
+                                ball_coefficients, gaussian_coefficients)
 
 
 class RadialFunction(Record):
@@ -103,10 +109,47 @@ def gaussian_factor(n, sigma_z, sigma_t):
         return np.exp(-r ** 2 / (2.0 * sigma_z ** 2))
 
     def t_hat(lam):
-        return _gaussian_t_hat(sigma_t, lam)
+        with np.errstate(over="ignore"):
+            return gaussian_t_hat(np, sigma_t, np.asarray(lam, dtype=float))
 
     return RadialFunction(n=n, profile=profile, t_hat=t_hat,
                           support_radius=_GAUSSIAN_CUTOFF * sigma_z)
+
+
+def dilate_coeffs(coeffs, r):
+    """Coefficients of f composed with the dilation (z,t) -> (rz, r^2 t):
+
+        R_k(lam) -> r^{-(2n+2)} R_k(lam / r^2),
+
+    evaluated by linear interpolation in log lambda; queries outside the
+    stored window are set to zero, so norms of strongly dilated functions
+    lose the mass that leaves the window.
+    """
+    if not r > 0:
+        raise DomainError("dilation factor must be positive")
+    g = coeffs.grid
+    logl = np.log(g.lam)
+    q = logl - 2.0 * np.log(r)
+    out = np.empty_like(coeffs.values)
+    for k in range(coeffs.values.shape[0]):
+        out[k] = np.interp(q, logl, coeffs.values[k], left=0.0, right=0.0)
+    out *= float(r) ** (-(2.0 * coeffs.n + 2.0))
+    return coeffs.with_values(out)
+
+
+def dilation_gap_numpy(n, source, target, r, k_max, lambda_min, lambda_max,
+                       lambda_nodes):
+    """_gaussian.dilation_gap with numpy: the grid of QuadratureGrid.make,
+    which refuses its own windows, the source Gaussian's table dilated by
+    dilate_coeffs and the target's table, compared on the nodes lam in
+    [lambda_min max(1, r^2), lambda_max min(1, r^2)]."""
+    grid = QuadratureGrid.make(k_max, lambda_min, lambda_max, lambda_nodes)
+    dilated = dilate_coeffs(gaussian_coefficients(n, *source, grid), r).values
+    want = gaussian_coefficients(n, *target, grid).values
+    mask = ((grid.lam >= lambda_min * max(1.0, r ** 2))
+            & (grid.lam <= lambda_max * min(1.0, r ** 2)))
+    return (int(np.sum(mask)), float(np.max(np.abs(want[:, mask]), initial=0.0)),
+            float(np.max(np.abs(dilated[:, mask] - want[:, mask]), initial=0.0)))
 
 
 def ground_state(n):

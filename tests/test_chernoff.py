@@ -114,11 +114,11 @@ def test_gamma_bound_terms_match_lgamma_derivation(n, m):
 
 
 def test_hypothesis_gate():
-    check_gamma_hypothesis(builtin_theta("inv-sqrt-strong"))  # equality case
+    check_gamma_hypothesis(builtin_theta("inv-sqrt-strong").at)  # equality case
     with pytest.raises(HypothesisError, match=r"at y = 1$"):
-        check_gamma_hypothesis(builtin_theta("inv-sqrt"))
+        check_gamma_hypothesis(builtin_theta("inv-sqrt").at)
     with pytest.raises(HypothesisError):
-        check_gamma_hypothesis(builtin_theta("zero"))
+        check_gamma_hypothesis(builtin_theta("zero").at)
 
 
 def test_gamma_chain_ratios():

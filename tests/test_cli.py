@@ -17,14 +17,19 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import heisharm._gaussian
+from heisharm._gaussian import dilation_gap
 from heisharm.chernoff import gamma_bound_log
-from heisharm.cli import (_COMMANDS, _NAMES, _OPTIONS, RunConfig, _flag,
-                          _parse_args, _resolve_config, _run_description, main)
+from heisharm.cli import (_COMMANDS, _DILATE_TOL, _GAUSSIAN, _NAMES, _OPTIONS,
+                          RunConfig, _flag, _parse_args, _resolve_config,
+                          _run_description, main)
 from heisharm.errors import HeisharmError, HypothesisError, TailError
 from heisharm.fixtures import packaged_fixtures_dir
 from heisharm.group import ball_shift_symmdiff, ball_volume
 from heisharm.jsonio import write_json
 from heisharm.theta import BUILTIN_THETAS, builtin_theta
+
+from oracles import dilation_gap_numpy
 
 
 def run(tmp_path, name, *argv, out="r.json"):
@@ -558,6 +563,38 @@ def test_dilate_check_defaults(tmp_path):
     assert report["k_max"] == 64 and report["lambda_nodes"] == 320
 
 
+# dilate-check's six benchmark entries, two contractions, n = 3, a window
+# whose target underflows to 0 on its upper columns, and a grid of 164480
+# cells
+_DILATE_PATHS = [["--dilation", r, "--n", n] for r in ("1.2", "1.4", "1.8")
+                 for n in ("1", "2")]
+_DILATE_PATHS += [["--dilation", "0.7"], ["--dilation", "0.5", "--n", "2"],
+                  ["--n", "3"], ["--lambda-max", "1e300"],
+                  ["--kmax", "256", "--lambda-nodes", "640"]]
+
+
+@pytest.mark.parametrize("flags", _DILATE_PATHS, ids=" ".join)
+def test_dilate_float_path_matches_numpy_path(flags):
+    # the float path against transform's numpy path on the same config: the
+    # same nodes, the same verdict, and max_rel_error = gap / scale within a
+    # few ulps.  Both run the same operations on each cell, apart from the
+    # nodes' 10^y, t_hat's exp and the powers of the prefactor and of |q|,
+    # each an ulp at most from numpy's (tests/test_transform.py); so a cell
+    # that can set the gap or the scale moves by a few ulps of the scale,
+    # and the quotient by that much, times 1 + max_rel_error for the
+    # scale's own move
+    command, _, given = _parse_args(["dilate-check", *flags])
+    cfg = _resolve_config(command, None, given)
+    r = cfg.dilation
+    args = (cfg.n, _GAUSSIAN, (_GAUSSIAN[0] / r, _GAUSSIAN[1] / r ** 2), r,
+            cfg.k_max, cfg.lambda_min, cfg.lambda_max, cfg.lambda_nodes)
+    floats, oracle = dilation_gap(*args), dilation_gap_numpy(*args)
+    assert floats[0] == oracle[0] > 0
+    worst, want = floats[2] / floats[1], oracle[2] / oracle[1]
+    assert (worst <= _DILATE_TOL) is (want <= _DILATE_TOL)
+    assert abs(worst - want) <= 8.0 * sys.float_info.epsilon * (1.0 + want)
+
+
 def test_plancherel_families(tmp_path):
     code, report, _ = run(tmp_path, "plancherel-check", "--family", "gaussian")
     assert code == 0
@@ -701,6 +738,14 @@ def test_config_null_is_unset(tmp_path):
      "lambda_nodes must be at least 2, got 1"),
     (["plancherel-check", "--n", "0"], "n must be at least 1, got 0"),
     (["plancherel-check", "--kmax", "0"], "k_max must be at least 1, got 0"),
+    # windows so narrow that their nodes tie, or only their logs do:
+    # dilate-check refuses them as the grid does
+    (["dilate-check", "--lambda-min", "1e300", "--lambda-max", "1.0000000000001e300",
+      "--lambda-nodes", "8", "--dilation", "1.0000000000001"],
+     "lambda nodes must be positive, ascending, nonzero"),
+    (["dilate-check", "--lambda-min", "9.03e90", "--lambda-max", "9.030000000000005e90",
+      "--lambda-nodes", "2", "--dilation", "1.0000000000001"],
+     "lambda weights must be positive and match the nodes"),
 ])
 def test_non_finite_option_refused(tmp_path, capsys, argv, message):
     out = tmp_path / "never.json"
@@ -800,6 +845,10 @@ _FACTOR_COUNT = ("the factor count must stay below 2^63 = 9.22337e+18, where it 
 _ZERO_COLUMN = ("the window must stay below lambda = {}, where the product of the "
                 "two box tables underflows to 0 at every degree and "
                 "max_column_error would divide by it; got lambda_max = {}")
+_SUBNORMAL_COLUMN = ("the window must stay below lambda = {}, where the product of "
+                     "the two box tables falls to {}, below the smallest normal "
+                     "double, at every degree and max_column_error would divide "
+                     "by it; got lambda_max = {}")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -847,11 +896,25 @@ _ZERO_COLUMN = ("the window must stay below lambda = {}, where the product of th
     pytest.param(["dilate-check", "--n", "220", "--kmax", "3", "--lambda-nodes", "6",
                   "--lambda-min", "7.72e-47", "--lambda-max", "4e191"],
                  "report value max_rel_error is not finite", id="dilate-relative-error"),
-    # the two box tables' product underflows to 0 in a whole column, which
-    # max_column_error divides by: at lambda = 8.8e83 and 1e90 here, and at
-    # every node of the far window, whose lambda t_top stays a double
+    # the two box tables' product falls below the normal doubles in a whole
+    # column, which max_column_error divides by: to a subnormal at lambda =
+    # 7.8e77 (and to 0 at 8.8e83 and 1e90) in the first window, at the top
+    # of the next two, and to 0 at every node of the far windows, whose
+    # lambda t_top stays a double
     pytest.param(["convolve-check", "--lambda-max", "1e90"],
-                 _ZERO_COLUMN.format("8.81196e+83", "1e+90"), id="convolve-zero-column"),
+                 _SUBNORMAL_COLUMN.format("7.76507e+77", "4.87e-309", "1e+90"),
+                 id="convolve-subnormal-column"),
+    pytest.param(["convolve-check", "--lambda-max", "1e80"],
+                 _SUBNORMAL_COLUMN.format("1e+80", "2.42e-317", "1e+80"),
+                 id="convolve-subnormal-top-1e80"),
+    pytest.param(["convolve-check", "--lambda-max", "1e81"],
+                 _SUBNORMAL_COLUMN.format("1e+81", "1.35e-321", "1e+81"),
+                 id="convolve-subnormal-top-1e81"),
+    # tau1 just inside the limit of lambda_max tau1^2: the interval's sinc
+    # leaves every column of the product subnormal
+    pytest.param(["convolve-check", "--factors", "0.9,9.9e153,0.7,0.6"],
+                 _SUBNORMAL_COLUMN.format("0.15", "1.66e-308", "1.8"),
+                 id="convolve-subnormal-tau1"),
     pytest.param(["convolve-check", "--lambda-min", "1e307", "--lambda-max", "1.7e308"],
                  _ZERO_COLUMN.format("1e+307", "1.7e+308"), id="convolve-far-window"),
     pytest.param(["convolve-check", "--factors", "1,1,1,1", "--lambda-min", "1e307",
@@ -1030,12 +1093,12 @@ def test_width_refusals_load_no_numpy(tmp_path, fresh_env):
     (["dilate-check", "--n", "120", "--dilation", "0.153", "--lambda-min", "1",
       "--lambda-max", "1e6", "--lambda-nodes", "2"], 1),
     # just inside the box forms' limits on rho^2, tau^2 and rho^-n / tau,
-    # and on rho^2 for each ball of the convolution
+    # and on rho^2 for each ball of the convolution (just inside its limit on
+    # tau1^2 the product's columns are subnormal, and refused below)
     (["plancherel-check", "--family", "box", "--factors", "1.3e153,1,1,1"], 1),
     (["plancherel-check", "--family", "box", "--factors", "1,1.3e153,1,1"], 1),
     (["plancherel-check", "--family", "box", "--factors", "7.5e-153,1,1,1"], 1),
     (["convolve-check", "--factors", "9.9e153,1,1,1"], 1),
-    (["convolve-check", "--factors", "0.9,9.9e153,0.7,0.6"], 1),
     # and just inside the spatial side's limits on rho1^2 rho2^2 and
     # 1/(tau1^2 tau2^2)
     (["convolve-check", "--factors", "1.3e94,1,1e60,1"], 1),
@@ -1049,12 +1112,13 @@ def test_width_refusals_load_no_numpy(tmp_path, fresh_env):
     (["plancherel-check", "--family", "box", "--n", "76", "--lambda-min", "1e-3",
       "--lambda-max", "6000"], 1),
     # just inside the limits of 2 x^n at n = 150 and 98, and of the product
-    # of the two box tables, whose smallest column is 4.9e-309 here
+    # of the two box tables, whose smallest column is 8.2e-306 here, a normal
+    # double; the spatial side does not resolve that column, so it exits 1
     (["plancherel-check", "--family", "box", "--n", "150", "--lambda-min", "0.1",
       "--lambda-max", "60", "--factors", "0.4577,1,1,1"], 1),
     (["plancherel-check", "--family", "both", "--n", "98", "--lambda-min", "1",
       "--factors", "1.53,1,1,1"], 1),
-    (["convolve-check", "--lambda-max", "1e80"], 1),
+    (["convolve-check", "--lambda-max", "1e77"], 1),
 ])
 def test_widths_inside_the_limits_run_quietly(tmp_path, monkeypatch, capsys,
                                               argv, code):
@@ -1133,13 +1197,16 @@ def _log_uniform(rng, lo, hi):
 
 def _fuzz_value(rng, name):
     """A value of the option name: a width or dilation near 1 or anywhere
-    in 1e-300..1e300, n up to the box's 170, and counts past their limits."""
+    in 1e-300..1e300, n up to the box's 170, counts past their limits, and
+    degrees up to 1024 and lambda node counts up to 2048."""
     width = lambda: repr(_log_uniform(rng, 0.1, 10.0) if rng.random() < 0.5
                          else _log_uniform(rng, 1e-300, 1e300))
     draws = {
         "n": lambda: rng.randint(1, 3) if rng.random() < 0.5 else rng.randint(1, 170),
-        "k_max": lambda: rng.randint(1, 128),
-        "lambda_nodes": lambda: rng.randint(2, 64),
+        "k_max": lambda: (rng.randint(1, 128) if rng.random() < 0.9
+                          else rng.randint(129, 1024)),
+        "lambda_nodes": lambda: (rng.randint(2, 64) if rng.random() < 0.8
+                                 else rng.randint(65, 2048)),
         "factors": lambda: ",".join(width() for _ in range(4)),
         "dilation": width,
         "max_power": lambda: rng.randint(1, 40),
@@ -1183,7 +1250,9 @@ _FUZZ_FIXED = [
 def test_fuzzed_command_lines_exit_cleanly(tmp_path, monkeypatch, capsys):
     # seeded command lines over the typed option space, in process: each
     # exits 0 or 1 with a report and a quiet stderr, or 2 with one stderr
-    # line and no report, and numpy warns of nothing
+    # line and no report, and numpy warns of nothing.  A dilate-check line
+    # is run again with transform's numpy path in place of the float one,
+    # which must give its exit code and line
     rng = random.Random(40)
     faults = []
     for argv in _FUZZ_FIXED + [_fuzz_argv(rng) for _ in range(_FUZZ_RUNS)]:
@@ -1192,6 +1261,12 @@ def test_fuzzed_command_lines_exit_cleanly(tmp_path, monkeypatch, capsys):
                      code == 2 and err.endswith("\n") and err.count("\n") == 1)
         if caught or not stderr_ok or (tmp_path / "r.json").exists() != (code != 2):
             faults.append((argv, code, err, [str(w.message) for w in caught]))
+        if argv[0] == "dilate-check":
+            monkeypatch.setattr(heisharm._gaussian, "dilation_gap", dilation_gap_numpy)
+            again = _quiet_run(tmp_path, monkeypatch, capsys, argv)
+            monkeypatch.setattr(heisharm._gaussian, "dilation_gap", dilation_gap)
+            if (again[0], again[2]) != (code, err):
+                faults.append((argv, code, err, again[0], again[2]))
         for path in tmp_path.iterdir():
             path.unlink()
     assert faults == []

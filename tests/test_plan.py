@@ -53,11 +53,24 @@ def test_float_profiles_match_array_profiles():
         assert _within_ulps(got, theta(j).tolist(), 1), name
         for t in (0.0, -2.5, 1e300):
             assert _within_ulps([theta.at(t)], [float(theta(t))], 1), (name, t)
-    # a table interpolates with numpy in both, bit for bit
+    # a table interpolates by np.interp's formula in both, bit for bit: at
+    # its nodes, between them, past both ends and at the float extremes
     table = ThetaProfile(name="t", declared_class="convergent",
                          y=[0.0, 3.0, 40.0], vals=[1.5, 0.4, 0.1])
-    y = [0.0, 1.0, 2.7, 3.0, 17.0, 40.0, 1e4, -5.0]
+    y = [0.0, 1.0, 2.7, 3.0, 17.0, 40.0, 1e4, -5.0, math.inf, 5e-324]
     assert [table.at(v) for v in y] == table(np.array(y)).tolist()
+    rng = np.random.default_rng(41)
+    for size in (2, 7, 77):
+        nodes = np.sort(rng.choice(10.0 ** rng.uniform(-3, 8, 4 * size), size,
+                                   replace=False))
+        table = ThetaProfile(name="t", declared_class="convergent",
+                             y=nodes.tolist(), vals=rng.uniform(0.0, 5.0, size).tolist())
+        y = np.concatenate((nodes, rng.uniform(0.0, 2.0 * nodes[-1], 400),
+                            nodes[0] * rng.uniform(0.0, 1.0, 20),
+                            np.nextafter(nodes, 0.0), np.nextafter(nodes, np.inf)))
+        got = [table.at(v) for v in y.tolist()]
+        assert all(type(v) is float for v in got)
+        assert got == table(y).tolist(), size
 
 
 def test_plan_widths_match_the_array_formula():

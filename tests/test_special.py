@@ -301,6 +301,13 @@ _PLANS.append(["ingham-plan", "--theta", "inv-sqrt-strong", "--n", "3",
     (["dilate-check", "--dilation", "inf"], 2,
      "heisharm dilate-check: refused: dilation must be a finite number, "
      "got inf\n", (*_LEAN, "heisharm.transform")),
+    # dilate-check runs on Python floats, and the
+    # gamma hypothesis is checked on them before numpy loads
+    *[(["dilate-check", "--n", n], 0, "",
+       (*_LEAN, "heisharm.transform", "heisharm.grids")) for n in ("1", "2")],
+    (["gamma-bound-check", "--theta", "inv-sqrt"], 2,
+     "heisharm gamma-bound-check: refused: profile fails Theta(y) >= "
+     "2/sqrt(y) at y = 1\n", (*_LEAN, "heisharm.transform", "heisharm.grids")),
     (["ingham-plan", "--theta", "inv-log"], 2,
      _DIVERGENT.format("ingham-plan", "inv-log"), (*_LEAN, "heisharm.ingham")),
     (["ingham-verify", "--theta", "inv-log"], 2,
@@ -321,7 +328,8 @@ _PLANS.append(["ingham-plan", "--theta", "inv-sqrt-strong", "--n", "3",
       for command in ("ingham-plan", "ingham-verify")],
     *[(argv, 0, "", (*_LEAN, "heisharm.ingham", "heisharm.transform"))
       for argv in _PLANS],
-], ids=["help", "config-refusal", "plan-inv-log", "verify-inv-log",
+], ids=["help", "config-refusal", "dilate-n1", "dilate-n2",
+        "gamma-bound-inv-sqrt", "plan-inv-log", "verify-inv-log",
         "plan-divergent-table",
         *(f"{command[7:]}-{config[:-5]}" for config, _ in _CONFIG_REFUSALS
           for command in ("ingham-plan", "ingham-verify")),

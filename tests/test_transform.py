@@ -1,6 +1,7 @@
 """Forward transform, norms, dilation and the box convolution."""
 
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -10,18 +11,18 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 import heisharm._ball
-from heisharm._ball import POWER_CAP, ball_normalizer
+from heisharm._ball import FLOATS, POWER_CAP, ball_normalizer, geomspace, interp
+from heisharm._gaussian import dilation_gap, gaussian_column, gaussian_powers
 from heisharm.chernoff import spectral_box
 from heisharm.errors import DomainError, GridMismatchError, QuadratureError
 from heisharm.grids import QuadratureGrid, radial_rule
 from heisharm.transform import (SpectralCoefficients, ball_coefficients,
-                                box_coefficients,
-                                dilate_coeffs, gaussian_coefficients,
+                                box_coefficients, gaussian_coefficients,
                                 multiply_coeffs, plancherel_norm,
                                 projection_hs_norm_sq, transform_at_lambda)
 
-from oracles import (ball_coefficients_table, box_factor, forward_radial,
-                     gaussian_factor, ground_state)
+from oracles import (ball_coefficients_table, box_factor, dilate_coeffs,
+                     forward_radial, gaussian_factor, ground_state)
 
 GRID = QuadratureGrid.make(k_max=24, lambda_min=0.05, lambda_max=20.0,
                            lambda_nodes=64)
@@ -190,6 +191,89 @@ def test_gaussian_coefficients_ground_state_and_refusals():
             gaussian_coefficients(1, sz, st_, GRID)
 
 
+def _old_gaussian_coefficients(n, sigma_z, sigma_t, grid):
+    """gaussian_coefficients' values as its closed form was first written,
+    with numpy's pow on the signed q: the oracle of the |q|^k table."""
+    b = grid.lam * sigma_z ** 2
+    q = (2.0 - b) / (2.0 + b)
+    k = np.arange(grid.k_max + 1, dtype=float)
+    t_hat = sigma_t * np.sqrt(2.0 * np.pi) * np.exp(-(grid.lam * sigma_t) ** 2 / 2.0)
+    return ((4.0 * np.pi * sigma_z ** 2 / (2.0 + b)) ** n * t_hat
+            * q[None, :] ** k[:, None])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gaussian_power_table_matches_signed_pow(n):
+    # on plancherel-check's grid, where 38% of the q are negative: every
+    # cell within two ulps of the signed pow, the signs equal, and the
+    # Plancherel norm that plancherel-check reports bitwise equal at n = 1
+    # and 2 (a few thousand of the 148032 cells move by an ulp or two)
+    grid = QuadratureGrid.make(k_max=256, lambda_min=1e-4, lambda_max=100.0,
+                               lambda_nodes=576)
+    new = gaussian_coefficients(n, 2.0, 0.2, grid)
+    old = _old_gaussian_coefficients(n, 2.0, 0.2, grid)
+    assert np.all(np.abs(new.values - old) <= 2.0 * np.spacing(np.abs(old)))
+    assert np.array_equal(np.sign(new.values), np.sign(old))
+    if n < 3:
+        assert plancherel_norm(new) == plancherel_norm(
+            SpectralCoefficients(n=n, grid=grid, values=old))
+
+
+def test_gaussian_closed_form_on_floats_matches_numpy():
+    # one column at a time with math, against the table with numpy: each
+    # cell within a few ulps of its own size, through exp and pow alone;
+    # far up the window t_hat underflows to 0 on both
+    grid = QuadratureGrid.make(k_max=64, lambda_min=1e-3, lambda_max=1e3,
+                               lambda_nodes=320)
+    for n, sz, st_ in ((1, 2.0, 0.2), (2, 2.0 / 1.4, 0.2 / 1.96), (3, 0.5, 3.0)):
+        table = gaussian_coefficients(n, sz, st_, grid).values
+        for j, lam in enumerate(grid.lam.tolist()):
+            c, q = gaussian_column(FLOATS, n, sz, st_, lam)
+            col = np.array([c * gaussian_powers(FLOATS, q, float(k))
+                            for k in range(grid.k_max + 1)])
+            assert np.all(np.abs(col - table[:, j])
+                          <= 4.0 * np.spacing(np.abs(table[:, j])))
+        assert table[:, -1].tolist() == [0.0] * (grid.k_max + 1)
+
+
+@pytest.mark.parametrize("start, stop, num", [
+    (1e-3, 1e3, 320), (1.0, 1e8, 2049), (1e-4, 1e2, 576), (1e-3, 1.0, 120),
+    (7.72e-47, 4e191, 6), (0.15, 1e90, 16), (1e300, 1.7e308, 40), (2.0, 3.0, 2)])
+def test_float_geomspace_matches_numpy(start, stop, num):
+    # the endpoints exactly, and every node within an ulp: numpy's power
+    # takes a SIMD code path an ulp away from libm's pow
+    got = geomspace(start, stop, num)
+    want = np.geomspace(start, stop, num)
+    assert len(got) == num and got[0] == start and got[-1] == stop
+    assert np.all(np.abs(np.array(got) - want) <= np.spacing(want))
+
+
+def test_float_geomspace_where_the_step_underflows():
+    # log10 of the two ends is one double: numpy's linspace then scales
+    # i / (num - 1) by the zero delta, and so does the float path
+    stop = math.nextafter(1e300, 2e300)
+    assert math.log10(stop) == math.log10(1e300)
+    assert geomspace(1e300, stop, 5) == np.geomspace(1e300, stop, 5).tolist()
+
+
+def test_float_interp_matches_numpy_bitwise():
+    # np.interp(x, xs, row, left=0, right=0) at nodes, between them, at and
+    # past both ends, for log-spaced nodes and rows of mixed sign and size
+    rng = random.Random(41)
+    for _ in range(40):
+        xs = sorted({math.log(v) for v in geomspace(
+            10.0 ** rng.uniform(-6, 0), 10.0 ** rng.uniform(1, 6), rng.randint(2, 60))})
+        rows = [[rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300, 300)
+                 for _ in xs] for _ in range(3)]
+        queries = xs + [xs[0] - 1e-9, xs[-1] + 1e-9, math.nextafter(xs[-1], 0.0)]
+        queries += [rng.uniform(xs[0] - 1.0, xs[-1] + 1.0) for _ in range(50)]
+        columns = [list(col) for col in zip(*rows)]
+        for x in queries:
+            got = interp(x, xs, columns.__getitem__)
+            want = [float(np.interp(x, xs, row, left=0.0, right=0.0)) for row in rows]
+            assert got == want
+
+
 def test_ground_state_coefficients():
     for n in (1, 2):
         f = ground_state(n)
@@ -319,3 +403,7 @@ def test_dilation_matches_spatial_dilation():
     scale = np.max(np.abs(target.values[:, mask]))
     err = np.max(np.abs(d.values[:, mask] - target.values[:, mask])) / scale
     assert err < 1e-3
+    # and dilate-check's float path, on the closed forms, tells the same
+    compared, scale, gap = dilation_gap(1, (2.0, 0.2), (2.0 / r, 0.2 / r ** 2),
+                                        r, 48, 1e-3, 1e3, 320)
+    assert compared == np.sum(mask) and abs(gap / scale - err) < 1e-9

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, config precedence, reports, determinism."""
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -1299,6 +1300,54 @@ def test_benchmark_entry_resolves(tmp_path, entry):
                               str(tmp_path / "fixtures"))
     cfg = _resolve_config(*_parse_args(argv))
     assert cfg.command == argv[0] and cfg.out == str(tmp_path / "r.json")
+
+
+_DIGESTS = Path(__file__).resolve().parent / "report_digests.json"
+
+
+def _numpy_build():
+    """numpy's version and the SIMD extensions its dispatch found on this
+    host: report bytes are per build and per host."""
+    return {"numpy": np.__version__,
+            "simd": np.__config__.CONFIG["SIMD Extensions"]["found"]}
+
+
+def _digest_menu():
+    """(name, argv without --out) of every pinned run: the benchmark's
+    non-calibration entries, table profiles and fixtures filled in as the
+    benchmark fills them, and ingham-plan's float-path plans."""
+    from test_special import _PLANS
+    menu = [(e["id"], _WORKLOADS.op_argv(e, "", "{profiles}",
+                                         str(packaged_fixtures_dir()))[:-2])
+            for e in _WORKLOADS.all_entries() if not e["calibrate"]]
+    return menu + [(" ".join(argv), argv) for argv in _PLANS]
+
+
+def test_reports_match_their_pinned_digests(tmp_path):
+    # every pinned run, in process: its exit code and the sha256 of each
+    # file it writes, against tests/report_digests.json.  A change that
+    # moves a report's bytes updates that file in the same commit, and the
+    # diff shows which runs moved.  calibrate.run_all is pinned byte for
+    # byte by test_run_all_reproduces_packaged_fixtures
+    pinned = json.loads(_DIGESTS.read_text())
+    if pinned["build"] != _numpy_build():
+        pytest.skip(f"digests are pinned for {pinned['build']}; this host "
+                    f"runs {_numpy_build()}")
+    _WORKLOADS.write_profiles(str(tmp_path))
+    got = {}
+    for i, (name, argv) in enumerate(_digest_menu()):
+        out = tmp_path / f"run{i}"
+        out.mkdir()
+        argv = [a.replace("{profiles}", str(tmp_path)) for a in argv]
+        code = main([*argv, "--out", str(out / "report.json")])
+        got[name] = {"exit": code, "files": {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir())}}
+    moved = {name: run for name, run in got.items()
+             if pinned["runs"].get(name) != run}
+    assert sorted(got) == sorted(pinned["runs"]), "the menu changed"
+    assert moved == {}, "moved runs and their new digests:\n" + json.dumps(
+        moved, indent=1, sort_keys=True)
 
 
 @pytest.mark.parametrize("entry", [e for e in _WORKLOADS.all_entries()

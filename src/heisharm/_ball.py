@@ -29,22 +29,55 @@ column at a time for ``ingham-plan``'s factor-bound replay, which imports
 no numpy.  ``geomspace`` and ``interp`` give numpy's log-spaced nodes
 and its linear interpolation on Python floats, for the float paths that
 sample and interpolate on them.
+
+Each closed form states its domain of doubles beside its formula: a
+*_domain generator yields its checks in the order a command runs them, and
+require_doubles, the one limit solver, refuses the first value out of it.
 """
 
 import math
 from bisect import bisect_right
 from types import SimpleNamespace
 
-__all__ = ["MAX_N", "POWER_CAP", "FLOATS", "geomspace", "interp", "row_steps",
-           "orthonormal_rows", "gammainc_series", "gammainc_poisson",
-           "gammainc", "log_c", "coefficient_weights", "ball_normalizer",
-           "ball_steps", "ball_recurrence", "ball_weights", "ball_columns"]
+from .errors import DomainError
+
+__all__ = ["MAX_N", "POWER_CAP", "FLOATS", "require_doubles", "geomspace",
+           "measure_domain", "interp", "row_steps", "orthonormal_rows",
+           "gammainc_series", "gammainc_poisson", "gammainc", "log_c",
+           "coefficient_weights", "ball_normalizer", "ball_steps",
+           "ball_recurrence", "ball_weights", "ball_columns", "box_domain",
+           "box_norm", "convolution_t_top", "convolution_domain"]
 
 # the elementary functions the closed forms take from their caller, under
 # numpy's names, on one Python float; numpy itself serves an array
 FLOATS = SimpleNamespace(exp=math.exp, log=math.log, minimum=min, any=bool,
                          where=lambda cond, a, b: a if cond else b,
                          zeros_like=lambda y: 0.0)
+
+
+# logs of the largest and the smallest positive double, pulled in by a
+# relative 1e-12 so that a log's rounding cannot pass a form out of range
+_LOG_HUGE = math.log(math.nextafter(math.inf, 0.0)) * (1.0 - 1e-12)
+_LOG_TINY = math.log(math.ulp(0.0)) * (1.0 - 1e-12)
+
+
+def require_doubles(checks):
+    """Refuse at the first (option, x, forms, at) of checks where a form
+    (p, c, name, zero_ok), e^c x^p at the value x of option, overflows or,
+    unless zero_ok, underflows to 0, naming the tightest limit crossed and
+    at, the setting it holds for."""
+    for option, x, forms, at in checks:
+        log_x, crossed = math.log(x), []
+        for p, c, name, zero_ok in forms:
+            for edge, fate in ((_LOG_HUGE, "overflows"), (_LOG_TINY, "underflows to 0")):
+                # the form meets edge at log x = limit; upper: x must stay below
+                limit, upper = (edge - c) / p, (edge > 0) == (p > 0)
+                if (log_x > limit) == upper and not (zero_ok and edge < 0):
+                    crossed.append((abs(log_x - limit), limit, upper, f"{name} {fate}"))
+        if crossed:
+            _, limit, upper, why = max(crossed)
+            raise DomainError(f"{option} must stay {'below' if upper else 'above'} "
+                              f"{math.exp(limit):.6g}{at}, where {why}; got {x:g}")
 
 
 def geomspace(start, stop, num):
@@ -59,6 +92,18 @@ def geomspace(start, stop, num):
     inner = ([i * step + log_start for i in range(1, num - 1)] if step != 0.0
              else [i / (num - 1) * delta + log_start for i in range(1, num - 1)])
     return [start, *(10.0 ** y for y in inner), stop]
+
+
+def measure_domain(n, lambda_min, lambda_max, lambda_nodes):
+    """The check of QuadratureGrid.lambda_measure_weights(n) on the nodes
+    geomspace(lambda_min, lambda_max, lambda_nodes): lam^(n+1) times the
+    trapezoid weight in log lam, h / 2 at the top node and h at the interior
+    ones, h the nodes' log spacing, is largest at the top node or the next
+    one down, e^(-(n+1) h) lower in lam^(n+1)."""
+    h = (math.log(lambda_max) - math.log(lambda_min)) / (lambda_nodes - 1)
+    scale = max(1.0, 0.5 * h, h * math.exp(-(n + 1) * h) if lambda_nodes > 2 else 0.0)
+    yield ("lambda_max", lambda_max, [(n + 1, math.log(scale), f"lam_log_w lam^{n + 1} "
+                                       "of the lambda measure", True)], f" at n = {n}")
 
 
 def interp(x, xs, column):
@@ -84,7 +129,7 @@ MAX_N = 170
 # e^{-x/2} is exactly zero in double precision from x = 1490.27 on, and so is
 # every row of an orthonormal table of L^n there, so capping x at this point
 # leaves every product 2 x^n row as it was.  2 POWER_CAP^n is a double up to
-# n = 97; past it, cli refuses a window whose x reaches past
+# n = 97; past it, box_domain refuses a window whose x reaches past
 # (max double / 2)^(1/n), and so keeps 0 * inf out of the recurrence
 POWER_CAP = 1490.3
 
@@ -220,3 +265,70 @@ def ball_columns(s, k_max, n):
         columns.append([J * w * scale for J, w in zip(
             ball_recurrence(FLOATS, n, si, steps), weights)])
     return columns
+
+
+def box_domain(n, lambda_min, lambda_max, i, rho, tau, lambda_nodes=None):
+    """The checks of box_coefficients at dimension n on [lambda_min,
+    lambda_max] for factor i of widths rho and tau: rho^2, tau^2, s = lam
+    rho^2 and lam tau^2 at the top and s^-n at the bottom, where 0 does no
+    harm, and past n = 97 ball_recurrence's 2 x^n at x = s a^2/2 at the top
+    (gammainc_series' y^n, y = x/2, stays a double wherever it does); n
+    past MAX_N is refused.  With lambda_nodes, plancherel-check's: the
+    measure first, then tau, then rho with box_norm's forms."""
+    if n > MAX_N:
+        raise DomainError(f"the box family needs n <= {MAX_N}, got {n}")
+    top, bottom = math.log(lambda_max), math.log(lambda_min)
+    rho_name, tau_name = f"rho{i}", f"tau{i}"
+    rho_forms = [(2, 0.0, f"{rho_name}^2", False), (2, top, f"lambda_max {rho_name}^2", True),
+                 (-2 * n, -n * bottom, f"(lambda_min {rho_name}^2)^-{n}", True)]
+    if n * math.log(POWER_CAP) + math.log(2.0) > _LOG_HUGE:
+        log_x = top + 2.0 * math.log(ball_normalizer(n)) - math.log(2.0)
+        rho_forms.append((2 * n, math.log(2.0) + n * log_x,
+                          f"2 x^{n} at x = lambda_max {rho_name}^2 a^2/2", True))
+    tau_check = (f"factors {tau_name}", tau, [(2, 0.0, f"{tau_name}^2", False),
+                                              (2, top, f"lambda_max {tau_name}^2", True)], "")
+    if lambda_nodes is None:
+        yield from [(f"factors {rho_name}", rho, rho_forms, ""), tau_check]
+        return
+    yield from measure_domain(n, lambda_min, lambda_max, lambda_nodes)
+    yield tau_check
+    yield (f"factors {rho_name}", rho, rho_forms + [
+        (-n, 0.0, f"{rho_name}^-{n}", False),
+        (-n, -math.log(tau), f"{rho_name}^-{n} / {tau_name}", False)], "")
+
+
+def box_norm(n, rho, tau):
+    """The L^2 norm of the box factor of widths rho and tau."""
+    return rho ** -n / tau
+
+
+def convolution_t_top(rho1, tau1, rho2, tau2):
+    """The top t of the convolution of two box factors on H^1: the interval
+    half-widths tau^2 / 2 summed, widened by the group law's twist term by
+    up to A1 A2 / 2, the largest symplectic area between the two balls."""
+    a = ball_normalizer(1)
+    A1, A2 = a * rho1, a * rho2
+    return 0.5 * tau1 ** 2 + 0.5 * tau2 ** 2 + 0.5 * A1 * A2
+
+
+def convolution_domain(lambda_max, rho1, tau1, rho2, tau2, tol):
+    """The checks of transform.box_convolution_coefficients past the box
+    tables: the spatial side's height 1/(tau1^2 tau2^2), the scale
+    rho1^2 rho2^2 it divides by and their quotient; an overlap angle that
+    loses the tolerance tol to rounding; and lambda_max t_top."""
+    c = -2 * math.log(tau2)
+    yield ("factors tau1", tau1, [(-2, c, "1/(tau1^2 tau2^2)", False)], "")
+    yield ("factors rho1", rho1, [(2, 2 * math.log(rho2), "rho1^2 rho2^2", False), (
+        -2, c - 2 * (math.log(tau1) + math.log(rho2)), "1/(rho1^2 tau1^2 rho2^2 tau2^2)",
+        False)], "")
+    # the overlap angle arccos(gamma) lives where 1 - gamma <= A1^2 / (2 r u),
+    # r and u up to A1 + A2, so it keeps about eps ((rho1 + rho2) / rho1)^2
+    wider = math.sqrt(tol / math.ulp(1.0)) - 1
+    if rho2 > wider * rho1:
+        raise DomainError(f"factors rho2 must stay below {wider * rho1:.6g} ({wider:.6g} "
+                          f"rho1), where the spatial convolution's overlap angle "
+                          f"arccos(gamma) loses the tolerance {tol:g} to rounding; "
+                          f"got {rho2:g}")
+    t_top = convolution_t_top(rho1, tau1, rho2, tau2)
+    yield ("lambda_max", lambda_max, [(1, math.log(t_top), "lambda_max t_top of the "
+                                       "cosine transform", True)], f" at t_top = {t_top:.6g}")

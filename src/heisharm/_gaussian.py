@@ -20,17 +20,17 @@ product, which overflows to inf and so to t_hat = 0 on both paths; a
 Python float's ``**`` and math.exp would raise there instead.
 
 dilation_gap is dilate-check on Python floats, which imports no numpy;
-its oracle in the tests runs the same comparison with numpy
-(transform.gaussian_coefficients and the tests' dilate_coeffs).
+its oracle in the tests, dilation_gap_numpy, runs the same comparison
+with numpy.  dilation_domain states where its forms stay doubles.
 """
 
 import math
 
-from ._ball import FLOATS, geomspace, interp
+from ._ball import _LOG_HUGE, FLOATS, geomspace, interp
 from .errors import DomainError
 
 __all__ = ["gaussian_t_hat", "gaussian_column", "gaussian_powers",
-           "dilation_gap"]
+           "gaussian_norm", "dilation_domain", "dilation_gap"]
 
 
 def gaussian_t_hat(xp, sigma_t, lam):
@@ -55,28 +55,73 @@ def gaussian_powers(xp, q, k):
     return xp.where((q < 0.0) & (k % 2.0 == 1.0), -p, p)
 
 
+def gaussian_norm(n, sigma_z, sigma_t):
+    """The Gaussian's L^2 norm sqrt((pi sigma_z^2)^n sigma_t sqrt(pi)),
+    refused where the power overflows."""
+    try:
+        return math.sqrt((math.pi * sigma_z ** 2) ** n * sigma_t * math.sqrt(math.pi))
+    except OverflowError:
+        raise DomainError(f"the Gaussian's spatial norm overflows at n = {n}: "
+                          f"(pi sz^2)^n passes the largest double") from None
+
+
+def dilation_domain(n, source, r, lambda_min, lambda_max, lambda_nodes):
+    """The checks of dilate-check at dimension n, the Gaussian of widths
+    source = (sz, st) dilated by r on lambda_nodes nodes of [lambda_min,
+    lambda_max]: r^(2n+2) and r^-(2n+2); b = lam sz^2 at the top for source
+    and target; their prefactor (4 pi sz^2/(2 + b))^n, alone or times
+    st sqrt(2 pi), at the bottom; r^-(2n+2) times the source values read.
+    The prefactor bounds n itself, as an integer, and names the target's of
+    two limits tied at r = 1: require_doubles, on log x, cannot say that."""
+    k = 2 * n + 2
+    yield ("dilation", r, [(k, 0.0, f"r^{k}", False), (-k, 0.0, f"r^-{k}", False)], "")
+    sz, st = source
+    widths = (("sz", sz, st, "st"), ("(sz/r)", sz / r, st / r ** 2, "(st/r^2)"))
+    yield ("lambda_max", lambda_max, [(1, 2 * math.log(z), f"b = lambda_max {name}^2",
+                                       True) for name, z, _, _ in widths], "")
+    limits = []
+    for name, z, t, t_name in widths:
+        log_base = math.log(4 * math.pi * z * z / (2 + lambda_min * z * z))
+        log_t = math.log(t * math.sqrt(2 * math.pi))
+        if log_base > 0:
+            limits.append(((_LOG_HUGE - max(log_t, 0.0)) / log_base,
+                           f"(4 pi {name}^2/(2 + lambda_min {name}^2))^n"
+                           + (f" {t_name} sqrt(2 pi)" if log_t > 0 else "")))
+    if limits and n > min(limits)[0]:
+        limit, form = min(limits)
+        raise DomainError(f"n must stay below {limit:.6g} at lambda_min = "
+                          f"{lambda_min:g}, where {form} overflows; got {n}")
+    # the dilation reads the source at lam / r^2 >= lambda_min and scales it
+    # by r^-k; the coefficients fall with lam, and the largest it reads is
+    # at a node above lam_q e^-h, h the log spacing of the nodes
+    h = (math.log(lambda_max) - math.log(lambda_min)) / (lambda_nodes - 1)
+    lam_q = max(lambda_min, lambda_min / (r * r) * math.exp(-h))
+    log_top = (n * math.log(4 * math.pi * sz * sz / (2 + lam_q * sz * sz))
+               + math.log(st * math.sqrt(2 * math.pi)) - lam_q * st * lam_q * st / 2)
+    yield ("dilation", r, [(-k, log_top, f"r^-{k} times the source coefficients it "
+                            f"reads, up to {math.exp(log_top):.6g},", True)], f" at n = {n}")
+
+
 def _column(n, sigma_z, sigma_t, lam, ks):
     """R_k(lam) of the Gaussian for every float degree k of ks."""
     c, q = gaussian_column(FLOATS, n, sigma_z, sigma_t, lam)
     return [c * gaussian_powers(FLOATS, q, k) for k in ks]
 
 
-def dilation_gap(n, source, target, r, k_max, lambda_min, lambda_max,
-                 lambda_nodes):
+def dilation_gap(n, source, r, k_max, lambda_min, lambda_max, lambda_nodes):
     """dilate-check on Python floats, for the Gaussian of widths source =
-    (sigma_z, sigma_t), dilated by r, against the Gaussian of widths target,
-    on the grid of QuadratureGrid.make(k_max, lambda_min, lambda_max,
-    lambda_nodes): (the count of nodes lam in [lambda_min max(1, r^2),
-    lambda_max min(1, r^2)], where the queries lam / r^2 stay in the window,
-    and over those nodes and degrees 0..k_max the largest |target| and the
-    largest |dilated - target|).  The dilated coefficients are
-    r^{-(2n+2)} R_k(lam / r^2), interpolated linearly in log lam by
-    np.interp's formula (_ball.interp), 0 outside the window; the
-    bound cli._cmd_dilate_check puts on r^{-(2n+2)} times the source
-    values read keeps each product a double.  The source's columns are
-    evaluated only where the interpolation reads them.  A window whose nodes
-    or log-lambda weights the grid would refuse is refused with its
-    message."""
+    (sigma_z, sigma_t), dilated by r, against the target, its closed form
+    of widths (sigma_z / r, sigma_t / r^2), on the grid of
+    QuadratureGrid.make(k_max, lambda_min, lambda_max, lambda_nodes): (the
+    count of nodes lam in [lambda_min max(1, r^2), lambda_max min(1, r^2)],
+    where the queries lam / r^2 stay in the window, and over those nodes
+    and degrees 0..k_max the largest |target| and the largest |dilated -
+    target|).  The dilated coefficients are r^{-(2n+2)} R_k(lam / r^2),
+    interpolated linearly in log lam by np.interp's formula (_ball.interp),
+    0 outside the window; dilation_domain keeps r^{-(2n+2)} times the source
+    values read a double.  The source's columns are evaluated only where
+    the interpolation reads them.  A window whose nodes or log-lambda
+    weights the grid would refuse is refused with its message."""
     lam = geomspace(lambda_min, lambda_max, lambda_nodes)
     if not all(a < b for a, b in zip(lam, lam[1:])):
         raise DomainError("lambda nodes must be positive, ascending, nonzero")
@@ -86,6 +131,7 @@ def dilation_gap(n, source, target, r, k_max, lambda_min, lambda_max,
     if not all(0.5 * (b - a) > 0.0 for a, b in
                [logl[:2], *zip(logl, logl[2:]), logl[-2:]]):
         raise DomainError("lambda weights must be positive and match the nodes")
+    target = (source[0] / r, source[1] / r ** 2)
     lo = lambda_min * max(1.0, r ** 2)
     hi = lambda_max * min(1.0, r ** 2)
     ks = [float(k) for k in range(k_max + 1)]

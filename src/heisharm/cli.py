@@ -12,7 +12,6 @@ Reports never embed timestamps or environment data, so identical configs
 and fixtures give byte-identical files on every run.
 """
 
-import math
 import os
 import sys
 from collections import namedtuple
@@ -102,14 +101,16 @@ class RunConfig(namedtuple("RunConfig", ("command",) + _NAMES)):
                 raise DomainError(f"{name} must be at least {least}, "
                                   f"got {getattr(self, name)}")
         if not (0 < self.lambda_min < self.lambda_max):
-            raise DomainError("need 0 < lambda_min < lambda_max")
+            raise DomainError(f"need 0 < lambda_min < lambda_max, got lambda_min = "
+                              f"{self.lambda_min} and lambda_max = {self.lambda_max}")
         if len(self.factors) != 4 or any(v <= 0 for v in self.factors):
-            raise DomainError("factors must be four positive reals "
-                              "rho1,tau1,rho2,tau2")
+            raise DomainError(f"factors must be four positive reals rho1,tau1,"
+                              f"rho2,tau2, got {list(self.factors)}")
         if not self.dilation > 0:
-            raise DomainError("dilation must be positive")
+            raise DomainError(f"dilation must be positive, got {self.dilation}")
         if self.max_power is not None and self.max_power < 1:
-            raise DomainError("max_power must be a positive integer")
+            raise DomainError(f"max_power must be a positive integer, got "
+                              f"{self.max_power}")
         for name in ("out", "fixtures"):
             if getattr(self, name) == "":
                 raise DomainError(f"{name} must name a path, got ''")
@@ -147,92 +148,24 @@ _PLANCHEREL_TOL = 1e-4
 _GAUSSIAN = (2.0, 0.2)
 
 
-# logs of the largest and the smallest positive double, pulled in by a
-# relative 1e-12 so that a log's rounding cannot pass a form out of range
-_LOG_HUGE = math.log(sys.float_info.max) * (1.0 - 1e-12)
-_LOG_TINY = math.log(math.ulp(0.0)) * (1.0 - 1e-12)
-
-
-def _require_doubles(option, x, forms, at=""):
-    """Refuse the value x of option where one of forms, the closed forms
-    (p, c, name, zero_ok) e^c x^p a command evaluates on it, overflows or,
-    unless zero_ok, underflows to 0.  The line names the tightest limit on
-    x that is crossed, with at, the setting it holds for."""
-    log_x, crossed = math.log(x), []
-    for p, c, name, zero_ok in forms:
-        for edge, fate in ((_LOG_HUGE, "overflows"), (_LOG_TINY, "underflows to 0")):
-            # the form meets edge at log x = limit; upper: x must stay below
-            limit, upper = (edge - c) / p, (edge > 0) == (p > 0)
-            if (log_x > limit) == upper and not (zero_ok and edge < 0):
-                crossed.append((abs(log_x - limit), limit, upper, f"{name} {fate}"))
-    if crossed:
-        _, limit, upper, why = max(crossed)
-        raise DomainError(f"{option} must stay {'below' if upper else 'above'} "
-                          f"{math.exp(limit):.6g}{at}, where {why}; got {x:g}")
-
-
-def _require_finite_measure(cfg):
-    """Refuse, before any compute, a window whose lambda measure overflows.
-    Norms integrate against |lam|^n dlam with the weights lam_log_w
-    lam^(n+1) (QuadratureGrid.lambda_measure_weights): lam^(n+1) is formed
-    first and then scaled by the trapezoid weight in log lam, h / 2 at the
-    top node and h at the interior ones, h the log spacing of the nodes.
-    The largest of these products is at the top node or the next one down,
-    e^(-(n+1) h) lower in lam^(n+1)."""
-    n, nodes = cfg.n, cfg.lambda_nodes
-    h = (math.log(cfg.lambda_max) - math.log(cfg.lambda_min)) / (nodes - 1)
-    scale = max(1.0, 0.5 * h, h * math.exp(-(n + 1) * h) if nodes > 2 else 0.0)
-    _require_doubles("lambda_max", cfg.lambda_max, [
-        (n + 1, math.log(scale), f"lam_log_w lam^{n + 1} of the lambda measure",
-         True)], f" at n = {n}")
-
-
-def _box_forms(cfg, n, rho, tau):
-    """The forms of box_coefficients at dimension n on the widths named rho
-    and tau: rho^2 and tau^2, and on the lambda window s = lam rho^2 and
-    lam tau^2 at the top and s^-n at the bottom, where 0 does no harm.
-    Past n = 97, where 2 _ball.POWER_CAP^n overflows, the J recurrence's
-    power 2 x^n at x = s a^2/2 joins them at the top of the window (the
-    incomplete gamma's y^n, y = x/2, stays a double wherever it does)."""
-    from ._ball import POWER_CAP, ball_normalizer
-    top, bottom = math.log(cfg.lambda_max), math.log(cfg.lambda_min)
-    rho_forms = [(2, 0.0, f"{rho}^2", False), (2, top, f"lambda_max {rho}^2", True),
-                 (-2 * n, -n * bottom, f"(lambda_min {rho}^2)^-{n}", True)]
-    if n * math.log(POWER_CAP) + math.log(2.0) > _LOG_HUGE:
-        log_x = top + 2.0 * math.log(ball_normalizer(n)) - math.log(2.0)
-        rho_forms.append((2 * n, math.log(2.0) + n * log_x,
-                          f"2 x^{n} at x = lambda_max {rho}^2 a^2/2", True))
-    return (rho_forms,
-            [(2, 0.0, f"{tau}^2", False), (2, top, f"lambda_max {tau}^2", True)])
-
-
 def _cmd_plancherel_check(cfg):
     n = cfg.n
     box, gaussian = (cfg.family in (f, "both") for f in ("box", "gaussian"))
-    from ._ball import MAX_N
-    if box and n > MAX_N:
-        raise DomainError(f"the box family needs n <= {MAX_N}, got {n}")
-    _require_finite_measure(cfg)
-    if box:
-        rho, tau = cfg.factors[0], cfg.factors[1]
-        rho_forms, tau_forms = _box_forms(cfg, n, "rho1", "tau1")
-        _require_doubles("factors tau1", tau, tau_forms)
-        # and the spatial norm rho^-n / tau
-        _require_doubles("factors rho1", rho, rho_forms + [
-            (-n, 0.0, f"rho1^-{n}", False),
-            (-n, -math.log(tau), f"rho1^-{n} / tau1", False)])
-    import numpy as np
-
+    lo, hi, nodes = cfg.lambda_min, cfg.lambda_max, cfg.lambda_nodes
+    from ._ball import box_domain, box_norm, measure_domain, require_doubles
+    require_doubles(box_domain(n, lo, hi, 1, *cfg.factors[:2], nodes) if box
+                    else measure_domain(n, lo, hi, nodes))
+    from ._gaussian import gaussian_norm
     from .transform import (box_coefficients, gaussian_coefficients,
                             plancherel_norm)
     grid = cfg.grid()
     cases = []
     if box:
-        cases.append(("box", box_coefficients(n, rho, tau, grid), rho ** -n / tau))
+        rho, tau = cfg.factors[:2]
+        cases.append(("box", box_coefficients(n, rho, tau, grid), box_norm(n, rho, tau)))
     if gaussian:
-        sz, st = _GAUSSIAN
-        cases.append(("gaussian", gaussian_coefficients(n, sz, st, grid),
-                      float(np.sqrt((np.pi * sz ** 2) ** n * st * np.sqrt(np.pi)))))
+        cases.append(("gaussian", gaussian_coefficients(n, *_GAUSSIAN, grid),
+                      gaussian_norm(n, *_GAUSSIAN)))
     rows = []
     for name, coeffs, spatial in cases:
         spectral = plancherel_norm(coeffs)
@@ -253,36 +186,12 @@ def _cmd_convolve_check(cfg):
     if cfg.n != 1:
         raise DomainError("the spatial convolution oracle runs on H^1 only")
     rho1, tau1, rho2, tau2 = cfg.factors
+    from ._ball import box_domain, convolution_domain, require_doubles
     for i, rho, tau in ((1, rho1, tau1), (2, rho2, tau2)):
-        rho_forms, tau_forms = _box_forms(cfg, 1, f"rho{i}", f"tau{i}")
-        _require_doubles(f"factors rho{i}", rho, rho_forms)
-        _require_doubles(f"factors tau{i}", tau, tau_forms)
-    # the spatial convolution's height and the scale it divides by
-    c = -2 * math.log(tau2)
-    _require_doubles("factors tau1", tau1, [(-2, c, "1/(tau1^2 tau2^2)", False)])
-    _require_doubles("factors rho1", rho1, [
-        (2, 2 * math.log(rho2), "rho1^2 rho2^2", False),
-        (-2, c - 2 * (math.log(tau1) + math.log(rho2)),
-         "1/(rho1^2 tau1^2 rho2^2 tau2^2)", False)])
-    # box_pair_convolution's overlap angle arccos(gamma) lives where
-    # 1 - gamma <= A1^2 / (2 r u), with r and u up to A1 + A2, and gamma
-    # carries a rounding of about eps: arccos keeps a relative precision of
-    # about eps ((rho1 + rho2) / rho1)^2, which must stay within the tolerance
-    wider = math.sqrt(_CONVOLVE_TOL / sys.float_info.epsilon) - 1
-    if rho2 > wider * rho1:
-        raise DomainError(
-            f"factors rho2 must stay below {wider * rho1:.6g} "
-            f"({wider:.6g} rho1), where the spatial convolution's overlap "
-            f"angle arccos(gamma) loses the tolerance {_CONVOLVE_TOL:g} to "
-            f"rounding; got {rho2:g}")
-    # the cosine transform takes lam t up to the top t of the spatial grid,
-    # box_convolution_grids' t_top = tau1^2/2 + tau2^2/2 + a^2 rho1 rho2 / 2
-    from ._ball import ball_normalizer
-    t_top = (0.5 * tau1 ** 2 + 0.5 * tau2 ** 2
-             + 0.5 * ball_normalizer(1) ** 2 * rho1 * rho2)
-    _require_doubles("lambda_max", cfg.lambda_max, [
-        (1, math.log(t_top), "lambda_max t_top of the cosine transform", True)],
-        f" at t_top = {t_top:.6g}")
+        require_doubles(box_domain(cfg.n, cfg.lambda_min, cfg.lambda_max, i,
+                                   rho, tau))
+    require_doubles(convolution_domain(cfg.lambda_max, *cfg.factors,
+                                       _CONVOLVE_TOL))
     import numpy as np
 
     from .transform import (box_coefficients, box_convolution_coefficients,
@@ -329,46 +238,14 @@ _DILATE_TOL = 1e-3
 
 
 def _cmd_dilate_check(cfg):
-    n, r, k = cfg.n, cfg.dilation, 2 * cfg.n + 2
-    _require_doubles("dilation", r, [(k, 0.0, f"r^{k}", False),
-                                     (-k, 0.0, f"r^-{k}", False)])
-    # the source Gaussian (sz, st) and the dilated target (sz / r, st / r^2):
-    # b = lam sz^2 at the top of the window, and (4 pi sz^2/(2 + b))^n, alone
-    # and times st sqrt(2 pi), at its bottom must stay doubles
-    sz, st = _GAUSSIAN
-    target = (sz / r, st / r ** 2)
-    widths = (("sz", sz, st, "st"), ("(sz/r)", *target, "(st/r^2)"))
-    _require_doubles("lambda_max", cfg.lambda_max, [
-        (1, 2 * math.log(z), f"b = lambda_max {name}^2", True)
-        for name, z, _, _ in widths])
-    limits = []
-    for name, z, t, t_name in widths:
-        log_base = math.log(4 * math.pi * z * z / (2 + cfg.lambda_min * z * z))
-        log_t = math.log(t * math.sqrt(2 * math.pi))
-        if log_base > 0:
-            limits.append(((_LOG_HUGE - max(log_t, 0.0)) / log_base,
-                           f"(4 pi {name}^2/(2 + lambda_min {name}^2))^n"
-                           + (f" {t_name} sqrt(2 pi)" if log_t > 0 else "")))
-    if limits and n > min(limits)[0]:
-        limit, form = min(limits)
-        raise DomainError(f"n must stay below {limit:.6g} at lambda_min = "
-                          f"{cfg.lambda_min:g}, where {form} overflows; got {n}")
-    # the dilation reads the source at lam / r^2 >= lambda_min and scales it
-    # by r^-k; the coefficients fall with lam, and the largest it reads is
-    # at a node above lam_q e^-h, h the log spacing of the nodes
-    h = (math.log(cfg.lambda_max) - math.log(cfg.lambda_min)) / (cfg.lambda_nodes - 1)
-    lam_q = max(cfg.lambda_min, cfg.lambda_min / (r * r) * math.exp(-h))
-    log_top = (n * math.log(4 * math.pi * sz * sz / (2 + lam_q * sz * sz))
-               + math.log(st * math.sqrt(2 * math.pi)) - lam_q * st * lam_q * st / 2)
-    _require_doubles("dilation", r, [
-        (-k, log_top, f"r^-{k} times the source coefficients it reads, up to "
-                      f"{math.exp(log_top):.6g},", True)], f" at n = {n}")
+    n, r = cfg.n, cfg.dilation
+    window = (cfg.lambda_min, cfg.lambda_max, cfg.lambda_nodes)
+    from ._ball import require_doubles
     # on Python floats: numpy's import alone costs more than the whole
     # check at the defaults (README)
-    from ._gaussian import dilation_gap
-    compared, scale, gap = dilation_gap(n, _GAUSSIAN, target, r, cfg.k_max,
-                                        cfg.lambda_min, cfg.lambda_max,
-                                        cfg.lambda_nodes)
+    from ._gaussian import dilation_domain, dilation_gap
+    require_doubles(dilation_domain(n, _GAUSSIAN, r, *window))
+    compared, scale, gap = dilation_gap(n, _GAUSSIAN, r, cfg.k_max, *window)
     if not compared:
         raise DomainError("dilation pushes every node outside the window; "
                           "widen the lambda range")
@@ -473,7 +350,9 @@ def _cmd_carleman(cfg):
     else:  # envelope
         if cfg.n != 1:
             raise DomainError("the envelope family is implemented on H^1 only")
-        _require_finite_measure(cfg)
+        from ._ball import measure_domain, require_doubles
+        require_doubles(measure_domain(cfg.n, cfg.lambda_min, cfg.lambda_max,
+                                       cfg.lambda_nodes))
         theta = load_theta(cfg.theta)
         M = _ENVELOPE_M if cfg.max_power is None else cfg.max_power
         grid = cfg.grid()
@@ -529,18 +408,10 @@ _SYMMDIFF_RATIOS = (0.1, 0.5, 1.0, 1.5, 1.9)
 _LENS_TOL = 1e-10
 
 
-def _exact_lens_area(R, d):
-    # planar two-disk intersection, centers d < 2R apart; numpy's arccos, not
-    # math.acos: where numpy dispatches to its SIMD arccos the two differ in
-    # the last bits, and the reported max_lens_error would move
-    import numpy as np
-    return 2.0 * R * R * np.arccos(0.5 * d / R) - 0.5 * d * np.sqrt(4.0 * R * R - d * d)
-
-
 def _cmd_symmdiff_check(cfg):
     import numpy as np
 
-    from .group import ball_shift_symmdiff, ball_volume, sphere_surface
+    from .group import ball_shift_symmdiff, ball_volume, lens_area, sphere_surface
     rows = []
     for dim in (2, 4):
         violations = 0
@@ -557,7 +428,7 @@ def _cmd_symmdiff_check(cfg):
                 if dim == 2:
                     lens = ball_volume(float(R), 2) - 0.5 * sd
                     lens_err = max(lens_err,
-                                   abs(lens - _exact_lens_area(float(R), d)))
+                                   abs(lens - lens_area(float(R), d)))
         rows.append({
             "dim": dim,
             "pairs": _SYMMDIFF_RADII * len(_SYMMDIFF_RATIOS),

@@ -15,6 +15,7 @@ __all__ = [
     "ball_volume",
     "sphere_surface",
     "ball_shift_symmdiff",
+    "lens_area",
     "betainc_half",
 ]
 
@@ -71,3 +72,10 @@ def ball_shift_symmdiff(dim, R, xi_norm):
     x = (2.0 * R * h - h * h) / R ** 2
     cap = 0.5 * V * betainc_half(0.5 * (dim + 1), x)
     return 2.0 * V - 4.0 * cap
+
+
+def lens_area(R, d):
+    """Area of the intersection of two disks of radius R, centers d < 2R
+    apart.  numpy's arccos, not math.acos: where numpy dispatches to its
+    SIMD arccos the two differ in the last bits."""
+    return 2.0 * R * R * np.arccos(0.5 * d / R) - 0.5 * d * np.sqrt(4.0 * R * R - d * d)

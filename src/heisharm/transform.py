@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from ._ball import (ball_normalizer, ball_recurrence, ball_steps, ball_weights,
-                    coefficient_weights, log_c)
+                    coefficient_weights, convolution_t_top, log_c)
 from ._gaussian import gaussian_column, gaussian_powers
 from ._record import Record
 from .errors import DimensionMismatchError, DomainError, GridMismatchError
@@ -102,11 +102,10 @@ def gaussian_coefficients(n, sigma_z, sigma_t, grid):
     """
     if sigma_z <= 0 or sigma_t <= 0:
         raise DomainError("gaussian factor needs positive widths")
-    # cli._cmd_dilate_check refuses, before numpy loads, a window where b
-    # (at its top) or the prefactor, alone or times t_hat's bound
-    # sigma_t sqrt(2 pi) (at its bottom), overflows: keep the two in step.
-    # (lam sigma_t)^2 overflows to inf past about 1e154 / sigma_t, where
-    # exp(-inf) = 0 is the transform's limit
+    # _gaussian.dilation_domain states where b (at the window's top) and
+    # the prefactor, alone or times t_hat's bound sigma_t sqrt(2 pi) (at its
+    # bottom), stay doubles.  (lam sigma_t)^2 overflows to inf past about
+    # 1e154 / sigma_t, where exp(-inf) = 0 is the transform's limit
     with np.errstate(over="ignore"):
         c, q = gaussian_column(np, n, sigma_z, sigma_t, grid.lam)
     k = np.arange(grid.k_max + 1, dtype=float)[:, None]
@@ -340,8 +339,9 @@ def box_pair_convolution(rho1, tau1, rho2, tau2, r, t):
         singular = [c for c in (abs(A1 - ri), ri + A1) if 0.0 < c <= umax]
         cuts = sorted({0.0, umax} | {c for c in singular if c < umax})
         ux, uw = _box_u_rule(cuts, singular, CONV_U_NODES)
-        # 1 - gamma <= A1^2 / (2 ri u) cancels where A1 << ri: cli's
-        # convolve-check refuses a rho2 / rho1 where it loses the tolerance
+        # 1 - gamma <= A1^2 / (2 ri u) cancels where A1 << ri:
+        # _ball.convolution_domain refuses a rho2 / rho1 where it loses the
+        # tolerance
         gamma = (ri ** 2 + ux ** 2 - A1 ** 2) / np.maximum(2.0 * ri * ux, 1e-300)
         if ri == 0.0:
             psis = np.where(ux <= A1, np.pi, 0.0)
@@ -361,14 +361,13 @@ def box_convolution_grids(rho1, tau1, rho2, tau2):
     Gauss-Legendre nodes per r panel and CONV_T_NODES per t panel.
 
     Panels split where the convolution has kinks: at |A1 - A2| and A1 + A2
-    in r, at the interval half-width gap and sum in t.  The twist term of
-    the group law widens the t-support beyond the interval sum by up to
-    A1 A2 / 2, the largest symplectic area between the two balls.
+    in r, at the interval half-width gap and sum in t; the t panels end at
+    _ball.convolution_t_top.
     """
     a = ball_normalizer(1)
     A1, A2 = a * rho1, a * rho2
     half1, half2 = 0.5 * tau1 ** 2, 0.5 * tau2 ** 2
-    t_top = half1 + half2 + 0.5 * A1 * A2
+    t_top = convolution_t_top(rho1, tau1, rho2, tau2)
     rcuts = [0.0] + sorted(c for c in {abs(A1 - A2)} if 0.0 < c < A1 + A2) + [A1 + A2]
     x, wx = gauss_legendre_panels(rcuts, CONV_R_NODES)
     tcuts = [0.0] + sorted(c for c in {abs(half1 - half2), half1 + half2}

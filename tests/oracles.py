@@ -137,15 +137,15 @@ def dilate_coeffs(coeffs, r):
     return coeffs.with_values(out)
 
 
-def dilation_gap_numpy(n, source, target, r, k_max, lambda_min, lambda_max,
-                       lambda_nodes):
+def dilation_gap_numpy(n, source, r, k_max, lambda_min, lambda_max, lambda_nodes):
     """_gaussian.dilation_gap with numpy: the grid of QuadratureGrid.make,
     which refuses its own windows, the source Gaussian's table dilated by
-    dilate_coeffs and the target's table, compared on the nodes lam in
-    [lambda_min max(1, r^2), lambda_max min(1, r^2)]."""
+    dilate_coeffs and the table of the target, of widths (sigma_z / r,
+    sigma_t / r^2), compared on the nodes lam in [lambda_min max(1, r^2),
+    lambda_max min(1, r^2)]."""
     grid = QuadratureGrid.make(k_max, lambda_min, lambda_max, lambda_nodes)
     dilated = dilate_coeffs(gaussian_coefficients(n, *source, grid), r).values
-    want = gaussian_coefficients(n, *target, grid).values
+    want = gaussian_coefficients(n, source[0] / r, source[1] / r ** 2, grid).values
     mask = ((grid.lam >= lambda_min * max(1.0, r ** 2))
             & (grid.lam <= lambda_max * min(1.0, r ** 2)))
     return (int(np.sum(mask)), float(np.max(np.abs(want[:, mask]), initial=0.0)),

@@ -467,7 +467,9 @@ def test_nonpositive_max_power_refused(tmp_path, capsys, argv, power):
     cfg.write_text(json.dumps({"max_power": power}))
     assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
-    assert "max_power must be a positive integer" in capsys.readouterr().err
+    line = (f"heisharm {argv[0]}: refused: max_power must be a positive "
+            f"integer, got {power}\n")
+    assert capsys.readouterr().err == line * 2
 
 
 def test_carleman_box_writes_csv(tmp_path):
@@ -576,7 +578,7 @@ _DILATE_PATHS += [["--dilation", "0.7"], ["--dilation", "0.5", "--n", "2"],
 
 @pytest.mark.parametrize("flags", _DILATE_PATHS, ids=" ".join)
 def test_dilate_float_path_matches_numpy_path(flags):
-    # the float path against transform's numpy path on the same config: the
+    # the float path against dilation_gap_numpy on the same config: the
     # same nodes, the same verdict, and max_rel_error = gap / scale within a
     # few ulps.  Both run the same operations on each cell, apart from the
     # nodes' 10^y, t_hat's exp and the powers of the prefactor and of |q|,
@@ -586,9 +588,8 @@ def test_dilate_float_path_matches_numpy_path(flags):
     # scale's own move
     command, _, given = _parse_args(["dilate-check", *flags])
     cfg = _resolve_config(command, None, given)
-    r = cfg.dilation
-    args = (cfg.n, _GAUSSIAN, (_GAUSSIAN[0] / r, _GAUSSIAN[1] / r ** 2), r,
-            cfg.k_max, cfg.lambda_min, cfg.lambda_max, cfg.lambda_nodes)
+    args = (cfg.n, _GAUSSIAN, cfg.dilation, cfg.k_max, cfg.lambda_min,
+            cfg.lambda_max, cfg.lambda_nodes)
     floats, oracle = dilation_gap(*args), dilation_gap_numpy(*args)
     assert floats[0] == oracle[0] > 0
     worst, want = floats[2] / floats[1], oracle[2] / oracle[1]
@@ -921,6 +922,12 @@ _SUBNORMAL_COLUMN = ("the window must stay below lambda = {}, where the product 
     pytest.param(["convolve-check", "--factors", "1,1,1,1", "--lambda-min", "1e307",
                   "--lambda-max", "1.55e308"],
                  _ZERO_COLUMN.format("1e+307", "1.55e+308"), id="convolve-below-t-top"),
+    # the Gaussian's spatial norm (4 pi)^n, past n = 280, on a window whose
+    # coefficients and measure stay doubles
+    pytest.param(["plancherel-check", "--family", "gaussian", "--n", "300",
+                  "--lambda-min", "2", "--lambda-max", "3"],
+                 "the Gaussian's spatial norm overflows at n = 300: (pi sz^2)^n "
+                 "passes the largest double", id="gaussian-norm"),
 ])
 def test_non_finite_report_refused(tmp_path, monkeypatch, capsys, argv, message):
     # a window whose report would not be finite is refused with one line
@@ -1252,7 +1259,7 @@ def test_fuzzed_command_lines_exit_cleanly(tmp_path, monkeypatch, capsys):
     # seeded command lines over the typed option space, in process: each
     # exits 0 or 1 with a report and a quiet stderr, or 2 with one stderr
     # line and no report, and numpy warns of nothing.  A dilate-check line
-    # is run again with transform's numpy path in place of the float one,
+    # is run again with dilation_gap_numpy in place of the float path,
     # which must give its exit code and line
     rng = random.Random(40)
     faults = []

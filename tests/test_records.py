@@ -138,13 +138,15 @@ REFUSALS = [
     (RunConfig, dict(command="laguerre-check", lambda_nodes=1),
      DomainError, "lambda_nodes must be at least 2, got 1"),
     (RunConfig, dict(command="laguerre-check", lambda_min=2.0, lambda_max=1.0),
-     DomainError, "need 0 < lambda_min < lambda_max"),
+     DomainError, "need 0 < lambda_min < lambda_max, got "
+                  "lambda_min = 2.0 and lambda_max = 1.0"),
     (RunConfig, dict(command="laguerre-check", factors=(1.0, 1.0, 1.0)),
-     DomainError, "factors must be four positive reals rho1,tau1,rho2,tau2"),
+     DomainError, "factors must be four positive reals "
+                  "rho1,tau1,rho2,tau2, got [1.0, 1.0, 1.0]"),
     (RunConfig, dict(command="laguerre-check", dilation=0.0),
-     DomainError, "dilation must be positive"),
+     DomainError, "dilation must be positive, got 0.0"),
     (RunConfig, dict(command="laguerre-check", max_power=0),
-     DomainError, "max_power must be a positive integer"),
+     DomainError, "max_power must be a positive integer, got 0"),
     (RunConfig, dict(command="laguerre-check", n=None),
      DomainError, "n must be an integer, got None"),
     # a plan holds its profile and refuses one declared divergent

@@ -463,3 +463,24 @@ def test_fresh_interpreters_only_where_the_process_is_tested():
              for fn in ast.walk(_tree(path))
              if isinstance(fn, ast.FunctionDef) and _starts_a_process(fn)]
     assert sorted(found) == sorted(_PROCESS_TESTS)
+
+
+def test_cli_evaluates_no_closed_form():
+    # each closed form states its domain beside its formula, in _ball and
+    # _gaussian, and cli.py parses, dispatches and reports: it imports no
+    # math and names none of the constants the forms are stated with
+    tree = _tree(ROOT / "src" / "heisharm" / "cli.py")
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert "math" not in modules
+    assert names & {"POWER_CAP", "MAX_N", "ball_normalizer", "_LOG_HUGE",
+                    "_LOG_TINY"} == set()

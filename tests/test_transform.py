@@ -404,6 +404,5 @@ def test_dilation_matches_spatial_dilation():
     err = np.max(np.abs(d.values[:, mask] - target.values[:, mask])) / scale
     assert err < 1e-3
     # and dilate-check's float path, on the closed forms, tells the same
-    compared, scale, gap = dilation_gap(1, (2.0, 0.2), (2.0 / r, 0.2 / r ** 2),
-                                        r, 48, 1e-3, 1e3, 320)
+    compared, scale, gap = dilation_gap(1, (2.0, 0.2), r, 48, 1e-3, 1e3, 320)
     assert compared == np.sum(mask) and abs(gap / scale - err) < 1e-9

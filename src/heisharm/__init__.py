@@ -12,7 +12,7 @@ certified check recomputes its inequality on a declared grid, and reports
 are byte-identical across repeated runs.
 
 The package re-exports nothing: import each name from the module that
-defines it (``from heisharm.transform import gaussian_coefficients``).
+defines it (``from heisharm.transform import box_coefficients``).
 """
 
 __version__ = "0.1.0"

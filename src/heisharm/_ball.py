@@ -26,9 +26,11 @@ from libm's.  The array callers are ``laguerre._orthonormal_table``
 (``orthonormal_rows``) and ``transform.ball_coefficients`` (the J
 recurrence and its weights); the float caller is ``ball_columns``, one s
 column at a time for ``ingham-plan``'s factor-bound replay, which imports
-no numpy.  ``geomspace`` and ``interp`` give numpy's log-spaced nodes
-and its linear interpolation on Python floats, for the float paths that
-sample and interpolate on them.
+no numpy.  ``geomspace``, ``lambda_window``, ``interp`` and
+``pairwise_sum`` give numpy's log-spaced nodes, the lambda axis of
+QuadratureGrid, numpy's linear interpolation and its pairwise sum on
+Python floats, for the float paths that sample, interpolate and sum on
+them.
 
 Each closed form states its domain of doubles beside its formula: a
 *_domain generator yields its checks in the order a command runs them, and
@@ -36,17 +38,19 @@ require_doubles, the one limit solver, refuses the first value out of it.
 """
 
 import math
+import sys
 from bisect import bisect_right
 from types import SimpleNamespace
 
 from .errors import DomainError
 
-__all__ = ["MAX_N", "POWER_CAP", "FLOATS", "require_doubles", "geomspace",
-           "measure_domain", "interp", "row_steps", "orthonormal_rows",
-           "gammainc_series", "gammainc_poisson", "gammainc", "log_c",
-           "coefficient_weights", "ball_normalizer", "ball_steps",
-           "ball_recurrence", "ball_weights", "ball_columns", "box_domain",
-           "box_norm", "convolution_t_top", "convolution_domain"]
+__all__ = ["MAX_N", "POWER_CAP", "FLOATS", "NONZERO", "NORMAL", "require_doubles",
+           "geomspace", "lambda_window", "measure_domain", "interp", "pairwise_sum",
+           "PLANCHEREL_STEPS", "plancherel_overflow", "row_steps",
+           "orthonormal_rows", "gammainc_series", "gammainc_poisson", "gammainc",
+           "log_c", "log_hs_norm_sq", "coefficient_weights", "ball_normalizer",
+           "ball_steps", "ball_recurrence", "ball_weights", "ball_columns",
+           "box_domain", "box_norm", "convolution_t_top", "convolution_domain"]
 
 # the elementary functions the closed forms take from their caller, under
 # numpy's names, on one Python float; numpy itself serves an array
@@ -55,24 +59,33 @@ FLOATS = SimpleNamespace(exp=math.exp, log=math.log, minimum=min, any=bool,
                          zeros_like=lambda y: 0.0)
 
 
-# logs of the largest and the smallest positive double, pulled in by a
-# relative 1e-12 so that a log's rounding cannot pass a form out of range
+# logs of the largest and the smallest positive double and of the smallest
+# normal one, pulled in by a relative 1e-12 so that a log's rounding cannot
+# pass a form out of range
 _LOG_HUGE = math.log(math.nextafter(math.inf, 0.0)) * (1.0 - 1e-12)
 _LOG_TINY = math.log(math.ulp(0.0)) * (1.0 - 1e-12)
+_LOG_NORMAL = math.log(sys.float_info.min) * (1.0 - 1e-12)
+
+# the floor a form is held to, its last entry, as (log edge, what the
+# refusal says it does there): NONZERO where 0 would break what it feeds,
+# NORMAL where a subnormal value has already lost the precision it needs;
+# None where 0 does no harm
+NONZERO = (_LOG_TINY, "underflows to 0")
+NORMAL = (_LOG_NORMAL, "falls below the smallest normal double")
 
 
 def require_doubles(checks):
     """Refuse at the first (option, x, forms, at) of checks where a form
-    (p, c, name, zero_ok), e^c x^p at the value x of option, overflows or,
-    unless zero_ok, underflows to 0, naming the tightest limit crossed and
-    at, the setting it holds for."""
+    (p, c, name, floor), e^c x^p at the value x of option, overflows or
+    crosses its floor, naming the tightest limit crossed and at, the
+    setting it holds for."""
     for option, x, forms, at in checks:
         log_x, crossed = math.log(x), []
-        for p, c, name, zero_ok in forms:
-            for edge, fate in ((_LOG_HUGE, "overflows"), (_LOG_TINY, "underflows to 0")):
+        for p, c, name, floor in forms:
+            for edge, fate in ((_LOG_HUGE, "overflows"), *([floor] if floor else [])):
                 # the form meets edge at log x = limit; upper: x must stay below
                 limit, upper = (edge - c) / p, (edge > 0) == (p > 0)
-                if (log_x > limit) == upper and not (zero_ok and edge < 0):
+                if (log_x > limit) == upper:
                     crossed.append((abs(log_x - limit), limit, upper, f"{name} {fate}"))
         if crossed:
             _, limit, upper, why = max(crossed)
@@ -94,6 +107,22 @@ def geomspace(start, stop, num):
     return [start, *(10.0 ** y for y in inner), stop]
 
 
+def lambda_window(lambda_min, lambda_max, lambda_nodes):
+    """The lambda axis of QuadratureGrid.make(k_max, lambda_min, lambda_max,
+    lambda_nodes) on Python floats: the nodes geomspace gives, their logs
+    and the grid's trapezoid weights in log lambda, half the spread of each
+    node's neighbours (of the one neighbour at an end).  Nodes or weights
+    the grid would refuse are refused with its message."""
+    lam = geomspace(lambda_min, lambda_max, lambda_nodes)
+    if not all(a < b for a, b in zip(lam, lam[1:])):
+        raise DomainError("lambda nodes must be positive, ascending, nonzero")
+    logl = [math.log(v) for v in lam]
+    weights = [0.5 * (b - a) for a, b in [logl[:2], *zip(logl, logl[2:]), logl[-2:]]]
+    if not all(w > 0.0 for w in weights):
+        raise DomainError("lambda weights must be positive and match the nodes")
+    return lam, logl, weights
+
+
 def measure_domain(n, lambda_min, lambda_max, lambda_nodes):
     """The check of QuadratureGrid.lambda_measure_weights(n) on the nodes
     geomspace(lambda_min, lambda_max, lambda_nodes): lam^(n+1) times the
@@ -103,7 +132,7 @@ def measure_domain(n, lambda_min, lambda_max, lambda_nodes):
     h = (math.log(lambda_max) - math.log(lambda_min)) / (lambda_nodes - 1)
     scale = max(1.0, 0.5 * h, h * math.exp(-(n + 1) * h) if lambda_nodes > 2 else 0.0)
     yield ("lambda_max", lambda_max, [(n + 1, math.log(scale), f"lam_log_w lam^{n + 1} "
-                                       "of the lambda measure", True)], f" at n = {n}")
+                                       "of the lambda measure", None)], f" at n = {n}")
 
 
 def interp(x, xs, column):
@@ -120,6 +149,52 @@ def interp(x, xs, column):
         return column(j)
     dx, u = xs[j + 1] - xs[j], x - xs[j]
     return [(f1 - f0) / dx * u + f0 for f0, f1 in zip(column(j), column(j + 1))]
+
+
+def pairwise_sum(values):
+    """np.sum of a contiguous 1-d float64 array, in the order of numpy's
+    pairwise summation (pairwise_sum in its loops for add.reduce), from
+    add's identity 0.0: a block of fewer than 8 values is summed in order;
+    one of up to 128 in eight running sums of every eighth value, joined as
+    ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)), then its last
+    count % 8 values in order; a longer one as two blocks split at half
+    its count rounded down to a multiple of 8."""
+    def block(lo, count):
+        if count < 8:
+            total = 0.0
+            for v in values[lo:lo + count]:
+                total += v
+            return total
+        if count <= 128:
+            sums = values[lo:lo + 8]
+            end = lo + count - count % 8
+            for i in range(lo + 8, end, 8):
+                sums = [s + v for s, v in zip(sums, values[i:i + 8])]
+            total = ((sums[0] + sums[1]) + (sums[2] + sums[3])) + (
+                (sums[4] + sums[5]) + (sums[6] + sums[7]))
+            for v in values[end:lo + count]:
+                total += v
+            return total
+        half = count // 2
+        half -= half % 8
+        return block(lo, half) + block(lo + half, count - half)
+
+    return 0.0 + block(0, len(values))
+
+
+# the steps of a Plancherel norm, in the order transform.plancherel_norm
+# takes them, each over the whole table; the first whose values pass the
+# largest double is refused by plancherel_overflow
+PLANCHEREL_STEPS = ("the Hilbert-Schmidt weight (k+n-1)!/(k!(n-1)!)", "R_k(lam)^2",
+                    "R_k(lam)^2 times the Hilbert-Schmidt weight",
+                    "the sum against the lambda measure")
+
+
+def plancherel_overflow(n, step):
+    """The refusal of a Plancherel norm at dimension n whose step, an index
+    of PLANCHEREL_STEPS, passes the largest double."""
+    return DomainError(f"the Plancherel norm overflows at n = {n}: "
+                       f"{PLANCHEREL_STEPS[step]} passes the largest double")
 
 
 # the largest n the closed form takes: gammainc_series divides by n!, and
@@ -205,6 +280,13 @@ def log_c(k_max, n):
             for k in range(k_max + 1)]
 
 
+def log_hs_norm_sq(ks, n):
+    """log of the squared Hilbert-Schmidt norm of the k-th spectral
+    projection, the eigenspace dimension (k+n-1)!/(k!(n-1)!), for each float
+    k of ks."""
+    return [math.lgamma(k + n) - math.lgamma(k + 1.0) - math.lgamma(n) for k in ks]
+
+
 def coefficient_weights(xp, logs, n):
     """pref C_{k,n}, with pref = 2 pi^n / Gamma(n): the factor in front of
     every coefficient's radial integral, from logs = log C_{k,n}, one float
@@ -279,22 +361,23 @@ def box_domain(n, lambda_min, lambda_max, i, rho, tau, lambda_nodes=None):
         raise DomainError(f"the box family needs n <= {MAX_N}, got {n}")
     top, bottom = math.log(lambda_max), math.log(lambda_min)
     rho_name, tau_name = f"rho{i}", f"tau{i}"
-    rho_forms = [(2, 0.0, f"{rho_name}^2", False), (2, top, f"lambda_max {rho_name}^2", True),
-                 (-2 * n, -n * bottom, f"(lambda_min {rho_name}^2)^-{n}", True)]
+    rho_forms = [(2, 0.0, f"{rho_name}^2", NONZERO),
+                 (2, top, f"lambda_max {rho_name}^2", None),
+                 (-2 * n, -n * bottom, f"(lambda_min {rho_name}^2)^-{n}", None)]
     if n * math.log(POWER_CAP) + math.log(2.0) > _LOG_HUGE:
         log_x = top + 2.0 * math.log(ball_normalizer(n)) - math.log(2.0)
         rho_forms.append((2 * n, math.log(2.0) + n * log_x,
-                          f"2 x^{n} at x = lambda_max {rho_name}^2 a^2/2", True))
-    tau_check = (f"factors {tau_name}", tau, [(2, 0.0, f"{tau_name}^2", False),
-                                              (2, top, f"lambda_max {tau_name}^2", True)], "")
+                          f"2 x^{n} at x = lambda_max {rho_name}^2 a^2/2", None))
+    tau_check = (f"factors {tau_name}", tau, [(2, 0.0, f"{tau_name}^2", NONZERO),
+                                              (2, top, f"lambda_max {tau_name}^2", None)], "")
     if lambda_nodes is None:
         yield from [(f"factors {rho_name}", rho, rho_forms, ""), tau_check]
         return
     yield from measure_domain(n, lambda_min, lambda_max, lambda_nodes)
     yield tau_check
     yield (f"factors {rho_name}", rho, rho_forms + [
-        (-n, 0.0, f"{rho_name}^-{n}", False),
-        (-n, -math.log(tau), f"{rho_name}^-{n} / {tau_name}", False)], "")
+        (-n, 0.0, f"{rho_name}^-{n}", NONZERO),
+        (-n, -math.log(tau), f"{rho_name}^-{n} / {tau_name}", NONZERO)], "")
 
 
 def box_norm(n, rho, tau):
@@ -313,14 +396,18 @@ def convolution_t_top(rho1, tau1, rho2, tau2):
 
 def convolution_domain(lambda_max, rho1, tau1, rho2, tau2, tol):
     """The checks of transform.box_convolution_coefficients past the box
-    tables: the spatial side's height 1/(tau1^2 tau2^2), the scale
-    rho1^2 rho2^2 it divides by and their quotient; an overlap angle that
-    loses the tolerance tol to rounding; and lambda_max t_top."""
+    tables: the spatial side's height 1/(tau1^2 tau2^2), from squares that
+    must stay normal doubles, since a subnormal one has lost the precision
+    that keeps the height inside its limit; the scale rho1^2 rho2^2 it
+    divides by and their quotient; an overlap angle that loses the
+    tolerance tol to rounding; and lambda_max t_top."""
     c = -2 * math.log(tau2)
-    yield ("factors tau1", tau1, [(-2, c, "1/(tau1^2 tau2^2)", False)], "")
-    yield ("factors rho1", rho1, [(2, 2 * math.log(rho2), "rho1^2 rho2^2", False), (
+    yield ("factors tau1", tau1, [(-2, c, "1/(tau1^2 tau2^2)", NONZERO),
+                                  (2, 0.0, "tau1^2", NORMAL)], "")
+    yield ("factors tau2", tau2, [(2, 0.0, "tau2^2", NORMAL)], "")
+    yield ("factors rho1", rho1, [(2, 2 * math.log(rho2), "rho1^2 rho2^2", NONZERO), (
         -2, c - 2 * (math.log(tau1) + math.log(rho2)), "1/(rho1^2 tau1^2 rho2^2 tau2^2)",
-        False)], "")
+        NONZERO)], "")
     # the overlap angle arccos(gamma) lives where 1 - gamma <= A1^2 / (2 r u),
     # r and u up to A1 + A2, so it keeps about eps ((rho1 + rho2) / rho1)^2
     wider = math.sqrt(tol / math.ulp(1.0)) - 1
@@ -331,4 +418,4 @@ def convolution_domain(lambda_max, rho1, tau1, rho2, tau2, tol):
                           f"got {rho2:g}")
     t_top = convolution_t_top(rho1, tau1, rho2, tau2)
     yield ("lambda_max", lambda_max, [(1, math.log(t_top), "lambda_max t_top of the "
-                                       "cosine transform", True)], f" at t_top = {t_top:.6g}")
+                                       "cosine transform", None)], f" at t_top = {t_top:.6g}")

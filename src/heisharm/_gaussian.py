@@ -1,5 +1,5 @@
 """The Gaussian's closed form, written once for one float or an array, and
-dilate-check's path on Python floats.
+dilate-check's and plancherel-check's Gaussian paths on Python floats.
 
 The Gaussian e^{-|z|^2/(2 sz^2)} e^{-t^2/(2 st^2)} has, by the Laguerre
 generating function, with b = lam sz^2 and q = (2 - b) / (2 + b),
@@ -13,24 +13,29 @@ numpy's pow down its slow path, and |q|^k is the same number to an ulp.
 
 Each function that takes xp evaluates its formula with the elementary
 functions of that namespace, as _ball's kernels do: numpy for an array
-(transform.gaussian_coefficients), _ball.FLOATS for one float
-(dilation_gap).  The two agree to rounding: numpy's exp and pow may take
-SIMD code paths an ulp away from libm's.  (lam st)^2 is formed as a
-product, which overflows to inf and so to t_hat = 0 on both paths; a
-Python float's ``**`` and math.exp would raise there instead.
+(the tests' gaussian_coefficients), _ball.FLOATS for one float
+(dilation_gap and gaussian_plancherel).  The two agree to rounding:
+numpy's exp and pow may take SIMD code paths an ulp away from libm's.
+(lam st)^2 is formed as a product, which overflows to inf and so to
+t_hat = 0 on both paths; a Python float's ``**`` and math.exp would raise
+there instead.
 
-dilation_gap is dilate-check on Python floats, which imports no numpy;
-its oracle in the tests, dilation_gap_numpy, runs the same comparison
-with numpy.  dilation_domain states where its forms stay doubles.
+dilation_gap is dilate-check on Python floats, and gaussian_plancherel
+plancherel-check's Gaussian row; neither imports numpy.  Their oracles in
+the tests, dilation_gap_numpy and gaussian_plancherel_numpy, run the same
+checks with numpy.  dilation_domain states where dilate-check's forms stay
+doubles.
 """
 
 import math
 
-from ._ball import _LOG_HUGE, FLOATS, geomspace, interp
+from ._ball import (_LOG_HUGE, FLOATS, NONZERO, interp, lambda_window,
+                    log_hs_norm_sq, pairwise_sum, plancherel_overflow)
 from .errors import DomainError
 
 __all__ = ["gaussian_t_hat", "gaussian_column", "gaussian_powers",
-           "gaussian_norm", "dilation_domain", "dilation_gap"]
+           "gaussian_norm", "gaussian_plancherel", "dilation_domain",
+           "dilation_gap"]
 
 
 def gaussian_t_hat(xp, sigma_t, lam):
@@ -65,6 +70,57 @@ def gaussian_norm(n, sigma_z, sigma_t):
                           f"(pi sz^2)^n passes the largest double") from None
 
 
+def gaussian_plancherel(n, widths, k_max, lambda_min, lambda_max, lambda_nodes):
+    """plancherel-check's Gaussian row on Python floats: (spatial, spectral),
+    the L^2 norm of the Gaussian of widths = (sigma_z, sigma_t) and its
+    Plancherel norm on the grid of QuadratureGrid.make(k_max, lambda_min,
+    lambda_max, lambda_nodes), as transform.plancherel_norm forms it from
+    the coefficients R_k(lam) = c q^k: each column sums (c |q|^k)^2 times
+    the Hilbert-Schmidt weight over k = 0..k_max in order, as numpy's sum
+    over axis 0 does (the sign of q^k drops out of the square), and the
+    column sums times lam_log_w lam^(n+1) are added by _ball.pairwise_sum.
+    Refusals come in the numpy path's order and with its messages: the
+    window, coefficients that are not finite (Python's ** raises where
+    numpy's pow gives inf), the spatial norm, then the first
+    PLANCHEREL_STEPS step that overflows; measure_domain's check of the
+    lambda measure is the caller's."""
+    lam, _, lam_log_w = lambda_window(lambda_min, lambda_max, lambda_nodes)
+    columns = []
+    for lj in lam:
+        try:
+            c, q = gaussian_column(FLOATS, n, *widths, lj)
+        except OverflowError:
+            c = q = math.inf
+        if not (math.isfinite(c) and math.isfinite(q)):
+            raise DomainError("coefficient values must be finite")
+        columns.append((c, abs(q)))
+    spatial = gaussian_norm(n, *widths)
+    ks = [float(k) for k in range(k_max + 1)]
+    try:
+        hs = [math.exp(v) for v in log_hs_norm_sq(ks, n)]
+    except OverflowError:
+        raise plancherel_overflow(n, 0) from None
+    sums = []
+    for (c, a), lj, wj in zip(columns, lam, lam_log_w):
+        total = 0.0
+        for k, h in zip(ks, hs):
+            v = c * a ** k
+            total += v * v * h
+        sums.append(total * (wj * lj ** (n + 1)))
+    total = 2.0 * pairwise_sum(sums)
+    if not math.isfinite(total):
+        # a product passed the largest double (total is inf, or NaN where
+        # an inf met a weight that underflowed to 0): name the first step of
+        # the numpy path's whose values do, over the whole table
+        cells = [c * a ** k for c, a in columns for k in ks]
+        if any(v * v == math.inf for v in cells):
+            raise plancherel_overflow(n, 1)
+        if any(v * v * h == math.inf for v, h in zip(cells, hs * len(columns))):
+            raise plancherel_overflow(n, 2)
+        raise plancherel_overflow(n, 3)
+    return spatial, math.sqrt(total / (2.0 * math.pi) ** (n + 1))
+
+
 def dilation_domain(n, source, r, lambda_min, lambda_max, lambda_nodes):
     """The checks of dilate-check at dimension n, the Gaussian of widths
     source = (sz, st) dilated by r on lambda_nodes nodes of [lambda_min,
@@ -74,11 +130,11 @@ def dilation_domain(n, source, r, lambda_min, lambda_max, lambda_nodes):
     The prefactor bounds n itself, as an integer, and names the target's of
     two limits tied at r = 1: require_doubles, on log x, cannot say that."""
     k = 2 * n + 2
-    yield ("dilation", r, [(k, 0.0, f"r^{k}", False), (-k, 0.0, f"r^-{k}", False)], "")
+    yield ("dilation", r, [(k, 0.0, f"r^{k}", NONZERO), (-k, 0.0, f"r^-{k}", NONZERO)], "")
     sz, st = source
     widths = (("sz", sz, st, "st"), ("(sz/r)", sz / r, st / r ** 2, "(st/r^2)"))
     yield ("lambda_max", lambda_max, [(1, 2 * math.log(z), f"b = lambda_max {name}^2",
-                                       True) for name, z, _, _ in widths], "")
+                                       None) for name, z, _, _ in widths], "")
     limits = []
     for name, z, t, t_name in widths:
         log_base = math.log(4 * math.pi * z * z / (2 + lambda_min * z * z))
@@ -99,7 +155,7 @@ def dilation_domain(n, source, r, lambda_min, lambda_max, lambda_nodes):
     log_top = (n * math.log(4 * math.pi * sz * sz / (2 + lam_q * sz * sz))
                + math.log(st * math.sqrt(2 * math.pi)) - lam_q * st * lam_q * st / 2)
     yield ("dilation", r, [(-k, log_top, f"r^-{k} times the source coefficients it "
-                            f"reads, up to {math.exp(log_top):.6g},", True)], f" at n = {n}")
+                            f"reads, up to {math.exp(log_top):.6g},", None)], f" at n = {n}")
 
 
 def _column(n, sigma_z, sigma_t, lam, ks):
@@ -122,15 +178,7 @@ def dilation_gap(n, source, r, k_max, lambda_min, lambda_max, lambda_nodes):
     values read a double.  The source's columns are evaluated only where
     the interpolation reads them.  A window whose nodes or log-lambda
     weights the grid would refuse is refused with its message."""
-    lam = geomspace(lambda_min, lambda_max, lambda_nodes)
-    if not all(a < b for a, b in zip(lam, lam[1:])):
-        raise DomainError("lambda nodes must be positive, ascending, nonzero")
-    logl = [math.log(v) for v in lam]
-    # QuadratureGrid's trapezoid weights in log lambda, half the spread of
-    # each node's neighbours, must be positive
-    if not all(0.5 * (b - a) > 0.0 for a, b in
-               [logl[:2], *zip(logl, logl[2:]), logl[-2:]]):
-        raise DomainError("lambda weights must be positive and match the nodes")
+    lam, logl, _ = lambda_window(lambda_min, lambda_max, lambda_nodes)
     target = (source[0] / r, source[1] / r ** 2)
     lo = lambda_min * max(1.0, r ** 2)
     hi = lambda_max * min(1.0, r ** 2)

@@ -155,20 +155,20 @@ def _cmd_plancherel_check(cfg):
     from ._ball import box_domain, box_norm, measure_domain, require_doubles
     require_doubles(box_domain(n, lo, hi, 1, *cfg.factors[:2], nodes) if box
                     else measure_domain(n, lo, hi, nodes))
-    from ._gaussian import gaussian_norm
-    from .transform import (box_coefficients, gaussian_coefficients,
-                            plancherel_norm)
-    grid = cfg.grid()
-    cases = []
+    norms = []
     if box:
+        from .transform import box_coefficients, plancherel_norm
         rho, tau = cfg.factors[:2]
-        cases.append(("box", box_coefficients(n, rho, tau, grid), box_norm(n, rho, tau)))
+        coeffs = box_coefficients(n, rho, tau, cfg.grid())
+        norms.append(("box", box_norm(n, rho, tau), plancherel_norm(coeffs)))
     if gaussian:
-        cases.append(("gaussian", gaussian_coefficients(n, *_GAUSSIAN, grid),
-                      gaussian_norm(n, *_GAUSSIAN)))
+        # on Python floats: numpy's import alone costs more than the whole
+        # row at the defaults (README)
+        from ._gaussian import gaussian_plancherel
+        norms.append(("gaussian", *gaussian_plancherel(n, _GAUSSIAN, cfg.k_max,
+                                                       lo, hi, nodes)))
     rows = []
-    for name, coeffs, spatial in cases:
-        spectral = plancherel_norm(coeffs)
+    for name, spatial, spectral in norms:
         rel = abs(spectral - spatial) / spatial
         rows.append({"family": name, "spatial_norm": spatial,
                      "spectral_norm": spectral, "rel_error": rel,

@@ -17,13 +17,11 @@ represented function is even in t, so R_k(-lam) = R_k(lam) and the norms
 double the one-sided lambda integral; there is no convention flag.
 """
 
-import math
-
 import numpy as np
 
 from ._ball import (ball_normalizer, ball_recurrence, ball_steps, ball_weights,
-                    coefficient_weights, convolution_t_top, log_c)
-from ._gaussian import gaussian_column, gaussian_powers
+                    coefficient_weights, convolution_t_top, log_c, log_hs_norm_sq,
+                    plancherel_overflow)
 from ._record import Record
 from .errors import DimensionMismatchError, DomainError, GridMismatchError
 from .grids import _unit_rule, gauss_legendre_panels
@@ -32,7 +30,6 @@ from .laguerre import normalized_laguerre_table
 __all__ = [
     "SpectralCoefficients",
     "box_coefficients",
-    "gaussian_coefficients",
     "ball_coefficients",
     "projection_hs_norm_sq",
     "transform_at_lambda",
@@ -93,32 +90,11 @@ def box_coefficients(n, rho, tau, grid):
     return SpectralCoefficients(n=n, grid=grid, values=vals)
 
 
-def gaussian_coefficients(n, sigma_z, sigma_t, grid):
-    """SpectralCoefficients on the grid of the Gaussian
-    e^{-|z|^2/(2 sigma_z^2)} e^{-t^2/(2 sigma_t^2)}, from the closed form
-    that _gaussian states, R_k(lam) = c(lam) q(lam)^k, evaluated with numpy
-    on every column at once; _gaussian.dilation_gap evaluates it with math,
-    one column at a time, for dilate-check's float path.
-    """
-    if sigma_z <= 0 or sigma_t <= 0:
-        raise DomainError("gaussian factor needs positive widths")
-    # _gaussian.dilation_domain states where b (at the window's top) and
-    # the prefactor, alone or times t_hat's bound sigma_t sqrt(2 pi) (at its
-    # bottom), stay doubles.  (lam sigma_t)^2 overflows to inf past about
-    # 1e154 / sigma_t, where exp(-inf) = 0 is the transform's limit
-    with np.errstate(over="ignore"):
-        c, q = gaussian_column(np, n, sigma_z, sigma_t, grid.lam)
-    k = np.arange(grid.k_max + 1, dtype=float)[:, None]
-    return SpectralCoefficients(n=n, grid=grid, values=c * gaussian_powers(np, q, k))
-
-
 def projection_hs_norm_sq(k, n):
     """Squared Hilbert-Schmidt norm of the k-th spectral projection:
     the eigenspace dimension (k+n-1)! / (k! (n-1)!), of k's shape."""
     k = np.asarray(k, dtype=float)
-    log_dim = [math.lgamma(j + n) - math.lgamma(j + 1.0) - math.lgamma(n)
-               for j in k.ravel().tolist()]
-    return np.exp(np.reshape(log_dim, k.shape))
+    return np.exp(np.reshape(log_hs_norm_sq(k.ravel().tolist(), n), k.shape))
 
 
 class SpectralCoefficients(Record):
@@ -170,22 +146,23 @@ def transform_at_lambda(fvals, x, w, lam, k_max, n):
 def plancherel_norm(coeffs):
     """L^2 norm of the represented function.  R_k^2 is weighted before the
     lambda measure scales it down, so a product can overflow where the norm
-    would fit; that is refused, naming n and the product."""
+    would fit; each step of _ball.PLANCHEREL_STEPS runs over the whole
+    table, and the first that overflows is refused, naming n and the step."""
     g = coeffs.grid
     n = coeffs.n
-    hs = projection_hs_norm_sq(np.arange(g.k_max + 1), n)
-    step = "R_k(lam)^2"
+    step = 0
     try:
         with np.errstate(over="raise", invalid="raise"):
+            hs = projection_hs_norm_sq(np.arange(g.k_max + 1), n)
+            step = 1
             sq = coeffs.values ** 2
-            step = "R_k(lam)^2 times the Hilbert-Schmidt weight"
+            step = 2
             sq *= hs[:, None]
-            step = "the sum against the lambda measure"
+            step = 3
             # twice the one-sided integral: even in t
             total = 2.0 * np.sum(np.sum(sq, axis=0) * g.lambda_measure_weights(n))
     except FloatingPointError:
-        raise DomainError(f"the Plancherel norm overflows at n = {n}: {step} "
-                          f"passes the largest double") from None
+        raise plancherel_overflow(n, step) from None
     return float(np.sqrt(total / (2.0 * np.pi) ** (n + 1)))
 
 
@@ -339,13 +316,13 @@ def box_pair_convolution(rho1, tau1, rho2, tau2, r, t):
         singular = [c for c in (abs(A1 - ri), ri + A1) if 0.0 < c <= umax]
         cuts = sorted({0.0, umax} | {c for c in singular if c < umax})
         ux, uw = _box_u_rule(cuts, singular, CONV_U_NODES)
-        # 1 - gamma <= A1^2 / (2 ri u) cancels where A1 << ri:
-        # _ball.convolution_domain refuses a rho2 / rho1 where it loses the
-        # tolerance
-        gamma = (ri ** 2 + ux ** 2 - A1 ** 2) / np.maximum(2.0 * ri * ux, 1e-300)
         if ri == 0.0:
             psis = np.where(ux <= A1, np.pi, 0.0)
         else:
+            # 1 - gamma <= A1^2 / (2 ri u) cancels where A1 << ri:
+            # _ball.convolution_domain refuses a rho2 / rho1 where it loses
+            # the tolerance
+            gamma = (ri ** 2 + ux ** 2 - A1 ** 2) / np.maximum(2.0 * ri * ux, 1e-300)
             psis = np.arccos(np.clip(gamma, -1.0, 1.0))
         sel = np.flatnonzero(which == j)
         # ramp-major: row i * len(sel) + k is ramp i at the sample sel[k]

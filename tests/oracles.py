@@ -12,10 +12,15 @@ gaussian_factor share their t-transforms with box_coefficients and
 gaussian_coefficients, so the oracles and the closed forms agree on the
 t-part by construction and differ only in the radial integral.
 
+gaussian_coefficients evaluates the Gaussian's closed form of
+heisharm._gaussian with numpy on every column of a grid at once.
 dilate_coeffs dilates a coefficient set on its grid with numpy, and
 dilation_gap_numpy is dilate-check's comparison on numpy's grid with
-transform's gaussian_coefficients and dilate_coeffs: the reference of
+gaussian_coefficients and dilate_coeffs: the reference of
 _gaussian.dilation_gap, dilate-check's path on Python floats.
+gaussian_plancherel_numpy is plancherel-check's Gaussian row with numpy,
+plancherel_norm of gaussian_coefficients: the reference of
+_gaussian.gaussian_plancherel, the row's path on Python floats.
 
 ball_coefficients_table is ball_coefficients with its numpy operations
 written out, the bitwise reference of the closed form's streamed
@@ -35,13 +40,14 @@ import numpy as np
 from heisharm._ball import (_SERIES_EPS, POWER_CAP, ball_normalizer,
                             coefficient_weights, log_c, orthonormal_rows,
                             row_steps)
-from heisharm._gaussian import gaussian_t_hat
+from heisharm._gaussian import (gaussian_column, gaussian_norm, gaussian_powers,
+                               gaussian_t_hat)
 from heisharm._record import Record
 from heisharm.errors import DimensionMismatchError, DomainError, QuadratureError
 from heisharm.fixtures import FACTOR_K_MAX, calibration_grid
 from heisharm.grids import QuadratureGrid, radial_rule
 from heisharm.transform import (SpectralCoefficients, _box_t_hat,
-                                ball_coefficients, gaussian_coefficients)
+                                ball_coefficients, plancherel_norm)
 
 
 class RadialFunction(Record):
@@ -114,6 +120,33 @@ def gaussian_factor(n, sigma_z, sigma_t):
 
     return RadialFunction(n=n, profile=profile, t_hat=t_hat,
                           support_radius=_GAUSSIAN_CUTOFF * sigma_z)
+
+
+def gaussian_coefficients(n, sigma_z, sigma_t, grid):
+    """SpectralCoefficients on the grid of the Gaussian
+    e^{-|z|^2/(2 sigma_z^2)} e^{-t^2/(2 sigma_t^2)}, from the closed form
+    that heisharm._gaussian states, R_k(lam) = c(lam) q(lam)^k, evaluated
+    with numpy on every column at once; _gaussian.dilation_gap and
+    gaussian_plancherel evaluate it with math, one column at a time.
+    """
+    if sigma_z <= 0 or sigma_t <= 0:
+        raise DomainError("gaussian factor needs positive widths")
+    # (lam sigma_t)^2 overflows to inf past about 1e154 / sigma_t, where
+    # exp(-inf) = 0 is the transform's limit
+    with np.errstate(over="ignore"):
+        c, q = gaussian_column(np, n, sigma_z, sigma_t, grid.lam)
+    k = np.arange(grid.k_max + 1, dtype=float)[:, None]
+    return SpectralCoefficients(n=n, grid=grid, values=c * gaussian_powers(np, q, k))
+
+
+def gaussian_plancherel_numpy(n, widths, k_max, lambda_min, lambda_max, lambda_nodes):
+    """_gaussian.gaussian_plancherel with numpy, in the order the numpy
+    path of plancherel-check took its steps: the grid of
+    QuadratureGrid.make, which refuses its own windows, the Gaussian's
+    table, its spatial norm, and plancherel_norm of the table."""
+    grid = QuadratureGrid.make(k_max, lambda_min, lambda_max, lambda_nodes)
+    coeffs = gaussian_coefficients(n, *widths, grid)
+    return gaussian_norm(n, *widths), plancherel_norm(coeffs)
 
 
 def dilate_coeffs(coeffs, r):

@@ -19,7 +19,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import heisharm._gaussian
-from heisharm._gaussian import dilation_gap
+from heisharm._gaussian import dilation_gap, gaussian_plancherel
 from heisharm.chernoff import gamma_bound_log
 from heisharm.cli import (_COMMANDS, _DILATE_TOL, _GAUSSIAN, _NAMES, _OPTIONS,
                           RunConfig, _flag, _parse_args, _resolve_config,
@@ -30,7 +30,7 @@ from heisharm.group import ball_shift_symmdiff, ball_volume
 from heisharm.jsonio import write_json
 from heisharm.theta import BUILTIN_THETAS, builtin_theta
 
-from oracles import dilation_gap_numpy
+from oracles import dilation_gap_numpy, gaussian_plancherel_numpy
 
 
 def run(tmp_path, name, *argv, out="r.json"):
@@ -597,6 +597,62 @@ def test_dilate_float_path_matches_numpy_path(flags):
     assert abs(worst - want) <= 8.0 * sys.float_info.epsilon * (1.0 + want)
 
 
+# numpy with every SIMD extension its dispatch found on this host switched
+# off: its exp, log and pow are then libm's, the ones a Python float takes
+_NO_SIMD = " ".join(np.__config__.CONFIG["SIMD Extensions"]["found"])
+
+# answers gaussian_plancherel_numpy's arguments, one JSON line each, with
+# [spatial, spectral]; JSON carries a float's repr, so no bit is lost
+_ORACLE_SERVER = (
+    "import json, sys\n"
+    "from oracles import gaussian_plancherel_numpy\n"
+    "for line in sys.stdin:\n"
+    "    n, widths, *grid = json.loads(line)\n"
+    "    print(json.dumps(gaussian_plancherel_numpy(n, tuple(widths), *grid)),\n"
+    "          flush=True)\n")
+
+
+@pytest.fixture(scope="module")
+def no_simd_oracle():
+    """gaussian_plancherel_numpy in a child interpreter whose numpy runs no
+    SIMD code path, called with the arguments of gaussian_plancherel."""
+    paths = [str(Path(heisharm.__file__).resolve().parents[1]),
+             str(Path(__file__).resolve().parent)]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=_NO_SIMD,
+               PYTHONPATH=os.pathsep.join(paths))
+    with subprocess.Popen([sys.executable, "-c", _ORACLE_SERVER], env=env,
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          text=True) as child:
+
+        def call(*args):
+            child.stdin.write(json.dumps(args) + "\n")
+            child.stdin.flush()
+            return tuple(json.loads(child.stdout.readline()))
+
+        # closing its input ends the child, which Popen's exit waits for
+        yield call
+
+
+@seed(43)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.integers(1, 300), st.integers(2, 300),
+       st.floats(-8.0, 3.0), st.floats(0.001, 6.0))
+def test_gaussian_plancherel_matches_numpy_path(no_simd_oracle, n, k_max, nodes,
+                                                log_min, decades):
+    # the float path sums the numpy path's terms in its order, so with
+    # numpy's SIMD off the two give the same spatial norm and the same
+    # spectral norm, up to an ulp: numpy's ** squares by x * x where a
+    # Python float's calls pow, which rounds an ulp away at times, in
+    # lam^(n+1) at n = 1 and in the prefactor's n-th power at n = 2.  With
+    # SIMD on, numpy's log moves a node's log-lambda weight, half the gap
+    # between two logs, by an ulp of the log, which is many ulps of the gap
+    args = (n, _GAUSSIAN, k_max, 10.0 ** log_min, 10.0 ** (log_min + decades), nodes)
+    spatial, spectral = gaussian_plancherel(*args)
+    want = no_simd_oracle(*args)
+    assert spatial == want[0]
+    assert abs(spectral - want[1]) <= math.ulp(want[1])
+
+
 def test_plancherel_families(tmp_path):
     code, report, _ = run(tmp_path, "plancherel-check", "--family", "gaussian")
     assert code == 0
@@ -1151,20 +1207,50 @@ def test_dilate_check_far_window_runs_quietly(tmp_path, monkeypatch, capsys):
     assert json.loads((tmp_path / "r.json").read_text())["pass"] is False
 
 
-@pytest.mark.parametrize("n, code, err", [
-    (81, 1, ""),
+def _overflow(n, step):
+    return (f"heisharm plancherel-check: refused: the Plancherel norm overflows "
+            f"at n = {n}: {step} passes the largest double\n")
+
+
+_FAR_WINDOW = ["--lambda-min", "1e-6", "--lambda-max", "1e-3"]
+
+
+# plancherel-check --family gaussian: its flags, exit code and stderr
+_GAUSSIAN_RUNS = [
+    (["--n", "81"], 1, ""),
     # R_k^2 times the Hilbert-Schmidt weight overflows before the lambda
     # measure scales it down, though the norm itself would fit
-    (82, 2, "heisharm plancherel-check: refused: the Plancherel norm overflows "
-            "at n = 82: R_k(lam)^2 times the Hilbert-Schmidt weight passes the "
-            "largest double\n"),
-])
+    (["--n", "82"], 2, _overflow(82, "R_k(lam)^2 times the Hilbert-Schmidt weight")),
+    (["--n", "215", *_FAR_WINDOW], 2, _overflow(215, "R_k(lam)^2")),
+    # the table's prefactor overflows: Python's ** raises where numpy's pow
+    # gives inf
+    *[(["--n", n, *_FAR_WINDOW], 2, "heisharm plancherel-check: refused: "
+       "coefficient values must be finite\n") for n in ("225", "240")],
+    (["--n", "200"], 2, "heisharm plancherel-check: refused: lambda_max must stay "
+     "below 34.1669 at n = 200, where lam_log_w lam^201 of the lambda measure "
+     "overflows; got 100\n"),
+    (["--n", "100", "--kmax", "100000", "--lambda-min", "1e-3", "--lambda-max", "1",
+      "--lambda-nodes", "2"], 2,
+     _overflow(100, "the Hilbert-Schmidt weight (k+n-1)!/(k!(n-1)!)")),
+    # the column sums overflow, though no cell does
+    (["--n", "82", "--kmax", "1024", "--lambda-min", "0.0128", "--lambda-max",
+      "0.0129", "--lambda-nodes", "2"], 2,
+     _overflow(82, "the sum against the lambda measure")),
+]
+
+
+@pytest.mark.parametrize("flags, code, err", _GAUSSIAN_RUNS,
+                         ids=[" ".join(flags) for flags, _, _ in _GAUSSIAN_RUNS])
 def test_gaussian_plancherel_overflow_refused_quietly(tmp_path, monkeypatch, capsys,
-                                                       n, code, err):
-    got, _, stderr, caught = _quiet_run(tmp_path, monkeypatch, capsys, [
-        "plancherel-check", "--family", "gaussian", "--n", str(n)])
-    assert (got, stderr, caught) == (code, err, [])
-    assert (tmp_path / "r.json").exists() == (code == 1)
+                                                       flags, code, err):
+    # the float path and the numpy path give the same exit code and line,
+    # and neither warns
+    for path in (gaussian_plancherel, gaussian_plancherel_numpy):
+        monkeypatch.setattr(heisharm._gaussian, "gaussian_plancherel", path)
+        got, _, stderr, caught = _quiet_run(tmp_path, monkeypatch, capsys, [
+            "plancherel-check", "--family", "gaussian", *flags])
+        assert (got, stderr, caught) == (code, err, [])
+        assert (tmp_path / "r.json").exists() == (code == 1)
 
 
 def test_non_finite_report_value_refused(tmp_path, capsys, monkeypatch):
@@ -1255,12 +1341,18 @@ _FUZZ_FIXED = [
 ]
 
 
+# the commands that run a path on Python floats: (the path, its numpy oracle)
+_FLOAT_PATHS = {"dilate-check": (dilation_gap, dilation_gap_numpy),
+                "plancherel-check": (gaussian_plancherel, gaussian_plancherel_numpy)}
+
+
 def test_fuzzed_command_lines_exit_cleanly(tmp_path, monkeypatch, capsys):
     # seeded command lines over the typed option space, in process: each
     # exits 0 or 1 with a report and a quiet stderr, or 2 with one stderr
     # line and no report, and numpy warns of nothing.  A dilate-check line
-    # is run again with dilation_gap_numpy in place of the float path,
-    # which must give its exit code and line
+    # or plancherel-check line is run again with dilation_gap_numpy or
+    # gaussian_plancherel_numpy in place of the float path, which must give
+    # its exit code and line
     rng = random.Random(40)
     faults = []
     for argv in _FUZZ_FIXED + [_fuzz_argv(rng) for _ in range(_FUZZ_RUNS)]:
@@ -1269,10 +1361,11 @@ def test_fuzzed_command_lines_exit_cleanly(tmp_path, monkeypatch, capsys):
                      code == 2 and err.endswith("\n") and err.count("\n") == 1)
         if caught or not stderr_ok or (tmp_path / "r.json").exists() != (code != 2):
             faults.append((argv, code, err, [str(w.message) for w in caught]))
-        if argv[0] == "dilate-check":
-            monkeypatch.setattr(heisharm._gaussian, "dilation_gap", dilation_gap_numpy)
+        swap = _FLOAT_PATHS.get(argv[0])
+        if swap:
+            monkeypatch.setattr(heisharm._gaussian, swap[0].__name__, swap[1])
             again = _quiet_run(tmp_path, monkeypatch, capsys, argv)
-            monkeypatch.setattr(heisharm._gaussian, "dilation_gap", dilation_gap)
+            monkeypatch.setattr(heisharm._gaussian, swap[0].__name__, swap[0])
             if (again[0], again[2]) != (code, err):
                 faults.append((argv, code, err, again[0], again[2]))
         for path in tmp_path.iterdir():

@@ -1,5 +1,7 @@
 """Group convolution: spatial oracle, box pair sampling, spectral product."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings
@@ -211,6 +213,16 @@ def test_closed_form_exact_at_origin_axis():
         exact = np.pi * (a * min(rho1, rho2)) ** 2 * G / (rho1 ** 2 * rho2 ** 2)
         got = box_pair_convolution(rho1, tau1, rho2, tau2, 0.0, t)
         assert got == pytest.approx(exact, rel=1e-14)
+
+
+def test_origin_forms_no_overlap_angle():
+    # at r = 0 the overlap angle is pi or 0 by the first ball's radius
+    # alone: no quotient by 2 r u is formed, so wide balls, whose
+    # (r^2 + u^2 - A1^2) / 1e-300 would overflow, run without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = box_pair_convolution(1e150, 1.0, 1e150, 1.0, [0.0], [0.0])
+    assert np.all(np.isfinite(got))
 
 
 def all_cells_box_pair_convolution(rho1, tau1, rho2, tau2, r, t, u_nodes=256):

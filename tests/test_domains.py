@@ -26,11 +26,13 @@ from heisharm.errors import DomainError
 from heisharm.cli import _CONVOLVE_TOL, _GAUSSIAN, main
 from heisharm.grids import QuadratureGrid
 from heisharm.transform import (box_coefficients, box_convolution_coefficients,
-                                box_convolution_grids, box_pair_convolution,
-                                gaussian_coefficients)
+                                box_convolution_grids, box_pair_convolution)
+
+from oracles import gaussian_coefficients
 
 # convolve-check with two long intervals: rho1 is bounded above by the
-# spatial side's height underflowing, and tau1 below at a subnormal tau1^2
+# spatial side's height underflowing, and tau1 and tau2 below where their
+# squares fall below the smallest normal double
 _WIDE_TAUS = ("convolve-check", 1, 0.15, 1.8, 4, (1.0, 1e4, 1.0, 1e4), None)
 
 # (command, n, lambda_min, lambda_max, lambda_nodes, factors, dilation): the
@@ -84,10 +86,10 @@ def _checks(command, n, lo, hi, nodes, factors, r):
 def _edges(forms):
     """(limit on x, upper, 'name fate') of every edge of forms the solver
     refuses at, where a double x can cross it."""
-    for p, c, name, zero_ok in forms:
-        for edge, fate in ((_LOG_HUGE, "overflows"), (_LOG_TINY, "underflows to 0")):
+    for p, c, name, floor in forms:
+        for edge, fate in ((_LOG_HUGE, "overflows"), *([floor] if floor else [])):
             log_limit = (edge - c) / p
-            if not (zero_ok and edge < 0) and _LOG_TINY < log_limit < _LOG_HUGE:
+            if _LOG_TINY < log_limit < _LOG_HUGE:
                 yield (math.exp(log_limit), (edge > 0) == (p > 0), f"{name} {fate}")
 
 
@@ -182,7 +184,7 @@ def _guarded(setting, option, form):
     rho, tau = factors[2 * int(option[-1]) - 2:2 * int(option[-1])]
     if form.startswith("rho1^-"):
         return [box_norm(n, rho, tau)]
-    if "/(" in form or "rho2^2" in form:
+    if "/(" in form or "rho2^2" in form or "normal" in form:
         # at the ends of the sampling grids convolve-check evaluates it on
         x, _, t, _ = box_convolution_grids(*factors)
         return [box_pair_convolution(*factors, x[[0, -1], None], t[None, [0, -1]])]
@@ -190,12 +192,6 @@ def _guarded(setting, option, form):
 
 
 _CASES = list(_cases())
-
-# a known fault: at this setting tau1^2 is subnormal at the limit, and its
-# rounding, up to 4e-8 of its value, is more than the solver's margin, so
-# the spatial side's height 1/(tau1^2 tau2^2) overflows just inside the
-# stated limit and numpy warns
-_SUBNORMAL_HEIGHT = (_WIDE_TAUS, "factors tau1", False)
 
 
 def test_every_registered_form_binds_somewhere_or_is_dominated():
@@ -208,9 +204,7 @@ def test_every_registered_form_binds_somewhere_or_is_dominated():
 
 
 @pytest.mark.parametrize("setting, option, upper, form, limit", [
-    pytest.param(*case, id=f"{case[0][0]}-n{case[0][1]}-{case[1]}-{case[3]}",
-                 marks=[pytest.mark.xfail(strict=True, raises=RuntimeWarning)]
-                 if case[:3] == _SUBNORMAL_HEIGHT else [])
+    pytest.param(*case, id=f"{case[0][0]}-n{case[0][1]}-{case[1]}-{case[3]}")
     for case in _CASES])
 def test_registered_form_holds_inside_and_refuses_outside(
         tmp_path, monkeypatch, capsys, setting, option, upper, form, limit):

@@ -328,12 +328,18 @@ _PLANS.append(["ingham-plan", "--theta", "inv-sqrt-strong", "--n", "3",
       for command in ("ingham-plan", "ingham-verify")],
     *[(argv, 0, "", (*_LEAN, "heisharm.ingham", "heisharm.transform"))
       for argv in _PLANS],
+    # plancherel-check's Gaussian row runs on Python floats too; it passes
+    # its check at n = 1 only
+    *[(["plancherel-check", "--family", "gaussian", "--n", n], code, "",
+       (*_LEAN, "heisharm.transform", "heisharm.grids"))
+      for n, code in (("1", 0), ("2", 1), ("3", 1))],
 ], ids=["help", "config-refusal", "dilate-n1", "dilate-n2",
         "gamma-bound-inv-sqrt", "plan-inv-log", "verify-inv-log",
         "plan-divergent-table",
         *(f"{command[7:]}-{config[:-5]}" for config, _ in _CONFIG_REFUSALS
           for command in ("ingham-plan", "ingham-verify")),
-        *("plan-" + "-".join(v.lstrip("-") for v in a[2:]) for a in _PLANS)])
+        *("plan-" + "-".join(v.lstrip("-") for v in a[2:]) for a in _PLANS),
+        "plancherel-gaussian-n1", "plancherel-gaussian-n2", "plancherel-gaussian-n3"])
 def test_front_end_and_declared_refusals_skip_numpy(tmp_path, fresh_env, argv,
                                                      code, stderr, unloaded):
     (tmp_path / "slowlog.json").write_text(
@@ -357,11 +363,11 @@ def test_front_end_and_declared_refusals_skip_numpy(tmp_path, fresh_env, argv,
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                           capture_output=True, text=True, env=fresh_env)
     assert (proc.returncode, proc.stderr) == (code, stderr)
-    # --help and the refusals write nothing; a command that ran writes its
-    # report and prints its summary line
-    ran = code == 0 and argv[0] != "--help"
+    # --help and the refusals write nothing; a command that ran, passing
+    # or not, writes its report and prints its summary line
+    ran = code != 2 and argv[0] != "--help"
     assert report.exists() == ran
-    if code == 0:
+    if code != 2:
         assert proc.stdout.startswith(f"{argv[0]}: " if ran else "usage: heisharm")
 
 

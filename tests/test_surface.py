@@ -431,6 +431,8 @@ _PROCESS_TESTS = {
         "the import set: a malformed command line never loads numpy",
     "test_cli.py:test_width_refusals_load_no_numpy":
         "the import set: a width or dilation refusal never loads numpy",
+    "test_cli.py:no_simd_oracle":
+        "numpy with its SIMD dispatch off, which it reads once, at import",
     "test_exit.py:test_process_exit_matches_in_process_dispatch":
         "the exit path, console_main's flush and os._exit, against main",
     "test_exit.py:test_flush_into_closed_pipe_exits_120":

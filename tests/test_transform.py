@@ -17,12 +17,13 @@ from heisharm.chernoff import spectral_box
 from heisharm.errors import DomainError, GridMismatchError, QuadratureError
 from heisharm.grids import QuadratureGrid, radial_rule
 from heisharm.transform import (SpectralCoefficients, ball_coefficients,
-                                box_coefficients, gaussian_coefficients,
-                                multiply_coeffs, plancherel_norm,
-                                projection_hs_norm_sq, transform_at_lambda)
+                                box_coefficients, multiply_coeffs,
+                                plancherel_norm, projection_hs_norm_sq,
+                                transform_at_lambda)
 
 from oracles import (ball_coefficients_table, box_factor, dilate_coeffs,
-                     forward_radial, gaussian_factor, ground_state)
+                     forward_radial, gaussian_coefficients, gaussian_factor,
+                     ground_state)
 
 GRID = QuadratureGrid.make(k_max=24, lambda_min=0.05, lambda_max=20.0,
                            lambda_nodes=64)

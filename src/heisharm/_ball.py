@@ -26,11 +26,11 @@ from libm's.  The array callers are ``laguerre._orthonormal_table``
 (``orthonormal_rows``) and ``transform.ball_coefficients`` (the J
 recurrence and its weights); the float caller is ``ball_columns``, one s
 column at a time for ``ingham-plan``'s factor-bound replay, which imports
-no numpy.  ``geomspace``, ``lambda_window``, ``interp`` and
-``pairwise_sum`` give numpy's log-spaced nodes, the lambda axis of
-QuadratureGrid, numpy's linear interpolation and its pairwise sum on
-Python floats, for the float paths that sample, interpolate and sum on
-them.
+no numpy.  ``geomspace`` gives numpy's log-spaced nodes on Python floats,
+and ``lambda_window`` the one lambda axis, which QuadratureGrid holds as
+arrays and the float paths sample; ``interp`` and ``pairwise_sum`` give
+numpy's linear interpolation and its pairwise sum on Python floats, for
+the float paths that interpolate and sum on that axis.
 
 Each closed form states its domain of doubles beside its formula: a
 *_domain generator yields its checks in the order a command runs them, and
@@ -94,10 +94,10 @@ def require_doubles(checks):
 
 
 def geomspace(start, stop, num):
-    """np.geomspace(start, stop, num) for 0 < start < stop and num >= 2, as a
-    list of Python floats: 10 ** (i step + log10 start), step = (log10 stop
-    - log10 start) / (num - 1), or (i / (num - 1)) delta where step
-    underflows to 0, with the endpoints exact.  numpy's power may take a
+    """numpy's geomspace(start, stop, num) for 0 < start < stop and num >= 2,
+    as a list of Python floats: 10 ** (i step + log10 start), step =
+    (log10 stop - log10 start) / (num - 1), or (i / (num - 1)) delta where
+    step underflows to 0, with the endpoints exact.  numpy's power may take a
     SIMD code path an ulp away from libm's."""
     log_start = math.log10(start)
     delta = math.log10(stop) - log_start
@@ -108,11 +108,15 @@ def geomspace(start, stop, num):
 
 
 def lambda_window(lambda_min, lambda_max, lambda_nodes):
-    """The lambda axis of QuadratureGrid.make(k_max, lambda_min, lambda_max,
-    lambda_nodes) on Python floats: the nodes geomspace gives, their logs
-    and the grid's trapezoid weights in log lambda, half the spread of each
-    node's neighbours (of the one neighbour at an end).  Nodes or weights
-    the grid would refuse are refused with its message."""
+    """The lambda axis of every spectral object, as lists of Python floats:
+    the nodes geomspace gives, their logs and the trapezoid weights in log
+    lambda, half the spread of each node's neighbours (of the one neighbour
+    at an end).  A window the rule cannot be laid on, and nodes or weights
+    that rounding leaves unordered or zero, are refused."""
+    if not (0 < lambda_min < lambda_max):
+        raise DomainError("need 0 < lambda_min < lambda_max")
+    if lambda_nodes < 2:
+        raise DomainError("need at least two lambda nodes")
     lam = geomspace(lambda_min, lambda_max, lambda_nodes)
     if not all(a < b for a, b in zip(lam, lam[1:])):
         raise DomainError("lambda nodes must be positive, ascending, nonzero")
@@ -124,11 +128,10 @@ def lambda_window(lambda_min, lambda_max, lambda_nodes):
 
 
 def measure_domain(n, lambda_min, lambda_max, lambda_nodes):
-    """The check of QuadratureGrid.lambda_measure_weights(n) on the nodes
-    geomspace(lambda_min, lambda_max, lambda_nodes): lam^(n+1) times the
-    trapezoid weight in log lam, h / 2 at the top node and h at the interior
-    ones, h the nodes' log spacing, is largest at the top node or the next
-    one down, e^(-(n+1) h) lower in lam^(n+1)."""
+    """The check of QuadratureGrid.lambda_measure_weights(n), lam^(n+1)
+    times lambda_window's weights, bounded on their spacing h, the nodes'
+    log spacing: the product is largest at the top node or the next one
+    down, e^(-(n+1) h) lower in lam^(n+1)."""
     h = (math.log(lambda_max) - math.log(lambda_min)) / (lambda_nodes - 1)
     scale = max(1.0, 0.5 * h, h * math.exp(-(n + 1) * h) if lambda_nodes > 2 else 0.0)
     yield ("lambda_max", lambda_max, [(n + 1, math.log(scale), f"lam_log_w lam^{n + 1} "
@@ -202,10 +205,12 @@ def plancherel_overflow(n, step):
 MAX_N = 170
 
 # e^{-x/2} is exactly zero in double precision from x = 1490.27 on, and so is
-# every row of an orthonormal table of L^n there, so capping x at this point
-# leaves every product 2 x^n row as it was.  2 POWER_CAP^n is a double up to
-# n = 97; past it, box_domain refuses a window whose x reaches past
-# (max double / 2)^(1/n), and so keeps 0 * inf out of the recurrence
+# every computed row of an orthonormal table of L^n there, so capping x at
+# this point leaves every computed product 2 x^n row as it was.  The true
+# rows are not zero there: from x ~ 1450 on, where the seed is subnormal or
+# zero, the computed rows of degree k >~ x/4 are wrong.  2 POWER_CAP^n is a
+# double up to n = 97; past it, box_domain refuses a window whose x reaches
+# past (max double / 2)^(1/n), and so keeps 0 * inf out of the recurrence
 POWER_CAP = 1490.3
 
 # series terms below this share of the running sum no longer change it

@@ -73,9 +73,9 @@ def gaussian_norm(n, sigma_z, sigma_t):
 def gaussian_plancherel(n, widths, k_max, lambda_min, lambda_max, lambda_nodes):
     """plancherel-check's Gaussian row on Python floats: (spatial, spectral),
     the L^2 norm of the Gaussian of widths = (sigma_z, sigma_t) and its
-    Plancherel norm on the grid of QuadratureGrid.make(k_max, lambda_min,
-    lambda_max, lambda_nodes), as transform.plancherel_norm forms it from
-    the coefficients R_k(lam) = c q^k: each column sums (c |q|^k)^2 times
+    Plancherel norm on degrees 0..k_max and the lambda axis of
+    _ball.lambda_window, as transform.plancherel_norm forms it from the
+    coefficients R_k(lam) = c q^k: each column sums (c |q|^k)^2 times
     the Hilbert-Schmidt weight over k = 0..k_max in order, as numpy's sum
     over axis 0 does (the sign of q^k drops out of the square), and the
     column sums times lam_log_w lam^(n+1) are added by _ball.pairwise_sum.
@@ -167,17 +167,17 @@ def _column(n, sigma_z, sigma_t, lam, ks):
 def dilation_gap(n, source, r, k_max, lambda_min, lambda_max, lambda_nodes):
     """dilate-check on Python floats, for the Gaussian of widths source =
     (sigma_z, sigma_t), dilated by r, against the target, its closed form
-    of widths (sigma_z / r, sigma_t / r^2), on the grid of
-    QuadratureGrid.make(k_max, lambda_min, lambda_max, lambda_nodes): (the
-    count of nodes lam in [lambda_min max(1, r^2), lambda_max min(1, r^2)],
-    where the queries lam / r^2 stay in the window, and over those nodes
-    and degrees 0..k_max the largest |target| and the largest |dilated -
-    target|).  The dilated coefficients are r^{-(2n+2)} R_k(lam / r^2),
-    interpolated linearly in log lam by np.interp's formula (_ball.interp),
-    0 outside the window; dilation_domain keeps r^{-(2n+2)} times the source
-    values read a double.  The source's columns are evaluated only where
-    the interpolation reads them.  A window whose nodes or log-lambda
-    weights the grid would refuse is refused with its message."""
+    of widths (sigma_z / r, sigma_t / r^2), on degrees 0..k_max and the
+    lambda axis of _ball.lambda_window, which refuses a window it cannot
+    lay its rule on: (the count of nodes lam in [lambda_min max(1, r^2),
+    lambda_max min(1, r^2)], where the queries lam / r^2 stay in the
+    window, and over those nodes and degrees 0..k_max the largest |target|
+    and the largest |dilated - target|).  The dilated coefficients are
+    r^{-(2n+2)} R_k(lam / r^2), interpolated linearly in log lam by
+    np.interp's formula (_ball.interp), 0 outside the window;
+    dilation_domain keeps r^{-(2n+2)} times the source values read a
+    double.  The source's columns are evaluated only where the
+    interpolation reads them."""
     lam, logl, _ = lambda_window(lambda_min, lambda_max, lambda_nodes)
     target = (source[0] / r, source[1] / r ** 2)
     lo = lambda_min * max(1.0, r ** 2)

@@ -164,7 +164,7 @@ def calibrate_chain_gap(c_n):
     reference inv-sqrt chain on H^1 with c_n, with its grid of GRIDS."""
     theta = builtin_theta(CHAIN_GAP_THETA)
     plan = plan_sequences(theta, CHAIN_GAP_N, J=CHAIN_GAP_J, c_n=c_n)
-    grid = QuadratureGrid.make(**CHAIN_GAP_GRID)
+    grid = QuadratureGrid(**CHAIN_GAP_GRID)
     bounds, measured = cauchy_gap(plan, CHAIN_GAP_K_PROBE, grid)
     return {"C": 1.1 * float(np.max(measured / bounds)),
             **GRIDS["chain_gap_constants.json"]}

@@ -80,8 +80,8 @@ def spectral_box():
 
     from .grids import QuadratureGrid
     from .transform import SpectralCoefficients
-    grid = QuadratureGrid.make(k_max=1, lambda_min=1.0, lambda_max=2.0,
-                               lambda_nodes=_BOX_NODES)
+    grid = QuadratureGrid(k_max=1, lambda_min=1.0, lambda_max=2.0,
+                          lambda_nodes=_BOX_NODES)
     vals = np.zeros((2, grid.lam.size))
     vals[0] = 1.0
     return SpectralCoefficients(n=1, grid=grid, values=vals)

@@ -118,8 +118,8 @@ class RunConfig(namedtuple("RunConfig", ("command",) + _NAMES)):
 
     def grid(self):
         from .grids import QuadratureGrid
-        return QuadratureGrid.make(self.k_max, self.lambda_min, self.lambda_max,
-                                   self.lambda_nodes)
+        return QuadratureGrid(self.k_max, self.lambda_min, self.lambda_max,
+                              self.lambda_nodes)
 
 
 _GRAM_K_MAX = 40
@@ -409,26 +409,24 @@ _LENS_TOL = 1e-10
 
 
 def _cmd_symmdiff_check(cfg):
-    import numpy as np
-
+    from ._ball import geomspace
     from .group import ball_shift_symmdiff, ball_volume, lens_area, sphere_surface
     rows = []
     for dim in (2, 4):
         violations = 0
         worst_ratio = 0.0
         lens_err = 0.0
-        for R in np.geomspace(0.5, 5.0, _SYMMDIFF_RADII):
+        for R in geomspace(0.5, 5.0, _SYMMDIFF_RADII):
             for frac in _SYMMDIFF_RATIOS:
                 d = frac * R
-                sd = ball_shift_symmdiff(dim, float(R), d)
-                bound = d * sphere_surface(dim, float(R))
+                sd = ball_shift_symmdiff(dim, R, d)
+                bound = d * sphere_surface(dim, R)
                 worst_ratio = max(worst_ratio, sd / bound)
                 if sd > bound * (1.0 + 1e-12):
                     violations += 1
                 if dim == 2:
-                    lens = ball_volume(float(R), 2) - 0.5 * sd
-                    lens_err = max(lens_err,
-                                   abs(lens - lens_area(float(R), d)))
+                    lens = ball_volume(R, 2) - 0.5 * sd
+                    lens_err = max(lens_err, abs(lens - lens_area(R, d)))
         rows.append({
             "dim": dim,
             "pairs": _SYMMDIFF_RADII * len(_SYMMDIFF_RATIOS),

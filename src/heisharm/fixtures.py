@@ -88,8 +88,7 @@ def calibration_grid(s_nodes=FACTOR_S_NODES):
 def envelope_radii():
     """The envelope calibration radii: the origin, then log-spaced radii."""
     import numpy as np
-    return np.concatenate(([0.0], np.geomspace(*ENVELOPE_RADII_RANGE,
-                                               ENVELOPE_RADII_NODES - 1)))
+    return np.array([0.0, *geomspace(*ENVELOPE_RADII_RANGE, ENVELOPE_RADII_NODES - 1)])
 
 
 def packaged_fixtures_dir():

@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._ball import lambda_window
 from ._record import Record
 from .errors import DomainError
 from .laguerre import breakpoints, nu
@@ -111,7 +112,9 @@ def radial_rule(lam, k_max, n, support_radius, nodes_per_panel):
 
 
 class QuadratureGrid(Record):
-    """Discretization shared by all spectral objects.
+    """Discretization shared by all spectral objects: degrees up to k_max
+    and the lambda axis of _ball.lambda_window(lambda_min, lambda_max,
+    lambda_nodes), which refuses a window it cannot lay its rule on.
 
     Attributes
     ----------
@@ -125,33 +128,14 @@ class QuadratureGrid(Record):
 
     __slots__ = ("k_max", "lam", "lam_log_w")
 
-    def __init__(self, k_max, lam, lam_log_w):
-        # copies: the record freezes its arrays, never the caller's
-        lam = np.array(lam, dtype=float)
-        w = np.array(lam_log_w, dtype=float)
+    def __init__(self, k_max, lambda_min, lambda_max, lambda_nodes):
+        lam, _, w = lambda_window(lambda_min, lambda_max, int(lambda_nodes))
         if k_max < 1:
             raise DomainError("k_max must be >= 1")
-        if lam.ndim != 1 or np.any(lam <= 0) or np.any(np.diff(lam) <= 0):
-            raise DomainError("lambda nodes must be positive, ascending, nonzero")
-        if w.shape != lam.shape or np.any(w <= 0):
-            raise DomainError("lambda weights must be positive and match the nodes")
+        lam, w = np.array(lam), np.array(w)
         lam.setflags(write=False)
         w.setflags(write=False)
-        self._assign(k_max=k_max, lam=lam, lam_log_w=w)
-
-    @classmethod
-    def make(cls, k_max, lambda_min, lambda_max, lambda_nodes):
-        if not (0 < lambda_min < lambda_max):
-            raise DomainError("need 0 < lambda_min < lambda_max")
-        if lambda_nodes < 2:
-            raise DomainError("need at least two lambda nodes")
-        lam = np.geomspace(lambda_min, lambda_max, int(lambda_nodes))
-        logl = np.log(lam)
-        w = np.empty_like(logl)
-        w[1:-1] = 0.5 * (logl[2:] - logl[:-2])
-        w[0] = 0.5 * (logl[1] - logl[0])
-        w[-1] = 0.5 * (logl[-1] - logl[-2])
-        return cls(k_max=int(k_max), lam=lam, lam_log_w=w)
+        self._assign(k_max=int(k_max), lam=lam, lam_log_w=w)
 
     def lambda_measure_weights(self, n):
         """Weights for integrating against |lam|^n d lam over the positive nodes."""

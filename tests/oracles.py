@@ -12,6 +12,9 @@ gaussian_factor share their t-transforms with box_coefficients and
 gaussian_coefficients, so the oracles and the closed forms agree on the
 t-part by construction and differ only in the radial integral.
 
+numpy_lambda_window builds QuadratureGrid's lambda axis with numpy's
+geomspace and log: the reference of _ball.lambda_window.
+
 gaussian_coefficients evaluates the Gaussian's closed form of
 heisharm._gaussian with numpy on every column of a grid at once.
 dilate_coeffs dilates a coefficient set on its grid with numpy, and
@@ -122,6 +125,19 @@ def gaussian_factor(n, sigma_z, sigma_t):
                           support_radius=_GAUSSIAN_CUTOFF * sigma_z)
 
 
+def numpy_lambda_window(lambda_min, lambda_max, lambda_nodes):
+    """(nodes, weights) of QuadratureGrid's lambda axis with numpy: the nodes
+    of np.geomspace, and half the spread of each node's neighbours in
+    np.log (of the one neighbour at an end)."""
+    lam = np.geomspace(lambda_min, lambda_max, lambda_nodes)
+    logl = np.log(lam)
+    w = np.empty_like(logl)
+    w[1:-1] = 0.5 * (logl[2:] - logl[:-2])
+    w[0] = 0.5 * (logl[1] - logl[0])
+    w[-1] = 0.5 * (logl[-1] - logl[-2])
+    return lam, w
+
+
 def gaussian_coefficients(n, sigma_z, sigma_t, grid):
     """SpectralCoefficients on the grid of the Gaussian
     e^{-|z|^2/(2 sigma_z^2)} e^{-t^2/(2 sigma_t^2)}, from the closed form
@@ -142,9 +158,9 @@ def gaussian_coefficients(n, sigma_z, sigma_t, grid):
 def gaussian_plancherel_numpy(n, widths, k_max, lambda_min, lambda_max, lambda_nodes):
     """_gaussian.gaussian_plancherel with numpy, in the order the numpy
     path of plancherel-check took its steps: the grid of
-    QuadratureGrid.make, which refuses its own windows, the Gaussian's
+    QuadratureGrid, which refuses its own windows, the Gaussian's
     table, its spatial norm, and plancherel_norm of the table."""
-    grid = QuadratureGrid.make(k_max, lambda_min, lambda_max, lambda_nodes)
+    grid = QuadratureGrid(k_max, lambda_min, lambda_max, lambda_nodes)
     coeffs = gaussian_coefficients(n, *widths, grid)
     return gaussian_norm(n, *widths), plancherel_norm(coeffs)
 
@@ -171,12 +187,12 @@ def dilate_coeffs(coeffs, r):
 
 
 def dilation_gap_numpy(n, source, r, k_max, lambda_min, lambda_max, lambda_nodes):
-    """_gaussian.dilation_gap with numpy: the grid of QuadratureGrid.make,
+    """_gaussian.dilation_gap with numpy: the grid of QuadratureGrid,
     which refuses its own windows, the source Gaussian's table dilated by
     dilate_coeffs and the table of the target, of widths (sigma_z / r,
     sigma_t / r^2), compared on the nodes lam in [lambda_min max(1, r^2),
     lambda_max min(1, r^2)]."""
-    grid = QuadratureGrid.make(k_max, lambda_min, lambda_max, lambda_nodes)
+    grid = QuadratureGrid(k_max, lambda_min, lambda_max, lambda_nodes)
     dilated = dilate_coeffs(gaussian_coefficients(n, *source, grid), r).values
     want = gaussian_coefficients(n, source[0] / r, source[1] / r ** 2, grid).values
     mask = ((grid.lam >= lambda_min * max(1.0, r ** 2))

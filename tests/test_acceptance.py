@@ -35,8 +35,8 @@ TERM20_WINDOW = (0.45, 0.50)
 
 
 def plancherel_grid():
-    return QuadratureGrid.make(k_max=256, lambda_min=1e-4, lambda_max=100.0,
-                               lambda_nodes=576)
+    return QuadratureGrid(k_max=256, lambda_min=1e-4, lambda_max=100.0,
+                          lambda_nodes=576)
 
 
 def test_laguerre_orthonormality():
@@ -86,8 +86,8 @@ def test_convolution_theorem_matches_spatial_oracle(monkeypatch):
     # 13 Gauss nodes per r panel, one more than the check's own grid
     monkeypatch.setattr("heisharm.transform.CONV_R_NODES", 13)
     rho1, tau1, rho2, tau2 = 0.9, 0.8, 0.7, 0.6
-    grid = QuadratureGrid.make(k_max=32, lambda_min=0.15, lambda_max=1.8,
-                               lambda_nodes=16)
+    grid = QuadratureGrid(k_max=32, lambda_min=0.15, lambda_max=1.8,
+                          lambda_nodes=16)
     product = multiply_coeffs(
         forward_radial(box_factor(1, rho1, tau1), grid),
         forward_radial(box_factor(1, rho2, tau2), grid))
@@ -118,7 +118,7 @@ def test_decay_certification_stable_under_doubling():
     t0 = time.perf_counter()
     theta = builtin_theta("inv-sqrt")
     plan = plan_sequences(theta, 1, J=16)
-    report = verify_decay(plan, QuadratureGrid.make(
+    report = verify_decay(plan, QuadratureGrid(
         k_max=64, lambda_min=1e-2, lambda_max=1e2, lambda_nodes=192))
     assert np.isfinite(report["max_log_q"])
     assert report["pass"] is True

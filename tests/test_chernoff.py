@@ -64,8 +64,8 @@ def test_box_moment_tail_gate():
 def test_degenerate_zero_function():
     # the Carleman sum is a criterion on a nonzero f: the zero function is
     # refused where its norms are computed, under either tail gate
-    g = QuadratureGrid.make(k_max=1, lambda_min=1.0, lambda_max=2.0,
-                            lambda_nodes=64)
+    g = QuadratureGrid(k_max=1, lambda_min=1.0, lambda_max=2.0,
+                       lambda_nodes=64)
     zero = SpectralCoefficients(n=1, grid=g, values=np.zeros((2, 64)))
     for tail_frac in (1.0, 1e-6):
         with pytest.raises(DomainError, match="^zero function: Carleman sums "
@@ -76,8 +76,8 @@ def test_degenerate_zero_function():
 def test_log_convexity_of_moments():
     prof = sublaplacian_norms(BOX, 15, tail_frac=1.0)
     assert log_convexity_margin(prof) >= CONVEXITY_TOL
-    g = QuadratureGrid.make(k_max=24, lambda_min=1e-3, lambda_max=50.0,
-                            lambda_nodes=160)
+    g = QuadratureGrid(k_max=24, lambda_min=1e-3, lambda_max=50.0,
+                       lambda_nodes=160)
     c = forward_radial(gaussian_factor(1, 1.0, 0.4), g)
     assert log_convexity_margin(sublaplacian_norms(c, 8)) >= CONVEXITY_TOL
 

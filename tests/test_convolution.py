@@ -470,8 +470,8 @@ def test_box_pair_shapes_agree():
 
 def test_convolution_theorem_small_grid():
     rho1, tau1, rho2, tau2 = 0.9, 0.8, 0.7, 0.6
-    grid = QuadratureGrid.make(k_max=16, lambda_min=0.2, lambda_max=1.5,
-                               lambda_nodes=8)
+    grid = QuadratureGrid(k_max=16, lambda_min=0.2, lambda_max=1.5,
+                          lambda_nodes=8)
     c1 = forward_radial(box_factor(1, rho1, tau1), grid)
     c2 = forward_radial(box_factor(1, rho2, tau2), grid)
     product = multiply_coeffs(c1, c2)
@@ -512,8 +512,8 @@ def per_lambda_box_convolution_coefficients(rho1, tau1, rho2, tau2, lams, k_max)
     (0.8, 0.7, 0.9, 0.6), (0.6, 0.6, 0.9, 0.9),
 ])
 def test_batched_lambdas_match_per_lambda_loop(widths, lambda_nodes):
-    grid = QuadratureGrid.make(k_max=32, lambda_min=0.15, lambda_max=1.8,
-                               lambda_nodes=lambda_nodes)
+    grid = QuadratureGrid(k_max=32, lambda_min=0.15, lambda_max=1.8,
+                          lambda_nodes=lambda_nodes)
     got = box_convolution_coefficients(*widths, grid.lam, grid.k_max)
     ref = per_lambda_box_convolution_coefficients(*widths, grid.lam, grid.k_max)
     np.testing.assert_array_equal(got, ref)

@@ -171,7 +171,7 @@ def _with(setting, option, x):
 def _guarded(setting, option, form):
     """The values of the function the form guards at setting."""
     command, n, lo, hi, nodes, factors, r = setting
-    grid = QuadratureGrid.make(2, lo, hi, nodes)
+    grid = QuadratureGrid(2, lo, hi, nodes)
     if command == "dilate-check":
         values = list(dilation_gap(n, _GAUSSIAN, r, 2, lo, hi, nodes))
         for sz, st in (_GAUSSIAN, (_GAUSSIAN[0] / r, _GAUSSIAN[1] / r ** 2)):

@@ -80,8 +80,8 @@ def test_factor_coeff_ties_to_forward_transform():
     # s = lam rho^2 times the interval transform; box_coefficients is that
     # product on the whole grid
     rho, tau = 0.8, 0.6
-    grid = QuadratureGrid.make(k_max=6, lambda_min=0.5, lambda_max=4.0,
-                               lambda_nodes=6)
+    grid = QuadratureGrid(k_max=6, lambda_min=0.5, lambda_max=4.0,
+                          lambda_nodes=6)
     for n in (1, 2, 3):
         vals = forward_radial(box_factor(n, rho, tau), grid).values
         assert np.allclose(box_coefficients(n, rho, tau, grid).values, vals,
@@ -256,8 +256,8 @@ def test_chain_columns_match_scalar_products(n, k_max, lam_count, data):
 
 def test_chain_coefficients_grid():
     plan = plan_sequences(builtin_theta("inv-sqrt"), 1, J=6, c_n=1.2)
-    grid = QuadratureGrid.make(k_max=8, lambda_min=0.5, lambda_max=5.0,
-                               lambda_nodes=6)
+    grid = QuadratureGrid(k_max=8, lambda_min=0.5, lambda_max=5.0,
+                          lambda_nodes=6)
     c = chain_coefficients(plan, 2, grid)
     assert c.values.shape == (9, 6)
     for k, i in ((0, 0), (5, 3)):
@@ -288,8 +288,8 @@ def test_support_radius_formula():
 
 def test_cauchy_gap_within_calibrated_envelope():
     plan = plan_sequences(builtin_theta("inv-sqrt"), 1, J=16)
-    grid = QuadratureGrid.make(k_max=32, lambda_min=1e-2, lambda_max=1e2,
-                               lambda_nodes=64)
+    grid = QuadratureGrid(k_max=32, lambda_min=1e-2, lambda_max=1e2,
+                          lambda_nodes=64)
     fixture = load_fixture("chain_gap_constants.json", packaged_fixtures_dir())
     bounds, measured = cauchy_gap(plan, 4, grid)
     assert bounds.shape == measured.shape == (4,)
@@ -303,8 +303,8 @@ def test_cauchy_gap_streams_the_chain_once(monkeypatch):
     # G_{K+1}, each gap the difference of consecutive chain columns; the
     # factors share ball_coefficients calls as far as the cell budget lets
     plan = plan_sequences(builtin_theta("inv-sqrt"), 1, J=16, c_n=1.2)
-    grid = QuadratureGrid.make(k_max=16, lambda_min=1e-2, lambda_max=1e2,
-                               lambda_nodes=24)
+    grid = QuadratureGrid(k_max=16, lambda_min=1e-2, lambda_max=1e2,
+                          lambda_nodes=24)
     calls = []
 
     def counted(s, k_max, n):
@@ -334,7 +334,7 @@ def test_cauchy_gap_streams_the_chain_once(monkeypatch):
 def test_verify_decay_smoke():
     theta = builtin_theta("inv-sqrt")
     plan = plan_sequences(theta, 1, J=16)
-    report = verify_decay(plan, QuadratureGrid.make(
+    report = verify_decay(plan, QuadratureGrid(
         k_max=12, lambda_min=0.1, lambda_max=10.0, lambda_nodes=24))
     assert sorted(report) == ["C", "argmax", "max_log_q", "pass", "theta"]
     assert report["pass"] is True
@@ -351,8 +351,8 @@ def test_verify_decay_tracemalloc_peak():
     # for the same window take 6.8 MiB
     theta = builtin_theta("inv-log-sq")
     plan = plan_sequences(theta, 2, J=16)
-    grid = QuadratureGrid.make(k_max=64, lambda_min=1e-2, lambda_max=1e2,
-                               lambda_nodes=192)
+    grid = QuadratureGrid(k_max=64, lambda_min=1e-2, lambda_max=1e2,
+                          lambda_nodes=192)
     verify_decay(plan, grid)
     tracemalloc.start()
     try:
@@ -388,7 +388,7 @@ def test_table_profiles_plan_and_verify(n, theta):
     for seq in (np.asarray(plan.rho), np.asarray(plan.tau)):
         assert seq.shape == (J,)
         assert np.all(seq > 0) and np.all(np.diff(seq) <= 0)
-    report = verify_decay(plan, QuadratureGrid.make(
+    report = verify_decay(plan, QuadratureGrid(
         k_max=16, lambda_min=1e-2, lambda_max=1e2, lambda_nodes=32))
     assert sorted(report) == ["C", "argmax", "max_log_q", "pass", "theta"]
     assert np.isfinite(report["max_log_q"])
@@ -409,8 +409,8 @@ def test_verify_decay_matches_two_pass_oracle(theta, n, J, k_max, window,
     # one 2 k_max table for both maxima against two dense passes, one at
     # k_max and one at 2 k_max
     plan = plan_sequences(theta, n, J=J)
-    grid = QuadratureGrid.make(k_max=k_max, lambda_min=window[0],
-                               lambda_max=window[1], lambda_nodes=lambda_nodes)
+    grid = QuadratureGrid(k_max=k_max, lambda_min=window[0],
+                          lambda_max=window[1], lambda_nodes=lambda_nodes)
     report = verify_decay(plan, grid)
     lam_nodes = grid.lam
     max_log_q, k_star, lam_star = _dense_max_log_q(plan, k_max, lam_nodes)
@@ -473,8 +473,8 @@ def test_blocked_chain_matches_per_factor_oracle(theta, n, J, k_max, window,
     # every factor: the stream, verify_decay and cauchy_gap equal the
     # per-factor oracle's, bit for bit
     plan = plan_sequences(theta, n, J=J)
-    grid = QuadratureGrid.make(k_max=k_max, lambda_min=window[0],
-                               lambda_max=window[1], lambda_nodes=lambda_nodes)
+    grid = QuadratureGrid(k_max=k_max, lambda_min=window[0],
+                          lambda_max=window[1], lambda_nodes=lambda_nodes)
     budget = {"one": 1, "several": 3 * lambda_nodes * (2 * k_max + 1),
               "all": 2 ** 62}[blocks]
     need = np.array(data.draw(st.lists(st.integers(min_value=0, max_value=J),

@@ -2,6 +2,8 @@
 identity equality for records that hold arrays and value equality for
 RunConfig."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,8 @@ from oracles import RadialFunction, box_factor
 
 
 def _grid():
-    return QuadratureGrid.make(k_max=4, lambda_min=0.1, lambda_max=10.0,
-                               lambda_nodes=8)
+    return QuadratureGrid(k_max=4, lambda_min=0.1, lambda_max=10.0,
+                          lambda_nodes=8)
 
 
 def _plan():
@@ -81,8 +83,8 @@ def test_grid_value_comparison_is_same_as():
     one, two = _grid(), _grid()
     assert one != two
     assert one.same_as(two)
-    assert not one.same_as(QuadratureGrid.make(k_max=5, lambda_min=0.1,
-                                               lambda_max=10.0, lambda_nodes=8))
+    assert not one.same_as(QuadratureGrid(k_max=5, lambda_min=0.1,
+                                          lambda_max=10.0, lambda_nodes=8))
 
 
 def test_run_config_compares_by_value():
@@ -91,10 +93,6 @@ def test_run_config_compares_by_value():
     assert one == two and hash(one) == hash(two)
     assert one != RunConfig("ingham-verify", k_max=13)
     assert {one, two} == {one}
-
-
-def _arrays(**kw):
-    return {k: np.asarray(v, dtype=float) for k, v in kw.items()}
 
 
 # constructor, its arguments, and the exception type and message it raises
@@ -114,11 +112,14 @@ REFUSALS = [
     (ThetaProfile, dict(name="b", declared_class="convergent",
                         y=[0.0, 1.0, 2.0], vals=[1.0, -0.5, 0.2]),
      ProfileClassError, "table values must be finite and nonnegative"),
-    (QuadratureGrid, dict(k_max=0, **_arrays(lam=[1.0, 2.0], lam_log_w=[1.0, 1.0])),
+    (QuadratureGrid, dict(k_max=0, lambda_min=1.0, lambda_max=2.0, lambda_nodes=2),
      DomainError, "k_max must be >= 1"),
-    (QuadratureGrid, dict(k_max=2, **_arrays(lam=[2.0, 1.0], lam_log_w=[1.0, 1.0])),
+    # windows so narrow that rounding merges two nodes, or two logs
+    (QuadratureGrid, dict(k_max=2, lambda_min=1e300,
+                          lambda_max=1e300 + 2 * math.ulp(1e300), lambda_nodes=3),
      DomainError, "lambda nodes must be positive, ascending, nonzero"),
-    (QuadratureGrid, dict(k_max=2, **_arrays(lam=[1.0, 2.0], lam_log_w=[1.0])),
+    (QuadratureGrid, dict(k_max=2, lambda_min=1e300,
+                          lambda_max=1e300 + math.ulp(1e300), lambda_nodes=2),
      DomainError, "lambda weights must be positive and match the nodes"),
     (SequencePlan, dict(theta=builtin_theta("inv-sqrt"), n=1, J=3,
                         c_n=1.0, rho=[1.0, 2.0, 3.0], tau=[1.0, 0.5, 0.25]),
@@ -173,6 +174,11 @@ REFUSALS = [
      DomainError, "n must be at least 1, got 0"),
     (RunConfig, dict(command="laguerre-check", k_max=0),
      DomainError, "k_max must be at least 1, got 0"),
+    # the grid's window, refused by _ball.lambda_window
+    (QuadratureGrid, dict(k_max=2, lambda_min=2.0, lambda_max=1.0, lambda_nodes=2),
+     DomainError, "need 0 < lambda_min < lambda_max"),
+    (QuadratureGrid, dict(k_max=2, lambda_min=1.0, lambda_max=2.0, lambda_nodes=1),
+     DomainError, "need at least two lambda nodes"),
 ]
 
 
@@ -239,16 +245,13 @@ def test_array_fields_are_read_only():
 
 def test_records_copy_the_callers_arrays():
     # the records freeze what they hold, never the array they were given
-    lam, w = np.geomspace(0.1, 10.0, 8), np.ones(8)
     rho, tau, y = np.array([1.0, 0.5]), np.array([1.0, 0.25]), np.array([0.0, 1.0])
-    grid = QuadratureGrid(k_max=4, lam=lam, lam_log_w=w)
     plan = SequencePlan(theta=builtin_theta("inv-sqrt"), n=1, J=2,
                         c_n=1.0, rho=rho, tau=tau)
     table = ThetaProfile(name="t", declared_class="convergent",
                          y=y, vals=[1.0, 0.5])
-    for given, held in ((lam, grid.lam), (w, grid.lam_log_w), (y, table.y)):
-        assert given.flags.writeable and not held.flags.writeable
-        assert held is not given and np.array_equal(held, given)
+    assert y.flags.writeable and not table.y.flags.writeable
+    assert table.y is not y and np.array_equal(table.y, y)
     # the plan's widths are tuples of floats copied from the caller's arrays
     for given, held in ((rho, plan.rho), (tau, plan.tau)):
         assert type(held) is tuple and all(type(v) is float for v in held)

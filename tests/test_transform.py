@@ -23,10 +23,10 @@ from heisharm.transform import (SpectralCoefficients, ball_coefficients,
 
 from oracles import (ball_coefficients_table, box_factor, dilate_coeffs,
                      forward_radial, gaussian_coefficients, gaussian_factor,
-                     ground_state)
+                     ground_state, numpy_lambda_window)
 
-GRID = QuadratureGrid.make(k_max=24, lambda_min=0.05, lambda_max=20.0,
-                           lambda_nodes=64)
+GRID = QuadratureGrid(k_max=24, lambda_min=0.05, lambda_max=20.0,
+                      lambda_nodes=64)
 
 
 def test_ball_normalizer_unit_volume():
@@ -49,8 +49,8 @@ def test_ball_coefficients_match_quadrature(n, k_max, log_s, rho):
     tau = 1e-3  # t_hat stays within 1e-3 of 1 up to lam = 1e5
     s_lo = 10.0 ** log_s
     s_hi = min(1e3, 1e4 * s_lo)
-    grid = QuadratureGrid.make(k_max=k_max, lambda_min=s_lo / rho ** 2,
-                               lambda_max=s_hi / rho ** 2, lambda_nodes=3)
+    grid = QuadratureGrid(k_max=k_max, lambda_min=s_lo / rho ** 2,
+                          lambda_max=s_hi / rho ** 2, lambda_nodes=3)
     f = box_factor(n, rho, tau)
     oracle = forward_radial(f, grid).values / f.t_hat(grid.lam)
     closed = ball_coefficients(grid.lam * rho ** 2, k_max, n)
@@ -148,8 +148,8 @@ def test_ball_and_box_coefficients_hold_one_table():
     s = np.geomspace(1e-3, 1e3, 128)
     out, peak = _peak_bytes(lambda: ball_coefficients(s, 256, 2))
     assert peak <= 2.0 * out.nbytes
-    grid = QuadratureGrid.make(k_max=256, lambda_min=1e-4, lambda_max=1e2,
-                               lambda_nodes=576)
+    grid = QuadratureGrid(k_max=256, lambda_min=1e-4, lambda_max=1e2,
+                          lambda_nodes=576)
     _, peak = _peak_bytes(
         lambda: plancherel_norm(box_coefficients(1, 0.9, 0.8, grid)))
     # values and their weighted squares: two tables
@@ -167,8 +167,8 @@ def test_gaussian_coefficients_match_quadrature(n, k_max, sigma_z, sigma_t, b_en
     # grid ends at b = lam sigma_z^2 well below 2, exactly 2 (q = 0) and
     # well above 2 (q near -1)
     b_lo, b_hi = b_ends
-    grid = QuadratureGrid.make(k_max=k_max, lambda_min=b_lo / sigma_z ** 2,
-                               lambda_max=b_hi / sigma_z ** 2, lambda_nodes=4)
+    grid = QuadratureGrid(k_max=k_max, lambda_min=b_lo / sigma_z ** 2,
+                          lambda_max=b_hi / sigma_z ** 2, lambda_nodes=4)
     oracle = forward_radial(gaussian_factor(n, sigma_z, sigma_t), grid).values
     closed = gaussian_coefficients(n, sigma_z, sigma_t, grid)
     assert closed.grid is grid
@@ -209,8 +209,8 @@ def test_gaussian_power_table_matches_signed_pow(n):
     # cell within two ulps of the signed pow, the signs equal, and the
     # Plancherel norm that plancherel-check reports bitwise equal at n = 1
     # and 2 (a few thousand of the 148032 cells move by an ulp or two)
-    grid = QuadratureGrid.make(k_max=256, lambda_min=1e-4, lambda_max=100.0,
-                               lambda_nodes=576)
+    grid = QuadratureGrid(k_max=256, lambda_min=1e-4, lambda_max=100.0,
+                          lambda_nodes=576)
     new = gaussian_coefficients(n, 2.0, 0.2, grid)
     old = _old_gaussian_coefficients(n, 2.0, 0.2, grid)
     assert np.all(np.abs(new.values - old) <= 2.0 * np.spacing(np.abs(old)))
@@ -224,8 +224,8 @@ def test_gaussian_closed_form_on_floats_matches_numpy():
     # one column at a time with math, against the table with numpy: each
     # cell within a few ulps of its own size, through exp and pow alone;
     # far up the window t_hat underflows to 0 on both
-    grid = QuadratureGrid.make(k_max=64, lambda_min=1e-3, lambda_max=1e3,
-                               lambda_nodes=320)
+    grid = QuadratureGrid(k_max=64, lambda_min=1e-3, lambda_max=1e3,
+                          lambda_nodes=320)
     for n, sz, st_ in ((1, 2.0, 0.2), (2, 2.0 / 1.4, 0.2 / 1.96), (3, 0.5, 3.0)):
         table = gaussian_coefficients(n, sz, st_, grid).values
         for j, lam in enumerate(grid.lam.tolist()):
@@ -239,7 +239,8 @@ def test_gaussian_closed_form_on_floats_matches_numpy():
 
 @pytest.mark.parametrize("start, stop, num", [
     (1e-3, 1e3, 320), (1.0, 1e8, 2049), (1e-4, 1e2, 576), (1e-3, 1.0, 120),
-    (7.72e-47, 4e191, 6), (0.15, 1e90, 16), (1e300, 1.7e308, 40), (2.0, 3.0, 2)])
+    (7.72e-47, 4e191, 6), (0.15, 1e90, 16), (1e300, 1.7e308, 40), (2.0, 3.0, 2),
+    (0.5, 5.0, 10), (1e-3, 300.0, 399)])
 def test_float_geomspace_matches_numpy(start, stop, num):
     # the endpoints exactly, and every node within an ulp: numpy's power
     # takes a SIMD code path an ulp away from libm's pow
@@ -247,6 +248,20 @@ def test_float_geomspace_matches_numpy(start, stop, num):
     want = np.geomspace(start, stop, num)
     assert len(got) == num and got[0] == start and got[-1] == stop
     assert np.all(np.abs(np.array(got) - want) <= np.spacing(want))
+
+
+@pytest.mark.parametrize("window", [
+    (1e-2, 1e2, 192), (1e-4, 1e2, 576), (0.15, 1.8, 16), (0.15, 1.8, 24),
+    (1e-3, 1e10, 1024), (1.0, 2.0, 2049), (1e-3, 1e3, 128), (1e-3, 1e3, 320)])
+def test_grid_matches_the_numpy_window(window):
+    # on every window a shipped path builds: each node within an ulp of
+    # numpy's, and each weight, half the gap of two logs, within an ulp of
+    # max(|log lam|, 1), the size of the logs whose rounding it inherits
+    grid = QuadratureGrid(1, *window)
+    lam, w = numpy_lambda_window(*window)
+    assert np.all(np.abs(grid.lam - lam) <= np.spacing(lam))
+    assert np.all(np.abs(grid.lam_log_w - w)
+                  <= np.spacing(np.maximum(np.abs(np.log(lam)), 1.0)))
 
 
 def test_float_geomspace_where_the_step_underflows():
@@ -306,8 +321,8 @@ def test_forward_radial_matches_per_column_loop(f, batch_nodes, monkeypatch):
     # 300 nodes split the grid into several batches, some of a single column
     if batch_nodes is not None:
         monkeypatch.setattr("oracles._BATCH_NODES", batch_nodes)
-    grid = QuadratureGrid.make(k_max=24, lambda_min=1e-3, lambda_max=50.0,
-                               lambda_nodes=12)
+    grid = QuadratureGrid(k_max=24, lambda_min=1e-3, lambda_max=50.0,
+                          lambda_nodes=12)
     coarse = forward_radial(f, grid, check=False, nodes_per_panel=32).values
     fine = forward_radial(f, grid, nodes_per_panel=32).values
     for got, npp in ((coarse, 32), (fine, 64)):
@@ -318,8 +333,8 @@ def test_forward_radial_matches_per_column_loop(f, batch_nodes, monkeypatch):
 def test_forward_radial_refusal_names_its_numbers():
     # three nodes per panel do not resolve degree 24: the refusal states the
     # disagreement, the tolerance and the worst cell
-    grid = QuadratureGrid.make(k_max=24, lambda_min=0.5, lambda_max=40.0,
-                               lambda_nodes=4)
+    grid = QuadratureGrid(k_max=24, lambda_min=0.5, lambda_max=40.0,
+                          lambda_nodes=4)
     with pytest.raises(QuadratureError, match=r"panel refinement: disagreement "
                                               r"\d\.\d{3}e-\d\d \(> 1e-08\) "
                                               r"at k = \d+, lambda = [\d.]+$"):
@@ -330,8 +345,8 @@ def test_unit_mass_bounds_coefficients():
     c = forward_radial(box_factor(1, 0.9, 0.8), GRID)
     assert np.max(np.abs(c.values)) <= 1.0 + 1e-10
     # small-lambda, degree-zero coefficient approaches the total mass
-    g = QuadratureGrid.make(k_max=2, lambda_min=1e-5, lambda_max=1e-4,
-                            lambda_nodes=8)
+    g = QuadratureGrid(k_max=2, lambda_min=1e-5, lambda_max=1e-4,
+                       lambda_nodes=8)
     c0 = forward_radial(box_factor(1, 0.9, 0.8), g)
     assert c0.values[0, 0] == pytest.approx(1.0, abs=1e-6)
 
@@ -363,8 +378,8 @@ def test_projection_dimensions():
 
 def test_multiply_coeffs_requires_same_grid():
     c = forward_radial(box_factor(1, 0.9, 0.8), GRID)
-    other = QuadratureGrid.make(k_max=24, lambda_min=0.05, lambda_max=20.0,
-                                lambda_nodes=65)
+    other = QuadratureGrid(k_max=24, lambda_min=0.05, lambda_max=20.0,
+                           lambda_nodes=65)
     d = forward_radial(box_factor(1, 0.7, 0.6), other)
     with pytest.raises(GridMismatchError):
         multiply_coeffs(c, d)
@@ -374,8 +389,8 @@ def test_multiply_coeffs_requires_same_grid():
 
 def test_dilation_closed_form_on_smooth_column():
     # R_k(lam) = delta_k0 exp(-(log lam)^2) maps to r^-4 exp(-(log(lam/r^2))^2)
-    g = QuadratureGrid.make(k_max=1, lambda_min=1e-3, lambda_max=1e3,
-                            lambda_nodes=512)
+    g = QuadratureGrid(k_max=1, lambda_min=1e-3, lambda_max=1e3,
+                       lambda_nodes=512)
     vals = np.zeros((2, g.lam.size))
     vals[0] = np.exp(-np.log(g.lam) ** 2)
     c = SpectralCoefficients(n=1, grid=g, values=vals)
@@ -390,8 +405,8 @@ def test_dilation_closed_form_on_smooth_column():
 
 def test_dilation_matches_spatial_dilation():
     r = 1.4
-    g = QuadratureGrid.make(k_max=48, lambda_min=1e-3, lambda_max=1e3,
-                            lambda_nodes=320)
+    g = QuadratureGrid(k_max=48, lambda_min=1e-3, lambda_max=1e3,
+                       lambda_nodes=320)
     c = forward_radial(gaussian_factor(1, 2.0, 0.2), g)
     d = dilate_coeffs(c, r)
     target = forward_radial(gaussian_factor(1, 2.0 / r, 0.2 / r ** 2), g)

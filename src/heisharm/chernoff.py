@@ -13,7 +13,8 @@ and growth trends only.
 The module imports numpy where it evaluates on arrays, so loading it costs
 nothing: ingham_norm_bound_check refuses a power past MAX_POWER, and a
 profile that fails the gamma hypothesis (checked on Python floats), before
-numpy loads.
+numpy loads.  The hypothesis and the gamma bound take Theta at one float
+(a profile's ThetaProfile.at) and evaluate with math.
 """
 
 import math
@@ -160,15 +161,15 @@ def gamma_integral_log(theta, n, m):
     return float(logsumexp(log_g + np.log(w)))
 
 
-def gamma_bound_log(theta, n, m):
+def gamma_bound_log(theta_at, n, m):
     """log of the two-term gamma bound
     2 m^{8(n+1)} Gamma(4m) Theta(m^4)^{-4m} + 4 e^{-m^2} Gamma(8m + 4(n+1)),
-    returned with the two constituent term logs."""
-    import numpy as np
-    t1 = (np.log(2.0) + 8.0 * (n + 1) * np.log(m) + math.lgamma(4.0 * m)
-          - 4.0 * m * np.log(theta(float(m) ** 4)))
-    t2 = np.log(4.0) - float(m) ** 2 + math.lgamma(8.0 * m + 4.0 * (n + 1))
-    return float(np.logaddexp(t1, t2)), float(t1), float(t2)
+    with Theta given at one float by theta_at, returned with the two
+    constituent term logs; the sum is numpy's logaddexp formula."""
+    t1 = (math.log(2.0) + 8.0 * (n + 1) * math.log(m) + math.lgamma(4.0 * m)
+          - 4.0 * m * math.log(theta_at(float(m) ** 4)))
+    t2 = math.log(4.0) - float(m) ** 2 + math.lgamma(8.0 * m + 4.0 * (n + 1))
+    return max(t1, t2) + math.log1p(math.exp(-abs(t1 - t2))), t1, t2
 
 
 def check_gamma_hypothesis(theta_at):
@@ -198,7 +199,7 @@ def ingham_norm_bound_check(theta, n, M):
     rows = []
     for m in range(1, M + 1):
         log_i = gamma_integral_log(theta, n, m)
-        log_b, log_t1, log_t2 = gamma_bound_log(theta, n, m)
+        log_b, log_t1, log_t2 = gamma_bound_log(theta.at, n, m)
         rows.append({
             "m": m,
             "log_integral": log_i,

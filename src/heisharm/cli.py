@@ -431,8 +431,8 @@ def _cmd_symmdiff_check(cfg):
             "dim": dim,
             "pairs": _SYMMDIFF_RADII * len(_SYMMDIFF_RATIOS),
             "bound_violations": violations,
-            "max_bound_ratio": float(worst_ratio),
-            "max_lens_error": float(lens_err) if dim == 2 else None,
+            "max_bound_ratio": worst_ratio,
+            "max_lens_error": lens_err if dim == 2 else None,
             "lens_tol": _LENS_TOL if dim == 2 else None,
         })
     ok = all(r["bound_violations"] == 0 for r in rows)

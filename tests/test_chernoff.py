@@ -94,7 +94,7 @@ def test_gamma_integral_constant_profile():
 
 def test_gamma_bound_combines_terms():
     theta = builtin_theta("inv-sqrt-strong")
-    total, t1, t2 = gamma_bound_log(theta, 1, 4)
+    total, t1, t2 = gamma_bound_log(theta.at, 1, 4)
     assert total == pytest.approx(np.logaddexp(t1, t2))
     assert total >= max(t1, t2)
 
@@ -104,7 +104,7 @@ def test_gamma_bound_terms_match_lgamma_derivation(n, m):
     # inv-sqrt-strong is 2 min(1, y^{-1/2}), so Theta(m^4) = 2 / m^2 for
     # m >= 1; the terms are 2 m^{8(n+1)} Gamma(4m) Theta(m^4)^{-4m} and
     # 4 e^{-m^2} Gamma(8m + 4(n+1))
-    _, t1, t2 = gamma_bound_log(builtin_theta("inv-sqrt-strong"), n, m)
+    _, t1, t2 = gamma_bound_log(builtin_theta("inv-sqrt-strong").at, n, m)
     log_theta = math.log(2.0) - 2.0 * math.log(m)
     want1 = (math.log(2.0) + 8 * (n + 1) * math.log(m) + math.lgamma(4 * m)
              - 4 * m * log_theta)

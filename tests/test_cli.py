@@ -496,7 +496,7 @@ def test_carleman_envelope_family(tmp_path):
     # -log 16, so each ratio is ||L^m f||^2 * 16 / (the doubled profile's
     # two-term gamma bound)
     theta = builtin_theta("inv-sqrt-strong")
-    doubled = lambda y: 2.0 * theta(y)
+    doubled = lambda y: 2.0 * theta.at(y)
     assert [r["m"] for r in report["rows"]] == list(range(1, 7))
     for row in report["rows"]:
         log_bound = gamma_bound_log(doubled, 1, row["m"])[0]
@@ -702,8 +702,8 @@ def test_symmdiff_check(tmp_path, capsys):
     for R in np.geomspace(0.5, 5.0, 10).tolist():
         for d in (frac * R for frac in (0.1, 0.5, 1.0, 1.5, 1.9)):
             lens = ball_volume(R, 2) - 0.5 * ball_shift_symmdiff(2, R, d)
-            exact = (2.0 * R * R * np.arccos(0.5 * d / R)
-                     - 0.5 * d * np.sqrt(4.0 * R * R - d * d))
+            exact = (2.0 * R * R * math.acos(0.5 * d / R)
+                     - 0.5 * d * math.sqrt(4.0 * R * R - d * d))
             worst = max(worst, abs(lens - exact))
     assert 0.0 < row["max_lens_error"] <= 1e-10
     assert row["max_lens_error"] == worst

@@ -25,7 +25,7 @@ from heisharm._ball import FLOATS, gammainc, gammainc_poisson, gammainc_series
 from heisharm.chernoff import logsumexp
 from heisharm.errors import DomainError
 from heisharm.fixtures import packaged_fixtures_dir
-from heisharm.group import betainc_half
+from heisharm.group import betainc_half_complement
 from heisharm.grids import _unit_rule, roots_legendre
 from heisharm.laguerre import roots_genlaguerre
 from heisharm.transform import projection_hs_norm_sq
@@ -71,19 +71,20 @@ def test_gammainc_is_each_half_on_its_own_entries(n):
 @seed(22)
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([1.5, 2.5, 3.5]),
-       st.one_of(st.floats(min_value=0.0, max_value=1.0),
+       st.one_of(st.floats(min_value=1e-150, max_value=1.0),
                  st.floats(min_value=0.999, max_value=1.0),
-                 st.sampled_from([0.0, 1.0, float(np.nextafter(1.0, 0.0))])))
-def test_betainc_matches_scipy(a, x):
-    ours = betainc_half(a, x)
-    assert abs(ours - sc.betainc(a, 0.5, x)) <= 2e-15
-    assert betainc_half(a, np.array([x]))[0] == ours
+                 st.sampled_from([0.0, 1e-150, 1.0, math.nextafter(1.0, 0.0)])))
+def test_betainc_matches_scipy(a, y):
+    # the complement 1 - I_x(a, 1/2), x = 1 - y^2, is I_{y^2}(1/2, a), to
+    # a relative 2e-15 however small y is, down to where y^2 underflows
+    ref = sc.betainc(0.5, a, y * y)
+    assert abs(betainc_half_complement(a, y) - ref) <= 2e-15 * ref
 
 
 def test_betainc_refuses_other_a():
     for a in (0.0, 1.0, 1.25):
         with pytest.raises(ValueError):
-            betainc_half(a, 0.5)
+            betainc_half_complement(a, 0.5)
 
 
 @pytest.mark.parametrize("p", [16, 64])
@@ -333,13 +334,16 @@ _PLANS.append(["ingham-plan", "--theta", "inv-sqrt-strong", "--n", "3",
     *[(["plancherel-check", "--family", "gaussian", "--n", n], code, "",
        (*_LEAN, "heisharm.transform", "heisharm.grids"))
       for n, code in (("1", 0), ("2", 1), ("3", 1))],
+    # symmdiff-check's ball geometry runs on math
+    (["symmdiff-check"], 0, "", (*_LEAN, "heisharm.transform", "heisharm.grids")),
 ], ids=["help", "config-refusal", "dilate-n1", "dilate-n2",
         "gamma-bound-inv-sqrt", "plan-inv-log", "verify-inv-log",
         "plan-divergent-table",
         *(f"{command[7:]}-{config[:-5]}" for config, _ in _CONFIG_REFUSALS
           for command in ("ingham-plan", "ingham-verify")),
         *("plan-" + "-".join(v.lstrip("-") for v in a[2:]) for a in _PLANS),
-        "plancherel-gaussian-n1", "plancherel-gaussian-n2", "plancherel-gaussian-n3"])
+        "plancherel-gaussian-n1", "plancherel-gaussian-n2", "plancherel-gaussian-n3",
+        "symmdiff"])
 def test_front_end_and_declared_refusals_skip_numpy(tmp_path, fresh_env, argv,
                                                      code, stderr, unloaded):
     (tmp_path / "slowlog.json").write_text(
